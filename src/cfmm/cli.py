@@ -169,6 +169,7 @@ def cmd_process(args) -> int:
     source = fm.open_captures(captures)
     params = cfg.pipeline
     params.validate()
+    params.noise_bins(source.n_subcarriers)  # fail before any output exists
     f = params.pad_factor
     native_bin_s = 1.0 / (source.n_subcarriers * source.subcarrier_spacing_hz)
     out.mkdir(parents=True, exist_ok=True)

@@ -63,12 +63,10 @@ class RunConfig:
             raise ConfigError(
                 f"impairments.crosstalk_coupling_db = {imp.crosstalk_coupling_db}: must be <= 0 or null"
             )
-        steps = imp.agc.attenuation_steps_db
-        if len(steps) < 1 or list(steps) != sorted(steps):
-            raise ConfigError("impairments.agc.attenuation_steps_db: must be ascending and non-empty")
-        lo, hi = imp.agc.target_output_window_dbm
-        if not lo < hi:
-            raise ConfigError("impairments.agc.target_output_window_dbm: must be (low, high) with low < high")
+        try:
+            imp.agc.validate()
+        except ValueError as e:
+            raise ConfigError(f"impairments.agc.{e}") from e
 
 
 def _apply_section(obj, data: dict, section: str, casts: dict | None = None):

@@ -17,6 +17,7 @@ whole.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -245,6 +246,11 @@ def open_captures(path) -> CaptureFile:
                 raise FormatError(f"{path}: truncated {name} block")
             fields[name] = arr.reshape(shape)
         spectra_offset = fh.tell()
+        expected = spectra_offset + m * u * r * n * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise FormatError(
+                f"{path}: truncated spectra payload ({size} bytes, expected {expected})")
     return CaptureFile(
         path=str(path), n_captures=m, n_ues=u, n_reps_stored=r, n_subcarriers=n,
         subcarrier_spacing_hz=spacing, capture_interval_s=interval,

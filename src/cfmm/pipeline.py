@@ -10,6 +10,16 @@ with taps normalized to unit coherent gain (sum w = 1), so an isolated
 path's peak equals its power regardless of the window shape, and the
 ungated, unwindowed profile obeys Parseval against (1/N) sum |H_k|^2.
 
+Only the delays the pipeline keeps are transformed. The padded profile has
+L = F N bins and the noise region is [lo, hi) in oversampled bins; its
+complement is the signed span [hi - L, lo), which holds the gated delays,
+the rest of the pre-noise delays and the negative delays where the
+zero-delay leakage wraps. compute_pdp evaluates that span exactly with
+Bluestein's chirp-z algorithm (Rabiner, Schafer & Rader, 1969). The
+noise-region energy of a capture is the Parseval total L sum |w H|^2
+minus the span energy; since the small-scale average is linear, the noise
+level averages those per-capture region means instead of whole profiles.
+
 The window shape parameter follows the classic Kaiser-Bessel convention:
 a value of 3.0 means I0(pi*3*sqrt(1-x^2)) (first sidelobe -69.8 dB). The
 far sidelobes then stay more than 100 dB below an isolated peak, which is
@@ -58,6 +68,19 @@ class PipelineParams:
             raise ValueError("noise region must start beyond the delay gate")
         if hi is not None and hi <= lo:
             raise ValueError("noise region must be non-empty")
+
+    def noise_bins(self, n_subcarriers: int) -> tuple[int, int]:
+        """Noise region [lo, hi) in oversampled bins of an n_subcarriers profile.
+
+        Raises ValueError when the region does not fit inside the profile.
+        """
+        lo, hi = self.noise_region_native
+        hi = n_subcarriers if hi is None else hi
+        if not lo < hi <= n_subcarriers:
+            raise ValueError(
+                f"pipeline.noise_region_native = {tuple(self.noise_region_native)}: "
+                f"needs lo < hi <= {n_subcarriers}, the tone count of the captures")
+        return lo * self.pad_factor, hi * self.pad_factor
 
 
 @dataclass
@@ -124,18 +147,38 @@ def calibrate(raw: np.ndarray, cal_response: np.ndarray,
 
 
 def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,
-                pad_factor: int = 10) -> np.ndarray:
+                pad_factor: int = 10, bins: tuple[int, int] | None = None) -> np.ndarray:
     """Windowed, zero-padded delay-power profile, tones on the last axis.
 
-    Output length is pad_factor times the tone count; bin q sits at delay
-    q / (pad_factor * n * spacing).
+    The padded profile has L = pad_factor * n bins; bin q sits at delay
+    q / (L * spacing), and a negative q is the alias of bin L + q. bins =
+    (start, stop) selects the signed bins start <= q < stop (default: the
+    whole profile, 0..L-1), which come out in that order.
+
+    The span is evaluated with Bluestein's algorithm: pre-rotate by the
+    span start, convolve with the chirp exp(i pi k^2 / L) by FFT of length
+    next_fast_len(n + span - 1), and drop the unit-modulus post-chirp,
+    which |.|^2 removes. Phases are reduced exactly in int64 (k^2 mod 2L,
+    j*start mod L) before scaling, so no phase loses precision with k.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = h.shape[-1]
-    w = kaiser_taps(n, kaiser_beta)
-    x = sfft.ifft(h * w, n=pad_factor * n, axis=-1)
-    x *= pad_factor * n
-    return np.abs(x) ** 2
+    big_l = pad_factor * n
+    start, stop = (0, big_l) if bins is None else bins
+    span = stop - start
+    if not 0 < span <= big_l:
+        raise ValueError(f"bins {bins}: span must hold 1..{big_l} bins")
+    nfft = sfft.next_fast_len(n + span - 1)
+    k = np.arange(max(n, span), dtype=np.int64)
+    chirp = np.exp(1j * np.pi * ((k * k) % (2 * big_l)) / big_l)
+    rotate = np.exp(2j * np.pi * ((k[:n] * start) % big_l) / big_l)
+    kernel = np.zeros(nfft, dtype=np.complex128)
+    kernel[:span] = chirp[:span].conj()
+    kernel[nfft - n + 1:] = chirp[n - 1:0:-1].conj()
+    x = sfft.fft(h * (kaiser_taps(n, kaiser_beta) * rotate * chirp[:n]), n=nfft, axis=-1)
+    x *= sfft.fft(kernel)
+    x = sfft.ifft(x, axis=-1, overwrite_x=True)[..., :span]
+    return x.real ** 2 + x.imag ** 2
 
 
 def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
@@ -162,27 +205,31 @@ def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
     return acc / counts.reshape((m,) + (1,) * (pdps.ndim - 1))
 
 
-def threshold_noise(ssa_pdp: np.ndarray, noise_region: slice,
+def threshold_noise(ssa_pdp: np.ndarray, noise_mean: np.ndarray,
                     delta_n_db: float = 7.0) -> tuple[np.ndarray, np.ndarray]:
     """Noise-level estimate and survival mask.
 
-    The noise level is the dB of the mean linear power over noise_region
-    (late, signal-free delay bins); bins at or above noise + delta survive.
-    Returns (mask, noise_level_db) with noise_level_db over leading axes.
+    noise_mean is the mean linear power over the noise region (late,
+    signal-free delay bins), one value per profile on the leading axes;
+    bins at or above noise + delta survive. Returns (mask, noise_level_db).
     """
-    p_lin = np.asarray(ssa_pdp)[..., noise_region].mean(axis=-1, dtype=np.float64)
+    p_lin = np.asarray(noise_mean, dtype=np.float64)
     noise_db = 10.0 * np.log10(np.maximum(p_lin, _TINY))
     theta_lin = p_lin * 10.0 ** (delta_n_db / 10.0)
     mask = np.asarray(ssa_pdp) >= theta_lin[..., None]
     return mask, noise_db
 
 
-def delay_gate(values: np.ndarray, mask: np.ndarray, gate_native_bins: int,
-               pad_factor: int) -> None:
-    """Zero and unmask everything beyond the gate, in place."""
-    cut = gate_native_bins * pad_factor
-    values[..., cut:] = 0.0
-    mask[..., cut:] = False
+def delay_gate(values: np.ndarray, mask: np.ndarray, cuts: np.ndarray) -> None:
+    """Restrict gated profiles to [cut, B) and zero what is masked, in place.
+
+    values and mask hold the B gated bins on the last axis; cuts (from
+    crosstalk_cut_bins) broadcasts against the leading axes. Bins before a
+    profile's cut are leakage pre-cursor and are unmasked; every unmasked
+    bin, including those the threshold dropped, is set to zero.
+    """
+    mask &= np.arange(values.shape[-1]) >= np.asarray(cuts)[..., None]
+    values[~mask] = 0.0
 
 
 def crosstalk_cut_bins(distance_m: np.ndarray, native_bin_s: float,
@@ -197,17 +244,6 @@ def crosstalk_cut_bins(distance_m: np.ndarray, native_bin_s: float,
     k = np.rint(np.asarray(distance_m, dtype=float)
                 / (SPEED_OF_LIGHT * native_bin_s)).astype(int)
     return np.clip(k - guard_native_bins, 0, gate_native_bins) * pad_factor
-
-
-def remove_crosstalk(values: np.ndarray, mask: np.ndarray,
-                     distance_m: float, native_bin_s: float,
-                     guard_native_bins: int, gate_native_bins: int,
-                     pad_factor: int) -> None:
-    """Zero and unmask the leakage pre-cursor region of one profile, in place."""
-    cut = int(crosstalk_cut_bins(np.asarray(distance_m), native_bin_s,
-                                 guard_native_bins, gate_native_bins, pad_factor))
-    values[..., :cut] = 0.0
-    mask[..., :cut] = False
 
 
 # --- campaign orchestration ---------------------------------------------------
@@ -243,13 +279,20 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     is what makes parallel workers byte-equivalent to a serial run.
     Returns (m0, m1, values, mask, noise_db, theta_db) with values/mask
     trimmed to the gated span.
+
+    Each profile is transformed over the signed span that complements the
+    noise region; threshold, gate and pre-cursor cut then act on its
+    gated bins only.
     """
     n = source.n_subcarriers
     f = params.pad_factor
+    big_l = n * f
     native_bin_s = 1.0 / (n * source.subcarrier_spacing_hz)
     gate_cut = params.gate_native_bins * f
-    lo_n, hi_n = params.noise_region_native
-    noise_region = slice(lo_n * f, n * f if hi_n is None else hi_n * f)
+    noise_lo, noise_hi = params.noise_bins(n)
+    span = (noise_hi - big_l, noise_lo)
+    gated = slice(big_l - noise_hi, big_l - noise_hi + gate_cut)  # delays [0, gate)
+    taps = kaiser_taps(n, params.kaiser_beta)
     halo = (params.ssa_window - 1) // 2
     m_total = source.n_captures
     n_ue = source.n_ues
@@ -262,27 +305,26 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
 
     lo = max(0, a - halo)
     hi = min(m_total, b + halo)
+    own = slice(a - lo, b - lo)
     raw = source.spectra(lo, hi)  # (m, U, R, N) complex64
     h_avg = raw.astype(np.complex128).mean(axis=2)
     h_ch = calibrate(h_avg, source.cal_response, source.reference_tones,
                      source.attenuation_db[lo:hi, None])
 
-    values = np.empty((b - a, n_ue, n * f), dtype=np.float64)
+    values = np.empty((b - a, n_ue, gate_cut), dtype=np.float64)
+    noise_mean = np.empty((b - a, n_ue), dtype=np.float64)
     for j in range(n_ue):
-        pdp = compute_pdp(h_ch[:, j], params.kaiser_beta, f)
-        values[:, j] = small_scale_average(pdp, params.ssa_window)[a - lo:a - lo + b - a]
+        pdp = compute_pdp(h_ch[:, j], params.kaiser_beta, f, span)
+        # Parseval: the whole padded profile holds L * sum |w H|^2.
+        total = big_l * (np.abs(taps * h_ch[:, j]) ** 2).sum(axis=-1)
+        region = np.maximum(total - pdp.sum(axis=-1), 0.0) / (noise_hi - noise_lo)
+        values[:, j] = small_scale_average(pdp[:, gated], params.ssa_window)[own]
+        noise_mean[:, j] = small_scale_average(region, params.ssa_window)[own]
 
-    mask, noise_db = threshold_noise(values, noise_region, params.delta_n_db)
-    values[~mask] = 0.0
-    delay_gate(values, mask, params.gate_native_bins, f)
-    for i in range(b - a):
-        for j in range(n_ue):
-            cut = cuts[i, j]
-            values[i, j, :cut] = 0.0
-            mask[i, j, :cut] = False
+    mask, noise_db = threshold_noise(values, noise_mean, params.delta_n_db)
+    delay_gate(values, mask, cuts)
     theta_db = noise_db + params.delta_n_db
-    return (a, b, values[..., :gate_cut].astype(np.float32),
-            mask[..., :gate_cut], noise_db, theta_db)
+    return a, b, values.astype(np.float32), mask, noise_db, theta_db
 
 
 def iter_processed_chunks(source, params: PipelineParams,

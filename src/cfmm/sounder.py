@@ -42,11 +42,12 @@ class AGCConfig:
     target_output_window_dbm: tuple = (-45.0, -40.0)
 
     def validate(self) -> None:
-        if list(self.attenuation_steps_db) != sorted(set(self.attenuation_steps_db)):
-            raise ValueError("attenuation steps must be strictly increasing")
+        steps = list(self.attenuation_steps_db)
+        if not steps or steps != sorted(set(steps)):
+            raise ValueError("attenuation_steps_db: must be non-empty and strictly increasing")
         lo, hi = self.target_output_window_dbm
         if not lo < hi:
-            raise ValueError("target window must satisfy lo < hi")
+            raise ValueError("target_output_window_dbm: must be (low, high) with low < high")
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,15 @@ class TestValidate:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_duplicate_agc_step_named(self, workspace, tmp_path, capsys):
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["impairments"] = {"agc": {"attenuation_steps_db": [0, 10, 10]}}
+        p = tmp_path / "agc.json"
+        p.write_text(json.dumps(cfg))
+        rc = main(["validate", "--config", str(p)])
+        assert rc == 1
+        assert "impairments.agc.attenuation_steps_db" in capsys.readouterr().err
+
     def test_wrong_ue_count_named(self, tmp_path, capsys):
         scene = make_scene(ue_positions=ue_line(n=7))
         sc.save_scene(scene, tmp_path / "scene7.json")
@@ -204,6 +213,32 @@ class TestStages:
         assert rc == 3
         err = capsys.readouterr().err
         assert "version 250" in err and "expected 1" in err
+
+    def test_truncated_spectra_exit_3(self, workspace, tmp_path, capsys):
+        raw = (workspace / "out" / "captures.cfmc").read_bytes()
+        bad = tmp_path / "short.cfmc"
+        bad.write_bytes(raw[:-4096])
+        rc = main(["process", "--config", str(workspace / "cfg.json"),
+                   "--captures", str(bad), "--out", str(tmp_path / "z")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "truncated spectra" in err
+        assert not (tmp_path / "z" / "matrix.cfmm").exists()
+
+    @pytest.mark.parametrize("region", [[450, 2802], [2801, None]])
+    def test_noise_region_outside_profile_exit_1(self, workspace, tmp_path,
+                                                 capsys, region):
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["pipeline"] = {"noise_region_native": region}
+        p = tmp_path / "region.json"
+        p.write_text(json.dumps(cfg))
+        rc = main(["process", "--config", str(p), "--captures",
+                   str(workspace / "out" / "captures.cfmc"),
+                   "--out", str(tmp_path / "r"), "--workers", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "pipeline.noise_region_native" in err and "2801" in err
+        assert not (tmp_path / "r" / "matrix.cfmm").exists()
 
     def test_out_root_env(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("CFMM_OUT_ROOT", str(tmp_path / "root"))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ def brute_pdp(h, beta, pad):
     fn = pad * n
     w = pl.kaiser_taps(n, beta)
     e = np.exp(2j * np.pi * np.outer(np.arange(fn), np.arange(n)) / fn)
+    return np.abs(e @ (w * h)) ** 2
+
+
+def brute_at(h, beta, pad, q):
+    # The same sum at signed bins q; q < 0 aliases bin F N + q.
+    n = h.shape[-1]
+    w = pl.kaiser_taps(n, beta)
+    e = np.exp(2j * np.pi * np.outer(q, np.arange(n)) / (pad * n))
     return np.abs(e @ (w * h)) ** 2
 
 
@@ -110,6 +120,46 @@ class TestComputePDP:
         p = pl.compute_pdp(h, kaiser_beta=0.0, pad_factor=1)
         assert p.sum() == pytest.approx((np.abs(h) ** 2).sum() / 256, rel=1e-12)
 
+    def test_span_matches_direct_sum(self):
+        # Spans through delay 0 from negative delays, and past bin L - 1.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(16, 65))
+            f = int(rng.integers(2, 11))
+            big_l = n * f
+            h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            lo = -int(rng.integers(1, big_l // 2))
+            for start, stop in ((lo, int(rng.integers(1, big_l // 2))),
+                                (big_l + lo, big_l + int(rng.integers(1, big_l // 2))),
+                                (lo - big_l // 3, lo)):
+                got = pl.compute_pdp(h, 3.0, f, (start, stop))
+                want = brute_at(h, 3.0, f, np.arange(start, stop))
+                np.testing.assert_allclose(got, want, rtol=1e-9,
+                                           atol=want.max() * 1e-13)
+
+    def test_campaign_span_matches_direct_sum(self):
+        # The span process_chunk evaluates at the default parameters:
+        # signed bins -510..4499 of the 28010-bin profile.
+        n, f = 2801, 10
+        rng = np.random.default_rng(4)
+        h = on_grid_channel(n, 117) + 1e-3 * (rng.standard_normal(n)
+                                              + 1j * rng.standard_normal(n))
+        start, stop = 2750 * f - n * f, 450 * f
+        got = pl.compute_pdp(h, 3.0, f, (start, stop))
+        assert got.shape == (5010,)
+        pick = np.concatenate([np.arange(start, start + 40), np.arange(-20, 20),
+                               np.arange(1160, 1180), np.arange(stop - 40, stop),
+                               rng.integers(start, stop, 100)])
+        want = brute_at(h, 3.0, f, pick)
+        np.testing.assert_allclose(got[pick - start], want, rtol=1e-9,
+                                   atol=want.max() * 1e-13)
+
+    def test_bad_span_rejected(self):
+        h = np.ones(16)
+        for bins in ((5, 5), (0, 16 * 3 + 1)):
+            with pytest.raises(ValueError, match="span"):
+                pl.compute_pdp(h, 3.0, 3, bins)
+
 
 class TestSmallScaleAverage:
     def test_window_one_is_identity(self):
@@ -140,12 +190,16 @@ class TestSmallScaleAverage:
             pl.small_scale_average(np.ones((4, 2)), 4)
 
 
+def region_mean(ssa, region):
+    return ssa[..., region].mean(axis=-1)
+
+
 class TestThreshold:
     def test_level_and_mask(self):
         ssa = np.ones((1, 100))
         ssa[0, 10] = 10 ** 0.71  # just above mean + 7 dB
         ssa[0, 20] = 10 ** 0.69  # just below
-        mask, noise_db = pl.threshold_noise(ssa, slice(50, 100), 7.0)
+        mask, noise_db = pl.threshold_noise(ssa, region_mean(ssa, slice(50, 100)), 7.0)
         assert noise_db[0] == pytest.approx(0.0, abs=0.01)
         assert bool(mask[0, 10]) is True
         assert bool(mask[0, 20]) is False
@@ -153,7 +207,7 @@ class TestThreshold:
     def test_all_noise_gives_sparse_mask(self):
         rng = np.random.default_rng(12)
         ssa = rng.exponential(1.0, size=(500, 4000))
-        mask, _ = pl.threshold_noise(ssa, slice(2000, 4000), 7.0)
+        mask, _ = pl.threshold_noise(ssa, region_mean(ssa, slice(2000, 4000)), 7.0)
         frac = mask[:, :2000].mean()
         assert frac == pytest.approx(np.exp(-10 ** 0.7), abs=8e-4)
 
@@ -161,7 +215,7 @@ class TestThreshold:
         rng = np.random.default_rng(5)
         ssa = rng.exponential(1.0, size=(50, 3000))
         ssa[:, 100] = 1000.0  # 30 dB above the floor
-        mask, _ = pl.threshold_noise(ssa, slice(1500, 3000), 7.0)
+        mask, _ = pl.threshold_noise(ssa, region_mean(ssa, slice(1500, 3000)), 7.0)
         assert mask[:, 100].all()
 
 
@@ -169,11 +223,13 @@ class TestGateAndCrosstalk:
     def test_gate_zeroes_and_unmasks(self):
         v = np.ones((2, 3, 20))
         m = np.ones((2, 3, 20), dtype=bool)
-        pl.delay_gate(v, m, gate_native_bins=3, pad_factor=2)
-        assert v[..., 6:].max() == 0.0
-        assert not m[..., 6:].any()
-        assert v[..., :6].min() == 1.0
-        assert m[..., :6].all()
+        m[..., 15] = False  # dropped by the threshold
+        cuts = np.array([[6, 6, 6], [0, 6, 20]])
+        pl.delay_gate(v, m, cuts)
+        keep = np.arange(20) >= cuts[..., None]
+        keep[..., 15] = False
+        np.testing.assert_array_equal(m, keep)
+        np.testing.assert_array_equal(v, keep.astype(float))
 
     def test_cut_bin_arithmetic(self):
         native = 1.0 / 350.125e6
@@ -187,7 +243,7 @@ class TestGateAndCrosstalk:
         native = 1.0 / 350.125e6
         v = np.ones(4000)
         m = np.ones(4000, dtype=bool)
-        pl.remove_crosstalk(v, m, 100.0, native, 4, 400, 10)
+        pl.delay_gate(v, m, pl.crosstalk_cut_bins(np.array(100.0), native, 4, 400, 10))
         assert v[:1130].max() == 0.0
         assert not m[:1130].any()
         assert v[1130:].min() == 1.0  # untouched at and beyond the cut
@@ -196,7 +252,7 @@ class TestGateAndCrosstalk:
         native = 1.0 / 350.125e6
         v = np.ones(4000)
         m = np.ones(4000, dtype=bool)
-        pl.remove_crosstalk(v, m, 3.0, native, 4, 400, 10)
+        pl.delay_gate(v, m, pl.crosstalk_cut_bins(np.array(3.0), native, 4, 400, 10))
         assert v.min() == 1.0
         assert m.all()
 
@@ -216,10 +272,10 @@ def test_ssa_before_threshold_rescues_weak_path():
 
     region = slice(1000, 2000)
     ssa = pl.small_scale_average(pdps, 9)
-    mask_correct, _ = pl.threshold_noise(ssa, region, 7.0)
+    mask_correct, _ = pl.threshold_noise(ssa, region_mean(ssa, region), 7.0)
     assert mask_correct[:, 50].all()
 
-    mask_per_capture, _ = pl.threshold_noise(pdps, region, 7.0)
+    mask_per_capture, _ = pl.threshold_noise(pdps, region_mean(pdps, region), 7.0)
     assert not mask_per_capture[:, 50].all()
 
 
@@ -272,3 +328,70 @@ class TestProcessCampaign:
             pl.PipelineParams(noise_region_native=(300, None)).validate()
         with pytest.raises(ValueError):
             pl.PipelineParams(kaiser_beta=-0.5).validate()
+
+    def test_noise_region_must_fit_profile(self, plan):
+        for region in ((450, 2802), (2801, None)):
+            params = pl.PipelineParams(noise_region_native=region)
+            params.validate()
+            with pytest.raises(ValueError, match=r"noise_region_native.*2801"):
+                pl.process_chunk(pl.PlanSource(plan), params, 0, 4)
+        assert pl.PipelineParams().noise_bins(2801) == (4500, 27500)
+        assert pl.PipelineParams(noise_region_native=(450, None)).noise_bins(2801) \
+            == (4500, 28010)
+
+
+def full_profile_noise_db(source, params, a, b):
+    """Noise level from whole 28010-bin profiles, by a direct inverse FFT."""
+    n, f = source.n_subcarriers, params.pad_factor
+    lo_n, hi_n = params.noise_region_native
+    halo = params.ssa_window // 2
+    lo, hi = max(0, a - halo), min(source.n_captures, b + halo)
+    h = source.spectra(lo, hi).astype(np.complex128).mean(axis=2)
+    h = pl.calibrate(h, source.cal_response, source.reference_tones,
+                     source.attenuation_db[lo:hi, None])
+    w = pl.kaiser_taps(n, params.kaiser_beta)
+    full = np.abs(np.fft.ifft(h * w, n=n * f, axis=-1) * (n * f)) ** 2
+    ssa = pl.small_scale_average(full, params.ssa_window)[a - lo:b - lo]
+    return 10 * np.log10(ssa[..., lo_n * f:hi_n * f].mean(axis=-1))
+
+
+class TestSpanNoiseFloor:
+    def test_noise_db_matches_full_profile(self, plan):
+        params = pl.PipelineParams()
+        source = pl.PlanSource(plan)
+        for a, b in ((0, 12), (30, 41)):
+            got = pl.process_chunk(source, params, a, b)[4]
+            np.testing.assert_allclose(got, full_profile_noise_db(source, params, a, b),
+                                       rtol=0, atol=1e-6)
+
+    def test_noiseless_plan_gives_finite_floor(self, plan):
+        # Without receiver noise the noise region holds only leakage and
+        # rounding, so total minus span energy sits near cancellation; the
+        # clamp keeps every noise mean non-negative and every level finite.
+        params = pl.PipelineParams()
+        a, b, values, mask, noise_db, theta_db = pl.process_chunk(
+            pl.PlanSource(plan, include_noise=False), params, 0, 20)
+        assert np.isfinite(noise_db).all() and np.isfinite(theta_db).all()
+        assert noise_db.max() < -150.0
+        assert np.isfinite(values).all() and (values >= 0).all()
+
+    def test_empty_noise_region_clamps_to_floor(self):
+        # On-grid path, rectangular window, no padding: the profile is an
+        # impulse up to complex64 rounding, so the noise region holds less
+        # energy than float64 rounding of the total. The Parseval difference
+        # is then rounding of either sign, which the clamp floors at zero.
+        # Span energy off by more than rounding (as with chirp phases not
+        # reduced mod 2L before scaling) would lift the level off the floor.
+        n, m = 2801, 12
+        h = on_grid_channel(n, 117).astype(np.complex64)
+        source = SimpleNamespace(
+            n_captures=m, n_ues=1, n_subcarriers=n, subcarrier_spacing_hz=125e3,
+            attenuation_db=np.zeros(m), cal_response=np.ones(n, dtype=complex),
+            reference_tones=np.ones(n, dtype=complex), positions=np.zeros((m, 3)),
+            ue_positions=np.zeros((1, 3)),
+            spectra=lambda m0, m1: np.broadcast_to(h, (m1 - m0, 1, 1, n)).copy())
+        params = pl.PipelineParams(kaiser_beta=0.0, pad_factor=1)
+        _, _, values, mask, noise_db, _ = pl.process_chunk(source, params, 0, m)
+        assert np.isfinite(noise_db).all()
+        assert noise_db.max() < -250.0
+        assert mask[:, 0, 117].all() and values[:, 0, 117].min() > 0.99
