@@ -5,56 +5,44 @@ H(f_k) = sum_p a_p exp(-j 2 pi (f_k - f_c) tau_p), with a_p the complex
 path gain referenced to the band centre f_c. Delays are not quantised to
 the grid; the PDP stage sees the same spectral leakage a real capture
 would.
+
+The comb is a uniform grid, f_k - f_c = f_0 + k df, so each path's phasor
+row factors exactly. Writing k = a B + b with B = FINE_TONES,
+
+    exp(-j 2 pi tau (f_0 + k df))
+        = exp(-j 2 pi tau (f_0 + a B df)) * exp(-j 2 pi tau b df),
+
+a coarse table of ceil(N / B) tones times a fine table of B tones. A path
+then costs ceil(N / B) + B complex exponentials (109 at N = 2801) instead
+of N, and synthesis requires the tone offsets to be such a grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .raypaths import PathBundle, PropagationPath
 from .waveform import WaveformSpec
 
-
-@dataclass
-class TransferFunction:
-    values: np.ndarray  # complex, (n_subcarriers,)
-    band_center_hz: float
-    subcarrier_spacing_hz: float
-
-    @property
-    def n_subcarriers(self) -> int:
-        return int(self.values.shape[-1])
+FINE_TONES = 64  # B: tones per fine table
+_GRID_RTOL = 8 * np.finfo(float).eps  # deviation from the grid, relative to max |f|
 
 
-def synthesize_transfer_function(
-    paths: list[PropagationPath] | PathBundle,
-    spec: WaveformSpec,
-    band_center_hz: float = 3.5e9,
-) -> TransferFunction:
-    """Transfer function of one AP-UE link over the sounding comb."""
-    offsets = spec.tone_offsets_hz()
-    if isinstance(paths, PathBundle):
-        gains = paths.complex_gains()
-        delays = paths.delay_s
-    else:
-        gains = np.array([p.complex_gain for p in paths], dtype=complex)
-        delays = np.array([p.delay_s for p in paths], dtype=float)
-    if gains.size == 0:
-        values = np.zeros(spec.n_subcarriers, dtype=complex)
-    else:
-        values = phasor_matrix(offsets, delays) @ gains
-    return TransferFunction(
-        values=values,
-        band_center_hz=band_center_hz,
-        subcarrier_spacing_hz=spec.subcarrier_spacing_hz,
-    )
+def _grid_step(offsets_hz: np.ndarray) -> float:
+    """Spacing df of a uniform grid offsets_hz[0] + k df; 0 for fewer than two tones.
 
-
-def phasor_matrix(offsets_hz: np.ndarray, delays_s: np.ndarray) -> np.ndarray:
-    """exp(-j 2 pi f_offset tau) table, shape (n_tones, n_paths)."""
-    return np.exp(-2j * np.pi * np.outer(offsets_hz, delays_s))
+    Raises ValueError when the offsets deviate from that grid by more than
+    float64 rounding.
+    """
+    n = offsets_hz.size
+    if n < 2:
+        return 0.0
+    df = (offsets_hz[-1] - offsets_hz[0]) / (n - 1)
+    dev = np.abs(offsets_hz - (offsets_hz[0] + df * np.arange(n))).max()
+    if not dev <= _GRID_RTOL * np.abs(offsets_hz).max():
+        raise ValueError(
+            f"offsets_hz: tone offsets must form a uniform grid "
+            f"(off the grid of spacing {df:.6g} Hz by up to {dev:.3g} Hz)")
+    return float(df)
 
 
 def synthesize_rows(
@@ -67,35 +55,42 @@ def synthesize_rows(
     """Synthesize many channels at once from flat path arrays.
 
     Row r sums paths gains[row_splits[r]:row_splits[r+1]]. Returns
-    (n_rows, n_tones) complex128. This is the campaign hot loop: paths per
-    row are few, so the work is dominated by the per-path phasor outer
-    products, done here in one matrix multiply per row block.
+    (n_rows, n_tones) complex128. This is the campaign hot loop.
+
+    offsets_hz must be a uniform grid f_0 + k df (ValueError otherwise).
+    Each path contributes the outer product of its coarse table
+    g exp(-j 2 pi tau (f_0 + a B df)), a < A = ceil(N / B), which carries
+    the gain, and its fine table exp(-j 2 pi tau b df), b < B = FINE_TONES;
+    flattened, the (A, B) product is the path's row over k = a B + b.
+    Rows with the same path count form one group, whose (rows, A, B) sum
+    over paths is one batched matrix product (rows, A, paths) @ (rows,
+    paths, B), written to out once and trimmed to N tones.
     """
+    offsets_hz = np.asarray(offsets_hz, dtype=float)
+    df = _grid_step(offsets_hz)
     n_rows = row_splits.size - 1
     n_tones = offsets_hz.size
     if out is None:
-        out = np.zeros((n_rows, n_tones), dtype=np.complex128)
-    else:
-        out[:] = 0.0
-    counts = np.diff(row_splits)
-    if counts.size == 0 or gains.size == 0:
+        out = np.empty((n_rows, n_tones), dtype=np.complex128)
+    if n_rows == 0 or n_tones == 0:
         return out
-    # Group rows by path count, then accumulate one path slot at a time so
-    # the largest temporary is a single (rows, n_tones) array.
+    n_coarse = -(-n_tones // FINE_TONES)
+    coarse_hz = offsets_hz[0] + df * np.arange(0, n_coarse * FINE_TONES, FINE_TONES)
+    fine_hz = df * np.arange(FINE_TONES)
+    counts = np.diff(row_splits)
     order = np.argsort(counts, kind="stable")
-    sorted_counts = counts[order]
-    boundaries = np.nonzero(np.diff(sorted_counts))[0] + 1
+    boundaries = np.nonzero(np.diff(counts[order]))[0] + 1
     for grp in np.split(order, boundaries):
         c = int(counts[grp[0]])
         if c == 0:
+            out[grp] = 0.0
             continue
-        starts = row_splits[grp]
-        for i in range(c):
-            g = gains[starts + i]
-            tau = delays[starts + i]
-            out[grp] += g[:, None] * np.exp(
-                (-2j * np.pi) * tau[:, None] * offsets_hz[None, :]
-            )
+        pid = row_splits[grp][:, None] + np.arange(c)[None, :]
+        tau = delays[pid][..., None]
+        coarse = gains[pid][..., None] * np.exp((-2j * np.pi) * tau * coarse_hz)
+        fine = np.exp((-2j * np.pi) * tau * fine_hz)
+        block = np.matmul(coarse.transpose(0, 2, 1), fine)  # (rows, A, B)
+        out[grp] = block.reshape(grp.size, -1)[:, :n_tones]
     return out
 
 

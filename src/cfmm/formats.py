@@ -157,11 +157,24 @@ class CaptureFile:
     spectra_offset: int
 
     def spectra(self, m0: int, m1: int) -> np.ndarray:
+        """Spectra of captures [m0, m1), (m, U, R, N) complex64.
+
+        Raises FormatError when a capture-UE row is all zero: recorded
+        spectra always carry noise, so such a row was never written, as
+        when simulate stops before filling the pre-sized file.
+        """
         mm = np.memmap(self.path, dtype="<c8", mode="r", offset=self.spectra_offset,
                        shape=(self.n_captures, self.n_ues, self.n_reps_stored,
                               self.n_subcarriers))
         out = np.array(mm[m0:m1])
         del mm
+        empty = ~np.any(out, axis=(2, 3))  # (m, U)
+        if empty.any():
+            i, j = np.argwhere(empty)[0]
+            raise FormatError(
+                f"{self.path}: capture {m0 + i}, UE {j}: spectra are all zero "
+                f"({int(empty.sum())} such rows in captures {m0}..{m1 - 1}); "
+                "the file was not completely written")
         return out
 
 

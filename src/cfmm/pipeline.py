@@ -143,7 +143,8 @@ def calibrate(raw: np.ndarray, cal_response: np.ndarray,
     denom = cal_response * np.asarray(reference_tones)
     g = 10.0 ** (-np.asarray(attenuation_db, dtype=float) / 20.0)
     out = np.asarray(raw, dtype=np.complex128) / denom
-    return out / g[..., None] if g.ndim else out / g
+    out /= g[..., None] if g.ndim else g
+    return out
 
 
 def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,

@@ -320,6 +320,13 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
     The raw recording is g * (signal + noise) with g the AGC attenuator
     gain; the transmit leakage rides on the signal ahead of the attenuator,
     so its calibrated level does not move with AGC steps.
+
+    Noise, gain and the complex64 cast run in place on float64 (real,
+    imaginary) views: z *= sqrt(sigma2 / 2), z += signal, z *= g, then one
+    rounding to float32. A complex value times a real scalar is exact per
+    component, as is a complex sum, so the bytes equal those of
+    (g * (signal + (z0 + 1j z1) * sqrt(sigma2 / 2))).astype(complex64)
+    with the same draws; without noise, z starts at zero, as signal + 0.0.
     """
     wf_spec = plan.waveform
     n = wf_spec.n_subcarriers
@@ -332,8 +339,8 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
     tx_front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain  # (N,)
     out = np.empty((m_chunk, n_ue, r_stored, n), dtype=np.complex64)
 
-    h_rows = np.zeros((m_chunk, n), dtype=np.complex128)
-    signal = np.zeros((m_chunk, n_ue, n), dtype=np.complex128)
+    h_rows = np.empty((m_chunk, n), dtype=np.complex128)
+    signal = np.empty((m_chunk, n_ue, n), dtype=np.complex128)
     for j in range(n_ue):
         sub_splits = plan.row_splits[j][m0:m1 + 1] - plan.row_splits[j][m0]
         base = plan.row_splits[j][m0]
@@ -342,23 +349,26 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
             plan.path_delays[j][base:base + sub_splits[-1]],
             sub_splits, offsets, out=h_rows,
         )
-        sig = inject_crosstalk(h_rows, imp.crosstalk_coupling_db,
-                               np.ones(n)) * tx_front
-        signal[:, j, :] = sig
+        np.multiply(inject_crosstalk(h_rows, imp.crosstalk_coupling_db, np.ones(n)),
+                    tx_front, out=signal[:, j, :])
 
     g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
     sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
     if not imp.store_repetitions:
         sigma2 = sigma2 / imp.n_repetitions  # variance of the repetition mean
 
+    shape = (n_ue, r_stored, n, 2)
+    signal_re = signal.view(np.float64).reshape(m_chunk, n_ue, 1, n, 2)
+    out_re = out.view(np.float32).reshape(m_chunk, *shape)
     for i in range(m_chunk):
         if include_noise:
-            rng = _capture_rng(plan.seed, m0 + i)
-            z = rng.standard_normal((n_ue, r_stored, n, 2))
-            noise = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(sigma2[i] / 2.0)
+            z = _capture_rng(plan.seed, m0 + i).standard_normal(shape)
+            z *= np.sqrt(sigma2[i] / 2.0)
         else:
-            noise = 0.0
-        out[i] = (g_lin[i] * (signal[i][:, None, :] + noise)).astype(np.complex64)
+            z = np.zeros(shape)
+        z += signal_re[i]
+        z *= g_lin[i]
+        out_re[i] = z
     return out
 
 

@@ -2,36 +2,43 @@ import numpy as np
 import pytest
 
 from cfmm import channel as ch
-from cfmm import raypaths as rp
 from cfmm import waveform as wf
 from cfmm.constants import SPEED_OF_LIGHT
-
-
-def path(length_m, gain_db=0.0, phase=0.0):
-    return rp.PropagationPath(
-        kind="direct",
-        ap_position=np.zeros(3),
-        ue_position=np.array([length_m, 0.0, 0.0]),
-        interaction_points=[],
-        geometric_length_m=length_m,
-        loss_terms=[],
-        complex_gain=10 ** (gain_db / 20) * np.exp(1j * phase),
-    )
-
 
 SPEC = wf.WaveformSpec()
 
 
+def gain(gain_db=0.0, phase=0.0):
+    return 10 ** (gain_db / 20) * np.exp(1j * phase)
+
+
+def synth(delays_s, gains=None):
+    """One channel over the default comb from path delays and complex gains."""
+    delays = np.asarray(delays_s, dtype=float)
+    gains = np.ones(delays.size, dtype=complex) if gains is None else np.asarray(gains, dtype=complex)
+    return ch.synthesize_rows(gains, delays, np.array([0, delays.size]), SPEC.tone_offsets_hz())[0]
+
+
+def random_rows(seed, n_rows, max_paths):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, max_paths + 1, n_rows)
+    splits = np.concatenate([[0], np.cumsum(counts)])
+    k = int(splits[-1])
+    gains = rng.normal(size=k) + 1j * rng.normal(size=k)
+    delays = rng.uniform(0, 7e-6, k)
+    return gains, delays, splits
+
+
 def test_single_path_flat_magnitude_and_phase_slope():
     tau = 500e-9
-    h = ch.synthesize_transfer_function([path(tau * SPEED_OF_LIGHT, -80.0)], SPEC)
-    assert h.values.shape == (2801,)
-    np.testing.assert_allclose(np.abs(h.values), 1e-4, rtol=1e-12)
+    h = synth([tau], [gain(-80.0)])
+    assert h.shape == (2801,)
+    np.testing.assert_allclose(np.abs(h), 1e-4, rtol=1e-12)
     # Phase advances by -2 pi df tau per subcarrier.
-    dphi = np.angle(h.values[1:] / h.values[:-1])
+    dphi = np.angle(h[1:] / h[:-1])
     np.testing.assert_allclose(dphi, -2 * np.pi * 125e3 * tau, atol=1e-9)
     # Centre tone carries the path's own phase (referenced to band centre).
-    centre = h.values[1400]
+    centre = h[1400]
     assert np.angle(centre) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -39,24 +46,24 @@ def test_two_path_ripple_closed_form():
     # Equal-gain two-path channel: |H(f)| = 2 |cos(pi f dt)| up to a common
     # delay factor that has unit magnitude.
     tau1, tau2 = 100e-9, 300e-9
-    h = ch.synthesize_transfer_function(
-        [path(tau1 * SPEED_OF_LIGHT), path(tau2 * SPEED_OF_LIGHT)], SPEC
-    )
+    h = synth([tau1, tau2])
     f = SPEC.tone_offsets_hz()
     dt = tau2 - tau1
-    np.testing.assert_allclose(np.abs(h.values), 2 * np.abs(np.cos(np.pi * f * dt)), atol=1e-9)
+    np.testing.assert_allclose(np.abs(h), 2 * np.abs(np.cos(np.pi * f * dt)), atol=1e-9)
 
 
 def test_zero_paths_zero_channel():
-    h = ch.synthesize_transfer_function([], SPEC)
-    assert np.all(h.values == 0)
+    h = synth([])
+    assert h.shape == (2801,)
+    assert np.all(h == 0)
 
 
 def test_linearity():
-    p1, p2 = path(30.0, -60.0), path(90.0, -70.0, 1.0)
-    h1 = ch.synthesize_transfer_function([p1], SPEC).values
-    h2 = ch.synthesize_transfer_function([p2], SPEC).values
-    h12 = ch.synthesize_transfer_function([p1, p2], SPEC).values
+    tau = np.array([30.0, 90.0]) / SPEED_OF_LIGHT
+    g = np.array([gain(-60.0), gain(-70.0, 1.0)])
+    h1 = synth(tau[:1], g[:1])
+    h2 = synth(tau[1:], g[1:])
+    h12 = synth(tau, g)
     np.testing.assert_allclose(h12, h1 + h2, atol=1e-18)
 
 
@@ -65,25 +72,43 @@ def test_energy_orthogonality_on_grid():
     # total energy is the sum of per-path energies.
     native = 1.0 / SPEC.bandwidth_hz
     taus = np.array([100, 200, 350]) * native
-    paths = [path(t * SPEED_OF_LIGHT, -80.0) for t in taus]
-    h = ch.synthesize_transfer_function(paths, SPEC).values
+    h = synth(taus, np.full(3, gain(-80.0)))
     energy = np.sum(np.abs(h) ** 2)
     assert energy == pytest.approx(3 * 2801 * 1e-8, rel=1e-9)
 
 
 def test_synthesize_rows_matches_single_calls():
-    rng = np.random.default_rng(1)
-    counts = rng.integers(0, 7, 30)
-    splits = np.concatenate([[0], np.cumsum(counts)])
-    k = int(splits[-1])
-    gains = rng.normal(size=k) + 1j * rng.normal(size=k)
-    delays = rng.uniform(0, 7e-6, k)
+    gains, delays, splits = random_rows(1, 30, 6)
     offs = SPEC.tone_offsets_hz()
     rows = ch.synthesize_rows(gains, delays, splits, offs)
     for r in range(30):
         sl = slice(splits[r], splits[r + 1])
-        ref = ch.phasor_matrix(offs, delays[sl]) @ gains[sl] if counts[r] else np.zeros(2801)
+        ref = np.exp(-2j * np.pi * np.outer(offs, delays[sl])) @ gains[sl]
         np.testing.assert_allclose(rows[r], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_tones", [1, 63, 64, 65, 2801])
+def test_synthesize_rows_tone_counts_match_direct_sum(n_tones):
+    # Tone counts below, at and just past one fine table, and the default comb.
+    gains, delays, splits = random_rows(n_tones, 20, 6)
+    offs = (np.arange(n_tones) - (n_tones - 1) // 2) * 125e3
+    rows = ch.synthesize_rows(gains, delays, splits, offs)
+    assert rows.shape == (20, n_tones)
+    for r in range(20):
+        sl = slice(splits[r], splits[r + 1])
+        ref = np.exp(-2j * np.pi * np.outer(offs, delays[sl])) @ gains[sl]
+        np.testing.assert_allclose(rows[r], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("offs", [
+    np.array([0.0, 1.0, 2.0, 4.0]) * 125e3,  # one tone off the grid
+    125e3 * 1.01 ** np.arange(100),  # geometric spacing
+    np.array([0.0, np.nan, 2.0]),
+])
+def test_synthesize_rows_rejects_non_uniform_offsets(offs):
+    gains, delays, splits = random_rows(3, 4, 2)
+    with pytest.raises(ValueError, match="uniform grid"):
+        ch.synthesize_rows(gains, delays, splits, offs)
 
 
 def test_mean_tone_power_matches_synthesis():

@@ -225,6 +225,21 @@ class TestStages:
         assert str(bad) in err and "truncated spectra" in err
         assert not (tmp_path / "z" / "matrix.cfmm").exists()
 
+    def test_zero_filled_capture_exit_3(self, workspace, tmp_path, capsys):
+        # An interrupted simulate leaves pre-sized, zero-filled spectra.
+        bad = tmp_path / "zeroed.cfmc"
+        bad.write_bytes((workspace / "out" / "captures.cfmc").read_bytes())
+        src = fm.open_captures(bad)
+        row = src.n_ues * src.n_reps_stored * src.n_subcarriers * 8
+        with open(bad, "r+b") as fh:
+            fh.seek(src.spectra_offset + 17 * row)
+            fh.write(bytes(row))
+        rc = main(["process", "--config", str(workspace / "cfg.json"),
+                   "--captures", str(bad), "--out", str(tmp_path / "z"), "--workers", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "capture 17" in err and "all zero" in err
+
     @pytest.mark.parametrize("region", [[450, 2802], [2801, None]])
     def test_noise_region_outside_profile_exit_1(self, workspace, tmp_path,
                                                  capsys, region):

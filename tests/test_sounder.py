@@ -166,6 +166,41 @@ def test_chunk_boundaries_do_not_change_bytes():
     assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
 
 
+@pytest.mark.parametrize("store_repetitions, include_noise",
+                         [(True, True), (False, True), (False, False)])
+def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, include_noise):
+    # The in-place real arithmetic reproduces, bit for bit, the complex
+    # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64.
+    plan = sd.plan_campaign(short_drive_scene(), SPEC,
+                            sd.ImpairmentConfig(store_repetitions=store_repetitions), seed=4)
+    imp = plan.impairments
+    n = SPEC.n_subcarriers
+    m0, m1 = 3, 9
+    got = sd.synthesize_chunk(plan, m0, m1, include_noise=include_noise)
+    front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
+    g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
+    sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], SPEC.subcarrier_spacing_hz)
+    if not store_repetitions:
+        sigma2 = sigma2 / imp.n_repetitions
+    for i, m in enumerate(range(m0, m1)):
+        signal = np.empty((plan.n_ues, n), dtype=np.complex128)
+        for j in range(plan.n_ues):
+            lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
+            h = chan.synthesize_rows(
+                plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
+                np.array([0, hi - lo]), SPEC.tone_offsets_hz(),
+            )[0]
+            signal[j] = sd.inject_crosstalk(h, imp.crosstalk_coupling_db, np.ones(n)) * front
+        if include_noise:
+            z = sd._capture_rng(plan.seed, m).standard_normal(
+                (plan.n_ues, plan.n_reps_stored(), n, 2))
+            noise = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(sigma2[i] / 2.0)
+        else:
+            noise = 0.0
+        expected = (g_lin[i] * (signal[:, None, :] + noise)).astype(np.complex64)
+        assert got[i].tobytes() == expected.tobytes()
+
+
 def test_noiseless_capture_reproduces_channel():
     scene = short_drive_scene()
     imp = sd.ImpairmentConfig(crosstalk_coupling_db=None, store_repetitions=True)
