@@ -2,8 +2,9 @@
 
 Stages communicate through files in the output directory (captures.cfmc,
 matrix.cfmm, summary.csv, per-UE heatmaps and annotation CSVs) plus a
-manifest recording the semantic config hash and seed, so any stage can be
-re-run or handed captures produced elsewhere. Every stage writes the same
+manifest recording the semantic config hash, the seed, the scene file's
+sha256 and the numpy version, so any stage can be re-run or handed
+captures produced elsewhere. Every stage writes the same
 bytes for the same config regardless of worker count: workers compute
 disjoint capture ranges whose content is seed-determined, and the parent
 does all file writes.
@@ -16,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import multiprocessing as mp
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from pathlib import Path
@@ -65,13 +68,25 @@ def _chunks(m_total: int, size: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, m_total)) for a in range(0, m_total, size)]
 
 
+def _scene_sha256(cfg: RunConfig) -> str | None:
+    """sha256 of the scene file's bytes; None when process or export runs
+    on captures made elsewhere and the scene file is not there."""
+    try:
+        return hashlib.sha256(resolve_scene_path(cfg.scene).read_bytes()).hexdigest()
+    except (ConfigError, OSError):
+        return None
+
+
 def _update_manifest(out: Path, cfg: RunConfig, stage: str, record: dict) -> None:
+    """Record a finished stage, with what besides the config fixes its bytes:
+    the scene file's content and the numpy version."""
     path = out / MANIFEST_NAME
     manifest = json.loads(path.read_text()) if path.exists() else {}
     manifest["config_hash"] = semantic_hash(cfg)
     manifest["seed"] = cfg.seed
     manifest["scene"] = cfg.scene
-    manifest.setdefault("stages", {})[stage] = record
+    manifest.setdefault("stages", {})[stage] = {
+        **record, "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__}
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -170,44 +185,72 @@ def cmd_process(args) -> int:
     params = cfg.pipeline
     params.validate()
     params.noise_bins(source.n_subcarriers)  # fail before any output exists
+    out.mkdir(parents=True, exist_ok=True)
+    # Outputs appear only when the whole stage succeeded: a failed run
+    # leaves neither its own partial files nor the previous run's, which
+    # export would otherwise read as a matching pair.
+    finals = (out / MATRIX_NAME, out / SUMMARY_NAME)
+    partials = tuple(p.with_name(p.name + ".partial") for p in finals)
+    for p in finals:
+        p.unlink(missing_ok=True)
+    try:
+        counts = _process_into(source, params, args, cfg, *partials)
+    except BaseException:
+        for p in partials:
+            p.unlink(missing_ok=True)
+        raise
+    for part, final in zip(partials, finals):
+        os.replace(part, final)
+    _update_manifest(out, cfg, "process", {
+        "matrix": MATRIX_NAME,
+        "summary": SUMMARY_NAME,
+        "captures": str(captures),
+        **counts,
+    })
+    print(f"process: wrote {out / MATRIX_NAME} and {out / SUMMARY_NAME}")
+    return 0
+
+
+def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
+                  matrix_path: Path, summary_path: Path) -> Counter:
+    """Process every capture into the two files; returns the degenerate-row counts."""
     f = params.pad_factor
     native_bin_s = 1.0 / (source.n_subcarriers * source.subcarrier_spacing_hz)
-    out.mkdir(parents=True, exist_ok=True)
-    writer = fm.MatrixWriter(out / MATRIX_NAME, source.n_captures, source.n_ues,
+    writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
                              params.gate_native_bins * f, native_bin_s / f, f)
     spans = _chunks(source.n_captures, args.chunk_size)
     workers = min(_n_workers(cfg, args.workers), len(spans))
     print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
           f"({len(spans)} chunks, {workers} workers)")
     all_rows: list[list] = []
+    counts: Counter = Counter()
+
+    def take(chunk: tuple) -> None:
+        a, _, values, mask, noise_db, _ = chunk
+        writer.write_chunk(a, values, mask)
+        all_rows.extend(_summary_rows(a, chunk, native_bin_s / f))
+        counts.update(pl.degenerate_row_counts(mask, noise_db))
+
     if workers <= 1:
-        for a, _b in spans:
-            chunk = pl.process_chunk(source, params, a, _b)
-            writer.write_chunk(a, chunk[2], chunk[3])
-            all_rows.extend(_summary_rows(a, chunk, native_bin_s / f))
+        for a, b in spans:
+            take(pl.process_chunk(source, params, a, b))
     else:
         global _WORKER_SOURCE, _WORKER_PARAMS
         _WORKER_SOURCE, _WORKER_PARAMS = source, params
         ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for fut in as_completed(pool.submit(_proc_range, s) for s in spans):
-                chunk = fut.result()
-                writer.write_chunk(chunk[0], chunk[2], chunk[3])
-                all_rows.extend(_summary_rows(chunk[0], chunk, native_bin_s / f))
-        _WORKER_SOURCE = _WORKER_PARAMS = None
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                for fut in as_completed(pool.submit(_proc_range, s) for s in spans):
+                    take(fut.result())
+        finally:
+            _WORKER_SOURCE = _WORKER_PARAMS = None
     all_rows.sort(key=lambda r: (r[0], r[1]))
-    with open(out / SUMMARY_NAME, "w", newline="") as fh:
+    with open(summary_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["capture_index", "ue", "noise_db", "threshold_db",
                     "peak_delay_s", "peak_power_db", "surviving_bins"])
         w.writerows(all_rows)
-    _update_manifest(out, cfg, "process", {
-        "matrix": MATRIX_NAME,
-        "summary": SUMMARY_NAME,
-        "captures": str(captures),
-    })
-    print(f"process: wrote {out / MATRIX_NAME} and {out / SUMMARY_NAME}")
-    return 0
+    return counts
 
 
 def _threshold_table(summary_path: Path, m: int, u: int) -> np.ndarray:

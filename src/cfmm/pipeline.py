@@ -32,16 +32,16 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-import scipy.fft as sfft
 
 from .constants import SPEED_OF_LIGHT
 
 _TINY = 1e-300
+NOISE_FLOOR_DB = 10.0 * np.log10(_TINY)  # noise_db of a profile with no measurable noise
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    kaiser_beta: float = 3.0  # Kaiser-Bessel alpha; scipy window beta = pi * this
+    kaiser_beta: float = 3.0  # Kaiser-Bessel alpha; np.kaiser beta = pi * this
     pad_factor: int = 10
     ssa_window: int = 9
     delta_n_db: float = 7.0
@@ -147,6 +147,22 @@ def calibrate(raw: np.ndarray, cal_response: np.ndarray,
     return out
 
 
+def _fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target, the lengths pocketfft runs fastest.
+
+    Equals scipy.fft.next_fast_len(target) for complex input.
+    """
+    odd = [1]  # odd 11-smooth numbers below 2 * target
+    for p in (3, 5, 7, 11):
+        grown = []
+        for m in odd:
+            while m < 2 * target:
+                grown.append(m)
+                m *= p
+        odd = grown
+    return min(m << (-(-target // m) - 1).bit_length() for m in odd)
+
+
 def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,
                 pad_factor: int = 10, bins: tuple[int, int] | None = None) -> np.ndarray:
     """Windowed, zero-padded delay-power profile, tones on the last axis.
@@ -157,10 +173,12 @@ def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,
     whole profile, 0..L-1), which come out in that order.
 
     The span is evaluated with Bluestein's algorithm: pre-rotate by the
-    span start, convolve with the chirp exp(i pi k^2 / L) by FFT of length
-    next_fast_len(n + span - 1), and drop the unit-modulus post-chirp,
-    which |.|^2 removes. Phases are reduced exactly in int64 (k^2 mod 2L,
-    j*start mod L) before scaling, so no phase loses precision with k.
+    span start, convolve with the chirp exp(i pi k^2 / L) by numpy.fft
+    transforms of the 11-smooth length nfft >= n + span - 1, and drop the
+    unit-modulus post-chirp, which |.|^2 removes. Phases are reduced
+    exactly in int64 (k^2 mod 2L, j*start mod L) before scaling, so no
+    phase loses precision with k. Both row transforms run in place on one
+    zero-padded buffer.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = h.shape[-1]
@@ -169,16 +187,19 @@ def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,
     span = stop - start
     if not 0 < span <= big_l:
         raise ValueError(f"bins {bins}: span must hold 1..{big_l} bins")
-    nfft = sfft.next_fast_len(n + span - 1)
+    nfft = _fast_len(n + span - 1)
     k = np.arange(max(n, span), dtype=np.int64)
     chirp = np.exp(1j * np.pi * ((k * k) % (2 * big_l)) / big_l)
     rotate = np.exp(2j * np.pi * ((k[:n] * start) % big_l) / big_l)
     kernel = np.zeros(nfft, dtype=np.complex128)
     kernel[:span] = chirp[:span].conj()
     kernel[nfft - n + 1:] = chirp[n - 1:0:-1].conj()
-    x = sfft.fft(h * (kaiser_taps(n, kaiser_beta) * rotate * chirp[:n]), n=nfft, axis=-1)
-    x *= sfft.fft(kernel)
-    x = sfft.ifft(x, axis=-1, overwrite_x=True)[..., :span]
+    x = np.zeros(h.shape[:-1] + (nfft,), dtype=np.complex128)
+    np.multiply(h, kaiser_taps(n, kaiser_beta) * rotate * chirp[:n], out=x[..., :n])
+    np.fft.fft(x, axis=-1, out=x)
+    x *= np.fft.fft(kernel)
+    np.fft.ifft(x, axis=-1, out=x)
+    x = x[..., :span]
     return x.real ** 2 + x.imag ** 2
 
 
@@ -219,6 +240,21 @@ def threshold_noise(ssa_pdp: np.ndarray, noise_mean: np.ndarray,
     theta_lin = p_lin * 10.0 ** (delta_n_db / 10.0)
     mask = np.asarray(ssa_pdp) >= theta_lin[..., None]
     return mask, noise_db
+
+
+def degenerate_row_counts(mask: np.ndarray, noise_db: np.ndarray) -> dict[str, int]:
+    """Counts of profiles whose summary numbers are not ordinary readings.
+
+    rows_no_surviving_bins: no gated bin survived threshold, gate and cut,
+    so the profile has no peak. rows_noise_at_floor: the noise mean was
+    below the clamp, so noise_db reads NOISE_FLOOR_DB and the threshold
+    passes every non-zero bin. mask holds bins on the last axis; noise_db
+    matches its leading axes.
+    """
+    return {
+        "rows_no_surviving_bins": int((~mask.any(axis=-1)).sum()),
+        "rows_noise_at_floor": int((np.asarray(noise_db) <= NOISE_FLOOR_DB).sum()),
+    }
 
 
 def delay_gate(values: np.ndarray, mask: np.ndarray, cuts: np.ndarray) -> None:

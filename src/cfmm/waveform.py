@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 PHASE_RULES = ("quadratic-zc", "newman", "zero")
 
@@ -114,7 +113,7 @@ def generate_waveform(spec: WaveformSpec) -> tuple[np.ndarray, ReferenceSpectrum
     m = n * spec.oversampling_factor
     full = np.zeros(m, dtype=complex)
     full[occupied_bins(spec)] = tones
-    samples = scipy.fft.ifft(full)
+    samples = np.fft.ifft(full)
     return samples, reference
 
 

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfmm
 import cfmm.config as cfgmod
 import cfmm.formats as fm
 import cfmm.scene as sc
@@ -27,6 +32,24 @@ def workspace(tmp_path_factory):
     rc = main(["simulate", "--config", str(d / "cfg.json"), "--workers", "1"])
     assert rc == 0
     return d
+
+
+def zero_capture(path, m):
+    """Zero capture m's spectra, as an interrupted simulate leaves them."""
+    src = fm.open_captures(path)
+    row = src.n_ues * src.n_reps_stored * src.n_subcarriers * 8
+    with open(path, "r+b") as fh:
+        fh.seek(src.spectra_offset + m * row)
+        fh.write(bytes(row))
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, cfmm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cfmm.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, check=True, timeout=120)
+    assert r.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -146,6 +169,10 @@ class TestStages:
         out = workspace / "out"
         h1 = hashlib.sha256((out / "matrix.cfmm").read_bytes()).hexdigest()
         s1 = (out / "summary.csv").read_bytes()
+        record = json.loads((out / "manifest.json").read_text())["stages"]["process"]
+        rows = [line.split(",") for line in s1.decode().splitlines()[1:]]
+        assert record["rows_no_surviving_bins"] == sum(r[-1] == "0" for r in rows)
+        assert record["rows_noise_at_floor"] == 0
         assert main(["process", "--config", cfgp, "--workers", "1"]) == 0
         h2 = hashlib.sha256((out / "matrix.cfmm").read_bytes()).hexdigest()
         assert h1 == h2
@@ -186,6 +213,54 @@ class TestStages:
             assert ann[0].startswith("capture_index,timestamp_s")
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["stages"]["export"]["heatmaps"]) == 8
+        scene_sha = hashlib.sha256((workspace / "scene.json").read_bytes()).hexdigest()
+        for stage in ("simulate", "process", "export"):
+            assert manifest["stages"][stage]["scene_sha256"] == scene_sha
+            assert manifest["stages"][stage]["numpy"] == np.__version__
+
+    def test_scene_edit_changes_manifest(self, tmp_path):
+        scene = make_scene(waypoints=[sc.Waypoint("start", 10, 10, 4.5),
+                                      sc.Waypoint("drive", 11, 10)])
+        sc.save_scene(scene, tmp_path / "scene.json")
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"scene": str(tmp_path / "scene.json"),
+                                    "output_dir": str(tmp_path / "out")}))
+
+        def simulate():
+            assert main(["simulate", "--config", str(cfgp), "--workers", "1"]) == 0
+            return json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+        before = simulate()
+        data = json.loads((tmp_path / "scene.json").read_text())
+        data["buildings"][0]["height_m"] += 1.0
+        (tmp_path / "scene.json").write_text(json.dumps(data))
+        after = simulate()
+        # The config names the same path, so only the content hash tells.
+        assert after["config_hash"] == before["config_hash"]
+        assert after["stages"]["simulate"]["scene_sha256"] != \
+            before["stages"]["simulate"]["scene_sha256"]
+
+    def test_failed_process_leaves_nothing_export_accepts(self, workspace, tmp_path,
+                                                          capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "captures.cfmc").write_bytes((workspace / "out" / "captures.cfmc").read_bytes())
+
+        def run(stage, *flags):
+            return main([stage, "--config", str(workspace / "cfg.json"),
+                         "--out", str(out), "--workers", "1", *flags])
+
+        assert run("process") == 0 and run("export") == 0
+        zero_capture(out / "captures.cfmc", 17)
+        capsys.readouterr()
+        # The failure reaches the parent from a pool worker.
+        assert run("process", "--workers", "2", "--chunk-size", "16") == 3
+        assert "capture 17" in capsys.readouterr().err
+        assert run("export") == 2
+        assert "matrix.cfmm" in capsys.readouterr().err
+        assert not (out / "matrix.cfmm").exists()
+        assert not (out / "summary.csv").exists()
+        assert not list(out.glob("*.partial"))
 
     def test_pipeline_flag_override(self, workspace, tmp_path):
         cfgp = str(workspace / "cfg.json")
@@ -229,11 +304,7 @@ class TestStages:
         # An interrupted simulate leaves pre-sized, zero-filled spectra.
         bad = tmp_path / "zeroed.cfmc"
         bad.write_bytes((workspace / "out" / "captures.cfmc").read_bytes())
-        src = fm.open_captures(bad)
-        row = src.n_ues * src.n_reps_stored * src.n_subcarriers * 8
-        with open(bad, "r+b") as fh:
-            fh.seek(src.spectra_offset + 17 * row)
-            fh.write(bytes(row))
+        zero_capture(bad, 17)
         rc = main(["process", "--config", str(workspace / "cfg.json"),
                    "--captures", str(bad), "--out", str(tmp_path / "z"), "--workers", "1"])
         assert rc == 3

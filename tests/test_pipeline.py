@@ -26,6 +26,29 @@ def brute_at(h, beta, pad, q):
     return np.abs(e @ (w * h)) ** 2
 
 
+def scipy_pdp(h, beta, pad, bins=None):
+    # The same Bluestein span transform on scipy.fft, whose pocketfft and
+    # next_fast_len are an independent implementation of the FFT and of
+    # the length choice: compute_pdp must match it bit for bit.
+    import scipy.fft as sfft
+    h = np.asarray(h, dtype=np.complex128)
+    n = h.shape[-1]
+    big_l = pad * n
+    start, stop = (0, big_l) if bins is None else bins
+    span = stop - start
+    nfft = sfft.next_fast_len(n + span - 1)
+    k = np.arange(max(n, span), dtype=np.int64)
+    chirp = np.exp(1j * np.pi * ((k * k) % (2 * big_l)) / big_l)
+    rotate = np.exp(2j * np.pi * ((k[:n] * start) % big_l) / big_l)
+    kernel = np.zeros(nfft, dtype=np.complex128)
+    kernel[:span] = chirp[:span].conj()
+    kernel[nfft - n + 1:] = chirp[n - 1:0:-1].conj()
+    x = sfft.fft(h * (pl.kaiser_taps(n, beta) * rotate * chirp[:n]), n=nfft, axis=-1)
+    x *= sfft.fft(kernel)
+    x = sfft.ifft(x, axis=-1)[..., :span]
+    return x.real ** 2 + x.imag ** 2
+
+
 def on_grid_channel(n, native_bin, amplitude=1.0):
     k = np.arange(n)
     return amplitude * np.exp(-2j * np.pi * k * native_bin / n)
@@ -153,6 +176,23 @@ class TestComputePDP:
         want = brute_at(h, 3.0, f, pick)
         np.testing.assert_allclose(got[pick - start], want, rtol=1e-9,
                                    atol=want.max() * 1e-13)
+
+    @pytest.mark.parametrize("bins", [(27500 - 28010, 4500), None])
+    def test_bit_identical_to_scipy_reference(self, bins):
+        # The campaign span (signed bins -510..4499) and the full profile.
+        rng = np.random.default_rng(5)
+        h = on_grid_channel(2801, 117) + 1e-3 * (rng.standard_normal((6, 2801))
+                                                 + 1j * rng.standard_normal((6, 2801)))
+        got = pl.compute_pdp(h, 3.0, 10, bins)
+        want = scipy_pdp(h, 3.0, 10, bins)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+        for target in [*range(1, 20001), 28010, 100003]:
+            assert pl._fast_len(target) == next_fast_len(target), target
+        assert pl._fast_len(2801 + 5010 - 1) == 7840
 
     def test_bad_span_rejected(self):
         h = np.ones(16)
@@ -374,6 +414,8 @@ class TestSpanNoiseFloor:
         assert np.isfinite(noise_db).all() and np.isfinite(theta_db).all()
         assert noise_db.max() < -150.0
         assert np.isfinite(values).all() and (values >= 0).all()
+        # Leakage and crosstalk still give a level, so no row is at the floor.
+        assert pl.degenerate_row_counts(mask, noise_db)["rows_noise_at_floor"] == 0
 
     def test_empty_noise_region_clamps_to_floor(self):
         # On-grid path, rectangular window, no padding: the profile is an
@@ -395,3 +437,9 @@ class TestSpanNoiseFloor:
         assert np.isfinite(noise_db).all()
         assert noise_db.max() < -250.0
         assert mask[:, 0, 117].all() and values[:, 0, 117].min() > 0.99
+        # The level is the clamp, not a measurement: every row is counted.
+        assert (noise_db == pl.NOISE_FLOOR_DB).all()
+        assert pl.degenerate_row_counts(mask, noise_db) == {
+            "rows_no_surviving_bins": 0, "rows_noise_at_floor": m}
+        assert pl.degenerate_row_counts(np.zeros_like(mask), noise_db) == {
+            "rows_no_surviving_bins": m, "rows_noise_at_floor": m}
