@@ -116,6 +116,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """Parse a config file; the caller validates it once its overrides are in."""
     try:
         raw = Path(path).read_text()
     except OSError as e:
@@ -126,9 +127,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: malformed JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    cfg = config_from_dict(data)
-    cfg.validate()
-    return cfg
+    return config_from_dict(data)
 
 
 def semantic_hash(cfg: RunConfig) -> str:

@@ -28,8 +28,9 @@ what lets a 100 dB dynamic range survive windowing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+import multiprocessing as mp
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -364,13 +365,52 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     return a, b, values.astype(np.float32), mask, noise_db, theta_db
 
 
-def iter_processed_chunks(source, params: PipelineParams,
-                          chunk_size: int = 128) -> Iterator[tuple]:
-    """Stream process_chunk results over the whole campaign in order."""
-    params.validate()
-    m_total = source.n_captures
-    for a in range(0, m_total, chunk_size):
-        yield process_chunk(source, params, a, min(a + chunk_size, m_total))
+_WORKER_TASK = None  # (fn, args) of the running pool; fork workers inherit it
+
+
+def _run_span(span: tuple[int, int]) -> tuple:
+    fn, args = _WORKER_TASK
+    return span[0], fn(*args, *span)
+
+
+def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
+               workers: int = 1) -> None:
+    """Call take(a, fn(*args, a, b)) for each span [a, b) of chunk_size
+    captures covering [0, n_captures).
+
+    With workers <= 1 the spans run here, in order. Otherwise a fork pool
+    of that many processes, at most one per span, runs them, and take sees
+    the results as they complete. fn and args reach the workers through
+    one module global instead of being pickled; the global is cleared
+    however the run ends, and a failed run cancels the spans not yet
+    started. Callers place results by capture index, so the output does
+    not depend on the order, the chunk size or the worker count. On the
+    serial path take holds the only reference to a result, so each chunk
+    is freed before the next one is computed (a generator would keep it
+    alive in its caller's loop variable).
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size = {chunk_size}: must be >= 1")
+    spans = [(a, min(a + chunk_size, n_captures))
+             for a in range(0, n_captures, chunk_size)]
+    workers = min(workers, len(spans))
+    if workers <= 1:
+        for a, b in spans:
+            take(a, fn(*args, a, b))
+        return
+    global _WORKER_TASK
+    _WORKER_TASK = (fn, args)
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=mp.get_context("fork")) as pool:
+            try:
+                for fut in as_completed([pool.submit(_run_span, s) for s in spans]):
+                    take(*fut.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _WORKER_TASK = None
 
 
 def process_campaign(source, params: PipelineParams | None = None,
@@ -389,11 +429,15 @@ def process_campaign(source, params: PipelineParams | None = None,
     mask = np.empty((m_total, n_ue, gate_cut), dtype=bool)
     noise_db = np.empty((m_total, n_ue))
     theta_db = np.empty((m_total, n_ue))
-    for a, b, v, mk, nz, th in iter_processed_chunks(source, params, chunk_size):
+
+    def take(a: int, chunk: tuple) -> None:
+        _, b, v, mk, nz, th = chunk
         values[a:b] = v
         mask[a:b] = mk
         noise_db[a:b] = nz
         theta_db[a:b] = th
+
+    run_chunks(process_chunk, (source, params), m_total, chunk_size, take)
 
     native_bin_s = 1.0 / (n * source.subcarrier_spacing_hz)
     return PDPMatrix(

@@ -3,10 +3,11 @@
 For every AP pose and UE the engine enumerates the direct ray, specular
 facade reflections up to second order (image method), and one rooftop
 diffraction per building that blocks the direct ray. Each path carries its
-geometric length, labelled interaction losses, antenna gains at both ends,
-and a complex gain referenced to the band centre.
+geometric length, its interaction and foliage losses, antenna gains at both
+ends, and a complex gain referenced to the band centre.
 
-The batch entry point vectorises across AP poses; a campaign traces one
+The one entry point, trace_paths_batch, vectorises across AP poses and
+returns a columnar PathBundle; a campaign traces one
 facade (or facade pair) at a time against all poses, which keeps the
 per-pose Python overhead out of the 20k-pose runs.
 """
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .constants import SPEED_OF_LIGHT
 from .geometry import GRAZE_TOL_M
 from .scene import Scene
@@ -26,12 +26,6 @@ KIND_DIRECT = 0
 KIND_REFLECT1 = 1
 KIND_REFLECT2 = 2
 KIND_ROOFTOP = 3
-KIND_NAMES = {
-    KIND_DIRECT: "direct",
-    KIND_REFLECT1: "reflect-1",
-    KIND_REFLECT2: "reflect-2",
-    KIND_ROOFTOP: "rooftop",
-}
 
 _SIDE_TOL = 1e-9  # metres of signed facade clearance below which geometry is degenerate
 
@@ -70,49 +64,27 @@ def tripod_dipole() -> AntennaPattern:
     return AntennaPattern(kind="dipole", peak_gain_dbi=2.15, floor_db=-30.0)
 
 
-def antenna_gain(pattern: AntennaPattern, azimuth_rad, elevation_rad) -> np.ndarray:
-    """Gain in dBi toward (azimuth, elevation) relative to boresight.
+def mount_gain_db(pattern: AntennaPattern, headings, world_dirs) -> np.ndarray:
+    """Gain in dBi toward world-frame unit directions (n, 3).
 
-    For the dipole the boresight plane is horizontal and only elevation
-    matters; for the patch the rolloff depends on the total off-boresight
-    angle.
+    The dipole's boresight plane is horizontal, so only elevation matters
+    and headings are ignored; sin^2 of the angle from the vertical axis is
+    cos^2 of the elevation. The patch is mounted to look 90 degrees
+    clockwise from each pose's heading (n,), tilted down, and rolls off
+    with the total off-boresight angle.
     """
-    az = np.asarray(azimuth_rad, dtype=float)
-    el = np.asarray(elevation_rad, dtype=float)
+    dirs = np.atleast_2d(np.asarray(world_dirs, dtype=float))
     if pattern.kind == "isotropic":
-        return np.zeros(np.broadcast(az, el).shape) + pattern.peak_gain_dbi
+        return np.full(dirs.shape[0], pattern.peak_gain_dbi)
     if pattern.kind == "dipole":
-        # sin^2 of the angle from the vertical axis == cos^2 elevation.
+        el = np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))
         c = np.clip(np.cos(el), 0.0, 1.0)
         with np.errstate(divide="ignore"):
             rel = 20.0 * np.log10(c)
         return pattern.peak_gain_dbi + np.maximum(rel, pattern.floor_db)
-    if pattern.kind == "patch":
-        cos_off = np.cos(el) * np.cos(az)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(
-                cos_off > 0.0,
-                10.0 * pattern.rolloff_exponent * np.log10(np.maximum(cos_off, 1e-300)),
-                -np.inf,
-            )
-        return pattern.peak_gain_dbi + np.maximum(rel, pattern.floor_db)
-    raise ValueError(f"unknown antenna kind {pattern.kind!r}")
-
-
-def boresight_frame(heading_rad: float, downtilt_deg: float) -> np.ndarray:
-    """Orthonormal (boresight, side, up) frame of a panel mounted to look
-    90 degrees clockwise from the drive heading, tilted down."""
-    tilt = np.deg2rad(downtilt_deg)
-    h = np.array([np.cos(heading_rad), np.sin(heading_rad), 0.0])
-    r0 = np.array([np.sin(heading_rad), -np.cos(heading_rad), 0.0])  # right of travel
-    b = np.array([r0[0] * np.cos(tilt), r0[1] * np.cos(tilt), -np.sin(tilt)])
-    u = np.array([r0[0] * np.sin(tilt), r0[1] * np.sin(tilt), np.cos(tilt)])
-    s = np.cross(u, b)
-    return np.stack([b, s, u])
-
-
-def _patch_gain_world(pattern, headings, dirs) -> np.ndarray:
-    """Patch gain for world-frame unit directions (n, 3), per-pose headings (n,)."""
+    if pattern.kind != "patch":
+        raise ValueError(f"unknown antenna kind {pattern.kind!r}")
+    headings = np.broadcast_to(np.asarray(headings, dtype=float), (dirs.shape[0],))
     tilt = np.deg2rad(pattern.downtilt_deg)
     bx = np.sin(headings) * np.cos(tilt)
     by = -np.cos(headings) * np.cos(tilt)
@@ -127,50 +99,12 @@ def _patch_gain_world(pattern, headings, dirs) -> np.ndarray:
     return pattern.peak_gain_dbi + np.maximum(rel, pattern.floor_db)
 
 
-def mount_gain_db(pattern: AntennaPattern, headings, world_dirs) -> np.ndarray:
-    """Gain toward world-frame unit directions for a pattern mounted with the
-    given per-pose headings (ignored for azimuth-symmetric kinds)."""
-    dirs = np.atleast_2d(np.asarray(world_dirs, dtype=float))
-    if pattern.kind == "isotropic":
-        return np.full(dirs.shape[0], pattern.peak_gain_dbi)
-    if pattern.kind == "dipole":
-        el = np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))
-        return antenna_gain(pattern, 0.0, el)
-    headings = np.broadcast_to(np.asarray(headings, dtype=float), (dirs.shape[0],))
-    return _patch_gain_world(pattern, headings, dirs)
-
-
 # --- paths ------------------------------------------------------------------
-
-@dataclass
-class PropagationPath:
-    kind: str
-    ap_position: np.ndarray
-    ue_position: np.ndarray
-    interaction_points: list
-    geometric_length_m: float
-    loss_terms: list  # (label, dB); antenna gains appear as negative losses
-    complex_gain: complex
-
-    @property
-    def delay_s(self) -> float:
-        return self.geometric_length_m / SPEED_OF_LIGHT
-
 
 def fspl_db(distance_m, frequency_hz) -> np.ndarray:
     """Free-space path loss, 20 log10(4 pi d f / c)."""
     d = np.asarray(distance_m, dtype=float)
     return 20.0 * np.log10(4.0 * np.pi * d * frequency_hz / SPEED_OF_LIGHT)
-
-
-def path_gain_db(path: PropagationPath, frequency_hz: float) -> float:
-    """Total path gain in dB: -FSPL minus every labelled loss term.
-
-    Antenna gains are carried in loss_terms with negative sign, so this is
-    the full link budget of the path at the given frequency.
-    """
-    total_loss = sum(loss for _, loss in path.loss_terms)
-    return float(-fspl_db(path.geometric_length_m, frequency_hz) - total_loss)
 
 
 def knife_edge_loss_db(nu) -> np.ndarray:
@@ -587,7 +521,7 @@ def _trace_rooftop(scene, ap, headings, ue, building_idx, idx, config, col: _Col
     for q0, q1 in zip(v, v2):
         e0 = np.array([q0[0], q0[1], h])
         e1 = np.array([q1[0], q1[1], h])
-        lam = _golden_min_edge(apv, ue, e0, e1)
+        lam = _edge_argmin(apv, ue, e0, e1)
         pt = e0 + lam[:, None] * (e1 - e0)
         total = np.linalg.norm(pt - apv, axis=1) + np.linalg.norm(pt - ue, axis=1)
         better = total < best_len
@@ -633,76 +567,20 @@ def _trace_rooftop(scene, ap, headings, ue, building_idx, idx, config, col: _Col
     )
 
 
-def _golden_min_edge(apv: np.ndarray, ue: np.ndarray, e0: np.ndarray, e1: np.ndarray,
-                     iters: int = 48) -> np.ndarray:
-    """Per-pose arg-min over lambda in [0, 1] of the bent-path length through
-    e0 + lambda (e1 - e0). The objective is convex in lambda."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo = np.zeros(apv.shape[0])
-    hi = np.ones(apv.shape[0])
+def _edge_argmin(apv: np.ndarray, ue: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """Per-pose lambda in [0, 1] minimising |AP - P| + |P - UE| over the
+    edge points P = e0 + lambda (e1 - e0).
 
-    def f(lam):
-        pt = e0 + lam[:, None] * (e1 - e0)
-        return np.linalg.norm(pt - apv, axis=1) + np.linalg.norm(pt - ue, axis=1)
-
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        pick1 = f1 < f2
-        hi = np.where(pick1, x2, hi)
-        lo = np.where(pick1, lo, x1)
-        x1_new = np.where(pick1, hi - inv_phi * (hi - lo), x2)
-        x2_new = np.where(pick1, x1, lo + inv_phi * (hi - lo))
-        x1, x2 = x1_new, x2_new
-        f_new = f(np.where(pick1, x1, x2))
-        f1, f2 = np.where(pick1, f_new, f2), np.where(pick1, f1, f_new)
-    return 0.5 * (lo + hi)
-
-
-def enumerate_paths(scene: Scene, ap_pose, ue_position, config: RaypathConfig | None = None) -> list[PropagationPath]:
-    """All propagation paths between one AP pose and one UE.
-
-    ap_pose may be an APPose or a bare (3,) position (heading 0). Paths come
-    back sorted by delay with labelled loss terms; antenna gains appear as
-    negative losses so path_gain_db reproduces complex_gain's magnitude.
+    a and b are the feet of the AP and the UE on the edge line (in lambda),
+    p and q their distances from it. Unfolding the UE about the line into
+    the AP's half-plane makes the shortest path straight; it crosses the
+    line at a + (b - a) p / (p + q). The length is convex in lambda, so
+    clipping to the edge gives the minimum on it.
     """
-    if config is None:
-        config = RaypathConfig()
-    pos = np.asarray(getattr(ap_pose, "position", ap_pose), dtype=float)
-    heading = float(getattr(ap_pose, "heading_rad", 0.0))
-    bundle = trace_paths_batch(scene, pos[None, :], np.array([heading]), ue_position, config)
-    return bundle_to_paths(bundle, scene, pos, np.asarray(ue_position, dtype=float))
-
-
-def bundle_to_paths(bundle: PathBundle, scene: Scene, ap_position, ue_position) -> list[PropagationPath]:
-    gains = bundle.complex_gains()
-    paths = []
-    for r in range(len(bundle)):
-        kind = KIND_NAMES[int(bundle.kind[r])]
-        terms = []
-        ids = bundle.interact_idx[r]
-        if bundle.kind[r] in (KIND_REFLECT1, KIND_REFLECT2):
-            n_refl = 1 if bundle.kind[r] == KIND_REFLECT1 else 2
-            for slot in range(n_refl):
-                b = scene.buildings[ids[slot]]
-                terms.append((f"reflection:{b.building_id}", b.reflection_loss_db))
-        elif bundle.kind[r] == KIND_ROOFTOP:
-            b = scene.buildings[ids[0]]
-            terms.append((f"rooftop:{b.building_id}", float(bundle.loss_interaction_db[r])))
-        if bundle.loss_foliage_db[r] > 0.0:
-            terms.append(("foliage", float(bundle.loss_foliage_db[r])))
-        terms.append(("tx-antenna", -float(bundle.gain_tx_db[r])))
-        terms.append(("rx-antenna", -float(bundle.gain_rx_db[r])))
-        pts = [bundle.points[r, i].copy() for i in range(2)
-               if not np.isnan(bundle.points[r, i, 0])]
-        paths.append(PropagationPath(
-            kind=kind,
-            ap_position=np.asarray(ap_position, dtype=float),
-            ue_position=np.asarray(ue_position, dtype=float),
-            interaction_points=pts,
-            geometric_length_m=float(bundle.length_m[r]),
-            loss_terms=terms,
-            complex_gain=complex(gains[r]),
-        ))
-    return paths
+    d = e1 - e0
+    dd = d @ d
+    a = (apv - e0) @ d / dd
+    b = (ue - e0) @ d / dd
+    p = np.linalg.norm(apv - e0 - a[:, None] * d, axis=1)
+    q = np.linalg.norm(ue - e0 - b * d)
+    return np.clip(a + (b - a) * p / (p + q), 0.0, 1.0)

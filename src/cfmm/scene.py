@@ -119,14 +119,6 @@ class Trajectory:
 
 
 @dataclass
-class APPose:
-    index: int
-    timestamp_s: float
-    position: np.ndarray  # (3,)
-    heading_rad: float
-
-
-@dataclass
 class Scene:
     extent_m: np.ndarray  # (2,)
     buildings: list[Building]
@@ -313,23 +305,14 @@ def _build_segments(traj: Trajectory) -> list[_Segment]:
     return segs
 
 
-def sample_ap_poses(traj: Trajectory) -> list[APPose]:
+def sample_ap_pose_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample the trajectory at the capture cadence.
 
-    Pose m sits at timestamp m * capture_interval_s; the final pose is the
-    last grid point not beyond the end of the route. Poses exactly on a
-    segment boundary take the heading of the segment just completed.
+    Returns (positions (M, 3), headings (M,), timestamps (M,)). Pose m sits
+    at timestamp m * capture_interval_s; the final pose is the last grid
+    point not beyond the end of the route. Poses exactly on a segment
+    boundary take the heading of the segment just completed.
     """
-    positions, headings, timestamps = sample_ap_pose_arrays(traj)
-    return [
-        APPose(index=m, timestamp_s=float(timestamps[m]), position=positions[m],
-               heading_rad=float(headings[m]))
-        for m in range(len(timestamps))
-    ]
-
-
-def sample_ap_pose_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of sample_ap_poses: (positions (M,3), headings (M,), timestamps (M,))."""
     segs = _build_segments(traj)
     if not segs:
         raise SceneError("trajectory has zero duration")
@@ -352,19 +335,13 @@ def sample_ap_pose_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.
     return positions, headings, t
 
 
-def classify_link(scene: Scene, ap_pose, ue_position: np.ndarray) -> LinkClass:
-    """LOS / OLOS / NLOS state of one AP-UE link.
+def classify_links_batch(scene: Scene, ap_positions: np.ndarray, ue_position: np.ndarray) -> np.ndarray:
+    """LOS / OLOS / NLOS state (LinkClass values, uint8 (M,)) of the links
+    from AP positions (M, 3) to one UE.
 
     NLOS when any building cuts the straight line (grazing contact does not
     count); otherwise OLOS when any foliage sphere does; otherwise LOS.
     """
-    ap = np.asarray(getattr(ap_pose, "position", ap_pose), dtype=float)
-    ue = np.asarray(ue_position, dtype=float)
-    return LinkClass(int(classify_links_batch(scene, ap[None, :], ue)[0]))
-
-
-def classify_links_batch(scene: Scene, ap_positions: np.ndarray, ue_position: np.ndarray) -> np.ndarray:
-    """Vectorised classify_link over AP positions (M, 3); returns uint8 (M,)."""
     ap = np.atleast_2d(np.asarray(ap_positions, dtype=float))
     ue = np.broadcast_to(np.asarray(ue_position, dtype=float), ap.shape)
     out = np.zeros(ap.shape[0], dtype=np.uint8)
@@ -391,34 +368,6 @@ def classify_link_matrix(
     return np.stack(
         [classify_links_batch(scene, ap_positions, u) for u in ue], axis=1
     )
-
-
-def segment_building_intersection(
-    scene: Scene, p1: np.ndarray, p2: np.ndarray
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Entry/exit points of segment p1-p2 through every building it crosses.
-
-    Returns a list of (building_id, entry_point, exit_point) ordered by
-    entry parameter. Grazing contact (tangent to a facade or passing over
-    the roof) yields nothing.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    length = float(np.linalg.norm(p2 - p1))
-    hits: list[tuple[float, str, np.ndarray, np.ndarray]] = []
-    for b in scene.buildings:
-        if b.is_convex:
-            t_in, t_out = geometry.clip_segments_convex_prism(
-                p1[None, :], p2[None, :], b.footprint, b.height_m
-            )
-            ivals = [(float(t_in[0]), float(t_out[0]))]
-        else:
-            ivals = geometry.segment_prism_intervals_general(p1, p2, b.footprint, b.height_m)
-        for lo, hi in ivals:
-            if (hi - lo) * length > GRAZE_TOL_M:
-                hits.append((lo, b.building_id, p1 + lo * (p2 - p1), p1 + hi * (p2 - p1)))
-    hits.sort(key=lambda h: h[0])
-    return [(bid, pin, pout) for _, bid, pin, pout in hits]
 
 
 # --- JSON round trip -------------------------------------------------------

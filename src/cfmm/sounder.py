@@ -14,7 +14,6 @@ produce byte-identical records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class AGCConfig:
 class AGCState:
     config: AGCConfig
     current_attenuation_db: float = 0.0
-    governing_rule: str = "strongest-ue-previous-capture"
 
 
 def agc_update(state: AGCState, strongest_input_dbm: float) -> AGCState:
@@ -165,23 +163,6 @@ class CalRecord:
             raise ValueError("calibration response contains zero entries")
 
 
-@dataclass
-class CaptureRecord:
-    capture_index: int
-    timestamp_s: float
-    ap_position: np.ndarray  # (3,)
-    ap_heading_rad: float
-    agc_attenuation_db: float
-    noise_seed: int
-    n_repetitions: int  # repetitions averaged at acquisition
-    spectra: np.ndarray  # (n_ues, n_reps_stored, n_subcarriers) complex64
-    measured_power_dbm: np.ndarray  # (n_ues,) noiseless antenna-port power
-
-    @property
-    def n_ues(self) -> int:
-        return int(self.spectra.shape[0])
-
-
 def inject_crosstalk(spectrum: np.ndarray, coupling_db: float | None,
                      reference: np.ndarray) -> np.ndarray:
     """Add transmitter leakage (a scaled copy of the reference, zero delay).
@@ -193,12 +174,6 @@ def inject_crosstalk(spectrum: np.ndarray, coupling_db: float | None,
     return spectrum + 10.0 ** (coupling_db / 20.0) * reference
 
 
-def capture_output_power_dbm(record: CaptureRecord) -> np.ndarray:
-    """Recorded (post-AGC) wideband power per UE, in dBm."""
-    p = (np.abs(record.spectra.astype(np.complex128)) ** 2).sum(axis=-1).mean(axis=-1)
-    return 10.0 * np.log10(np.maximum(p, _POWER_FLOOR_MW))
-
-
 # --- campaign ---------------------------------------------------------------
 
 @dataclass
@@ -207,8 +182,8 @@ class CampaignPlan:
 
     Built by one deterministic pass: pose sampling, path tracing per UE,
     noiseless power evaluation and the sequential AGC pass. Spectra are not
-    held here; synthesize_capture / synthesize_chunk generate them on
-    demand from (seed, capture index).
+    held here; synthesize_chunk generates them on demand from (seed,
+    capture index).
     """
 
     scene: Scene
@@ -264,8 +239,6 @@ def plan_campaign(
     if ray_config is None:
         ray_config = rp.RaypathConfig()
     waveform.validate()
-    ray_config.validate()
-    impairments.agc.validate()
     positions, headings, timestamps = sample_ap_pose_arrays(scene.trajectory)
     if pose_slice is not None:
         positions = positions[pose_slice]
@@ -370,36 +343,3 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
         z *= g_lin[i]
         out_re[i] = z
     return out
-
-
-def synthesize_capture(plan: CampaignPlan, m: int, include_noise: bool = True) -> CaptureRecord:
-    spectra = synthesize_chunk(plan, m, m + 1, include_noise=include_noise)[0]
-    return CaptureRecord(
-        capture_index=m,
-        timestamp_s=float(plan.timestamps[m]),
-        ap_position=plan.positions[m].copy(),
-        ap_heading_rad=float(plan.headings[m]),
-        agc_attenuation_db=float(plan.attenuation_db[m]),
-        noise_seed=m,
-        n_repetitions=plan.impairments.n_repetitions,
-        spectra=spectra,
-        measured_power_dbm=plan.measured_power_dbm[m].copy(),
-    )
-
-
-def run_campaign(
-    scene: Scene,
-    waveform: WaveformSpec,
-    impairments: ImpairmentConfig,
-    seed: int,
-    site=0,
-    ray_config: rp.RaypathConfig | None = None,
-) -> tuple[CalRecord, Iterator[CaptureRecord]]:
-    """Plan a campaign and stream its capture records in pose order."""
-    plan = plan_campaign(scene, waveform, impairments, seed, site=site, ray_config=ray_config)
-
-    def records() -> Iterator[CaptureRecord]:
-        for m in range(plan.n_captures):
-            yield synthesize_capture(plan, m)
-
-    return plan.cal, records()

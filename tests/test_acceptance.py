@@ -365,11 +365,12 @@ def test_criterion_09_geometry_oracles():
         trajectory=sc.Trajectory(waypoints=[sc.Waypoint("start", x=0.0, y=0.0,
                                                         height=13.0)]),
     )
-    refl = [p for p in rp.enumerate_paths(scene, apos, ue)
-            if p.kind == "reflect-1"]
+    bundle = rp.trace_paths_batch(scene, apos[None, :], np.zeros(1), ue,
+                                  rp.RaypathConfig())
+    refl = bundle.length_m[bundle.kind == rp.KIND_REFLECT1]
     assert len(refl) == 1
-    assert abs(refl[0].geometric_length_m - want) <= 1e-9
-    assert abs(refl[0].geometric_length_m - res.fun) <= 1e-9
+    assert abs(refl[0] - want) <= 1e-9
+    assert abs(refl[0] - res.fun) <= 1e-9
 
     rng = np.random.default_rng(501)
     for _ in range(1000):

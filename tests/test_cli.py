@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,9 @@ import pytest
 import cfmm
 import cfmm.config as cfgmod
 import cfmm.formats as fm
+import cfmm.pipeline as pl
 import cfmm.scene as sc
+import cfmm.sounder as sd
 from cfmm.cli import main
 
 from conftest import make_scene, ue_line
@@ -261,6 +264,52 @@ class TestStages:
         assert not (out / "matrix.cfmm").exists()
         assert not (out / "summary.csv").exists()
         assert not list(out.glob("*.partial"))
+
+    def test_failed_pool_run_clears_worker_task(self, workspace, tmp_path,
+                                                monkeypatch, capsys):
+        real = sd.synthesize_chunk
+
+        def fail_on_span_32(plan, m0, m1):
+            if m0 == 32:
+                raise ValueError("synthesis failed on span 32")
+            return real(plan, m0, m1)
+
+        monkeypatch.setattr(sd, "synthesize_chunk", fail_on_span_32)
+        rc = main(["simulate", "--config", str(workspace / "cfg.json"),
+                   "--out", str(tmp_path / "f"), "--workers", "2", "--chunk-size", "16"])
+        assert rc == 1
+        assert "span 32" in capsys.readouterr().err
+        # The pool's worker global no longer holds the plan.
+        assert pl._WORKER_TASK is None
+
+    def test_failed_pool_run_cancels_pending_spans(self, workspace, tmp_path,
+                                                   monkeypatch):
+        real = sd.synthesize_chunk
+        calls = tmp_path / "calls.txt"
+
+        def fail_on_span_0(plan, m0, m1):
+            with open(calls, "a") as fh:
+                fh.write(f"{m0}\n")
+            if m0 == 0:
+                raise ValueError("synthesis failed on span 0")
+            time.sleep(0.05)  # the parent cancels while the rest are pending
+            return real(plan, m0, m1)
+
+        monkeypatch.setattr(sd, "synthesize_chunk", fail_on_span_0)
+        rc = main(["simulate", "--config", str(workspace / "cfg.json"),
+                   "--out", str(tmp_path / "f"), "--workers", "2", "--chunk-size", "4"])
+        assert rc == 1
+        # Of the 21 spans, those already handed to the workers still run.
+        assert len(calls.read_text().split()) < 21
+
+    @pytest.mark.parametrize("size", ["0", "-16"])
+    def test_bad_chunk_size_exit_1(self, workspace, tmp_path, capsys, size):
+        rc = main(["process", "--config", str(workspace / "cfg.json"),
+                   "--captures", str(workspace / "out" / "captures.cfmc"),
+                   "--out", str(tmp_path / "c"), "--workers", "1", "--chunk-size", size])
+        assert rc == 1
+        assert f"chunk_size = {size}: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "matrix.cfmm").exists()
 
     def test_pipeline_flag_override(self, workspace, tmp_path):
         cfgp = str(workspace / "cfg.json")

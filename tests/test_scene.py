@@ -90,17 +90,15 @@ def test_pose_sampling_drive_counts_and_spacing():
         sc.Waypoint("start", x=10.0, y=10.0, height=4.5),
         sc.Waypoint("drive", x=20.0, y=10.0),
     ])
-    poses = sc.sample_ap_poses(scene.trajectory)
-    assert len(poses) == 201
-    assert poses[0].timestamp_s == 0.0
-    assert poses[-1].timestamp_s == pytest.approx(20.0)
-    assert poses[137].index == 137
-    assert poses[137].timestamp_s == pytest.approx(13.7)
-    pos = np.array([p.position for p in poses])
+    pos, hdg, ts = sc.sample_ap_pose_arrays(scene.trajectory)
+    assert len(ts) == len(pos) == len(hdg) == 201
+    assert ts[0] == 0.0
+    assert ts[-1] == pytest.approx(20.0)
+    assert ts[137] == pytest.approx(13.7)
     steps = np.linalg.norm(np.diff(pos, axis=0), axis=1)
     np.testing.assert_allclose(steps, 0.05, atol=1e-9)  # 5 cm per capture
     np.testing.assert_allclose(pos[-1], [20.0, 10.0, 4.5], atol=1e-9)
-    assert all(p.heading_rad == pytest.approx(0.0) for p in poses)
+    assert all(h == pytest.approx(0.0) for h in hdg)
 
 
 def test_pose_sampling_mast_raise():
@@ -108,13 +106,11 @@ def test_pose_sampling_mast_raise():
         sc.Waypoint("start", x=10.0, y=10.0, height=4.0),
         sc.Waypoint("raise", height=13.0),
     ])
-    poses = sc.sample_ap_poses(scene.trajectory)
+    pos, _, _ = sc.sample_ap_pose_arrays(scene.trajectory)
     # Full 9 m travel at the default 40 s full-travel time.
-    assert len(poses) == 401
-    z = np.array([p.position[2] for p in poses])
-    np.testing.assert_allclose(z, 4.0 + 0.225 * 0.1 * np.arange(401), atol=1e-9)
-    xy = np.array([p.position[:2] for p in poses])
-    np.testing.assert_allclose(xy, np.tile([10.0, 10.0], (401, 1)), atol=1e-12)
+    assert len(pos) == 401
+    np.testing.assert_allclose(pos[:, 2], 4.0 + 0.225 * 0.1 * np.arange(401), atol=1e-9)
+    np.testing.assert_allclose(pos[:, :2], np.tile([10.0, 10.0], (401, 1)), atol=1e-12)
 
 
 def test_pose_sampling_pause_and_concatenation():
@@ -124,12 +120,10 @@ def test_pose_sampling_pause_and_concatenation():
         sc.Waypoint("pause", duration_s=2.0),
         sc.Waypoint("drive", x=5.0, y=5.0),
     ])
-    poses = sc.sample_ap_poses(scene.trajectory)
-    assert len(poses) == 221  # 10 s + 2 s + 10 s at 10 Hz, inclusive
-    pos = np.array([p.position for p in poses])
+    pos, hdg, _ = sc.sample_ap_pose_arrays(scene.trajectory)
+    assert len(pos) == 221  # 10 s + 2 s + 10 s at 10 Hz, inclusive
     np.testing.assert_allclose(pos[100:121, :2], np.tile([5.0, 0.0], (21, 1)), atol=1e-9)
     # Heading: east during the first drive, held through the pause, then north.
-    hdg = np.array([p.heading_rad for p in poses])
     np.testing.assert_allclose(hdg[:121], 0.0, atol=1e-12)
     np.testing.assert_allclose(hdg[121:], np.pi / 2, atol=1e-12)
 
@@ -140,23 +134,28 @@ def test_pose_on_corner_takes_completed_heading():
         sc.Waypoint("drive", x=5.0, y=0.0),
         sc.Waypoint("drive", x=5.0, y=5.0),
     ])
-    poses = sc.sample_ap_poses(scene.trajectory)
-    assert poses[100].heading_rad == pytest.approx(0.0)
-    assert poses[101].heading_rad == pytest.approx(np.pi / 2)
+    _, hdg, _ = sc.sample_ap_pose_arrays(scene.trajectory)
+    assert hdg[100] == pytest.approx(0.0)
+    assert hdg[101] == pytest.approx(np.pi / 2)
 
 
 def test_empty_trajectory_rejected():
     traj = sc.Trajectory(waypoints=[sc.Waypoint("start", x=0.0, y=0.0, height=4.5)])
     with pytest.raises(sc.SceneError, match="zero duration"):
-        sc.sample_ap_poses(traj)
+        sc.sample_ap_pose_arrays(traj)
+
+
+def classify(scene, ap, ue):
+    """classify_links_batch on the single AP position ap (3,)."""
+    return sc.LinkClass(int(sc.classify_links_batch(scene, np.asarray(ap)[None, :], ue)[0]))
 
 
 def test_classify_link_basic(basic_scene):
     ue = basic_scene.ue_sites[0].positions_m
     # Straight through the building.
-    assert sc.classify_link(basic_scene, np.array([50.0, 10.0, 4.5]), ue[6]) == sc.LinkClass.NLOS
+    assert classify(basic_scene, np.array([50.0, 10.0, 4.5]), ue[6]) == sc.LinkClass.NLOS
     # Off to the side.
-    assert sc.classify_link(basic_scene, np.array([10.0, 10.0, 4.5]), ue[0]) == sc.LinkClass.LOS
+    assert classify(basic_scene, np.array([10.0, 10.0, 4.5]), ue[0]) == sc.LinkClass.LOS
 
 
 def test_classify_link_foliage_and_precedence():
@@ -164,12 +163,12 @@ def test_classify_link_foliage_and_precedence():
     scene = make_scene(foliage=[blob])
     ap = np.array([30.0, 10.0, 4.5])
     ue = np.array([30.0, 60.0, 1.0])
-    assert sc.classify_link(scene, ap, ue) == sc.LinkClass.OLOS
+    assert classify(scene, ap, ue) == sc.LinkClass.OLOS
     # A building in the same line wins over foliage.
     ap2 = np.array([50.0, 10.0, 4.5])
     ue2 = np.array([50.0, 60.0, 1.0])
     scene2 = make_scene(foliage=[sc.FoliageBlob(center_m=np.array([50.0, 20.0, 4.0]), radius_m=3.0)])
-    assert sc.classify_link(scene2, ap2, ue2) == sc.LinkClass.NLOS
+    assert classify(scene2, ap2, ue2) == sc.LinkClass.NLOS
 
 
 def test_classify_link_clears_low_roof():
@@ -182,54 +181,21 @@ def test_classify_link_clears_low_roof():
     ap = np.array([50.0, 10.0, 13.0])
     ue = np.array([50.0, 60.0, 1.0])
     # From 13 m the ray passes over the 3 m roof (z is 8.2..3.4 m there).
-    assert sc.classify_link(scene, ap, ue) == sc.LinkClass.LOS
-    assert sc.classify_link(scene, np.array([50.0, 10.0, 4.5]), ue) == sc.LinkClass.NLOS
-
-
-def test_classify_batch_matches_scalar(basic_scene):
-    rng = np.random.default_rng(17)
-    scene = make_scene(
-        foliage=[sc.FoliageBlob(center_m=np.array([30.0, 35.0, 5.0]), radius_m=4.0)]
-    )
-    ue = np.array([35.0, 60.0, 1.0])
-    aps = np.column_stack([
-        rng.uniform(0, 100, 200),
-        rng.uniform(0, 100, 200),
-        rng.uniform(4, 13, 200),
-    ])
-    batch = sc.classify_links_batch(scene, aps, ue)
-    scalar = np.array([int(sc.classify_link(scene, ap, ue)) for ap in aps])
-    np.testing.assert_array_equal(batch, scalar)
+    assert classify(scene, ap, ue) == sc.LinkClass.LOS
+    assert classify(scene, np.array([50.0, 10.0, 4.5]), ue) == sc.LinkClass.NLOS
 
 
 def test_segment_building_intersection(basic_scene):
-    hits = sc.segment_building_intersection(
-        basic_scene, np.array([50.0, 10.0, 2.0]), np.array([50.0, 60.0, 2.0])
-    )
-    assert len(hits) == 1
-    bid, p_in, p_out = hits[0]
-    assert bid == "B0"
-    np.testing.assert_allclose(p_in, [50.0, 30.0, 2.0], atol=1e-9)
-    np.testing.assert_allclose(p_out, [50.0, 50.0, 2.0], atol=1e-9)
+    (b,) = basic_scene.buildings
+    chord = b.blockage_chords(np.array([50.0, 10.0, 2.0]), np.array([50.0, 60.0, 2.0]))
+    # In at y = 30, out at y = 50.
+    np.testing.assert_allclose(chord, [20.0], atol=1e-9)
 
 
 def test_segment_building_intersection_over_roof(basic_scene):
-    hits = sc.segment_building_intersection(
-        basic_scene, np.array([50.0, 10.0, 25.0]), np.array([50.0, 60.0, 25.0])
-    )
-    assert hits == []
-
-
-def test_segment_building_intersection_ordering():
-    b1 = sc.Building("A", np.array([[20.0, 30.0], [30.0, 30.0], [30.0, 50.0], [20.0, 50.0]]), 10.0)
-    b2 = sc.Building("B", np.array([[50.0, 30.0], [60.0, 30.0], [60.0, 50.0], [50.0, 50.0]]), 10.0)
-    scene = make_scene(buildings=[b2, b1])  # deliberately unsorted
-    hits = sc.segment_building_intersection(
-        scene, np.array([0.0, 40.0, 5.0]), np.array([100.0, 40.0, 5.0])
-    )
-    assert [h[0] for h in hits] == ["A", "B"]
-    np.testing.assert_allclose(hits[0][1], [20.0, 40.0, 5.0], atol=1e-9)
-    np.testing.assert_allclose(hits[1][2], [60.0, 40.0, 5.0], atol=1e-9)
+    (b,) = basic_scene.buildings
+    chord = b.blockage_chords(np.array([50.0, 10.0, 25.0]), np.array([50.0, 60.0, 25.0]))
+    assert chord.tolist() == [0.0]
 
 
 def test_foliage_penetration_loss_split_rates():

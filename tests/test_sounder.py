@@ -115,22 +115,20 @@ def test_timing_constants():
 def test_campaign_structure_and_determinism():
     scene = short_drive_scene()
     imp = sd.ImpairmentConfig()
-    cal, records = sd.run_campaign(scene, SPEC, imp, seed=42)
-    recs = list(records)
-    assert len(recs) == 21
-    assert [r.capture_index for r in recs] == list(range(21))
-    np.testing.assert_allclose([r.timestamp_s for r in recs], 0.1 * np.arange(21))
-    r = recs[3]
-    assert r.spectra.shape == (8, 1, 2801)
-    assert r.spectra.dtype == np.complex64
-    assert r.n_repetitions == 10
+    plan = sd.plan_campaign(scene, SPEC, imp, seed=42)
+    assert plan.n_captures == 21
+    np.testing.assert_allclose(plan.timestamps, 0.1 * np.arange(21))
+    spectra = sd.synthesize_chunk(plan, 0, plan.n_captures)
+    assert spectra.shape == (21, 8, 1, 2801)
+    assert spectra.dtype == np.complex64
+    assert plan.impairments.n_repetitions == 10
 
-    cal2, records2 = sd.run_campaign(scene, SPEC, imp, seed=42)
-    np.testing.assert_array_equal(cal.response, cal2.response)
-    np.testing.assert_array_equal(recs[7].spectra, next(r for r in records2 if r.capture_index == 7).spectra)
+    plan2 = sd.plan_campaign(scene, SPEC, imp, seed=42)
+    np.testing.assert_array_equal(plan.cal.response, plan2.cal.response)
+    np.testing.assert_array_equal(spectra[7], sd.synthesize_chunk(plan2, 7, 8)[0])
 
-    _, records3 = sd.run_campaign(scene, SPEC, imp, seed=43)
-    assert not np.array_equal(recs[7].spectra, next(r for r in records3 if r.capture_index == 7).spectra)
+    plan3 = sd.plan_campaign(scene, SPEC, imp, seed=43)
+    assert not np.array_equal(spectra[7], sd.synthesize_chunk(plan3, 7, 8)[0])
 
 
 def test_store_repetitions_shape_and_noise_scaling():
