@@ -10,7 +10,7 @@ disjoint capture ranges whose content is seed-determined, and the parent
 does all file writes.
 
 Exit codes: 0 success, 1 validation error, 2 missing/unreadable files,
-3 binary format mismatch.
+3 binary format mismatch or corrupt data, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
                   matrix_path: Path, summary_path: Path) -> Counter:
     """Process every capture into the two files; returns the degenerate-row counts."""
     f = params.pad_factor
-    native_bin_s = 1.0 / (source.n_subcarriers * source.subcarrier_spacing_hz)
+    bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
-                             params.gate_native_bins * f, native_bin_s / f, f)
+                             params.gate_native_bins * f, bin_width_s, f)
     workers = _n_workers(cfg, args.workers)
     print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
           f"(chunks of {args.chunk_size}, {workers} workers)")
@@ -195,7 +195,7 @@ def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
     def take(a: int, chunk: tuple) -> None:
         _, _, values, mask, noise_db, _ = chunk
         writer.write_chunk(a, values, mask)
-        all_rows.extend(_summary_rows(a, chunk, native_bin_s / f))
+        all_rows.extend(_summary_rows(a, chunk, bin_width_s))
         counts.update(pl.degenerate_row_counts(mask, noise_db))
 
     pl.run_chunks(pl.process_chunk, (source, params), source.n_captures,
@@ -322,6 +322,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        detail = f" ({e})" if str(e) else ""
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -56,16 +56,6 @@ def _mask_bytes(n_entries: int) -> int:
     return (n_entries + 7) // 8
 
 
-def write_matrix(path, matrix: PDPMatrix) -> None:
-    """One-shot write of a processed matrix (values plus packed mask)."""
-    m, u, b = matrix.values.shape
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_HEADER.pack(MATRIX_MAGIC, MATRIX_VERSION, m, u, b,
-                                     matrix.bin_width_s, matrix.oversample_factor))
-        np.ascontiguousarray(matrix.values, dtype="<f4").tofile(fh)
-        np.packbits(matrix.mask.reshape(-1), bitorder="little").tofile(fh)
-
-
 def read_matrix(path) -> PDPMatrix:
     with open(path, "rb") as fh:
         raw = fh.read(_MATRIX_HEADER.size)
@@ -88,11 +78,13 @@ def read_matrix(path) -> PDPMatrix:
 
 
 class MatrixWriter:
-    """Chunked matrix writer producing bytes identical to write_matrix.
+    """Writes a matrix file in capture-range chunks, in any order.
 
-    Requires the per-capture entry count to be a whole number of bytes in
-    the mask bit array (n_ues * n_bins divisible by 8) so capture-aligned
-    chunks land on byte boundaries.
+    The header is written up front and the file pre-sized; each chunk
+    fills its captures' values and mask bytes. Requires the per-capture
+    entry count to be a whole number of bytes in the mask bit array
+    (n_ues * n_bins divisible by 8) so capture-aligned chunks land on byte
+    boundaries.
     """
 
     def __init__(self, path, n_captures: int, n_ues: int, n_bins: int,
@@ -161,7 +153,9 @@ class CaptureFile:
 
         Raises FormatError when a capture-UE row is all zero: recorded
         spectra always carry noise, so such a row was never written, as
-        when simulate stops before filling the pre-sized file.
+        when simulate stops before filling the pre-sized file. Also raises
+        it for a row holding a NaN or infinity, which the small-scale
+        average would otherwise spread over its neighbours' noise levels.
         """
         mm = np.memmap(self.path, dtype="<c8", mode="r", offset=self.spectra_offset,
                        shape=(self.n_captures, self.n_ues, self.n_reps_stored,
@@ -170,12 +164,19 @@ class CaptureFile:
         del mm
         empty = ~np.any(out, axis=(2, 3))  # (m, U)
         if empty.any():
-            i, j = np.argwhere(empty)[0]
-            raise FormatError(
-                f"{self.path}: capture {m0 + i}, UE {j}: spectra are all zero "
-                f"({int(empty.sum())} such rows in captures {m0}..{m1 - 1}); "
-                "the file was not completely written")
+            self._reject(empty, m0, m1, "spectra are all zero",
+                         "the file was not completely written")
+        bad = ~np.isfinite(out.view(np.float32)).all(axis=(2, 3))
+        if bad.any():
+            self._reject(bad, m0, m1, "spectra hold NaN or infinite values",
+                         "the file is corrupt")
         return out
+
+    def _reject(self, rows: np.ndarray, m0: int, m1: int, what: str, why: str):
+        i, j = np.argwhere(rows)[0]
+        raise FormatError(
+            f"{self.path}: capture {m0 + i}, UE {j}: {what} "
+            f"({int(rows.sum())} such rows in captures {m0}..{m1 - 1}); {why}")
 
 
 def _capture_header_bytes(m: int, u: int, r: int, n: int, spacing: float,

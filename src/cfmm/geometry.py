@@ -101,19 +101,23 @@ def polygon_is_simple(vertices: np.ndarray) -> bool:
 
 
 def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Even-odd test for points (..., 2) against a simple polygon."""
+    """Even-odd test for points (..., 2) against a simple polygon.
+
+    One pass per edge flips a parity array, so memory stays at a few
+    arrays of the points' shape whatever the edge count.
+    """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(vertices, dtype=float)
-    x = pts[..., 0, None]
-    y = pts[..., 1, None]
-    x1, y1 = v[:, 0], v[:, 1]
-    v2 = np.roll(v, -1, axis=0)
-    x2, y2 = v2[:, 0], v2[:, 1]
-    straddle = (y1 <= y) != (y2 <= y)
-    dy = np.where(y2 == y1, 1.0, y2 - y1)
-    xint = x1 + (y - y1) * (x2 - x1) / dy
-    crossings = np.sum(straddle & (xint > x), axis=-1)
-    return crossings % 2 == 1
+    x = pts[..., 0]
+    y = pts[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    for (x1, y1), (x2, y2) in zip(v, np.roll(v, -1, axis=0)):
+        if y1 == y2:
+            continue  # a horizontal edge is never straddled
+        straddle = (y1 <= y) != (y2 <= y)
+        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= straddle & (xint > x)
+    return inside
 
 
 def clip_segments_convex_prism(
@@ -175,77 +179,55 @@ def clip_segments_convex_prism(
     return t_in, t_out
 
 
-def segment_polygon_t_intervals(
-    p0: np.ndarray, p1: np.ndarray, vertices: np.ndarray
-) -> list[tuple[float, float]]:
-    """Parameter intervals where a 2-D segment lies inside a simple polygon.
+def segment_prism_chords(
+    p0: np.ndarray, p1: np.ndarray, vertices: np.ndarray, height: float
+) -> np.ndarray:
+    """Chord length (metres) of each segment inside a prism over any simple
+    footprint, spanning z in [0, height].
 
-    Scalar fallback for non-convex footprints; handles any simple polygon by
-    slicing the segment at edge crossings and classifying slice midpoints.
+    p0, p1 shaped (n, 3); returns (n,). Each segment is sliced at its
+    footprint-edge crossings, all segments at once. A slice counts when two
+    probes 1e-9 m either side of its midpoint are both inside, so a slice
+    running along a facade counts zero, matching open-set semantics.
     """
-    p0 = np.asarray(p0, dtype=float)[:2]
-    p1 = np.asarray(p1, dtype=float)[:2]
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    p1 = np.atleast_2d(np.asarray(p1, dtype=float))
     v = np.asarray(vertices, dtype=float)
     d = p1 - p0
-    if np.hypot(*d) < 1e-15:
-        inside = bool(points_in_polygon(p0[None, :], v)[0])
-        return [(0.0, 1.0)] if inside else []
+    e = np.roll(v, -1, axis=0) - v
+    # Solve p0 + t d = v_j + s e_j on the (segments, edges) grid.
+    w = v[None, :, :] - p0[:, None, :2]
+    dx, dy = d[:, 0, None], d[:, 1, None]
+    denom = dx * e[:, 1] - dy * e[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
+        s = (w[..., 0] * dy - w[..., 1] * dx) / denom
+    crossing = (denom != 0.0) & (t > 0.0) & (t < 1.0) & (s >= 0.0) & (s <= 1.0)
+    # Each row holds 0, 1 and one entry per edge; an edge the segment does
+    # not cross sorts to t = 1 and only adds an empty slice.
+    ends = np.zeros((len(p0), 1))
+    ts = np.sort(np.concatenate([ends, np.where(crossing, t, 1.0), ends + 1.0], axis=1))
+    lo, hi = ts[:, :-1], ts[:, 1:]
 
-    ts = [0.0, 1.0]
-    v2 = np.roll(v, -1, axis=0)
-    for (a, b) in zip(v, v2):
-        e = b - a
-        denom = d[0] * e[1] - d[1] * e[0]
-        if denom == 0.0:
-            continue
-        # Solve p0 + t d = a + s e.
-        w = a - p0
-        t = (w[0] * e[1] - w[1] * e[0]) / denom
-        s = (w[0] * d[1] - w[1] * d[0]) / denom
-        if 0.0 < t < 1.0 and 0.0 <= s <= 1.0:
-            ts.append(float(t))
-    ts = sorted(set(ts))
-    # Classify slice midpoints via two probes offset perpendicular to the
-    # segment: a midpoint riding exactly along an edge (grazing) then has one
-    # probe outside and is not counted, matching open-set semantics.
-    perp = np.array([-d[1], d[0]]) / np.hypot(*d) * 1e-9
-    intervals = []
-    for lo, hi in zip(ts[:-1], ts[1:]):
-        mid = p0 + 0.5 * (lo + hi) * d
-        probes = np.stack([mid + perp, mid - perp])
-        if bool(np.all(points_in_polygon(probes, v))):
-            if intervals and abs(intervals[-1][1] - lo) < 1e-12:
-                intervals[-1] = (intervals[-1][0], hi)
-            else:
-                intervals.append((lo, hi))
-    return intervals
+    span = np.hypot(d[:, 0], d[:, 1])
+    span = np.where(span < 1e-15, np.inf, span)  # vertical: probe the point itself
+    perp = (np.stack([-d[:, 1], d[:, 0]], axis=1) / span[:, None] * 1e-9)[:, None]
+    mid = p0[:, None, :2] + (0.5 * (lo + hi))[..., None] * d[:, None, :2]
+    inside = points_in_polygon(mid + perp, v) & points_in_polygon(mid - perp, v)
 
-
-def segment_prism_intervals_general(
-    p0: np.ndarray, p1: np.ndarray, vertices: np.ndarray, height: float
-) -> list[tuple[float, float]]:
-    """Inside intervals of a 3-D segment against a general simple prism."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    dz = p1[2] - p0[2]
-    if dz == 0.0:
-        if not (0.0 <= p0[2] <= height):
-            return []
-        z_lo, z_hi = 0.0, 1.0
-    else:
-        ta = (0.0 - p0[2]) / dz
-        tb = (height - p0[2]) / dz
-        z_lo, z_hi = min(ta, tb), max(ta, tb)
-        z_lo = max(z_lo, 0.0)
-        z_hi = min(z_hi, 1.0)
-        if z_hi <= z_lo:
-            return []
-    out = []
-    for lo, hi in segment_polygon_t_intervals(p0[:2], p1[:2], vertices):
-        a, b = max(lo, z_lo), min(hi, z_hi)
-        if b > a:
-            out.append((a, b))
-    return out
+    # Clip each slice to the parameter range where 0 <= z <= height.
+    z0, dz = p0[:, 2], d[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (0.0 - z0) / dz
+        tb = (height - z0) / dz
+    # A level segment is inside strictly between floor and roof; along
+    # either plane it only grazes.
+    level = (z0 > 0.0) & (z0 < height)
+    z_lo = np.where(dz == 0.0, 0.0, np.minimum(ta, tb))
+    z_hi = np.where(dz == 0.0, np.where(level, 1.0, 0.0), np.maximum(ta, tb))
+    part = np.minimum(hi, z_hi[:, None]) - np.maximum(lo, z_lo[:, None])
+    inside_t = np.sum(np.where(inside & (part > 0.0), part, 0.0), axis=1)
+    return inside_t * np.linalg.norm(d, axis=1)
 
 
 def segment_sphere_chords(
@@ -272,16 +254,6 @@ def segment_sphere_chords(
     t1 = np.clip(t1, 0.0, 1.0)
     chord = np.where(valid, (t1 - t0) * np.sqrt(a), 0.0)
     return np.maximum(chord, 0.0)
-
-
-def mirror_points_across_plane(
-    points: np.ndarray, plane_point: np.ndarray, plane_normal: np.ndarray
-) -> np.ndarray:
-    """Reflect 3-D points (..., 3) across the plane (point, unit normal)."""
-    pts = np.asarray(points, dtype=float)
-    n = np.asarray(plane_normal, dtype=float)
-    s = np.einsum("...j,j->...", pts - plane_point, n)
-    return pts - 2.0 * s[..., None] * n
 
 
 def max_pairwise_distance(points: np.ndarray) -> float:

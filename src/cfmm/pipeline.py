@@ -270,6 +270,11 @@ def delay_gate(values: np.ndarray, mask: np.ndarray, cuts: np.ndarray) -> None:
     values[~mask] = 0.0
 
 
+def native_bin_width_s(source) -> float:
+    """Width of one native delay bin, 1 / bandwidth, of a source's tone comb."""
+    return 1.0 / (source.n_subcarriers * source.subcarrier_spacing_hz)
+
+
 def crosstalk_cut_bins(distance_m: np.ndarray, native_bin_s: float,
                        guard_native_bins: int, gate_native_bins: int,
                        pad_factor: int) -> np.ndarray:
@@ -325,7 +330,6 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     n = source.n_subcarriers
     f = params.pad_factor
     big_l = n * f
-    native_bin_s = 1.0 / (n * source.subcarrier_spacing_hz)
     gate_cut = params.gate_native_bins * f
     noise_lo, noise_hi = params.noise_bins(n)
     span = (noise_hi - big_l, noise_lo)
@@ -337,7 +341,7 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
 
     deltas = source.positions[a:b, None, :] - source.ue_positions[None, :, :]
     distances = np.linalg.norm(deltas, axis=-1)  # (b - a, U)
-    cuts = crosstalk_cut_bins(distances, native_bin_s,
+    cuts = crosstalk_cut_bins(distances, native_bin_width_s(source),
                               params.guard_native_bins,
                               params.gate_native_bins, f)
 
@@ -419,7 +423,6 @@ def process_campaign(source, params: PipelineParams | None = None,
     if params is None:
         params = PipelineParams()
     params.validate()
-    n = source.n_subcarriers
     f = params.pad_factor
     gate_cut = params.gate_native_bins * f
     m_total = source.n_captures
@@ -439,9 +442,8 @@ def process_campaign(source, params: PipelineParams | None = None,
 
     run_chunks(process_chunk, (source, params), m_total, chunk_size, take)
 
-    native_bin_s = 1.0 / (n * source.subcarrier_spacing_hz)
     return PDPMatrix(
         values=values, mask=mask, noise_level_db=noise_db,
-        threshold_db=theta_db, bin_width_s=native_bin_s / f,
+        threshold_db=theta_db, bin_width_s=native_bin_width_s(source) / f,
         oversample_factor=f,
     )

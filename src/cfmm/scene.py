@@ -51,14 +51,7 @@ class Building:
                 p0, p1, self.footprint, self.height_m
             )
             return (t_out - t_in) * np.linalg.norm(p1 - p0, axis=1)
-        chords = np.zeros(p0.shape[0])
-        for i in range(p0.shape[0]):
-            ivals = geometry.segment_prism_intervals_general(
-                p0[i], p1[i], self.footprint, self.height_m
-            )
-            length = np.linalg.norm(p1[i] - p0[i])
-            chords[i] = sum(hi - lo for lo, hi in ivals) * length
-        return chords
+        return geometry.segment_prism_chords(p0, p1, self.footprint, self.height_m)
 
 
 @dataclass

@@ -133,10 +133,6 @@ class ImpairmentConfig:
     n_repetitions: int = REPETITIONS_PER_UE
     store_repetitions: bool = False
 
-    def noise_figure_db(self, attenuation_db: float) -> float:
-        penalty = min(self.nf_penalty_per_att_db * attenuation_db, self.nf_penalty_cap_db)
-        return self.base_noise_figure_db + penalty
-
     def noise_sigma2_mw(self, attenuation_db, spacing_hz: float) -> np.ndarray:
         """Input-referred noise variance per tone per repetition, in mW."""
         att = np.asarray(attenuation_db, dtype=float)

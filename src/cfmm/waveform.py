@@ -1,4 +1,4 @@
-"""Multi-tone sounding waveform: spectrum design, time samples, delay grid.
+"""Multi-tone sounding waveform: spectrum design and time samples.
 
 The sounder excites a comb of equally spaced subcarriers with deterministic
 phases chosen for low crest factor. All delay-domain arithmetic downstream
@@ -8,7 +8,7 @@ subcarrier count and spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,51 +122,3 @@ def occupied_bins(spec: WaveformSpec) -> np.ndarray:
     n = spec.n_subcarriers
     m = n * spec.oversampling_factor
     return (np.arange(n) - (n - 1) // 2) % m
-
-
-def papr_db(samples: np.ndarray) -> float:
-    """Peak-to-average power ratio of a sample sequence, in dB."""
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ValueError("empty sample sequence")
-    power = np.abs(samples) ** 2
-    mean = power.mean()
-    if mean == 0.0:
-        raise ValueError("all-zero sample sequence")
-    return 10.0 * np.log10(power.max() / mean)
-
-
-@dataclass(frozen=True)
-class DelayGrid:
-    """Delay-domain grid implied by a waveform and zero-padding factor."""
-
-    native_bin_width_s: float
-    max_unaliased_delay_s: float
-    n_bins: int
-    oversample_factor: int = 1
-
-    @property
-    def bin_width_s(self) -> float:
-        """Width of one oversampled bin."""
-        return self.native_bin_width_s / self.oversample_factor
-
-    def delays_s(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.bin_width_s
-
-
-def delay_grid(spec: WaveformSpec, zero_pad_factor: int = 1) -> DelayGrid:
-    """Delay grid of the PDP produced from this waveform.
-
-    Native bin width is 1/bandwidth; zero padding by `zero_pad_factor`
-    interpolates the grid without adding resolution. Maximum unaliased delay
-    is the sequence duration 1/spacing regardless of padding.
-    """
-    spec.validate()
-    if zero_pad_factor < 1:
-        raise ValueError("zero_pad_factor must be >= 1")
-    return DelayGrid(
-        native_bin_width_s=1.0 / spec.bandwidth_hz,
-        max_unaliased_delay_s=spec.duration_s,
-        n_bins=spec.n_subcarriers * zero_pad_factor,
-        oversample_factor=zero_pad_factor,
-    )

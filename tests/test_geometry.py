@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfmm import geometry as geo
+from cfmm.geometry import points_in_polygon
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 BOWTIE = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -66,31 +67,120 @@ def test_convex_prism_grazing_is_open():
 
 
 def test_general_polygon_intervals_two_chords():
-    ivals = geo.segment_polygon_t_intervals(
-        np.array([-1.0, 2.0]), np.array([6.0, 2.0]), U_SHAPE
-    )
-    assert len(ivals) == 2
-    np.testing.assert_allclose(ivals[0], [1 / 7, 2 / 7], atol=1e-12)
-    np.testing.assert_allclose(ivals[1], [5 / 7, 6 / 7], atol=1e-12)
+    # Through both arms of the U: 1 m in each. The sub-segments ending
+    # inside the arms pin where each interval lies.
+    p0 = np.array([[-1.0, 2.0, 0.5]] * 3)
+    p1 = np.array([[6.0, 2.0, 0.5], [0.5, 2.0, 0.5], [4.5, 2.0, 0.5]])
+    chords = geo.segment_prism_chords(p0, p1, U_SHAPE, 1.0)
+    np.testing.assert_allclose(chords, [2.0, 0.5, 1.5], atol=1e-12)
 
 
 def test_general_polygon_interval_grazing_edge():
-    # Along the bottom edge of the square: open semantics, no interval.
-    ivals = geo.segment_polygon_t_intervals(
-        np.array([-1.0, 0.0]), np.array([2.0, 0.0]), SQUARE
+    # Along the bottom edge of the square: open semantics, no chord.
+    chord = geo.segment_prism_chords(
+        np.array([[-1.0, 0.0, 0.5]]), np.array([[2.0, 0.0, 0.5]]), SQUARE, 1.0
     )
-    assert sum(hi - lo for lo, hi in ivals) <= 1e-9
+    assert chord[0] <= 1e-9
 
 
 def test_general_prism_matches_convex_on_box():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        p0 = rng.uniform([-2, -2, -1], [3, 3, 2])
-        p1 = rng.uniform([-2, -2, -1], [3, 3, 2])
-        ivals = geo.segment_prism_intervals_general(p0, p1, SQUARE, 1.0)
-        general = sum(hi - lo for lo, hi in ivals)
-        t_in, t_out = geo.clip_segments_convex_prism(p0[None], p1[None], SQUARE, 1.0)
-        assert general == pytest.approx(float(t_out[0] - t_in[0]), abs=1e-9)
+    p0 = rng.uniform([-2, -2, -1], [3, 3, 2], size=(50, 3))
+    p1 = rng.uniform([-2, -2, -1], [3, 3, 2], size=(50, 3))
+    general = geo.segment_prism_chords(p0, p1, SQUARE, 1.0)
+    t_in, t_out = geo.clip_segments_convex_prism(p0, p1, SQUARE, 1.0)
+    convex = (t_out - t_in) * np.linalg.norm(p1 - p0, axis=1)
+    np.testing.assert_allclose(general, convex, rtol=0, atol=1e-9)
+
+
+def _random_star(rng, m):
+    """Simple non-convex polygon: m vertices at sorted angles, random radii."""
+    ang = np.sort(rng.uniform(0, 2 * np.pi, m))
+    r = rng.uniform(3.0, 10.0, m)
+    return np.stack([10 + r * np.cos(ang), 10 + r * np.sin(ang)], axis=1)
+
+
+def sampled_chords(p0, p1, vertices, height, n_samples):
+    """Dense-sample oracle: the inside share of n_samples midpoint samples.
+
+    Returns the chord estimate and the number of inside/outside changes
+    along the samples. Each boundary crossing moves the count by at most
+    half a sample, so the estimate is within length / n_samples of the
+    chord for each pair of crossings.
+    """
+    t = (np.arange(n_samples) + 0.5) / n_samples
+    pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    inside = (points_in_polygon(pts[..., :2], vertices)
+              & (pts[..., 2] >= 0.0) & (pts[..., 2] <= height))
+    length = np.linalg.norm(p1 - p0, axis=1)
+    changes = np.count_nonzero(np.diff(inside, axis=1), axis=1)
+    return inside.sum(axis=1) / n_samples * length, changes
+
+
+L_SHAPE = np.array([[0, 0], [8, 0], [8, 3], [3, 3], [3, 8], [0, 8]], dtype=float)
+STAR24 = _random_star(np.random.default_rng(5), 24)
+
+
+@pytest.mark.parametrize("v, inside_xy", [(U_SHAPE, (0.5, 0.5)), (L_SHAPE, (0.5, 0.5)),
+                                          (STAR24, (10.0, 10.0))], ids=["u", "l", "star24"])
+def test_prism_chords_match_dense_sampling(v, inside_xy):
+    assert geo.polygon_is_simple(v) and not geo.polygon_is_convex(v)
+    rng = np.random.default_rng(17)
+    height = 4.0
+    lo, hi = v.min(axis=0) - 2.0, v.max(axis=0) + 2.0
+    p0 = np.column_stack([rng.uniform(lo, hi, (300, 2)), rng.uniform(-2, height + 2, 300)])
+    p1 = np.column_stack([rng.uniform(lo, hi, (300, 2)), rng.uniform(-2, height + 2, 300)])
+    # A vertical segment through the footprint and a horizontal one across it.
+    x, y = inside_xy
+    p0 = np.vstack([p0, [[x, y, -1.0], [lo[0], y, 1.0]]])
+    p1 = np.vstack([p1, [[x, y, 10.0], [hi[0], y, 1.0]]])
+    n_samples = 5000
+    chords = geo.segment_prism_chords(p0, p1, v, height)
+    est, changes = sampled_chords(p0, p1, v, height, n_samples)
+    length = np.linalg.norm(p1 - p0, axis=1)
+    bound = np.maximum(1.0, changes / 2) * length / n_samples
+    assert np.all(np.abs(chords - est) <= bound)
+    assert chords[-2] == pytest.approx(height, abs=1e-12)
+    assert chords[-1] > 0.5
+    assert np.count_nonzero(chords > 1e-9) > 50
+
+
+def test_prism_chords_lshape_special_cases():
+    p0 = np.array([
+        [3.0, -1.0, 1.0],   # along the internal diagonal x = 3 of the L
+        [-1.0, 0.0, 1.0],   # along the y = 0 facade
+        [3.0, 4.0, 1.0],    # along the inner x = 3 facade
+        [0.0, 0.0, 1.0],    # corner to corner through the reflex vertex
+        [1.0, 5.0, 1.0],    # across the reflex vertex, inside both arms
+        [7.0, -1.0, 1.0],   # through the convex vertex (8, 0) only
+        [1.0, 1.0, -1.0],   # vertical, inside
+        [5.0, 5.0, -1.0],   # vertical, in the notch
+        [-1.0, 1.0, 5.0],   # level, above the roof
+        [-1.0, 1.0, 4.0],   # level, along the roof plane
+    ])
+    p1 = np.array([
+        [3.0, 5.0, 1.0],
+        [9.0, 0.0, 1.0],
+        [3.0, 9.0, 1.0],
+        [6.0, 6.0, 1.0],
+        [5.0, 1.0, 1.0],
+        [9.0, 1.0, 1.0],
+        [1.0, 1.0, 9.0],
+        [5.0, 5.0, 9.0],
+        [9.0, 1.0, 5.0],
+        [9.0, 1.0, 4.0],
+    ])
+    chords = geo.segment_prism_chords(p0, p1, L_SHAPE, 4.0)
+    expected = [3.0, 0.0, 0.0, np.hypot(3.0, 3.0), np.hypot(4.0, 4.0), 0.0, 4.0, 0.0, 0.0, 0.0]
+    np.testing.assert_allclose(chords, expected, atol=1e-9)
+    # Samples exactly on the y = 0 facade or along the roof plane read as
+    # inside under the half-open rule, so the oracle skips those two.
+    off = [0, 2, 3, 4, 5, 6, 7, 8]
+    n_samples = 20000
+    est, changes = sampled_chords(p0[off], p1[off], L_SHAPE, 4.0, n_samples)
+    length = np.linalg.norm(p1[off] - p0[off], axis=1)
+    assert np.all(changes <= 2)
+    assert np.all(np.abs(chords[off] - est) <= length / n_samples)
 
 
 def test_sphere_chords():
@@ -100,20 +190,6 @@ def test_sphere_chords():
     chords = geo.segment_sphere_chords(p0, p1, c, 1.0)
     # Through centre: diameter. Tangent: 0. Miss: 0. Starting at centre: radius.
     np.testing.assert_allclose(chords, [2.0, 0.0, 0.0, 1.0], atol=1e-7)
-
-
-def test_mirror_is_involution_and_isometric():
-    rng = np.random.default_rng(9)
-    pts = rng.normal(size=(20, 3))
-    q = rng.normal(size=3)
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    m = geo.mirror_points_across_plane(pts, q, n)
-    np.testing.assert_allclose(geo.mirror_points_across_plane(m, q, n), pts, atol=1e-12)
-    d_orig = np.linalg.norm(pts[0] - pts[1])
-    assert np.linalg.norm(m[0] - m[1]) == pytest.approx(d_orig, abs=1e-12)
-    # Plane points are fixed.
-    np.testing.assert_allclose(geo.mirror_points_across_plane(q, q, n), q, atol=1e-12)
 
 
 def test_max_pairwise_distance():

@@ -5,6 +5,7 @@ from scipy.optimize import minimize_scalar
 from cfmm import raypaths as rp
 from cfmm import scene as sc
 from cfmm.constants import SPEED_OF_LIGHT
+from cfmm.geometry import points_in_polygon
 from conftest import make_scene
 
 ISO = rp.AntennaPattern()  # isotropic, 0 dBi
@@ -223,6 +224,45 @@ def test_through_building_path_never_emitted(basic_scene):
                         continue  # single-knife-edge model bends over this roof
                     chord = bld.blockage_chords(a[None, :], b[None, :])[0]
                     assert chord <= 1e-6
+
+
+def test_lshape_paths_and_link_classes_against_dense_sampling():
+    # An L-shaped building takes the non-convex blockage path. The oracle
+    # samples each segment densely and counts samples inside the prism, so
+    # it shares nothing with the slice-and-probe routine.
+    fp = np.array([[30, 25], [75, 25], [75, 38], [45, 38], [45, 50], [30, 50]], dtype=float)
+    bld = sc.Building("L", fp, 20.0)
+    assert not bld.is_convex
+    scene = make_scene(buildings=[bld])
+    scene.validate()
+    rng = np.random.default_rng(5)
+    ap = rng.uniform([0.0, 0.0, 4.5], [100.0, 55.0, 13.0], size=(200, 3))
+    ap = ap[~points_in_polygon(ap[:, :2], fp)][:60]
+    ues = scene.ue_sites[0].positions_m
+    n_samples = 2000
+    t = (np.arange(n_samples) + 0.5) / n_samples
+
+    def interior_samples(a, b):
+        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        inside = points_in_polygon(pts[..., :2], fp) & (pts[..., 2] <= bld.height_m)
+        return inside.sum(axis=1)
+
+    classes = sc.classify_link_matrix(scene, ap, ues)
+    for u, ue in enumerate(ues):
+        direct = interior_samples(ap, np.broadcast_to(ue, ap.shape))
+        nlos = classes[:, u] == sc.LinkClass.NLOS
+        assert np.all(nlos[direct >= 2]) and not np.any(nlos[direct == 0])
+
+        bundle = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue, ISO_CFG)
+        starts, ends = [], []
+        for r in np.flatnonzero(bundle.kind != rp.KIND_ROOFTOP):
+            pts = [p for p in bundle.points[r] if not np.isnan(p[0])]
+            chain = [ap[bundle.pose_index[r]], *pts, ue]
+            starts += chain[:-1]
+            ends += chain[1:]
+        assert np.any(bundle.kind == rp.KIND_REFLECT1)
+        # At most one sample, i.e. length / n_samples, inside the building.
+        assert np.all(interior_samples(np.array(starts), np.array(ends)) <= 1)
 
 
 def test_foliage_loss_on_direct_path():

@@ -63,10 +63,16 @@ class TestAGC:
 class TestImpairments:
     def test_noise_figure_penalty(self):
         imp = sd.ImpairmentConfig()
-        assert imp.noise_figure_db(0.0) == 5.0
-        assert imp.noise_figure_db(15.0) == pytest.approx(15.0)
-        assert imp.noise_figure_db(30.0) == pytest.approx(25.0)  # capped at +20
-        assert imp.noise_figure_db(60.0) == pytest.approx(25.0)
+        nf = lambda att: imp.base_noise_figure_db + min(
+            imp.nf_penalty_per_att_db * att, imp.nf_penalty_cap_db)
+        assert nf(0.0) == 5.0
+        assert nf(15.0) == pytest.approx(15.0)
+        assert nf(30.0) == pytest.approx(25.0)  # capped at +20
+        assert nf(60.0) == pytest.approx(25.0)
+        # noise_sigma2_mw carries the same penalty.
+        att = np.array([0.0, 15.0, 30.0, 60.0])
+        rise_db = 10 * np.log10(imp.noise_sigma2_mw(att, 125e3) / imp.noise_sigma2_mw(0.0, 125e3))
+        np.testing.assert_allclose(rise_db, [nf(a) - nf(0.0) for a in att], atol=1e-9)
 
     def test_noise_sigma_reference_level(self):
         imp = sd.ImpairmentConfig()
