@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import PDPMatrix
-from .scene import LinkClass, classify_links_batch
+from .scene import LinkClass
 
 
 @dataclass
@@ -46,24 +46,13 @@ class APLDPDP:
         return np.arange(self.n_bins) * self.bin_width_s
 
 
-def _meta_link_column(meta, matrix_rows: int, ue_id: int) -> np.ndarray:
-    link = getattr(meta, "link_class", None)
-    if link is not None:
-        return np.asarray(link, dtype=np.uint8)[:, ue_id]
-    scene = getattr(meta, "scene", None)
-    if scene is None:
-        raise ValueError("metadata provides neither link_class nor a scene to classify from")
-    ue = np.asarray(meta.ue_positions, dtype=float)[ue_id]
-    return classify_links_batch(scene, meta.positions, ue)
-
-
 def assemble_apld(matrix: PDPMatrix, meta, ue_id: int) -> APLDPDP:
     """Join one UE's processed profiles with campaign annotations.
 
-    meta must expose timestamps, positions, attenuation_db and either a
-    stored per-capture link_class table or a scene plus ue_positions to
-    classify against. Row order follows capture index, which follows the
-    pose timestamps by construction.
+    meta must expose timestamps, positions, attenuation_db and the
+    per-capture link_class table (M, U), as CaptureFile and CampaignPlan
+    do. Row order follows capture index, which follows the pose
+    timestamps by construction.
     """
     if matrix.n_captures == 0:
         raise ValueError("empty campaign: no captures to assemble")
@@ -90,7 +79,7 @@ def assemble_apld(matrix: PDPMatrix, meta, ue_id: int) -> APLDPDP:
         oversample_factor=matrix.oversample_factor,
         timestamps=timestamps,
         positions=np.asarray(meta.positions, dtype=float),
-        link_class=_meta_link_column(meta, matrix.n_captures, ue_id),
+        link_class=np.asarray(meta.link_class, dtype=np.uint8)[:, ue_id],
         attenuation_db=np.asarray(meta.attenuation_db, dtype=float),
         threshold_db=theta,
     )

@@ -4,10 +4,12 @@ Stages communicate through files in the output directory (captures.cfmc,
 matrix.cfmm, summary.csv, per-UE heatmaps and annotation CSVs) plus a
 manifest recording the semantic config hash, the seed, the scene file's
 sha256 and the numpy version, so any stage can be re-run or handed
-captures produced elsewhere. Every stage writes the same
-bytes for the same config regardless of worker count: workers compute
-disjoint capture ranges whose content is seed-determined, and the parent
-does all file writes.
+captures produced elsewhere. The config file is the one source of run
+parameters; flags only choose paths, workers and chunk size, which do not
+change output bytes. Every stage writes the same bytes for the same
+config regardless of worker count: workers compute disjoint capture
+ranges whose content is seed-determined, and the parent does all file
+writes. A stage publishes its outputs only once all of them are written.
 
 Exit codes: 0 success, 1 validation error, 2 missing/unreadable files,
 3 binary format mismatch or corrupt data, 4 out of memory.
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from . import formats as fm
 from . import pipeline as pl
 from . import sounder as sd
 from .config import ConfigError, RunConfig, load_config, resolve_scene_path, semantic_hash
-from .scene import SceneError, classify_link_matrix, load_scene, sample_ap_pose_arrays
+from .scene import LinkClass, SceneError, load_scene, sample_ap_pose_arrays
 
 CAPTURES_NAME = "captures.cfmc"
 MATRIX_NAME = "matrix.cfmm"
@@ -82,6 +84,25 @@ def _update_manifest(out: Path, cfg: RunConfig, stage: str, record: dict) -> Non
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _publish(*finals: Path):
+    """Yield a `*.partial` path for each final output; rename them into
+    place only when the block completes. A failed run leaves neither its
+    own partial files nor the previous run's outputs, which a later stage
+    would otherwise read as current."""
+    partials = tuple(p.with_name(p.name + ".partial") for p in finals)
+    for p in finals:
+        p.unlink(missing_ok=True)
+    try:
+        yield partials
+    except BaseException:
+        for p in partials:
+            p.unlink(missing_ok=True)
+        raise
+    for part, final in zip(partials, finals):
+        os.replace(part, final)
+
+
 def _load_validated_scene(cfg: RunConfig):
     path = resolve_scene_path(cfg.scene)
     if not path.exists():
@@ -90,7 +111,7 @@ def _load_validated_scene(cfg: RunConfig):
 
 
 def cmd_validate(args) -> int:
-    cfg = _effective_config(args)
+    cfg = load_config(args.config)
     scene = _load_validated_scene(cfg)
     positions, _, _ = sample_ap_pose_arrays(scene.trajectory)
     n_poses = positions.shape[0]
@@ -104,23 +125,25 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _effective_config(args)
+    cfg = load_config(args.config)
     scene = _load_validated_scene(cfg)
     out = _out_dir(cfg, args.out)
     out.mkdir(parents=True, exist_ok=True)
     plan = sd.plan_campaign(scene, cfg.waveform, cfg.impairments, cfg.seed,
                             site=cfg.site)
-    link = classify_link_matrix(scene, plan.positions, plan.ue_positions)
-    writer = fm.CaptureWriter(out / CAPTURES_NAME, plan, link)
     workers = _n_workers(cfg, args.workers)
     print(f"simulate: {plan.n_captures} captures x {plan.n_ues} UEs "
           f"(chunks of {args.chunk_size}, {workers} workers)")
-    pl.run_chunks(sd.synthesize_chunk, (plan,), plan.n_captures, args.chunk_size,
-                  writer.write_chunk, workers)
+    with _publish(out / CAPTURES_NAME) as (part,):
+        writer = fm.CaptureWriter(part, plan)
+        pl.run_chunks(sd.synthesize_chunk, (plan,), plan.n_captures, args.chunk_size,
+                      writer.write_chunk, workers)
+    mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
     _update_manifest(out, cfg, "simulate", {
         "captures": CAPTURES_NAME,
         "n_captures": plan.n_captures,
         "n_ues": plan.n_ues,
+        "link_classes": {c.name: int(mix[c]) for c in LinkClass},
     })
     print(f"simulate: wrote {out / CAPTURES_NAME}")
     return 0
@@ -144,7 +167,7 @@ def _summary_rows(a: int, chunk: tuple, bin_width_s: float) -> list[list]:
 
 
 def cmd_process(args) -> int:
-    cfg = _effective_config(args)
+    cfg = load_config(args.config)
     out = _out_dir(cfg, args.out)
     captures = Path(args.captures) if args.captures else out / CAPTURES_NAME
     if not captures.exists():
@@ -154,21 +177,8 @@ def cmd_process(args) -> int:
     params = cfg.pipeline
     params.noise_bins(source.n_subcarriers)  # fail before any output exists
     out.mkdir(parents=True, exist_ok=True)
-    # Outputs appear only when the whole stage succeeded: a failed run
-    # leaves neither its own partial files nor the previous run's, which
-    # export would otherwise read as a matching pair.
-    finals = (out / MATRIX_NAME, out / SUMMARY_NAME)
-    partials = tuple(p.with_name(p.name + ".partial") for p in finals)
-    for p in finals:
-        p.unlink(missing_ok=True)
-    try:
+    with _publish(out / MATRIX_NAME, out / SUMMARY_NAME) as partials:
         counts = _process_into(source, params, args, cfg, *partials)
-    except BaseException:
-        for p in partials:
-            p.unlink(missing_ok=True)
-        raise
-    for part, final in zip(partials, finals):
-        os.replace(part, final)
     _update_manifest(out, cfg, "process", {
         "matrix": MATRIX_NAME,
         "summary": SUMMARY_NAME,
@@ -218,7 +228,7 @@ def _threshold_table(summary_path: Path, m: int, u: int) -> np.ndarray:
 
 
 def cmd_export(args) -> int:
-    cfg = _effective_config(args)
+    cfg = load_config(args.config)
     out = _out_dir(cfg, args.out)
     matrix_path = out / MATRIX_NAME
     captures_path = Path(args.captures) if args.captures else out / CAPTURES_NAME
@@ -231,15 +241,14 @@ def cmd_export(args) -> int:
     if summary.exists():
         matrix.threshold_db = _threshold_table(summary, matrix.n_captures,
                                                matrix.n_ues)
-    heatmaps, annotations = [], []
-    for j in range(matrix.n_ues):
-        one = ap.assemble_apld(matrix, source, j)
-        pgm = out / f"apld_ue{j}.pgm"
-        csv_path = out / f"annotations_ue{j}.csv"
-        ap.export_heatmap(one, pgm)
-        ap.write_annotations(one, csv_path)
-        heatmaps.append(pgm.name)
-        annotations.append(csv_path.name)
+    u = matrix.n_ues
+    heatmaps = [f"apld_ue{j}.pgm" for j in range(u)]
+    annotations = [f"annotations_ue{j}.csv" for j in range(u)]
+    with _publish(*(out / name for name in heatmaps + annotations)) as partials:
+        for j in range(u):
+            one = ap.assemble_apld(matrix, source, j)
+            ap.export_heatmap(one, partials[j])
+            ap.write_annotations(one, partials[u + j])
     _update_manifest(out, cfg, "export", {
         "heatmaps": heatmaps,
         "annotations": annotations,
@@ -248,39 +257,13 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _effective_config(args) -> RunConfig:
-    """The config file with the command-line overrides applied, validated once."""
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    overrides = {}
-    for flag, name in (("beta", "kaiser_beta"), ("pad", "pad_factor"),
-                       ("ssa", "ssa_window"), ("delta_n", "delta_n_db"),
-                       ("gate", "gate_native_bins"), ("guard", "guard_native_bins")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        cfg = replace(cfg, pipeline=replace(cfg.pipeline, **overrides))
-    cfg.validate()
-    return cfg
-
-
-def _add_common(p: argparse.ArgumentParser, pipeline_flags: bool) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", help="output directory (default: config output_dir, "
                    "under $CFMM_OUT_ROOT if set)")
     p.add_argument("--workers", type=int, help="parallel workers (0 = all cores)")
     p.add_argument("--chunk-size", dest="chunk_size", type=int, default=128,
                    help="captures per work unit (output is identical for any value)")
-    if pipeline_flags:
-        p.add_argument("--beta", type=float, help="Kaiser-Bessel window parameter")
-        p.add_argument("--pad", type=int, help="zero-pad oversampling factor")
-        p.add_argument("--ssa", type=int, help="small-scale average window (captures)")
-        p.add_argument("--delta-n", dest="delta_n", type=float,
-                       help="threshold offset above noise, dB")
-        p.add_argument("--gate", type=int, help="delay gate, native bins")
-        p.add_argument("--guard", type=int, help="pre-cursor guard, native bins")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,13 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="check a config and scene, print a report")
     v.add_argument("--config", required=True)
     s = sub.add_parser("simulate", help="synthesize the capture file")
-    _add_common(s, pipeline_flags=False)
-    s.add_argument("--seed", type=int, help="campaign seed override")
+    _add_common(s)
     p = sub.add_parser("process", help="run the PDP pipeline over captures")
-    _add_common(p, pipeline_flags=True)
+    _add_common(p)
     p.add_argument("--captures", help="captures file (default: <out>/captures.cfmc)")
     e = sub.add_parser("export", help="write per-UE heatmaps and annotations")
-    _add_common(e, pipeline_flags=False)
+    _add_common(e)
     e.add_argument("--captures", help="captures file (default: <out>/captures.cfmc)")
     return parser
 

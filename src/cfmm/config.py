@@ -116,7 +116,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a config file; the caller validates it once its overrides are in."""
+    """Parse and validate a config file: the one source of a run's parameters."""
     try:
         raw = Path(path).read_text()
     except OSError as e:
@@ -127,7 +127,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: malformed JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    cfg.validate()
+    return cfg
 
 
 def semantic_hash(cfg: RunConfig) -> str:

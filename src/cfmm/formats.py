@@ -202,9 +202,12 @@ def _meta_layout(m: int, u: int, n: int) -> list:
 
 
 class CaptureWriter:
-    """Creates a capture container and fills spectra in capture-range chunks."""
+    """Creates a capture container and fills spectra in capture-range chunks.
 
-    def __init__(self, path, plan, link_class: np.ndarray):
+    Every metadata block comes from the plan.
+    """
+
+    def __init__(self, path, plan):
         m, u = plan.n_captures, plan.n_ues
         r = plan.n_reps_stored()
         n = plan.waveform.n_subcarriers
@@ -220,7 +223,7 @@ class CaptureWriter:
             "timestamps": plan.timestamps, "positions": plan.positions,
             "headings": plan.headings, "attenuation_db": plan.attenuation_db,
             "measured_power_dbm": plan.measured_power_dbm,
-            "link_class": link_class.astype(np.uint8),
+            "link_class": plan.link_class,
             "ue_positions": plan.ue_positions,
             "cal_response": plan.cal.response,
             "reference_tones": plan.reference_tones,

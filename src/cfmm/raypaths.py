@@ -4,7 +4,8 @@ For every AP pose and UE the engine enumerates the direct ray, specular
 facade reflections up to second order (image method), and one rooftop
 diffraction per building that blocks the direct ray. Each path carries its
 geometric length, its interaction and foliage losses, antenna gains at both
-ends, and a complex gain referenced to the band centre.
+ends, and a complex gain referenced to the band centre. The same pass
+decides each link's LOS / OLOS / NLOS class from the direct ray.
 
 The one entry point, trace_paths_batch, vectorises across AP poses and
 returns a columnar PathBundle; a campaign traces one
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
-from .geometry import GRAZE_TOL_M
-from .scene import Scene
+from .constants import BAND_CENTER_HZ, SPEED_OF_LIGHT
+from .geometry import GRAZE_TOL_M, segment_sphere_chords
+from .scene import LinkClass, Scene
 
 KIND_DIRECT = 0
 KIND_REFLECT1 = 1
@@ -107,20 +108,10 @@ def fspl_db(distance_m, frequency_hz) -> np.ndarray:
     return 20.0 * np.log10(4.0 * np.pi * d * frequency_hz / SPEED_OF_LIGHT)
 
 
-def knife_edge_loss_db(nu) -> np.ndarray:
-    """Knife-edge diffraction loss for clearance parameter nu (ITU J-function)."""
-    nu = np.asarray(nu, dtype=float)
-    loss = 6.9 + 20.0 * np.log10(np.sqrt((nu - 0.1) ** 2 + 1.0) + nu - 0.1)
-    return np.where(nu > -0.78, loss, 0.0)
-
-
 @dataclass(frozen=True)
 class RaypathConfig:
-    band_center_hz: float = 3.5e9
     max_reflection_order: int = 2
     min_relative_power_db: float = 130.0
-    include_rooftop: bool = True
-    rooftop_model: str = "fixed"  # "fixed" | "knife-edge"
     tx_pattern: AntennaPattern = field(default_factory=patch_panel)
     rx_pattern: AntennaPattern = field(default_factory=tripod_dipole)
 
@@ -129,15 +120,15 @@ class RaypathConfig:
             raise ValueError("max_reflection_order must be 0, 1 or 2")
         if self.min_relative_power_db <= 0:
             raise ValueError("min_relative_power_db must be positive")
-        if self.rooftop_model not in ("fixed", "knife-edge"):
-            raise ValueError(f"unknown rooftop_model {self.rooftop_model!r}")
-        if self.band_center_hz <= 0:
-            raise ValueError("band_center_hz must be positive")
 
 
 @dataclass
 class PathBundle:
-    """Columnar batch of paths for many poses against one UE."""
+    """Columnar batch of paths for many poses against one UE.
+
+    Every column is per path (K,) except link_class, which holds one
+    LinkClass value per pose (M,): the state of that pose's direct ray.
+    """
 
     pose_index: np.ndarray  # (K,) int32
     kind: np.ndarray  # (K,) uint8
@@ -150,6 +141,7 @@ class PathBundle:
     loss_foliage_db: np.ndarray  # (K,)
     gain_tx_db: np.ndarray  # (K,)
     gain_rx_db: np.ndarray  # (K,)
+    link_class: np.ndarray  # (M,) uint8, per pose, not per path
 
     @property
     def delay_s(self) -> np.ndarray:
@@ -222,13 +214,13 @@ class _Collector:
         self.rows = []
 
     def add(self, pose_idx, kind, length, interaction_loss, foliage, g_tx, g_rx,
-            points, interact_idx, phase_extra, fc):
+            points, interact_idx, phase_extra):
         if pose_idx.size == 0:
             return
-        fspl = fspl_db(length, fc)
+        fspl = fspl_db(length, BAND_CENTER_HZ)
         gain = -fspl - interaction_loss - foliage + g_tx + g_rx
         tau = length / SPEED_OF_LIGHT
-        phase = -2.0 * np.pi * fc * tau + phase_extra
+        phase = -2.0 * np.pi * BAND_CENTER_HZ * tau + phase_extra
         self.rows.append((
             pose_idx.astype(np.int32),
             np.full(pose_idx.size, kind, dtype=np.uint8),
@@ -243,7 +235,7 @@ class _Collector:
             g_rx.astype(float),
         ))
 
-    def bundle(self) -> PathBundle:
+    def bundle(self, link_class: np.ndarray) -> PathBundle:
         if not self.rows:
             z = np.zeros(0)
             return PathBundle(
@@ -252,10 +244,10 @@ class _Collector:
                 points=np.full((0, 2, 3), np.nan),
                 interact_idx=np.full((0, 2), -1, np.int32),
                 loss_interaction_db=z.copy(), loss_foliage_db=z.copy(),
-                gain_tx_db=z.copy(), gain_rx_db=z.copy(),
+                gain_tx_db=z.copy(), gain_rx_db=z.copy(), link_class=link_class,
             )
         cols = [np.concatenate([r[i] for r in self.rows]) for i in range(11)]
-        return PathBundle(*cols)
+        return PathBundle(*cols, link_class=link_class)
 
 
 def trace_paths_batch(
@@ -269,6 +261,9 @@ def trace_paths_batch(
 
     Returns a PathBundle sorted by (pose, delay); within each pose, paths
     more than min_relative_power_db below the strongest are dropped.
+    Its link_class is NLOS where any building cuts the direct ray
+    (grazing contact does not count); otherwise OLOS where any foliage
+    sphere does; otherwise LOS.
     """
     config.validate()
     ap = np.atleast_2d(np.asarray(ap_positions, dtype=float))
@@ -276,30 +271,38 @@ def trace_paths_batch(
     headings = np.broadcast_to(np.asarray(headings, dtype=float), (m_poses,))
     ue = np.asarray(ue_position, dtype=float)
     ue_b = np.broadcast_to(ue, ap.shape)
-    fc = config.band_center_hz
     col = _Collector()
     all_idx = np.arange(m_poses)
 
-    # Direct ray, and per-building blockage reused for the rooftop step.
+    # Direct ray. Its per-building blockage decides the link class and is
+    # reused for the rooftop step.
     block_by = np.zeros((len(scene.buildings), m_poses), dtype=bool)
     for bi, b in enumerate(scene.buildings):
         block_by[bi] = b.blockage_chords(ap, ue_b) > GRAZE_TOL_M
     direct_clear = ~block_by.any(axis=0)
+    link_class = np.full(m_poses, LinkClass.NLOS, dtype=np.uint8)
+    link_class[direct_clear] = LinkClass.LOS
 
     idx = all_idx[direct_clear]
     if idx.size:
-        d = ue - ap[idx]
+        ap_d, ue_d = ap[idx], ue_b[idx]
+        foliated = np.zeros(idx.size, dtype=bool)
+        for f in scene.foliage:
+            chords = segment_sphere_chords(ap_d, ue_d, f.center_m, f.radius_m)
+            foliated |= chords > GRAZE_TOL_M
+        link_class[idx[foliated]] = LinkClass.OLOS
+        d = ue - ap_d
         length = np.linalg.norm(d, axis=1)
         dirs = _unit(d)
         col.add(
             idx, KIND_DIRECT, length,
             np.zeros(idx.size),
-            _foliage_loss(scene, ap[idx], ue_b[idx]),
+            _foliage_loss(scene, ap_d, ue_d),
             mount_gain_db(config.tx_pattern, headings[idx], dirs),
             mount_gain_db(config.rx_pattern, 0.0, -dirs),
             np.full((idx.size, 2, 3), np.nan),
             np.full((idx.size, 2), -1, np.int32),
-            0.0, fc,
+            0.0,
         )
 
     facades = _scene_facades(scene)
@@ -311,13 +314,12 @@ def trace_paths_batch(
         for f1, f2 in pairs:
             _trace_reflect2(scene, ap, headings, ue, f1, f2, config, col)
 
-    if config.include_rooftop:
-        for bi, b in enumerate(scene.buildings):
-            idx = all_idx[block_by[bi]]
-            if idx.size:
-                _trace_rooftop(scene, ap, headings, ue, bi, idx, config, col)
+    for bi in range(len(scene.buildings)):
+        idx = all_idx[block_by[bi]]
+        if idx.size:
+            _trace_rooftop(scene, ap, headings, ue, bi, idx, config, col)
 
-    bundle = col.bundle()
+    bundle = col.bundle(link_class)
     if len(bundle) == 0:
         return bundle
 
@@ -341,6 +343,7 @@ def trace_paths_batch(
         loss_interaction_db=pick(bundle.loss_interaction_db),
         loss_foliage_db=pick(bundle.loss_foliage_db),
         gain_tx_db=pick(bundle.gain_tx_db), gain_rx_db=pick(bundle.gain_rx_db),
+        link_class=link_class,
     )
 
 
@@ -401,7 +404,7 @@ def _trace_reflect1(scene, ap, headings, ue, f: _Facade, config, col: _Collector
         foliage,
         mount_gain_db(config.tx_pattern, headings[idx], _unit(r - ap[idx])),
         mount_gain_db(config.rx_pattern, 0.0, _unit(r - ue)),
-        points, interact, np.pi, config.band_center_hz,
+        points, interact, np.pi,
     )
 
 
@@ -504,7 +507,7 @@ def _trace_reflect2(scene, ap, headings, ue, f1: _Facade, f2: _Facade, config,
         foliage,
         mount_gain_db(config.tx_pattern, headings[idx], _unit(r1 - ap[idx])),
         mount_gain_db(config.rx_pattern, 0.0, _unit(r2 - ue)),
-        points, interact, 2.0 * np.pi, config.band_center_hz,
+        points, interact, 2.0 * np.pi,
     )
 
 
@@ -537,33 +540,17 @@ def _trace_rooftop(scene, ap, headings, ue, building_idx, idx, config, col: _Col
     if idx.size == 0:
         return
     ue_rows = np.broadcast_to(ue, best_e.shape)
-
-    if config.rooftop_model == "knife-edge":
-        d1 = np.linalg.norm(best_e - apv, axis=1)
-        d2 = np.linalg.norm(best_e - ue_rows, axis=1)
-        # Perpendicular clearance of the edge point above the direct line.
-        ap_ue = ue_rows - apv
-        t = np.einsum("ij,ij->i", best_e - apv, ap_ue) / np.einsum(
-            "ij,ij->i", ap_ue, ap_ue
-        )
-        foot = apv + t[:, None] * ap_ue
-        h_exc = np.linalg.norm(best_e - foot, axis=1)
-        wavelength = SPEED_OF_LIGHT / config.band_center_hz
-        nu = h_exc * np.sqrt(2.0 / wavelength * (1.0 / d1 + 1.0 / d2))
-        excess = knife_edge_loss_db(nu)
-    else:
-        excess = np.full(idx.size, b.rooftop_diffraction_loss_db)
-
     foliage = _foliage_loss(scene, apv, best_e) + _foliage_loss(scene, best_e, ue_rows)
     points = np.full((idx.size, 2, 3), np.nan)
     points[:, 0, :] = best_e
     interact = np.full((idx.size, 2), -1, np.int32)
     interact[:, 0] = building_idx
     col.add(
-        idx, KIND_ROOFTOP, best_len, excess, foliage,
+        idx, KIND_ROOFTOP, best_len,
+        np.full(idx.size, b.rooftop_diffraction_loss_db), foliage,
         mount_gain_db(config.tx_pattern, headings[idx], _unit(best_e - apv)),
         mount_gain_db(config.rx_pattern, 0.0, _unit(best_e - ue)),
-        points, interact, -np.pi / 4.0, config.band_center_hz,
+        points, interact, -np.pi / 4.0,
     )
 
 

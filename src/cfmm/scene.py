@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .geometry import GRAZE_TOL_M
 
 
 class SceneError(ValueError):
@@ -25,6 +24,9 @@ class SceneError(ValueError):
 
 
 class LinkClass(IntEnum):
+    """Propagation state of an AP-UE link, decided from its direct ray by
+    raypaths.trace_paths_batch."""
+
     LOS = 0
     OLOS = 1  # obstructed only by foliage
     NLOS = 2  # blocked by at least one building
@@ -326,41 +328,6 @@ def sample_ap_pose_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.
     positions = p0 + frac[:, None] * (p1 - p0)
     headings = np.array([s.heading for s in segs])[idx]
     return positions, headings, t
-
-
-def classify_links_batch(scene: Scene, ap_positions: np.ndarray, ue_position: np.ndarray) -> np.ndarray:
-    """LOS / OLOS / NLOS state (LinkClass values, uint8 (M,)) of the links
-    from AP positions (M, 3) to one UE.
-
-    NLOS when any building cuts the straight line (grazing contact does not
-    count); otherwise OLOS when any foliage sphere does; otherwise LOS.
-    """
-    ap = np.atleast_2d(np.asarray(ap_positions, dtype=float))
-    ue = np.broadcast_to(np.asarray(ue_position, dtype=float), ap.shape)
-    out = np.zeros(ap.shape[0], dtype=np.uint8)
-    blocked = np.zeros(ap.shape[0], dtype=bool)
-    for b in scene.buildings:
-        blocked |= b.blockage_chords(ap, ue) > GRAZE_TOL_M
-    out[blocked] = int(LinkClass.NLOS)
-    if scene.foliage:
-        foliated = np.zeros(ap.shape[0], dtype=bool)
-        for f in scene.foliage:
-            foliated |= (
-                geometry.segment_sphere_chords(ap, ue, f.center_m, f.radius_m)
-                > GRAZE_TOL_M
-            )
-        out[~blocked & foliated] = int(LinkClass.OLOS)
-    return out
-
-
-def classify_link_matrix(
-    scene: Scene, ap_positions: np.ndarray, ue_positions: np.ndarray
-) -> np.ndarray:
-    """classify_links_batch over every UE column; returns uint8 (M, U)."""
-    ue = np.atleast_2d(np.asarray(ue_positions, dtype=float))
-    return np.stack(
-        [classify_links_batch(scene, ap_positions, u) for u in ue], axis=1
-    )
 
 
 # --- JSON round trip -------------------------------------------------------

@@ -182,11 +182,9 @@ class CampaignPlan:
     capture index).
     """
 
-    scene: Scene
     site_id: str
     waveform: WaveformSpec
     impairments: ImpairmentConfig
-    ray_config: rp.RaypathConfig
     seed: int
     positions: np.ndarray  # (M, 3)
     headings: np.ndarray  # (M,)
@@ -196,6 +194,7 @@ class CampaignPlan:
     path_delays: list  # per UE: float (K_j,)
     row_splits: list  # per UE: int (M+1,)
     measured_power_dbm: np.ndarray  # (M, U)
+    link_class: np.ndarray  # (M, U) uint8, LinkClass values from the tracer
     attenuation_db: np.ndarray  # (M,)
     cal: CalRecord
     reference_tones: np.ndarray  # complex (N,)
@@ -247,9 +246,12 @@ def plan_campaign(
     chain = make_chain_response(waveform.n_subcarriers, impairments.chain)
 
     gains, delays, splits = [], [], []
-    power_dbm = np.zeros((m_total, ue_site.positions_m.shape[0]))
+    n_ues = ue_site.positions_m.shape[0]
+    power_dbm = np.zeros((m_total, n_ues))
+    link_class = np.zeros((m_total, n_ues), dtype=np.uint8)
     for j, ue in enumerate(ue_site.positions_m):
         bundle = rp.trace_paths_batch(scene, positions, headings, ue, ray_config)
+        link_class[:, j] = bundle.link_class
         g = bundle.complex_gains()
         tau = bundle.delay_s
         rs = ch.row_splits_for_poses(bundle.pose_index, m_total)
@@ -268,12 +270,12 @@ def plan_campaign(
     cal.validate()
 
     return CampaignPlan(
-        scene=scene, site_id=ue_site.site_id, waveform=waveform,
-        impairments=impairments, ray_config=ray_config, seed=int(seed),
+        site_id=ue_site.site_id, waveform=waveform,
+        impairments=impairments, seed=int(seed),
         positions=positions, headings=headings, timestamps=timestamps,
         ue_positions=ue_site.positions_m.copy(),
         path_gains=gains, path_delays=delays, row_splits=splits,
-        measured_power_dbm=power_dbm, attenuation_db=att,
+        measured_power_dbm=power_dbm, link_class=link_class, attenuation_db=att,
         cal=cal, reference_tones=reference.tones, chain=chain,
     )
 

@@ -52,8 +52,8 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
     """CampaignPlan over hand-chosen paths.
 
     gains/delays: one flat array per UE, n_captures * n_paths entries in
-    capture-major order (use np.tile for a static channel). The scene and
-    ray config slots stay empty; synthesis never touches them.
+    capture-major order (use np.tile for a static channel). Every link is
+    marked LOS; synthesis never reads the class.
     """
     spec = WaveformSpec()
     _, reference = generate_waveform(spec)
@@ -77,14 +77,14 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
 
     tx_amp = np.sqrt(10.0 ** (imp.tx_power_dbm / 10.0) / spec.n_subcarriers)
     return sd.CampaignPlan(
-        scene=None, site_id="manual", waveform=spec, impairments=imp,
-        ray_config=rp.RaypathConfig(), seed=seed,
+        site_id="manual", waveform=spec, impairments=imp, seed=seed,
         positions=positions, headings=np.zeros(m_total),
         timestamps=np.arange(m_total) * sd.CAPTURE_INTERVAL_S,
         ue_positions=ues,
         path_gains=[np.asarray(g, dtype=complex) for g in gains],
         path_delays=[np.asarray(d, dtype=float) for d in delays],
-        row_splits=splits, measured_power_dbm=measured, attenuation_db=att,
+        row_splits=splits, measured_power_dbm=measured,
+        link_class=np.zeros((m_total, ues.shape[0]), dtype=np.uint8), attenuation_db=att,
         cal=sd.CalRecord(response=tx_amp * chain),
         reference_tones=reference.tones, chain=chain,
     )

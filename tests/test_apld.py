@@ -7,6 +7,7 @@ import pytest
 
 import cfmm.apld as ap
 import cfmm.pipeline as pl
+import cfmm.raypaths as rp
 import cfmm.scene as sc
 import cfmm.sounder as sd
 import cfmm.waveform as wf
@@ -27,13 +28,12 @@ def toy_matrix(m=6, u=2, b=50):
     )
 
 
-def toy_meta(m=6, u=2):
+def toy_meta(m=6):
     return SimpleNamespace(
         timestamps=0.1 * np.arange(m),
         positions=np.column_stack([np.arange(m), np.zeros(m), np.full(m, 4.5)]),
         attenuation_db=np.zeros(m),
         link_class=np.tile(np.array([0, 2], dtype=np.uint8), (m, 1)),
-        ue_positions=np.zeros((u, 3)),
     )
 
 
@@ -68,28 +68,6 @@ class TestAssemble:
     def test_bad_ue(self):
         with pytest.raises(ValueError, match="ue_id 5 out of range"):
             ap.assemble_apld(toy_matrix(), toy_meta(), 5)
-
-    def test_classifies_from_scene_when_no_table(self):
-        scene = make_scene()
-        m = 4
-        positions = np.column_stack(
-            [np.linspace(10, 12, m), np.full(m, 10.0), np.full(m, 4.5)]
-        )
-        ue_positions = scene.ue_sites[0].positions_m
-        meta = SimpleNamespace(
-            timestamps=0.1 * np.arange(m), positions=positions,
-            attenuation_db=np.zeros(m), scene=scene,
-            ue_positions=ue_positions,
-        )
-        out = ap.assemble_apld(toy_matrix(m=m, u=8), meta, ue_id=3)
-        expect = sc.classify_links_batch(scene, positions, ue_positions[3])
-        np.testing.assert_array_equal(out.link_class, expect)
-
-    def test_meta_without_link_info(self):
-        meta = toy_meta()
-        del meta.link_class
-        with pytest.raises(ValueError, match="neither link_class nor a scene"):
-            ap.assemble_apld(toy_matrix(), meta, 0)
 
 
 def flat_apld(values, mask):
@@ -202,8 +180,8 @@ class TestOnCampaign:
     def test_link_classes_match_scene(self, campaign):
         plan, matrix = campaign
         apld = ap.assemble_apld(matrix, plan, ue_id=2)
-        expect = sc.classify_links_batch(plan.scene, plan.positions,
-                                         plan.ue_positions[2])
+        expect = rp.trace_paths_batch(make_scene(), plan.positions, plan.headings,
+                                      plan.ue_positions[2], rp.RaypathConfig()).link_class
         np.testing.assert_array_equal(apld.link_class, expect)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import cfmm
+import cfmm.apld as ap
 import cfmm.config as cfgmod
 import cfmm.formats as fm
 import cfmm.pipeline as pl
@@ -167,6 +168,38 @@ class TestStages:
         assert manifest["stages"]["simulate"]["n_captures"] == 81
         assert len(manifest["config_hash"]) == 64
 
+    def test_simulate_records_link_class_mix(self, workspace):
+        out = workspace / "out"
+        record = json.loads((out / "manifest.json").read_text())["stages"]["simulate"]
+        mix = record["link_classes"]
+        cf = fm.open_captures(out / "captures.cfmc")
+        assert sorted(mix) == ["LOS", "NLOS", "OLOS"]
+        assert sum(mix.values()) == cf.n_captures * cf.n_ues
+        counts = np.bincount(cf.link_class.ravel(), minlength=3)
+        assert [mix[c.name] for c in sc.LinkClass] == counts.tolist()
+        assert mix["LOS"] > 0 and mix["NLOS"] > 0
+
+    def test_simulate_decides_link_classes_once(self, workspace, tmp_path, monkeypatch):
+        # Every direct ray is tested against every building once, by the
+        # tracer; simulate adds no second classification pass.
+        real = sc.Building.blockage_chords
+        rows = []
+
+        def counted(self, p0, p1):
+            rows.append(np.atleast_2d(p0).shape[0])
+            return real(self, p0, p1)
+
+        monkeypatch.setattr(sc.Building, "blockage_chords", counted)
+        cfgp = workspace / "cfg.json"
+        assert main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "s"),
+                     "--workers", "1"]) == 0
+        during_simulate = sum(rows)
+        rows.clear()
+        cfg = cfgmod.load_config(cfgp)
+        sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
+                         cfg.seed, site=cfg.site)
+        assert during_simulate == sum(rows) > 0
+
     def test_process_and_rerun_idempotent(self, workspace):
         cfgp = str(workspace / "cfg.json")
         assert main(["process", "--config", cfgp, "--workers", "1"]) == 0
@@ -297,11 +330,43 @@ class TestStages:
             return real(plan, m0, m1)
 
         monkeypatch.setattr(sd, "synthesize_chunk", fail_on_span_0)
+        out = tmp_path / "f"
+        out.mkdir()
+        # An earlier run's captures, and a partial file an earlier killed run left.
+        (out / "captures.cfmc").write_bytes((workspace / "out" / "captures.cfmc").read_bytes())
+        (out / "captures.cfmc.partial").write_bytes(b"stale")
         rc = main(["simulate", "--config", str(workspace / "cfg.json"),
-                   "--out", str(tmp_path / "f"), "--workers", "2", "--chunk-size", "4"])
+                   "--out", str(out), "--workers", "2", "--chunk-size", "4"])
         assert rc == 1
         # Of the 21 spans, those already handed to the workers still run.
         assert len(calls.read_text().split()) < 21
+        assert not (out / "captures.cfmc").exists()
+        assert not list(out.glob("*.partial"))
+
+    def test_failed_export_leaves_no_heatmap(self, workspace, tmp_path, monkeypatch,
+                                              capsys):
+        out = tmp_path / "e"
+
+        def run(stage):
+            return main([stage, "--config", str(workspace / "cfg.json"), "--out", str(out),
+                         "--captures", str(workspace / "out" / "captures.cfmc"),
+                         "--workers", "1"])
+
+        assert run("process") == 0 and run("export") == 0
+        assert len(list(out.glob("apld_ue*.pgm"))) == 8
+        real = ap.export_heatmap
+
+        def fail_on_ue_3(apld, path):
+            if apld.ue_id == 3:
+                raise ValueError("heatmap failed on UE 3")
+            real(apld, path)
+
+        monkeypatch.setattr(ap, "export_heatmap", fail_on_ue_3)
+        assert run("export") == 1
+        assert "UE 3" in capsys.readouterr().err
+        assert not list(out.glob("apld_ue*.pgm"))
+        assert not list(out.glob("annotations_ue*.csv"))
+        assert not list(out.glob("*.partial"))
 
     @pytest.mark.parametrize("size", ["0", "-16"])
     def test_bad_chunk_size_exit_1(self, workspace, tmp_path, capsys, size):
@@ -313,13 +378,33 @@ class TestStages:
         assert not (tmp_path / "c" / "matrix.cfmm").exists()
 
     def test_pipeline_flag_override(self, workspace, tmp_path):
-        cfgp = str(workspace / "cfg.json")
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["pipeline"] = {"gate_native_bins": 200}
+        cfgp = tmp_path / "gate.json"
+        cfgp.write_text(json.dumps(cfg))
         cap = str(workspace / "out" / "captures.cfmc")
         o = tmp_path / "gated"
-        assert main(["process", "--config", cfgp, "--captures", cap,
-                     "--out", str(o), "--workers", "1", "--gate", "200"]) == 0
+        assert main(["process", "--config", str(cfgp), "--captures", cap,
+                     "--out", str(o), "--workers", "1"]) == 0
         mat = fm.read_matrix(o / "matrix.cfmm")
         assert mat.values.shape[2] == 2000
+
+    @pytest.mark.parametrize("stage,flag,value", [
+        ("simulate", "--seed", "6"), ("process", "--beta", "2.5"),
+        ("process", "--pad", "8"), ("process", "--ssa", "5"),
+        ("process", "--delta-n", "6"), ("process", "--gate", "200"),
+        ("process", "--guard", "3"),
+    ])
+    def test_removed_parameter_flags_exit_2(self, workspace, tmp_path, capsys,
+                                            stage, flag, value):
+        # Run parameters come from the config file only, so the manifest's
+        # seed and config hash are the ones that made the outputs.
+        with pytest.raises(SystemExit) as exc:
+            main([stage, "--config", str(workspace / "cfg.json"),
+                  "--out", str(tmp_path / "x"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_captures_exit_2(self, workspace, tmp_path, capsys):
         cfgp = str(workspace / "cfg.json")
@@ -369,9 +454,8 @@ class TestStages:
         scene = sc.load_scene(cfgmod.resolve_scene_path("bundled:canyon"))
         plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(), seed=7,
                                 pose_slice=slice(0, 64))
-        link = sc.classify_link_matrix(scene, plan.positions, plan.ue_positions)
         bad = tmp_path / "nan.cfmc"
-        fm.CaptureWriter(bad, plan, link).write_chunk(0, sd.synthesize_chunk(plan, 0, 64))
+        fm.CaptureWriter(bad, plan).write_chunk(0, sd.synthesize_chunk(plan, 0, 64))
         src = fm.open_captures(bad)
         tone = ((30 * src.n_ues + 2) * src.n_reps_stored) * src.n_subcarriers + 1400
         with open(bad, "r+b") as fh:
@@ -428,10 +512,13 @@ class TestStages:
         assert (tmp_path / "root" / "runs" / "demo" / "matrix.cfmm").exists()
 
     def test_seed_flag_changes_captures(self, workspace, tmp_path):
-        cfgp = str(workspace / "cfg.json")
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["seed"] = 6
+        cfgp = tmp_path / "seed6.json"
+        cfgp.write_text(json.dumps(cfg))
         o = tmp_path / "seeded"
-        assert main(["simulate", "--config", cfgp, "--out", str(o),
-                     "--workers", "1", "--seed", "6"]) == 0
+        assert main(["simulate", "--config", str(cfgp), "--out", str(o),
+                     "--workers", "1"]) == 0
         assert (o / "captures.cfmc").read_bytes() != \
             (workspace / "out" / "captures.cfmc").read_bytes()
         assert fm.open_captures(o / "captures.cfmc").seed == 6

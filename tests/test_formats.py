@@ -7,7 +7,6 @@ import pytest
 
 import cfmm.formats as fm
 import cfmm.pipeline as pl
-import cfmm.scene as sc
 import cfmm.sounder as sd
 import cfmm.waveform as wf
 
@@ -124,8 +123,7 @@ def plan():
 @pytest.fixture(scope="module")
 def capture_path(plan, tmp_path_factory):
     path = tmp_path_factory.mktemp("cap") / "campaign.cfmc"
-    link = sc.classify_link_matrix(plan.scene, plan.positions, plan.ue_positions)
-    writer = fm.CaptureWriter(path, plan, link)
+    writer = fm.CaptureWriter(path, plan)
     for a, b in [(0, 2), (2, 6)]:
         writer.write_chunk(a, sd.synthesize_chunk(plan, a, b))
     return path
@@ -154,8 +152,8 @@ class TestCaptureFile:
 
     def test_link_class_stored(self, plan, capture_path):
         cf = fm.open_captures(capture_path)
-        link = sc.classify_link_matrix(plan.scene, plan.positions, plan.ue_positions)
-        np.testing.assert_array_equal(cf.link_class, link.astype(np.uint8))
+        assert plan.link_class.dtype == np.uint8
+        np.testing.assert_array_equal(cf.link_class, plan.link_class)
 
     def test_spectra_match_synthesis(self, plan, capture_path):
         cf = fm.open_captures(capture_path)

@@ -189,24 +189,6 @@ def test_rooftop_path_when_direct_blocked(basic_scene):
     )
 
 
-def test_knife_edge_model_scales_with_clearance(basic_scene):
-    cfg = rp.RaypathConfig(tx_pattern=ISO, rx_pattern=ISO, rooftop_model="knife-edge")
-    ue = np.array([50.0, 60.0, 1.0])
-    deep = trace_one(basic_scene, [50.0, 10.0, 4.5], ue, cfg)
-    shallow = trace_one(basic_scene, [50.0, 10.0, 13.0], ue, cfg)
-    loss_of = lambda b: b.loss_interaction_db[b.kind == rp.KIND_ROOFTOP][0]
-    # Higher mast means smaller clearance parameter, less diffraction loss.
-    assert loss_of(shallow) < loss_of(deep)
-    assert loss_of(deep) > 6.9  # above the grazing value
-
-
-def test_knife_edge_function_reference_points():
-    # J(0) = 6.9 + 20 log10(sqrt(1.01) - 0.1) ~ 6.033 dB; below -0.78 no loss.
-    assert rp.knife_edge_loss_db(0.0) == pytest.approx(6.0329, abs=1e-3)
-    assert rp.knife_edge_loss_db(-1.0) == 0.0
-    assert rp.knife_edge_loss_db(2.4) == pytest.approx(20.0, abs=1.0)
-
-
 def test_through_building_path_never_emitted(basic_scene):
     # Sweep many poses behind the building: no returned path segment may
     # cross a building interior.
@@ -247,13 +229,12 @@ def test_lshape_paths_and_link_classes_against_dense_sampling():
         inside = points_in_polygon(pts[..., :2], fp) & (pts[..., 2] <= bld.height_m)
         return inside.sum(axis=1)
 
-    classes = sc.classify_link_matrix(scene, ap, ues)
-    for u, ue in enumerate(ues):
+    for ue in ues:
+        bundle = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue, ISO_CFG)
         direct = interior_samples(ap, np.broadcast_to(ue, ap.shape))
-        nlos = classes[:, u] == sc.LinkClass.NLOS
+        nlos = bundle.link_class == sc.LinkClass.NLOS
         assert np.all(nlos[direct >= 2]) and not np.any(nlos[direct == 0])
 
-        bundle = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue, ISO_CFG)
         starts, ends = [], []
         for r in np.flatnonzero(bundle.kind != rp.KIND_ROOFTOP):
             pts = [p for p in bundle.points[r] if not np.isnan(p[0])]
@@ -263,6 +244,58 @@ def test_lshape_paths_and_link_classes_against_dense_sampling():
         assert np.any(bundle.kind == rp.KIND_REFLECT1)
         # At most one sample, i.e. length / n_samples, inside the building.
         assert np.all(interior_samples(np.array(starts), np.array(ends)) <= 1)
+
+
+def test_link_classes_against_dense_sampling():
+    # The oracle samples each direct ray densely and tests the samples
+    # against box and sphere interiors by coordinate arithmetic alone, so it
+    # shares no code with blockage_chords or segment_sphere_chords.
+    tall = sc.Building("tall", np.array([[30, 25], [50, 25], [50, 35], [30, 35]], float), 20.0)
+    low = sc.Building("low", np.array([[60, 25], [80, 25], [80, 40], [60, 40]], float), 3.0)
+    blobs = [
+        sc.FoliageBlob(center_m=np.array([25.0, 48.0, 4.0]), radius_m=5.0, core_radius_m=2.0),
+        sc.FoliageBlob(center_m=np.array([65.0, 50.0, 2.0]), radius_m=3.0),
+    ]
+    scene = make_scene(buildings=[tall, low], foliage=blobs)
+    scene.validate()
+    rng = np.random.default_rng(11)
+    ap = rng.uniform([0.0, 0.0, 4.5], [100.0, 45.0, 13.0], size=(260, 3))
+    for b in scene.buildings:
+        ap = ap[~points_in_polygon(ap[:, :2], b.footprint)]
+    ap = ap[:150]
+    n_samples = 4000
+    t = (np.arange(n_samples) + 0.5) / n_samples
+
+    def most_inside(pts, solids, inside):
+        """Per ray, the most samples inside any one of the solids."""
+        return np.max([inside(pts, s).sum(axis=1) for s in solids], axis=0)
+
+    def in_box(pts, b):
+        lo, hi = b.footprint.min(axis=0), b.footprint.max(axis=0)
+        return ((pts[..., 0] > lo[0]) & (pts[..., 0] < hi[0]) & (pts[..., 1] > lo[1])
+                & (pts[..., 1] < hi[1]) & (pts[..., 2] < b.height_m))
+
+    def in_sphere(pts, f):
+        return ((pts - f.center_m) ** 2).sum(axis=-1) < f.radius_m ** 2
+
+    checked = {c: 0 for c in sc.LinkClass}
+    for ue in scene.ue_sites[0].positions_m:
+        got = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue, ISO_CFG).link_class
+        assert got.shape == (len(ap),) and got.dtype == np.uint8
+        pts = ap[:, None, :] + t[None, :, None] * (ue - ap)[:, None, :]
+        n_bld = most_inside(pts, scene.buildings, in_box)
+        n_fol = most_inside(pts, scene.foliage, in_sphere)
+        # Exactly one sample inside is a grazing pair: skipped.
+        nlos, clear = n_bld >= 2, n_bld == 0
+        assert np.all(got[nlos] == sc.LinkClass.NLOS)
+        assert not np.any(got[clear] == sc.LinkClass.NLOS)
+        olos, los = clear & (n_fol >= 2), clear & (n_fol == 0)
+        assert np.all(got[olos] == sc.LinkClass.OLOS)
+        assert np.all(got[los] == sc.LinkClass.LOS)
+        checked[sc.LinkClass.NLOS] += int(nlos.sum())
+        checked[sc.LinkClass.OLOS] += int(olos.sum())
+        checked[sc.LinkClass.LOS] += int(los.sum())
+    assert min(checked.values()) >= 20, checked
 
 
 def test_foliage_loss_on_direct_path():
@@ -353,8 +386,6 @@ def test_reflection_order_limits():
     assert trace_one(scene, ap, ue, cfg0).kind.tolist() == [rp.KIND_DIRECT]
     with pytest.raises(ValueError):
         rp.RaypathConfig(max_reflection_order=3).validate()
-    with pytest.raises(ValueError):
-        rp.RaypathConfig(rooftop_model="triple").validate()
 
 
 def test_batch_matches_per_pose(basic_scene):

@@ -1,6 +1,11 @@
+import json
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cfmm import raypaths as rp
 from cfmm import scene as sc
 from conftest import make_scene, ue_line
 
@@ -146,8 +151,10 @@ def test_empty_trajectory_rejected():
 
 
 def classify(scene, ap, ue):
-    """classify_links_batch on the single AP position ap (3,)."""
-    return sc.LinkClass(int(sc.classify_links_batch(scene, np.asarray(ap)[None, :], ue)[0]))
+    """Link class the tracer gives the single AP position ap (3,)."""
+    bundle = rp.trace_paths_batch(scene, np.asarray(ap)[None, :], np.zeros(1), ue,
+                                  rp.RaypathConfig())
+    return sc.LinkClass(int(bundle.link_class[0]))
 
 
 def test_classify_link_basic(basic_scene):
@@ -224,3 +231,13 @@ def test_site_lookup(basic_scene):
     assert basic_scene.site("site0") is basic_scene.site(0)
     with pytest.raises(KeyError):
         basic_scene.site("nope")
+
+
+@pytest.mark.parametrize("name", ["full", "canyon"])
+def test_bundled_scene_matches_generator(name):
+    # The benchmark workloads are cut from the bundled scenes, so they must
+    # stay what tools/make_example_scenes.py writes.
+    root = Path(__file__).resolve().parents[1]
+    tool = runpy.run_path(str(root / "tools" / "make_example_scenes.py"))
+    bundled = json.loads((root / "src" / "cfmm" / "data" / f"scene_{name}.json").read_text())
+    assert sc.scene_to_dict(tool[f"{name}_scene"]()) == bundled
