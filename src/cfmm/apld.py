@@ -21,11 +21,16 @@ from .scene import LinkClass
 
 @dataclass
 class APLDPDP:
-    """Delay profiles of one UE across all AP poses, with annotations."""
+    """Delay profiles of one UE across all AP poses, with annotations.
+
+    The profiles are dense (values, mask) arrays, or, as assemble_apld
+    joins them from an open matrix file, None with `stored` set to that
+    file: export_heatmap then reads them in row blocks.
+    """
 
     ue_id: int
-    values: np.ndarray  # (M, B) float32, masked bins zero
-    mask: np.ndarray  # (M, B) bool
+    values: np.ndarray | None  # (M, B) float32, masked bins zero
+    mask: np.ndarray | None  # (M, B) bool
     bin_width_s: float
     oversample_factor: int
     timestamps: np.ndarray  # (M,)
@@ -33,22 +38,38 @@ class APLDPDP:
     link_class: np.ndarray  # (M,) uint8, LinkClass values
     attenuation_db: np.ndarray  # (M,)
     threshold_db: np.ndarray  # (M,) detection threshold, NaN if unknown
+    stored: object = None  # formats.MatrixFile holding the profiles
 
     @property
     def n_rows(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.timestamps.shape[0])
 
     @property
     def n_bins(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.values.shape[1] if self.stored is None else self.stored.n_bins)
 
     def delays_s(self) -> np.ndarray:
         return np.arange(self.n_bins) * self.bin_width_s
 
+    def row_blocks(self):
+        """(values, mask) of consecutive row blocks, in row order."""
+        if self.stored is None:
+            return [(self.values, self.mask)]
+        return self.stored.ue_blocks(self.ue_id)
 
-def assemble_apld(matrix: PDPMatrix, meta, ue_id: int) -> APLDPDP:
+    def peak_value(self) -> float | None:
+        """Largest surviving value; None when nothing survives."""
+        if self.stored is None:
+            return float(self.values[self.mask].max()) if self.mask.any() else None
+        top = self.stored.ue_peaks[self.ue_id]
+        return None if np.isnan(top) else float(top)
+
+
+def assemble_apld(matrix, meta, ue_id: int) -> APLDPDP:
     """Join one UE's processed profiles with campaign annotations.
 
+    matrix is a PDPMatrix, whose profiles the result holds as arrays, or
+    an open formats.MatrixFile, whose profiles stay in the file.
     meta must expose timestamps, positions, attenuation_db and the
     per-capture link_class table (M, U), as CaptureFile and CampaignPlan
     do. Row order follows capture index, which follows the pose
@@ -71,10 +92,11 @@ def assemble_apld(matrix: PDPMatrix, meta, ue_id: int) -> APLDPDP:
         theta = np.asarray(matrix.threshold_db, dtype=float)[:, ue_id]
     else:
         theta = np.full(matrix.n_captures, np.nan)
+    dense = isinstance(matrix, PDPMatrix)
     return APLDPDP(
         ue_id=ue_id,
-        values=matrix.values[:, ue_id],
-        mask=matrix.mask[:, ue_id],
+        values=matrix.values[:, ue_id] if dense else None,
+        mask=matrix.mask[:, ue_id] if dense else None,
         bin_width_s=matrix.bin_width_s,
         oversample_factor=matrix.oversample_factor,
         timestamps=timestamps,
@@ -82,6 +104,7 @@ def assemble_apld(matrix: PDPMatrix, meta, ue_id: int) -> APLDPDP:
         link_class=np.asarray(meta.link_class, dtype=np.uint8)[:, ue_id],
         attenuation_db=np.asarray(meta.attenuation_db, dtype=float),
         threshold_db=theta,
+        stored=None if dense else matrix,
     )
 
 
@@ -122,20 +145,21 @@ def export_heatmap(apld: APLDPDP, path, dynamic_range_db: float = 30.0) -> None:
     Rows are capture order, columns delay bins. Power maps linearly in dB
     onto 1..255 over [max - dynamic_range_db, max]; everything below the
     range, and every masked bin, is black. Output bytes depend only on
-    the input matrix.
+    the input matrix. The image is built one row block at a time.
     """
-    v = apld.values.astype(np.float64)
-    img = np.zeros(v.shape, dtype=np.uint8)
-    if apld.mask.any():
-        top_db = 10.0 * np.log10(v[apld.mask].max())
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(np.where(apld.mask, v, 1e-300))
-        rel = (db - (top_db - dynamic_range_db)) / dynamic_range_db
-        level = np.rint(1.0 + 254.0 * np.clip(rel, 0.0, 1.0)).astype(np.uint8)
-        img[apld.mask & (rel >= 0)] = level[apld.mask & (rel >= 0)]
+    peak = apld.peak_value()
     with open(path, "wb") as fh:
         fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        for values, mask in apld.row_blocks():
+            img = np.zeros(values.shape, dtype=np.uint8)
+            if peak is not None:
+                top_db = 10.0 * np.log10(peak)
+                with np.errstate(divide="ignore"):
+                    db = 10.0 * np.log10(values[mask].astype(np.float64))
+                rel = (db - (top_db - dynamic_range_db)) / dynamic_range_db
+                level = np.rint(1.0 + 254.0 * np.clip(rel, 0.0, 1.0)).astype(np.uint8)
+                img[mask] = np.where(rel >= 0, level, 0)
+            fh.write(img.tobytes())
 
 
 def write_annotations(apld: APLDPDP, path) -> None:

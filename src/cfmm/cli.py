@@ -84,6 +84,34 @@ def _update_manifest(out: Path, cfg: RunConfig, stage: str, record: dict) -> Non
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+# Stage order, and the manifest fields that name each stage's outputs.
+_STAGE_OUTPUTS = {
+    "simulate": ("captures",),
+    "process": ("matrix", "summary"),
+    "export": ("heatmaps", "annotations"),
+}
+
+
+def _start_stage(out: Path, stage: str) -> None:
+    """Forget the results a new run of stage replaces: drop its manifest
+    record and those of later stages, and delete the outputs they name.
+    A failed run then leaves no record, and no later output, made from
+    the files it removed."""
+    path = out / MANIFEST_NAME
+    if not path.exists():
+        return
+    manifest = json.loads(path.read_text())
+    records = manifest.get("stages", {})
+    order = list(_STAGE_OUTPUTS)
+    for name in order[order.index(stage):]:
+        record = records.pop(name, {})
+        for field in _STAGE_OUTPUTS[name]:
+            files = record.get(field, [])
+            for f in [files] if isinstance(files, str) else files:
+                (out / f).unlink(missing_ok=True)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 @contextmanager
 def _publish(*finals: Path):
     """Yield a `*.partial` path for each final output; rename them into
@@ -129,6 +157,7 @@ def cmd_simulate(args) -> int:
     scene = _load_validated_scene(cfg)
     out = _out_dir(cfg, args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _start_stage(out, "simulate")
     plan = sd.plan_campaign(scene, cfg.waveform, cfg.impairments, cfg.seed,
                             site=cfg.site)
     workers = _n_workers(cfg, args.workers)
@@ -149,21 +178,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _summary_rows(a: int, chunk: tuple, bin_width_s: float) -> list[list]:
-    _, b, values, mask, noise_db, theta_db = chunk
-    rows = []
-    for i in range(values.shape[0]):
-        for j in range(values.shape[1]):
-            surviving = int(mask[i, j].sum())
-            if surviving:
-                q = int(values[i, j].argmax())
-                delay = f"{q * bin_width_s:.12e}"
-                power = f"{10 * np.log10(values[i, j, q]):.4f}"
-            else:
-                delay, power = "nan", "nan"
-            rows.append([a + i, j, f"{noise_db[i, j]:.4f}", f"{theta_db[i, j]:.4f}",
-                         delay, power, surviving])
-    return rows
+def _summary_rows(a: int, rows: pl.SparseRows, n_ues: int,
+                  bin_width_s: float) -> list[list]:
+    bins, top = rows.peaks()
+    kept = rows.kept()
+    out = []
+    for r in range(rows.n_rows):
+        if kept[r]:
+            delay = f"{int(bins[r]) * bin_width_s:.12e}"
+            power = f"{10 * np.log10(top[r]):.4f}"
+        else:
+            delay, power = "nan", "nan"
+        out.append([a + r // n_ues, r % n_ues, f"{rows.noise_db[r]:.4f}",
+                    f"{rows.threshold_db[r]:.4f}", delay, power, int(kept[r])])
+    return out
 
 
 def cmd_process(args) -> int:
@@ -177,6 +205,7 @@ def cmd_process(args) -> int:
     params = cfg.pipeline
     params.noise_bins(source.n_subcarriers)  # fail before any output exists
     out.mkdir(parents=True, exist_ok=True)
+    _start_stage(out, "process")
     with _publish(out / MATRIX_NAME, out / SUMMARY_NAME) as partials:
         counts = _process_into(source, params, args, cfg, *partials)
     _update_manifest(out, cfg, "process", {
@@ -191,7 +220,8 @@ def cmd_process(args) -> int:
 
 def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
                   matrix_path: Path, summary_path: Path) -> Counter:
-    """Process every capture into the two files; returns the degenerate-row counts."""
+    """Process every capture into the two files; returns the degenerate-row
+    counts and the matrix's run and surviving-bin totals."""
     f = params.pad_factor
     bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
@@ -203,13 +233,15 @@ def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
     counts: Counter = Counter()
 
     def take(a: int, chunk: tuple) -> None:
-        _, _, values, mask, noise_db, _ = chunk
-        writer.write_chunk(a, values, mask)
-        all_rows.extend(_summary_rows(a, chunk, bin_width_s))
-        counts.update(pl.degenerate_row_counts(mask, noise_db))
+        rows = chunk[2]
+        writer.write_chunk(a, rows)
+        all_rows.extend(_summary_rows(a, rows, source.n_ues, bin_width_s))
+        counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
+        counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 
-    pl.run_chunks(pl.process_chunk, (source, params), source.n_captures,
+    pl.run_chunks(pl.process_chunk_sparse, (source, params), source.n_captures,
                   args.chunk_size, take, workers)
+    writer.close()
     all_rows.sort(key=lambda r: (r[0], r[1]))
     with open(summary_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -217,14 +249,6 @@ def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
                     "peak_delay_s", "peak_power_db", "surviving_bins"])
         w.writerows(all_rows)
     return counts
-
-
-def _threshold_table(summary_path: Path, m: int, u: int) -> np.ndarray:
-    theta = np.full((m, u), np.nan)
-    with open(summary_path) as fh:
-        for row in csv.DictReader(fh):
-            theta[int(row["capture_index"]), int(row["ue"])] = float(row["threshold_db"])
-    return theta
 
 
 def cmd_export(args) -> int:
@@ -235,12 +259,9 @@ def cmd_export(args) -> int:
     for p in (matrix_path, captures_path):
         if not p.exists():
             raise FileNotFoundError(f"missing stage input: {p}")
-    matrix = fm.read_matrix(matrix_path)
+    matrix = fm.open_matrix(matrix_path)
     source = fm.open_captures(captures_path)
-    summary = out / SUMMARY_NAME
-    if summary.exists():
-        matrix.threshold_db = _threshold_table(summary, matrix.n_captures,
-                                               matrix.n_ues)
+    _start_stage(out, "export")
     u = matrix.n_ues
     heatmaps = [f"apld_ue{j}.pgm" for j in range(u)]
     annotations = [f"annotations_ue{j}.csv" for j in range(u)]

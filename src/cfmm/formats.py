@@ -1,12 +1,31 @@
 """Binary interchange files.
 
 Two little-endian containers, both designed for bit-exact round trips on
-any platform:
+any platform.
 
-Matrix file (magic ``CFMM``): header of magic, version u32, dims u32 x 3
-(captures, UEs, bins), bin width f64 seconds, oversample u32; payload of
-float32 values in row-major (capture, UE, bin) order followed by the
-survival mask as a parallel bit array, least significant bit first.
+Matrix file (magic ``CFMM``, version 2) holds the gated profiles as runs
+of surviving bins (compressed sparse rows). With M captures, U UEs, B
+gated bins and R = M U rows in (capture, UE) order, capture-major:
+
+====================  ============  =========================================
+section               bytes         contents
+====================  ============  =========================================
+header                32            magic, version u32, M u32, U u32, B u32,
+                                    bin width f64 seconds, oversample u32
+noise_db              8 R           f64 noise level per row, dB
+threshold_db          8 R           f64 detection threshold per row, dB
+record_end            8 R           u64 file offset just past each row record
+n_runs                4 R           u32 run count per row
+row records           rest          per row, in row order: n_runs pairs of
+                                    u32 (first bin, length), then the row's
+                                    surviving values, f32, in bin order
+====================  ============  =========================================
+
+The first record starts at 32 + 28 R and the file ends at the last
+record_end. Runs in a row are increasing and disjoint, each of length at
+least 1, and end at or before B; a bin outside every run was masked and
+reads zero. Version 1 (dense values plus a mask bit array) is not read:
+re-run process to rewrite such a file.
 
 Capture file (magic ``CFMC``): acquisition metadata (poses, timestamps,
 attenuation, link classes, calibration, reference tones) followed by the
@@ -20,18 +39,25 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .pipeline import PDPMatrix
+from .pipeline import PDPMatrix, SparseRows
 
 MATRIX_MAGIC = b"CFMM"
 CAPTURE_MAGIC = b"CFMC"
-MATRIX_VERSION = 1
+MATRIX_VERSION = 2
 CAPTURE_VERSION = 1
 
 _MATRIX_HEADER = struct.Struct("<4sIIIIdI")
 _CAPTURE_FIXED = struct.Struct("<4sIIIIIddIQI")
+# The matrix row tables, in file order: name and dtype.
+_ROW_TABLES = (("noise_db", "<f8"), ("threshold_db", "<f8"),
+               ("record_end", "<u8"), ("n_runs", "<u4"))
+_ROW_TABLE_BYTES = sum(np.dtype(t).itemsize for _, t in _ROW_TABLES)
+# Captures per block when export streams a UE's profiles.
+BLOCK_CAPTURES = 256
 
 
 class FormatError(RuntimeError):
@@ -52,72 +78,192 @@ def _check_header(kind: str, path, magic: bytes, expected_magic: bytes,
 
 # --- matrix file ---------------------------------------------------------------
 
-def _mask_bytes(n_entries: int) -> int:
-    return (n_entries + 7) // 8
+def _run_words(n_runs: np.ndarray, record_words: np.ndarray) -> np.ndarray:
+    """Which u32 words of consecutive row records are run words: the first
+    2 n_runs words of each record; the rest are values."""
+    counts = np.column_stack([2 * n_runs, record_words - 2 * n_runs]).ravel()
+    return np.repeat(np.tile([True, False], len(n_runs)), counts)
 
 
-def read_matrix(path) -> PDPMatrix:
+@dataclass
+class MatrixFile:
+    """Read handle over a matrix file: the row tables in memory, the row
+    records read on demand, one block of captures at a time."""
+
+    path: str
+    n_captures: int
+    n_ues: int
+    n_bins: int
+    bin_width_s: float
+    oversample_factor: int
+    noise_level_db: np.ndarray  # (M, U)
+    threshold_db: np.ndarray  # (M, U)
+    record_end: np.ndarray  # (M U,) int64
+    n_runs: np.ndarray  # (M U,) int64
+    records_offset: int
+
+    def rows(self, m0: int, m1: int) -> SparseRows:
+        """The rows of captures [m0, m1), all UEs."""
+        u = self.n_ues
+        r0, r1 = m0 * u, m1 * u
+        ends = self.record_end[r0:r1]
+        begin = int(self.record_end[r0 - 1]) if r0 else self.records_offset
+        record_words = np.diff(ends, prepend=begin) // 4
+        with open(self.path, "rb") as fh:
+            fh.seek(begin)
+            words = np.fromfile(fh, dtype="<u4", count=int(record_words.sum()))
+        if words.size != record_words.sum():
+            raise FormatError(f"{self.path}: truncated row records")
+        n_runs = self.n_runs[r0:r1]
+        is_run = _run_words(n_runs, record_words)
+        runs = words[is_run].reshape(-1, 2).astype(np.int64)
+        rows = SparseRows(
+            noise_db=self.noise_level_db.reshape(-1)[r0:r1],
+            threshold_db=self.threshold_db.reshape(-1)[r0:r1],
+            n_runs=n_runs, starts=runs[:, 0], lengths=runs[:, 1],
+            values=words[~is_run].view("<f4"),
+        )
+        stops = rows.starts + rows.lengths
+        same_row = np.repeat(np.arange(rows.n_rows), n_runs)
+        same_row = same_row[1:] == same_row[:-1]
+        if ((rows.lengths < 1).any() or (stops > self.n_bins).any()
+                or (rows.starts[1:][same_row] < stops[:-1][same_row]).any()
+                or (rows.kept() != record_words - 2 * n_runs).any()):
+            raise FormatError(
+                f"{self.path}: captures {m0}..{m1 - 1}: corrupt run table "
+                f"(runs must be disjoint, increasing, within {self.n_bins} bins "
+                "and cover the row's values)")
+        return rows
+
+    def ue_blocks(self, ue_id: int):
+        """(values, mask) of UE ue_id's profiles, BLOCK_CAPTURES rows at a time."""
+        for m0 in range(0, self.n_captures, BLOCK_CAPTURES):
+            m1 = min(m0 + BLOCK_CAPTURES, self.n_captures)
+            picks = np.arange(ue_id, (m1 - m0) * self.n_ues, self.n_ues)
+            yield self.rows(m0, m1).dense(self.n_bins, picks)
+
+    @cached_property
+    def ue_peaks(self) -> np.ndarray:
+        """Largest surviving value per UE, NaN where none survives; one pass
+        over the records."""
+        top = np.zeros(self.n_ues)
+        found = np.zeros(self.n_ues, dtype=bool)
+        for m0 in range(0, self.n_captures, BLOCK_CAPTURES):
+            rows = self.rows(m0, min(m0 + BLOCK_CAPTURES, self.n_captures))
+            top = np.maximum(top, rows.row_max().reshape(-1, self.n_ues).max(axis=0))
+            found |= rows.kept().reshape(-1, self.n_ues).any(axis=0)
+        return np.where(found, top, np.nan)
+
+
+def open_matrix(path) -> MatrixFile:
+    """Read a matrix file's header and row tables and check them against
+    the file size."""
     with open(path, "rb") as fh:
         raw = fh.read(_MATRIX_HEADER.size)
         if len(raw) < _MATRIX_HEADER.size:
             raise FormatError(f"{path}: truncated matrix header")
         magic, version, m, u, b, bin_width, oversample = _MATRIX_HEADER.unpack(raw)
+        if magic == MATRIX_MAGIC and version < MATRIX_VERSION:
+            raise FormatError(
+                f"{path}: matrix format version {version} is no longer read "
+                f"(expected {MATRIX_VERSION}); re-run process to rewrite it")
         _check_header("matrix", path, magic, MATRIX_MAGIC, version, MATRIX_VERSION)
-        values = np.fromfile(fh, dtype="<f4", count=m * u * b)
-        if values.size != m * u * b:
-            raise FormatError(f"{path}: truncated values payload")
-        bits = np.fromfile(fh, dtype=np.uint8, count=_mask_bytes(m * u * b))
-        if bits.size != _mask_bytes(m * u * b):
-            raise FormatError(f"{path}: truncated mask payload")
-    mask = np.unpackbits(bits, count=m * u * b, bitorder="little").astype(bool)
+        tables = {}
+        for name, dtype in _ROW_TABLES:
+            arr = np.fromfile(fh, dtype=dtype, count=m * u)
+            if arr.size != m * u:
+                raise FormatError(f"{path}: truncated {name} table")
+            tables[name] = arr
+        size = os.fstat(fh.fileno()).st_size
+    records_offset = _MATRIX_HEADER.size + _ROW_TABLE_BYTES * m * u
+    ends = tables["record_end"].astype(np.int64)
+    n_runs = tables["n_runs"].astype(np.int64)
+    sizes = np.diff(ends, prepend=records_offset)
+    if (sizes < 8 * n_runs).any() or (sizes % 4).any():
+        raise FormatError(f"{path}: corrupt record_end table")
+    end = int(ends[-1]) if ends.size else records_offset
+    if size < end:
+        raise FormatError(f"{path}: truncated row records ({size} bytes, expected {end})")
+    if size > end:
+        raise FormatError(f"{path}: {size - end} bytes after the last row record")
+    return MatrixFile(
+        path=str(path), n_captures=m, n_ues=u, n_bins=b, bin_width_s=float(bin_width),
+        oversample_factor=int(oversample),
+        noise_level_db=tables["noise_db"].reshape(m, u),
+        threshold_db=tables["threshold_db"].reshape(m, u),
+        record_end=ends, n_runs=n_runs, records_offset=records_offset,
+    )
+
+
+def read_matrix(path) -> PDPMatrix:
+    """The whole matrix file as a dense PDPMatrix."""
+    mf = open_matrix(path)
+    values, mask = mf.rows(0, mf.n_captures).dense(mf.n_bins)
+    shape = (mf.n_captures, mf.n_ues, mf.n_bins)
     return PDPMatrix(
-        values=values.reshape(m, u, b), mask=mask.reshape(m, u, b),
-        noise_level_db=None, threshold_db=None,
-        bin_width_s=float(bin_width), oversample_factor=int(oversample),
+        values=values.reshape(shape), mask=mask.reshape(shape),
+        noise_level_db=mf.noise_level_db, threshold_db=mf.threshold_db,
+        bin_width_s=mf.bin_width_s, oversample_factor=mf.oversample_factor,
     )
 
 
 class MatrixWriter:
-    """Writes a matrix file in capture-range chunks, in any order.
+    """Writes a matrix file from capture-range chunks of SparseRows handed
+    over in any order.
 
-    The header is written up front and the file pre-sized; each chunk
-    fills its captures' values and mask bytes. Requires the per-capture
-    entry count to be a whole number of bytes in the mask bit array
-    (n_ues * n_bins divisible by 8) so capture-aligned chunks land on byte
-    boundaries.
+    The header and the zero-filled row tables are written up front. A
+    chunk waits in a reorder buffer until every earlier capture is
+    written; then its table entries are filled and its records appended.
+    The bytes therefore depend on neither the order, the chunk size nor
+    the worker count.
     """
 
     def __init__(self, path, n_captures: int, n_ues: int, n_bins: int,
                  bin_width_s: float, oversample_factor: int):
-        if (n_ues * n_bins) % 8:
-            raise ValueError("n_ues * n_bins must be divisible by 8 for chunked writes")
         self.path = path
-        self.shape = (n_captures, n_ues, n_bins)
-        row = n_ues * n_bins
+        self.n_captures = n_captures
+        self.n_ues = n_ues
         header = _MATRIX_HEADER.pack(MATRIX_MAGIC, MATRIX_VERSION, n_captures,
                                      n_ues, n_bins, bin_width_s, oversample_factor)
-        self._values_off = len(header)
-        self._mask_off = self._values_off + n_captures * row * 4
-        total = self._mask_off + _mask_bytes(n_captures * row)
+        self._end = len(header) + _ROW_TABLE_BYTES * n_captures * n_ues
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.truncate(total)
-        self._row = row
+            fh.truncate(self._end)
+        self._next = 0  # first capture not yet written
+        self._pending: dict[int, SparseRows] = {}
 
-    def write_chunk(self, m0: int, values: np.ndarray, mask: np.ndarray) -> None:
-        m = values.shape[0]
-        out = np.memmap(self.path, dtype="<f4", mode="r+", offset=self._values_off,
-                        shape=self.shape)
-        out[m0:m0 + m] = values
-        out.flush()
-        del out
-        bits = np.packbits(mask.reshape(-1), bitorder="little")
-        mm = np.memmap(self.path, dtype=np.uint8, mode="r+",
-                       offset=self._mask_off + m0 * self._row // 8,
-                       shape=(bits.size,))
-        mm[:] = bits
-        mm.flush()
-        del mm
+    def write_chunk(self, m0: int, rows: SparseRows) -> None:
+        self._pending[m0] = rows
+        with open(self.path, "r+b") as fh:
+            while self._next in self._pending:
+                rows = self._pending.pop(self._next)
+                self._append(fh, self._next * self.n_ues, rows)
+                self._next += rows.n_rows // self.n_ues
+
+    def _append(self, fh, r0: int, rows: SparseRows) -> None:
+        record_words = 2 * rows.n_runs + rows.kept()
+        ends = self._end + 4 * np.cumsum(record_words)
+        columns = {"noise_db": rows.noise_db, "threshold_db": rows.threshold_db,
+                   "record_end": ends, "n_runs": rows.n_runs}
+        offset = _MATRIX_HEADER.size
+        for name, dtype in _ROW_TABLES:
+            item = np.dtype(dtype).itemsize
+            fh.seek(offset + r0 * item)
+            fh.write(np.asarray(columns[name], dtype=dtype).tobytes())
+            offset += item * self.n_captures * self.n_ues
+        words = np.empty(int(record_words.sum()), dtype="<u4")
+        is_run = _run_words(rows.n_runs, record_words)
+        words[is_run] = np.column_stack([rows.starts, rows.lengths]).ravel()
+        words[~is_run] = rows.values.astype("<f4").view("<u4")
+        fh.seek(self._end)
+        fh.write(words.tobytes())
+        self._end += 4 * words.size
+
+    def close(self) -> None:
+        """Check that every capture was written."""
+        if self._next != self.n_captures:
+            raise ValueError(
+                f"{self.path}: captures {self._next}..{self.n_captures - 1} not written")
 
 
 # --- capture file --------------------------------------------------------------

@@ -209,12 +209,6 @@ def segment_prism_chords(
     ts = np.sort(np.concatenate([ends, np.where(crossing, t, 1.0), ends + 1.0], axis=1))
     lo, hi = ts[:, :-1], ts[:, 1:]
 
-    span = np.hypot(d[:, 0], d[:, 1])
-    span = np.where(span < 1e-15, np.inf, span)  # vertical: probe the point itself
-    perp = (np.stack([-d[:, 1], d[:, 0]], axis=1) / span[:, None] * 1e-9)[:, None]
-    mid = p0[:, None, :2] + (0.5 * (lo + hi))[..., None] * d[:, None, :2]
-    inside = points_in_polygon(mid + perp, v) & points_in_polygon(mid - perp, v)
-
     # Clip each slice to the parameter range where 0 <= z <= height.
     z0, dz = p0[:, 2], d[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,8 +220,18 @@ def segment_prism_chords(
     z_lo = np.where(dz == 0.0, 0.0, np.minimum(ta, tb))
     z_hi = np.where(dz == 0.0, np.where(level, 1.0, 0.0), np.maximum(ta, tb))
     part = np.minimum(hi, z_hi[:, None]) - np.maximum(lo, z_lo[:, None])
-    inside_t = np.sum(np.where(inside & (part > 0.0), part, 0.0), axis=1)
-    return inside_t * np.linalg.norm(d, axis=1)
+
+    # Probe only the slices with length left after the z clip; the padding
+    # slices at t = 1 and those above the roof or below the floor add zero.
+    seg, k = np.nonzero(part > 0.0)
+    span = np.hypot(d[seg, 0], d[seg, 1])
+    span = np.where(span < 1e-15, np.inf, span)  # vertical: probe the point itself
+    perp = np.stack([-d[seg, 1], d[seg, 0]], axis=1) / span[:, None] * 1e-9
+    mid = p0[seg, :2] + (0.5 * (lo[seg, k] + hi[seg, k]))[:, None] * d[seg, :2]
+    inside = points_in_polygon(mid + perp, v) & points_in_polygon(mid - perp, v)
+    counted = np.zeros_like(part)
+    counted[seg[inside], k[inside]] = part[seg[inside], k[inside]]
+    return np.sum(counted, axis=1) * np.linalg.norm(d, axis=1)
 
 
 def segment_sphere_chords(

@@ -29,7 +29,7 @@ what lets a 100 dB dynamic range survive windowing.
 from __future__ import annotations
 
 import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +95,8 @@ class PDPMatrix:
 
     values: np.ndarray  # (M, U, B) float32, B = gate * pad_factor
     mask: np.ndarray  # (M, U, B) bool
-    noise_level_db: np.ndarray | None  # (M, U); None when loaded from disk
-    threshold_db: np.ndarray | None  # (M, U); None when loaded from disk
+    noise_level_db: np.ndarray | None  # (M, U) dB; None when unknown
+    threshold_db: np.ndarray | None  # (M, U) dB; None when unknown
     bin_width_s: float  # oversampled bin width
     oversample_factor: int
 
@@ -122,6 +122,105 @@ class PDPMatrix:
             raise ValueError("PDP values must be non-negative")
         if np.any(self.values[~self.mask] != 0):
             raise ValueError("masked-out entries must be zero")
+
+
+@dataclass
+class SparseRows:
+    """Gated profiles of consecutive (capture, UE) rows, surviving bins only.
+
+    Compressed sparse rows: row r holds n_runs[r] runs of consecutive
+    surviving bins, each a first bin and a length, and the float32 values
+    of those bins in bin order. Runs and values follow row order, and rows
+    run capture-major, as (capture, UE) in a PDPMatrix.
+    """
+
+    noise_db: np.ndarray  # (rows,) float64
+    threshold_db: np.ndarray  # (rows,) float64
+    n_runs: np.ndarray  # (rows,) int
+    starts: np.ndarray  # (runs,) int, first bin of each run
+    lengths: np.ndarray  # (runs,) int, at least 1
+    values: np.ndarray  # (kept,) float32
+
+    @classmethod
+    def encode(cls, values: np.ndarray, mask: np.ndarray, noise_db: np.ndarray,
+               threshold_db: np.ndarray) -> "SparseRows":
+        """From dense values and mask with bins on the last axis; the
+        leading axes flatten to rows, as do those of noise_db and
+        threshold_db."""
+        flat = mask.reshape(-1, mask.shape[-1])
+        edges = np.diff(flat.astype(np.int8), axis=1, prepend=0, append=0)
+        rows, starts = np.nonzero(edges == 1)
+        stops = np.nonzero(edges == -1)[1]
+        return cls(
+            noise_db=np.asarray(noise_db, dtype=np.float64).reshape(-1),
+            threshold_db=np.asarray(threshold_db, dtype=np.float64).reshape(-1),
+            n_runs=np.bincount(rows, minlength=flat.shape[0]),
+            starts=starts, lengths=stops - starts,
+            values=values.reshape(flat.shape)[flat].astype(np.float32, copy=False),
+        )
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.n_runs.shape[0])
+
+    def kept(self) -> np.ndarray:
+        """Surviving bins per row."""
+        ends = np.concatenate([[0], np.cumsum(self.lengths)])
+        ptr = np.concatenate([[0], np.cumsum(self.n_runs)])
+        return ends[ptr[1:]] - ends[ptr[:-1]]
+
+    def dense(self, n_bins: int, rows: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """(values, mask), each (len(rows), n_bins), masked bins zero.
+
+        rows, increasing, picks the rows to expand; default all.
+        """
+        run_row = np.repeat(np.arange(self.n_rows), self.n_runs)
+        starts, lengths, values = self.starts, self.lengths, self.values
+        if rows is not None:
+            slot = np.full(self.n_rows, -1)
+            slot[rows] = np.arange(len(rows))
+            run_row = slot[run_row]
+            pick = run_row >= 0
+            values = values[np.repeat(pick, lengths)]
+            run_row, starts, lengths = run_row[pick], starts[pick], lengths[pick]
+        n = self.n_rows if rows is None else len(rows)
+        # Runs mark +1 at their first bin and -1 past their last; the running
+        # sum is the mask, and the values fill it in row-major order.
+        first = run_row * n_bins + starts
+        edges = np.zeros(n * n_bins + 1, dtype=np.int8)
+        edges[first] += 1
+        edges[first + lengths] -= 1
+        mask = np.cumsum(edges[:-1], dtype=np.int8).view(bool).reshape(n, n_bins)
+        out = np.zeros((n, n_bins), dtype=np.float32)
+        out[mask] = values
+        return out, mask
+
+    def row_max(self) -> np.ndarray:
+        """Largest kept value per row, float32; 0 where the row keeps nothing."""
+        kept = self.kept()
+        top = np.zeros(self.n_rows, dtype=np.float32)
+        full = np.flatnonzero(kept)
+        if full.size:
+            top[full] = np.maximum.reduceat(self.values, (np.cumsum(kept) - kept)[full])
+        return top
+
+    def peaks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the bin and float32 value that argmax over the dense
+        row picks: the first of equal maxima, and bin 0, value 0 where the
+        row keeps nothing or only zeros."""
+        top = self.row_max()
+        bins = np.zeros(self.n_rows, dtype=np.int64)
+        value_row = np.repeat(np.arange(self.n_rows), self.kept())
+        hits = np.flatnonzero(self.values == top[value_row])
+        hit_row = value_row[hits]
+        lead = np.concatenate([[True], hit_row[1:] != hit_row[:-1]])[:hits.size]
+        # A value's bin is its run's first bin plus its offset in the run.
+        first = np.cumsum(self.lengths) - self.lengths
+        value_bins = np.repeat(self.starts - first, self.lengths) + np.arange(self.values.size)
+        bins[hit_row[lead]] = value_bins[hits[lead]]
+        bins[top == 0] = 0
+        return bins, top
 
 
 def kaiser_taps(n_subcarriers: int, beta: float) -> np.ndarray:
@@ -243,17 +342,17 @@ def threshold_noise(ssa_pdp: np.ndarray, noise_mean: np.ndarray,
     return mask, noise_db
 
 
-def degenerate_row_counts(mask: np.ndarray, noise_db: np.ndarray) -> dict[str, int]:
+def degenerate_row_counts(kept_bins: np.ndarray, noise_db: np.ndarray) -> dict[str, int]:
     """Counts of profiles whose summary numbers are not ordinary readings.
 
     rows_no_surviving_bins: no gated bin survived threshold, gate and cut,
     so the profile has no peak. rows_noise_at_floor: the noise mean was
     below the clamp, so noise_db reads NOISE_FLOOR_DB and the threshold
-    passes every non-zero bin. mask holds bins on the last axis; noise_db
-    matches its leading axes.
+    passes every non-zero bin. kept_bins and noise_db hold one value per
+    profile: its surviving bin count and its noise level.
     """
     return {
-        "rows_no_surviving_bins": int((~mask.any(axis=-1)).sum()),
+        "rows_no_surviving_bins": int((np.asarray(kept_bins) == 0).sum()),
         "rows_noise_at_floor": int((np.asarray(noise_db) <= NOISE_FLOOR_DB).sum()),
     }
 
@@ -369,7 +468,18 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     return a, b, values.astype(np.float32), mask, noise_db, theta_db
 
 
+def process_chunk_sparse(source, params: PipelineParams, a: int, b: int) -> tuple:
+    """process_chunk with its profiles encoded: (m0, m1, SparseRows).
+
+    Pool workers return this, so only the surviving bins of a chunk cross
+    the pipe to the parent.
+    """
+    _, _, values, mask, noise_db, theta_db = process_chunk(source, params, a, b)
+    return a, b, SparseRows.encode(values, mask, noise_db, theta_db)
+
+
 _WORKER_TASK = None  # (fn, args) of the running pool; fork workers inherit it
+_LOOKAHEAD_PER_WORKER = 2  # spans a pool starts ahead of the earliest untaken one
 
 
 def _run_span(span: tuple[int, int]) -> tuple:
@@ -384,7 +494,10 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
 
     With workers <= 1 the spans run here, in order. Otherwise a fork pool
     of that many processes, at most one per span, runs them, and take sees
-    the results as they complete. fn and args reach the workers through
+    the results as they complete. A span starts only while it lies fewer
+    than 2 x workers spans after the earliest span not yet taken, so a
+    caller that puts results back in capture order holds fewer than that
+    many, however long the campaign. fn and args reach the workers through
     one module global instead of being pickled; the global is cleared
     however the run ends, and a failed run cancels the spans not yet
     started. Callers place results by capture index, so the output does
@@ -402,14 +515,24 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
         for a, b in spans:
             take(a, fn(*args, a, b))
         return
+    window = _LOOKAHEAD_PER_WORKER * workers
     global _WORKER_TASK
     _WORKER_TASK = (fn, args)
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=mp.get_context("fork")) as pool:
             try:
-                for fut in as_completed([pool.submit(_run_span, s) for s in spans]):
-                    take(*fut.result())
+                running: dict = {}  # future -> span index
+                nxt = 0
+                while nxt < len(spans) or running:
+                    limit = min(running.values(), default=nxt) + window
+                    while nxt < min(len(spans), limit):
+                        running[pool.submit(_run_span, spans[nxt])] = nxt
+                        nxt += 1
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        del running[fut]
+                        take(*fut.result())
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise

@@ -610,12 +610,10 @@ def test_criterion_11_scale_smoke():
         prefix = 1536
         params = pl.PipelineParams()
         b_bins = params.gate_native_bins * params.pad_factor
-        header = 32
-        with open(out / "matrix.cfmm", "rb") as fh:
-            fh.seek(header)
-            stored_vals = fh.read(prefix * n_ue * b_bins * 4)
-            fh.seek(header + m_total * n_ue * b_bins * 4)
-            stored_mask = fh.read(prefix * n_ue * b_bins // 8)
+        stored = fm.open_matrix(out / "matrix.cfmm").rows(0, prefix)
+        stored_vals, stored_mask = stored.dense(b_bins)
+        stored_vals = stored_vals.tobytes()
+        stored_mask = np.packbits(stored_mask.reshape(-1), bitorder="little").tobytes()
 
         for chunk in (64, 100):
             vals = np.empty((prefix, n_ue, b_bins), dtype=np.float32)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cfmm.apld as ap
+import cfmm.formats as fm
 import cfmm.pipeline as pl
 import cfmm.raypaths as rp
 import cfmm.scene as sc
@@ -210,6 +211,29 @@ class TestExports:
         assert img[1, 4] == 1
         assert img[2, 6] == 0  # below dynamic range: black
         assert img[mask == 0].max() == 0  # masked bins black
+
+    def test_heatmap_from_matrix_file_matches_dense(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        m, u, b = 7, 3, 30
+        values = (10.0 ** rng.uniform(-5, 0, (m, u, b))).astype(np.float32)
+        mask = rng.random((m, u, b)) < 0.4
+        mask[:, 2] = False  # a UE with nothing surviving
+        values[~mask] = 0.0
+        path = tmp_path / "m.cfmm"
+        w = fm.MatrixWriter(path, m, u, b, 1e-9, 10)
+        w.write_chunk(0, pl.SparseRows.encode(values, mask, np.zeros((m, u)),
+                                              np.full((m, u), -93.0)))
+        w.close()
+        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 rows
+        stored = fm.open_matrix(path)
+        dense = fm.read_matrix(path)
+        meta = toy_meta(m)
+        meta.link_class = np.zeros((m, u), dtype=np.uint8)
+        for j in range(u):
+            a, b_ = tmp_path / f"s{j}.pgm", tmp_path / f"d{j}.pgm"
+            ap.export_heatmap(ap.assemble_apld(stored, meta, j), a)
+            ap.export_heatmap(ap.assemble_apld(dense, meta, j), b_)
+            assert a.read_bytes() == b_.read_bytes()
 
     def test_heatmap_all_masked(self, tmp_path):
         apld = flat_apld(np.zeros(5), np.zeros(5))

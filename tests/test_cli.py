@@ -210,6 +210,12 @@ class TestStages:
         rows = [line.split(",") for line in s1.decode().splitlines()[1:]]
         assert record["rows_no_surviving_bins"] == sum(r[-1] == "0" for r in rows)
         assert record["rows_noise_at_floor"] == 0
+        kept = sum(int(r[-1]) for r in rows)
+        assert record["matrix_kept_bins"] == kept > 0
+        assert sum(r[-1] != "0" for r in rows) <= record["matrix_runs"] <= kept
+        # The counts explain the file size: row tables, runs and values.
+        assert (out / "matrix.cfmm").stat().st_size == \
+            32 + 28 * len(rows) + 8 * record["matrix_runs"] + 4 * kept
         assert main(["process", "--config", cfgp, "--workers", "1"]) == 0
         h2 = hashlib.sha256((out / "matrix.cfmm").read_bytes()).hexdigest()
         assert h1 == h2
@@ -298,6 +304,27 @@ class TestStages:
         assert not (out / "matrix.cfmm").exists()
         assert not (out / "summary.csv").exists()
         assert not list(out.glob("*.partial"))
+
+    def test_failed_process_drops_later_results(self, workspace, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "captures.cfmc").write_bytes((workspace / "out" / "captures.cfmc").read_bytes())
+
+        def run(stage):
+            return main([stage, "--config", str(workspace / "cfg.json"),
+                         "--out", str(out), "--workers", "1"])
+
+        (out / "manifest.json").write_text(json.dumps(
+            {"stages": {"simulate": {"captures": "captures.cfmc"}}}))
+        assert run("process") == 0 and run("export") == 0
+        assert len(list(out.glob("apld_ue*.pgm"))) == 8
+        zero_capture(out / "captures.cfmc", 17)
+        assert run("process") == 3
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert set(stages) == {"simulate"}
+        assert not list(out.glob("apld_ue*.pgm"))
+        assert not list(out.glob("annotations_ue*.csv"))
+        assert (out / "captures.cfmc").exists()
 
     def test_failed_pool_run_clears_worker_task(self, workspace, tmp_path,
                                                 monkeypatch, capsys):
@@ -478,7 +505,7 @@ class TestStages:
         def no_memory(path):
             raise MemoryError("Unable to allocate 2.6 GiB")
 
-        monkeypatch.setattr(fm, "read_matrix", no_memory)
+        monkeypatch.setattr(fm, "open_matrix", no_memory)
         rc = main(["export", "--config", str(workspace / "cfg.json"), "--out", str(out),
                    "--captures", str(workspace / "out" / "captures.cfmc")])
         assert rc == 4

@@ -1,5 +1,6 @@
 """Round-trip and header-diagnostic tests for the binary containers."""
 
+import json
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ import cfmm.formats as fm
 import cfmm.pipeline as pl
 import cfmm.sounder as sd
 import cfmm.waveform as wf
+from cfmm.cli import main
 
 from conftest import make_scene
 
@@ -25,47 +27,95 @@ def small_matrix(rng, m=5, u=3, b=40) -> pl.PDPMatrix:
     )
 
 
+def chunk_rows(mat: pl.PDPMatrix, a: int, b: int) -> pl.SparseRows:
+    return pl.SparseRows.encode(mat.values[a:b], mat.mask[a:b],
+                                mat.noise_level_db[a:b], mat.threshold_db[a:b])
+
+
 def write_whole(path, mat: pl.PDPMatrix) -> None:
     m, u, b = mat.values.shape
-    fm.MatrixWriter(path, m, u, b, mat.bin_width_s, mat.oversample_factor).write_chunk(
-        0, mat.values, mat.mask)
+    w = fm.MatrixWriter(path, m, u, b, mat.bin_width_s, mat.oversample_factor)
+    w.write_chunk(0, chunk_rows(mat, 0, m))
+    w.close()
+
+
+def documented_layout(mat: pl.PDPMatrix) -> bytes:
+    """The version 2 bytes of mat, built row by row from the layout in the
+    formats module docstring."""
+    m, u, b = mat.values.shape
+    records, ends, n_runs = [], [], []
+    end = 32 + 28 * m * u
+    for i in range(m):
+        for j in range(u):
+            keep = np.flatnonzero(mat.mask[i, j])
+            runs = []
+            for q in keep:
+                if runs and runs[-1][0] + runs[-1][1] == q:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([int(q), 1])
+            rec = (np.array(runs, dtype="<u4").tobytes()
+                   + mat.values[i, j, keep].astype("<f4").tobytes())
+            records.append(rec)
+            end += len(rec)
+            ends.append(end)
+            n_runs.append(len(runs))
+    return (struct.pack("<4sIIIIdI", b"CFMM", 2, m, u, b, mat.bin_width_s,
+                        mat.oversample_factor)
+            + mat.noise_level_db.astype("<f8").tobytes()
+            + mat.threshold_db.astype("<f8").tobytes()
+            + np.array(ends, dtype="<u8").tobytes()
+            + np.array(n_runs, dtype="<u4").tobytes()
+            + b"".join(records))
 
 
 class TestMatrixFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = small_matrix(rng)
+        mat.mask[2, 1] = False  # a row that keeps nothing
+        mat.values[2, 1] = 0.0
         path = tmp_path / "a.cfmm"
         write_whole(path, mat)
         back = fm.read_matrix(path)
         np.testing.assert_array_equal(back.values, mat.values)
         np.testing.assert_array_equal(back.mask, mat.mask)
+        np.testing.assert_array_equal(back.noise_level_db, mat.noise_level_db)
+        np.testing.assert_array_equal(back.threshold_db, mat.threshold_db)
         assert back.bin_width_s == mat.bin_width_s
         assert back.oversample_factor == 10
-        assert back.noise_level_db is None
         back.validate()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "a.cfmm"
-        write_whole(path, small_matrix(np.random.default_rng(0), 2, 2, 8))
+        mat = small_matrix(np.random.default_rng(0), 2, 2, 8)
+        write_whole(path, mat)
         raw = path.read_bytes()
         assert raw[:4] == b"CFMM"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
         dims = np.frombuffer(raw[8:20], dtype="<u4")
         np.testing.assert_array_equal(dims, [2, 2, 8])
         width = np.frombuffer(raw[20:28], dtype="<f8")[0]
         assert width == pytest.approx(2.856122813e-10)
         assert int.from_bytes(raw[28:32], "little") == 10
-        # payload: 2*2*8 float32 then ceil(32/8) mask bytes
-        assert len(raw) == 32 + 32 * 4 + 4
+        # 4 rows x 28 table bytes, then per row 8 bytes per run and 4 per value.
+        runs = np.frombuffer(raw[32 + 4 * 24:32 + 4 * 28], dtype="<u4")
+        assert len(raw) == 32 + 4 * 28 + 8 * runs.sum() + 4 * mat.mask.sum()
+        ends = np.frombuffer(raw[32 + 4 * 16:32 + 4 * 24], dtype="<u8")
+        assert ends[-1] == len(raw)
 
     def test_mask_bit_order(self, tmp_path):
+        # The mask is stored as runs of surviving bins, first bin and length.
         mat = small_matrix(np.random.default_rng(1), 1, 1, 8)
-        mat.mask[:] = [True, False, False, True, False, False, False, False]
+        mat.mask[:] = [True, False, False, True, True, False, False, True]
         mat.values[~mat.mask] = 0.0
         path = tmp_path / "a.cfmm"
         write_whole(path, mat)
-        assert path.read_bytes()[-1] == 0b00001001
+        record = path.read_bytes()[32 + 28:]
+        np.testing.assert_array_equal(np.frombuffer(record[:24], dtype="<u4"),
+                                      [0, 1, 3, 2, 7, 1])
+        np.testing.assert_array_equal(np.frombuffer(record[24:], dtype="<f4"),
+                                      mat.values[0, 0, [0, 3, 4, 7]])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.cfmm"
@@ -90,26 +140,70 @@ class TestMatrixFile:
         write_whole(path, small_matrix(np.random.default_rng(0)))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 3])
-        with pytest.raises(fm.FormatError, match="truncated mask"):
+        with pytest.raises(fm.FormatError, match="truncated row records"):
+            fm.read_matrix(path)
+
+    @pytest.mark.parametrize("section,cut", [
+        ("matrix header", 20), ("noise_db table", 32 + 8 * 15 - 1),
+        ("threshold_db table", 32 + 16 * 15 - 1), ("record_end table", 32 + 24 * 15 - 1),
+        ("n_runs table", 32 + 28 * 15 - 1), ("row records", 32 + 28 * 15 + 1),
+    ])
+    def test_truncated_section(self, tmp_path, section, cut):
+        path = tmp_path / "a.cfmm"
+        write_whole(path, small_matrix(np.random.default_rng(0)))  # 15 rows
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(fm.FormatError, match=f"truncated {section}"):
+            fm.read_matrix(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "a.cfmm"
+        write_whole(path, small_matrix(np.random.default_rng(0)))
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(fm.FormatError, match="4 bytes after the last row record"):
+            fm.read_matrix(path)
+
+    def test_corrupt_runs(self, tmp_path):
+        path = tmp_path / "a.cfmm"
+        write_whole(path, small_matrix(np.random.default_rng(0)))
+        raw = bytearray(path.read_bytes())
+        raw[32 + 28 * 15:32 + 28 * 15 + 4] = (39).to_bytes(4, "little")  # past 40 bins
+        path.write_bytes(bytes(raw))
+        with pytest.raises(fm.FormatError, match="captures 0..4: corrupt run table"):
             fm.read_matrix(path)
 
     def test_chunked_writer_matches_one_shot(self, tmp_path):
         rng = np.random.default_rng(5)
-        mat = small_matrix(rng, m=11, u=2, b=20)  # 40 entries/capture: byte aligned
-        # The documented layout: header, float32 values, then the mask
-        # packed least significant bit first.
-        expected = (struct.pack("<4sIIIIdI", b"CFMM", 1, 11, 2, 20, mat.bin_width_s, 10)
-                    + mat.values.astype("<f4").tobytes()
-                    + np.packbits(mat.mask.reshape(-1), bitorder="little").tobytes())
+        mat = small_matrix(rng, m=11, u=3, b=20)
+        mat.mask[4, 2] = False  # a row that keeps nothing
+        mat.values[4, 2] = 0.0
         chunked = tmp_path / "chunked.cfmm"
-        w = fm.MatrixWriter(chunked, 11, 2, 20, mat.bin_width_s, 10)
+        w = fm.MatrixWriter(chunked, 11, 3, 20, mat.bin_width_s, 10)
         for a, b in [(5, 11), (0, 4), (4, 5)]:
-            w.write_chunk(a, mat.values[a:b], mat.mask[a:b])
-        assert chunked.read_bytes() == expected
+            w.write_chunk(a, chunk_rows(mat, a, b))
+        w.close()
+        assert chunked.read_bytes() == documented_layout(mat)
 
-    def test_chunked_writer_rejects_misaligned_rows(self, tmp_path):
-        with pytest.raises(ValueError, match="divisible by 8"):
-            fm.MatrixWriter(tmp_path / "x.cfmm", 4, 3, 10, 1e-9, 10)
+    def test_writer_close_names_missing_captures(self, tmp_path):
+        mat = small_matrix(np.random.default_rng(2), m=6)
+        w = fm.MatrixWriter(tmp_path / "x.cfmm", 6, 3, 40, 1e-9, 10)
+        w.write_chunk(0, chunk_rows(mat, 0, 2))
+        w.write_chunk(4, chunk_rows(mat, 4, 6))
+        with pytest.raises(ValueError, match="captures 2..5 not written"):
+            w.close()
+
+    def test_version_1_exits_3(self, tmp_path, capture_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        v1 = struct.pack("<4sIIIIdI", b"CFMM", 1, 6, 8, 8, 2.856e-10, 10)
+        (out / "matrix.cfmm").write_bytes(v1 + bytes(6 * 8 * 8 * 4 + 6 * 8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["export", "--config", str(cfg), "--out", str(out),
+                   "--captures", str(capture_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(out / "matrix.cfmm") in err and "version 1" in err
+        assert "re-run process" in err
 
 
 @pytest.fixture(scope="module")

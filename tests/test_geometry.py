@@ -145,6 +145,54 @@ def test_prism_chords_match_dense_sampling(v, inside_xy):
     assert np.count_nonzero(chords > 1e-9) > 50
 
 
+def _chords_probing_every_slice(p0, p1, v, height):
+    """Reference: segment_prism_chords as it was before it skipped empty
+    slices, classifying all m + 1 slices of every segment."""
+    d = p1 - p0
+    e = np.roll(v, -1, axis=0) - v
+    w = v[None, :, :] - p0[:, None, :2]
+    dx, dy = d[:, 0, None], d[:, 1, None]
+    denom = dx * e[:, 1] - dy * e[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
+        s = (w[..., 0] * dy - w[..., 1] * dx) / denom
+    crossing = (denom != 0.0) & (t > 0.0) & (t < 1.0) & (s >= 0.0) & (s <= 1.0)
+    ends = np.zeros((len(p0), 1))
+    ts = np.sort(np.concatenate([ends, np.where(crossing, t, 1.0), ends + 1.0], axis=1))
+    lo, hi = ts[:, :-1], ts[:, 1:]
+    span = np.hypot(d[:, 0], d[:, 1])
+    span = np.where(span < 1e-15, np.inf, span)
+    perp = (np.stack([-d[:, 1], d[:, 0]], axis=1) / span[:, None] * 1e-9)[:, None]
+    mid = p0[:, None, :2] + (0.5 * (lo + hi))[..., None] * d[:, None, :2]
+    inside = points_in_polygon(mid + perp, v) & points_in_polygon(mid - perp, v)
+    z0, dz = p0[:, 2], d[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (0.0 - z0) / dz
+        tb = (height - z0) / dz
+    level = (z0 > 0.0) & (z0 < height)
+    z_lo = np.where(dz == 0.0, 0.0, np.minimum(ta, tb))
+    z_hi = np.where(dz == 0.0, np.where(level, 1.0, 0.0), np.maximum(ta, tb))
+    part = np.minimum(hi, z_hi[:, None]) - np.maximum(lo, z_lo[:, None])
+    inside_t = np.sum(np.where(inside & (part > 0.0), part, 0.0), axis=1)
+    return inside_t * np.linalg.norm(d, axis=1)
+
+
+@pytest.mark.parametrize("m", [12, 48])
+def test_prism_chords_bit_equal_to_probing_every_slice(m):
+    v = _random_star(np.random.default_rng(m), m)
+    rng = np.random.default_rng(23)
+    n, height = 2000, 4.0
+    p0 = np.column_stack([rng.uniform(-2, 22, (n, 2)), rng.uniform(-2, height + 2, n)])
+    p1 = np.column_stack([rng.uniform(-2, 22, (n, 2)), rng.uniform(-2, height + 2, n)])
+    # Vertical and level segments, and level ones in the roof and floor planes.
+    p0[:4] = [[10, 10, -1], [0, 10, 1], [0, 10, height], [0, 10, 0]]
+    p1[:4] = [[10, 10, 9], [20, 10, 1], [20, 10, height], [20, 10, 0]]
+    got = geo.segment_prism_chords(p0, p1, v, height)
+    want = _chords_probing_every_slice(p0, p1, v, height)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got) > n // 10
+
+
 def test_prism_chords_lshape_special_cases():
     p0 = np.array([
         [3.0, -1.0, 1.0],   # along the internal diagonal x = 3 of the L

@@ -415,7 +415,7 @@ class TestSpanNoiseFloor:
         assert noise_db.max() < -150.0
         assert np.isfinite(values).all() and (values >= 0).all()
         # Leakage and crosstalk still give a level, so no row is at the floor.
-        assert pl.degenerate_row_counts(mask, noise_db)["rows_noise_at_floor"] == 0
+        assert pl.degenerate_row_counts(mask.sum(axis=-1), noise_db)["rows_noise_at_floor"] == 0
 
     def test_empty_noise_region_clamps_to_floor(self):
         # On-grid path, rectangular window, no padding: the profile is an
@@ -439,7 +439,49 @@ class TestSpanNoiseFloor:
         assert mask[:, 0, 117].all() and values[:, 0, 117].min() > 0.99
         # The level is the clamp, not a measurement: every row is counted.
         assert (noise_db == pl.NOISE_FLOOR_DB).all()
-        assert pl.degenerate_row_counts(mask, noise_db) == {
+        assert pl.degenerate_row_counts(mask.sum(axis=-1), noise_db) == {
             "rows_no_surviving_bins": 0, "rows_noise_at_floor": m}
-        assert pl.degenerate_row_counts(np.zeros_like(mask), noise_db) == {
+        assert pl.degenerate_row_counts(np.zeros(mask.shape[:-1]), noise_db) == {
             "rows_no_surviving_bins": m, "rows_noise_at_floor": m}
+
+
+def _slow_first_span(a, b):
+    import time
+    time.sleep(1.0 if a == 0 else 0.01)
+    return b
+
+
+def test_pool_lookahead_bounds_out_of_order_results():
+    # Span 0 runs long; the pool may finish only the spans that start
+    # within 2 x workers of it, so a caller reordering results by capture
+    # holds at most 3 chunks here, not all 19 others.
+    taken = []
+    pl.run_chunks(_slow_first_span, (), 40, 2, lambda a, b: taken.append(a), workers=2)
+    assert sorted(taken) == list(range(0, 40, 2))
+    assert taken.index(0) <= 3
+
+
+class TestSparseRows:
+    def test_encode_dense_round_trip_and_peaks(self):
+        rng = np.random.default_rng(8)
+        values = rng.random((4, 3, 30)).astype(np.float32)
+        mask = rng.random((4, 3, 30)) < 0.3
+        mask[1, 2] = False  # keeps nothing
+        mask[2, 0, :] = True  # one run over the whole row, and the next
+        mask[2, 1, 0] = True  # row's first run starts where it ends
+        mask[3, 1, [0, 29]] = True
+        values[3, 1] = 0.0  # keeps only zeros: argmax says bin 0
+        values[~mask] = 0.0
+        rows = pl.SparseRows.encode(values, mask, np.zeros((4, 3)), np.ones((4, 3)))
+        assert rows.n_rows == 12 and rows.values.size == mask.sum()
+        assert (rows.lengths >= 1).all()
+        got_v, got_m = rows.dense(30)
+        np.testing.assert_array_equal(got_v, values.reshape(12, 30))
+        np.testing.assert_array_equal(got_m, mask.reshape(12, 30))
+        np.testing.assert_array_equal(rows.kept(), mask.reshape(12, 30).sum(axis=1))
+        bins, top = rows.peaks()
+        np.testing.assert_array_equal(bins, values.reshape(12, 30).argmax(axis=1))
+        np.testing.assert_array_equal(top, values.reshape(12, 30).max(axis=1))
+        picked_v, picked_m = rows.dense(30, np.array([1, 5, 9, 11]))
+        np.testing.assert_array_equal(picked_v, values.reshape(12, 30)[[1, 5, 9, 11]])
+        np.testing.assert_array_equal(picked_m, mask.reshape(12, 30)[[1, 5, 9, 11]])
