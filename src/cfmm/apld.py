@@ -11,11 +11,12 @@ both byte-deterministic for fixed input.
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import PDPMatrix
+from .pipeline import PDPMatrix, SparseRows
 from .scene import LinkClass
 
 
@@ -25,7 +26,7 @@ class APLDPDP:
 
     The profiles are dense (values, mask) arrays, or, as assemble_apld
     joins them from an open matrix file, None with `stored` set to that
-    file: export_heatmap then reads them in row blocks.
+    file: export_heatmap then reads them in blocks of captures.
     """
 
     ue_id: int
@@ -50,12 +51,6 @@ class APLDPDP:
 
     def delays_s(self) -> np.ndarray:
         return np.arange(self.n_bins) * self.bin_width_s
-
-    def row_blocks(self):
-        """(values, mask) of consecutive row blocks, in row order."""
-        if self.stored is None:
-            return [(self.values, self.mask)]
-        return self.stored.ue_blocks(self.ue_id)
 
     def peak_value(self) -> float | None:
         """Largest surviving value; None when nothing survives."""
@@ -139,27 +134,65 @@ def first_peak_track(
     return delays, powers
 
 
-def export_heatmap(apld: APLDPDP, path, dynamic_range_db: float = 30.0) -> None:
-    """Write the profile matrix as a binary PGM (P5) image.
+def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray,
+            dynamic_range_db: float) -> np.ndarray:
+    """Image rows, (n_ues, captures, n_bins) uint8, of a block of profiles
+    stored capture-major with n_ues per capture. top_db holds each UE's
+    peak in dB; a UE whose entry is +inf stays black."""
+    row, col = rows.positions()
+    ue = row % n_ues
+    captures = rows.n_rows // n_ues
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(rows.values.astype(np.float64))
+    rel = (db - (top_db - dynamic_range_db)[ue]) / dynamic_range_db
+    level = np.rint(1.0 + 254.0 * np.clip(rel, 0.0, 1.0)).astype(np.uint8)
+    img = np.zeros((n_ues, captures, n_bins), dtype=np.uint8)
+    img[ue, row // n_ues, col] = np.where(rel >= 0, level, 0)
+    return img
+
+
+def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 30.0) -> None:
+    """Write each profile matrix as a binary PGM (P5) image, aplds[i] to paths[i].
 
     Rows are capture order, columns delay bins. Power maps linearly in dB
-    onto 1..255 over [max - dynamic_range_db, max]; everything below the
-    range, and every masked bin, is black. Output bytes depend only on
-    the input matrix. The image is built one row block at a time.
+    onto 1..255 over [max - dynamic_range_db, max], max being the
+    strongest surviving bin of that matrix; everything below the range,
+    and every masked bin, is black. Output bytes depend only on the input
+    matrix. Levels are mapped from the surviving bins straight into the
+    image rows. Profiles held in a matrix file are read one block of
+    captures at a time, and each block once for all the UEs it holds.
     """
+    with ExitStack() as stack:
+        out = []
+        for apld, path in zip(aplds, paths, strict=True):
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
+            out.append(fh)
+        groups: dict[int, list[int]] = {}  # matrix file -> indices of its UEs
+        for i, apld in enumerate(aplds):
+            if apld.stored is not None:
+                groups.setdefault(id(apld.stored), []).append(i)
+                continue
+            top_db = np.array([_peak_db(apld)])
+            rows = SparseRows.encode(apld.values, apld.mask, np.zeros(apld.n_rows),
+                                     np.zeros(apld.n_rows))
+            out[i].write(_levels(rows, 1, apld.n_bins, top_db, dynamic_range_db).tobytes())
+        for members in groups.values():
+            matrix = aplds[members[0]].stored
+            top_db = np.full(matrix.n_ues, np.inf)
+            for i in members:
+                top_db[aplds[i].ue_id] = _peak_db(aplds[i])
+            for rows in matrix.blocks():
+                img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db, dynamic_range_db)
+                for i in members:
+                    out[i].write(img[aplds[i].ue_id].tobytes())
+
+
+def _peak_db(apld: APLDPDP) -> float:
+    """Strongest surviving bin in dB; +inf, which renders black, when
+    nothing survives."""
     peak = apld.peak_value()
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
-        for values, mask in apld.row_blocks():
-            img = np.zeros(values.shape, dtype=np.uint8)
-            if peak is not None:
-                top_db = 10.0 * np.log10(peak)
-                with np.errstate(divide="ignore"):
-                    db = 10.0 * np.log10(values[mask].astype(np.float64))
-                rel = (db - (top_db - dynamic_range_db)) / dynamic_range_db
-                level = np.rint(1.0 + 254.0 * np.clip(rel, 0.0, 1.0)).astype(np.uint8)
-                img[mask] = np.where(rel >= 0, level, 0)
-            fh.write(img.tobytes())
+    return np.inf if peak is None else 10.0 * np.log10(peak)
 
 
 def write_annotations(apld: APLDPDP, path) -> None:

@@ -221,7 +221,8 @@ def cmd_process(args) -> int:
 def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
                   matrix_path: Path, summary_path: Path) -> Counter:
     """Process every capture into the two files; returns the degenerate-row
-    counts and the matrix's run and surviving-bin totals."""
+    counts and the matrix's run and surviving-bin totals. Summary rows are
+    written as the matrix writer appends their chunk, in capture order."""
     f = params.pad_factor
     bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
@@ -229,25 +230,22 @@ def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
     workers = _n_workers(cfg, args.workers)
     print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
           f"(chunks of {args.chunk_size}, {workers} workers)")
-    all_rows: list[list] = []
     counts: Counter = Counter()
-
-    def take(a: int, chunk: tuple) -> None:
-        rows = chunk[2]
-        writer.write_chunk(a, rows)
-        all_rows.extend(_summary_rows(a, rows, source.n_ues, bin_width_s))
-        counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
-        counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
-
-    pl.run_chunks(pl.process_chunk_sparse, (source, params), source.n_captures,
-                  args.chunk_size, take, workers)
-    writer.close()
-    all_rows.sort(key=lambda r: (r[0], r[1]))
     with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["capture_index", "ue", "noise_db", "threshold_db",
-                    "peak_delay_s", "peak_power_db", "surviving_bins"])
-        w.writerows(all_rows)
+        summary = csv.writer(fh)
+        summary.writerow(["capture_index", "ue", "noise_db", "threshold_db",
+                          "peak_delay_s", "peak_power_db", "surviving_bins"])
+
+        def take(a: int, chunk: tuple) -> None:
+            rows = chunk[2]
+            for m0, appended in writer.write_chunk(a, rows):
+                summary.writerows(_summary_rows(m0, appended, source.n_ues, bin_width_s))
+            counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
+            counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
+
+        pl.run_chunks(pl.process_chunk_sparse, (source, params), source.n_captures,
+                      args.chunk_size, take, workers)
+    writer.close()
     return counts
 
 
@@ -266,10 +264,10 @@ def cmd_export(args) -> int:
     heatmaps = [f"apld_ue{j}.pgm" for j in range(u)]
     annotations = [f"annotations_ue{j}.csv" for j in range(u)]
     with _publish(*(out / name for name in heatmaps + annotations)) as partials:
-        for j in range(u):
-            one = ap.assemble_apld(matrix, source, j)
-            ap.export_heatmap(one, partials[j])
-            ap.write_annotations(one, partials[u + j])
+        ues = [ap.assemble_apld(matrix, source, j) for j in range(u)]
+        ap.export_heatmap(ues, partials[:u])
+        for one, path in zip(ues, partials[u:]):
+            ap.write_annotations(one, path)
     _update_manifest(out, cfg, "export", {
         "heatmaps": heatmaps,
         "annotations": annotations,

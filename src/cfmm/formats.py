@@ -56,8 +56,9 @@ _CAPTURE_FIXED = struct.Struct("<4sIIIIIddIQI")
 _ROW_TABLES = (("noise_db", "<f8"), ("threshold_db", "<f8"),
                ("record_end", "<u8"), ("n_runs", "<u4"))
 _ROW_TABLE_BYTES = sum(np.dtype(t).itemsize for _, t in _ROW_TABLES)
-# Captures per block when export streams a UE's profiles.
-BLOCK_CAPTURES = 256
+# Captures per block when export streams the profiles: each block is parsed
+# once per pass, and its surviving bins are held a few times over.
+BLOCK_CAPTURES = 32
 
 
 class FormatError(RuntimeError):
@@ -135,12 +136,10 @@ class MatrixFile:
                 "and cover the row's values)")
         return rows
 
-    def ue_blocks(self, ue_id: int):
-        """(values, mask) of UE ue_id's profiles, BLOCK_CAPTURES rows at a time."""
+    def blocks(self):
+        """The rows of consecutive blocks of BLOCK_CAPTURES captures, all UEs."""
         for m0 in range(0, self.n_captures, BLOCK_CAPTURES):
-            m1 = min(m0 + BLOCK_CAPTURES, self.n_captures)
-            picks = np.arange(ue_id, (m1 - m0) * self.n_ues, self.n_ues)
-            yield self.rows(m0, m1).dense(self.n_bins, picks)
+            yield self.rows(m0, min(m0 + BLOCK_CAPTURES, self.n_captures))
 
     @cached_property
     def ue_peaks(self) -> np.ndarray:
@@ -148,8 +147,7 @@ class MatrixFile:
         over the records."""
         top = np.zeros(self.n_ues)
         found = np.zeros(self.n_ues, dtype=bool)
-        for m0 in range(0, self.n_captures, BLOCK_CAPTURES):
-            rows = self.rows(m0, min(m0 + BLOCK_CAPTURES, self.n_captures))
+        for rows in self.blocks():
             top = np.maximum(top, rows.row_max().reshape(-1, self.n_ues).max(axis=0))
             found |= rows.kept().reshape(-1, self.n_ues).any(axis=0)
         return np.where(found, top, np.nan)
@@ -213,7 +211,9 @@ class MatrixWriter:
 
     The header and the zero-filled row tables are written up front. A
     chunk waits in a reorder buffer until every earlier capture is
-    written; then its table entries are filled and its records appended.
+    written; then its table entries are filled and its records appended,
+    and write_chunk hands it back so the caller can follow in capture
+    order.
     The bytes therefore depend on neither the order, the chunk size nor
     the worker count.
     """
@@ -232,13 +232,19 @@ class MatrixWriter:
         self._next = 0  # first capture not yet written
         self._pending: dict[int, SparseRows] = {}
 
-    def write_chunk(self, m0: int, rows: SparseRows) -> None:
+    def write_chunk(self, m0: int, rows: SparseRows) -> list[tuple[int, SparseRows]]:
+        """Queue the chunk that starts at capture m0, and append every queued
+        chunk that now follows the captures written. Returns the chunks
+        appended, as (first capture, rows), in capture order."""
         self._pending[m0] = rows
+        appended = []
         with open(self.path, "r+b") as fh:
             while self._next in self._pending:
                 rows = self._pending.pop(self._next)
                 self._append(fh, self._next * self.n_ues, rows)
+                appended.append((self._next, rows))
                 self._next += rows.n_rows // self.n_ues
+        return appended
 
     def _append(self, fh, r0: int, rows: SparseRows) -> None:
         record_words = 2 * rows.n_runs + rows.kept()

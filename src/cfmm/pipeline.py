@@ -1,9 +1,17 @@
 """Power delay profile evaluation pipeline.
 
-Fixed stage order: calibrate -> window/pad/invert -> small-scale average ->
-noise threshold -> delay gate -> leakage pre-cursor removal. Thresholding
-runs before gating because the noise level is estimated from late delay
-bins that the gate discards.
+Fixed stage order: calibrate and window -> pad/invert -> small-scale
+average -> noise threshold -> delay gate -> leakage pre-cursor removal.
+Thresholding runs before gating because the noise level is estimated from
+late delay bins that the gate discards.
+
+Calibration is folded into the transform's pre-multiply. calibrate gives
+one complex factor per tone, 1 / (cal response x reference), which joins
+the Kaiser taps in one weight vector per chunk, and one real factor per
+capture, 10^(attenuation / 20). compute_pdp multiplies each row of raw
+complex64 spectra by the weights, its span pre-rotation and chirp, and
+its capture's factor, straight into the zero-padded FFT buffer; no
+calibrated copy of the spectra is made.
 
 The PDP convention is P(tau_q) = |sum_k w_k H_k exp(+2j pi k q / (F N))|^2
 with taps normalized to unit coherent gain (sum w = 1), so an isolated
@@ -31,6 +39,7 @@ from __future__ import annotations
 import multiprocessing as mp
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,32 +178,27 @@ class SparseRows:
         ptr = np.concatenate([[0], np.cumsum(self.n_runs)])
         return ends[ptr[1:]] - ends[ptr[:-1]]
 
-    def dense(self, n_bins: int, rows: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """(values, mask), each (len(rows), n_bins), masked bins zero.
-
-        rows, increasing, picks the rows to expand; default all.
-        """
+    def dense(self, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, mask), each (rows, n_bins), masked bins zero."""
         run_row = np.repeat(np.arange(self.n_rows), self.n_runs)
-        starts, lengths, values = self.starts, self.lengths, self.values
-        if rows is not None:
-            slot = np.full(self.n_rows, -1)
-            slot[rows] = np.arange(len(rows))
-            run_row = slot[run_row]
-            pick = run_row >= 0
-            values = values[np.repeat(pick, lengths)]
-            run_row, starts, lengths = run_row[pick], starts[pick], lengths[pick]
-        n = self.n_rows if rows is None else len(rows)
         # Runs mark +1 at their first bin and -1 past their last; the running
         # sum is the mask, and the values fill it in row-major order.
-        first = run_row * n_bins + starts
-        edges = np.zeros(n * n_bins + 1, dtype=np.int8)
+        first = run_row * n_bins + self.starts
+        edges = np.zeros(self.n_rows * n_bins + 1, dtype=np.int8)
         edges[first] += 1
-        edges[first + lengths] -= 1
-        mask = np.cumsum(edges[:-1], dtype=np.int8).view(bool).reshape(n, n_bins)
-        out = np.zeros((n, n_bins), dtype=np.float32)
-        out[mask] = values
+        edges[first + self.lengths] -= 1
+        mask = np.cumsum(edges[:-1], dtype=np.int8).view(bool).reshape(self.n_rows, n_bins)
+        out = np.zeros((self.n_rows, n_bins), dtype=np.float32)
+        out[mask] = self.values
         return out, mask
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and bin of each kept value."""
+        rows = np.repeat(np.arange(self.n_rows), self.kept())
+        # A value's bin is its run's first bin plus its offset in the run.
+        first = np.cumsum(self.lengths) - self.lengths
+        bins = np.repeat(self.starts - first, self.lengths) + np.arange(self.values.size)
+        return rows, bins
 
     def row_max(self) -> np.ndarray:
         """Largest kept value per row, float32; 0 where the row keeps nothing."""
@@ -211,13 +215,10 @@ class SparseRows:
         row keeps nothing or only zeros."""
         top = self.row_max()
         bins = np.zeros(self.n_rows, dtype=np.int64)
-        value_row = np.repeat(np.arange(self.n_rows), self.kept())
+        value_row, value_bins = self.positions()
         hits = np.flatnonzero(self.values == top[value_row])
         hit_row = value_row[hits]
         lead = np.concatenate([[True], hit_row[1:] != hit_row[:-1]])[:hits.size]
-        # A value's bin is its run's first bin plus its offset in the run.
-        first = np.cumsum(self.lengths) - self.lengths
-        value_bins = np.repeat(self.starts - first, self.lengths) + np.arange(self.values.size)
         bins[hit_row[lead]] = value_bins[hits[lead]]
         bins[top == 0] = 0
         return bins, top
@@ -229,22 +230,22 @@ def kaiser_taps(n_subcarriers: int, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def calibrate(raw: np.ndarray, cal_response: np.ndarray,
-              reference_tones: np.ndarray,
-              attenuation_db: float | np.ndarray = 0.0) -> np.ndarray:
-    """Divide out the attenuator, the chain calibration and the reference.
+def calibrate(cal_response: np.ndarray, reference_tones: np.ndarray,
+              attenuation_db: float | np.ndarray = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Factors that undo the chain calibration, the reference and the attenuator.
 
-    raw has tones on the last axis; attenuation_db broadcasts against the
-    leading axes (scalar, or one value per capture row).
+    Returns (tone_gain, row_gain): 1 / (cal_response * reference_tones),
+    complex, one per tone, and 10^(attenuation_db / 20), real, shaped like
+    attenuation_db (scalar, or one value per capture row). A raw spectrum
+    times both is the calibrated channel; process_chunk folds them into the
+    pre-multiply of compute_pdp.
     """
     cal_response = np.asarray(cal_response)
     if np.any(np.abs(cal_response) == 0.0):
         raise ValueError("calibration response contains zero entries")
-    denom = cal_response * np.asarray(reference_tones)
-    g = 10.0 ** (-np.asarray(attenuation_db, dtype=float) / 20.0)
-    out = np.asarray(raw, dtype=np.complex128) / denom
-    out /= g[..., None] if g.ndim else g
-    return out
+    tone_gain = 1.0 / (cal_response * np.asarray(reference_tones))
+    row_gain = 10.0 ** (np.asarray(attenuation_db, dtype=float) / 20.0)
+    return tone_gain, row_gain
 
 
 def _fast_len(target: int) -> int:
@@ -263,30 +264,15 @@ def _fast_len(target: int) -> int:
     return min(m << (-(-target // m) - 1).bit_length() for m in odd)
 
 
-def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,
-                pad_factor: int = 10, bins: tuple[int, int] | None = None) -> np.ndarray:
-    """Windowed, zero-padded delay-power profile, tones on the last axis.
+@lru_cache(maxsize=8)
+def _chirp_plan(n: int, big_l: int, start: int, span: int) -> tuple:
+    """(nfft, rotate, chirp, kernel FFT) of one span transform, read-only.
 
-    The padded profile has L = pad_factor * n bins; bin q sits at delay
-    q / (L * spacing), and a negative q is the alias of bin L + q. bins =
-    (start, stop) selects the signed bins start <= q < stop (default: the
-    whole profile, 0..L-1), which come out in that order.
-
-    The span is evaluated with Bluestein's algorithm: pre-rotate by the
-    span start, convolve with the chirp exp(i pi k^2 / L) by numpy.fft
-    transforms of the 11-smooth length nfft >= n + span - 1, and drop the
-    unit-modulus post-chirp, which |.|^2 removes. Phases are reduced
-    exactly in int64 (k^2 mod 2L, j*start mod L) before scaling, so no
-    phase loses precision with k. Both row transforms run in place on one
-    zero-padded buffer.
+    rotate and chirp are the n-tone pre-rotation by the span start and
+    chirp exp(i pi k^2 / L); the kernel FFT is that of the conjugate chirp
+    laid out for circular convolution over nfft points. A process computes
+    each once per (n, L, span), not once per call.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    n = h.shape[-1]
-    big_l = pad_factor * n
-    start, stop = (0, big_l) if bins is None else bins
-    span = stop - start
-    if not 0 < span <= big_l:
-        raise ValueError(f"bins {bins}: span must hold 1..{big_l} bins")
     nfft = _fast_len(n + span - 1)
     k = np.arange(max(n, span), dtype=np.int64)
     chirp = np.exp(1j * np.pi * ((k * k) % (2 * big_l)) / big_l)
@@ -294,13 +280,60 @@ def compute_pdp(h: np.ndarray, kaiser_beta: float = 3.0,
     kernel = np.zeros(nfft, dtype=np.complex128)
     kernel[:span] = chirp[:span].conj()
     kernel[nfft - n + 1:] = chirp[n - 1:0:-1].conj()
+    plan = (rotate, chirp[:n].copy(), np.fft.fft(kernel))
+    for a in plan:
+        a.flags.writeable = False
+    return (nfft, *plan)
+
+
+def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int = 10,
+                bins: tuple[int, int] | None = None,
+                row_gain: np.ndarray | None = None,
+                energy: np.ndarray | None = None) -> np.ndarray:
+    """Weighted, zero-padded delay-power profile, tones on the last axis.
+
+    weights is one factor per tone: the window taps (kaiser_taps), times
+    calibrate's tone_gain where h is raw; row_gain, optional, is one real
+    factor per row of h. The padded profile has L = pad_factor * n bins;
+    bin q sits at delay q / (L * spacing), and a negative q is the alias of
+    bin L + q. bins = (start, stop) selects the signed bins start <= q <
+    stop (default: the whole profile, 0..L-1), which come out in that
+    order. energy, optional, receives each row's whole-profile energy L
+    sum |w g h|^2 (Parseval), one float64 per row.
+
+    The span is evaluated with Bluestein's algorithm: pre-rotate by the
+    span start, convolve with the chirp exp(i pi k^2 / L) by numpy.fft
+    transforms of the 11-smooth length nfft >= n + span - 1, and drop the
+    unit-modulus post-chirp, which |.|^2 removes. Phases are reduced
+    exactly in int64 (k^2 mod 2L, j*start mod L) before scaling, so no
+    phase loses precision with k. The input goes into the zero-padded
+    buffer in one multiply by weights x rotation x chirp (and row_gain),
+    and both row transforms run in place on that buffer. Since rotation
+    and chirp have unit modulus, energy comes from the pre-multiplied rows.
+    """
+    h = np.asarray(h)
+    n = h.shape[-1]
+    big_l = pad_factor * n
+    start, stop = (0, big_l) if bins is None else bins
+    span = stop - start
+    if not 0 < span <= big_l:
+        raise ValueError(f"bins {bins}: span must hold 1..{big_l} bins")
+    nfft, rotate, chirp, kernel_fft = _chirp_plan(n, big_l, start, span)
     x = np.zeros(h.shape[:-1] + (nfft,), dtype=np.complex128)
-    np.multiply(h, kaiser_taps(n, kaiser_beta) * rotate * chirp[:n], out=x[..., :n])
+    head = x[..., :n]
+    np.multiply(h, weights * rotate * chirp, out=head)
+    if row_gain is not None:
+        head *= np.asarray(row_gain)[..., None]
+    if energy is not None:
+        np.square(head.view(np.float64)).sum(axis=-1, out=energy)
+        energy *= big_l
     np.fft.fft(x, axis=-1, out=x)
-    x *= np.fft.fft(kernel)
+    x *= kernel_fft
     np.fft.ifft(x, axis=-1, out=x)
     x = x[..., :span]
-    return x.real ** 2 + x.imag ** 2
+    p = np.square(x.real)
+    p += np.square(x.imag)
+    return p
 
 
 def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
@@ -324,7 +357,8 @@ def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
         dst = slice(src_lo - off, src_hi - off)
         acc[dst] += pdps[src_lo:src_hi]
         counts[src_lo - off:src_hi - off] += 1
-    return acc / counts.reshape((m,) + (1,) * (pdps.ndim - 1))
+    acc /= counts.reshape((m,) + (1,) * (pdps.ndim - 1))
+    return acc
 
 
 def threshold_noise(ssa_pdp: np.ndarray, noise_mean: np.ndarray,
@@ -419,12 +453,15 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     whole-campaign computation exactly; the result depends only on
     (source, params, a, b), never on how the campaign was chunked, which
     is what makes parallel workers byte-equivalent to a serial run.
-    Returns (m0, m1, values, mask, noise_db, theta_db) with values/mask
-    trimmed to the gated span.
+    Returns (m0, m1, values, mask, noise_db, theta_db) with values
+    (float32) and mask trimmed to the gated span.
 
-    Each profile is transformed over the signed span that complements the
-    noise region; threshold, gate and pre-cursor cut then act on its
-    gated bins only.
+    The spectra stay complex64 as read. One UE at a time goes into the
+    transform: its rows as they are when one repetition is stored, else
+    its repetitions averaged in complex128. Each profile is transformed
+    over the signed span that complements the noise region, and its gated
+    bins are averaged, thresholded, gated and cut straight into the
+    outputs.
     """
     n = source.n_subcarriers
     f = params.pad_factor
@@ -433,7 +470,6 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     noise_lo, noise_hi = params.noise_bins(n)
     span = (noise_hi - big_l, noise_lo)
     gated = slice(big_l - noise_hi, big_l - noise_hi + gate_cut)  # delays [0, gate)
-    taps = kaiser_taps(n, params.kaiser_beta)
     halo = (params.ssa_window - 1) // 2
     m_total = source.n_captures
     n_ue = source.n_ues
@@ -448,24 +484,25 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     hi = min(m_total, b + halo)
     own = slice(a - lo, b - lo)
     raw = source.spectra(lo, hi)  # (m, U, R, N) complex64
-    h_avg = raw.astype(np.complex128).mean(axis=2)
-    h_ch = calibrate(h_avg, source.cal_response, source.reference_tones,
-                     source.attenuation_db[lo:hi, None])
+    tone_gain, row_gain = calibrate(source.cal_response, source.reference_tones,
+                                    source.attenuation_db[lo:hi])
+    weights = kaiser_taps(n, params.kaiser_beta) * tone_gain
 
-    values = np.empty((b - a, n_ue, gate_cut), dtype=np.float64)
-    noise_mean = np.empty((b - a, n_ue), dtype=np.float64)
+    values = np.empty((b - a, n_ue, gate_cut), dtype=np.float32)
+    mask = np.empty((b - a, n_ue, gate_cut), dtype=bool)
+    noise_db = np.empty((b - a, n_ue))
+    total = np.empty(hi - lo)
     for j in range(n_ue):
-        pdp = compute_pdp(h_ch[:, j], params.kaiser_beta, f, span)
-        # Parseval: the whole padded profile holds L * sum |w H|^2.
-        total = big_l * (np.abs(taps * h_ch[:, j]) ** 2).sum(axis=-1)
+        h = raw[:, j, 0] if raw.shape[2] == 1 else raw[:, j].mean(axis=1, dtype=np.complex128)
+        pdp = compute_pdp(h, weights, f, span, row_gain, total)
         region = np.maximum(total - pdp.sum(axis=-1), 0.0) / (noise_hi - noise_lo)
-        values[:, j] = small_scale_average(pdp[:, gated], params.ssa_window)[own]
-        noise_mean[:, j] = small_scale_average(region, params.ssa_window)[own]
-
-    mask, noise_db = threshold_noise(values, noise_mean, params.delta_n_db)
-    delay_gate(values, mask, cuts)
+        ssa = small_scale_average(pdp[:, gated], params.ssa_window)[own]
+        noise_mean = small_scale_average(region, params.ssa_window)[own]
+        mask[:, j], noise_db[:, j] = threshold_noise(ssa, noise_mean, params.delta_n_db)
+        delay_gate(ssa, mask[:, j], cuts[:, j])
+        values[:, j] = ssa
     theta_db = noise_db + params.delta_n_db
-    return a, b, values.astype(np.float32), mask, noise_db, theta_db
+    return a, b, values, mask, noise_db, theta_db
 
 
 def process_chunk_sparse(source, params: PipelineParams, a: int, b: int) -> tuple:

@@ -162,8 +162,8 @@ def test_criterion_03_pipeline_oracle_equivalence():
         n = int(rng.integers(4, 65))
         f = int(rng.integers(2, 7))
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = pl.compute_pdp(h, kaiser_beta=3.0, pad_factor=f)
         w = pl.kaiser_taps(n, 3.0)
+        got = pl.compute_pdp(h, w, pad_factor=f)
         phase = np.exp(2j * np.pi * np.outer(np.arange(n * f), np.arange(n)) / (f * n))
         want = np.abs(phase @ (w * h)) ** 2
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())

@@ -200,8 +200,8 @@ class TestExports:
             threshold_db=np.zeros(3),
         )
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        ap.export_heatmap(apld, p1)
-        ap.export_heatmap(apld, p2)
+        ap.export_heatmap([apld], [p1])
+        ap.export_heatmap([apld], [p2])
         raw = p1.read_bytes()
         assert raw == p2.read_bytes()
         header = b"P5\n8 3\n255\n"
@@ -231,14 +231,26 @@ class TestExports:
         meta.link_class = np.zeros((m, u), dtype=np.uint8)
         for j in range(u):
             a, b_ = tmp_path / f"s{j}.pgm", tmp_path / f"d{j}.pgm"
-            ap.export_heatmap(ap.assemble_apld(stored, meta, j), a)
-            ap.export_heatmap(ap.assemble_apld(dense, meta, j), b_)
+            ap.export_heatmap([ap.assemble_apld(stored, meta, j)], [a])
+            ap.export_heatmap([ap.assemble_apld(dense, meta, j)], [b_])
             assert a.read_bytes() == b_.read_bytes()
+        # All UEs at once, as export writes them: each block is parsed once
+        # in the peak pass and once in the render pass.
+        reads = []
+        real_rows = fm.MatrixFile.rows
+        monkeypatch.setattr(fm.MatrixFile, "rows",
+                            lambda self, m0, m1: reads.append(m0) or real_rows(self, m0, m1))
+        stored = fm.open_matrix(path)
+        together = [tmp_path / f"t{j}.pgm" for j in range(u)]
+        ap.export_heatmap([ap.assemble_apld(stored, meta, j) for j in range(u)], together)
+        assert reads == [0, 3, 6, 0, 3, 6]
+        for j in range(u):
+            assert together[j].read_bytes() == (tmp_path / f"d{j}.pgm").read_bytes()
 
     def test_heatmap_all_masked(self, tmp_path):
         apld = flat_apld(np.zeros(5), np.zeros(5))
         path = tmp_path / "z.pgm"
-        ap.export_heatmap(apld, path)
+        ap.export_heatmap([apld], [path])
         raw = path.read_bytes()
         assert raw.endswith(b"\x00" * 5)
 

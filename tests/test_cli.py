@@ -383,10 +383,9 @@ class TestStages:
         assert len(list(out.glob("apld_ue*.pgm"))) == 8
         real = ap.export_heatmap
 
-        def fail_on_ue_3(apld, path):
-            if apld.ue_id == 3:
-                raise ValueError("heatmap failed on UE 3")
-            real(apld, path)
+        def fail_on_ue_3(aplds, paths):
+            real(aplds[:3], paths[:3])
+            raise ValueError(f"heatmap failed on UE {aplds[3].ue_id}")
 
         monkeypatch.setattr(ap, "export_heatmap", fail_on_ue_3)
         assert run("export") == 1

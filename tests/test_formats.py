@@ -178,10 +178,12 @@ class TestMatrixFile:
         mat.values[4, 2] = 0.0
         chunked = tmp_path / "chunked.cfmm"
         w = fm.MatrixWriter(chunked, 11, 3, 20, mat.bin_width_s, 10)
-        for a, b in [(5, 11), (0, 4), (4, 5)]:
-            w.write_chunk(a, chunk_rows(mat, a, b))
+        appended = [[m0 for m0, _ in w.write_chunk(a, chunk_rows(mat, a, b))]
+                    for a, b in [(5, 11), (0, 4), (4, 5)]]
         w.close()
         assert chunked.read_bytes() == documented_layout(mat)
+        # Each call hands back the chunks it appended, in capture order.
+        assert appended == [[], [0], [4, 5]]
 
     def test_writer_close_names_missing_captures(self, tmp_path):
         mat = small_matrix(np.random.default_rng(2), m=6)

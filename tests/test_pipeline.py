@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,10 +64,15 @@ class TestTaps:
         np.testing.assert_allclose(pl.kaiser_taps(64, 0.0), np.full(64, 1 / 64))
 
 
+def calibrated(raw, cal, ref, attenuation_db=0.0):
+    tone_gain, row_gain = pl.calibrate(cal, ref, attenuation_db)
+    return raw * tone_gain * np.asarray(row_gain)[..., None]
+
+
 class TestCalibrate:
     def test_identity(self):
         raw = np.arange(1, 9, dtype=complex)
-        out = pl.calibrate(raw, np.ones(8), np.ones(8))
+        out = calibrated(raw, np.ones(8), np.ones(8))
         np.testing.assert_allclose(out, raw)
 
     def test_divides_out_chain(self):
@@ -75,35 +81,35 @@ class TestCalibrate:
         h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         ref = np.exp(1j * rng.uniform(0, 2 * np.pi, 256))
         raw = chain * ref * h
-        out = pl.calibrate(raw, chain, ref)
+        out = calibrated(raw, chain, ref)
         np.testing.assert_allclose(out, h, rtol=1e-12)
 
     def test_undoes_attenuator(self):
         raw = 10 ** (-30 / 20.0) * np.ones((3, 8), dtype=complex)
-        out = pl.calibrate(raw, np.ones(8), np.ones(8), attenuation_db=30.0)
+        out = calibrated(raw, np.ones(8), np.ones(8), attenuation_db=30.0)
         np.testing.assert_allclose(out, 1.0, rtol=1e-12)
-        per_row = pl.calibrate(raw, np.ones(8), np.ones(8),
-                               attenuation_db=np.array([30.0, 30.0, 30.0]))
+        per_row = calibrated(raw, np.ones(8), np.ones(8),
+                             attenuation_db=np.array([30.0, 30.0, 30.0]))
         np.testing.assert_allclose(per_row, 1.0, rtol=1e-12)
 
     def test_commutes_with_repetition_average(self):
         rng = np.random.default_rng(1)
         chain = np.exp(1j * rng.uniform(0, 1, 64)) * rng.uniform(0.7, 1.3, 64)
         reps = rng.standard_normal((10, 64)) + 1j * rng.standard_normal((10, 64))
-        a = pl.calibrate(reps.mean(axis=0), chain, np.ones(64))
-        b = pl.calibrate(reps, chain, np.ones(64)).mean(axis=0)
+        a = calibrated(reps.mean(axis=0), chain, np.ones(64))
+        b = calibrated(reps, chain, np.ones(64)).mean(axis=0)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_zero_cal_rejected(self):
         cal = np.ones(8, dtype=complex)
         cal[3] = 0.0
         with pytest.raises(ValueError):
-            pl.calibrate(np.ones(8, dtype=complex), cal, np.ones(8))
+            pl.calibrate(cal, np.ones(8))
 
 
 class TestComputePDP:
     def test_flat_spectrum_is_impulse(self):
-        p = pl.compute_pdp(np.ones(64), kaiser_beta=0.0, pad_factor=1)
+        p = pl.compute_pdp(np.ones(64), pl.kaiser_taps(64, 0.0), pad_factor=1)
         assert p[0] == pytest.approx(1.0, rel=1e-12)
         assert p[1:].max() <= 1e-20 * p[0]
 
@@ -112,14 +118,14 @@ class TestComputePDP:
         for _ in range(10):
             n = int(rng.integers(16, 65))
             h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            got = pl.compute_pdp(h, kaiser_beta=3.0, pad_factor=3)
+            got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), pad_factor=3)
             want = brute_pdp(h, 3.0, 3)
             np.testing.assert_allclose(got, want, rtol=1e-9,
                                        atol=want.max() * 1e-13)
 
     def test_on_grid_path_peak_and_sidelobes(self):
         n, f = 2801, 10
-        p = pl.compute_pdp(on_grid_channel(n, 117, amplitude=0.5), 3.0, f)
+        p = pl.compute_pdp(on_grid_channel(n, 117, amplitude=0.5), pl.kaiser_taps(n, 3.0), f)
         assert int(np.argmax(p)) == 117 * f
         rel_db = 10 * np.log10(p / p[117 * f] + 1e-300)
         # First sidelobe of the unit-gain window sits near -69.8 dB, just
@@ -134,14 +140,21 @@ class TestComputePDP:
         n, f = 1401, 4
         h = on_grid_channel(n, 200, amplitude=0.3)
         for beta in (0.0, 3.0):
-            p = pl.compute_pdp(h, beta, f)
+            p = pl.compute_pdp(h, pl.kaiser_taps(n, beta), f)
             assert p[200 * f] == pytest.approx(0.09, rel=1e-12)
 
     def test_parseval_unwindowed(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        p = pl.compute_pdp(h, kaiser_beta=0.0, pad_factor=1)
+        p = pl.compute_pdp(h, pl.kaiser_taps(256, 0.0), pad_factor=1)
         assert p.sum() == pytest.approx((np.abs(h) ** 2).sum() / 256, rel=1e-12)
+        # Row gains scale each row's profile, and energy is its whole sum.
+        energy = np.empty(2)
+        p = pl.compute_pdp(np.stack([h, 2 * h]), pl.kaiser_taps(256, 0.0), 1, None,
+                           np.array([3.0, 0.5]), energy)
+        want = (np.abs(h) ** 2).sum() / 256 * np.array([9.0, 1.0])
+        np.testing.assert_allclose(p.sum(axis=-1), want, rtol=1e-12)
+        np.testing.assert_allclose(energy, want, rtol=1e-12)
 
     def test_span_matches_direct_sum(self):
         # Spans through delay 0 from negative delays, and past bin L - 1.
@@ -155,7 +168,7 @@ class TestComputePDP:
             for start, stop in ((lo, int(rng.integers(1, big_l // 2))),
                                 (big_l + lo, big_l + int(rng.integers(1, big_l // 2))),
                                 (lo - big_l // 3, lo)):
-                got = pl.compute_pdp(h, 3.0, f, (start, stop))
+                got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), f, (start, stop))
                 want = brute_at(h, 3.0, f, np.arange(start, stop))
                 np.testing.assert_allclose(got, want, rtol=1e-9,
                                            atol=want.max() * 1e-13)
@@ -168,7 +181,7 @@ class TestComputePDP:
         h = on_grid_channel(n, 117) + 1e-3 * (rng.standard_normal(n)
                                               + 1j * rng.standard_normal(n))
         start, stop = 2750 * f - n * f, 450 * f
-        got = pl.compute_pdp(h, 3.0, f, (start, stop))
+        got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), f, (start, stop))
         assert got.shape == (5010,)
         pick = np.concatenate([np.arange(start, start + 40), np.arange(-20, 20),
                                np.arange(1160, 1180), np.arange(stop - 40, stop),
@@ -183,7 +196,7 @@ class TestComputePDP:
         rng = np.random.default_rng(5)
         h = on_grid_channel(2801, 117) + 1e-3 * (rng.standard_normal((6, 2801))
                                                  + 1j * rng.standard_normal((6, 2801)))
-        got = pl.compute_pdp(h, 3.0, 10, bins)
+        got = pl.compute_pdp(h, pl.kaiser_taps(2801, 3.0), 10, bins)
         want = scipy_pdp(h, 3.0, 10, bins)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -198,7 +211,7 @@ class TestComputePDP:
         h = np.ones(16)
         for bins in ((5, 5), (0, 16 * 3 + 1)):
             with pytest.raises(ValueError, match="span"):
-                pl.compute_pdp(h, 3.0, 3, bins)
+                pl.compute_pdp(h, pl.kaiser_taps(16, 3.0), 3, bins)
 
 
 class TestSmallScaleAverage:
@@ -387,8 +400,8 @@ def full_profile_noise_db(source, params, a, b):
     halo = params.ssa_window // 2
     lo, hi = max(0, a - halo), min(source.n_captures, b + halo)
     h = source.spectra(lo, hi).astype(np.complex128).mean(axis=2)
-    h = pl.calibrate(h, source.cal_response, source.reference_tones,
-                     source.attenuation_db[lo:hi, None])
+    h = calibrated(h, source.cal_response, source.reference_tones,
+                   source.attenuation_db[lo:hi, None])
     w = pl.kaiser_taps(n, params.kaiser_beta)
     full = np.abs(np.fft.ifft(h * w, n=n * f, axis=-1) * (n * f)) ** 2
     ssa = pl.small_scale_average(full, params.ssa_window)[a - lo:b - lo]
@@ -482,6 +495,110 @@ class TestSparseRows:
         bins, top = rows.peaks()
         np.testing.assert_array_equal(bins, values.reshape(12, 30).argmax(axis=1))
         np.testing.assert_array_equal(top, values.reshape(12, 30).max(axis=1))
-        picked_v, picked_m = rows.dense(30, np.array([1, 5, 9, 11]))
-        np.testing.assert_array_equal(picked_v, values.reshape(12, 30)[[1, 5, 9, 11]])
-        np.testing.assert_array_equal(picked_m, mask.reshape(12, 30)[[1, 5, 9, 11]])
+        row, col = rows.positions()
+        np.testing.assert_array_equal(values.reshape(12, 30)[row, col], rows.values)
+        np.testing.assert_array_equal(np.argwhere(mask.reshape(12, 30)),
+                                      np.column_stack([row, col]))
+
+
+def cached_source(source, m0, m1):
+    """source's metadata with its spectra of captures [m0, m1) read once;
+    spectra() then returns a fresh copy, as a capture file read does."""
+    spectra = source.spectra(m0, m1)
+    keys = ("n_captures", "n_ues", "n_subcarriers", "subcarrier_spacing_hz",
+            "attenuation_db", "cal_response", "reference_tones", "positions",
+            "ue_positions")
+    return SimpleNamespace(**{k: getattr(source, k) for k in keys},
+                           spectra=lambda a, b: spectra[a - m0:b - m0].copy())
+
+
+def test_chunk_memory_bounded_by_spectra_bytes(plan):
+    # process_chunk keeps the chunk's spectra as read (complex64) and holds
+    # one UE's transform buffers at a time, besides its float32 outputs:
+    # about 3.4 x the spectra bytes. Copying the whole chunk to complex128
+    # (and calibrating it, and holding float64 outputs) took 7.5 x.
+    params = pl.PipelineParams()
+    source = cached_source(pl.PlanSource(plan), 0, plan.n_captures)
+    a, b = 4, 37
+    pl.process_chunk(source, params, a, b)  # first call fills the chirp cache
+    spectra_bytes = source.spectra(a - 4, b + 4).nbytes
+    tracemalloc.start()
+    try:
+        pl.process_chunk(source, params, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * spectra_bytes, peak / spectra_bytes
+
+
+@pytest.fixture(scope="module")
+def reps_plan():
+    from cfmm import scene as sc
+    scene = make_scene(waypoints=[
+        sc.Waypoint("start", x=10.0, y=10.0, height=4.5),
+        sc.Waypoint("drive", x=10.8, y=10.0),
+    ])
+    imp = sd.ImpairmentConfig(store_repetitions=True)
+    return sd.plan_campaign(scene, wf.WaveformSpec(), imp, seed=78)
+
+
+def test_stored_repetitions_match_inline_reference(reps_plan):
+    """With every repetition stored (R = 10), process_chunk equals an
+    inline reference: the complex128 repetition mean, the two calibration
+    divisions, and the whole 28010-bin profile by a direct inverse FFT.
+
+    Tolerances: both sides square the same complex64 data's transform,
+    and differ only by float64 rounding in the multiplies and the FFTs.
+    An FFT output's rounding error is at most about c eps log2(N) ||y||
+    with ||y||^2 = E, the row's whole-profile energy; then |dP| <=
+    2 sqrt(P) |dy| <= 2 c eps log2(N) E at every bin, and by Cauchy-
+    Schwarz the same bound holds for the span and the Parseval totals.
+    With c log2(N) < 500 for N <= 32768, a bin may move by 1e3 eps E
+    (after the small-scale average, E is averaged too), plus the float32
+    rounding of a stored value; the noise mean by 1e3 eps E over the
+    region's bin count, so noise_db by 10 / ln 10 times that over the
+    noise mean. Bins closer to the threshold than these bounds may flip.
+    """
+    params = pl.PipelineParams()
+    source = pl.PlanSource(reps_plan)
+    assert source.spectra(0, 1).shape[2] == 10
+    n, f = source.n_subcarriers, params.pad_factor
+    big_l, gate = n * f, params.gate_native_bins * f
+    noise_lo, noise_hi = params.noise_bins(n)
+    a, b = 3, 9
+    lo, hi = max(0, a - 4), min(source.n_captures, b + 4)
+    _, _, values, mask, noise_db, _ = pl.process_chunk(source, params, a, b)
+
+    raw = source.spectra(lo, hi)
+    w = pl.kaiser_taps(n, params.kaiser_beta)
+    g = 10.0 ** (-source.attenuation_db[lo:hi] / 20.0)
+    cuts = pl.crosstalk_cut_bins(
+        np.linalg.norm(source.positions[a:b, None] - source.ue_positions[None], axis=-1),
+        pl.native_bin_width_s(source), params.guard_native_bins,
+        params.gate_native_bins, f)
+    eps = np.finfo(np.float64).eps
+    survivors = 0
+    for j in range(source.n_ues):
+        h = raw[:, j].astype(np.complex128).mean(axis=1)
+        h = h / (source.cal_response * source.reference_tones) / g[:, None]
+        full = np.abs(np.fft.ifft(h * w, n=big_l, axis=-1) * big_l) ** 2
+        ssa = pl.small_scale_average(full, params.ssa_window)[a - lo:b - lo]
+        energy = ssa.sum(axis=-1)
+        noise_mean = ssa[:, noise_lo:noise_hi].mean(axis=-1)
+        want = ssa[:, :gate]
+        bin_tol = 1e3 * eps * energy[:, None]
+        noise_tol = 1e3 * eps * energy / (noise_hi - noise_lo)
+        theta = noise_mean * 10 ** (params.delta_n_db / 10)
+        keep = np.arange(gate) >= cuts[:, j, None]
+        want_mask = (want >= theta[:, None]) & keep
+        clear = np.abs(want - theta[:, None]) > bin_tol + 10 ** 0.7 * noise_tol[:, None]
+        np.testing.assert_array_equal(mask[:, j][clear], want_mask[clear])
+        got = values[:, j][mask[:, j]].astype(np.float64)
+        ref = want[mask[:, j]]
+        assert (np.abs(got - ref) <= 2.0 ** -24 * ref
+                + np.broadcast_to(bin_tol, want.shape)[mask[:, j]]).all()
+        assert (values[:, j][~mask[:, j]] == 0).all()
+        db_tol = 10 / np.log(10) * noise_tol / noise_mean
+        assert (np.abs(noise_db[:, j] - 10 * np.log10(noise_mean)) <= db_tol).all()
+        survivors += int(mask[:, j].sum())
+    assert survivors > 0
