@@ -1,7 +1,7 @@
 """Location-ordered PDP ensembles for single UEs.
 
-An APLDPDP stacks every capture's gated profile for one UE into a
-time-by-delay matrix, row order equal to pose order, with per-row
+An APLDPDP is one UE's view of a processed matrix: the time-by-delay
+matrix of its gated profiles, row order equal to pose order, with per-row
 annotations (pose, link class, AGC attenuation, detection threshold)
 joined from the campaign metadata. Exports are a grayscale heatmap
 (binary PGM, fixed 30 dB dynamic range) and a CSV annotation sidecar,
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import PDPMatrix, SparseRows
+from .pipeline import SparseRows
 from .scene import LinkClass
 
 
@@ -24,22 +24,17 @@ from .scene import LinkClass
 class APLDPDP:
     """Delay profiles of one UE across all AP poses, with annotations.
 
-    The profiles are dense (values, mask) arrays, or, as assemble_apld
-    joins them from an open matrix file, None with `stored` set to that
-    file: export_heatmap then reads them in blocks of captures.
+    The profiles stay in matrix, a PDPMatrix or an open
+    formats.MatrixFile, and are read from its blocks of captures.
     """
 
+    matrix: object  # PDPMatrix or formats.MatrixFile holding the profiles
     ue_id: int
-    values: np.ndarray | None  # (M, B) float32, masked bins zero
-    mask: np.ndarray | None  # (M, B) bool
-    bin_width_s: float
-    oversample_factor: int
     timestamps: np.ndarray  # (M,)
     positions: np.ndarray  # (M, 3) AP pose per row
     link_class: np.ndarray  # (M,) uint8, LinkClass values
     attenuation_db: np.ndarray  # (M,)
-    threshold_db: np.ndarray  # (M,) detection threshold, NaN if unknown
-    stored: object = None  # formats.MatrixFile holding the profiles
+    threshold_db: np.ndarray  # (M,) detection threshold
 
     @property
     def n_rows(self) -> int:
@@ -47,28 +42,21 @@ class APLDPDP:
 
     @property
     def n_bins(self) -> int:
-        return int(self.values.shape[1] if self.stored is None else self.stored.n_bins)
+        return self.matrix.n_bins
 
-    def delays_s(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.bin_width_s
-
-    def peak_value(self) -> float | None:
-        """Largest surviving value; None when nothing survives."""
-        if self.stored is None:
-            return float(self.values[self.mask].max()) if self.mask.any() else None
-        top = self.stored.ue_peaks[self.ue_id]
-        return None if np.isnan(top) else float(top)
+    @property
+    def bin_width_s(self) -> float:
+        return self.matrix.bin_width_s
 
 
 def assemble_apld(matrix, meta, ue_id: int) -> APLDPDP:
     """Join one UE's processed profiles with campaign annotations.
 
-    matrix is a PDPMatrix, whose profiles the result holds as arrays, or
-    an open formats.MatrixFile, whose profiles stay in the file.
-    meta must expose timestamps, positions, attenuation_db and the
-    per-capture link_class table (M, U), as CaptureFile and CampaignPlan
-    do. Row order follows capture index, which follows the pose
-    timestamps by construction.
+    matrix is a PDPMatrix or an open formats.MatrixFile; the result reads
+    the UE's profiles from it. meta must expose timestamps, positions,
+    attenuation_db and the per-capture link_class table (M, U), as
+    CaptureFile and CampaignPlan do. Row order follows capture index,
+    which follows the pose timestamps by construction.
     """
     if matrix.n_captures == 0:
         raise ValueError("empty campaign: no captures to assemble")
@@ -83,23 +71,14 @@ def assemble_apld(matrix, meta, ue_id: int) -> APLDPDP:
             f"capture count mismatch: matrix has {matrix.n_captures} rows, "
             f"metadata has {timestamps.shape[0]}; missing captures {gaps}{more}"
         )
-    if matrix.threshold_db is not None:
-        theta = np.asarray(matrix.threshold_db, dtype=float)[:, ue_id]
-    else:
-        theta = np.full(matrix.n_captures, np.nan)
-    dense = isinstance(matrix, PDPMatrix)
     return APLDPDP(
+        matrix=matrix,
         ue_id=ue_id,
-        values=matrix.values[:, ue_id] if dense else None,
-        mask=matrix.mask[:, ue_id] if dense else None,
-        bin_width_s=matrix.bin_width_s,
-        oversample_factor=matrix.oversample_factor,
         timestamps=timestamps,
         positions=np.asarray(meta.positions, dtype=float),
         link_class=np.asarray(meta.link_class, dtype=np.uint8)[:, ue_id],
         attenuation_db=np.asarray(meta.attenuation_db, dtype=float),
-        threshold_db=theta,
-        stored=None if dense else matrix,
+        threshold_db=np.asarray(matrix.threshold_db, dtype=float)[:, ue_id],
     )
 
 
@@ -117,20 +96,34 @@ def first_peak_track(
     component (the zero-delay coupling spike above all) from posing as an
     earlier arrival. Pass None to track every surviving local maximum.
     Rows with nothing surviving yield NaN in both outputs.
+
+    The UE's rows are read one block of captures at a time, straight from
+    the runs: a neighbor is the adjacent surviving value when it sits in
+    the adjacent bin of the same row (in the same run or a touching one),
+    and zero otherwise.
     """
-    v = apld.values.astype(np.float64)
-    padded = np.pad(v, ((0, 0), (1, 1)))
-    is_max = (padded[:, 1:-1] >= padded[:, :-2]) & (padded[:, 1:-1] >= padded[:, 2:])
-    cand = apld.mask & is_max
-    if dynamic_range_db is not None:
-        row_top = np.where(apld.mask, v, 0.0).max(axis=1, keepdims=True)
-        cand &= v * 10.0 ** (dynamic_range_db / 10.0) >= row_top
+    n_ues = apld.matrix.n_ues
     delays = np.full(apld.n_rows, np.nan)
     powers = np.full(apld.n_rows, np.nan)
-    rows = np.flatnonzero(cand.any(axis=1))
-    first = cand[rows].argmax(axis=1)
-    delays[rows] = first * apld.bin_width_s
-    powers[rows] = v[rows, first]
+    m0 = 0
+    for rows in apld.matrix.blocks():
+        row, col = rows.positions()
+        ours = row % n_ues == apld.ue_id
+        row, col = row[ours], col[ours]
+        v = rows.values[ours].astype(np.float64)
+        adjacent = (row[1:] == row[:-1]) & (col[1:] == col[:-1] + 1)
+        left = np.concatenate([[0.0], np.where(adjacent, v[:-1], 0.0)])
+        right = np.concatenate([np.where(adjacent, v[1:], 0.0), [0.0]])
+        cand = (v >= left) & (v >= right)
+        if dynamic_range_db is not None:
+            row_top = rows.row_max().astype(np.float64)[row]
+            cand &= v * 10.0 ** (dynamic_range_db / 10.0) >= row_top
+        first = np.flatnonzero(cand)
+        first = first[np.diff(row[first], prepend=-1) != 0]
+        captures = m0 + row[first] // n_ues
+        delays[captures] = col[first] * apld.bin_width_s
+        powers[captures] = v[first]
+        m0 += rows.n_rows // n_ues
     return delays, powers
 
 
@@ -159,8 +152,8 @@ def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 
     strongest surviving bin of that matrix; everything below the range,
     and every masked bin, is black. Output bytes depend only on the input
     matrix. Levels are mapped from the surviving bins straight into the
-    image rows. Profiles held in a matrix file are read one block of
-    captures at a time, and each block once for all the UEs it holds.
+    image rows. Each matrix is read one block of captures at a time, and
+    each block once for all the UEs it holds.
     """
     with ExitStack() as stack:
         out = []
@@ -168,31 +161,33 @@ def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 
             fh = stack.enter_context(open(path, "wb"))
             fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
             out.append(fh)
-        groups: dict[int, list[int]] = {}  # matrix file -> indices of its UEs
+        groups: dict[int, list[int]] = {}  # matrix -> indices of its UEs
         for i, apld in enumerate(aplds):
-            if apld.stored is not None:
-                groups.setdefault(id(apld.stored), []).append(i)
-                continue
-            top_db = np.array([_peak_db(apld)])
-            rows = SparseRows.encode(apld.values, apld.mask, np.zeros(apld.n_rows),
-                                     np.zeros(apld.n_rows))
-            out[i].write(_levels(rows, 1, apld.n_bins, top_db, dynamic_range_db).tobytes())
+            groups.setdefault(id(apld.matrix), []).append(i)
         for members in groups.values():
-            matrix = aplds[members[0]].stored
+            matrix = aplds[members[0]].matrix
+            peaks = _ue_peaks(matrix)
+            # A UE with nothing surviving, or not exported, gets +inf: black.
             top_db = np.full(matrix.n_ues, np.inf)
             for i in members:
-                top_db[aplds[i].ue_id] = _peak_db(aplds[i])
+                peak = peaks[aplds[i].ue_id]
+                if not np.isnan(peak):
+                    top_db[aplds[i].ue_id] = 10.0 * np.log10(peak)
             for rows in matrix.blocks():
                 img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db, dynamic_range_db)
                 for i in members:
                     out[i].write(img[aplds[i].ue_id].tobytes())
 
 
-def _peak_db(apld: APLDPDP) -> float:
-    """Strongest surviving bin in dB; +inf, which renders black, when
-    nothing survives."""
-    peak = apld.peak_value()
-    return np.inf if peak is None else 10.0 * np.log10(peak)
+def _ue_peaks(matrix) -> np.ndarray:
+    """Largest surviving value per UE, NaN where none survives; one pass
+    over the matrix's blocks."""
+    top = np.zeros(matrix.n_ues)
+    found = np.zeros(matrix.n_ues, dtype=bool)
+    for rows in matrix.blocks():
+        top = np.maximum(top, rows.row_max().reshape(-1, matrix.n_ues).max(axis=0))
+        found |= rows.kept().reshape(-1, matrix.n_ues).any(axis=0)
+    return np.where(found, top, np.nan)
 
 
 def write_annotations(apld: APLDPDP, path) -> None:

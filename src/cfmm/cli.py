@@ -206,8 +206,11 @@ def cmd_process(args) -> int:
     params.noise_bins(source.n_subcarriers)  # fail before any output exists
     out.mkdir(parents=True, exist_ok=True)
     _start_stage(out, "process")
+    workers = _n_workers(cfg, args.workers)
+    print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
+          f"(chunks of {args.chunk_size}, {workers} workers)")
     with _publish(out / MATRIX_NAME, out / SUMMARY_NAME) as partials:
-        counts = _process_into(source, params, args, cfg, *partials)
+        counts = _process_into(source, params, *partials, args.chunk_size, workers)
     _update_manifest(out, cfg, "process", {
         "matrix": MATRIX_NAME,
         "summary": SUMMARY_NAME,
@@ -218,18 +221,16 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
-                  matrix_path: Path, summary_path: Path) -> Counter:
-    """Process every capture into the two files; returns the degenerate-row
+def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
+                  summary_path: Path, chunk_size: int = 128, workers: int = 1) -> Counter:
+    """Process every capture of source into a matrix file and a summary
+    CSV; the one way a campaign is processed. Returns the degenerate-row
     counts and the matrix's run and surviving-bin totals. Summary rows are
     written as the matrix writer appends their chunk, in capture order."""
     f = params.pad_factor
     bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
                              params.gate_native_bins * f, bin_width_s, f)
-    workers = _n_workers(cfg, args.workers)
-    print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
-          f"(chunks of {args.chunk_size}, {workers} workers)")
     counts: Counter = Counter()
     with open(summary_path, "w", newline="") as fh:
         summary = csv.writer(fh)
@@ -244,7 +245,7 @@ def _process_into(source, params: pl.PipelineParams, args, cfg: RunConfig,
             counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 
         pl.run_chunks(pl.process_chunk_sparse, (source, params), source.n_captures,
-                      args.chunk_size, take, workers)
+                      chunk_size, take, workers)
     writer.close()
     return counts
 

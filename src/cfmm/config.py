@@ -8,7 +8,11 @@ guard 4), so an empty JSON object is a valid config for a given scene.
 The semantic hash covers everything that affects output bytes (scene,
 seed, waveform, impairments, pipeline) and excludes plumbing (output
 directory, worker count), so the manifest hash changes iff a semantic
-parameter does.
+parameter does. It names the scene by its path only: process and export
+may run on captures made elsewhere, where the scene file is absent and
+its content cannot be hashed, so every stage can compute it. The
+manifest pins the scene content beside it, as each stage's
+scene_sha256 (None where the file is absent).
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ def load_config(path) -> RunConfig:
 
 
 def semantic_hash(cfg: RunConfig) -> str:
-    """sha256 over every output-affecting parameter, hex digest."""
+    """sha256 over every output-affecting parameter, hex digest; the scene
+    by its path, not its content (see the module docstring)."""
     payload = {
         "scene": cfg.scene,
         "site": cfg.site,

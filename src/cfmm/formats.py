@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -141,17 +140,6 @@ class MatrixFile:
         for m0 in range(0, self.n_captures, BLOCK_CAPTURES):
             yield self.rows(m0, min(m0 + BLOCK_CAPTURES, self.n_captures))
 
-    @cached_property
-    def ue_peaks(self) -> np.ndarray:
-        """Largest surviving value per UE, NaN where none survives; one pass
-        over the records."""
-        top = np.zeros(self.n_ues)
-        found = np.zeros(self.n_ues, dtype=bool)
-        for rows in self.blocks():
-            top = np.maximum(top, rows.row_max().reshape(-1, self.n_ues).max(axis=0))
-            found |= rows.kept().reshape(-1, self.n_ues).any(axis=0)
-        return np.where(found, top, np.nan)
-
 
 def open_matrix(path) -> MatrixFile:
     """Read a matrix file's header and row tables and check them against
@@ -194,14 +182,12 @@ def open_matrix(path) -> MatrixFile:
 
 
 def read_matrix(path) -> PDPMatrix:
-    """The whole matrix file as a dense PDPMatrix."""
+    """The whole matrix file in memory, as a PDPMatrix."""
     mf = open_matrix(path)
-    values, mask = mf.rows(0, mf.n_captures).dense(mf.n_bins)
-    shape = (mf.n_captures, mf.n_ues, mf.n_bins)
     return PDPMatrix(
-        values=values.reshape(shape), mask=mask.reshape(shape),
-        noise_level_db=mf.noise_level_db, threshold_db=mf.threshold_db,
-        bin_width_s=mf.bin_width_s, oversample_factor=mf.oversample_factor,
+        rows=mf.rows(0, mf.n_captures), n_captures=mf.n_captures, n_ues=mf.n_ues,
+        n_bins=mf.n_bins, bin_width_s=mf.bin_width_s,
+        oversample_factor=mf.oversample_factor,
     )
 
 

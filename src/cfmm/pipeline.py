@@ -39,7 +39,7 @@ from __future__ import annotations
 import multiprocessing as mp
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,42 +95,52 @@ class PipelineParams:
 
 @dataclass
 class PDPMatrix:
-    """Processed delay-power matrix for a whole campaign.
+    """Processed delay-power matrix of a whole campaign, held as SparseRows.
 
-    values holds the small-scale averaged, thresholded, gated profiles
-    (masked bins zeroed); the mask marks bins that survived thresholding
-    and were not removed by the gate or the pre-cursor cut.
+    rows holds the small-scale averaged, thresholded, gated profiles of
+    every (capture, UE) row, capture-major, with each row's noise level
+    and threshold. values and mask are dense (M, U, B) views, built on
+    first use: the mask marks bins that survived thresholding and were
+    not removed by the gate or the pre-cursor cut, and masked bins read
+    zero.
     """
 
-    values: np.ndarray  # (M, U, B) float32, B = gate * pad_factor
-    mask: np.ndarray  # (M, U, B) bool
-    noise_level_db: np.ndarray | None  # (M, U) dB; None when unknown
-    threshold_db: np.ndarray | None  # (M, U) dB; None when unknown
+    rows: SparseRows
+    n_captures: int
+    n_ues: int
+    n_bins: int  # B = gate * pad_factor
     bin_width_s: float  # oversampled bin width
     oversample_factor: int
 
     @property
-    def n_captures(self) -> int:
-        return int(self.values.shape[0])
+    def noise_level_db(self) -> np.ndarray:
+        return self.rows.noise_db.reshape(self.n_captures, self.n_ues)
 
     @property
-    def n_ues(self) -> int:
-        return int(self.values.shape[1])
+    def threshold_db(self) -> np.ndarray:
+        return self.rows.threshold_db.reshape(self.n_captures, self.n_ues)
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        values, mask = self.rows.dense(self.n_bins)
+        shape = (self.n_captures, self.n_ues, self.n_bins)
+        return values.reshape(shape), mask.reshape(shape)
 
     @property
-    def n_bins(self) -> int:
-        return int(self.values.shape[2])
+    def values(self) -> np.ndarray:
+        return self._dense[0]  # (M, U, B) float32
 
-    def delays_s(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.bin_width_s
+    @property
+    def mask(self) -> np.ndarray:
+        return self._dense[1]  # (M, U, B) bool
+
+    def blocks(self):
+        """The rows of all captures, as one block."""
+        yield self.rows
 
     def validate(self) -> None:
-        if self.values.shape != self.mask.shape:
-            raise ValueError("values and mask shapes differ")
-        if np.any(self.values < 0):
+        if np.any(self.rows.values < 0):
             raise ValueError("PDP values must be non-negative")
-        if np.any(self.values[~self.mask] != 0):
-            raise ValueError("masked-out entries must be zero")
 
 
 @dataclass
@@ -575,35 +585,3 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
                 raise
     finally:
         _WORKER_TASK = None
-
-
-def process_campaign(source, params: PipelineParams | None = None,
-                     chunk_size: int = 128) -> PDPMatrix:
-    """Run the full pipeline over a capture source into one matrix."""
-    if params is None:
-        params = PipelineParams()
-    params.validate()
-    f = params.pad_factor
-    gate_cut = params.gate_native_bins * f
-    m_total = source.n_captures
-    n_ue = source.n_ues
-
-    values = np.empty((m_total, n_ue, gate_cut), dtype=np.float32)
-    mask = np.empty((m_total, n_ue, gate_cut), dtype=bool)
-    noise_db = np.empty((m_total, n_ue))
-    theta_db = np.empty((m_total, n_ue))
-
-    def take(a: int, chunk: tuple) -> None:
-        _, b, v, mk, nz, th = chunk
-        values[a:b] = v
-        mask[a:b] = mk
-        noise_db[a:b] = nz
-        theta_db[a:b] = th
-
-    run_chunks(process_chunk, (source, params), m_total, chunk_size, take)
-
-    return PDPMatrix(
-        values=values, mask=mask, noise_level_db=noise_db,
-        threshold_db=theta_db, bin_width_s=native_bin_width_s(source) / f,
-        oversample_factor=f,
-    )

@@ -1,7 +1,23 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cfmm import cli
+from cfmm import formats as fm
+from cfmm import pipeline as pl
 from cfmm import scene as sc
+
+
+def process_matrix(source, params=None, chunk_size=128) -> pl.PDPMatrix:
+    """Process source as the `process` stage does, into a temporary matrix
+    file, and read the file back."""
+    with tempfile.TemporaryDirectory(prefix="cfmm_matrix_") as tmp:
+        tmp = Path(tmp)
+        cli._process_into(source, params or pl.PipelineParams(), tmp / "matrix.cfmm",
+                          tmp / "summary.csv", chunk_size)
+        return fm.read_matrix(tmp / "matrix.cfmm")
 
 
 def ue_line(x0=20.0, y=60.0, spacing=5.0, n=8, height=1.0):

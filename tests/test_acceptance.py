@@ -36,6 +36,8 @@ from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.waveform import WaveformSpec, generate_waveform
 
+from conftest import process_matrix
+
 C = SPEED_OF_LIGHT
 
 
@@ -175,7 +177,7 @@ def test_criterion_04_delay_recovery():
     """Single path at 10/100/300 m lands within one oversampled bin of d/c."""
     for d in (10.0, 100.0, 300.0):
         plan = _static_plan(d)
-        matrix = pl.process_campaign(pl.PlanSource(plan))
+        matrix = process_matrix(pl.PlanSource(plan))
         bw = matrix.bin_width_s
         want = round(d / C / bw)
         got = _peak_bin(matrix, m=8)
@@ -215,7 +217,7 @@ def test_criterion_05_threshold_false_alarm():
     """
     source = _NoiseSource(1000, seed=20260815)
     params = pl.PipelineParams(ssa_window=1)
-    matrix = pl.process_campaign(source, params)
+    matrix = process_matrix(source, params)
     frac = float(matrix.mask.mean())
     want = float(np.exp(-(10.0 ** 0.7)))
     assert abs(frac - want) <= 0.0015, f"fraction {frac:.5f} vs {want:.5f}"
@@ -240,7 +242,7 @@ def test_criterion_06_dynamic_range():
     native = 1.0 / (2801 * 125e3)
     for rel, plan in plans.items():
         assert (plan.attenuation_db == 30.0).all()
-        matrix = pl.process_campaign(pl.PlanSource(plan))
+        matrix = process_matrix(pl.PlanSource(plan))
         bw = matrix.bin_width_s
         strong_bin = round(30.0 / C / bw)
         weak_bin = round((30.0 / C + 350 * native) / bw)
@@ -295,7 +297,7 @@ def test_criterion_07_agc_contract():
         [[0.0, 0.0, 0.0]], [amp], [np.full(m_total, 60.0 / C)], seed=6)
     att = plan.attenuation_db
     assert (att[:31] == 0.0).all() and (att[31:] == 30.0).all()
-    matrix = pl.process_campaign(pl.PlanSource(plan))
+    matrix = process_matrix(pl.PlanSource(plan))
     floor = matrix.noise_level_db[:, 0]
     step = float(np.mean(floor[40:59]) - np.mean(floor[4:25]))
     assert 19.0 <= step <= 20.3, f"noise floor step {step:.2f} dB"
@@ -313,7 +315,7 @@ def test_criterion_08_crosstalk_removal():
     for label, coupling in (("on", -60.0), ("off", None)):
         plan = _static_plan(100.0, gain_db=-80.0, coupling_db=coupling, seed=7)
         assert (plan.attenuation_db == 10.0).all()
-        runs[label] = pl.process_campaign(pl.PlanSource(plan))
+        runs[label] = process_matrix(pl.PlanSource(plan))
     pad = runs["on"].oversample_factor
     cut = 113 * pad
     assert not runs["on"].mask[..., :cut].any()
@@ -478,7 +480,7 @@ def test_criterion_10_canyon_figure_properties():
                                 "pos_y_m", "pos_z_m", "link_class",
                                 "attenuation_db", "threshold_db"}
 
-        tracks, matrix.threshold_db = {}, theta
+        tracks = {}
         apld = {}
         for j in range(n_ue):
             apld[j] = ap.assemble_apld(matrix, source, j)
@@ -533,7 +535,7 @@ def test_criterion_10_canyon_figure_properties():
             for wall, lengths in (("south", img_a), ("north", img_b)):
                 for m, length in zip(leg3[ok], lengths[ok]):
                     want = round(length / C / bw)
-                    vals = np.where(apld[j].mask[m], apld[j].values[m], 0.0)
+                    vals = np.where(matrix.mask[m, j], matrix.values[m, j], 0.0)
                     window = vals[want - 15:want + 16]
                     assert window.any(), f"row {m} ue {j}: {wall} ridge missing"
                     got = want - 15 + int(np.argmax(window))
@@ -558,8 +560,8 @@ def test_criterion_10_canyon_figure_properties():
             fp = tracks[j][np.concatenate([pre, post])]
             assert np.isfinite(fp).all()
             start = int(np.max(np.round(fp / bw))) + 40
-            alive_pre = apld[j].mask[pre, start:].mean(axis=0)
-            alive_post = apld[j].mask[post, start:].mean(axis=0)
+            alive_pre = matrix.mask[pre, j, start:].mean(axis=0)
+            alive_post = matrix.mask[post, j, start:].mean(axis=0)
             dying = np.flatnonzero((alive_pre >= 0.9) & (alive_post <= 0.3))
             assert dying.size >= 12, f"ue {j}: only {dying.size} dying bins"
             splits = np.flatnonzero(np.diff(dying) > 5)

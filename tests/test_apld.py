@@ -14,19 +14,23 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.constants import SPEED_OF_LIGHT
 
-from conftest import make_scene
+from conftest import make_scene, process_matrix
+
+
+def dense_matrix(values, mask, noise_db=-100.0, threshold_db=-93.0,
+                 bin_width_s=1e-9) -> pl.PDPMatrix:
+    """PDPMatrix of dense (M, U, B) profiles; masked bins are zeroed."""
+    values = np.asarray(values, dtype=np.float32) * mask
+    m, u, b = values.shape
+    rows = pl.SparseRows.encode(values, mask, np.full((m, u), noise_db),
+                                np.full((m, u), threshold_db))
+    return pl.PDPMatrix(rows=rows, n_captures=m, n_ues=u, n_bins=b,
+                        bin_width_s=bin_width_s, oversample_factor=10)
 
 
 def toy_matrix(m=6, u=2, b=50):
     rng = np.random.default_rng(11)
-    values = rng.random((m, u, b)).astype(np.float32)
-    mask = np.ones((m, u, b), dtype=bool)
-    return pl.PDPMatrix(
-        values=values, mask=mask,
-        noise_level_db=np.full((m, u), -100.0),
-        threshold_db=np.full((m, u), -93.0),
-        bin_width_s=1e-9, oversample_factor=10,
-    )
+    return dense_matrix(rng.random((m, u, b)), np.ones((m, u, b), dtype=bool))
 
 
 def toy_meta(m=6):
@@ -43,19 +47,13 @@ class TestAssemble:
         mat, meta = toy_matrix(), toy_meta()
         out = ap.assemble_apld(mat, meta, ue_id=1)
         assert out.ue_id == 1
-        np.testing.assert_array_equal(out.values, mat.values[:, 1])
-        np.testing.assert_array_equal(out.mask, mat.mask[:, 1])
+        assert out.matrix is mat
+        assert (out.n_rows, out.n_bins) == (6, 50)
         np.testing.assert_array_equal(out.timestamps, meta.timestamps)
         np.testing.assert_array_equal(out.positions, meta.positions)
         np.testing.assert_array_equal(out.link_class, np.full(6, 2))
         np.testing.assert_array_equal(out.threshold_db, np.full(6, -93.0))
         assert out.bin_width_s == 1e-9
-
-    def test_threshold_nan_when_absent(self):
-        mat = toy_matrix()
-        mat.threshold_db = None
-        out = ap.assemble_apld(mat, toy_meta(), ue_id=0)
-        assert np.isnan(out.threshold_db).all()
 
     def test_empty_campaign(self):
         mat = toy_matrix(m=0)
@@ -71,16 +69,34 @@ class TestAssemble:
             ap.assemble_apld(toy_matrix(), toy_meta(), 5)
 
 
+def one_ue_meta(m):
+    return SimpleNamespace(timestamps=np.zeros(m), positions=np.zeros((m, 3)),
+                           attenuation_db=np.zeros(m),
+                           link_class=np.zeros((m, 1), dtype=np.uint8))
+
+
 def flat_apld(values, mask):
-    values = np.asarray(values, dtype=np.float32)[None, :]
-    mask = np.asarray(mask, dtype=bool)[None, :]
-    m = 1
-    return ap.APLDPDP(
-        ue_id=0, values=values * mask, mask=mask, bin_width_s=1e-9,
-        oversample_factor=10, timestamps=np.zeros(m),
-        positions=np.zeros((m, 3)), link_class=np.zeros(m, dtype=np.uint8),
-        attenuation_db=np.zeros(m), threshold_db=np.zeros(m),
-    )
+    """One UE, one capture."""
+    mat = dense_matrix(np.asarray(values)[None, None], np.asarray(mask, dtype=bool)[None, None])
+    return ap.assemble_apld(mat, one_ue_meta(1), 0)
+
+
+def dense_track(values, mask, bin_width_s, dynamic_range_db):
+    """First-peak track over dense (M, B) profiles: the bin-by-bin oracle."""
+    v = values.astype(np.float64)
+    padded = np.pad(v, ((0, 0), (1, 1)))
+    is_max = (padded[:, 1:-1] >= padded[:, :-2]) & (padded[:, 1:-1] >= padded[:, 2:])
+    cand = mask & is_max
+    if dynamic_range_db is not None:
+        row_top = np.where(mask, v, 0.0).max(axis=1, keepdims=True)
+        cand &= v * 10.0 ** (dynamic_range_db / 10.0) >= row_top
+    delays = np.full(v.shape[0], np.nan)
+    powers = np.full(v.shape[0], np.nan)
+    rows = np.flatnonzero(cand.any(axis=1))
+    first = cand[rows].argmax(axis=1)
+    delays[rows] = first * bin_width_s
+    powers[rows] = v[rows, first]
+    return delays, powers
 
 
 class TestFirstPeakTrack:
@@ -143,14 +159,54 @@ class TestFirstPeakTrack:
         assert delays[0] == pytest.approx(7e-9)
         assert powers[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dynamic_range_db", [30.0, None])
+    def test_matrix_file_matches_read_matrix(self, tmp_path, monkeypatch, dynamic_range_db):
+        rng = np.random.default_rng(8)
+        m, u, b = 7, 3, 40
+        values = (10.0 ** rng.uniform(-5, 0, (m, u, b))).astype(np.float32)
+        mask = rng.random((m, u, b)) < 0.5
+        mask[:, 2] = False  # a UE with nothing surviving
+        # Capture 4, UE 0 keeps one lobe, bins 5..9, peaking at bin 7; it is
+        # stored below as the touching runs (5, 2) and (7, 3).
+        mask[4, 0] = False
+        mask[4, 0, 5:10] = True
+        values[4, 0, 5:10] = [0.5, 0.7, 1.0, 0.7, 0.5]
+        values[~mask] = 0.0
+        rows = pl.SparseRows.encode(values, mask, np.zeros((m, u)), np.zeros((m, u)))
+        k = int(rows.n_runs[:4 * u].sum())  # the first run of row (4, 0)
+        assert (rows.starts[k], rows.lengths[k]) == (5, 5)
+        rows.starts = np.insert(rows.starts, k + 1, 7)
+        rows.lengths = np.insert(rows.lengths, k, 2)
+        rows.lengths[k + 1] = 3
+        rows.n_runs[4 * u] += 1
+        path = tmp_path / "m.cfmm"
+        w = fm.MatrixWriter(path, m, u, b, 1e-9, 10)
+        w.write_chunk(0, rows)
+        w.close()
+
+        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 captures
+        stored, whole = fm.open_matrix(path), fm.read_matrix(path)
+        assert stored.n_runs[4 * u] == 2
+        meta = toy_meta(m)
+        meta.link_class = np.zeros((m, u), dtype=np.uint8)
+        for j in range(u):
+            got = ap.first_peak_track(ap.assemble_apld(stored, meta, j), dynamic_range_db)
+            want = ap.first_peak_track(ap.assemble_apld(whole, meta, j), dynamic_range_db)
+            oracle = dense_track(whole.values[:, j], whole.mask[:, j], 1e-9, dynamic_range_db)
+            for g, w_, o in zip(got, want, oracle):
+                np.testing.assert_array_equal(g, w_)  # NaN where the other is NaN
+                np.testing.assert_array_equal(g, o)
+        assert np.isnan(got[0]).all()  # UE 2 keeps nothing
+        delays, _ = ap.first_peak_track(ap.assemble_apld(stored, meta, 0), dynamic_range_db)
+        assert delays[4] == 7 * 1e-9  # the lobe peak, not the end of its first run
+
 
 @pytest.fixture(scope="module")
 def campaign():
     scene = make_scene()
     plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(),
                             seed=33, pose_slice=slice(0, 12))
-    matrix = pl.process_campaign(pl.PlanSource(plan), pl.PipelineParams(),
-                                 chunk_size=8)
+    matrix = process_matrix(pl.PlanSource(plan), pl.PipelineParams(), chunk_size=8)
     return plan, matrix
 
 
@@ -172,7 +228,7 @@ class TestOnCampaign:
         apld = ap.assemble_apld(matrix, plan, ue_id=0)
         delays, _ = ap.first_peak_track(apld)
         for i in range(apld.n_rows):
-            surv = np.flatnonzero(apld.mask[i])
+            surv = np.flatnonzero(matrix.mask[i, 0])
             if surv.size == 0 or np.isnan(delays[i]):
                 continue
             peak_bin = int(round(delays[i] / apld.bin_width_s))
@@ -193,12 +249,7 @@ class TestExports:
         v[0, 2], mask[0, 2] = 1.0, True  # 0 dB: top of scale
         v[1, 4], mask[1, 4] = 1e-3, True  # -30 dB: bottom edge, still visible
         v[2, 6], mask[2, 6] = 1e-4, True  # -40 dB: clipped to black
-        apld = ap.APLDPDP(
-            ue_id=0, values=v, mask=mask, bin_width_s=1e-9, oversample_factor=10,
-            timestamps=np.zeros(3), positions=np.zeros((3, 3)),
-            link_class=np.zeros(3, dtype=np.uint8), attenuation_db=np.zeros(3),
-            threshold_db=np.zeros(3),
-        )
+        apld = ap.assemble_apld(dense_matrix(v[:, None], mask[:, None]), one_ue_meta(3), 0)
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
         ap.export_heatmap([apld], [p1])
         ap.export_heatmap([apld], [p2])

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import main
 
-from conftest import make_scene
+from conftest import make_scene, process_matrix
 
 
-def small_matrix(rng, m=5, u=3, b=40) -> pl.PDPMatrix:
+def small_matrix(rng, m=5, u=3, b=40) -> SimpleNamespace:
+    """Dense profiles with the fields of a PDPMatrix, to write and compare."""
     values = rng.random((m, u, b)).astype(np.float32)
     mask = rng.random((m, u, b)) < 0.5
     values[~mask] = 0.0
-    return pl.PDPMatrix(
+    return SimpleNamespace(
         values=values, mask=mask,
         noise_level_db=rng.normal(size=(m, u)),
         threshold_db=rng.normal(size=(m, u)),
@@ -27,19 +29,19 @@ def small_matrix(rng, m=5, u=3, b=40) -> pl.PDPMatrix:
     )
 
 
-def chunk_rows(mat: pl.PDPMatrix, a: int, b: int) -> pl.SparseRows:
+def chunk_rows(mat, a: int, b: int) -> pl.SparseRows:
     return pl.SparseRows.encode(mat.values[a:b], mat.mask[a:b],
                                 mat.noise_level_db[a:b], mat.threshold_db[a:b])
 
 
-def write_whole(path, mat: pl.PDPMatrix) -> None:
+def write_whole(path, mat) -> None:
     m, u, b = mat.values.shape
     w = fm.MatrixWriter(path, m, u, b, mat.bin_width_s, mat.oversample_factor)
     w.write_chunk(0, chunk_rows(mat, 0, m))
     w.close()
 
 
-def documented_layout(mat: pl.PDPMatrix) -> bytes:
+def documented_layout(mat) -> bytes:
     """The version 2 bytes of mat, built row by row from the layout in the
     formats module docstring."""
     m, u, b = mat.values.shape
@@ -265,8 +267,8 @@ class TestCaptureFile:
     def test_source_protocol_processes(self, plan, capture_path):
         cf = fm.open_captures(capture_path)
         params = pl.PipelineParams()
-        from_file = pl.process_campaign(cf, params, chunk_size=4)
-        from_plan = pl.process_campaign(pl.PlanSource(plan), params, chunk_size=4)
+        from_file = process_matrix(cf, params, chunk_size=4)
+        from_plan = process_matrix(pl.PlanSource(plan), params, chunk_size=4)
         np.testing.assert_array_equal(from_file.values, from_plan.values)
         np.testing.assert_array_equal(from_file.mask, from_plan.mask)
 

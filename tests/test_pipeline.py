@@ -7,7 +7,7 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import make_scene
+from conftest import make_scene, process_matrix
 
 
 def brute_pdp(h, beta, pad):
@@ -346,7 +346,7 @@ def plan():
 class TestProcessCampaign:
     def test_matrix_shape_and_validity(self, plan):
         params = pl.PipelineParams()
-        mat = pl.process_campaign(pl.PlanSource(plan), params)
+        mat = process_matrix(pl.PlanSource(plan), params)
         assert mat.values.shape == (41, 8, 4000)
         assert mat.values.dtype == np.float32
         mat.validate()
@@ -356,14 +356,14 @@ class TestProcessCampaign:
 
     def test_chunk_size_does_not_change_output(self, plan):
         params = pl.PipelineParams()
-        a = pl.process_campaign(pl.PlanSource(plan), params, chunk_size=7)
-        b = pl.process_campaign(pl.PlanSource(plan), params, chunk_size=64)
+        a = process_matrix(pl.PlanSource(plan), params, chunk_size=7)
+        b = process_matrix(pl.PlanSource(plan), params, chunk_size=64)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.mask, b.mask)
         np.testing.assert_array_equal(a.noise_level_db, b.noise_level_db)
 
     def test_strongest_ue_peak_matches_geometry(self, plan):
-        mat = pl.process_campaign(pl.PlanSource(plan), pl.PipelineParams())
+        mat = process_matrix(pl.PlanSource(plan), pl.PipelineParams())
         m = 0
         j = int(plan.measured_power_dbm[m].argmax())
         d = np.linalg.norm(plan.positions[m] - plan.ue_positions[j])
