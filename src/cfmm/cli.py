@@ -8,8 +8,10 @@ captures produced elsewhere. The config file is the one source of run
 parameters; flags only choose paths, workers and chunk size, which do not
 change output bytes. Every stage writes the same bytes for the same
 config regardless of worker count: workers compute disjoint capture
-ranges whose content is seed-determined, and the parent does all file
-writes. A stage publishes its outputs only once all of them are written.
+ranges whose content is seed-determined. In simulate each range writes
+its own bytes of the capture file, wherever it runs; in process the
+parent writes each range's results in capture order. A stage publishes
+its outputs only once all of them are written.
 
 Exit codes: 0 success, 1 validation error, 2 missing/unreadable files,
 3 binary format mismatch or corrupt data, 4 out of memory.
@@ -25,6 +27,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +60,16 @@ def _out_dir(cfg: RunConfig, flag_out: str | None) -> Path:
     return Path(cfg.output_dir)
 
 
-def _n_workers(cfg: RunConfig, flag: int | None) -> int:
-    w = flag if flag is not None else cfg.workers
-    return os.cpu_count() or 1 if w == 0 else w
+def _run_flags(cfg: RunConfig, args) -> tuple[int, int]:
+    """Chunk size and worker count of a stage, checked before the stage
+    touches any file. --workers overrides the config's workers, under the
+    config's rule for it."""
+    if args.chunk_size < 1:
+        raise ValueError(f"chunk_size = {args.chunk_size}: must be >= 1")
+    if args.workers is not None:
+        cfg = replace(cfg, workers=args.workers)
+        cfg.validate()
+    return args.chunk_size, cfg.workers or os.cpu_count() or 1
 
 
 def _scene_sha256(cfg: RunConfig) -> str | None:
@@ -152,21 +162,25 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _simulate_span(plan, writer: fm.CaptureWriter, m0: int, m1: int) -> None:
+    writer.write_chunk(m0, sd.synthesize_chunk(plan, m0, m1))
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    chunk_size, workers = _run_flags(cfg, args)
     scene = _load_validated_scene(cfg)
     out = _out_dir(cfg, args.out)
     out.mkdir(parents=True, exist_ok=True)
     _start_stage(out, "simulate")
     plan = sd.plan_campaign(scene, cfg.waveform, cfg.impairments, cfg.seed,
                             site=cfg.site)
-    workers = _n_workers(cfg, args.workers)
     print(f"simulate: {plan.n_captures} captures x {plan.n_ues} UEs "
-          f"(chunks of {args.chunk_size}, {workers} workers)")
+          f"(chunks of {chunk_size}, {workers} workers)")
     with _publish(out / CAPTURES_NAME) as (part,):
         writer = fm.CaptureWriter(part, plan)
-        pl.run_chunks(sd.synthesize_chunk, (plan,), plan.n_captures, args.chunk_size,
-                      writer.write_chunk, workers)
+        pl.run_chunks(_simulate_span, (plan, writer), plan.n_captures, chunk_size,
+                      lambda m0, _: None, workers)
     mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
     _update_manifest(out, cfg, "simulate", {
         "captures": CAPTURES_NAME,
@@ -196,6 +210,7 @@ def _summary_rows(a: int, rows: pl.SparseRows, n_ues: int,
 
 def cmd_process(args) -> int:
     cfg = load_config(args.config)
+    chunk_size, workers = _run_flags(cfg, args)
     out = _out_dir(cfg, args.out)
     captures = Path(args.captures) if args.captures else out / CAPTURES_NAME
     if not captures.exists():
@@ -206,11 +221,10 @@ def cmd_process(args) -> int:
     params.noise_bins(source.n_subcarriers)  # fail before any output exists
     out.mkdir(parents=True, exist_ok=True)
     _start_stage(out, "process")
-    workers = _n_workers(cfg, args.workers)
     print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
-          f"(chunks of {args.chunk_size}, {workers} workers)")
+          f"(chunks of {chunk_size}, {workers} workers)")
     with _publish(out / MATRIX_NAME, out / SUMMARY_NAME) as partials:
-        counts = _process_into(source, params, *partials, args.chunk_size, workers)
+        counts = _process_into(source, params, *partials, chunk_size, workers)
     _update_manifest(out, cfg, "process", {
         "matrix": MATRIX_NAME,
         "summary": SUMMARY_NAME,
@@ -225,8 +239,9 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
                   summary_path: Path, chunk_size: int = 128, workers: int = 1) -> Counter:
     """Process every capture of source into a matrix file and a summary
     CSV; the one way a campaign is processed. Returns the degenerate-row
-    counts and the matrix's run and surviving-bin totals. Summary rows are
-    written as the matrix writer appends their chunk, in capture order."""
+    counts and the matrix's run and surviving-bin totals. Chunks arrive in
+    capture order; each one's matrix records and summary rows are written
+    as it arrives."""
     f = params.pad_factor
     bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
@@ -239,8 +254,8 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
 
         def take(a: int, chunk: tuple) -> None:
             rows = chunk[2]
-            for m0, appended in writer.write_chunk(a, rows):
-                summary.writerows(_summary_rows(m0, appended, source.n_ues, bin_width_s))
+            writer.write_chunk(a, rows)
+            summary.writerows(_summary_rows(a, rows, source.n_ues, bin_width_s))
             counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
             counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 
@@ -252,6 +267,7 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
 
 def cmd_export(args) -> int:
     cfg = load_config(args.config)
+    _run_flags(cfg, args)
     out = _out_dir(cfg, args.out)
     matrix_path = out / MATRIX_NAME
     captures_path = Path(args.captures) if args.captures else out / CAPTURES_NAME

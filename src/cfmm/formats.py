@@ -193,15 +193,12 @@ def read_matrix(path) -> PDPMatrix:
 
 class MatrixWriter:
     """Writes a matrix file from capture-range chunks of SparseRows handed
-    over in any order.
+    over in capture order.
 
-    The header and the zero-filled row tables are written up front. A
-    chunk waits in a reorder buffer until every earlier capture is
-    written; then its table entries are filled and its records appended,
-    and write_chunk hands it back so the caller can follow in capture
-    order.
-    The bytes therefore depend on neither the order, the chunk size nor
-    the worker count.
+    The header and the zero-filled row tables are written up front. Each
+    chunk must start at the first capture not yet written; its table
+    entries are filled and its records appended. The bytes therefore do
+    not depend on the chunk size.
     """
 
     def __init__(self, path, n_captures: int, n_ues: int, n_bins: int,
@@ -216,21 +213,16 @@ class MatrixWriter:
             fh.write(header)
             fh.truncate(self._end)
         self._next = 0  # first capture not yet written
-        self._pending: dict[int, SparseRows] = {}
 
-    def write_chunk(self, m0: int, rows: SparseRows) -> list[tuple[int, SparseRows]]:
-        """Queue the chunk that starts at capture m0, and append every queued
-        chunk that now follows the captures written. Returns the chunks
-        appended, as (first capture, rows), in capture order."""
-        self._pending[m0] = rows
-        appended = []
+    def write_chunk(self, m0: int, rows: SparseRows) -> None:
+        """Append the chunk of captures that starts at capture m0, which
+        must be the first capture not yet written."""
+        if m0 != self._next:
+            raise ValueError(f"{self.path}: chunk starts at capture {m0}, "
+                             f"expected capture {self._next}")
         with open(self.path, "r+b") as fh:
-            while self._next in self._pending:
-                rows = self._pending.pop(self._next)
-                self._append(fh, self._next * self.n_ues, rows)
-                appended.append((self._next, rows))
-                self._next += rows.n_rows // self.n_ues
-        return appended
+            self._append(fh, m0 * self.n_ues, rows)
+        self._next += rows.n_rows // self.n_ues
 
     def _append(self, fh, r0: int, rows: SparseRows) -> None:
         record_words = 2 * rows.n_runs + rows.kept()
@@ -342,7 +334,9 @@ def _meta_layout(m: int, u: int, n: int) -> list:
 class CaptureWriter:
     """Creates a capture container and fills spectra in capture-range chunks.
 
-    Every metadata block comes from the plan.
+    Every metadata block comes from the plan. The file is created at its
+    full size, with the spectra zero, and each chunk writes its own byte
+    range, so chunks can be written in any order and by any process.
     """
 
     def __init__(self, path, plan):
@@ -377,11 +371,18 @@ class CaptureWriter:
             fh.truncate(self.spectra_offset + int(np.prod(self.shape)) * 8)
 
     def write_chunk(self, m0: int, spectra: np.ndarray) -> None:
-        mm = np.memmap(self.path, dtype="<c8", mode="r+",
-                       offset=self.spectra_offset, shape=self.shape)
-        mm[m0:m0 + spectra.shape[0]] = spectra
-        mm.flush()
-        del mm
+        """Write the spectra of captures m0.. at their offset and sync
+        them to disk before returning."""
+        m, *row_shape = np.shape(spectra)
+        if tuple(row_shape) != self.shape[1:] or not 0 <= m0 <= self.shape[0] - m:
+            raise ValueError(f"{self.path}: spectra {np.shape(spectra)} at capture {m0} "
+                             f"do not fit the file's {self.shape}")
+        row = int(np.prod(self.shape[1:])) * 8
+        with open(self.path, "r+b") as fh:
+            fh.seek(self.spectra_offset + m0 * row)
+            fh.write(np.ascontiguousarray(spectra, dtype="<c8").data)
+            fh.flush()
+            os.fdatasync(fh.fileno())
 
 
 def open_captures(path) -> CaptureFile:

@@ -37,7 +37,8 @@ what lets a 100 dB dynamic range survive windowing.
 from __future__ import annotations
 
 import multiprocessing as mp
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -167,14 +168,20 @@ class SparseRows:
         leading axes flatten to rows, as do those of noise_db and
         threshold_db."""
         flat = mask.reshape(-1, mask.shape[-1])
-        edges = np.diff(flat.astype(np.int8), axis=1, prepend=0, append=0)
-        rows, starts = np.nonzero(edges == 1)
-        stops = np.nonzero(edges == -1)[1]
+        # A zero column after each row ends every run inside its row. With
+        # one more zero ahead of the first row, the mask changes along the
+        # flattened rows at each run's first bin and at the bin past its
+        # last, alternately.
+        width = flat.shape[1] + 1
+        padded = np.zeros(1 + flat.shape[0] * width, dtype=bool)
+        padded[1:].reshape(-1, width)[:, :-1] = flat
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        rows, starts = np.divmod(edges[0::2], width)
         return cls(
             noise_db=np.asarray(noise_db, dtype=np.float64).reshape(-1),
             threshold_db=np.asarray(threshold_db, dtype=np.float64).reshape(-1),
             n_runs=np.bincount(rows, minlength=flat.shape[0]),
-            starts=starts, lengths=stops - starts,
+            starts=starts, lengths=edges[1::2] - edges[0::2],
             values=values.reshape(flat.shape)[flat].astype(np.float32, copy=False),
         )
 
@@ -434,28 +441,6 @@ def crosstalk_cut_bins(distance_m: np.ndarray, native_bin_s: float,
 
 # --- campaign orchestration ---------------------------------------------------
 
-class PlanSource:
-    """Capture source backed by a campaign plan (spectra synthesized on read)."""
-
-    def __init__(self, plan, include_noise: bool = True):
-        self.plan = plan
-        self.include_noise = include_noise
-        self.n_captures = plan.n_captures
-        self.n_ues = plan.n_ues
-        self.n_subcarriers = plan.waveform.n_subcarriers
-        self.subcarrier_spacing_hz = plan.waveform.subcarrier_spacing_hz
-        self.attenuation_db = plan.attenuation_db
-        self.cal_response = plan.cal.response
-        self.reference_tones = plan.reference_tones
-        self.positions = plan.positions
-        self.ue_positions = plan.ue_positions
-
-    def spectra(self, m0: int, m1: int) -> np.ndarray:
-        from . import sounder
-        return sounder.synthesize_chunk(self.plan, m0, m1,
-                                        include_noise=self.include_noise)
-
-
 def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     """Process captures [a, b) in isolation.
 
@@ -537,24 +522,23 @@ def _run_span(span: tuple[int, int]) -> tuple:
 def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
                workers: int = 1) -> None:
     """Call take(a, fn(*args, a, b)) for each span [a, b) of chunk_size
-    captures covering [0, n_captures).
+    captures covering [0, n_captures), in span order. chunk_size must be
+    at least 1; the stages check it before they start.
 
-    With workers <= 1 the spans run here, in order. Otherwise a fork pool
-    of that many processes, at most one per span, runs them, and take sees
-    the results as they complete. A span starts only while it lies fewer
-    than 2 x workers spans after the earliest span not yet taken, so a
-    caller that puts results back in capture order holds fewer than that
-    many, however long the campaign. fn and args reach the workers through
-    one module global instead of being pickled; the global is cleared
-    however the run ends, and a failed run cancels the spans not yet
-    started. Callers place results by capture index, so the output does
-    not depend on the order, the chunk size or the worker count. On the
+    With workers <= 1 the spans run here, one after another. Otherwise a
+    fork pool of that many processes, at most one per span, runs them:
+    spans are submitted to a queue, the earliest is waited on and taken,
+    and a span starts only while it lies fewer than 2 x workers spans
+    after the earliest one not yet taken, so at most that many results
+    wait in the parent however long the campaign. fn and args reach the
+    workers through one module global instead of being pickled; the
+    global is cleared however the run ends, and a failed run cancels the
+    spans not yet started. A result depends only on its span, so the
+    output depends on neither the chunk size nor the worker count. On the
     serial path take holds the only reference to a result, so each chunk
     is freed before the next one is computed (a generator would keep it
     alive in its caller's loop variable).
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size = {chunk_size}: must be >= 1")
     spans = [(a, min(a + chunk_size, n_captures))
              for a in range(0, n_captures, chunk_size)]
     workers = min(workers, len(spans))
@@ -569,17 +553,13 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=mp.get_context("fork")) as pool:
             try:
-                running: dict = {}  # future -> span index
-                nxt = 0
-                while nxt < len(spans) or running:
-                    limit = min(running.values(), default=nxt) + window
-                    while nxt < min(len(spans), limit):
-                        running[pool.submit(_run_span, spans[nxt])] = nxt
-                        nxt += 1
-                    done, _ = wait(running, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        del running[fut]
-                        take(*fut.result())
+                queued: deque = deque()  # futures of the untaken spans, in span order
+                for span in spans:
+                    if len(queued) == window:
+                        take(*queued.popleft().result())
+                    queued.append(pool.submit(_run_span, span))
+                while queued:
+                    take(*queued.popleft().result())
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise

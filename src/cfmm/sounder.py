@@ -223,7 +223,6 @@ def plan_campaign(
     impairments: ImpairmentConfig,
     seed: int,
     site=0,
-    ray_config: rp.RaypathConfig | None = None,
     pose_slice: slice | None = None,
 ) -> CampaignPlan:
     """Trace the whole campaign and fix the AGC sequence.
@@ -231,8 +230,6 @@ def plan_campaign(
     pose_slice trims the sampled trajectory (used by tests); the AGC pass
     always runs over the retained range only.
     """
-    if ray_config is None:
-        ray_config = rp.RaypathConfig()
     waveform.validate()
     positions, headings, timestamps = sample_ap_pose_arrays(scene.trajectory)
     if pose_slice is not None:
@@ -250,7 +247,7 @@ def plan_campaign(
     power_dbm = np.zeros((m_total, n_ues))
     link_class = np.zeros((m_total, n_ues), dtype=np.uint8)
     for j, ue in enumerate(ue_site.positions_m):
-        bundle = rp.trace_paths_batch(scene, positions, headings, ue, ray_config)
+        bundle = rp.trace_paths_batch(scene, positions, headings, ue, rp.RaypathConfig())
         link_class[:, j] = bundle.link_class
         g = bundle.complex_gains()
         tau = bundle.delay_s

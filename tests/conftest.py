@@ -8,6 +8,27 @@ from cfmm import cli
 from cfmm import formats as fm
 from cfmm import pipeline as pl
 from cfmm import scene as sc
+from cfmm import sounder as sd
+
+
+class PlanSource:
+    """Capture source backed by a campaign plan (spectra synthesized on read)."""
+
+    def __init__(self, plan, include_noise: bool = True):
+        self.plan = plan
+        self.include_noise = include_noise
+        self.n_captures = plan.n_captures
+        self.n_ues = plan.n_ues
+        self.n_subcarriers = plan.waveform.n_subcarriers
+        self.subcarrier_spacing_hz = plan.waveform.subcarrier_spacing_hz
+        self.attenuation_db = plan.attenuation_db
+        self.cal_response = plan.cal.response
+        self.reference_tones = plan.reference_tones
+        self.positions = plan.positions
+        self.ue_positions = plan.ue_positions
+
+    def spectra(self, m0: int, m1: int) -> np.ndarray:
+        return sd.synthesize_chunk(self.plan, m0, m1, include_noise=self.include_noise)
 
 
 def process_matrix(source, params=None, chunk_size=128) -> pl.PDPMatrix:

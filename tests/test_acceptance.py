@@ -36,7 +36,7 @@ from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.waveform import WaveformSpec, generate_waveform
 
-from conftest import process_matrix
+from conftest import PlanSource, process_matrix
 
 C = SPEED_OF_LIGHT
 
@@ -177,7 +177,7 @@ def test_criterion_04_delay_recovery():
     """Single path at 10/100/300 m lands within one oversampled bin of d/c."""
     for d in (10.0, 100.0, 300.0):
         plan = _static_plan(d)
-        matrix = process_matrix(pl.PlanSource(plan))
+        matrix = process_matrix(PlanSource(plan))
         bw = matrix.bin_width_s
         want = round(d / C / bw)
         got = _peak_bin(matrix, m=8)
@@ -242,7 +242,7 @@ def test_criterion_06_dynamic_range():
     native = 1.0 / (2801 * 125e3)
     for rel, plan in plans.items():
         assert (plan.attenuation_db == 30.0).all()
-        matrix = process_matrix(pl.PlanSource(plan))
+        matrix = process_matrix(PlanSource(plan))
         bw = matrix.bin_width_s
         strong_bin = round(30.0 / C / bw)
         weak_bin = round((30.0 / C + 350 * native) / bw)
@@ -297,7 +297,7 @@ def test_criterion_07_agc_contract():
         [[0.0, 0.0, 0.0]], [amp], [np.full(m_total, 60.0 / C)], seed=6)
     att = plan.attenuation_db
     assert (att[:31] == 0.0).all() and (att[31:] == 30.0).all()
-    matrix = process_matrix(pl.PlanSource(plan))
+    matrix = process_matrix(PlanSource(plan))
     floor = matrix.noise_level_db[:, 0]
     step = float(np.mean(floor[40:59]) - np.mean(floor[4:25]))
     assert 19.0 <= step <= 20.3, f"noise floor step {step:.2f} dB"
@@ -315,7 +315,7 @@ def test_criterion_08_crosstalk_removal():
     for label, coupling in (("on", -60.0), ("off", None)):
         plan = _static_plan(100.0, gain_db=-80.0, coupling_db=coupling, seed=7)
         assert (plan.attenuation_db == 10.0).all()
-        runs[label] = process_matrix(pl.PlanSource(plan))
+        runs[label] = process_matrix(PlanSource(plan))
     pad = runs["on"].oversample_factor
     cut = 113 * pad
     assert not runs["on"].mask[..., :cut].any()

@@ -14,7 +14,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.constants import SPEED_OF_LIGHT
 
-from conftest import make_scene, process_matrix
+from conftest import PlanSource, make_scene, process_matrix
 
 
 def dense_matrix(values, mask, noise_db=-100.0, threshold_db=-93.0,
@@ -206,7 +206,7 @@ def campaign():
     scene = make_scene()
     plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(),
                             seed=33, pose_slice=slice(0, 12))
-    matrix = process_matrix(pl.PlanSource(plan), pl.PipelineParams(), chunk_size=8)
+    matrix = process_matrix(PlanSource(plan), pl.PipelineParams(), chunk_size=8)
     return plan, matrix
 
 

@@ -19,7 +19,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm import cli
 
-from conftest import make_scene
+from conftest import PlanSource, make_scene
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -48,7 +48,7 @@ def test_chunk_counts_read_process_chunk():
     plan = sd.plan_campaign(make_scene(), wf.WaveformSpec(), sd.ImpairmentConfig(),
                             seed=5, pose_slice=slice(0, 6))
     params = pl.PipelineParams()
-    chunk = pl.process_chunk(pl.PlanSource(plan), params, 1, 5)
+    chunk = pl.process_chunk(PlanSource(plan), params, 1, 5)
     counts = tracer._chunk_counts((None, params, 1, 5), {}, chunk)
     assert counts == {"rows": 4, "kept_bins": params.gate_native_bins * params.pad_factor}
 

@@ -39,6 +39,21 @@ def workspace(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def finished_run(workspace, tmp_path_factory):
+    """An output directory holding a finished simulate, process and export."""
+    out = tmp_path_factory.mktemp("finished")
+    for stage in ("simulate", "process", "export"):
+        assert main([stage, "--config", str(workspace / "cfg.json"), "--out", str(out),
+                     "--workers", "1"]) == 0
+    return out
+
+
+def digests(out):
+    """sha256 of every file in out, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 def zero_capture(path, m):
     """Zero capture m's spectra, as an interrupted simulate leaves them."""
     src = fm.open_captures(path)
@@ -236,11 +251,12 @@ class TestStages:
 
     def test_simulate_worker_invariance(self, workspace, tmp_path):
         cfgp = str(workspace / "cfg.json")
-        a = tmp_path / "sa"
-        assert main(["simulate", "--config", cfgp, "--out", str(a),
-                     "--workers", "2", "--chunk-size", "16"]) == 0
-        ref = (workspace / "out" / "captures.cfmc").read_bytes()
-        assert (a / "captures.cfmc").read_bytes() == ref
+        ref = (workspace / "out" / "captures.cfmc").read_bytes()  # 1 worker, chunks of 128
+        for workers in ("2", "3"):
+            a = tmp_path / f"s{workers}"
+            assert main(["simulate", "--config", cfgp, "--out", str(a),
+                         "--workers", workers, "--chunk-size", "16"]) == 0
+            assert (a / "captures.cfmc").read_bytes() == ref
 
     def test_export_outputs(self, workspace):
         cfgp = str(workspace / "cfg.json")
@@ -395,13 +411,33 @@ class TestStages:
         assert not list(out.glob("*.partial"))
 
     @pytest.mark.parametrize("size", ["0", "-16"])
-    def test_bad_chunk_size_exit_1(self, workspace, tmp_path, capsys, size):
+    def test_bad_chunk_size_exit_1(self, workspace, finished_run, capsys, size):
+        before = digests(finished_run)
         rc = main(["process", "--config", str(workspace / "cfg.json"),
-                   "--captures", str(workspace / "out" / "captures.cfmc"),
-                   "--out", str(tmp_path / "c"), "--workers", "1", "--chunk-size", size])
+                   "--out", str(finished_run), "--workers", "1", "--chunk-size", size])
         assert rc == 1
         assert f"chunk_size = {size}: must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "c" / "matrix.cfmm").exists()
+        # The previous run's matrix, summary, heatmaps and manifest survive.
+        assert digests(finished_run) == before
+
+    @pytest.mark.parametrize("stage,flag,value,message", [
+        ("simulate", "--workers", "-1", "workers = -1: must be >= 0"),
+        ("process", "--workers", "-1", "workers = -1: must be >= 0"),
+        ("export", "--workers", "-1", "workers = -1: must be >= 0"),
+        ("simulate", "--chunk-size", "0", "chunk_size = 0: must be >= 1"),
+    ], ids=["simulate-workers", "process-workers", "export-workers", "simulate-chunk"])
+    def test_bad_flag_exit_1_before_any_work(self, workspace, finished_run, capsys,
+                                             monkeypatch, stage, flag, value, message):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("planned a campaign before checking the flags")
+
+        monkeypatch.setattr(sd, "plan_campaign", no_plan)
+        before = digests(finished_run)
+        rc = main([stage, "--config", str(workspace / "cfg.json"),
+                   "--out", str(finished_run), flag, value])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert digests(finished_run) == before
 
     def test_pipeline_flag_override(self, workspace, tmp_path):
         cfg = json.loads((workspace / "cfg.json").read_text())

@@ -13,7 +13,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import main
 
-from conftest import make_scene, process_matrix
+from conftest import PlanSource, make_scene, process_matrix
 
 
 def small_matrix(rng, m=5, u=3, b=40) -> SimpleNamespace:
@@ -180,18 +180,24 @@ class TestMatrixFile:
         mat.values[4, 2] = 0.0
         chunked = tmp_path / "chunked.cfmm"
         w = fm.MatrixWriter(chunked, 11, 3, 20, mat.bin_width_s, 10)
-        appended = [[m0 for m0, _ in w.write_chunk(a, chunk_rows(mat, a, b))]
-                    for a, b in [(5, 11), (0, 4), (4, 5)]]
+        for a, b in [(0, 4), (4, 5), (5, 11)]:
+            w.write_chunk(a, chunk_rows(mat, a, b))
         w.close()
         assert chunked.read_bytes() == documented_layout(mat)
-        # Each call hands back the chunks it appended, in capture order.
-        assert appended == [[], [0], [4, 5]]
+
+    def test_writer_rejects_chunk_out_of_order(self, tmp_path):
+        mat = small_matrix(np.random.default_rng(3), m=6)
+        w = fm.MatrixWriter(tmp_path / "x.cfmm", 6, 3, 40, 1e-9, 10)
+        w.write_chunk(0, chunk_rows(mat, 0, 2))
+        with pytest.raises(ValueError, match="chunk starts at capture 4, expected capture 2"):
+            w.write_chunk(4, chunk_rows(mat, 4, 6))
+        with pytest.raises(ValueError, match="expected capture 2"):
+            w.write_chunk(0, chunk_rows(mat, 0, 2))
 
     def test_writer_close_names_missing_captures(self, tmp_path):
         mat = small_matrix(np.random.default_rng(2), m=6)
         w = fm.MatrixWriter(tmp_path / "x.cfmm", 6, 3, 40, 1e-9, 10)
         w.write_chunk(0, chunk_rows(mat, 0, 2))
-        w.write_chunk(4, chunk_rows(mat, 4, 6))
         with pytest.raises(ValueError, match="captures 2..5 not written"):
             w.close()
 
@@ -264,11 +270,20 @@ class TestCaptureFile:
         cf = fm.open_captures(capture_path)
         np.testing.assert_array_equal(cf.spectra(2, 5), cf.spectra(0, 6)[2:5])
 
+    def test_writer_places_chunks_by_capture(self, plan, capture_path, tmp_path):
+        path = tmp_path / "reordered.cfmc"
+        writer = fm.CaptureWriter(path, plan)
+        for a, b in [(4, 6), (0, 4)]:
+            writer.write_chunk(a, sd.synthesize_chunk(plan, a, b))
+        assert path.read_bytes() == capture_path.read_bytes()
+        with pytest.raises(ValueError, match=r"\(2, 8, 1, 2801\) at capture 5 do not fit"):
+            writer.write_chunk(5, sd.synthesize_chunk(plan, 0, 2))
+
     def test_source_protocol_processes(self, plan, capture_path):
         cf = fm.open_captures(capture_path)
         params = pl.PipelineParams()
         from_file = process_matrix(cf, params, chunk_size=4)
-        from_plan = process_matrix(pl.PlanSource(plan), params, chunk_size=4)
+        from_plan = process_matrix(PlanSource(plan), params, chunk_size=4)
         np.testing.assert_array_equal(from_file.values, from_plan.values)
         np.testing.assert_array_equal(from_file.mask, from_plan.mask)
 

@@ -7,7 +7,7 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import make_scene, process_matrix
+from conftest import PlanSource, make_scene, process_matrix
 
 
 def brute_pdp(h, beta, pad):
@@ -346,7 +346,7 @@ def plan():
 class TestProcessCampaign:
     def test_matrix_shape_and_validity(self, plan):
         params = pl.PipelineParams()
-        mat = process_matrix(pl.PlanSource(plan), params)
+        mat = process_matrix(PlanSource(plan), params)
         assert mat.values.shape == (41, 8, 4000)
         assert mat.values.dtype == np.float32
         mat.validate()
@@ -356,14 +356,14 @@ class TestProcessCampaign:
 
     def test_chunk_size_does_not_change_output(self, plan):
         params = pl.PipelineParams()
-        a = process_matrix(pl.PlanSource(plan), params, chunk_size=7)
-        b = process_matrix(pl.PlanSource(plan), params, chunk_size=64)
+        a = process_matrix(PlanSource(plan), params, chunk_size=7)
+        b = process_matrix(PlanSource(plan), params, chunk_size=64)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.mask, b.mask)
         np.testing.assert_array_equal(a.noise_level_db, b.noise_level_db)
 
     def test_strongest_ue_peak_matches_geometry(self, plan):
-        mat = process_matrix(pl.PlanSource(plan), pl.PipelineParams())
+        mat = process_matrix(PlanSource(plan), pl.PipelineParams())
         m = 0
         j = int(plan.measured_power_dbm[m].argmax())
         d = np.linalg.norm(plan.positions[m] - plan.ue_positions[j])
@@ -387,7 +387,7 @@ class TestProcessCampaign:
             params = pl.PipelineParams(noise_region_native=region)
             params.validate()
             with pytest.raises(ValueError, match=r"noise_region_native.*2801"):
-                pl.process_chunk(pl.PlanSource(plan), params, 0, 4)
+                pl.process_chunk(PlanSource(plan), params, 0, 4)
         assert pl.PipelineParams().noise_bins(2801) == (4500, 27500)
         assert pl.PipelineParams(noise_region_native=(450, None)).noise_bins(2801) \
             == (4500, 28010)
@@ -411,7 +411,7 @@ def full_profile_noise_db(source, params, a, b):
 class TestSpanNoiseFloor:
     def test_noise_db_matches_full_profile(self, plan):
         params = pl.PipelineParams()
-        source = pl.PlanSource(plan)
+        source = PlanSource(plan)
         for a, b in ((0, 12), (30, 41)):
             got = pl.process_chunk(source, params, a, b)[4]
             np.testing.assert_allclose(got, full_profile_noise_db(source, params, a, b),
@@ -423,7 +423,7 @@ class TestSpanNoiseFloor:
         # clamp keeps every noise mean non-negative and every level finite.
         params = pl.PipelineParams()
         a, b, values, mask, noise_db, theta_db = pl.process_chunk(
-            pl.PlanSource(plan, include_noise=False), params, 0, 20)
+            PlanSource(plan, include_noise=False), params, 0, 20)
         assert np.isfinite(noise_db).all() and np.isfinite(theta_db).all()
         assert noise_db.max() < -150.0
         assert np.isfinite(values).all() and (values >= 0).all()
@@ -460,18 +460,26 @@ class TestSpanNoiseFloor:
 
 def _slow_first_span(a, b):
     import time
+    start = time.monotonic()
     time.sleep(1.0 if a == 0 else 0.01)
-    return b
+    return start, time.monotonic()
 
 
 def test_pool_lookahead_bounds_out_of_order_results():
-    # Span 0 runs long; the pool may finish only the spans that start
-    # within 2 x workers of it, so a caller reordering results by capture
-    # holds at most 3 chunks here, not all 19 others.
+    # Span 0 runs long; while it runs, the pool may start only the spans
+    # within 2 x workers of it, so results that finish ahead of it wait in
+    # the parent for at most 3 chunks here, not all 19 others.
+    times = []
+    pl.run_chunks(_slow_first_span, (), 40, 2, lambda a, t: times.append(t), workers=2)
+    assert len(times) == 20
+    first_end = times[0][1]
+    assert {i for i, (start, _) in enumerate(times) if start < first_end} <= {0, 1, 2, 3}
+
+
+def test_pool_takes_results_in_span_order():
     taken = []
-    pl.run_chunks(_slow_first_span, (), 40, 2, lambda a, b: taken.append(a), workers=2)
-    assert sorted(taken) == list(range(0, 40, 2))
-    assert taken.index(0) <= 3
+    pl.run_chunks(_slow_first_span, (), 40, 2, lambda a, t: taken.append(a), workers=2)
+    assert taken == list(range(0, 40, 2))
 
 
 class TestSparseRows:
@@ -500,6 +508,24 @@ class TestSparseRows:
         np.testing.assert_array_equal(np.argwhere(mask.reshape(12, 30)),
                                       np.column_stack([row, col]))
 
+    def test_encode_keeps_runs_within_rows(self):
+        # Row 0 ends in a run at the last bin and row 1 starts with one at
+        # bin 0; row 1 is all true and row 2 all false. Runs are cut at row
+        # ends, never merged across them.
+        mask = np.zeros((4, 6), dtype=bool)
+        mask[0, [1, 4, 5]] = True
+        mask[1] = True
+        mask[3, [0, 2, 3]] = True
+        values = np.where(mask, np.arange(24, dtype=np.float32).reshape(4, 6) + 1, 0)
+        rows = pl.SparseRows.encode(values, mask, np.zeros(4), np.ones(4))
+        np.testing.assert_array_equal(rows.n_runs, [2, 1, 0, 2])
+        np.testing.assert_array_equal(rows.starts, [1, 4, 0, 0, 2])
+        np.testing.assert_array_equal(rows.lengths, [1, 2, 6, 1, 2])
+        np.testing.assert_array_equal(rows.values, values[mask])
+        got_v, got_m = rows.dense(6)
+        np.testing.assert_array_equal(got_m, mask)
+        np.testing.assert_array_equal(got_v, values)
+
 
 def cached_source(source, m0, m1):
     """source's metadata with its spectra of captures [m0, m1) read once;
@@ -518,7 +544,7 @@ def test_chunk_memory_bounded_by_spectra_bytes(plan):
     # about 3.4 x the spectra bytes. Copying the whole chunk to complex128
     # (and calibrating it, and holding float64 outputs) took 7.5 x.
     params = pl.PipelineParams()
-    source = cached_source(pl.PlanSource(plan), 0, plan.n_captures)
+    source = cached_source(PlanSource(plan), 0, plan.n_captures)
     a, b = 4, 37
     pl.process_chunk(source, params, a, b)  # first call fills the chirp cache
     spectra_bytes = source.spectra(a - 4, b + 4).nbytes
@@ -560,7 +586,7 @@ def test_stored_repetitions_match_inline_reference(reps_plan):
     noise mean. Bins closer to the threshold than these bounds may flip.
     """
     params = pl.PipelineParams()
-    source = pl.PlanSource(reps_plan)
+    source = PlanSource(reps_plan)
     assert source.spectra(0, 1).shape[2] == 10
     n, f = source.n_subcarriers, params.pad_factor
     big_l, gate = n * f, params.gate_native_bins * f
