@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import MatrixFile
 from .pipeline import SparseRows
 from .scene import LinkClass
 
@@ -24,11 +25,11 @@ from .scene import LinkClass
 class APLDPDP:
     """Delay profiles of one UE across all AP poses, with annotations.
 
-    The profiles stay in matrix, a PDPMatrix or an open
-    formats.MatrixFile, and are read from its blocks of captures.
+    The profiles stay in the matrix file and are read from its blocks of
+    captures.
     """
 
-    matrix: object  # PDPMatrix or formats.MatrixFile holding the profiles
+    matrix: MatrixFile  # holds the profiles of every UE
     ue_id: int
     timestamps: np.ndarray  # (M,)
     positions: np.ndarray  # (M, 3) AP pose per row
@@ -49,14 +50,13 @@ class APLDPDP:
         return self.matrix.bin_width_s
 
 
-def assemble_apld(matrix, meta, ue_id: int) -> APLDPDP:
+def assemble_apld(matrix: MatrixFile, meta, ue_id: int) -> APLDPDP:
     """Join one UE's processed profiles with campaign annotations.
 
-    matrix is a PDPMatrix or an open formats.MatrixFile; the result reads
-    the UE's profiles from it. meta must expose timestamps, positions,
-    attenuation_db and the per-capture link_class table (M, U), as
-    CaptureFile and CampaignPlan do. Row order follows capture index,
-    which follows the pose timestamps by construction.
+    The result reads the UE's profiles from matrix. meta must expose
+    timestamps, positions, attenuation_db and the per-capture link_class
+    table (M, U), as CaptureFile and CampaignPlan do. Row order follows
+    capture index, which follows the pose timestamps by construction.
     """
     if matrix.n_captures == 0:
         raise ValueError("empty campaign: no captures to assemble")
@@ -179,7 +179,7 @@ def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 
                     out[i].write(img[aplds[i].ue_id].tobytes())
 
 
-def _ue_peaks(matrix) -> np.ndarray:
+def _ue_peaks(matrix: MatrixFile) -> np.ndarray:
     """Largest surviving value per UE, NaN where none survives; one pass
     over the matrix's blocks."""
     top = np.zeros(matrix.n_ues)

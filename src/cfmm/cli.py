@@ -60,16 +60,22 @@ def _out_dir(cfg: RunConfig, flag_out: str | None) -> Path:
     return Path(cfg.output_dir)
 
 
-def _run_flags(cfg: RunConfig, args) -> tuple[int, int]:
-    """Chunk size and worker count of a stage, checked before the stage
-    touches any file. --workers overrides the config's workers, under the
-    config's rule for it."""
-    if args.chunk_size < 1:
-        raise ValueError(f"chunk_size = {args.chunk_size}: must be >= 1")
+def _workers(cfg: RunConfig, args) -> int:
+    """Worker count of a stage, checked before the stage touches any file.
+    --workers overrides the config's workers, under the config's rule for
+    it."""
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
         cfg.validate()
-    return args.chunk_size, cfg.workers or os.cpu_count() or 1
+    return cfg.workers or os.cpu_count() or 1
+
+
+def _run_flags(cfg: RunConfig, args) -> tuple[int, int]:
+    """Chunk size and worker count of a parallel stage, checked before the
+    stage touches any file."""
+    if args.chunk_size < 1:
+        raise ValueError(f"chunk_size = {args.chunk_size}: must be >= 1")
+    return args.chunk_size, _workers(cfg, args)
 
 
 def _scene_sha256(cfg: RunConfig) -> str | None:
@@ -252,8 +258,7 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
         summary.writerow(["capture_index", "ue", "noise_db", "threshold_db",
                           "peak_delay_s", "peak_power_db", "surviving_bins"])
 
-        def take(a: int, chunk: tuple) -> None:
-            rows = chunk[2]
+        def take(a: int, rows: pl.SparseRows) -> None:
             writer.write_chunk(a, rows)
             summary.writerows(_summary_rows(a, rows, source.n_ues, bin_width_s))
             counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
@@ -267,14 +272,14 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
 
 def cmd_export(args) -> int:
     cfg = load_config(args.config)
-    _run_flags(cfg, args)
+    _workers(cfg, args)
     out = _out_dir(cfg, args.out)
     matrix_path = out / MATRIX_NAME
     captures_path = Path(args.captures) if args.captures else out / CAPTURES_NAME
     for p in (matrix_path, captures_path):
         if not p.exists():
             raise FileNotFoundError(f"missing stage input: {p}")
-    matrix = fm.open_matrix(matrix_path)
+    matrix = fm.read_matrix(matrix_path)
     source = fm.open_captures(captures_path)
     _start_stage(out, "export")
     u = matrix.n_ues
@@ -293,10 +298,14 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, parallel: bool = True) -> None:
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", help="output directory (default: config output_dir, "
                    "under $CFMM_OUT_ROOT if set)")
+    if not parallel:
+        p.add_argument("--workers", type=int, help="checked as for simulate and "
+                       "process; export itself runs in one process")
+        return
     p.add_argument("--workers", type=int, help="parallel workers (0 = all cores)")
     p.add_argument("--chunk-size", dest="chunk_size", type=int, default=128,
                    help="captures per work unit (output is identical for any value)")
@@ -316,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--captures", help="captures file (default: <out>/captures.cfmc)")
     e = sub.add_parser("export", help="write per-UE heatmaps and annotations")
-    _add_common(e)
+    _add_common(e, parallel=False)
     e.add_argument("--captures", help="captures file (default: <out>/captures.cfmc)")
     return parser
 

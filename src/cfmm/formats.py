@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import PDPMatrix, SparseRows
+from .pipeline import SparseRows
 
 MATRIX_MAGIC = b"CFMM"
 CAPTURE_MAGIC = b"CFMC"
@@ -88,7 +88,8 @@ def _run_words(n_runs: np.ndarray, record_words: np.ndarray) -> np.ndarray:
 @dataclass
 class MatrixFile:
     """Read handle over a matrix file: the row tables in memory, the row
-    records read on demand, one block of captures at a time."""
+    records read on demand, one block of captures at a time. Each read
+    checks the records it parses."""
 
     path: str
     n_captures: int
@@ -103,7 +104,11 @@ class MatrixFile:
     records_offset: int
 
     def rows(self, m0: int, m1: int) -> SparseRows:
-        """The rows of captures [m0, m1), all UEs."""
+        """The rows of captures [m0, m1), all UEs.
+
+        Raises FormatError when a run table is malformed or a stored value
+        is negative or not finite: the pipeline stores only powers.
+        """
         u = self.n_ues
         r0, r1 = m0 * u, m1 * u
         ends = self.record_end[r0:r1]
@@ -133,6 +138,10 @@ class MatrixFile:
                 f"{self.path}: captures {m0}..{m1 - 1}: corrupt run table "
                 f"(runs must be disjoint, increasing, within {self.n_bins} bins "
                 "and cover the row's values)")
+        if not (np.isfinite(rows.values).all() and (rows.values >= 0).all()):
+            raise FormatError(
+                f"{self.path}: captures {m0}..{m1 - 1}: stored values must be "
+                "finite and non-negative")
         return rows
 
     def blocks(self):
@@ -140,10 +149,16 @@ class MatrixFile:
         for m0 in range(0, self.n_captures, BLOCK_CAPTURES):
             yield self.rows(m0, min(m0 + BLOCK_CAPTURES, self.n_captures))
 
+    def validate(self) -> None:
+        """Read every block, so every run table and stored value is checked."""
+        for _ in self.blocks():
+            pass
 
-def open_matrix(path) -> MatrixFile:
-    """Read a matrix file's header and row tables and check them against
-    the file size."""
+
+def read_matrix(path) -> MatrixFile:
+    """Open a matrix file: read its header and row tables and check them
+    against the file size. The row records are read, and checked, block
+    by block as they are used."""
     with open(path, "rb") as fh:
         raw = fh.read(_MATRIX_HEADER.size)
         if len(raw) < _MATRIX_HEADER.size:
@@ -178,16 +193,6 @@ def open_matrix(path) -> MatrixFile:
         noise_level_db=tables["noise_db"].reshape(m, u),
         threshold_db=tables["threshold_db"].reshape(m, u),
         record_end=ends, n_runs=n_runs, records_offset=records_offset,
-    )
-
-
-def read_matrix(path) -> PDPMatrix:
-    """The whole matrix file in memory, as a PDPMatrix."""
-    mf = open_matrix(path)
-    return PDPMatrix(
-        rows=mf.rows(0, mf.n_captures), n_captures=mf.n_captures, n_ues=mf.n_ues,
-        n_bins=mf.n_bins, bin_width_s=mf.bin_width_s,
-        oversample_factor=mf.oversample_factor,
     )
 
 

@@ -40,7 +40,7 @@ import multiprocessing as mp
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,63 +95,14 @@ class PipelineParams:
 
 
 @dataclass
-class PDPMatrix:
-    """Processed delay-power matrix of a whole campaign, held as SparseRows.
-
-    rows holds the small-scale averaged, thresholded, gated profiles of
-    every (capture, UE) row, capture-major, with each row's noise level
-    and threshold. values and mask are dense (M, U, B) views, built on
-    first use: the mask marks bins that survived thresholding and were
-    not removed by the gate or the pre-cursor cut, and masked bins read
-    zero.
-    """
-
-    rows: SparseRows
-    n_captures: int
-    n_ues: int
-    n_bins: int  # B = gate * pad_factor
-    bin_width_s: float  # oversampled bin width
-    oversample_factor: int
-
-    @property
-    def noise_level_db(self) -> np.ndarray:
-        return self.rows.noise_db.reshape(self.n_captures, self.n_ues)
-
-    @property
-    def threshold_db(self) -> np.ndarray:
-        return self.rows.threshold_db.reshape(self.n_captures, self.n_ues)
-
-    @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        values, mask = self.rows.dense(self.n_bins)
-        shape = (self.n_captures, self.n_ues, self.n_bins)
-        return values.reshape(shape), mask.reshape(shape)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._dense[0]  # (M, U, B) float32
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._dense[1]  # (M, U, B) bool
-
-    def blocks(self):
-        """The rows of all captures, as one block."""
-        yield self.rows
-
-    def validate(self) -> None:
-        if np.any(self.rows.values < 0):
-            raise ValueError("PDP values must be non-negative")
-
-
-@dataclass
 class SparseRows:
     """Gated profiles of consecutive (capture, UE) rows, surviving bins only.
 
     Compressed sparse rows: row r holds n_runs[r] runs of consecutive
     surviving bins, each a first bin and a length, and the float32 values
     of those bins in bin order. Runs and values follow row order, and rows
-    run capture-major, as (capture, UE) in a PDPMatrix.
+    run capture-major, as (capture, UE) in a matrix file. dense decodes
+    them into (values, mask) arrays, for code that compares bin by bin.
     """
 
     noise_db: np.ndarray  # (rows,) float64
@@ -500,14 +451,14 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     return a, b, values, mask, noise_db, theta_db
 
 
-def process_chunk_sparse(source, params: PipelineParams, a: int, b: int) -> tuple:
-    """process_chunk with its profiles encoded: (m0, m1, SparseRows).
+def process_chunk_sparse(source, params: PipelineParams, a: int, b: int) -> SparseRows:
+    """The profiles of process_chunk, encoded as SparseRows.
 
     Pool workers return this, so only the surviving bins of a chunk cross
     the pipe to the parent.
     """
     _, _, values, mask, noise_db, theta_db = process_chunk(source, params, a, b)
-    return a, b, SparseRows.encode(values, mask, noise_db, theta_db)
+    return SparseRows.encode(values, mask, noise_db, theta_db)
 
 
 _WORKER_TASK = None  # (fn, args) of the running pool; fork workers inherit it

@@ -31,14 +31,45 @@ class PlanSource:
         return sd.synthesize_chunk(self.plan, m0, m1, include_noise=self.include_noise)
 
 
-def process_matrix(source, params=None, chunk_size=128) -> pl.PDPMatrix:
-    """Process source as the `process` stage does, into a temporary matrix
-    file, and read the file back."""
-    with tempfile.TemporaryDirectory(prefix="cfmm_matrix_") as tmp:
-        tmp = Path(tmp)
-        cli._process_into(source, params or pl.PipelineParams(), tmp / "matrix.cfmm",
-                          tmp / "summary.csv", chunk_size)
-        return fm.read_matrix(tmp / "matrix.cfmm")
+def process_matrix(source, tmp_path, params=None, chunk_size=128) -> fm.MatrixFile:
+    """Process source as the `process` stage does, into a matrix file in a
+    new directory under tmp_path, and open the file."""
+    out = Path(tempfile.mkdtemp(prefix="matrix_", dir=tmp_path))
+    cli._process_into(source, params or pl.PipelineParams(), out / "matrix.cfmm",
+                      out / "summary.csv", chunk_size)
+    return fm.read_matrix(out / "matrix.cfmm")
+
+
+def write_matrix(path, values, mask, noise_db, threshold_db, bin_width_s=1e-9,
+                 oversample_factor=10) -> fm.MatrixFile:
+    """Write dense (M, U, B) profiles, masked bins zero, as one chunk of a
+    matrix file, and open the file."""
+    m, u, b = values.shape
+    w = fm.MatrixWriter(path, m, u, b, bin_width_s, oversample_factor)
+    w.write_chunk(0, pl.SparseRows.encode(values, mask, noise_db, threshold_db))
+    w.close()
+    return fm.read_matrix(path)
+
+
+def set_first_value(path, value: float) -> int:
+    """Overwrite the first value stored in a matrix file, as a corrupt copy
+    would hold it; returns the (capture, UE) row that holds it."""
+    matrix = fm.read_matrix(path)
+    r = int(np.flatnonzero(matrix.n_runs)[0])
+    begin = int(matrix.record_end[r - 1]) if r else matrix.records_offset
+    at = begin + 8 * int(matrix.n_runs[r])  # past the row's runs
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(np.float32(value).tobytes())
+    return r
+
+
+def dense(matrix: fm.MatrixFile) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mask) of every profile in matrix, each (M, U, B): float32
+    values, masked bins zero, and the bins that survived."""
+    values, mask = matrix.rows(0, matrix.n_captures).dense(matrix.n_bins)
+    shape = (matrix.n_captures, matrix.n_ues, matrix.n_bins)
+    return values.reshape(shape), mask.reshape(shape)
 
 
 def ue_line(x0=20.0, y=60.0, spacing=5.0, n=8, height=1.0):

@@ -36,7 +36,7 @@ from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.waveform import WaveformSpec, generate_waveform
 
-from conftest import PlanSource, process_matrix
+from conftest import PlanSource, dense, process_matrix
 
 C = SPEED_OF_LIGHT
 
@@ -118,8 +118,9 @@ def _static_plan(distance_m, extra=(), *, m_total=16,
     return plan
 
 
-def _peak_bin(matrix: pl.PDPMatrix, m: int, u: int = 0) -> int:
-    row = np.where(matrix.mask[m, u], matrix.values[m, u], 0.0)
+def _peak_bin(matrix: fm.MatrixFile, m: int, u: int = 0) -> int:
+    values, mask = dense(matrix)
+    row = np.where(mask[m, u], values[m, u], 0.0)
     assert row.any(), "no surviving bins"
     return int(np.argmax(row))
 
@@ -173,11 +174,11 @@ def test_criterion_03_pipeline_oracle_equivalence():
 
 # --- 4..8: sounder chain against link-budget oracles -------------------------
 
-def test_criterion_04_delay_recovery():
+def test_criterion_04_delay_recovery(tmp_path):
     """Single path at 10/100/300 m lands within one oversampled bin of d/c."""
     for d in (10.0, 100.0, 300.0):
         plan = _static_plan(d)
-        matrix = process_matrix(PlanSource(plan))
+        matrix = process_matrix(PlanSource(plan), tmp_path)
         bw = matrix.bin_width_s
         want = round(d / C / bw)
         got = _peak_bin(matrix, m=8)
@@ -206,7 +207,7 @@ class _NoiseSource:
         return np.asarray(self._z[m0:m1], dtype=np.complex128)
 
 
-def test_criterion_05_threshold_false_alarm():
+def test_criterion_05_threshold_false_alarm(tmp_path):
     """Noise-only survival fraction matches exp(-10^0.7) within 0.15% abs.
 
     A power bin of circular Gaussian noise is exponential, so a threshold
@@ -217,13 +218,13 @@ def test_criterion_05_threshold_false_alarm():
     """
     source = _NoiseSource(1000, seed=20260815)
     params = pl.PipelineParams(ssa_window=1)
-    matrix = process_matrix(source, params)
-    frac = float(matrix.mask.mean())
+    matrix = process_matrix(source, tmp_path, params)
+    frac = float(dense(matrix)[1].mean())
     want = float(np.exp(-(10.0 ** 0.7)))
     assert abs(frac - want) <= 0.0015, f"fraction {frac:.5f} vs {want:.5f}"
 
 
-def test_criterion_06_dynamic_range():
+def test_criterion_06_dynamic_range(tmp_path):
     """100 dB of separation survives the chain; 110 dB does not.
 
     Strongest case: +5 dBm at the receiver pins the AGC at full
@@ -242,21 +243,22 @@ def test_criterion_06_dynamic_range():
     native = 1.0 / (2801 * 125e3)
     for rel, plan in plans.items():
         assert (plan.attenuation_db == 30.0).all()
-        matrix = process_matrix(PlanSource(plan))
+        matrix = process_matrix(PlanSource(plan), tmp_path)
         bw = matrix.bin_width_s
         strong_bin = round(30.0 / C / bw)
         weak_bin = round((30.0 / C + 350 * native) / bw)
         m = 8
         assert abs(_peak_bin(matrix, m) - strong_bin) <= 1
-        near = matrix.mask[m, 0, weak_bin - 10:weak_bin + 11]
-        wide = matrix.mask[m, 0, weak_bin - 60:weak_bin + 61]
+        mask = dense(matrix)[1]
+        near = mask[m, 0, weak_bin - 10:weak_bin + 11]
+        wide = mask[m, 0, weak_bin - 60:weak_bin + 61]
         if rel == -100.0:
             assert near.any(), "100 dB-down path lost"
         else:
             assert not wide.any(), "110 dB-down path retained"
 
 
-def test_criterion_07_agc_contract():
+def test_criterion_07_agc_contract(tmp_path):
     """Output power stays within 1.2 dB std on LOS; floor step is <= 20 dB.
 
     Part 1: a 220-capture drive from 45 m to 55 m standoff keeps the
@@ -297,13 +299,13 @@ def test_criterion_07_agc_contract():
         [[0.0, 0.0, 0.0]], [amp], [np.full(m_total, 60.0 / C)], seed=6)
     att = plan.attenuation_db
     assert (att[:31] == 0.0).all() and (att[31:] == 30.0).all()
-    matrix = process_matrix(PlanSource(plan))
+    matrix = process_matrix(PlanSource(plan), tmp_path)
     floor = matrix.noise_level_db[:, 0]
     step = float(np.mean(floor[40:59]) - np.mean(floor[4:25]))
     assert 19.0 <= step <= 20.3, f"noise floor step {step:.2f} dB"
 
 
-def test_criterion_08_crosstalk_removal():
+def test_criterion_08_crosstalk_removal(tmp_path):
     """Coupling leakage is cut before the first arrival and leaves the peak.
 
     LOS at 100 m puts the arrival at native bin 117; the cut clears
@@ -315,17 +317,18 @@ def test_criterion_08_crosstalk_removal():
     for label, coupling in (("on", -60.0), ("off", None)):
         plan = _static_plan(100.0, gain_db=-80.0, coupling_db=coupling, seed=7)
         assert (plan.attenuation_db == 10.0).all()
-        runs[label] = process_matrix(PlanSource(plan))
+        runs[label] = process_matrix(PlanSource(plan), tmp_path)
     pad = runs["on"].oversample_factor
     cut = 113 * pad
-    assert not runs["on"].mask[..., :cut].any()
-    assert np.all(runs["on"].values[..., :cut] == 0.0)
+    on_values, on_mask = dense(runs["on"])
+    assert not on_mask[..., :cut].any()
+    assert np.all(on_values[..., :cut] == 0.0)
     m = 8
     bin_on, bin_off = _peak_bin(runs["on"], m), _peak_bin(runs["off"], m)
     assert bin_on == bin_off
     assert abs(round(100.0 / C / runs["on"].bin_width_s) - bin_on) <= 1
-    p_on = 10.0 * np.log10(runs["on"].values[m, 0, bin_on])
-    p_off = 10.0 * np.log10(runs["off"].values[m, 0, bin_off])
+    p_on = 10.0 * np.log10(on_values[m, 0, bin_on])
+    p_off = 10.0 * np.log10(dense(runs["off"])[0][m, 0, bin_off])
     assert abs(p_on - p_off) < 0.01
 
 
@@ -469,6 +472,7 @@ def test_criterion_10_canyon_figure_properties():
         bw = matrix.bin_width_s
         native = bw * matrix.oversample_factor
         theta = _theta_table(out / "summary.csv", m_total, n_ue)
+        values, mask = dense(matrix)
 
         pgm = (out / "apld_ue0.pgm").read_bytes()
         assert pgm.startswith(b"P5\n4000 3841\n255\n")
@@ -535,7 +539,7 @@ def test_criterion_10_canyon_figure_properties():
             for wall, lengths in (("south", img_a), ("north", img_b)):
                 for m, length in zip(leg3[ok], lengths[ok]):
                     want = round(length / C / bw)
-                    vals = np.where(matrix.mask[m, j], matrix.values[m, j], 0.0)
+                    vals = np.where(mask[m, j], values[m, j], 0.0)
                     window = vals[want - 15:want + 16]
                     assert window.any(), f"row {m} ue {j}: {wall} ridge missing"
                     got = want - 15 + int(np.argmax(window))
@@ -560,8 +564,8 @@ def test_criterion_10_canyon_figure_properties():
             fp = tracks[j][np.concatenate([pre, post])]
             assert np.isfinite(fp).all()
             start = int(np.max(np.round(fp / bw))) + 40
-            alive_pre = matrix.mask[pre, j, start:].mean(axis=0)
-            alive_post = matrix.mask[post, j, start:].mean(axis=0)
+            alive_pre = mask[pre, j, start:].mean(axis=0)
+            alive_post = mask[post, j, start:].mean(axis=0)
             dying = np.flatnonzero((alive_pre >= 0.9) & (alive_post <= 0.3))
             assert dying.size >= 12, f"ue {j}: only {dying.size} dying bins"
             splits = np.flatnonzero(np.diff(dying) > 5)
@@ -612,7 +616,7 @@ def test_criterion_11_scale_smoke():
         prefix = 1536
         params = pl.PipelineParams()
         b_bins = params.gate_native_bins * params.pad_factor
-        stored = fm.open_matrix(out / "matrix.cfmm").rows(0, prefix)
+        stored = fm.read_matrix(out / "matrix.cfmm").rows(0, prefix)
         stored_vals, stored_mask = stored.dense(b_bins)
         stored_vals = stored_vals.tobytes()
         stored_mask = np.packbits(stored_mask.reshape(-1), bitorder="little").tobytes()

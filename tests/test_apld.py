@@ -14,23 +14,22 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.constants import SPEED_OF_LIGHT
 
-from conftest import PlanSource, make_scene, process_matrix
+from conftest import PlanSource, dense, make_scene, process_matrix, write_matrix
 
 
-def dense_matrix(values, mask, noise_db=-100.0, threshold_db=-93.0,
-                 bin_width_s=1e-9) -> pl.PDPMatrix:
-    """PDPMatrix of dense (M, U, B) profiles; masked bins are zeroed."""
+def dense_matrix(tmp_path, values, mask, noise_db=-100.0, threshold_db=-93.0,
+                 bin_width_s=1e-9) -> fm.MatrixFile:
+    """Matrix file of dense (M, U, B) profiles, in tmp_path; masked bins are
+    zeroed."""
     values = np.asarray(values, dtype=np.float32) * mask
-    m, u, b = values.shape
-    rows = pl.SparseRows.encode(values, mask, np.full((m, u), noise_db),
-                                np.full((m, u), threshold_db))
-    return pl.PDPMatrix(rows=rows, n_captures=m, n_ues=u, n_bins=b,
-                        bin_width_s=bin_width_s, oversample_factor=10)
+    m, u, _ = values.shape
+    return write_matrix(tmp_path / "dense.cfmm", values, mask, np.full((m, u), noise_db),
+                        np.full((m, u), threshold_db), bin_width_s)
 
 
-def toy_matrix(m=6, u=2, b=50):
+def toy_matrix(tmp_path, m=6, u=2, b=50):
     rng = np.random.default_rng(11)
-    return dense_matrix(rng.random((m, u, b)), np.ones((m, u, b), dtype=bool))
+    return dense_matrix(tmp_path, rng.random((m, u, b)), np.ones((m, u, b), dtype=bool))
 
 
 def toy_meta(m=6):
@@ -43,8 +42,8 @@ def toy_meta(m=6):
 
 
 class TestAssemble:
-    def test_join(self):
-        mat, meta = toy_matrix(), toy_meta()
+    def test_join(self, tmp_path):
+        mat, meta = toy_matrix(tmp_path), toy_meta()
         out = ap.assemble_apld(mat, meta, ue_id=1)
         assert out.ue_id == 1
         assert out.matrix is mat
@@ -55,18 +54,18 @@ class TestAssemble:
         np.testing.assert_array_equal(out.threshold_db, np.full(6, -93.0))
         assert out.bin_width_s == 1e-9
 
-    def test_empty_campaign(self):
-        mat = toy_matrix(m=0)
+    def test_empty_campaign(self, tmp_path):
+        mat = toy_matrix(tmp_path, m=0)
         with pytest.raises(ValueError, match="empty campaign"):
             ap.assemble_apld(mat, toy_meta(m=0), 0)
 
-    def test_capture_count_mismatch_lists_gaps(self):
+    def test_capture_count_mismatch_lists_gaps(self, tmp_path):
         with pytest.raises(ValueError, match="missing captures 4, 5"):
-            ap.assemble_apld(toy_matrix(m=6), toy_meta(m=4), 0)
+            ap.assemble_apld(toy_matrix(tmp_path, m=6), toy_meta(m=4), 0)
 
-    def test_bad_ue(self):
+    def test_bad_ue(self, tmp_path):
         with pytest.raises(ValueError, match="ue_id 5 out of range"):
-            ap.assemble_apld(toy_matrix(), toy_meta(), 5)
+            ap.assemble_apld(toy_matrix(tmp_path), toy_meta(), 5)
 
 
 def one_ue_meta(m):
@@ -75,9 +74,10 @@ def one_ue_meta(m):
                            link_class=np.zeros((m, 1), dtype=np.uint8))
 
 
-def flat_apld(values, mask):
+def flat_apld(tmp_path, values, mask):
     """One UE, one capture."""
-    mat = dense_matrix(np.asarray(values)[None, None], np.asarray(mask, dtype=bool)[None, None])
+    mat = dense_matrix(tmp_path, np.asarray(values)[None, None],
+                       np.asarray(mask, dtype=bool)[None, None])
     return ap.assemble_apld(mat, one_ue_meta(1), 0)
 
 
@@ -100,61 +100,61 @@ def dense_track(values, mask, bin_width_s, dynamic_range_db):
 
 
 class TestFirstPeakTrack:
-    def test_earliest_local_max(self):
+    def test_earliest_local_max(self, tmp_path):
         v = np.zeros(20)
         v[[5, 6, 7]] = [1.0, 3.0, 1.5]  # lobe peaking at bin 6
         v[[12, 13, 14]] = [2.0, 9.0, 2.0]  # stronger later lobe
-        out = flat_apld(v, v > 0)
+        out = flat_apld(tmp_path, v, v > 0)
         delays, powers = ap.first_peak_track(out)
         assert delays[0] == pytest.approx(6e-9)
         assert powers[0] == pytest.approx(3.0)
 
-    def test_isolated_bin_is_a_peak(self):
+    def test_isolated_bin_is_a_peak(self, tmp_path):
         v = np.zeros(10)
         v[4] = 2.0
-        delays, powers = ap.first_peak_track(flat_apld(v, v > 0))
+        delays, powers = ap.first_peak_track(flat_apld(tmp_path, v, v > 0))
         assert delays[0] == pytest.approx(4e-9)
         assert powers[0] == pytest.approx(2.0)
 
-    def test_rising_edge_not_tracked(self):
+    def test_rising_edge_not_tracked(self, tmp_path):
         v = np.zeros(10)
         v[3:6] = [1.0, 2.0, 3.0]  # monotone rise peaking at 5
-        delays, _ = ap.first_peak_track(flat_apld(v, v > 0))
+        delays, _ = ap.first_peak_track(flat_apld(tmp_path, v, v > 0))
         assert delays[0] == pytest.approx(5e-9)
 
-    def test_empty_row_nan(self):
-        delays, powers = ap.first_peak_track(flat_apld(np.zeros(10), np.zeros(10)))
+    def test_empty_row_nan(self, tmp_path):
+        delays, powers = ap.first_peak_track(flat_apld(tmp_path, np.zeros(10), np.zeros(10)))
         assert np.isnan(delays[0]) and np.isnan(powers[0])
 
-    def test_below_dynamic_range_skipped(self):
+    def test_below_dynamic_range_skipped(self, tmp_path):
         v = np.zeros(200)
         v[70] = 1.0
         v[37] = 1e-7  # -70 dB bump: window-sidelobe residue, not an arrival
-        delays, _ = ap.first_peak_track(flat_apld(v, v > 0))
+        delays, _ = ap.first_peak_track(flat_apld(tmp_path, v, v > 0))
         assert delays[0] == pytest.approx(70e-9)
 
-    def test_weak_arrival_inside_range_kept(self):
+    def test_weak_arrival_inside_range_kept(self, tmp_path):
         v = np.zeros(200)
         v[60] = 1.0
         v[30] = 1e-2  # -20 dB, within the tracking range
-        delays, powers = ap.first_peak_track(flat_apld(v, v > 0))
+        delays, powers = ap.first_peak_track(flat_apld(tmp_path, v, v > 0))
         assert delays[0] == pytest.approx(30e-9)
         assert powers[0] == pytest.approx(1e-2)
 
-    def test_range_none_tracks_every_survivor(self):
+    def test_range_none_tracks_every_survivor(self, tmp_path):
         v = np.zeros(200)
         v[60] = 1.0
         v[30] = 1e-7
-        delays, _ = ap.first_peak_track(flat_apld(v, v > 0), dynamic_range_db=None)
+        delays, _ = ap.first_peak_track(flat_apld(tmp_path, v, v > 0), dynamic_range_db=None)
         assert delays[0] == pytest.approx(30e-9)
 
-    def test_mask_gates_candidates(self):
+    def test_mask_gates_candidates(self, tmp_path):
         v = np.zeros(10)
         v[2] = 5.0
         v[7] = 1.0
         mask = v > 0
         mask[2] = False
-        apld = flat_apld(v, mask)
+        apld = flat_apld(tmp_path, v, mask)
         delays, powers = ap.first_peak_track(apld)
         assert delays[0] == pytest.approx(7e-9)
         assert powers[0] == pytest.approx(1.0)
@@ -184,29 +184,32 @@ class TestFirstPeakTrack:
         w.write_chunk(0, rows)
         w.close()
 
-        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 captures
-        stored, whole = fm.open_matrix(path), fm.read_matrix(path)
+        stored = fm.read_matrix(path)
         assert stored.n_runs[4 * u] == 2
+        back_values, back_mask = dense(stored)
         meta = toy_meta(m)
         meta.link_class = np.zeros((m, u), dtype=np.uint8)
+        aplds = [ap.assemble_apld(stored, meta, j) for j in range(u)]
+        whole = [ap.first_peak_track(a, dynamic_range_db) for a in aplds]  # one block
+        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 captures
         for j in range(u):
-            got = ap.first_peak_track(ap.assemble_apld(stored, meta, j), dynamic_range_db)
-            want = ap.first_peak_track(ap.assemble_apld(whole, meta, j), dynamic_range_db)
-            oracle = dense_track(whole.values[:, j], whole.mask[:, j], 1e-9, dynamic_range_db)
-            for g, w_, o in zip(got, want, oracle):
+            got = ap.first_peak_track(aplds[j], dynamic_range_db)
+            oracle = dense_track(back_values[:, j], back_mask[:, j], 1e-9, dynamic_range_db)
+            for g, w_, o in zip(got, whole[j], oracle):
                 np.testing.assert_array_equal(g, w_)  # NaN where the other is NaN
                 np.testing.assert_array_equal(g, o)
         assert np.isnan(got[0]).all()  # UE 2 keeps nothing
-        delays, _ = ap.first_peak_track(ap.assemble_apld(stored, meta, 0), dynamic_range_db)
+        delays, _ = ap.first_peak_track(aplds[0], dynamic_range_db)
         assert delays[4] == 7 * 1e-9  # the lobe peak, not the end of its first run
 
 
 @pytest.fixture(scope="module")
-def campaign():
+def campaign(tmp_path_factory):
     scene = make_scene()
     plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(),
                             seed=33, pose_slice=slice(0, 12))
-    matrix = process_matrix(PlanSource(plan), pl.PipelineParams(), chunk_size=8)
+    matrix = process_matrix(PlanSource(plan), tmp_path_factory.mktemp("campaign"),
+                            pl.PipelineParams(), chunk_size=8)
     return plan, matrix
 
 
@@ -227,8 +230,9 @@ class TestOnCampaign:
         lobe = 4 * params.pad_factor  # pre-cursor guard width, oversampled
         apld = ap.assemble_apld(matrix, plan, ue_id=0)
         delays, _ = ap.first_peak_track(apld)
+        mask = dense(matrix)[1]
         for i in range(apld.n_rows):
-            surv = np.flatnonzero(matrix.mask[i, 0])
+            surv = np.flatnonzero(mask[i, 0])
             if surv.size == 0 or np.isnan(delays[i]):
                 continue
             peak_bin = int(round(delays[i] / apld.bin_width_s))
@@ -249,7 +253,8 @@ class TestExports:
         v[0, 2], mask[0, 2] = 1.0, True  # 0 dB: top of scale
         v[1, 4], mask[1, 4] = 1e-3, True  # -30 dB: bottom edge, still visible
         v[2, 6], mask[2, 6] = 1e-4, True  # -40 dB: clipped to black
-        apld = ap.assemble_apld(dense_matrix(v[:, None], mask[:, None]), one_ue_meta(3), 0)
+        mat = dense_matrix(tmp_path, v[:, None], mask[:, None])
+        apld = ap.assemble_apld(mat, one_ue_meta(3), 0)
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
         ap.export_heatmap([apld], [p1])
         ap.export_heatmap([apld], [p2])
@@ -270,28 +275,23 @@ class TestExports:
         mask = rng.random((m, u, b)) < 0.4
         mask[:, 2] = False  # a UE with nothing surviving
         values[~mask] = 0.0
-        path = tmp_path / "m.cfmm"
-        w = fm.MatrixWriter(path, m, u, b, 1e-9, 10)
-        w.write_chunk(0, pl.SparseRows.encode(values, mask, np.zeros((m, u)),
-                                              np.full((m, u), -93.0)))
-        w.close()
-        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 rows
-        stored = fm.open_matrix(path)
-        dense = fm.read_matrix(path)
+        stored = write_matrix(tmp_path / "m.cfmm", values, mask, np.zeros((m, u)),
+                              np.full((m, u), -93.0))
         meta = toy_meta(m)
         meta.link_class = np.zeros((m, u), dtype=np.uint8)
+        for j in range(u):  # one block
+            ap.export_heatmap([ap.assemble_apld(stored, meta, j)], [tmp_path / f"d{j}.pgm"])
+        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 rows
         for j in range(u):
-            a, b_ = tmp_path / f"s{j}.pgm", tmp_path / f"d{j}.pgm"
+            a = tmp_path / f"s{j}.pgm"
             ap.export_heatmap([ap.assemble_apld(stored, meta, j)], [a])
-            ap.export_heatmap([ap.assemble_apld(dense, meta, j)], [b_])
-            assert a.read_bytes() == b_.read_bytes()
+            assert a.read_bytes() == (tmp_path / f"d{j}.pgm").read_bytes()
         # All UEs at once, as export writes them: each block is parsed once
         # in the peak pass and once in the render pass.
         reads = []
         real_rows = fm.MatrixFile.rows
         monkeypatch.setattr(fm.MatrixFile, "rows",
                             lambda self, m0, m1: reads.append(m0) or real_rows(self, m0, m1))
-        stored = fm.open_matrix(path)
         together = [tmp_path / f"t{j}.pgm" for j in range(u)]
         ap.export_heatmap([ap.assemble_apld(stored, meta, j) for j in range(u)], together)
         assert reads == [0, 3, 6, 0, 3, 6]
@@ -299,7 +299,7 @@ class TestExports:
             assert together[j].read_bytes() == (tmp_path / f"d{j}.pgm").read_bytes()
 
     def test_heatmap_all_masked(self, tmp_path):
-        apld = flat_apld(np.zeros(5), np.zeros(5))
+        apld = flat_apld(tmp_path, np.zeros(5), np.zeros(5))
         path = tmp_path / "z.pgm"
         ap.export_heatmap([apld], [path])
         raw = path.read_bytes()
@@ -309,7 +309,7 @@ class TestExports:
         import csv as csvmod
 
         meta = toy_meta()
-        apld = ap.assemble_apld(toy_matrix(), meta, ue_id=1)
+        apld = ap.assemble_apld(toy_matrix(tmp_path), meta, ue_id=1)
         path = tmp_path / "ann.csv"
         ap.write_annotations(apld, path)
         with open(path) as fh:

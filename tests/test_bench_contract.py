@@ -8,6 +8,7 @@ session.
 """
 
 import importlib
+import shutil
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm import cli
 
-from conftest import PlanSource, make_scene
+from conftest import PlanSource, make_scene, set_first_value
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -62,8 +63,8 @@ def small_run(tmp_path_factory):
     scene, config = workloads.write_inputs(BENCH.parent, w, 7, root / "inputs")
     out = root / "out"
     for stage in w.stages:
-        assert cli.main([stage, "--config", str(config), "--out", str(out),
-                         "--chunk-size", "16"]) == 0
+        chunks = ["--chunk-size", "16"] if stage != "export" else []
+        assert cli.main([stage, "--config", str(config), "--out", str(out), *chunks]) == 0
     return w, scene, out
 
 
@@ -82,3 +83,14 @@ def test_los_oracle_reads_the_matrix(small_run, monkeypatch):
     results = checks.check_outputs(out, w.stages, w.n_poses, 8, scene, los_oracle=True)
     name, ok, detail = results[-1]
     assert name == "los_first_arrival" and ok, detail
+
+
+def test_matrix_check_fails_on_nan_value(small_run, tmp_path):
+    w, scene, out = small_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    set_first_value(copy / "matrix.cfmm", np.nan)
+    results = checks.check_outputs(copy, w.stages, w.n_poses, 8, scene, los_oracle=False)
+    name, ok, detail = results[1]
+    assert name == "matrix_parse_validate" and not ok
+    assert detail.startswith("FormatError") and "stored values must be finite" in detail

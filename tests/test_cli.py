@@ -22,7 +22,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import main
 
-from conftest import make_scene, ue_line
+from conftest import dense, make_scene, set_first_value, ue_line
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +236,7 @@ class TestStages:
         assert h1 == h2
         assert s1 == (out / "summary.csv").read_bytes()
         mat = fm.read_matrix(out / "matrix.cfmm")
-        assert mat.values.shape == (81, 8, 4000)
+        assert dense(mat)[0].shape == (81, 8, 4000)
 
     def test_worker_and_chunk_invariance(self, workspace, tmp_path):
         cfgp = str(workspace / "cfg.json")
@@ -410,6 +410,36 @@ class TestStages:
         assert not list(out.glob("annotations_ue*.csv"))
         assert not list(out.glob("*.partial"))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_corrupt_matrix_value_exit_3(self, workspace, tmp_path, capsys, bad):
+        out = tmp_path / "v"
+
+        def run(stage):
+            return main([stage, "--config", str(workspace / "cfg.json"), "--out", str(out),
+                         "--captures", str(workspace / "out" / "captures.cfmc"),
+                         "--workers", "1"])
+
+        assert run("process") == 0
+        path = out / "matrix.cfmm"
+        row = set_first_value(path, bad)
+        capsys.readouterr()
+        assert run("export") == 3
+        err = capsys.readouterr().err
+        block = row // 8 // fm.BLOCK_CAPTURES * fm.BLOCK_CAPTURES
+        assert f"{path}: captures {block}.." in err
+        assert "stored values must be finite and non-negative" in err
+        assert not list(out.glob("apld_ue*.pgm"))
+        assert not list(out.glob("*.partial"))
+
+    def test_export_has_no_chunk_size(self, workspace, finished_run, capsys):
+        before = digests(finished_run)
+        with pytest.raises(SystemExit) as exit_:
+            main(["export", "--config", str(workspace / "cfg.json"),
+                  "--out", str(finished_run), "--chunk-size", "16"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --chunk-size 16" in capsys.readouterr().err
+        assert digests(finished_run) == before
+
     @pytest.mark.parametrize("size", ["0", "-16"])
     def test_bad_chunk_size_exit_1(self, workspace, finished_run, capsys, size):
         before = digests(finished_run)
@@ -449,7 +479,7 @@ class TestStages:
         assert main(["process", "--config", str(cfgp), "--captures", cap,
                      "--out", str(o), "--workers", "1"]) == 0
         mat = fm.read_matrix(o / "matrix.cfmm")
-        assert mat.values.shape[2] == 2000
+        assert dense(mat)[0].shape[2] == 2000
 
     @pytest.mark.parametrize("stage,flag,value", [
         ("simulate", "--seed", "6"), ("process", "--beta", "2.5"),
@@ -540,7 +570,7 @@ class TestStages:
         def no_memory(path):
             raise MemoryError("Unable to allocate 2.6 GiB")
 
-        monkeypatch.setattr(fm, "open_matrix", no_memory)
+        monkeypatch.setattr(fm, "read_matrix", no_memory)
         rc = main(["export", "--config", str(workspace / "cfg.json"), "--out", str(out),
                    "--captures", str(workspace / "out" / "captures.cfmc")])
         assert rc == 4

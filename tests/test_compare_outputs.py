@@ -5,8 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-import cfmm.formats as fm
-import cfmm.pipeline as pl
+from conftest import write_matrix
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -16,13 +15,6 @@ def load_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def write_matrix(path, values, mask, noise_db):
-    m, u, b = values.shape
-    w = fm.MatrixWriter(path, m, u, b, 1e-9, 10)
-    w.write_chunk(0, pl.SparseRows.encode(values, mask, noise_db, noise_db + 7.0))
-    w.close()
 
 
 def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
@@ -35,13 +27,13 @@ def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
     for d in (a, b):
         d.mkdir()
         (d / "summary.csv").write_text("same\n")
-    write_matrix(a / "matrix.cfmm", values, mask, noise)
+    write_matrix(a / "matrix.cfmm", values, mask, noise, noise + 7.0)
     (a / "only_a.pgm").write_bytes(b"P5")
     changed, moved = values.copy(), noise.copy()
     i, j, q = np.argwhere(mask)[-1]  # in the second 32-capture block
     changed[i, j, q] = np.nextafter(changed[i, j, q], np.float32(2.0))
     moved[5, 1] += 1e-9
-    write_matrix(b / "matrix.cfmm", changed, mask, moved)
+    write_matrix(b / "matrix.cfmm", changed, mask, moved, moved + 7.0)
     assert load_tool().main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "summary.csv: same" in out

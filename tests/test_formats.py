@@ -13,11 +13,11 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import main
 
-from conftest import PlanSource, make_scene, process_matrix
+from conftest import PlanSource, dense, make_scene, process_matrix, write_matrix
 
 
 def small_matrix(rng, m=5, u=3, b=40) -> SimpleNamespace:
-    """Dense profiles with the fields of a PDPMatrix, to write and compare."""
+    """Dense profiles with the fields of a matrix file, to write and compare."""
     values = rng.random((m, u, b)).astype(np.float32)
     mask = rng.random((m, u, b)) < 0.5
     values[~mask] = 0.0
@@ -35,10 +35,8 @@ def chunk_rows(mat, a: int, b: int) -> pl.SparseRows:
 
 
 def write_whole(path, mat) -> None:
-    m, u, b = mat.values.shape
-    w = fm.MatrixWriter(path, m, u, b, mat.bin_width_s, mat.oversample_factor)
-    w.write_chunk(0, chunk_rows(mat, 0, m))
-    w.close()
+    write_matrix(path, mat.values, mat.mask, mat.noise_level_db, mat.threshold_db,
+                 mat.bin_width_s, mat.oversample_factor)
 
 
 def documented_layout(mat) -> bytes:
@@ -80,8 +78,9 @@ class TestMatrixFile:
         path = tmp_path / "a.cfmm"
         write_whole(path, mat)
         back = fm.read_matrix(path)
-        np.testing.assert_array_equal(back.values, mat.values)
-        np.testing.assert_array_equal(back.mask, mat.mask)
+        values, mask = dense(back)
+        np.testing.assert_array_equal(values, mat.values)
+        np.testing.assert_array_equal(mask, mat.mask)
         np.testing.assert_array_equal(back.noise_level_db, mat.noise_level_db)
         np.testing.assert_array_equal(back.threshold_db, mat.threshold_db)
         assert back.bin_width_s == mat.bin_width_s
@@ -171,7 +170,24 @@ class TestMatrixFile:
         raw[32 + 28 * 15:32 + 28 * 15 + 4] = (39).to_bytes(4, "little")  # past 40 bins
         path.write_bytes(bytes(raw))
         with pytest.raises(fm.FormatError, match="captures 0..4: corrupt run table"):
-            fm.read_matrix(path)
+            fm.read_matrix(path).validate()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_stored_value(self, tmp_path, monkeypatch, bad):
+        path = tmp_path / "a.cfmm"
+        mat = small_matrix(np.random.default_rng(0), m=7)
+        write_whole(path, mat)
+        raw = bytearray(path.read_bytes())
+        # The last value of the last row record: capture 6, in the third
+        # block of three captures.
+        raw[-4:] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)
+        matrix = fm.read_matrix(path)
+        matrix.rows(0, 6)  # the captures before it read cleanly
+        with pytest.raises(fm.FormatError,
+                           match=f"{path}: captures 6..6: stored values must be finite"):
+            matrix.validate()
 
     def test_chunked_writer_matches_one_shot(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -279,13 +295,13 @@ class TestCaptureFile:
         with pytest.raises(ValueError, match=r"\(2, 8, 1, 2801\) at capture 5 do not fit"):
             writer.write_chunk(5, sd.synthesize_chunk(plan, 0, 2))
 
-    def test_source_protocol_processes(self, plan, capture_path):
+    def test_source_protocol_processes(self, plan, capture_path, tmp_path):
         cf = fm.open_captures(capture_path)
         params = pl.PipelineParams()
-        from_file = process_matrix(cf, params, chunk_size=4)
-        from_plan = process_matrix(PlanSource(plan), params, chunk_size=4)
-        np.testing.assert_array_equal(from_file.values, from_plan.values)
-        np.testing.assert_array_equal(from_file.mask, from_plan.mask)
+        from_file = dense(process_matrix(cf, tmp_path, params, chunk_size=4))
+        from_plan = dense(process_matrix(PlanSource(plan), tmp_path, params, chunk_size=4))
+        np.testing.assert_array_equal(from_file[0], from_plan[0])
+        np.testing.assert_array_equal(from_file[1], from_plan[1])
 
     def test_bad_magic(self, capture_path, tmp_path):
         raw = bytearray(capture_path.read_bytes()[: 200])

@@ -7,7 +7,7 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import PlanSource, make_scene, process_matrix
+from conftest import PlanSource, dense, make_scene, process_matrix
 
 
 def brute_pdp(h, beta, pad):
@@ -344,33 +344,36 @@ def plan():
 
 
 class TestProcessCampaign:
-    def test_matrix_shape_and_validity(self, plan):
+    def test_matrix_shape_and_validity(self, plan, tmp_path):
         params = pl.PipelineParams()
-        mat = process_matrix(PlanSource(plan), params)
-        assert mat.values.shape == (41, 8, 4000)
-        assert mat.values.dtype == np.float32
+        mat = process_matrix(PlanSource(plan), tmp_path, params)
+        values, _ = dense(mat)
+        assert values.shape == (41, 8, 4000)
+        assert values.dtype == np.float32
         mat.validate()
         assert np.isfinite(mat.noise_level_db).all()
         np.testing.assert_allclose(mat.threshold_db, mat.noise_level_db + 7.0)
         assert mat.bin_width_s == pytest.approx(2.856122813e-9 / 10, rel=1e-9)
 
-    def test_chunk_size_does_not_change_output(self, plan):
+    def test_chunk_size_does_not_change_output(self, plan, tmp_path):
         params = pl.PipelineParams()
-        a = process_matrix(PlanSource(plan), params, chunk_size=7)
-        b = process_matrix(PlanSource(plan), params, chunk_size=64)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.mask, b.mask)
+        a = process_matrix(PlanSource(plan), tmp_path, params, chunk_size=7)
+        b = process_matrix(PlanSource(plan), tmp_path, params, chunk_size=64)
+        (a_values, a_mask), (b_values, b_mask) = dense(a), dense(b)
+        np.testing.assert_array_equal(a_values, b_values)
+        np.testing.assert_array_equal(a_mask, b_mask)
         np.testing.assert_array_equal(a.noise_level_db, b.noise_level_db)
 
-    def test_strongest_ue_peak_matches_geometry(self, plan):
-        mat = process_matrix(PlanSource(plan), pl.PipelineParams())
+    def test_strongest_ue_peak_matches_geometry(self, plan, tmp_path):
+        mat = process_matrix(PlanSource(plan), tmp_path, pl.PipelineParams())
+        values, mask = dense(mat)
         m = 0
         j = int(plan.measured_power_dbm[m].argmax())
         d = np.linalg.norm(plan.positions[m] - plan.ue_positions[j])
-        peak = int(mat.values[m, j].argmax())
+        peak = int(values[m, j].argmax())
         expect = d / 299792458.0 / mat.bin_width_s
         assert abs(peak - expect) <= 1.0
-        assert mat.mask[m, j, peak]
+        assert mask[m, j, peak]
 
     def test_pipeline_params_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfmm.formats import BLOCK_CAPTURES, open_matrix
+from cfmm.formats import BLOCK_CAPTURES, read_matrix
 
 MATRIX = "matrix.cfmm"
 MANIFEST = "manifest.json"
@@ -36,7 +36,7 @@ def sha256(path: Path) -> str:
 
 def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
     """Lines describing how two matrix files differ, value by value."""
-    a, b = open_matrix(path_a), open_matrix(path_b)
+    a, b = read_matrix(path_a), read_matrix(path_b)
     shape_a = (a.n_captures, a.n_ues, a.n_bins)
     shape_b = (b.n_captures, b.n_ues, b.n_bins)
     if shape_a != shape_b:
