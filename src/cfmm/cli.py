@@ -157,12 +157,13 @@ def _load_validated_scene(cfg: RunConfig):
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     scene = _load_validated_scene(cfg)
+    site = scene.site(cfg.site)
     positions, _, _ = sample_ap_pose_arrays(scene.trajectory)
     n_poses = positions.shape[0]
-    n_ues = scene.ue_sites[0].positions_m.shape[0]
+    n_ues = site.positions_m.shape[0]
     est_s = n_poses * n_ues * _EST_SECONDS_PER_CAPTURE_UE
     print(f"valid, {n_poses} poses")
-    print(f"sites: {len(scene.ue_sites)}, UEs per site: {n_ues}")
+    print(f"sites: {len(scene.ue_sites)}, site {site.site_id!r}: {n_ues} UEs")
     print(f"estimated single-core runtime: {est_s / 60:.1f} min")
     print(f"config hash: {semantic_hash(cfg)}")
     return 0
@@ -176,6 +177,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     chunk_size, workers = _run_flags(cfg, args)
     scene = _load_validated_scene(cfg)
+    scene.site(cfg.site)  # fail before any output is removed
     out = _out_dir(cfg, args.out)
     out.mkdir(parents=True, exist_ok=True)
     _start_stage(out, "simulate")

@@ -362,7 +362,7 @@ class CaptureWriter:
             "measured_power_dbm": plan.measured_power_dbm,
             "link_class": plan.link_class,
             "ue_positions": plan.ue_positions,
-            "cal_response": plan.cal.response,
+            "cal_response": plan.cal_response,
             "reference_tones": plan.reference_tones,
         }
         with open(path, "wb") as fh:

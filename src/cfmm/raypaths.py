@@ -207,47 +207,32 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(n, 1e-300)
 
 
-class _Collector:
-    """Accumulates path candidate arrays before the power cutoff."""
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, pose_idx, kind, length, interaction_loss, foliage, g_tx, g_rx,
-            points, interact_idx, phase_extra):
-        if pose_idx.size == 0:
-            return
-        fspl = fspl_db(length, BAND_CENTER_HZ)
-        gain = -fspl - interaction_loss - foliage + g_tx + g_rx
-        tau = length / SPEED_OF_LIGHT
-        phase = -2.0 * np.pi * BAND_CENTER_HZ * tau + phase_extra
-        self.rows.append((
-            pose_idx.astype(np.int32),
-            np.full(pose_idx.size, kind, dtype=np.uint8),
-            length.astype(float),
-            gain.astype(float),
-            phase.astype(float),
-            points.astype(float),
-            interact_idx.astype(np.int32),
-            interaction_loss.astype(float),
-            foliage.astype(float),
-            g_tx.astype(float),
-            g_rx.astype(float),
-        ))
-
-    def bundle(self, link_class: np.ndarray) -> PathBundle:
-        if not self.rows:
-            z = np.zeros(0)
-            return PathBundle(
-                pose_index=np.zeros(0, np.int32), kind=np.zeros(0, np.uint8),
-                length_m=z, gain_db=z.copy(), phase_rad=z.copy(),
-                points=np.full((0, 2, 3), np.nan),
-                interact_idx=np.full((0, 2), -1, np.int32),
-                loss_interaction_db=z.copy(), loss_foliage_db=z.copy(),
-                gain_tx_db=z.copy(), gain_rx_db=z.copy(), link_class=link_class,
-            )
-        cols = [np.concatenate([r[i] for r in self.rows]) for i in range(11)]
-        return PathBundle(*cols, link_class=link_class)
+def _columns(pose_idx, kind, length, points, buildings, loss_interaction_db,
+             loss_foliage_db, gain_tx_db, gain_rx_db, phase_extra) -> dict:
+    """PathBundle columns, by field name, of n paths of one kind whose
+    interaction points (n, k, 3) lie on the buildings listed (k of them,
+    k <= 2); points and interact_idx are padded to 2."""
+    n, k = points.shape[:2]
+    padded = np.full((n, 2, 3), np.nan)
+    padded[:, :k] = points
+    interact = np.full((n, 2), -1, np.int32)
+    interact[:, :k] = buildings
+    loss = np.full(n, loss_interaction_db)
+    tau = length / SPEED_OF_LIGHT
+    return dict(
+        pose_index=pose_idx.astype(np.int32),
+        kind=np.full(n, kind, dtype=np.uint8),
+        length_m=length,
+        gain_db=(-fspl_db(length, BAND_CENTER_HZ) - loss - loss_foliage_db
+                 + gain_tx_db + gain_rx_db),
+        phase_rad=-2.0 * np.pi * BAND_CENTER_HZ * tau + phase_extra,
+        points=padded,
+        interact_idx=interact,
+        loss_interaction_db=loss,
+        loss_foliage_db=loss_foliage_db,
+        gain_tx_db=gain_tx_db,
+        gain_rx_db=gain_rx_db,
+    )
 
 
 def trace_paths_batch(
@@ -271,7 +256,6 @@ def trace_paths_batch(
     headings = np.broadcast_to(np.asarray(headings, dtype=float), (m_poses,))
     ue = np.asarray(ue_position, dtype=float)
     ue_b = np.broadcast_to(ue, ap.shape)
-    col = _Collector()
     all_idx = np.arange(m_poses)
 
     # Direct ray. Its per-building blockage decides the link class and is
@@ -284,67 +268,68 @@ def trace_paths_batch(
     link_class[direct_clear] = LinkClass.LOS
 
     idx = all_idx[direct_clear]
-    if idx.size:
-        ap_d, ue_d = ap[idx], ue_b[idx]
-        foliated = np.zeros(idx.size, dtype=bool)
-        for f in scene.foliage:
-            chords = segment_sphere_chords(ap_d, ue_d, f.center_m, f.radius_m)
-            foliated |= chords > GRAZE_TOL_M
-        link_class[idx[foliated]] = LinkClass.OLOS
-        d = ue - ap_d
-        length = np.linalg.norm(d, axis=1)
-        dirs = _unit(d)
-        col.add(
-            idx, KIND_DIRECT, length,
-            np.zeros(idx.size),
-            _foliage_loss(scene, ap_d, ue_d),
-            mount_gain_db(config.tx_pattern, headings[idx], dirs),
-            mount_gain_db(config.rx_pattern, 0.0, -dirs),
-            np.full((idx.size, 2, 3), np.nan),
-            np.full((idx.size, 2), -1, np.int32),
-            0.0,
-        )
+    ap_d, ue_d = ap[idx], ue_b[idx]
+    foliated = np.zeros(idx.size, dtype=bool)
+    for f in scene.foliage:
+        chords = segment_sphere_chords(ap_d, ue_d, f.center_m, f.radius_m)
+        foliated |= chords > GRAZE_TOL_M
+    link_class[idx[foliated]] = LinkClass.OLOS
+    d = ue - ap_d
+    dirs = _unit(d)
+    pieces = [_columns(
+        idx, KIND_DIRECT, np.linalg.norm(d, axis=1), np.empty((idx.size, 0, 3)), [],
+        0.0, _foliage_loss(scene, ap_d, ue_d),
+        mount_gain_db(config.tx_pattern, headings[idx], dirs),
+        mount_gain_db(config.rx_pattern, 0.0, -dirs), 0.0,
+    )]
+
+    def emit(found, kind, buildings, loss_db, phase_extra, skip=-1):
+        """Append the paths AP -> points -> UE (found = pose indices,
+        points (n, k, 3), lengths) that no building other than skip blocks
+        on any leg."""
+        if found is None:
+            return
+        idx, points, length = found
+        ends = [ap[idx], *points.transpose(1, 0, 2), np.broadcast_to(ue, (idx.size, 3))]
+        legs = list(zip(ends[:-1], ends[1:]))
+        blocked = np.zeros(idx.size, dtype=bool)
+        for p0, p1 in legs:
+            blocked |= _blocked(scene, p0, p1, skip)
+        if blocked.all():
+            return
+        keep = ~blocked
+        idx, points, length = idx[keep], points[keep], length[keep]
+        legs = [(p0[keep], p1[keep]) for p0, p1 in legs]
+        foliage = sum(_foliage_loss(scene, p0, p1) for p0, p1 in legs)
+        pieces.append(_columns(
+            idx, kind, length, points, buildings, loss_db, foliage,
+            mount_gain_db(config.tx_pattern, headings[idx], _unit(points[:, 0] - ap[idx])),
+            mount_gain_db(config.rx_pattern, 0.0, _unit(points[:, -1] - ue)),
+            phase_extra,
+        ))
 
     facades = _scene_facades(scene)
     if config.max_reflection_order >= 1:
         for f in facades:
-            _trace_reflect1(scene, ap, headings, ue, f, config, col)
+            emit(_reflect1(ap, ue, f), KIND_REFLECT1, [f.building_idx],
+                 f.reflection_loss_db, np.pi)
     if config.max_reflection_order >= 2:
-        pairs = _admissible_pairs(scene, facades)
-        for f1, f2 in pairs:
-            _trace_reflect2(scene, ap, headings, ue, f1, f2, config, col)
+        for f1, f2 in _admissible_pairs(scene, facades):
+            emit(_reflect2(ap, ue, f1, f2), KIND_REFLECT2,
+                 [f1.building_idx, f2.building_idx],
+                 f1.reflection_loss_db + f2.reflection_loss_db, 2.0 * np.pi)
+    for bi, b in enumerate(scene.buildings):
+        emit(_rooftop(ap, ue, b, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
+             b.rooftop_diffraction_loss_db, -np.pi / 4.0, skip=bi)
 
-    for bi in range(len(scene.buildings)):
-        idx = all_idx[block_by[bi]]
-        if idx.size:
-            _trace_rooftop(scene, ap, headings, ue, bi, idx, config, col)
-
-    bundle = col.bundle(link_class)
-    if len(bundle) == 0:
-        return bundle
-
-    # Per-pose relative power cutoff.
+    cols = {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
+    # Per-pose relative power cutoff, then (pose, length, kind) order.
+    pose, gain = cols["pose_index"], cols["gain_db"]
     best = np.full(m_poses, -np.inf)
-    np.maximum.at(best, bundle.pose_index, bundle.gain_db)
-    keep = bundle.gain_db >= best[bundle.pose_index] - config.min_relative_power_db
-
-    order = np.lexsort((
-        bundle.kind[keep], bundle.length_m[keep], bundle.pose_index[keep]
-    ))
-
-    def pick(a):
-        return a[keep][order]
-
-    return PathBundle(
-        pose_index=pick(bundle.pose_index), kind=pick(bundle.kind),
-        length_m=pick(bundle.length_m), gain_db=pick(bundle.gain_db),
-        phase_rad=pick(bundle.phase_rad), points=pick(bundle.points),
-        interact_idx=pick(bundle.interact_idx),
-        loss_interaction_db=pick(bundle.loss_interaction_db),
-        loss_foliage_db=pick(bundle.loss_foliage_db),
-        gain_tx_db=pick(bundle.gain_tx_db), gain_rx_db=pick(bundle.gain_rx_db),
-        link_class=link_class,
-    )
+    np.maximum.at(best, pose, gain)
+    keep = np.flatnonzero(gain >= best[pose] - config.min_relative_power_db)
+    order = keep[np.lexsort((cols["kind"][keep], cols["length_m"][keep], pose[keep]))]
+    return PathBundle(**{name: c[order] for name, c in cols.items()}, link_class=link_class)
 
 
 def _facade_mirror_xy(xy: np.ndarray, f: _Facade) -> np.ndarray:
@@ -363,15 +348,16 @@ def _within_facade(f: _Facade, r_xy: np.ndarray, r_z: np.ndarray) -> np.ndarray:
     )
 
 
-def _trace_reflect1(scene, ap, headings, ue, f: _Facade, config, col: _Collector):
-    m = ap.shape[0]
+def _reflect1(ap, ue, f: _Facade):
+    """Single-bounce candidates off facade f: (pose indices, bounce points
+    (n, 1, 3), path lengths), or None."""
     s_a = (ap[:, :2] - f.q0) @ f.normal
     s_u = float((ue[:2] - f.q0) @ f.normal)
     if s_u <= _SIDE_TOL:
-        return
+        return None
     valid = s_a > _SIDE_TOL
     if not valid.any():
-        return
+        return None
     idx = np.nonzero(valid)[0]
     apv = ap[idx]
     image_xy = apv[:, :2] - 2.0 * s_a[idx, None] * f.normal
@@ -381,31 +367,10 @@ def _trace_reflect1(scene, ap, headings, ue, f: _Facade, config, col: _Collector
     ok = _within_facade(f, r_xy, r_z)
     idx, r_xy, r_z, image_xy = idx[ok], r_xy[ok], r_z[ok], image_xy[ok]
     if idx.size == 0:
-        return
+        return None
     r = np.column_stack([r_xy, r_z])
     image = np.column_stack([image_xy, ap[idx, 2]])
-    length = np.linalg.norm(ue - image, axis=1)
-
-    blocked = _blocked(scene, ap[idx], r) | _blocked(scene, r, np.broadcast_to(ue, r.shape))
-    idx, r, length = idx[~blocked], r[~blocked], length[~blocked]
-    if idx.size == 0:
-        return
-
-    foliage = _foliage_loss(scene, ap[idx], r) + _foliage_loss(
-        scene, r, np.broadcast_to(ue, r.shape)
-    )
-    points = np.full((idx.size, 2, 3), np.nan)
-    points[:, 0, :] = r
-    interact = np.full((idx.size, 2), -1, np.int32)
-    interact[:, 0] = f.building_idx
-    col.add(
-        idx, KIND_REFLECT1, length,
-        np.full(idx.size, f.reflection_loss_db),
-        foliage,
-        mount_gain_db(config.tx_pattern, headings[idx], _unit(r - ap[idx])),
-        mount_gain_db(config.rx_pattern, 0.0, _unit(r - ue)),
-        points, interact, np.pi,
-    )
+    return idx, r[:, None], np.linalg.norm(ue - image, axis=1)
 
 
 def _admissible_pairs(scene: Scene, facades: list[_Facade]):
@@ -429,15 +394,16 @@ def _admissible_pairs(scene: Scene, facades: list[_Facade]):
     return pairs
 
 
-def _trace_reflect2(scene, ap, headings, ue, f1: _Facade, f2: _Facade, config,
-                    col: _Collector):
+def _reflect2(ap, ue, f1: _Facade, f2: _Facade):
+    """Double-bounce candidates off f1 then f2: (pose indices, bounce
+    points (n, 2, 3), path lengths), or None."""
     s_u2 = float((ue[:2] - f2.q0) @ f2.normal)
     if s_u2 <= _SIDE_TOL:
-        return
+        return None
     s_a1 = (ap[:, :2] - f1.q0) @ f1.normal
     valid = s_a1 > _SIDE_TOL
     if not valid.any():
-        return
+        return None
     idx = np.nonzero(valid)[0]
 
     img1_xy = _facade_mirror_xy(ap[idx, :2], f1)
@@ -451,7 +417,7 @@ def _trace_reflect2(scene, ap, headings, ue, f1: _Facade, f2: _Facade, config,
         idx[cross2], img1_xy[cross2], img2_xy[cross2], sig_i2[cross2], z0[cross2]
     )
     if idx.size == 0:
-        return
+        return None
     t2 = sig_i2 / (sig_i2 - s_u2)
     r2_xy = img2_xy + t2[:, None] * (ue[:2] - img2_xy)
     r2_z = z0 + t2 * (ue[2] - z0)
@@ -462,7 +428,7 @@ def _trace_reflect2(scene, ap, headings, ue, f1: _Facade, f2: _Facade, config,
     idx, img1_xy, img2_xy, z0 = idx[ok], img1_xy[ok], img2_xy[ok], z0[ok]
     r2_xy, r2_z, sig1_r2 = r2_xy[ok], r2_z[ok], sig1_r2[ok]
     if idx.size == 0:
-        return
+        return None
 
     sig1_i1 = -s_a1[idx]  # image1 sits behind facade 1 by construction
     t1 = sig1_i1 / (sig1_i1 - sig1_r2)
@@ -474,46 +440,17 @@ def _trace_reflect2(scene, ap, headings, ue, f1: _Facade, f2: _Facade, config,
     ok &= sig2_r1 > _SIDE_TOL
     idx = idx[ok]
     if idx.size == 0:
-        return
+        return None
     r1 = np.column_stack([r1_xy[ok], r1_z[ok]])
     r2 = np.column_stack([r2_xy[ok], r2_z[ok]])
     img2 = np.column_stack([img2_xy[ok], z0[ok]])
-    length = np.linalg.norm(ue - img2, axis=1)
-
-    ue_rows = np.broadcast_to(ue, r2.shape)
-    blocked = (
-        _blocked(scene, ap[idx], r1)
-        | _blocked(scene, r1, r2)
-        | _blocked(scene, r2, ue_rows)
-    )
-    idx, r1, r2, length = idx[~blocked], r1[~blocked], r2[~blocked], length[~blocked]
-    if idx.size == 0:
-        return
-    ue_rows = np.broadcast_to(ue, r2.shape)
-
-    foliage = (
-        _foliage_loss(scene, ap[idx], r1)
-        + _foliage_loss(scene, r1, r2)
-        + _foliage_loss(scene, r2, ue_rows)
-    )
-    points = np.stack([r1, r2], axis=1)
-    interact = np.column_stack([
-        np.full(idx.size, f1.building_idx, np.int32),
-        np.full(idx.size, f2.building_idx, np.int32),
-    ])
-    col.add(
-        idx, KIND_REFLECT2, length,
-        np.full(idx.size, f1.reflection_loss_db + f2.reflection_loss_db),
-        foliage,
-        mount_gain_db(config.tx_pattern, headings[idx], _unit(r1 - ap[idx])),
-        mount_gain_db(config.rx_pattern, 0.0, _unit(r2 - ue)),
-        points, interact, 2.0 * np.pi,
-    )
+    return idx, np.stack([r1, r2], axis=1), np.linalg.norm(ue - img2, axis=1)
 
 
-def _trace_rooftop(scene, ap, headings, ue, building_idx, idx, config, col: _Collector):
-    """One bent path over the roof boundary of a blocking building."""
-    b = scene.buildings[building_idx]
+def _rooftop(ap, ue, b, idx):
+    """The bent path over the roof boundary of building b for the poses
+    idx whose direct ray it blocks: (idx, edge points (n, 1, 3), path
+    lengths)."""
     apv = ap[idx]
     v = b.footprint
     v2 = np.roll(v, -1, axis=0)
@@ -530,28 +467,7 @@ def _trace_rooftop(scene, ap, headings, ue, building_idx, idx, config, col: _Col
         better = total < best_len
         best_len = np.where(better, total, best_len)
         best_e[better] = pt[better]
-
-    ue_rows = np.broadcast_to(ue, best_e.shape)
-    blocked = _blocked(scene, apv, best_e, skip=building_idx) | _blocked(
-        scene, best_e, ue_rows, skip=building_idx
-    )
-    keep = ~blocked
-    idx, best_e, best_len, apv = idx[keep], best_e[keep], best_len[keep], apv[keep]
-    if idx.size == 0:
-        return
-    ue_rows = np.broadcast_to(ue, best_e.shape)
-    foliage = _foliage_loss(scene, apv, best_e) + _foliage_loss(scene, best_e, ue_rows)
-    points = np.full((idx.size, 2, 3), np.nan)
-    points[:, 0, :] = best_e
-    interact = np.full((idx.size, 2), -1, np.int32)
-    interact[:, 0] = building_idx
-    col.add(
-        idx, KIND_ROOFTOP, best_len,
-        np.full(idx.size, b.rooftop_diffraction_loss_db), foliage,
-        mount_gain_db(config.tx_pattern, headings[idx], _unit(best_e - apv)),
-        mount_gain_db(config.rx_pattern, 0.0, _unit(best_e - ue)),
-        points, interact, -np.pi / 4.0,
-    )
+    return idx, best_e[:, None], best_len
 
 
 def _edge_argmin(apv: np.ndarray, ue: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:

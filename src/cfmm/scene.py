@@ -126,12 +126,19 @@ class Scene:
         self.extent_m = np.asarray(self.extent_m, dtype=float)
 
     def site(self, site_id_or_index) -> UESite:
-        if isinstance(site_id_or_index, int):
-            return self.ue_sites[site_id_or_index]
-        for s in self.ue_sites:
-            if s.site_id == site_id_or_index:
-                return s
-        raise KeyError(f"unknown UE site {site_id_or_index!r}")
+        """The UE site named by its index in ue_sites (0 .. n-1) or by its
+        id; SceneError for anything else."""
+        n = len(self.ue_sites)
+        if isinstance(site_id_or_index, int) and not isinstance(site_id_or_index, bool):
+            if 0 <= site_id_or_index < n:
+                return self.ue_sites[site_id_or_index]
+        else:
+            for s in self.ue_sites:
+                if s.site_id == site_id_or_index:
+                    return s
+        ids = ", ".join(repr(s.site_id) for s in self.ue_sites)
+        raise SceneError(f"site {site_id_or_index!r}: no such UE site; known site "
+                         f"ids: {ids} (or an index 0..{n - 1})")
 
     def validate(self) -> None:
         validate_scene(self)

@@ -146,19 +146,6 @@ class ImpairmentConfig:
         return 10.0 ** (dbm / 10.0)
 
 
-@dataclass
-class CalRecord:
-    """Back-to-back calibration: per-tone transmit amplitude times the chain
-    response, with the reference comb already divided out."""
-
-    response: np.ndarray  # complex128 (n_subcarriers,)
-    kind: str = "back-to-back"
-
-    def validate(self) -> None:
-        if np.any(np.abs(self.response) == 0.0):
-            raise ValueError("calibration response contains zero entries")
-
-
 def inject_crosstalk(spectrum: np.ndarray, coupling_db: float | None,
                      reference: np.ndarray) -> np.ndarray:
     """Add transmitter leakage (a scaled copy of the reference, zero delay).
@@ -196,7 +183,9 @@ class CampaignPlan:
     measured_power_dbm: np.ndarray  # (M, U)
     link_class: np.ndarray  # (M, U) uint8, LinkClass values from the tracer
     attenuation_db: np.ndarray  # (M,)
-    cal: CalRecord
+    # Back-to-back calibration: per-tone transmit amplitude times the chain
+    # response, with the reference comb already divided out.
+    cal_response: np.ndarray  # complex (N,)
     reference_tones: np.ndarray  # complex (N,)
     chain: np.ndarray  # complex (N,)
 
@@ -263,9 +252,6 @@ def plan_campaign(
     att = agc_attenuation_sequence(power_dbm.max(axis=1), impairments.agc)
 
     tx_amp = np.sqrt(10.0 ** (impairments.tx_power_dbm / 10.0) / waveform.n_subcarriers)
-    cal = CalRecord(response=tx_amp * chain)
-    cal.validate()
-
     return CampaignPlan(
         site_id=ue_site.site_id, waveform=waveform,
         impairments=impairments, seed=int(seed),
@@ -273,7 +259,7 @@ def plan_campaign(
         ue_positions=ue_site.positions_m.copy(),
         path_gains=gains, path_delays=delays, row_splits=splits,
         measured_power_dbm=power_dbm, link_class=link_class, attenuation_db=att,
-        cal=cal, reference_tones=reference.tones, chain=chain,
+        cal_response=tx_amp * chain, reference_tones=reference.tones, chain=chain,
     )
 
 

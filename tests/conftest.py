@@ -22,7 +22,7 @@ class PlanSource:
         self.n_subcarriers = plan.waveform.n_subcarriers
         self.subcarrier_spacing_hz = plan.waveform.subcarrier_spacing_hz
         self.attenuation_db = plan.attenuation_db
-        self.cal_response = plan.cal.response
+        self.cal_response = plan.cal_response
         self.reference_tones = plan.reference_tones
         self.positions = plan.positions
         self.ue_positions = plan.ue_positions
@@ -64,11 +64,14 @@ def set_first_value(path, value: float) -> int:
     return r
 
 
-def dense(matrix: fm.MatrixFile) -> tuple[np.ndarray, np.ndarray]:
-    """(values, mask) of every profile in matrix, each (M, U, B): float32
-    values, masked bins zero, and the bins that survived."""
-    values, mask = matrix.rows(0, matrix.n_captures).dense(matrix.n_bins)
-    shape = (matrix.n_captures, matrix.n_ues, matrix.n_bins)
+def dense(matrix: fm.MatrixFile, m0: int = 0, m1: int | None = None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mask) of the profiles of captures [m0, m1) (default: all)
+    in matrix, each (m1 - m0, U, B): float32 values, masked bins zero, and
+    the bins that survived."""
+    m1 = matrix.n_captures if m1 is None else m1
+    values, mask = matrix.rows(m0, m1).dense(matrix.n_bins)
+    shape = (m1 - m0, matrix.n_ues, matrix.n_bins)
     return values.reshape(shape), mask.reshape(shape)
 
 

@@ -87,8 +87,7 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         path_delays=[np.asarray(d, dtype=float) for d in delays],
         row_splits=splits, measured_power_dbm=measured,
         link_class=np.zeros((m_total, ues.shape[0]), dtype=np.uint8), attenuation_db=att,
-        cal=sd.CalRecord(response=tx_amp * chain),
-        reference_tones=reference.tones, chain=chain,
+        cal_response=tx_amp * chain, reference_tones=reference.tones, chain=chain,
     )
 
 
@@ -472,7 +471,6 @@ def test_criterion_10_canyon_figure_properties():
         bw = matrix.bin_width_s
         native = bw * matrix.oversample_factor
         theta = _theta_table(out / "summary.csv", m_total, n_ue)
-        values, mask = dense(matrix)
 
         pgm = (out / "apld_ue0.pgm").read_bytes()
         assert pgm.startswith(b"P5\n4000 3841\n255\n")
@@ -513,6 +511,11 @@ def test_criterion_10_canyon_figure_properties():
         # (b) LOS ridge on the return leg
         leg3 = np.flatnonzero(pos[:, 1] == 72.0)
         assert leg3.size == 1301
+        # (c) and (d) read only the return leg, a contiguous capture range:
+        # decode just that, row m of the campaign at m - m0.
+        m0 = int(leg3[0])
+        assert (leg3 == np.arange(m0, m0 + leg3.size)).all()
+        values, mask = dense(matrix, m0, m0 + leg3.size)
         checked = 0
         for j in range(n_ue):
             mirror_a = ues[j] * [1, 0, 1] + [0, 2 * south - ue_y, 0]
@@ -539,7 +542,7 @@ def test_criterion_10_canyon_figure_properties():
             for wall, lengths in (("south", img_a), ("north", img_b)):
                 for m, length in zip(leg3[ok], lengths[ok]):
                     want = round(length / C / bw)
-                    vals = np.where(mask[m, j], values[m, j], 0.0)
+                    vals = np.where(mask[m - m0, j], values[m - m0, j], 0.0)
                     window = vals[want - 15:want + 16]
                     assert window.any(), f"row {m} ue {j}: {wall} ridge missing"
                     got = want - 15 + int(np.argmax(window))
@@ -564,8 +567,8 @@ def test_criterion_10_canyon_figure_properties():
             fp = tracks[j][np.concatenate([pre, post])]
             assert np.isfinite(fp).all()
             start = int(np.max(np.round(fp / bw))) + 40
-            alive_pre = mask[pre, j, start:].mean(axis=0)
-            alive_post = mask[post, j, start:].mean(axis=0)
+            alive_pre = mask[pre - m0, j, start:].mean(axis=0)
+            alive_post = mask[post - m0, j, start:].mean(axis=0)
             dying = np.flatnonzero((alive_pre >= 0.9) & (alive_post <= 0.3))
             assert dying.size >= 12, f"ue {j}: only {dying.size} dying bins"
             splits = np.flatnonzero(np.diff(dying) > 5)

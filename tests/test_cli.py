@@ -128,6 +128,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert rc == 0
         assert "valid, 81 poses" in out
+        assert "site 'site0': 8 UEs" in out
         assert "config hash:" in out
 
     def test_bad_param_named(self, workspace, tmp_path, capsys):
@@ -276,6 +277,23 @@ class TestStages:
         for stage in ("simulate", "process", "export"):
             assert manifest["stages"][stage]["scene_sha256"] == scene_sha
             assert manifest["stages"][stage]["numpy"] == np.__version__
+
+    def test_unknown_site_exit_1_keeps_captures(self, workspace, tmp_path, capsys):
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        out = tmp_path / "out"
+        cfg["output_dir"] = str(out)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfgp), "--workers", "1"]) == 0
+        before = digests(out)
+        for site in ("nope", 3, -1):
+            cfgp.write_text(json.dumps({**cfg, "site": site}))
+            capsys.readouterr()
+            for stage in ("validate", "simulate"):
+                assert main([stage, "--config", str(cfgp)]) == 1
+                err = capsys.readouterr().err
+                assert f"site {site!r}" in err and "'site0'" in err
+            assert digests(out) == before
 
     def test_scene_edit_changes_manifest(self, tmp_path):
         scene = make_scene(waypoints=[sc.Waypoint("start", 10, 10, 4.5),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import write_matrix
+from conftest import set_first_value, write_matrix
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -45,3 +45,18 @@ def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
     assert f"{rel:.3e} at capture {i}, UE {j}, bin {q}" in out
     assert "noise_db values that differ: 1 of 80" in out
     assert "largest noise_db difference: 1.000e-09 dB" in out
+
+
+def test_corrupt_matrix_exit_3(tmp_path, capsys):
+    values = np.ones((4, 2, 30), dtype=np.float32)
+    mask = np.ones(values.shape, dtype=bool)
+    noise = np.zeros((4, 2))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        write_matrix(d / "matrix.cfmm", values, mask, noise, noise + 7.0)
+    set_first_value(b / "matrix.cfmm", np.nan)
+    assert load_tool().main([str(a), str(b)]) == 3
+    err = capsys.readouterr().err
+    assert f"matrix.cfmm: cannot read: {b / 'matrix.cfmm'}: captures 0..3" in err
+    assert "finite" in err

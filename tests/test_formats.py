@@ -267,7 +267,7 @@ class TestCaptureFile:
         np.testing.assert_array_equal(cf.attenuation_db, plan.attenuation_db)
         np.testing.assert_array_equal(cf.measured_power_dbm, plan.measured_power_dbm)
         np.testing.assert_array_equal(cf.ue_positions, plan.ue_positions)
-        np.testing.assert_array_equal(cf.cal_response, plan.cal.response)
+        np.testing.assert_array_equal(cf.cal_response, plan.cal_response)
         np.testing.assert_array_equal(cf.reference_tones, plan.reference_tones)
 
     def test_link_class_stored(self, plan, capture_path):

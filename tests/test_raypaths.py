@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -43,6 +45,22 @@ def test_free_space_single_direct_path():
     assert bundle.delay_s[0] == pytest.approx(333.56e-9, rel=1e-3)
     assert np.isnan(bundle.points[0]).all()
     assert bundle.interact_idx[0].tolist() == [-1, -1]
+
+
+def test_no_poses_gives_empty_bundle(basic_scene):
+    bundle = rp.trace_paths_batch(basic_scene, np.zeros((0, 3)), np.zeros(0),
+                                  basic_scene.ue_sites[0].positions_m[0], rp.RaypathConfig())
+    assert len(bundle) == 0
+    want = {"pose_index": ((0,), np.int32), "kind": ((0,), np.uint8),
+            "points": ((0, 2, 3), np.float64), "interact_idx": ((0, 2), np.int32),
+            "link_class": ((0,), np.uint8)}
+    for name in ("length_m", "gain_db", "phase_rad", "loss_interaction_db",
+                 "loss_foliage_db", "gain_tx_db", "gain_rx_db"):
+        want[name] = ((0,), np.float64)
+    assert set(want) == {f.name for f in dataclasses.fields(rp.PathBundle)}
+    for name, (shape, dtype) in want.items():
+        column = getattr(bundle, name)
+        assert (column.shape, column.dtype) == (shape, dtype), name
 
 
 def test_fspl_reference_values():

@@ -229,8 +229,9 @@ def test_foliage_penetration_loss_split_rates():
 def test_site_lookup(basic_scene):
     assert basic_scene.site(0).site_id == "site0"
     assert basic_scene.site("site0") is basic_scene.site(0)
-    with pytest.raises(KeyError):
-        basic_scene.site("nope")
+    for bad in ("nope", 1, -1, True, 0.0):
+        with pytest.raises(sc.SceneError, match=f"site {bad!r}.*'site0'"):
+            basic_scene.site(bad)
 
 
 @pytest.mark.parametrize("name", ["full", "canyon"])

@@ -11,7 +11,9 @@ reads the two matrices one block of captures at a time and prints:
   the (capture, UE, bin) where it occurs;
 * how many noise_db values differ, and the largest absolute difference.
 
-Exits 0 when every file but `manifest.json` is byte-identical, else 1.
+Exits 0 when every file but `manifest.json` is byte-identical, 3 when a
+differing `matrix.cfmm` cannot be read (the message names the file and
+the fault), else 1.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfmm.formats import BLOCK_CAPTURES, read_matrix
+from cfmm.formats import FormatError, read_matrix
 
 MATRIX = "matrix.cfmm"
 MANIFEST = "manifest.json"
@@ -44,10 +46,10 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
     m, u, n_bins = shape_a
     values_differ = mask_differ = 0
     worst, worst_at = 0.0, None
-    for m0 in range(0, m, BLOCK_CAPTURES):
-        m1 = min(m0 + BLOCK_CAPTURES, m)
-        va, ma = a.rows(m0, m1).dense(n_bins)
-        vb, mb = b.rows(m0, m1).dense(n_bins)
+    r0 = 0  # first (capture, UE) row of the block
+    for rows_a, rows_b in zip(a.blocks(), b.blocks()):
+        va, ma = rows_a.dense(n_bins)
+        vb, mb = rows_b.dense(n_bins)
         mask_differ += int((ma != mb).sum())
         differ = va.view(np.uint32) != vb.view(np.uint32)
         values_differ += int(differ.sum())
@@ -57,7 +59,8 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
             k = int(rel.argmax())
             if rel[k] > worst:
                 row, col = np.argwhere(differ)[k]
-                worst, worst_at = float(rel[k]), (m0 + row // u, row % u, col)
+                worst, worst_at = float(rel[k]), ((r0 + row) // u, row % u, col)
+        r0 += rows_a.n_rows
     noise_a, noise_b = a.noise_level_db, b.noise_level_db
     noise_differ = noise_a != noise_b
     lines = [
@@ -92,7 +95,11 @@ def main(argv: list[str]) -> int:
         print(f"{name}: {'same' if same else 'differs'}")
         all_same &= same or name == MANIFEST
         if name == MATRIX and not same:
-            print("\n".join(compare_matrices(path_a, path_b)))
+            try:
+                print("\n".join(compare_matrices(path_a, path_b)))
+            except FormatError as e:
+                print(f"{name}: cannot read: {e}", file=sys.stderr)
+                return 3
     return 0 if all_same else 1
 
 
