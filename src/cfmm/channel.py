@@ -45,6 +45,19 @@ def _grid_step(offsets_hz: np.ndarray) -> float:
     return float(df)
 
 
+def _path_count_groups(row_splits: np.ndarray):
+    """Rows grouped by path count: yields (rows, pid) per count, pid the
+    (rows, count) indices of each row's paths, in stable row order."""
+    counts = np.diff(row_splits)
+    if counts.size == 0:
+        return
+    order = np.argsort(counts, kind="stable")
+    boundaries = np.nonzero(np.diff(counts[order]))[0] + 1
+    for grp in np.split(order, boundaries):
+        c = int(counts[grp[0]])
+        yield grp, row_splits[grp][:, None] + np.arange(c)[None, :]
+
+
 def synthesize_rows(
     gains: np.ndarray,
     delays: np.ndarray,
@@ -77,15 +90,10 @@ def synthesize_rows(
     n_coarse = -(-n_tones // FINE_TONES)
     coarse_hz = offsets_hz[0] + df * np.arange(0, n_coarse * FINE_TONES, FINE_TONES)
     fine_hz = df * np.arange(FINE_TONES)
-    counts = np.diff(row_splits)
-    order = np.argsort(counts, kind="stable")
-    boundaries = np.nonzero(np.diff(counts[order]))[0] + 1
-    for grp in np.split(order, boundaries):
-        c = int(counts[grp[0]])
-        if c == 0:
+    for grp, pid in _path_count_groups(row_splits):
+        if pid.size == 0:
             out[grp] = 0.0
             continue
-        pid = row_splits[grp][:, None] + np.arange(c)[None, :]
         tau = delays[pid][..., None]
         coarse = gains[pid][..., None] * np.exp((-2j * np.pi) * tau * coarse_hz)
         fine = np.exp((-2j * np.pi) * tau * fine_hz)
@@ -107,15 +115,9 @@ def mean_tone_power(gains: np.ndarray, delays: np.ndarray, row_splits: np.ndarra
     df = spec.subcarrier_spacing_hz
     n_rows = row_splits.size - 1
     power = np.zeros(n_rows)
-    counts = np.diff(row_splits)
-    order = np.argsort(counts, kind="stable")
-    sorted_counts = counts[order]
-    boundaries = np.nonzero(np.diff(sorted_counts))[0] + 1
-    for grp in np.split(order, boundaries):
-        c = int(counts[grp[0]])
-        if c == 0:
+    for grp, pid in _path_count_groups(row_splits):
+        if pid.size == 0:
             continue
-        pid = row_splits[grp][:, None] + np.arange(c)[None, :]
         g = gains[pid]
         tau = delays[pid]
         dt = tau[:, :, None] - tau[:, None, :]

@@ -20,14 +20,16 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from .document import read, write
 from .pipeline import PipelineParams
-from .sounder import AGCConfig, ChainRippleConfig, ImpairmentConfig
+from .sounder import ImpairmentConfig
 from .waveform import WaveformSpec
 
 BUNDLED_PREFIX = "bundled:"
+_PLUMBING = ("output_dir", "workers")  # fields that change no output byte
 
 
 class ConfigError(ValueError):
@@ -48,75 +50,28 @@ class RunConfig:
     def validate(self) -> None:
         if not self.scene:
             raise ConfigError("scene: must not be empty")
-        if self.seed < 0:
-            raise ConfigError(f"seed = {self.seed}: must be >= 0")
+        if not 0 <= self.seed < 2**64:  # the capture header stores it as a uint64
+            raise ConfigError(f"seed = {self.seed}: must be in [0, 2**64)")
         if self.workers < 0:
             raise ConfigError(f"workers = {self.workers}: must be >= 0")
-        try:
-            self.waveform.validate()
-        except ValueError as e:
-            raise ConfigError(f"waveform: {e}") from e
-        try:
-            self.pipeline.validate()
-        except ValueError as e:
-            raise ConfigError(f"pipeline: {e}") from e
-        imp = self.impairments
-        if imp.n_repetitions < 1:
-            raise ConfigError(f"impairments.n_repetitions = {imp.n_repetitions}: must be >= 1")
-        if imp.crosstalk_coupling_db is not None and imp.crosstalk_coupling_db > 0:
-            raise ConfigError(
-                f"impairments.crosstalk_coupling_db = {imp.crosstalk_coupling_db}: must be <= 0 or null"
-            )
-        try:
-            imp.agc.validate()
-        except ValueError as e:
-            raise ConfigError(f"impairments.agc.{e}") from e
+        _validate_sections(self, "")
 
 
-def _apply_section(obj, data: dict, section: str, casts: dict | None = None):
-    """replace() dataclass fields from a dict, rejecting unknown keys."""
-    valid = set(obj.__dataclass_fields__)
-    out = obj
-    for key, value in data.items():
-        if key not in valid:
-            raise ConfigError(f"{section}: unknown key '{key}'")
-        if casts and key in casts:
-            value = casts[key](value)
-        out = replace(out, **{key: value})
-    return out
+def _validate_sections(obj, where: str) -> None:
+    """Check every section below obj with its own validate(), naming the
+    field it rejects by its dotted key."""
+    for f in fields(obj):
+        section = getattr(obj, f.name)
+        if is_dataclass(section):
+            try:
+                section.validate()
+            except ValueError as e:
+                raise ConfigError(f"{where}{f.name}.{e}") from e
+            _validate_sections(section, f"{where}{f.name}.")
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    known = {"scene", "site", "seed", "output_dir", "workers",
-             "waveform", "impairments", "pipeline"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level key '{sorted(unknown)[0]}'")
-    cfg = RunConfig()
-    for key in ("scene", "site", "seed", "output_dir", "workers"):
-        if key in data:
-            cfg = replace(cfg, **{key: data[key]})
-    if "waveform" in data:
-        cfg = replace(cfg, waveform=_apply_section(
-            cfg.waveform, data["waveform"], "waveform"))
-    if "impairments" in data:
-        imp = dict(data["impairments"])
-        chain = imp.pop("chain", None)
-        agc = imp.pop("agc", None)
-        new_imp = _apply_section(cfg.impairments, imp, "impairments")
-        if chain is not None:
-            new_imp = replace(new_imp, chain=_apply_section(
-                ChainRippleConfig(), chain, "impairments.chain"))
-        if agc is not None:
-            new_imp = replace(new_imp, agc=_apply_section(
-                AGCConfig(), agc, "impairments.agc",
-                casts={"attenuation_steps_db": tuple, "target_output_window_dbm": tuple}))
-        cfg = replace(cfg, impairments=new_imp)
-    if "pipeline" in data:
-        cfg = replace(cfg, pipeline=_apply_section(
-            cfg.pipeline, data["pipeline"], "pipeline",
-            casts={"noise_region_native": tuple}))
-    return cfg
+    return read(RunConfig, data, "", ConfigError)
 
 
 def load_config(path) -> RunConfig:
@@ -139,14 +94,7 @@ def load_config(path) -> RunConfig:
 def semantic_hash(cfg: RunConfig) -> str:
     """sha256 over every output-affecting parameter, hex digest; the scene
     by its path, not its content (see the module docstring)."""
-    payload = {
-        "scene": cfg.scene,
-        "site": cfg.site,
-        "seed": cfg.seed,
-        "waveform": asdict(cfg.waveform),
-        "impairments": asdict(cfg.impairments),
-        "pipeline": asdict(cfg.pipeline),
-    }
+    payload = {k: v for k, v in write(cfg).items() if k not in _PLUMBING}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -356,19 +356,10 @@ class CaptureWriter:
             m, u, r, n, plan.waveform.subcarrier_spacing_hz,
             interval, plan.impairments.n_repetitions, plan.seed, plan.site_id,
         )
-        meta = {
-            "timestamps": plan.timestamps, "positions": plan.positions,
-            "headings": plan.headings, "attenuation_db": plan.attenuation_db,
-            "measured_power_dbm": plan.measured_power_dbm,
-            "link_class": plan.link_class,
-            "ue_positions": plan.ue_positions,
-            "cal_response": plan.cal_response,
-            "reference_tones": plan.reference_tones,
-        }
         with open(path, "wb") as fh:
             fh.write(header)
             for name, dtype, shape in _meta_layout(m, u, n):
-                arr = np.ascontiguousarray(meta[name], dtype=dtype)
+                arr = np.ascontiguousarray(getattr(plan, name), dtype=dtype)
                 if arr.shape != shape:
                     raise ValueError(f"{name}: shape {arr.shape}, expected {shape}")
                 arr.tofile(fh)

@@ -61,24 +61,24 @@ class PipelineParams:
     # The top native bins alias negative delays, where the zero-delay
     # leakage spike's mainlobe wraps around; stop the noise region short
     # of them so the estimate reads thermal noise, not leakage skirts.
-    noise_region_native: tuple = (450, 2750)
+    noise_region_native: tuple[int, int | None] = (450, 2750)
 
     def validate(self) -> None:
         if self.kaiser_beta < 0:
-            raise ValueError("kaiser_beta must be >= 0")
+            raise ValueError(f"kaiser_beta = {self.kaiser_beta}: must be >= 0")
         if self.pad_factor < 1:
-            raise ValueError("pad_factor must be >= 1")
+            raise ValueError(f"pad_factor = {self.pad_factor}: must be >= 1")
         if self.ssa_window < 1 or self.ssa_window % 2 == 0:
-            raise ValueError("ssa_window must be odd and >= 1")
+            raise ValueError(f"ssa_window = {self.ssa_window}: must be odd and >= 1")
         if self.gate_native_bins < 1:
-            raise ValueError("gate_native_bins must be >= 1")
+            raise ValueError(f"gate_native_bins = {self.gate_native_bins}: must be >= 1")
         if self.guard_native_bins < 0:
-            raise ValueError("guard_native_bins must be >= 0")
-        lo, hi = self.noise_region_native
+            raise ValueError(f"guard_native_bins = {self.guard_native_bins}: must be >= 0")
+        lo, hi = region = list(self.noise_region_native)
         if lo < self.gate_native_bins:
-            raise ValueError("noise region must start beyond the delay gate")
+            raise ValueError(f"noise_region_native = {region}: must start >= gate_native_bins")
         if hi is not None and hi <= lo:
-            raise ValueError("noise region must be non-empty")
+            raise ValueError(f"noise_region_native = {region}: must be non-empty")
 
     def noise_bins(self, n_subcarriers: int) -> tuple[int, int]:
         """Noise region [lo, hi) in oversampled bins of an n_subcarriers profile.

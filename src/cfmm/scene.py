@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
+from .document import read, write
 
 
 class SceneError(ValueError):
@@ -34,15 +35,18 @@ class LinkClass(IntEnum):
 
 @dataclass
 class Building:
-    building_id: str
+    building_id: str = field(metadata={"json": "id"})
     footprint: np.ndarray  # (m, 2), stored CCW
     height_m: float
     reflection_loss_db: float = 6.0
     rooftop_diffraction_loss_db: float = 20.0
 
     def __post_init__(self):
-        self.footprint = geometry.ensure_ccw(np.asarray(self.footprint, dtype=float))
-        self.is_convex = geometry.polygon_is_convex(self.footprint)
+        fp = np.asarray(self.footprint, dtype=float)
+        # Any other shape is left as given, for validate_scene to reject.
+        polygon = fp.ndim == 2 and fp.shape[0] >= 3 and fp.shape[1] == 2
+        self.footprint = geometry.ensure_ccw(fp) if polygon else fp
+        self.is_convex = polygon and geometry.polygon_is_convex(self.footprint)
 
     def blockage_chords(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """Chord length of each segment (n, 3) inside this building."""
@@ -87,7 +91,7 @@ class FoliageBlob:
 
 @dataclass
 class UESite:
-    site_id: str
+    site_id: str = field(metadata={"json": "id"})
     positions_m: np.ndarray  # (8, 3)
 
     def __post_init__(self):
@@ -103,24 +107,28 @@ class Waypoint:
     duration_s: float | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Trajectory:
-    waypoints: list[Waypoint]
+    """The AP route; fields keyword-only, in the key order of a scene file."""
+
     speed_mps: float = 0.5
     capture_interval_s: float = 0.1
     lift_full_travel_s: float = 40.0  # time for the full 9 m mast travel
+    waypoints: list[Waypoint]
 
     LIFT_TRAVEL_M = 9.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scene:
-    extent_m: np.ndarray  # (2,)
-    buildings: list[Building]
-    foliage: list[FoliageBlob]
-    ue_sites: list[UESite]
-    trajectory: Trajectory
+    """An urban scene; fields keyword-only, in the key order of a scene file."""
+
     name: str = "scene"
+    extent_m: np.ndarray  # (2,)
+    buildings: list[Building] = field(default_factory=list)
+    foliage: list[FoliageBlob] = field(default_factory=list)
+    ue_sites: list[UESite] = field(default_factory=list)
+    trajectory: Trajectory
 
     def __post_init__(self):
         self.extent_m = np.asarray(self.extent_m, dtype=float)
@@ -174,12 +182,16 @@ def validate_scene(scene: Scene) -> None:
         raise SceneError("extent_m must be two positive lengths")
 
     seen = set()
-    for i, b in enumerate(scene.buildings):
+    for b in scene.buildings:
         tag = f"building {b.building_id!r}"
         if b.building_id in seen:
             raise SceneError(f"{tag}: duplicate building id")
         seen.add(b.building_id)
-        if len(b.footprint) < 3 or not geometry.polygon_is_simple(b.footprint):
+        fp = b.footprint
+        if fp.ndim != 2 or fp.shape[0] < 3 or fp.shape[1] != 2:
+            raise SceneError(f"{tag}: footprint has shape {fp.shape}; "
+                             "expected (n >= 3, 2), one x, y row per vertex")
+        if not geometry.polygon_is_simple(fp):
             raise SceneError(f"{tag}: footprint is not a simple polygon")
         if b.height_m <= 0:
             raise SceneError(f"{tag}: height must be positive")
@@ -190,6 +202,9 @@ def validate_scene(scene: Scene) -> None:
 
     for i, f in enumerate(scene.foliage):
         tag = f"foliage {i}"
+        if f.center_m.shape != (3,):
+            raise SceneError(f"{tag}: center_m has shape {f.center_m.shape}; "
+                             "expected (3,), one x, y, z point")
         if f.radius_m <= 0:
             raise SceneError(f"{tag}: radius must be positive")
         if not 0.0 <= f.core_radius_m <= f.radius_m:
@@ -339,117 +354,18 @@ def sample_ap_pose_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.
 
 # --- JSON round trip -------------------------------------------------------
 
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "name": scene.name,
-        "extent_m": scene.extent_m.tolist(),
-        "buildings": [
-            {
-                "id": b.building_id,
-                "footprint": b.footprint.tolist(),
-                "height_m": b.height_m,
-                "reflection_loss_db": b.reflection_loss_db,
-                "rooftop_diffraction_loss_db": b.rooftop_diffraction_loss_db,
-            }
-            for b in scene.buildings
-        ],
-        "foliage": [
-            {
-                "center_m": f.center_m.tolist(),
-                "radius_m": f.radius_m,
-                "attenuation_db_per_m": f.attenuation_db_per_m,
-                "core_radius_m": f.core_radius_m,
-                "core_attenuation_db_per_m": f.core_attenuation_db_per_m,
-            }
-            for f in scene.foliage
-        ],
-        "ue_sites": [
-            {"id": s.site_id, "positions_m": s.positions_m.tolist()}
-            for s in scene.ue_sites
-        ],
-        "trajectory": {
-            "speed_mps": scene.trajectory.speed_mps,
-            "capture_interval_s": scene.trajectory.capture_interval_s,
-            "lift_full_travel_s": scene.trajectory.lift_full_travel_s,
-            "waypoints": [
-                {
-                    k: v
-                    for k, v in (
-                        ("action", w.action),
-                        ("x", w.x),
-                        ("y", w.y),
-                        ("height", w.height),
-                        ("duration_s", w.duration_s),
-                    )
-                    if v is not None
-                }
-                for w in scene.trajectory.waypoints
-            ],
-        },
-    }
-
-
-def scene_from_dict(d: dict) -> Scene:
-    try:
-        traj = d["trajectory"]
-        scene = Scene(
-            name=d.get("name", "scene"),
-            extent_m=np.asarray(d["extent_m"], dtype=float),
-            buildings=[
-                Building(
-                    building_id=str(b["id"]),
-                    footprint=np.asarray(b["footprint"], dtype=float),
-                    height_m=float(b["height_m"]),
-                    reflection_loss_db=float(b.get("reflection_loss_db", 6.0)),
-                    rooftop_diffraction_loss_db=float(
-                        b.get("rooftop_diffraction_loss_db", 20.0)
-                    ),
-                )
-                for b in d.get("buildings", [])
-            ],
-            foliage=[
-                FoliageBlob(
-                    center_m=np.asarray(f["center_m"], dtype=float),
-                    radius_m=float(f["radius_m"]),
-                    attenuation_db_per_m=float(f.get("attenuation_db_per_m", 1.0)),
-                    core_radius_m=float(f.get("core_radius_m", 0.0)),
-                    core_attenuation_db_per_m=float(f.get("core_attenuation_db_per_m", 4.0)),
-                )
-                for f in d.get("foliage", [])
-            ],
-            ue_sites=[
-                UESite(site_id=str(s["id"]), positions_m=np.asarray(s["positions_m"], dtype=float))
-                for s in d.get("ue_sites", [])
-            ],
-            trajectory=Trajectory(
-                waypoints=[
-                    Waypoint(
-                        action=w["action"],
-                        x=w.get("x"),
-                        y=w.get("y"),
-                        height=w.get("height"),
-                        duration_s=w.get("duration_s"),
-                    )
-                    for w in traj["waypoints"]
-                ],
-                speed_mps=float(traj.get("speed_mps", 0.5)),
-                capture_interval_s=float(traj.get("capture_interval_s", 0.1)),
-                lift_full_travel_s=float(traj.get("lift_full_travel_s", 40.0)),
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SceneError(f"malformed scene document: {exc}") from exc
-    return scene
-
-
 def load_scene(path) -> Scene:
     with open(path) as fh:
-        scene = scene_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise SceneError(f"{path}: malformed JSON: {e}") from e
+    scene = read(Scene, data, "", SceneError)
     scene.validate()
     return scene
 
 
 def save_scene(scene: Scene, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(scene_to_dict(scene), indent=2))
+    path.write_text(json.dumps(write(scene), indent=2))
     return path

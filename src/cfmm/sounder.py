@@ -37,16 +37,17 @@ _POWER_FLOOR_MW = 1e-30
 
 @dataclass(frozen=True)
 class AGCConfig:
-    attenuation_steps_db: tuple = (0.0, 10.0, 20.0, 30.0)
-    target_output_window_dbm: tuple = (-45.0, -40.0)
+    attenuation_steps_db: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0)
+    target_output_window_dbm: tuple[float, float] = (-45.0, -40.0)
 
     def validate(self) -> None:
         steps = list(self.attenuation_steps_db)
         if not steps or steps != sorted(set(steps)):
-            raise ValueError("attenuation_steps_db: must be non-empty and strictly increasing")
+            raise ValueError(f"attenuation_steps_db = {steps}: "
+                             "must be non-empty and strictly increasing")
         lo, hi = self.target_output_window_dbm
         if not lo < hi:
-            raise ValueError("target_output_window_dbm: must be (low, high) with low < high")
+            raise ValueError(f"target_output_window_dbm = {[lo, hi]}: must have low < high")
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,10 @@ class ChainRippleConfig:
     n_terms: int = 4
     seed: int = 7
 
+    def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: must be >= 0")
+
 
 def make_chain_response(n_subcarriers: int, cfg: ChainRippleConfig) -> np.ndarray:
     """Deterministic low-order Fourier ripple, never near zero."""
@@ -132,6 +137,13 @@ class ImpairmentConfig:
     chain: ChainRippleConfig = field(default_factory=ChainRippleConfig)
     n_repetitions: int = REPETITIONS_PER_UE
     store_repetitions: bool = False
+
+    def validate(self) -> None:
+        if self.n_repetitions < 1:
+            raise ValueError(f"n_repetitions = {self.n_repetitions}: must be >= 1")
+        c = self.crosstalk_coupling_db
+        if c is not None and c > 0:
+            raise ValueError(f"crosstalk_coupling_db = {c}: must be <= 0 or null")
 
     def noise_sigma2_mw(self, attenuation_db, spacing_hz: float) -> np.ndarray:
         """Input-referred noise variance per tone per repetition, in mW."""

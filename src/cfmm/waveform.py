@@ -49,17 +49,15 @@ class WaveformSpec:
 
     def validate(self) -> None:
         if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be positive")
+            raise ValueError(f"n_subcarriers = {self.n_subcarriers}: must be >= 1")
         if self.subcarrier_spacing_hz <= 0:
-            raise ValueError("subcarrier_spacing_hz must be positive")
+            raise ValueError(f"subcarrier_spacing_hz = {self.subcarrier_spacing_hz}: must be > 0")
         if self.phase_rule not in PHASE_RULES:
-            raise ValueError(
-                f"unknown phase_rule {self.phase_rule!r}, expected one of {PHASE_RULES}"
-            )
+            raise ValueError(f"phase_rule = {self.phase_rule!r}: must be one of {PHASE_RULES}")
         if self.phase_rule == "quadratic-zc" and self.n_subcarriers % 2 == 0:
-            raise ValueError("quadratic-zc phase rule requires an odd n_subcarriers")
+            raise ValueError(f"n_subcarriers = {self.n_subcarriers}: must be odd for quadratic-zc")
         if self.oversampling_factor < 1:
-            raise ValueError("oversampling_factor must be >= 1")
+            raise ValueError(f"oversampling_factor = {self.oversampling_factor}: must be >= 1")
 
     def tone_offsets_hz(self) -> np.ndarray:
         """Tone frequencies relative to the band centre, shape (N,)."""

@@ -117,6 +117,24 @@ class TestConfig:
             base, pipeline=replace(base.pipeline, kaiser_beta=2.0)))
         assert h(base) != h(replace(base, scene="other.json"))
 
+    def test_hash_pinned(self):
+        # Numbers keep their JSON type, so a config that gives ints for
+        # float fields hashes as it always has.
+        cfg = cfgmod.config_from_dict({
+            "scene": "scene.json", "site": "site0", "seed": 3, "output_dir": "o",
+            "workers": 2,
+            "waveform": {"n_subcarriers": 101, "subcarrier_spacing_hz": 125000},
+            "impairments": {"tx_power_dbm": 40, "crosstalk_coupling_db": -50,
+                            "agc": {"attenuation_steps_db": [0, 10, 20],
+                                    "target_output_window_dbm": [-45, -40]},
+                            "chain": {"amplitude_db": 2, "phase_rad": 1, "seed": 3}},
+            "pipeline": {"kaiser_beta": 3, "delta_n_db": 6,
+                         "noise_region_native": [450, None]},
+        })
+        cfg.validate()
+        assert cfgmod.semantic_hash(cfg) == (
+            "5a510375c584c872f2655def95d0fbac85367c6970811120530c6ed7665dc11e")
+
     def test_bundled_scene_resolution_error(self):
         with pytest.raises(cfgmod.ConfigError, match="no bundled scene"):
             cfgmod.resolve_scene_path("bundled:no-such-scene")
@@ -147,6 +165,13 @@ class TestValidate:
         assert rc == 1
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_malformed_scene_json(self, tmp_path, capsys):
+        (tmp_path / "scene.json").write_text("{not json")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scene": str(tmp_path / "scene.json")}))
+        assert main(["validate", "--config", str(p)]) == 1
+        assert f"{tmp_path / 'scene.json'}: malformed JSON" in capsys.readouterr().err
+
     def test_missing_scene_file(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"scene": str(tmp_path / "absent.json")}))
@@ -171,6 +196,73 @@ class TestValidate:
         rc = main(["validate", "--config", str(p)])
         assert rc == 1
         assert "exactly 8 UE positions" in capsys.readouterr().err
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("doc,keys,value,message", [
+    ("config", ("seed",), 7.5, "seed = 7.5: must be an integer"),
+    ("config", ("seed",), "7", 'seed = "7": must be an integer'),
+    ("config", ("seed",), True, "seed = true: must be an integer"),
+    ("config", ("seed",), 2**64, "seed = 18446744073709551616: must be in [0, 2**64)"),
+    ("config", ("scene",), 5, "scene = 5: must be a string"),
+    ("config", ("pipeline",), 7, "pipeline = 7: must be an object"),
+    ("config", ("pipeline", "pad_factor"), 2.5, "pipeline.pad_factor = 2.5: must be an integer"),
+    ("config", ("pipeline", "ssa_window"), 3.0, "pipeline.ssa_window = 3.0: must be an integer"),
+    ("config", ("pipeline", "noise_region_native"), [450],
+     "pipeline.noise_region_native = [450]: must be a list of 2 values"),
+    ("config", ("impairments", "agc", "attenuation_steps_db"), 5,
+     "impairments.agc.attenuation_steps_db = 5: must be a list"),
+    ("config", ("impairments", "chain", "seed"), -1,
+     "impairments.chain.seed = -1: must be >= 0"),
+    ("scene", ("buildings", 0, "heigth_m"), 20.0, "buildings[0]: unknown key 'heigth_m'"),
+    ("scene", ("buildings", 0, "height_m"), float("nan"),
+     "buildings[0].height_m = NaN: must be finite"),
+    ("scene", ("trajectory", "speed_mps"), float("inf"),
+     "trajectory.speed_mps = Infinity: must be finite"),
+    ("scene", ("buildings", 0, "footprint"), 5,
+     "buildings[0].footprint = 5: must be an array of numbers"),
+    ("scene", ("buildings", 0, "footprint"), [[40, 30, 0], [60, 30, 0], [60, 50, 0]],
+     "building 'B0': footprint has shape (3, 3)"),
+    ("scene", ("trajectory", "waypoints", 1, "x"), "a",
+     'trajectory.waypoints[1].x = "a": must be a number or null'),
+    ("scene", ("buildings", 0, "id"), _DROP, "buildings[0].id: required key is missing"),
+], ids=["seed-float", "seed-string", "seed-bool", "seed-uint64-overflow", "scene-int",
+        "pipeline-int", "pad-float", "ssa-float", "noise-region-short", "agc-steps-int",
+        "chain-seed", "scene-key-typo", "height-nan", "speed-inf", "footprint-int",
+        "footprint-3-columns", "waypoint-x-string", "building-no-id"])
+def test_malformed_document_exit_1(workspace, finished_run, tmp_path, capsys,
+                                   doc, keys, value, message):
+    """A malformed config or scene makes validate exit 1, with the dotted key
+    and no traceback, and simulate exit 1 before it removes any output."""
+    docs = {"config": {**json.loads((workspace / "cfg.json").read_text()),
+                       "scene": str(tmp_path / "scene.json"), "pipeline": {},
+                       "impairments": {"agc": {}, "chain": {}}},
+            "scene": json.loads((workspace / "scene.json").read_text())}
+    *parents, last = keys
+    target = docs[doc]
+    for k in parents:
+        target = target[k]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    (tmp_path / "scene.json").write_text(json.dumps(docs["scene"]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(docs["config"]))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cfmm.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-m", "cfmm.cli", "validate", "--config", str(cfg)],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+    before = digests(finished_run)
+    assert main(["simulate", "--config", str(cfg), "--out", str(finished_run),
+                 "--workers", "1"]) == 1
+    assert message in capsys.readouterr().err
+    assert digests(finished_run) == before
 
 
 class TestStages:

@@ -1,4 +1,3 @@
-import json
 import runpy
 from pathlib import Path
 
@@ -48,6 +47,19 @@ def test_json_round_trip(tmp_path, basic_scene):
                 np.array([[0.0, 0.0], [10.0, 10.0], [10.0, 0.0], [0.0, 10.0]]),
             ),
             "simple polygon",
+        ),
+        (
+            lambda s: s.buildings.append(sc.Building(
+                "B3", np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [5.0, 5.0, 0.0]]), 10.0)),
+            r"building 'B3': footprint has shape \(3, 3\)",
+        ),
+        (
+            lambda s: s.buildings.append(sc.Building("B1", np.array([5.0, 5.0]), 10.0)),
+            r"building 'B1': footprint has shape \(2,\)",
+        ),
+        (
+            lambda s: s.foliage.append(sc.FoliageBlob(np.array([50.0, 50.0]), radius_m=2.0)),
+            r"foliage 0: center_m has shape \(2,\)",
         ),
         (lambda s: setattr(s.buildings[0], "height_m", -1.0), "height"),
         (
@@ -235,10 +247,10 @@ def test_site_lookup(basic_scene):
 
 
 @pytest.mark.parametrize("name", ["full", "canyon"])
-def test_bundled_scene_matches_generator(name):
+def test_bundled_scene_matches_generator(name, tmp_path):
     # The benchmark workloads are cut from the bundled scenes, so they must
-    # stay what tools/make_example_scenes.py writes.
+    # stay byte for byte what tools/make_example_scenes.py writes.
     root = Path(__file__).resolve().parents[1]
     tool = runpy.run_path(str(root / "tools" / "make_example_scenes.py"))
-    bundled = json.loads((root / "src" / "cfmm" / "data" / f"scene_{name}.json").read_text())
-    assert sc.scene_to_dict(tool[f"{name}_scene"]()) == bundled
+    bundled = (root / "src" / "cfmm" / "data" / f"scene_{name}.json").read_bytes()
+    assert sc.save_scene(tool[f"{name}_scene"](), tmp_path / "s.json").read_bytes() == bundled
