@@ -10,11 +10,14 @@ change output bytes. Every stage writes the same bytes for the same
 config regardless of worker count: workers compute disjoint capture
 ranges whose content is seed-determined. In simulate each range writes
 its own bytes of the capture file, wherever it runs; in process the
-parent writes each range's results in capture order. A stage publishes
-its outputs only once all of them are written.
+parent writes each range's results in capture order. A starting stage
+drops its own and the later stages' manifest records and deletes their
+outputs by the names this module writes, never by a path taken from the
+manifest. It publishes its outputs only once all of them are written, and
+replaces the manifest atomically.
 
 Exit codes: 0 success, 1 validation error, 2 missing/unreadable files,
-3 binary format mismatch or corrupt data, 4 out of memory.
+3 format mismatch, corrupt data or malformed manifest, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -87,64 +91,81 @@ def _scene_sha256(cfg: RunConfig) -> str | None:
         return None
 
 
-def _update_manifest(out: Path, cfg: RunConfig, stage: str, record: dict) -> None:
-    """Record a finished stage, with what besides the config fixes its bytes:
-    the scene file's content and the numpy version."""
-    path = out / MANIFEST_NAME
-    manifest = json.loads(path.read_text()) if path.exists() else {}
-    manifest["config_hash"] = semantic_hash(cfg)
-    manifest["seed"] = cfg.seed
-    manifest["scene"] = cfg.scene
-    manifest.setdefault("stages", {})[stage] = {
-        **record, "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__}
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-# Stage order, and the manifest fields that name each stage's outputs.
-_STAGE_OUTPUTS = {
-    "simulate": ("captures",),
-    "process": ("matrix", "summary"),
-    "export": ("heatmaps", "annotations"),
+# Stage order, and the files each stage writes: manifest field -> file
+# name, where {j} stands for any UE index.
+_OUTPUTS = {
+    "simulate": {"captures": CAPTURES_NAME},
+    "process": {"matrix": MATRIX_NAME, "summary": SUMMARY_NAME},
+    "export": {"heatmaps": "apld_ue{j}.pgm", "annotations": "annotations_ue{j}.csv"},
 }
 
 
-def _start_stage(out: Path, stage: str) -> None:
-    """Forget the results a new run of stage replaces: drop its manifest
-    record and those of later stages, and delete the outputs they name.
-    A failed run then leaves no record, and no later output, made from
-    the files it removed."""
+def _read_manifest(out: Path) -> dict:
+    """The manifest in out, {} when there is none."""
     path = out / MANIFEST_NAME
     if not path.exists():
-        return
-    manifest = json.loads(path.read_text())
-    records = manifest.get("stages", {})
-    order = list(_STAGE_OUTPUTS)
-    for name in order[order.index(stage):]:
-        record = records.pop(name, {})
-        for field in _STAGE_OUTPUTS[name]:
-            files = record.get(field, [])
-            for f in [files] if isinstance(files, str) else files:
-                (out / f).unlink(missing_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return {}
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as e:
+        raise fm.FormatError(f"{path}: malformed JSON ({e})") from None
+    stages = manifest.get("stages", {}) if isinstance(manifest, dict) else None
+    if not (isinstance(stages, dict) and all(isinstance(r, dict) for r in stages.values())):
+        raise fm.FormatError(f"{path}: must be an object whose stages are objects")
+    return manifest
+
+
+def _write_manifest(out: Path, manifest: dict) -> None:
+    """Replace the manifest atomically: a reader sees the old or the new file."""
+    part = out / (MANIFEST_NAME + ".partial")
+    part.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(part, out / MANIFEST_NAME)
 
 
 @contextmanager
-def _publish(*finals: Path):
-    """Yield a `*.partial` path for each final output; rename them into
-    place only when the block completes. A failed run leaves neither its
-    own partial files nor the previous run's outputs, which a later stage
-    would otherwise read as current."""
-    partials = tuple(p.with_name(p.name + ".partial") for p in finals)
-    for p in finals:
-        p.unlink(missing_ok=True)
+def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
+    """One run of stage name in out. On entry, drop the manifest records of
+    this stage and the later ones and delete their outputs by the names in
+    _OUTPUTS, never by a name read from the manifest. Yield a `*.partial`
+    path per output ({j} over range(n_ues)) and the stage record to add
+    counts to. On success, rename the partial files into place and record
+    the stage with the scene file's sha256 and the numpy version; on
+    failure, remove them."""
+    manifest = _read_manifest(out)
+    replaced = list(_OUTPUTS)[list(_OUTPUTS).index(name):]
+    stages = manifest.get("stages", {})
+    if [stages.pop(s) for s in replaced if s in stages]:
+        _write_manifest(out, manifest)
+    owned = re.compile("|".join(re.escape(t).replace(r"\{j\}", "[0-9]+")
+                                for s in replaced for t in _OUTPUTS[s].values()))
+    for p in out.iterdir():
+        if owned.fullmatch(p.name):
+            p.unlink()
+    record = {field: [t.format(j=j) for j in range(n_ues)] if "{j}" in t else t
+              for field, t in _OUTPUTS[name].items()}
+    finals = [out / f for v in record.values() for f in ([v] if isinstance(v, str) else v)]
+    partials = [p.with_name(p.name + ".partial") for p in finals]
     try:
-        yield partials
+        yield partials, record
     except BaseException:
         for p in partials:
             p.unlink(missing_ok=True)
         raise
     for part, final in zip(partials, finals):
         os.replace(part, final)
+    manifest.update(config_hash=semantic_hash(cfg), seed=cfg.seed, scene=cfg.scene)
+    manifest.setdefault("stages", {})[name] = {
+        **record, "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__}
+    _write_manifest(out, manifest)
+
+
+def _captures_path(args, out: Path) -> Path:
+    """The captures file process and export read: --captures, else the one
+    simulate wrote to out."""
+    path = Path(args.captures) if args.captures else out / CAPTURES_NAME
+    if not path.exists():
+        raise FileNotFoundError(f"captures file not found: {path} (run simulate first)")
+    return path
 
 
 def _load_validated_scene(cfg: RunConfig):
@@ -180,22 +201,17 @@ def cmd_simulate(args) -> int:
     scene.site(cfg.site)  # fail before any output is removed
     out = _out_dir(cfg, args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _start_stage(out, "simulate")
-    plan = sd.plan_campaign(scene, cfg.waveform, cfg.impairments, cfg.seed,
-                            site=cfg.site)
-    print(f"simulate: {plan.n_captures} captures x {plan.n_ues} UEs "
-          f"(chunks of {chunk_size}, {workers} workers)")
-    with _publish(out / CAPTURES_NAME) as (part,):
+    with _stage(out, cfg, "simulate") as ((part,), record):
+        plan = sd.plan_campaign(scene, cfg.waveform, cfg.impairments, cfg.seed,
+                                site=cfg.site)
+        print(f"simulate: {plan.n_captures} captures x {plan.n_ues} UEs "
+              f"(chunks of {chunk_size}, {workers} workers)")
         writer = fm.CaptureWriter(part, plan)
         pl.run_chunks(_simulate_span, (plan, writer), plan.n_captures, chunk_size,
                       lambda m0, _: None, workers)
-    mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
-    _update_manifest(out, cfg, "simulate", {
-        "captures": CAPTURES_NAME,
-        "n_captures": plan.n_captures,
-        "n_ues": plan.n_ues,
-        "link_classes": {c.name: int(mix[c]) for c in LinkClass},
-    })
+        mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
+        record.update(n_captures=plan.n_captures, n_ues=plan.n_ues,
+                      link_classes={c.name: int(mix[c]) for c in LinkClass})
     print(f"simulate: wrote {out / CAPTURES_NAME}")
     return 0
 
@@ -220,25 +236,16 @@ def cmd_process(args) -> int:
     cfg = load_config(args.config)
     chunk_size, workers = _run_flags(cfg, args)
     out = _out_dir(cfg, args.out)
-    captures = Path(args.captures) if args.captures else out / CAPTURES_NAME
-    if not captures.exists():
-        raise FileNotFoundError(
-            f"captures file not found: {captures} (run simulate first)")
+    captures = _captures_path(args, out)
     source = fm.open_captures(captures)
     params = cfg.pipeline
-    params.noise_bins(source.n_subcarriers)  # fail before any output exists
+    params.noise_bins(source.n_subcarriers)  # fail before any output is removed
     out.mkdir(parents=True, exist_ok=True)
-    _start_stage(out, "process")
     print(f"process: {source.n_captures} captures x {source.n_ues} UEs "
           f"(chunks of {chunk_size}, {workers} workers)")
-    with _publish(out / MATRIX_NAME, out / SUMMARY_NAME) as partials:
-        counts = _process_into(source, params, *partials, chunk_size, workers)
-    _update_manifest(out, cfg, "process", {
-        "matrix": MATRIX_NAME,
-        "summary": SUMMARY_NAME,
-        "captures": str(captures),
-        **counts,
-    })
+    with _stage(out, cfg, "process") as (partials, record):
+        record.update(_process_into(source, params, *partials, chunk_size, workers),
+                      captures=str(captures))
     print(f"process: wrote {out / MATRIX_NAME} and {out / SUMMARY_NAME}")
     return 0
 
@@ -277,26 +284,17 @@ def cmd_export(args) -> int:
     _workers(cfg, args)
     out = _out_dir(cfg, args.out)
     matrix_path = out / MATRIX_NAME
-    captures_path = Path(args.captures) if args.captures else out / CAPTURES_NAME
-    for p in (matrix_path, captures_path):
-        if not p.exists():
-            raise FileNotFoundError(f"missing stage input: {p}")
+    if not matrix_path.exists():
+        raise FileNotFoundError(f"matrix file not found: {matrix_path} (run process first)")
     matrix = fm.read_matrix(matrix_path)
-    source = fm.open_captures(captures_path)
-    _start_stage(out, "export")
+    source = fm.open_captures(_captures_path(args, out))
     u = matrix.n_ues
-    heatmaps = [f"apld_ue{j}.pgm" for j in range(u)]
-    annotations = [f"annotations_ue{j}.csv" for j in range(u)]
-    with _publish(*(out / name for name in heatmaps + annotations)) as partials:
+    with _stage(out, cfg, "export", n_ues=u) as (partials, record):
         ues = [ap.assemble_apld(matrix, source, j) for j in range(u)]
         ap.export_heatmap(ues, partials[:u])
         for one, path in zip(ues, partials[u:]):
             ap.write_annotations(one, path)
-    _update_manifest(out, cfg, "export", {
-        "heatmaps": heatmaps,
-        "annotations": annotations,
-    })
-    print(f"export: wrote {len(heatmaps)} heatmaps to {out}")
+    print(f"export: wrote {u} heatmaps to {out}")
     return 0
 
 

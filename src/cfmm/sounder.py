@@ -195,9 +195,6 @@ class CampaignPlan:
     measured_power_dbm: np.ndarray  # (M, U)
     link_class: np.ndarray  # (M, U) uint8, LinkClass values from the tracer
     attenuation_db: np.ndarray  # (M,)
-    # Back-to-back calibration: per-tone transmit amplitude times the chain
-    # response, with the reference comb already divided out.
-    cal_response: np.ndarray  # complex (N,)
     reference_tones: np.ndarray  # complex (N,)
     chain: np.ndarray  # complex (N,)
 
@@ -213,6 +210,11 @@ class CampaignPlan:
     def tx_tone_amplitude(self) -> float:
         p_mw = 10.0 ** (self.impairments.tx_power_dbm / 10.0)
         return float(np.sqrt(p_mw / self.waveform.n_subcarriers))
+
+    @property
+    def cal_response(self) -> np.ndarray:
+        """Back-to-back calibration (N,), with the reference comb divided out."""
+        return self.tx_tone_amplitude * self.chain
 
     def n_reps_stored(self) -> int:
         return self.impairments.n_repetitions if self.impairments.store_repetitions else 1
@@ -263,7 +265,6 @@ def plan_campaign(
 
     att = agc_attenuation_sequence(power_dbm.max(axis=1), impairments.agc)
 
-    tx_amp = np.sqrt(10.0 ** (impairments.tx_power_dbm / 10.0) / waveform.n_subcarriers)
     return CampaignPlan(
         site_id=ue_site.site_id, waveform=waveform,
         impairments=impairments, seed=int(seed),
@@ -271,7 +272,7 @@ def plan_campaign(
         ue_positions=ue_site.positions_m.copy(),
         path_gains=gains, path_delays=delays, row_splits=splits,
         measured_power_dbm=power_dbm, link_class=link_class, attenuation_db=att,
-        cal_response=tx_amp * chain, reference_tones=reference.tones, chain=chain,
+        reference_tones=reference.tones, chain=chain,
     )
 
 

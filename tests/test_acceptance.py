@@ -77,7 +77,6 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         measured = np.asarray(measured_override_dbm, dtype=float).reshape(m_total, -1)
     att = sd.agc_attenuation_sequence(measured.max(axis=1), imp.agc)
 
-    tx_amp = np.sqrt(10.0 ** (imp.tx_power_dbm / 10.0) / spec.n_subcarriers)
     return sd.CampaignPlan(
         site_id="manual", waveform=spec, impairments=imp, seed=seed,
         positions=positions, headings=np.zeros(m_total),
@@ -87,7 +86,7 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         path_delays=[np.asarray(d, dtype=float) for d in delays],
         row_splits=splits, measured_power_dbm=measured,
         link_class=np.zeros((m_total, ues.shape[0]), dtype=np.uint8), attenuation_db=att,
-        cal_response=tx_amp * chain, reference_tones=reference.tones, chain=chain,
+        reference_tones=reference.tones, chain=chain,
     )
 
 

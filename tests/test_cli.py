@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -451,6 +452,59 @@ class TestStages:
         assert not list(out.glob("apld_ue*.pgm"))
         assert not list(out.glob("annotations_ue*.csv"))
         assert (out / "captures.cfmc").exists()
+
+    @pytest.mark.parametrize("kind", ["absolute", "dotdot"])
+    def test_stage_deletes_no_path_from_manifest(self, workspace, tmp_path, kind):
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        named = str(victim) if kind == "absolute" else "../victim.txt"
+        (out / "manifest.json").write_text(json.dumps({"stages": {
+            "simulate": {"captures": named},
+            "process": {"matrix": named, "summary": named},
+            "export": {"heatmaps": [named], "annotations": [named]}}}))
+        assert main(["simulate", "--config", str(workspace / "cfg.json"),
+                     "--out", str(out), "--workers", "1"]) == 0
+        assert victim.read_text() == "keep\n"
+
+    def test_simulate_without_manifest_removes_later_outputs(self, workspace, finished_run,
+                                                              tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        (out / "manifest.json").unlink()
+        # Outputs of a run with more UEs, and files no stage writes.
+        for name in ("apld_ue12.pgm", "annotations_ue12.csv", "notes.txt",
+                     "apld_ue1.pgm.bak", "apld_uex.pgm"):
+            (out / name).write_text("x\n")
+        cfgp = str(workspace / "cfg.json")
+        assert main(["simulate", "--config", cfgp, "--out", str(out), "--workers", "1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "apld_ue1.pgm.bak", "apld_uex.pgm", "captures.cfmc", "manifest.json",
+            "notes.txt"]
+        capsys.readouterr()
+        assert main(["export", "--config", cfgp, "--out", str(out)]) == 2
+        assert "matrix.cfmm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [None, "[]", '{"stages": []}',
+                                          '{"stages": {"process": 1}}'],
+                             ids=["truncated", "list", "stages-list", "record-int"])
+    def test_malformed_manifest_exit_3(self, workspace, finished_run, tmp_path, manifest):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        path = out / "manifest.json"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2] if manifest is None else manifest.encode())
+        before = digests(out)
+        env = {**os.environ, "PYTHONPATH": str(Path(cfmm.__file__).parents[1])}
+        for stage in ("simulate", "process", "export"):
+            r = subprocess.run([sys.executable, "-m", "cfmm.cli", stage, "--config",
+                                str(workspace / "cfg.json"), "--out", str(out),
+                                "--workers", "1"],
+                               env=env, capture_output=True, text=True, timeout=120)
+            assert r.returncode == 3, r.stderr
+            assert str(path) in r.stderr and "Traceback" not in r.stderr
+            assert digests(out) == before
 
     def test_failed_pool_run_clears_worker_task(self, workspace, tmp_path,
                                                 monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""tools/compare_outputs.py on two output directories that differ by rounding."""
+"""tools/compare_outputs.py on two output directories: rounding differences, a
+corrupt matrix and a missing directory."""
 
 import importlib.util
 from pathlib import Path
@@ -60,3 +61,11 @@ def test_corrupt_matrix_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"matrix.cfmm: cannot read: {b / 'matrix.cfmm'}: captures 0..3" in err
     assert "finite" in err
+
+
+def test_missing_directory_exit_2(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "file").write_text("not a directory\n")
+    for missing in ("gone", "file"):
+        assert load_tool().main([str(tmp_path / "a"), str(tmp_path / missing)]) == 2
+        assert f"{tmp_path / missing}: not a directory" in capsys.readouterr().err

@@ -11,9 +11,10 @@ reads the two matrices one block of captures at a time and prints:
   the (capture, UE, bin) where it occurs;
 * how many noise_db values differ, and the largest absolute difference.
 
-Exits 0 when every file but `manifest.json` is byte-identical, 3 when a
-differing `matrix.cfmm` cannot be read (the message names the file and
-the fault), else 1.
+Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
+argument is missing or is not a directory, 3 when a differing
+`matrix.cfmm` cannot be read (the message names the file and the fault),
+else 1.
 """
 
 import hashlib
@@ -83,6 +84,10 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     dir_a, dir_b = (Path(d) for d in argv)
+    for d in (dir_a, dir_b):
+        if not d.is_dir():
+            print(f"{d}: not a directory", file=sys.stderr)
+            return 2
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir() if p.is_file()})
     all_same = True
     for name in names:
