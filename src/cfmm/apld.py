@@ -145,38 +145,38 @@ def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray,
 
 
 def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 30.0) -> None:
-    """Write each profile matrix as a binary PGM (P5) image, aplds[i] to paths[i].
+    """Write the profiles of UEs of one matrix as binary PGM (P5) images,
+    aplds[i] to paths[i]. Raises ValueError when aplds hold more than one
+    matrix.
 
     Rows are capture order, columns delay bins. Power maps linearly in dB
     onto 1..255 over [max - dynamic_range_db, max], max being the
-    strongest surviving bin of that matrix; everything below the range,
-    and every masked bin, is black. Output bytes depend only on the input
+    strongest surviving bin of that UE; everything below the range, and
+    every masked bin, is black. Output bytes depend only on the input
     matrix. Levels are mapped from the surviving bins straight into the
-    image rows. Each matrix is read one block of captures at a time, and
+    image rows. The matrix is read one block of captures at a time, and
     each block once for all the UEs it holds.
     """
+    matrix = aplds[0].matrix
+    if any(apld.matrix is not matrix for apld in aplds):
+        raise ValueError("export_heatmap: the profiles come from more than one matrix")
+    peaks = _ue_peaks(matrix)
+    # A UE with nothing surviving, or not exported, gets +inf: black.
+    top_db = np.full(matrix.n_ues, np.inf)
+    for apld in aplds:
+        peak = peaks[apld.ue_id]
+        if not np.isnan(peak):
+            top_db[apld.ue_id] = 10.0 * np.log10(peak)
     with ExitStack() as stack:
         out = []
         for apld, path in zip(aplds, paths, strict=True):
             fh = stack.enter_context(open(path, "wb"))
             fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
             out.append(fh)
-        groups: dict[int, list[int]] = {}  # matrix -> indices of its UEs
-        for i, apld in enumerate(aplds):
-            groups.setdefault(id(apld.matrix), []).append(i)
-        for members in groups.values():
-            matrix = aplds[members[0]].matrix
-            peaks = _ue_peaks(matrix)
-            # A UE with nothing surviving, or not exported, gets +inf: black.
-            top_db = np.full(matrix.n_ues, np.inf)
-            for i in members:
-                peak = peaks[aplds[i].ue_id]
-                if not np.isnan(peak):
-                    top_db[aplds[i].ue_id] = 10.0 * np.log10(peak)
-            for rows in matrix.blocks():
-                img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db, dynamic_range_db)
-                for i in members:
-                    out[i].write(img[aplds[i].ue_id].tobytes())
+        for rows in matrix.blocks():
+            img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db, dynamic_range_db)
+            for apld, fh in zip(aplds, out):
+                fh.write(img[apld.ue_id].tobytes())
 
 
 def _ue_peaks(matrix: MatrixFile) -> np.ndarray:

@@ -125,8 +125,9 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 @contextmanager
 def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     """One run of stage name in out. On entry, drop the manifest records of
-    this stage and the later ones and delete their outputs by the names in
-    _OUTPUTS, never by a name read from the manifest. Yield a `*.partial`
+    this stage and the later ones and delete their outputs, and stale
+    `*.partial` files of them and of the manifest, by the names in _OUTPUTS,
+    never by a name read from the manifest. Yield a `*.partial`
     path per output ({j} over range(n_ues)) and the stage record to add
     counts to. On success, rename the partial files into place and record
     the stage with the scene file's sha256 and the numpy version; on
@@ -136,8 +137,9 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     stages = manifest.get("stages", {})
     if [stages.pop(s) for s in replaced if s in stages]:
         _write_manifest(out, manifest)
-    owned = re.compile("|".join(re.escape(t).replace(r"\{j\}", "[0-9]+")
-                                for s in replaced for t in _OUTPUTS[s].values()))
+    names = "|".join(re.escape(t).replace(r"\{j\}", "[0-9]+")
+                     for s in replaced for t in _OUTPUTS[s].values())
+    owned = re.compile(rf"(?:{names})(?:\.partial)?|{re.escape(MANIFEST_NAME)}\.partial")
     for p in out.iterdir():
         if owned.fullmatch(p.name):
             p.unlink()

@@ -403,6 +403,8 @@ def open_captures(path) -> CaptureFile:
         if size < expected:
             raise FormatError(
                 f"{path}: truncated spectra payload ({size} bytes, expected {expected})")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} bytes after the spectra")
     return CaptureFile(
         path=str(path), n_captures=m, n_ues=u, n_reps_stored=r, n_subcarriers=n,
         subcarrier_spacing_hz=spacing, capture_interval_s=interval,

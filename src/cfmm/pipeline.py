@@ -314,8 +314,6 @@ def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
     pdps = np.asarray(pdps)
-    if window == 1:
-        return pdps.astype(np.float64)
     m = pdps.shape[0]
     half = window // 2
     acc = np.zeros(pdps.shape, dtype=np.float64)

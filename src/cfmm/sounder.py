@@ -13,7 +13,7 @@ produce byte-identical records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,47 +50,39 @@ class AGCConfig:
             raise ValueError(f"target_output_window_dbm = {[lo, hi]}: must have low < high")
 
 
-@dataclass(frozen=True)
-class AGCState:
-    config: AGCConfig
-    current_attenuation_db: float = 0.0
+def _agc_step(att_db: float, strongest_dbm: float, config: AGCConfig) -> float:
+    """Attenuation after a capture whose strongest UE input is strongest_dbm.
 
-
-def agc_update(state: AGCState, strongest_input_dbm: float) -> AGCState:
-    """Next AGC state given the strongest UE input power of a capture.
-
-    Holds the current step while the attenuated output stays inside the
-    target window; otherwise takes the smallest step that lands inside, or
-    failing that the smallest step that keeps the output at or below the
-    window top (full attenuation if even that fails).
+    Holds att_db while the attenuated output stays inside the target window;
+    otherwise takes the smallest step that lands inside, or failing that the
+    smallest step that keeps the output at or below the window top (full
+    attenuation if even that fails).
     """
-    lo, hi = state.config.target_output_window_dbm
-    att = state.current_attenuation_db
-    if lo <= strongest_input_dbm - att <= hi:
-        return state
-    for a in state.config.attenuation_steps_db:
-        if lo <= strongest_input_dbm - a <= hi:
-            return replace(state, current_attenuation_db=float(a))
-    for a in state.config.attenuation_steps_db:
-        if strongest_input_dbm - a <= hi:
-            return replace(state, current_attenuation_db=float(a))
-    return replace(state, current_attenuation_db=float(state.config.attenuation_steps_db[-1]))
+    lo, hi = config.target_output_window_dbm
+    if lo <= strongest_dbm - att_db <= hi:
+        return att_db
+    for a in config.attenuation_steps_db:
+        if lo <= strongest_dbm - a <= hi:
+            return float(a)
+    for a in config.attenuation_steps_db:
+        if strongest_dbm - a <= hi:
+            return float(a)
+    return float(config.attenuation_steps_db[-1])
 
 
 def agc_attenuation_sequence(strongest_dbm: np.ndarray, config: AGCConfig) -> np.ndarray:
     """Attenuation per capture with the one-capture causal lag.
 
-    Capture 0 uses its own power (the device converges before the run
-    starts); capture m >= 1 reacts to the strongest UE of capture m - 1.
+    The attenuator starts at 0 dB. Capture 0 uses its own power (the device
+    converges before the run starts); capture m >= 1 reacts to the strongest
+    UE of capture m - 1.
     """
     config.validate()
-    m_total = strongest_dbm.shape[0]
-    att = np.zeros(m_total)
-    state = agc_update(AGCState(config=config), float(strongest_dbm[0]))
-    att[0] = state.current_attenuation_db
-    for m in range(1, m_total):
-        state = agc_update(state, float(strongest_dbm[m - 1]))
-        att[m] = state.current_attenuation_db
+    att = np.zeros(strongest_dbm.shape[0])
+    a = 0.0
+    for m in range(att.shape[0]):
+        a = _agc_step(a, float(strongest_dbm[max(m - 1, 0)]), config)
+        att[m] = a
     return att
 
 
@@ -158,17 +150,6 @@ class ImpairmentConfig:
         return 10.0 ** (dbm / 10.0)
 
 
-def inject_crosstalk(spectrum: np.ndarray, coupling_db: float | None,
-                     reference: np.ndarray) -> np.ndarray:
-    """Add transmitter leakage (a scaled copy of the reference, zero delay).
-
-    coupling_db None (or -inf) returns the spectrum unchanged.
-    """
-    if coupling_db is None or coupling_db == -np.inf:
-        return spectrum
-    return spectrum + 10.0 ** (coupling_db / 20.0) * reference
-
-
 # --- campaign ---------------------------------------------------------------
 
 @dataclass
@@ -226,19 +207,15 @@ def plan_campaign(
     impairments: ImpairmentConfig,
     seed: int,
     site=0,
-    pose_slice: slice | None = None,
 ) -> CampaignPlan:
-    """Trace the whole campaign and fix the AGC sequence.
+    """Trace every pose of the scene's route to every UE of site, and fix
+    the AGC sequence over the whole route.
 
-    pose_slice trims the sampled trajectory (used by tests); the AGC pass
-    always runs over the retained range only.
+    The AGC is causal, so the plan of a route cut after k poses has the
+    same first k attenuations as the plan of the whole route.
     """
     waveform.validate()
     positions, headings, timestamps = sample_ap_pose_arrays(scene.trajectory)
-    if pose_slice is not None:
-        positions = positions[pose_slice]
-        headings = headings[pose_slice]
-        timestamps = timestamps[pose_slice]
     ue_site = scene.site(site)
     m_total = positions.shape[0]
 
@@ -280,20 +257,21 @@ def _capture_rng(seed: int, capture_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(capture_index,)))
 
 
-def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
-                     include_noise: bool = True) -> np.ndarray:
+def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     """Recorded spectra for captures [m0, m1), shape (m, U, R_stored, N).
 
     The raw recording is g * (signal + noise) with g the AGC attenuator
-    gain; the transmit leakage rides on the signal ahead of the attenuator,
-    so its calibrated level does not move with AGC steps.
+    gain; the transmit leakage (crosstalk_coupling_db, None for none) adds
+    to the channel at zero delay, ahead of the attenuator, so its calibrated
+    level does not move with AGC steps.
 
     Noise, gain and the complex64 cast run in place on float64 (real,
     imaginary) views: z *= sqrt(sigma2 / 2), z += signal, z *= g, then one
     rounding to float32. A complex value times a real scalar is exact per
     component, as is a complex sum, so the bytes equal those of
     (g * (signal + (z0 + 1j z1) * sqrt(sigma2 / 2))).astype(complex64)
-    with the same draws; without noise, z starts at zero, as signal + 0.0.
+    with the same draws. A thermal density of -inf dBm/Hz gives sigma2 = 0,
+    a capture without receiver noise.
     """
     wf_spec = plan.waveform
     n = wf_spec.n_subcarriers
@@ -316,8 +294,9 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
             plan.path_delays[j][base:base + sub_splits[-1]],
             sub_splits, offsets, out=h_rows,
         )
-        np.multiply(inject_crosstalk(h_rows, imp.crosstalk_coupling_db, np.ones(n)),
-                    tx_front, out=signal[:, j, :])
+        if imp.crosstalk_coupling_db is not None:
+            h_rows += 10.0 ** (imp.crosstalk_coupling_db / 20.0)
+        np.multiply(h_rows, tx_front, out=signal[:, j, :])
 
     g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
     sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
@@ -328,11 +307,8 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int,
     signal_re = signal.view(np.float64).reshape(m_chunk, n_ue, 1, n, 2)
     out_re = out.view(np.float32).reshape(m_chunk, *shape)
     for i in range(m_chunk):
-        if include_noise:
-            z = _capture_rng(plan.seed, m0 + i).standard_normal(shape)
-            z *= np.sqrt(sigma2[i] / 2.0)
-        else:
-            z = np.zeros(shape)
+        z = _capture_rng(plan.seed, m0 + i).standard_normal(shape)
+        z *= np.sqrt(sigma2[i] / 2.0)
         z += signal_re[i]
         z *= g_lin[i]
         out_re[i] = z

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,8 @@ from cfmm import sounder as sd
 class PlanSource:
     """Capture source backed by a campaign plan (spectra synthesized on read)."""
 
-    def __init__(self, plan, include_noise: bool = True):
+    def __init__(self, plan):
         self.plan = plan
-        self.include_noise = include_noise
         self.n_captures = plan.n_captures
         self.n_ues = plan.n_ues
         self.n_subcarriers = plan.waveform.n_subcarriers
@@ -28,7 +28,28 @@ class PlanSource:
         self.ue_positions = plan.ue_positions
 
     def spectra(self, m0: int, m1: int) -> np.ndarray:
-        return sd.synthesize_chunk(self.plan, m0, m1, include_noise=self.include_noise)
+        return sd.synthesize_chunk(self.plan, m0, m1)
+
+
+def noiseless(plan):
+    """plan without receiver noise: a thermal density of -inf dBm/Hz makes
+    the noise variance zero. The AGC sequence does not depend on it."""
+    return replace(plan, impairments=replace(plan.impairments, thermal_dbm_per_hz=-np.inf))
+
+
+def first_poses(scene, n_poses: int):
+    """scene with its route cut after its first n_poses poses. The route
+    must open with a drive that long; the cut route ends half a capture
+    interval after its last pose."""
+    traj = scene.trajectory
+    start, drive = traj.waypoints[:2]
+    assert drive.action == "drive"
+    step = np.array([drive.x - start.x, drive.y - start.y])
+    length = traj.speed_mps * traj.capture_interval_s * (n_poses - 0.5)
+    assert length < np.hypot(*step)
+    x, y = np.array([start.x, start.y]) + step * (length / np.hypot(*step))
+    return replace(scene, trajectory=replace(
+        traj, waypoints=[start, sc.Waypoint("drive", x=float(x), y=float(y))]))
 
 
 def process_matrix(source, tmp_path, params=None, chunk_size=128) -> fm.MatrixFile:

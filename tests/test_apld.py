@@ -14,7 +14,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.constants import SPEED_OF_LIGHT
 
-from conftest import PlanSource, dense, make_scene, process_matrix, write_matrix
+from conftest import PlanSource, dense, first_poses, make_scene, process_matrix, write_matrix
 
 
 def dense_matrix(tmp_path, values, mask, noise_db=-100.0, threshold_db=-93.0,
@@ -205,9 +205,8 @@ class TestFirstPeakTrack:
 
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
-    scene = make_scene()
-    plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(),
-                            seed=33, pose_slice=slice(0, 12))
+    plan = sd.plan_campaign(first_poses(make_scene(), 12), wf.WaveformSpec(),
+                            sd.ImpairmentConfig(), seed=33)
     matrix = process_matrix(PlanSource(plan), tmp_path_factory.mktemp("campaign"),
                             pl.PipelineParams(), chunk_size=8)
     return plan, matrix
@@ -297,6 +296,15 @@ class TestExports:
         assert reads == [0, 3, 6, 0, 3, 6]
         for j in range(u):
             assert together[j].read_bytes() == (tmp_path / f"d{j}.pgm").read_bytes()
+
+    def test_heatmap_rejects_two_matrices(self, tmp_path):
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        a = flat_apld(tmp_path / "a", np.ones(5), np.ones(5))
+        b = flat_apld(tmp_path / "b", np.ones(5), np.ones(5))
+        paths = [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+        with pytest.raises(ValueError, match="more than one matrix"):
+            ap.export_heatmap([a, b], paths)
+        assert not any(p.exists() for p in paths)
 
     def test_heatmap_all_masked(self, tmp_path):
         apld = flat_apld(tmp_path, np.zeros(5), np.zeros(5))

@@ -20,7 +20,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm import cli
 
-from conftest import PlanSource, make_scene, set_first_value
+from conftest import PlanSource, first_poses, make_scene, set_first_value
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -46,8 +46,8 @@ def test_tracer_targets_resolve():
 
 
 def test_chunk_counts_read_process_chunk():
-    plan = sd.plan_campaign(make_scene(), wf.WaveformSpec(), sd.ImpairmentConfig(),
-                            seed=5, pose_slice=slice(0, 6))
+    plan = sd.plan_campaign(first_poses(make_scene(), 6), wf.WaveformSpec(),
+                            sd.ImpairmentConfig(), seed=5)
     params = pl.PipelineParams()
     chunk = pl.process_chunk(PlanSource(plan), params, 1, 5)
     counts = tracer._chunk_counts((None, params, 1, 5), {}, chunk)

@@ -23,7 +23,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import main
 
-from conftest import dense, make_scene, set_first_value, ue_line
+from conftest import dense, first_poses, make_scene, set_first_value, ue_line
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +486,29 @@ class TestStages:
         assert main(["export", "--config", cfgp, "--out", str(out)]) == 2
         assert "matrix.cfmm" in capsys.readouterr().err
 
+    def test_stage_removes_stale_partials(self, workspace, finished_run, tmp_path):
+        # A killed stage leaves its partial files. A starting stage removes
+        # those of its own and the later stages' outputs and of the
+        # manifest, but never the partial of an earlier stage's output.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        (out / "manifest.json").unlink()
+        zero_capture(out / "captures.cfmc", 17)  # process fails inside its stage
+
+        def run(stage):
+            return main([stage, "--config", str(workspace / "cfg.json"),
+                         "--out", str(out), "--workers", "1"])
+
+        stale = ["apld_ue3.pgm.partial", "matrix.cfmm.partial", "manifest.json.partial"]
+        for name in stale + ["captures.cfmc.partial"]:
+            (out / name).write_text("x\n")
+        assert run("process") == 3
+        assert [p.name for p in out.glob("*.partial")] == ["captures.cfmc.partial"]
+        for name in stale:
+            (out / name).write_text("x\n")
+        assert run("simulate") == 0
+        assert not list(out.glob("*.partial"))
+
     @pytest.mark.parametrize("manifest", [None, "[]", '{"stages": []}',
                                           '{"stages": {"process": 1}}'],
                              ids=["truncated", "list", "stages-list", "record-int"])
@@ -691,6 +714,17 @@ class TestStages:
         assert str(bad) in err and "truncated spectra" in err
         assert not (tmp_path / "z" / "matrix.cfmm").exists()
 
+    def test_trailing_bytes_after_spectra_exit_3(self, workspace, tmp_path, capsys):
+        raw = (workspace / "out" / "captures.cfmc").read_bytes()
+        bad = tmp_path / "long.cfmc"
+        bad.write_bytes(raw + bytes(8))
+        rc = main(["process", "--config", str(workspace / "cfg.json"),
+                   "--captures", str(bad), "--out", str(tmp_path / "z")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "8 bytes after the spectra" in err
+        assert not (tmp_path / "z" / "matrix.cfmm").exists()
+
     def test_zero_filled_capture_exit_3(self, workspace, tmp_path, capsys):
         # An interrupted simulate leaves pre-sized, zero-filled spectra.
         bad = tmp_path / "zeroed.cfmc"
@@ -708,8 +742,8 @@ class TestStages:
         # average spreads it so captures 26-34 of UE 2 keep no bins while
         # process exits 0.
         scene = sc.load_scene(cfgmod.resolve_scene_path("bundled:canyon"))
-        plan = sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(), seed=7,
-                                pose_slice=slice(0, 64))
+        plan = sd.plan_campaign(first_poses(scene, 64), wf.WaveformSpec(),
+                                sd.ImpairmentConfig(), seed=7)
         bad = tmp_path / "nan.cfmc"
         fm.CaptureWriter(bad, plan).write_chunk(0, sd.synthesize_chunk(plan, 0, 64))
         src = fm.open_captures(bad)

@@ -13,7 +13,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import main
 
-from conftest import PlanSource, dense, make_scene, process_matrix, write_matrix
+from conftest import PlanSource, dense, first_poses, make_scene, process_matrix, write_matrix
 
 
 def small_matrix(rng, m=5, u=3, b=40) -> SimpleNamespace:
@@ -237,7 +237,7 @@ def plan():
     scene = make_scene()
     waveform = wf.WaveformSpec()
     imp = sd.ImpairmentConfig()
-    return sd.plan_campaign(scene, waveform, imp, seed=21, pose_slice=slice(0, 6))
+    return sd.plan_campaign(first_poses(scene, 6), waveform, imp, seed=21)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import PlanSource, dense, make_scene, process_matrix
+from conftest import PlanSource, dense, make_scene, noiseless, process_matrix
 
 
 def brute_pdp(h, beta, pad):
@@ -426,7 +426,7 @@ class TestSpanNoiseFloor:
         # clamp keeps every noise mean non-negative and every level finite.
         params = pl.PipelineParams()
         a, b, values, mask, noise_db, theta_db = pl.process_chunk(
-            PlanSource(plan, include_noise=False), params, 0, 20)
+            PlanSource(noiseless(plan)), params, 0, 20)
         assert np.isfinite(noise_db).all() and np.isfinite(theta_db).all()
         assert noise_db.max() < -150.0
         assert np.isfinite(values).all() and (values >= 0).all()

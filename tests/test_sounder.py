@@ -6,7 +6,7 @@ from cfmm import raypaths as rp
 from cfmm import scene as sc
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import make_scene
+from conftest import make_scene, noiseless
 
 SPEC = wf.WaveformSpec()
 
@@ -22,8 +22,12 @@ class TestAGC:
     CFG = sd.AGCConfig()
 
     def up(self, att, p):
-        state = sd.AGCState(config=self.CFG, current_attenuation_db=att)
-        return sd.agc_update(state, p).current_attenuation_db
+        """Attenuation after a capture at p dBm, from a settled att dB."""
+        # att - 42.5 dBm sits mid-window at att dB, so capture 0 settles on
+        # att and capture 1 holds it; capture 2 reacts to capture 1's p.
+        seq = sd.agc_attenuation_sequence(np.array([att - 42.5, p, p]), self.CFG)
+        np.testing.assert_array_equal(seq[:2], [att, att])
+        return seq[2]
 
     def test_selects_smallest_step_landing_in_window(self):
         assert self.up(0.0, -30.0) == 10.0  # -40 hits the window top
@@ -32,9 +36,7 @@ class TestAGC:
         assert self.up(0.0, -41.0) == 0.0
 
     def test_holds_inside_window(self):
-        state = sd.AGCState(config=self.CFG, current_attenuation_db=10.0)
-        out = sd.agc_update(state, -31.0)
-        assert out is state  # -41 dBm output, no change
+        assert self.up(10.0, -31.0) == 10.0  # -41 dBm output, no change
 
     def test_weak_signal_returns_to_zero(self):
         assert self.up(30.0, -80.0) == 0.0
@@ -95,14 +97,6 @@ class TestImpairments:
         assert not np.allclose(r1, r3)
 
 
-def test_inject_crosstalk_identity_and_level():
-    spectrum = np.zeros(16, dtype=complex)
-    ref = np.exp(1j * np.linspace(0, 2, 16))
-    assert sd.inject_crosstalk(spectrum, None, ref) is spectrum
-    out = sd.inject_crosstalk(spectrum, -60.0, ref)
-    np.testing.assert_allclose(np.abs(out), 1e-3, rtol=1e-12)
-
-
 def test_timing_constants():
     assert sd.REPETITIONS_PER_UE == 10
     assert sd.UE_SLOT_S == pytest.approx(640e-6)
@@ -144,7 +138,7 @@ def test_store_repetitions_shape_and_noise_scaling():
     # Averaged storage carries the variance of the repetition mean: 10x less.
     def noise_var(plan):
         noisy = sd.synthesize_chunk(plan, 0, 1).astype(np.complex128)
-        clean = sd.synthesize_chunk(plan, 0, 1, include_noise=False).astype(np.complex128)
+        clean = sd.synthesize_chunk(noiseless(plan), 0, 1).astype(np.complex128)
         return (np.abs(noisy - clean) ** 2).mean()
 
     ratio = noise_var(p_stored) / noise_var(p_avg)
@@ -163,17 +157,19 @@ def test_chunk_boundaries_do_not_change_bytes():
     assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
 
 
-@pytest.mark.parametrize("store_repetitions, include_noise",
+@pytest.mark.parametrize("store_repetitions, noisy",
                          [(True, True), (False, True), (False, False)])
-def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, include_noise):
+def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, noisy):
     # The in-place real arithmetic reproduces, bit for bit, the complex
-    # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64.
+    # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64,
+    # and g * signal without receiver noise.
     plan = sd.plan_campaign(short_drive_scene(), SPEC,
                             sd.ImpairmentConfig(store_repetitions=store_repetitions), seed=4)
+    plan = plan if noisy else noiseless(plan)
     imp = plan.impairments
     n = SPEC.n_subcarriers
     m0, m1 = 3, 9
-    got = sd.synthesize_chunk(plan, m0, m1, include_noise=include_noise)
+    got = sd.synthesize_chunk(plan, m0, m1)
     front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
     g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
     sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], SPEC.subcarrier_spacing_hz)
@@ -187,12 +183,13 @@ def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, inc
                 plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
                 np.array([0, hi - lo]), SPEC.tone_offsets_hz(),
             )[0]
-            signal[j] = sd.inject_crosstalk(h, imp.crosstalk_coupling_db, np.ones(n)) * front
-        if include_noise:
+            signal[j] = (h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)) * front
+        if noisy:
             z = sd._capture_rng(plan.seed, m).standard_normal(
                 (plan.n_ues, plan.n_reps_stored(), n, 2))
             noise = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(sigma2[i] / 2.0)
         else:
+            assert sigma2[i] == 0.0
             noise = 0.0
         expected = (g_lin[i] * (signal[:, None, :] + noise)).astype(np.complex64)
         assert got[i].tobytes() == expected.tobytes()
@@ -203,7 +200,7 @@ def test_noiseless_capture_reproduces_channel():
     imp = sd.ImpairmentConfig(crosstalk_coupling_db=None, store_repetitions=True)
     plan = sd.plan_campaign(scene, SPEC, imp, seed=5)
     m = 4
-    raw = sd.synthesize_chunk(plan, m, m + 1, include_noise=False)[0]
+    raw = sd.synthesize_chunk(noiseless(plan), m, m + 1)[0]
     g = 10 ** (-plan.attenuation_db[m] / 20.0)
     front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
     for j in range(8):
@@ -226,8 +223,8 @@ def test_crosstalk_appears_pre_attenuator():
     p1 = sd.plan_campaign(scene, SPEC, with_xt, seed=2)
     np.testing.assert_array_equal(p0.attenuation_db, p1.attenuation_db)
     m = 3
-    a = sd.synthesize_chunk(p0, m, m + 1, include_noise=False)[0].astype(np.complex128)
-    b = sd.synthesize_chunk(p1, m, m + 1, include_noise=False)[0].astype(np.complex128)
+    a = sd.synthesize_chunk(noiseless(p0), m, m + 1)[0].astype(np.complex128)
+    b = sd.synthesize_chunk(noiseless(p1), m, m + 1)[0].astype(np.complex128)
     g = 10 ** (-p0.attenuation_db[m] / 20.0)
     leak = 1e-3 * g * p0.tx_tone_amplitude * p0.reference_tones * p0.chain
     for j in range(8):
