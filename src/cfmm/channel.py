@@ -14,7 +14,8 @@ row factors exactly. Writing k = a B + b with B = FINE_TONES,
 
 a coarse table of ceil(N / B) tones times a fine table of B tones. A path
 then costs ceil(N / B) + B complex exponentials (109 at N = 2801) instead
-of N, and synthesis requires the tone offsets to be such a grid.
+of N. Synthesis takes the comb as its WaveformSpec, whose tone offsets
+are such a grid by construction.
 """
 
 from __future__ import annotations
@@ -24,25 +25,6 @@ import numpy as np
 from .waveform import WaveformSpec
 
 FINE_TONES = 64  # B: tones per fine table
-_GRID_RTOL = 8 * np.finfo(float).eps  # deviation from the grid, relative to max |f|
-
-
-def _grid_step(offsets_hz: np.ndarray) -> float:
-    """Spacing df of a uniform grid offsets_hz[0] + k df; 0 for fewer than two tones.
-
-    Raises ValueError when the offsets deviate from that grid by more than
-    float64 rounding.
-    """
-    n = offsets_hz.size
-    if n < 2:
-        return 0.0
-    df = (offsets_hz[-1] - offsets_hz[0]) / (n - 1)
-    dev = np.abs(offsets_hz - (offsets_hz[0] + df * np.arange(n))).max()
-    if not dev <= _GRID_RTOL * np.abs(offsets_hz).max():
-        raise ValueError(
-            f"offsets_hz: tone offsets must form a uniform grid "
-            f"(off the grid of spacing {df:.6g} Hz by up to {dev:.3g} Hz)")
-    return float(df)
 
 
 def _path_count_groups(row_splits: np.ndarray):
@@ -62,15 +44,15 @@ def synthesize_rows(
     gains: np.ndarray,
     delays: np.ndarray,
     row_splits: np.ndarray,
-    offsets_hz: np.ndarray,
+    spec: WaveformSpec,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Synthesize many channels at once from flat path arrays.
 
-    Row r sums paths gains[row_splits[r]:row_splits[r+1]]. Returns
-    (n_rows, n_tones) complex128. This is the campaign hot loop.
+    Row r sums paths gains[row_splits[r]:row_splits[r+1]] over the tones
+    f_0 + k df of spec.tone_offsets_hz(). Returns (n_rows, n_tones)
+    complex128. This is the campaign hot loop.
 
-    offsets_hz must be a uniform grid f_0 + k df (ValueError otherwise).
     Each path contributes the outer product of its coarse table
     g exp(-j 2 pi tau (f_0 + a B df)), a < A = ceil(N / B), which carries
     the gain, and its fine table exp(-j 2 pi tau b df), b < B = FINE_TONES;
@@ -79,16 +61,12 @@ def synthesize_rows(
     over paths is one batched matrix product (rows, A, paths) @ (rows,
     paths, B), written to out once and trimmed to N tones.
     """
-    offsets_hz = np.asarray(offsets_hz, dtype=float)
-    df = _grid_step(offsets_hz)
-    n_rows = row_splits.size - 1
-    n_tones = offsets_hz.size
+    n_tones = spec.n_subcarriers
+    df = spec.subcarrier_spacing_hz
     if out is None:
-        out = np.empty((n_rows, n_tones), dtype=np.complex128)
-    if n_rows == 0 or n_tones == 0:
-        return out
+        out = np.empty((row_splits.size - 1, n_tones), dtype=np.complex128)
     n_coarse = -(-n_tones // FINE_TONES)
-    coarse_hz = offsets_hz[0] + df * np.arange(0, n_coarse * FINE_TONES, FINE_TONES)
+    coarse_hz = spec.tone_offsets_hz()[0] + df * np.arange(0, n_coarse * FINE_TONES, FINE_TONES)
     fine_hz = df * np.arange(FINE_TONES)
     for grp, pid in _path_count_groups(row_splits):
         if pid.size == 0:

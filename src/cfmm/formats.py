@@ -36,6 +36,7 @@ whole.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -74,6 +75,17 @@ def _check_header(kind: str, path, magic: bytes, expected_magic: bytes,
         raise FormatError(
             f"{path}: {kind} format version {version} unsupported (expected {expected_version})"
         )
+
+
+def _read_block(fh, path, size: int, what: str, dtype, count: int) -> np.ndarray:
+    """Read count items of dtype at the file position. The file size is
+    checked first, so a header count that the file cannot hold fails
+    before anything is allocated."""
+    end = fh.tell() + np.dtype(dtype).itemsize * count
+    if size < end:
+        raise FormatError(
+            f"{path}: truncated {what} ({size} bytes, the header's counts need {end})")
+    return np.fromfile(fh, dtype=dtype, count=count)
 
 
 # --- matrix file ---------------------------------------------------------------
@@ -169,13 +181,9 @@ def read_matrix(path) -> MatrixFile:
                 f"{path}: matrix format version {version} is no longer read "
                 f"(expected {MATRIX_VERSION}); re-run process to rewrite it")
         _check_header("matrix", path, magic, MATRIX_MAGIC, version, MATRIX_VERSION)
-        tables = {}
-        for name, dtype in _ROW_TABLES:
-            arr = np.fromfile(fh, dtype=dtype, count=m * u)
-            if arr.size != m * u:
-                raise FormatError(f"{path}: truncated {name} table")
-            tables[name] = arr
         size = os.fstat(fh.fileno()).st_size
+        tables = {name: _read_block(fh, path, size, f"{name} table", dtype, m * u)
+                  for name, dtype in _ROW_TABLES}
     records_offset = _MATRIX_HEADER.size + _ROW_TABLE_BYTES * m * u
     ends = tables["record_end"].astype(np.int64)
     n_runs = tables["n_runs"].astype(np.int64)
@@ -389,17 +397,17 @@ def open_captures(path) -> CaptureFile:
         (magic, version, m, u, r, n, spacing, interval,
          reps_avg, seed, site_len) = _CAPTURE_FIXED.unpack(raw)
         _check_header("capture", path, magic, CAPTURE_MAGIC, version, CAPTURE_VERSION)
-        site_id = fh.read(site_len).decode("utf-8")
-        fields = {}
-        for name, dtype, shape in _meta_layout(m, u, n):
-            count = int(np.prod(shape))
-            arr = np.fromfile(fh, dtype=dtype, count=count)
-            if arr.size != count:
-                raise FormatError(f"{path}: truncated {name} block")
-            fields[name] = arr.reshape(shape)
+        size = os.fstat(fh.fileno()).st_size
+        site = _read_block(fh, path, size, "site id", "u1", site_len).tobytes()
+        try:
+            site_id = site.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: site id is not UTF-8 ({e})") from None
+        fields = {name: _read_block(fh, path, size, f"{name} block", dtype,
+                                    math.prod(shape)).reshape(shape)
+                  for name, dtype, shape in _meta_layout(m, u, n)}
         spectra_offset = fh.tell()
         expected = spectra_offset + m * u * r * n * 8
-        size = os.fstat(fh.fileno()).st_size
         if size < expected:
             raise FormatError(
                 f"{path}: truncated spectra payload ({size} bytes, expected {expected})")

@@ -21,7 +21,7 @@ from . import channel as ch
 from . import raypaths as rp
 from .constants import THERMAL_NOISE_DBM_PER_HZ
 from .scene import Scene, sample_ap_pose_arrays
-from .waveform import WaveformSpec, generate_waveform
+from .waveform import WaveformSpec, reference_tones
 
 # Acquisition timing of one capture.
 REPETITION_SPAN_S = 64e-6
@@ -219,7 +219,6 @@ def plan_campaign(
     ue_site = scene.site(site)
     m_total = positions.shape[0]
 
-    _, reference = generate_waveform(waveform)
     chain = make_chain_response(waveform.n_subcarriers, impairments.chain)
 
     gains, delays, splits = [], [], []
@@ -249,7 +248,7 @@ def plan_campaign(
         ue_positions=ue_site.positions_m.copy(),
         path_gains=gains, path_delays=delays, row_splits=splits,
         measured_power_dbm=power_dbm, link_class=link_class, attenuation_db=att,
-        reference_tones=reference.tones, chain=chain,
+        reference_tones=reference_tones(waveform), chain=chain,
     )
 
 
@@ -279,7 +278,6 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     imp = plan.impairments
     r_stored = plan.n_reps_stored()
     m_chunk = m1 - m0
-    offsets = wf_spec.tone_offsets_hz()
 
     tx_front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain  # (N,)
     out = np.empty((m_chunk, n_ue, r_stored, n), dtype=np.complex64)
@@ -292,7 +290,7 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
         ch.synthesize_rows(
             plan.path_gains[j][base:base + sub_splits[-1]],
             plan.path_delays[j][base:base + sub_splits[-1]],
-            sub_splits, offsets, out=h_rows,
+            sub_splits, wf_spec, out=h_rows,
         )
         if imp.crosstalk_coupling_db is not None:
             h_rows += 10.0 ** (imp.crosstalk_coupling_db / 20.0)

@@ -34,7 +34,7 @@ import cfmm.scene as sc
 import cfmm.sounder as sd
 from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
-from cfmm.waveform import WaveformSpec, generate_waveform
+from cfmm.waveform import WaveformSpec, reference_tones
 
 from conftest import PlanSource, dense, process_matrix
 
@@ -58,7 +58,6 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
     marked LOS; synthesis never reads the class.
     """
     spec = WaveformSpec()
-    _, reference = generate_waveform(spec)
     chain = sd.make_chain_response(spec.n_subcarriers, sd.ChainRippleConfig())
     imp = sd.ImpairmentConfig(crosstalk_coupling_db=coupling_db)
     positions = np.asarray(ap_positions, dtype=float)
@@ -86,7 +85,7 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         path_delays=[np.asarray(d, dtype=float) for d in delays],
         row_splits=splits, measured_power_dbm=measured,
         link_class=np.zeros((m_total, ues.shape[0]), dtype=np.uint8), attenuation_db=att,
-        reference_tones=reference.tones, chain=chain,
+        reference_tones=reference_tones(spec), chain=chain,
     )
 
 
@@ -128,7 +127,7 @@ def _peak_bin(matrix: fm.MatrixFile, m: int, u: int = 0) -> int:
 def test_criterion_01_grid_arithmetic():
     """Comb of 2801 tones at 125 kHz: 8 us unaliased span, ~2.857 ns bins."""
     spec = WaveformSpec()
-    native_bin_width_s = 1.0 / spec.bandwidth_hz
+    native_bin_width_s = 1.0 / (spec.n_subcarriers * spec.subcarrier_spacing_hz)
     max_unaliased_delay_s = 1.0 / spec.subcarrier_spacing_hz
     assert max_unaliased_delay_s == 8.0e-6
     assert abs(native_bin_width_s - 2.857e-9) / 2.857e-9 <= 0.005

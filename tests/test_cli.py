@@ -119,8 +119,9 @@ class TestConfig:
         assert h(base) != h(replace(base, scene="other.json"))
 
     def test_hash_pinned(self):
-        # Numbers keep their JSON type, so a config that gives ints for
-        # float fields hashes as it always has.
+        # Numbers keep their JSON type, so an int given for a float field
+        # hashes as that int, not as the float it equals: the pin below is
+        # of the ints given here.
         cfg = cfgmod.config_from_dict({
             "scene": "scene.json", "site": "site0", "seed": 3, "output_dir": "o",
             "workers": 2,
@@ -134,7 +135,9 @@ class TestConfig:
         })
         cfg.validate()
         assert cfgmod.semantic_hash(cfg) == (
-            "5a510375c584c872f2655def95d0fbac85367c6970811120530c6ed7665dc11e")
+            "7c8d905b9d8e137a93195d3439d499d5c4cd232fd492b4703e9707e7cb1e7748")
+        as_floats = replace(cfg, waveform=replace(cfg.waveform, subcarrier_spacing_hz=125000.0))
+        assert cfgmod.semantic_hash(as_floats) != cfgmod.semantic_hash(cfg)
 
     def test_bundled_scene_resolution_error(self):
         with pytest.raises(cfgmod.ConfigError, match="no bundled scene"):
@@ -217,6 +220,8 @@ _DROP = object()
      "impairments.agc.attenuation_steps_db = 5: must be a list"),
     ("config", ("impairments", "chain", "seed"), -1,
      "impairments.chain.seed = -1: must be >= 0"),
+    ("config", ("waveform", "oversampling_factor"), 1,
+     "waveform: unknown key 'oversampling_factor'"),
     ("scene", ("buildings", 0, "heigth_m"), 20.0, "buildings[0]: unknown key 'heigth_m'"),
     ("scene", ("buildings", 0, "height_m"), float("nan"),
      "buildings[0].height_m = NaN: must be finite"),
@@ -231,14 +236,14 @@ _DROP = object()
     ("scene", ("buildings", 0, "id"), _DROP, "buildings[0].id: required key is missing"),
 ], ids=["seed-float", "seed-string", "seed-bool", "seed-uint64-overflow", "scene-int",
         "pipeline-int", "pad-float", "ssa-float", "noise-region-short", "agc-steps-int",
-        "chain-seed", "scene-key-typo", "height-nan", "speed-inf", "footprint-int",
-        "footprint-3-columns", "waypoint-x-string", "building-no-id"])
+        "chain-seed", "oversampling-factor", "scene-key-typo", "height-nan", "speed-inf",
+        "footprint-int", "footprint-3-columns", "waypoint-x-string", "building-no-id"])
 def test_malformed_document_exit_1(workspace, finished_run, tmp_path, capsys,
                                    doc, keys, value, message):
     """A malformed config or scene makes validate exit 1, with the dotted key
     and no traceback, and simulate exit 1 before it removes any output."""
     docs = {"config": {**json.loads((workspace / "cfg.json").read_text()),
-                       "scene": str(tmp_path / "scene.json"), "pipeline": {},
+                       "scene": str(tmp_path / "scene.json"), "pipeline": {}, "waveform": {},
                        "impairments": {"agc": {}, "chain": {}}},
             "scene": json.loads((workspace / "scene.json").read_text())}
     *parents, last = keys

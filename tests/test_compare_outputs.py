@@ -1,7 +1,8 @@
 """tools/compare_outputs.py on two output directories: rounding differences, a
-corrupt matrix and a missing directory."""
+corrupt matrix, manifest keys and a missing directory."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,38 @@ def test_corrupt_matrix_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"matrix.cfmm: cannot read: {b / 'matrix.cfmm'}: captures 0..3" in err
     assert "finite" in err
+
+
+def test_manifest_prints_differing_keys(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, config_hash, captures in ((a, "06ee", "/x/a/captures.cfmc"),
+                                     (b, "25f0", "/x/b/captures.cfmc")):
+        d.mkdir()
+        stages = {"simulate": {"captures": captures, "numpy": "2.4.6", "n_captures": 64}}
+        if d == b:
+            stages["process"] = {"matrix": "matrix.cfmm"}
+        (d / "manifest.json").write_text(json.dumps(
+            {"config_hash": config_hash, "seed": 7, "stages": stages}))
+    # Only the manifest differs, which the exit code forgives.
+    assert load_tool().main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "manifest.json: differs",
+        '  config_hash: "06ee" vs "25f0"',
+        "  stages.process.matrix: absent vs \"matrix.cfmm\"",
+        '  stages.simulate.captures: "/x/a/captures.cfmc" vs "/x/b/captures.cfmc"',
+    ]
+
+
+def test_malformed_manifest_exit_3(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+    (a / "manifest.json").write_text("{}")
+    (b / "manifest.json").write_text("{not json")
+    assert load_tool().main([str(a), str(b)]) == 3
+    err = capsys.readouterr().err
+    assert f"manifest.json: cannot read: {b / 'manifest.json'}: malformed JSON" in err
 
 
 def test_missing_directory_exit_2(tmp_path, capsys):

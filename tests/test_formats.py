@@ -231,6 +231,25 @@ class TestMatrixFile:
         assert str(out / "matrix.cfmm") in err and "version 1" in err
         assert "re-run process" in err
 
+    @pytest.mark.parametrize("count", [2**20, 2**31, 2**32 - 1])
+    def test_header_counts_beyond_file_exit_3(self, tmp_path, capture_path, capsys, count):
+        # 96 bytes whose header claims count captures of count UEs: the row
+        # tables cannot fit, so export fails before it allocates them.
+        out = tmp_path / "out"
+        out.mkdir()
+        header = struct.pack("<4sIIIIdI", b"CFMM", 2, count, count, 8, 2.856e-10, 10)
+        (out / "matrix.cfmm").write_bytes(header + bytes(64))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["export", "--config", str(cfg), "--out", str(out),
+                   "--captures", str(capture_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{out / 'matrix.cfmm'}: truncated noise_db table (96 bytes" in err
+
+
+_SITE_ID = 56  # offset of the site id in a capture file, after the fixed header
+
 
 @pytest.fixture(scope="module")
 def plan():
@@ -316,3 +335,26 @@ class TestCaptureFile:
         bad.write_bytes(capture_path.read_bytes()[: 60])
         with pytest.raises(fm.FormatError, match="truncated"):
             fm.open_captures(bad)
+
+    @pytest.mark.parametrize("offset,patch,message", [
+        (8, struct.pack("<I", 2**32 - 1), "truncated timestamps block"),  # captures
+        (20, struct.pack("<I", 2**32 - 1), "truncated cal_response block"),  # tones
+        (52, struct.pack("<I", 2**32 - 1), "truncated site id"),  # site id length
+        (_SITE_ID, b"\xff", "site id is not UTF-8"),
+        (_SITE_ID, None, "truncated site id"),  # the file ends inside the site id
+    ], ids=["captures", "tones", "site-id-length", "site-id-not-utf8", "site-id-cut"])
+    def test_corrupt_header_exit_3(self, capture_path, tmp_path, capsys, offset, patch,
+                                   message):
+        raw = bytearray(capture_path.read_bytes())
+        if patch is None:
+            del raw[offset + 1:]
+        else:
+            raw[offset:offset + len(patch)] = patch
+        bad = tmp_path / "bad.cfmc"
+        bad.write_bytes(bytes(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["process", "--config", str(cfg), "--captures", str(bad),
+                   "--out", str(tmp_path / "p")])
+        assert rc == 3
+        assert f"{bad}: {message}" in capsys.readouterr().err

@@ -181,7 +181,7 @@ def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, noi
             lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
             h = chan.synthesize_rows(
                 plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-                np.array([0, hi - lo]), SPEC.tone_offsets_hz(),
+                np.array([0, hi - lo]), SPEC,
             )[0]
             signal[j] = (h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)) * front
         if noisy:
@@ -207,7 +207,7 @@ def test_noiseless_capture_reproduces_channel():
         lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
         h = chan.synthesize_rows(
             plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-            np.array([0, hi - lo]), SPEC.tone_offsets_hz(),
+            np.array([0, hi - lo]), SPEC,
         )[0]
         expected = (g * front * h).astype(np.complex64)
         np.testing.assert_allclose(raw[j, 0], expected, rtol=0, atol=np.abs(expected).max() * 2e-6)
@@ -261,7 +261,7 @@ def test_measured_power_matches_synthesized_channel():
         lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
         h = chan.synthesize_rows(
             plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-            np.array([0, hi - lo]), SPEC.tone_offsets_hz(),
+            np.array([0, hi - lo]), SPEC,
         )[0]
         expect = plan.impairments.tx_power_dbm + 10 * np.log10((np.abs(h) ** 2).mean())
         assert plan.measured_power_dbm[m, j] == pytest.approx(expect, abs=1e-9)

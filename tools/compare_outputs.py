@@ -11,13 +11,18 @@ reads the two matrices one block of captures at a time and prints:
   the (capture, UE, bin) where it occurs;
 * how many noise_db values differ, and the largest absolute difference.
 
+When both hold a `manifest.json` that differs, it prints each dotted key
+(`stages.process.captures`) whose value differs or that only one of them
+holds, with both values.
+
 Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
 argument is missing or is not a directory, 3 when a differing
-`matrix.cfmm` cannot be read (the message names the file and the fault),
-else 1.
+`matrix.cfmm` or `manifest.json` cannot be read (the message names the
+file and the fault), else 1.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -79,6 +84,37 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
     return lines
 
 
+def _leaves(doc, prefix: str = "") -> dict:
+    """Every non-object value of a JSON document by its dotted key."""
+    if not isinstance(doc, dict) or not doc:
+        return {prefix: doc}
+    out = {}
+    for k, v in doc.items():
+        out.update(_leaves(v, f"{prefix}.{k}" if prefix else k))
+    return out
+
+
+def _manifest_leaves(path: Path) -> dict:
+    try:
+        return _leaves(json.loads(path.read_bytes()))
+    except ValueError as e:
+        raise FormatError(f"{path}: malformed JSON ({e})") from None
+
+
+def compare_manifests(path_a: Path, path_b: Path) -> list[str]:
+    """Lines naming each dotted key whose value differs between two
+    manifests, with both values; a key only one holds reads as absent."""
+    a, b = _manifest_leaves(path_a), _manifest_leaves(path_b)
+    absent = object()
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        va, vb = a.get(key, absent), b.get(key, absent)
+        if va != vb:
+            shown = ["absent" if v is absent else json.dumps(v) for v in (va, vb)]
+            lines.append(f"  {key}: {shown[0]} vs {shown[1]}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -99,12 +135,15 @@ def main(argv: list[str]) -> int:
         same = sha256(path_a) == sha256(path_b)
         print(f"{name}: {'same' if same else 'differs'}")
         all_same &= same or name == MANIFEST
-        if name == MATRIX and not same:
+        explain = {MATRIX: compare_matrices, MANIFEST: compare_manifests}.get(name)
+        if explain and not same:
             try:
-                print("\n".join(compare_matrices(path_a, path_b)))
+                lines = explain(path_a, path_b)
             except FormatError as e:
                 print(f"{name}: cannot read: {e}", file=sys.stderr)
                 return 3
+            for line in lines:
+                print(line)
     return 0 if all_same else 1
 
 
