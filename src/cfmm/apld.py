@@ -20,6 +20,10 @@ from .formats import MatrixFile
 from .pipeline import SparseRows
 from .scene import LinkClass
 
+# Power range, dB below the strongest surviving bin, that the heatmap shows
+# and the first-peak track searches.
+DYNAMIC_RANGE_DB = 30.0
+
 
 @dataclass
 class APLDPDP:
@@ -82,20 +86,16 @@ def assemble_apld(matrix: MatrixFile, meta, ue_id: int) -> APLDPDP:
     )
 
 
-def first_peak_track(
-    apld: APLDPDP,
-    dynamic_range_db: float | None = 30.0,
-) -> tuple[np.ndarray, np.ndarray]:
+def first_peak_track(apld: APLDPDP) -> tuple[np.ndarray, np.ndarray]:
     """Per-row delay and power of the earliest surviving local maximum.
 
     A bin qualifies when its mask survives and its value is at least both
     neighbors' (masked bins hold zero, and profile edges count as zero).
-    Candidates more than dynamic_range_db below the row's strongest
+    Candidates more than DYNAMIC_RANGE_DB below the row's strongest
     surviving bin are ignored: tracking uses the same dynamic range the
     heatmap displays, which keeps window-sidelobe residue of a strong
     component (the zero-delay coupling spike above all) from posing as an
-    earlier arrival. Pass None to track every surviving local maximum.
-    Rows with nothing surviving yield NaN in both outputs.
+    earlier arrival. Rows with nothing surviving yield NaN in both outputs.
 
     The UE's rows are read one block of captures at a time, straight from
     the runs: a neighbor is the adjacent surviving value when it sits in
@@ -115,9 +115,8 @@ def first_peak_track(
         left = np.concatenate([[0.0], np.where(adjacent, v[:-1], 0.0)])
         right = np.concatenate([np.where(adjacent, v[1:], 0.0), [0.0]])
         cand = (v >= left) & (v >= right)
-        if dynamic_range_db is not None:
-            row_top = rows.row_max().astype(np.float64)[row]
-            cand &= v * 10.0 ** (dynamic_range_db / 10.0) >= row_top
+        row_top = rows.row_max().astype(np.float64)[row]
+        cand &= v * 10.0 ** (DYNAMIC_RANGE_DB / 10.0) >= row_top
         first = np.flatnonzero(cand)
         first = first[np.diff(row[first], prepend=-1) != 0]
         captures = m0 + row[first] // n_ues
@@ -127,8 +126,7 @@ def first_peak_track(
     return delays, powers
 
 
-def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray,
-            dynamic_range_db: float) -> np.ndarray:
+def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray) -> np.ndarray:
     """Image rows, (n_ues, captures, n_bins) uint8, of a block of profiles
     stored capture-major with n_ues per capture. top_db holds each UE's
     peak in dB; a UE whose entry is +inf stays black."""
@@ -137,20 +135,20 @@ def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray,
     captures = rows.n_rows // n_ues
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(rows.values.astype(np.float64))
-    rel = (db - (top_db - dynamic_range_db)[ue]) / dynamic_range_db
+    rel = (db - (top_db - DYNAMIC_RANGE_DB)[ue]) / DYNAMIC_RANGE_DB
     level = np.rint(1.0 + 254.0 * np.clip(rel, 0.0, 1.0)).astype(np.uint8)
     img = np.zeros((n_ues, captures, n_bins), dtype=np.uint8)
     img[ue, row // n_ues, col] = np.where(rel >= 0, level, 0)
     return img
 
 
-def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 30.0) -> None:
+def export_heatmap(aplds: list[APLDPDP], paths: list) -> None:
     """Write the profiles of UEs of one matrix as binary PGM (P5) images,
     aplds[i] to paths[i]. Raises ValueError when aplds hold more than one
     matrix.
 
     Rows are capture order, columns delay bins. Power maps linearly in dB
-    onto 1..255 over [max - dynamic_range_db, max], max being the
+    onto 1..255 over [max - DYNAMIC_RANGE_DB, max], max being the
     strongest surviving bin of that UE; everything below the range, and
     every masked bin, is black. Output bytes depend only on the input
     matrix. Levels are mapped from the surviving bins straight into the
@@ -174,7 +172,7 @@ def export_heatmap(aplds: list[APLDPDP], paths: list, dynamic_range_db: float = 
             fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
             out.append(fh)
         for rows in matrix.blocks():
-            img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db, dynamic_range_db)
+            img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db)
             for apld, fh in zip(aplds, out):
                 fh.write(img[apld.ue_id].tobytes())
 

@@ -77,6 +77,12 @@ def _check_header(kind: str, path, magic: bytes, expected_magic: bytes,
         )
 
 
+def _check_field(path, name: str, value, ok: bool, want: str) -> None:
+    """Raise FormatError naming the file and the header field unless ok."""
+    if not ok:
+        raise FormatError(f"{path}: header {name} is {value}, expected {want}")
+
+
 def _read_block(fh, path, size: int, what: str, dtype, count: int) -> np.ndarray:
     """Read count items of dtype at the file position. The file size is
     checked first, so a header count that the file cannot hold fails
@@ -181,6 +187,9 @@ def read_matrix(path) -> MatrixFile:
                 f"{path}: matrix format version {version} is no longer read "
                 f"(expected {MATRIX_VERSION}); re-run process to rewrite it")
         _check_header("matrix", path, magic, MATRIX_MAGIC, version, MATRIX_VERSION)
+        _check_field(path, "bin_width_s", bin_width,
+                     math.isfinite(bin_width) and bin_width > 0, "a finite value > 0")
+        _check_field(path, "oversample_factor", oversample, oversample >= 1, "at least 1")
         size = os.fstat(fh.fileno()).st_size
         tables = {name: _read_block(fh, path, size, f"{name} table", dtype, m * u)
                   for name, dtype in _ROW_TABLES}
@@ -397,6 +406,11 @@ def open_captures(path) -> CaptureFile:
         (magic, version, m, u, r, n, spacing, interval,
          reps_avg, seed, site_len) = _CAPTURE_FIXED.unpack(raw)
         _check_header("capture", path, magic, CAPTURE_MAGIC, version, CAPTURE_VERSION)
+        _check_field(path, "subcarrier_spacing_hz", spacing,
+                     math.isfinite(spacing) and spacing > 0, "a finite value > 0")
+        # 0 is the interval of a campaign of one capture.
+        _check_field(path, "capture_interval_s", interval,
+                     math.isfinite(interval) and interval >= 0, "a finite value >= 0")
         size = os.fstat(fh.fileno()).st_size
         site = _read_block(fh, path, size, "site id", "u1", site_len).tobytes()
         try:

@@ -254,7 +254,7 @@ def _chirp_plan(n: int, big_l: int, start: int, span: int) -> tuple:
     return (nfft, *plan)
 
 
-def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int = 10,
+def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
                 bins: tuple[int, int] | None = None,
                 row_gain: np.ndarray | None = None,
                 energy: np.ndarray | None = None) -> np.ndarray:
@@ -304,15 +304,14 @@ def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int = 10,
     return p
 
 
-def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
-    """Centered moving mean over the capture axis with truncated edges.
+def small_scale_average(pdps: np.ndarray, window: int) -> np.ndarray:
+    """Centered moving mean over the capture axis with truncated edges;
+    window is odd, as PipelineParams.validate checks.
 
     Summation runs in fixed window order (earliest row first) so a row's
     average is bit-identical no matter how the campaign is chunked for
     parallel processing; a running-sum formulation would not be.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 1")
     pdps = np.asarray(pdps)
     m = pdps.shape[0]
     half = window // 2
@@ -328,7 +327,7 @@ def small_scale_average(pdps: np.ndarray, window: int = 9) -> np.ndarray:
 
 
 def threshold_noise(ssa_pdp: np.ndarray, noise_mean: np.ndarray,
-                    delta_n_db: float = 7.0) -> tuple[np.ndarray, np.ndarray]:
+                    delta_n_db: float) -> tuple[np.ndarray, np.ndarray]:
     """Noise-level estimate and survival mask.
 
     noise_mean is the mean linear power over the noise region (late,

@@ -3,8 +3,9 @@
 For every AP pose and UE the engine enumerates the direct ray, specular
 facade reflections up to second order (image method), and one rooftop
 diffraction per building that blocks the direct ray. Each path carries its
-geometric length, its interaction and foliage losses, antenna gains at both
-ends, and a complex gain referenced to the band centre. The same pass
+geometric length, its interaction and foliage losses, the gains of the
+campaign's one antenna pair (the AP's downtilted patch and the UE's vertical
+dipole), and a complex gain referenced to the band centre. The same pass
 decides each link's LOS / OLOS / NLOS class from the direct ray.
 
 The one entry point, trace_paths_batch, vectorises across AP poses and
@@ -15,7 +16,7 @@ per-pose Python overhead out of the 20k-pose runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,60 +34,26 @@ _SIDE_TOL = 1e-9  # metres of signed facade clearance below which geometry is de
 
 # --- antennas ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AntennaPattern:
-    """Analytic gain pattern.
+# AP side: a sector patch on the rover, mounted to look 90 degrees clockwise
+# from the heading and tilted down; cos^2 power rolloff around boresight.
+AP_PEAK_GAIN_DBI = 7.0
+AP_ROLLOFF_EXPONENT = 2.0
+AP_FLOOR_DB = -20.0  # back and side floor relative to peak
+AP_DOWNTILT_DEG = 40.0
 
-    kind "patch": cos^rolloff_exponent power rolloff around boresight with a
-    back/side floor at floor_db relative to peak. kind "dipole": vertical
-    short dipole, sin^2 of the angle from the axis, azimuth symmetric.
-    """
+# UE side: a vertical dipole on a tripod.
+UE_PEAK_GAIN_DBI = 2.15
+UE_FLOOR_DB = -30.0
 
-    kind: str = "isotropic"  # "isotropic" | "patch" | "dipole"
-    peak_gain_dbi: float = 0.0
-    rolloff_exponent: float = 2.0
-    floor_db: float = -20.0
-    downtilt_deg: float = 0.0
-
-
-def patch_panel(downtilt_deg: float = 40.0) -> AntennaPattern:
-    """Downtilted sector patch used on the AP side."""
-    return AntennaPattern(
-        kind="patch",
-        peak_gain_dbi=7.0,
-        rolloff_exponent=2.0,
-        floor_db=-20.0,
-        downtilt_deg=downtilt_deg,
-    )
+# Paths more than this far below the strongest path of their pose are dropped.
+MIN_RELATIVE_POWER_DB = 130.0
 
 
-def tripod_dipole() -> AntennaPattern:
-    """Vertical dipole used on the UE side."""
-    return AntennaPattern(kind="dipole", peak_gain_dbi=2.15, floor_db=-30.0)
-
-
-def mount_gain_db(pattern: AntennaPattern, headings, world_dirs) -> np.ndarray:
-    """Gain in dBi toward world-frame unit directions (n, 3).
-
-    The dipole's boresight plane is horizontal, so only elevation matters
-    and headings are ignored; sin^2 of the angle from the vertical axis is
-    cos^2 of the elevation. The patch is mounted to look 90 degrees
-    clockwise from each pose's heading (n,), tilted down, and rolls off
-    with the total off-boresight angle.
-    """
-    dirs = np.atleast_2d(np.asarray(world_dirs, dtype=float))
-    if pattern.kind == "isotropic":
-        return np.full(dirs.shape[0], pattern.peak_gain_dbi)
-    if pattern.kind == "dipole":
-        el = np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))
-        c = np.clip(np.cos(el), 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            rel = 20.0 * np.log10(c)
-        return pattern.peak_gain_dbi + np.maximum(rel, pattern.floor_db)
-    if pattern.kind != "patch":
-        raise ValueError(f"unknown antenna kind {pattern.kind!r}")
-    headings = np.broadcast_to(np.asarray(headings, dtype=float), (dirs.shape[0],))
-    tilt = np.deg2rad(pattern.downtilt_deg)
+def ap_gain_db(headings: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """AP patch gain in dBi toward world-frame unit directions dirs (n, 3)
+    from poses with headings (n,); it rolls off with the total
+    off-boresight angle."""
+    tilt = np.deg2rad(AP_DOWNTILT_DEG)
     bx = np.sin(headings) * np.cos(tilt)
     by = -np.cos(headings) * np.cos(tilt)
     bz = np.full_like(headings, -np.sin(tilt))
@@ -94,32 +61,31 @@ def mount_gain_db(pattern: AntennaPattern, headings, world_dirs) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(
             cos_off > 0.0,
-            10.0 * pattern.rolloff_exponent * np.log10(np.maximum(cos_off, 1e-300)),
+            10.0 * AP_ROLLOFF_EXPONENT * np.log10(np.maximum(cos_off, 1e-300)),
             -np.inf,
         )
-    return pattern.peak_gain_dbi + np.maximum(rel, pattern.floor_db)
+    return AP_PEAK_GAIN_DBI + np.maximum(rel, AP_FLOOR_DB)
+
+
+def ue_gain_db(dirs: np.ndarray) -> np.ndarray:
+    """UE dipole gain in dBi toward world-frame unit directions dirs (n, 3).
+
+    Only elevation matters: sin^2 of the angle from the vertical axis is
+    cos^2 of the elevation.
+    """
+    el = np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0))
+    c = np.clip(np.cos(el), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        rel = 20.0 * np.log10(c)
+    return UE_PEAK_GAIN_DBI + np.maximum(rel, UE_FLOOR_DB)
 
 
 # --- paths ------------------------------------------------------------------
 
-def fspl_db(distance_m, frequency_hz) -> np.ndarray:
-    """Free-space path loss, 20 log10(4 pi d f / c)."""
+def fspl_db(distance_m) -> np.ndarray:
+    """Free-space path loss at the band centre, 20 log10(4 pi d f / c)."""
     d = np.asarray(distance_m, dtype=float)
-    return 20.0 * np.log10(4.0 * np.pi * d * frequency_hz / SPEED_OF_LIGHT)
-
-
-@dataclass(frozen=True)
-class RaypathConfig:
-    max_reflection_order: int = 2
-    min_relative_power_db: float = 130.0
-    tx_pattern: AntennaPattern = field(default_factory=patch_panel)
-    rx_pattern: AntennaPattern = field(default_factory=tripod_dipole)
-
-    def validate(self) -> None:
-        if not 0 <= self.max_reflection_order <= 2:
-            raise ValueError("max_reflection_order must be 0, 1 or 2")
-        if self.min_relative_power_db <= 0:
-            raise ValueError("min_relative_power_db must be positive")
+    return 20.0 * np.log10(4.0 * np.pi * d * BAND_CENTER_HZ / SPEED_OF_LIGHT)
 
 
 @dataclass
@@ -223,7 +189,7 @@ def _columns(pose_idx, kind, length, points, buildings, loss_interaction_db,
         pose_index=pose_idx.astype(np.int32),
         kind=np.full(n, kind, dtype=np.uint8),
         length_m=length,
-        gain_db=(-fspl_db(length, BAND_CENTER_HZ) - loss - loss_foliage_db
+        gain_db=(-fspl_db(length) - loss - loss_foliage_db
                  + gain_tx_db + gain_rx_db),
         phase_rad=-2.0 * np.pi * BAND_CENTER_HZ * tau + phase_extra,
         points=padded,
@@ -240,17 +206,15 @@ def trace_paths_batch(
     ap_positions: np.ndarray,
     headings: np.ndarray,
     ue_position: np.ndarray,
-    config: RaypathConfig,
 ) -> PathBundle:
     """Enumerate paths for every AP pose (M, 3) against one UE position.
 
     Returns a PathBundle sorted by (pose, delay); within each pose, paths
-    more than min_relative_power_db below the strongest are dropped.
+    more than MIN_RELATIVE_POWER_DB below the strongest are dropped.
     Its link_class is NLOS where any building cuts the direct ray
     (grazing contact does not count); otherwise OLOS where any foliage
     sphere does; otherwise LOS.
     """
-    config.validate()
     ap = np.atleast_2d(np.asarray(ap_positions, dtype=float))
     m_poses = ap.shape[0]
     headings = np.broadcast_to(np.asarray(headings, dtype=float), (m_poses,))
@@ -279,8 +243,7 @@ def trace_paths_batch(
     pieces = [_columns(
         idx, KIND_DIRECT, np.linalg.norm(d, axis=1), np.empty((idx.size, 0, 3)), [],
         0.0, _foliage_loss(scene, ap_d, ue_d),
-        mount_gain_db(config.tx_pattern, headings[idx], dirs),
-        mount_gain_db(config.rx_pattern, 0.0, -dirs), 0.0,
+        ap_gain_db(headings[idx], dirs), ue_gain_db(-dirs), 0.0,
     )]
 
     def emit(found, kind, buildings, loss_db, phase_extra, skip=-1):
@@ -303,21 +266,19 @@ def trace_paths_batch(
         foliage = sum(_foliage_loss(scene, p0, p1) for p0, p1 in legs)
         pieces.append(_columns(
             idx, kind, length, points, buildings, loss_db, foliage,
-            mount_gain_db(config.tx_pattern, headings[idx], _unit(points[:, 0] - ap[idx])),
-            mount_gain_db(config.rx_pattern, 0.0, _unit(points[:, -1] - ue)),
+            ap_gain_db(headings[idx], _unit(points[:, 0] - ap[idx])),
+            ue_gain_db(_unit(points[:, -1] - ue)),
             phase_extra,
         ))
 
     facades = _scene_facades(scene)
-    if config.max_reflection_order >= 1:
-        for f in facades:
-            emit(_reflect1(ap, ue, f), KIND_REFLECT1, [f.building_idx],
-                 f.reflection_loss_db, np.pi)
-    if config.max_reflection_order >= 2:
-        for f1, f2 in _admissible_pairs(scene, facades):
-            emit(_reflect2(ap, ue, f1, f2), KIND_REFLECT2,
-                 [f1.building_idx, f2.building_idx],
-                 f1.reflection_loss_db + f2.reflection_loss_db, 2.0 * np.pi)
+    for f in facades:
+        emit(_reflect1(ap, ue, f), KIND_REFLECT1, [f.building_idx],
+             f.reflection_loss_db, np.pi)
+    for f1, f2 in _admissible_pairs(scene, facades):
+        emit(_reflect2(ap, ue, f1, f2), KIND_REFLECT2,
+             [f1.building_idx, f2.building_idx],
+             f1.reflection_loss_db + f2.reflection_loss_db, 2.0 * np.pi)
     for bi, b in enumerate(scene.buildings):
         emit(_rooftop(ap, ue, b, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
              b.rooftop_diffraction_loss_db, -np.pi / 4.0, skip=bi)
@@ -327,7 +288,7 @@ def trace_paths_batch(
     pose, gain = cols["pose_index"], cols["gain_db"]
     best = np.full(m_poses, -np.inf)
     np.maximum.at(best, pose, gain)
-    keep = np.flatnonzero(gain >= best[pose] - config.min_relative_power_db)
+    keep = np.flatnonzero(gain >= best[pose] - MIN_RELATIVE_POWER_DB)
     order = keep[np.lexsort((cols["kind"][keep], cols["length_m"][keep], pose[keep]))]
     return PathBundle(**{name: c[order] for name, c in cols.items()}, link_class=link_class)
 

@@ -226,7 +226,7 @@ def plan_campaign(
     power_dbm = np.zeros((m_total, n_ues))
     link_class = np.zeros((m_total, n_ues), dtype=np.uint8)
     for j, ue in enumerate(ue_site.positions_m):
-        bundle = rp.trace_paths_batch(scene, positions, headings, ue, rp.RaypathConfig())
+        bundle = rp.trace_paths_batch(scene, positions, headings, ue)
         link_class[:, j] = bundle.link_class
         g = bundle.complex_gains()
         tau = bundle.delay_s

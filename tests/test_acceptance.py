@@ -373,8 +373,7 @@ def test_criterion_09_geometry_oracles():
         trajectory=sc.Trajectory(waypoints=[sc.Waypoint("start", x=0.0, y=0.0,
                                                         height=13.0)]),
     )
-    bundle = rp.trace_paths_batch(scene, apos[None, :], np.zeros(1), ue,
-                                  rp.RaypathConfig())
+    bundle = rp.trace_paths_batch(scene, apos[None, :], np.zeros(1), ue)
     refl = bundle.length_m[bundle.kind == rp.KIND_REFLECT1]
     assert len(refl) == 1
     assert abs(refl[0] - want) <= 1e-9

@@ -87,9 +87,8 @@ def dense_track(values, mask, bin_width_s, dynamic_range_db):
     padded = np.pad(v, ((0, 0), (1, 1)))
     is_max = (padded[:, 1:-1] >= padded[:, :-2]) & (padded[:, 1:-1] >= padded[:, 2:])
     cand = mask & is_max
-    if dynamic_range_db is not None:
-        row_top = np.where(mask, v, 0.0).max(axis=1, keepdims=True)
-        cand &= v * 10.0 ** (dynamic_range_db / 10.0) >= row_top
+    row_top = np.where(mask, v, 0.0).max(axis=1, keepdims=True)
+    cand &= v * 10.0 ** (dynamic_range_db / 10.0) >= row_top
     delays = np.full(v.shape[0], np.nan)
     powers = np.full(v.shape[0], np.nan)
     rows = np.flatnonzero(cand.any(axis=1))
@@ -141,13 +140,6 @@ class TestFirstPeakTrack:
         assert delays[0] == pytest.approx(30e-9)
         assert powers[0] == pytest.approx(1e-2)
 
-    def test_range_none_tracks_every_survivor(self, tmp_path):
-        v = np.zeros(200)
-        v[60] = 1.0
-        v[30] = 1e-7
-        delays, _ = ap.first_peak_track(flat_apld(tmp_path, v, v > 0), dynamic_range_db=None)
-        assert delays[0] == pytest.approx(30e-9)
-
     def test_mask_gates_candidates(self, tmp_path):
         v = np.zeros(10)
         v[2] = 5.0
@@ -159,7 +151,7 @@ class TestFirstPeakTrack:
         assert delays[0] == pytest.approx(7e-9)
         assert powers[0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("dynamic_range_db", [30.0, None])
+    @pytest.mark.parametrize("dynamic_range_db", [30.0])  # the oracle's tracking range
     def test_matrix_file_matches_read_matrix(self, tmp_path, monkeypatch, dynamic_range_db):
         rng = np.random.default_rng(8)
         m, u, b = 7, 3, 40
@@ -190,16 +182,16 @@ class TestFirstPeakTrack:
         meta = toy_meta(m)
         meta.link_class = np.zeros((m, u), dtype=np.uint8)
         aplds = [ap.assemble_apld(stored, meta, j) for j in range(u)]
-        whole = [ap.first_peak_track(a, dynamic_range_db) for a in aplds]  # one block
+        whole = [ap.first_peak_track(a) for a in aplds]  # one block
         monkeypatch.setattr(fm, "BLOCK_CAPTURES", 3)  # blocks of 3, 3 and 1 captures
         for j in range(u):
-            got = ap.first_peak_track(aplds[j], dynamic_range_db)
+            got = ap.first_peak_track(aplds[j])
             oracle = dense_track(back_values[:, j], back_mask[:, j], 1e-9, dynamic_range_db)
             for g, w_, o in zip(got, whole[j], oracle):
                 np.testing.assert_array_equal(g, w_)  # NaN where the other is NaN
                 np.testing.assert_array_equal(g, o)
         assert np.isnan(got[0]).all()  # UE 2 keeps nothing
-        delays, _ = ap.first_peak_track(aplds[0], dynamic_range_db)
+        delays, _ = ap.first_peak_track(aplds[0])
         assert delays[4] == 7 * 1e-9  # the lobe peak, not the end of its first run
 
 
@@ -241,7 +233,7 @@ class TestOnCampaign:
         plan, matrix = campaign
         apld = ap.assemble_apld(matrix, plan, ue_id=2)
         expect = rp.trace_paths_batch(make_scene(), plan.positions, plan.headings,
-                                      plan.ue_positions[2], rp.RaypathConfig()).link_class
+                                      plan.ue_positions[2]).link_class
         np.testing.assert_array_equal(apld.link_class, expect)
 
 

@@ -247,6 +247,25 @@ class TestMatrixFile:
         err = capsys.readouterr().err
         assert f"{out / 'matrix.cfmm'}: truncated noise_db table (96 bytes" in err
 
+    @pytest.mark.parametrize("bin_width,oversample,message", [
+        (0.0, 10, "header bin_width_s is 0.0, expected a finite value > 0"),
+        (float("nan"), 10, "header bin_width_s is nan"),
+        (2.856e-10, 0, "header oversample_factor is 0, expected at least 1"),
+    ], ids=["bin-width-zero", "bin-width-nan", "oversample-zero"])
+    def test_bad_header_value_exit_3(self, tmp_path, capture_path, capsys, bin_width,
+                                     oversample, message):
+        # A matrix of no captures is complete at its 32-byte header.
+        out = tmp_path / "out"
+        out.mkdir()
+        header = struct.pack("<4sIIIIdI", b"CFMM", 2, 0, 0, 8, bin_width, oversample)
+        (out / "matrix.cfmm").write_bytes(header)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["export", "--config", str(cfg), "--out", str(out),
+                   "--captures", str(capture_path)])
+        assert rc == 3
+        assert f"{out / 'matrix.cfmm'}: {message}" in capsys.readouterr().err
+
 
 _SITE_ID = 56  # offset of the site id in a capture file, after the fixed header
 
@@ -342,7 +361,14 @@ class TestCaptureFile:
         (52, struct.pack("<I", 2**32 - 1), "truncated site id"),  # site id length
         (_SITE_ID, b"\xff", "site id is not UTF-8"),
         (_SITE_ID, None, "truncated site id"),  # the file ends inside the site id
-    ], ids=["captures", "tones", "site-id-length", "site-id-not-utf8", "site-id-cut"])
+        (24, struct.pack("<d", 0.0), "header subcarrier_spacing_hz is 0.0, expected a finite"),
+        (24, struct.pack("<d", float("nan")), "header subcarrier_spacing_hz is nan"),
+        (24, struct.pack("<d", -125e3), "header subcarrier_spacing_hz is -125000.0"),
+        (32, struct.pack("<d", float("inf")), "header capture_interval_s is inf"),
+        (32, struct.pack("<d", -0.5), "header capture_interval_s is -0.5, expected a finite"),
+    ], ids=["captures", "tones", "site-id-length", "site-id-not-utf8", "site-id-cut",
+            "spacing-zero", "spacing-nan", "spacing-negative", "interval-inf",
+            "interval-negative"])
     def test_corrupt_header_exit_3(self, capture_path, tmp_path, capsys, offset, patch,
                                    message):
         raw = bytearray(capture_path.read_bytes())

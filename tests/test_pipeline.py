@@ -238,10 +238,6 @@ class TestSmallScaleAverage:
         assert out[1, 0] == pytest.approx(np.mean(x[0:6]))
         assert out[11, 0] == pytest.approx(np.mean(x[7:12]))
 
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            pl.small_scale_average(np.ones((4, 2)), 4)
-
 
 def region_mean(ssa, region):
     return ssa[..., region].mean(axis=-1)

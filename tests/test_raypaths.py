@@ -6,12 +6,10 @@ from scipy.optimize import minimize_scalar
 
 from cfmm import raypaths as rp
 from cfmm import scene as sc
+from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.geometry import points_in_polygon
 from conftest import make_scene
-
-ISO = rp.AntennaPattern()  # isotropic, 0 dBi
-ISO_CFG = rp.RaypathConfig(tx_pattern=ISO, rx_pattern=ISO)
 
 
 def wall_scene():
@@ -24,15 +22,15 @@ def empty_scene():
     return make_scene(buildings=[])
 
 
-def trace_one(scene, ap, ue, cfg=ISO_CFG, heading=0.0):
+def trace_one(scene, ap, ue, heading=0.0):
     """trace_paths_batch on the single pose ap (3,)."""
     return rp.trace_paths_batch(scene, np.asarray(ap, dtype=float)[None, :],
-                                np.array([heading]), ue, cfg)
+                                np.array([heading]), ue)
 
 
 def budget_db(bundle):
     """Link budget from the bundle's parts: -FSPL, losses, antenna gains."""
-    return (-rp.fspl_db(bundle.length_m, 3.5e9) - bundle.loss_interaction_db
+    return (-rp.fspl_db(bundle.length_m) - bundle.loss_interaction_db
             - bundle.loss_foliage_db + bundle.gain_tx_db + bundle.gain_rx_db)
 
 
@@ -49,7 +47,7 @@ def test_free_space_single_direct_path():
 
 def test_no_poses_gives_empty_bundle(basic_scene):
     bundle = rp.trace_paths_batch(basic_scene, np.zeros((0, 3)), np.zeros(0),
-                                  basic_scene.ue_sites[0].positions_m[0], rp.RaypathConfig())
+                                  basic_scene.ue_sites[0].positions_m[0])
     assert len(bundle) == 0
     want = {"pose_index": ((0,), np.int32), "kind": ((0,), np.uint8),
             "points": ((0, 2, 3), np.float64), "interact_idx": ((0, 2), np.int32),
@@ -65,11 +63,11 @@ def test_no_poses_gives_empty_bundle(basic_scene):
 
 def test_fspl_reference_values():
     # 20 log10(4 pi d f / c) at 3.5 GHz.
-    assert rp.fspl_db(1.0, 3.5e9) == pytest.approx(43.329, abs=2e-3)
-    assert rp.fspl_db(2.0, 3.5e9) - rp.fspl_db(1.0, 3.5e9) == pytest.approx(
+    assert rp.fspl_db(1.0) == pytest.approx(43.329, abs=2e-3)
+    assert rp.fspl_db(2.0) - rp.fspl_db(1.0) == pytest.approx(
         20 * np.log10(2), abs=1e-12
     )
-    assert rp.fspl_db(100.0, 3.5e9) == pytest.approx(83.329, abs=2e-3)
+    assert rp.fspl_db(100.0) == pytest.approx(83.329, abs=2e-3)
 
 
 def test_path_gain_matches_complex_gain():
@@ -90,9 +88,10 @@ def test_single_reflection_image_solution():
     np.testing.assert_allclose(bundle.points[r, 0], [10.0, 40.0 / 3.0, 5.0], atol=1e-9)
     assert bundle.interact_idx[r].tolist() == [0, -1]  # building W
     assert bundle.loss_interaction_db[r] == 6.0
-    # Link budget: FSPL of the unfolded length plus the facade loss.
+    # Link budget: FSPL of the unfolded length, the facade loss and the antennas.
     assert bundle.gain_db[r] == pytest.approx(
-        -rp.fspl_db(np.sqrt(769.0), 3.5e9) - 6.0, abs=1e-9
+        -rp.fspl_db(np.sqrt(769.0)) - 6.0 + bundle.gain_tx_db[r] + bundle.gain_rx_db[r],
+        abs=1e-9,
     )
 
 
@@ -203,7 +202,8 @@ def test_rooftop_path_when_direct_blocked(basic_scene):
     assert bundle.loss_interaction_db[r] == 20.0
     # Excess loss is charged on top of the bent-path FSPL.
     assert bundle.gain_db[r] == pytest.approx(
-        -rp.fspl_db(bundle.length_m[r], 3.5e9) - 20.0, abs=1e-9
+        -rp.fspl_db(bundle.length_m[r]) - 20.0 + bundle.gain_tx_db[r] + bundle.gain_rx_db[r],
+        abs=1e-9,
     )
 
 
@@ -248,7 +248,7 @@ def test_lshape_paths_and_link_classes_against_dense_sampling():
         return inside.sum(axis=1)
 
     for ue in ues:
-        bundle = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue, ISO_CFG)
+        bundle = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue)
         direct = interior_samples(ap, np.broadcast_to(ue, ap.shape))
         nlos = bundle.link_class == sc.LinkClass.NLOS
         assert np.all(nlos[direct >= 2]) and not np.any(nlos[direct == 0])
@@ -298,7 +298,7 @@ def test_link_classes_against_dense_sampling():
 
     checked = {c: 0 for c in sc.LinkClass}
     for ue in scene.ue_sites[0].positions_m:
-        got = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue, ISO_CFG).link_class
+        got = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue).link_class
         assert got.shape == (len(ap),) and got.dtype == np.uint8
         pts = ap[:, None, :] + t[None, :, None] * (ue - ap)[:, None, :]
         n_bld = most_inside(pts, scene.buildings, in_box)
@@ -328,7 +328,7 @@ def test_foliage_loss_on_direct_path():
     assert len(bundle) == 1
     assert bundle.loss_foliage_db[0] == pytest.approx(10.0, abs=1e-9)  # full 10 m chord at 1 dB/m
     assert bundle.gain_db[0] == pytest.approx(
-        -rp.fspl_db(60.0, 3.5e9) - 10.0, abs=1e-9
+        -rp.fspl_db(60.0) - 10.0 + bundle.gain_tx_db[0] + bundle.gain_rx_db[0], abs=1e-9
     )
 
 
@@ -344,66 +344,97 @@ def test_antenna_gain_patterns():
         """World direction at azimuth az, elevation el in the panel frame."""
         return np.cos(el) * (np.cos(az) * b + np.sin(az) * s) + np.sin(el) * u
 
-    def gain(pattern, d):
-        return rp.mount_gain_db(pattern, 0.0, d[None, :])[0]
+    def ap_gain(d):
+        return rp.ap_gain_db(np.zeros(1), d[None, :])[0]
 
-    patch = rp.patch_panel(downtilt_deg=40.0)
-    assert gain(patch, panel(0.0, 0.0)) == pytest.approx(7.0)
+    def ue_gain(d):
+        return rp.ue_gain_db(d[None, :])[0]
+
+    assert ap_gain(panel(0.0, 0.0)) == pytest.approx(7.0)
     # cos^2 rolloff: at 60 degrees off boresight, -6.02 dB.
-    assert gain(patch, panel(np.deg2rad(60.0), 0.0)) == pytest.approx(7.0 - 6.0206, abs=1e-3)
+    assert ap_gain(panel(np.deg2rad(60.0), 0.0)) == pytest.approx(7.0 - 6.0206, abs=1e-3)
     # Behind the panel: floored 20 dB below peak.
-    assert gain(patch, panel(np.pi, 0.0)) == pytest.approx(-13.0)
-    dip = rp.tripod_dipole()
+    assert ap_gain(panel(np.pi, 0.0)) == pytest.approx(-13.0)
     horizon = lambda el: np.array([np.cos(el), 0.0, np.sin(el)])
-    assert gain(dip, horizon(0.0)) == pytest.approx(2.15)
-    assert gain(dip, horizon(np.deg2rad(60.0))) == pytest.approx(2.15 - 6.0206, abs=1e-3)
-    assert gain(dip, horizon(np.pi / 2)) == pytest.approx(2.15 - 30.0)
+    assert ue_gain(horizon(0.0)) == pytest.approx(2.15)
+    assert ue_gain(horizon(np.deg2rad(60.0))) == pytest.approx(2.15 - 6.0206, abs=1e-3)
+    assert ue_gain(horizon(np.pi / 2)) == pytest.approx(2.15 - 30.0)
 
 
 def test_patch_mount_orientation():
-    patch = rp.patch_panel(downtilt_deg=0.0)
-    # Heading east (+x): panel looks 90 degrees clockwise, i.e. -y.
-    g_look = rp.mount_gain_db(patch, 0.0, np.array([[0.0, -1.0, 0.0]]))
-    g_back = rp.mount_gain_db(patch, 0.0, np.array([[0.0, 1.0, 0.0]]))
-    assert g_look[0] == pytest.approx(7.0)
-    assert g_back[0] == pytest.approx(-13.0)
-    # With 40 degrees downtilt the peak moves below the horizon.
-    tilted = rp.patch_panel(downtilt_deg=40.0)
-    d_down = np.array([[0.0, -np.cos(np.deg2rad(40.0)), -np.sin(np.deg2rad(40.0))]])
-    assert rp.mount_gain_db(tilted, 0.0, d_down)[0] == pytest.approx(7.0, abs=1e-9)
+    # The panel looks 90 degrees clockwise from the heading, 40 degrees
+    # below the horizon: heading east (+x) looks -y, heading north looks +x.
+    tilt = np.deg2rad(40.0)
+    for heading in (0.0, np.pi / 2, np.pi, -np.pi / 2, 0.3):
+        h = np.array([heading])
+        look_xy = np.array([np.sin(heading), -np.cos(heading)])
+        look = np.array([[*(np.cos(tilt) * look_xy), -np.sin(tilt)]])
+        assert rp.ap_gain_db(h, look)[0] == pytest.approx(7.0, abs=1e-9)
+        # Straight behind the panel: the back-lobe floor, 20 dB below peak.
+        assert rp.ap_gain_db(h, -look)[0] == pytest.approx(-13.0, abs=1e-9)
+        # On the horizon the look direction is 40 degrees off boresight.
+        horizontal = np.array([[*look_xy, 0.0]])
+        assert rp.ap_gain_db(h, horizontal)[0] == pytest.approx(
+            7.0 + 20.0 * np.log10(np.cos(tilt)), abs=1e-9)
 
 
-def test_reciprocity_with_isotropic_antennas(basic_scene):
+def test_reciprocity_of_path_losses(basic_scene):
+    # FSPL and the interaction and foliage losses are reciprocal for any
+    # antennas; the antenna gains are not, since the two ends differ.
     ap = np.array([30.0, 10.0, 4.5])
     ue = np.array([70.0, 60.0, 1.0])
     fwd = trace_one(basic_scene, ap, ue)
     rev = trace_one(basic_scene, ue, ap)
     key = lambda b: sorted(
-        (int(k), round(float(length), 9), round(float(g), 9))
-        for k, length, g in zip(b.kind, b.length_m, budget_db(b))
+        (int(k), round(float(length), 9), round(float(loss), 9))
+        for k, length, loss in zip(
+            b.kind, b.length_m,
+            -rp.fspl_db(b.length_m) - b.loss_interaction_db - b.loss_foliage_db)
     )
     assert key(fwd) == key(rev)
 
 
-def test_relative_power_cutoff():
+def test_relative_power_cutoff(monkeypatch):
     scene = wall_scene()
     ap = np.array([0.0, 0.0, 13.0])
     ue = np.array([5.0, 20.0, 1.0])
-    all_cfg = rp.RaypathConfig(tx_pattern=ISO, rx_pattern=ISO, min_relative_power_db=130.0)
-    tight = rp.RaypathConfig(tx_pattern=ISO, rx_pattern=ISO, min_relative_power_db=3.0)
-    assert len(trace_one(scene, ap, ue, all_cfg)) == 2
-    # The reflection sits ~7.3 dB below the direct ray here.
-    assert trace_one(scene, ap, ue, tight).kind.tolist() == [rp.KIND_DIRECT]
+    both = trace_one(scene, ap, ue)
+    assert both.kind.tolist() == [rp.KIND_DIRECT, rp.KIND_REFLECT1]
+    # The reflection sits ~6.9 dB below the direct ray here.
+    assert both.gain_db[0] - both.gain_db[1] == pytest.approx(6.94, abs=0.01)
+    monkeypatch.setattr(rp, "MIN_RELATIVE_POWER_DB", 3.0)
+    assert trace_one(scene, ap, ue).kind.tolist() == [rp.KIND_DIRECT]
 
 
-def test_reflection_order_limits():
-    scene = wall_scene()
-    ap = np.array([0.0, 0.0, 13.0])
-    ue = np.array([5.0, 20.0, 1.0])
-    cfg0 = rp.RaypathConfig(tx_pattern=ISO, rx_pattern=ISO, max_reflection_order=0)
-    assert trace_one(scene, ap, ue, cfg0).kind.tolist() == [rp.KIND_DIRECT]
-    with pytest.raises(ValueError):
-        rp.RaypathConfig(max_reflection_order=3).validate()
+def test_interaction_antenna_gains_face_the_end_points():
+    # Reflection and rooftop rows: the AP antenna radiates toward the first
+    # interaction point and the UE antenna receives from the last one.
+    canyon = sc.load_scene(resolve_scene_path("bundled:canyon"))
+    pos, head, _ = sc.sample_ap_pose_arrays(canyon.trajectory)
+    wall_ap = np.array([[0.0, 0.0, 13.0], [5.0, 10.0, 4.5], [40.0, 10.0, 8.0], [2.0, 18.0, 6.0]])
+    wall_ue = np.array([[5.0, 20.0, 1.0], [3.0, 2.0, 1.0], [1.0, 10.0, 1.0]])
+    cases = [(wall_scene(), wall_ap, np.array([0.0, 1.0, 2.5, -2.0]), ue) for ue in wall_ue]
+    cases += [(canyon, pos[::7], head[::7], ue) for ue in canyon.site(0).positions_m]
+    kinds = set()
+    for scene, ap, headings, ue in cases:
+        bundle = rp.trace_paths_batch(scene, ap, headings, ue)
+        rows = np.flatnonzero(bundle.kind != rp.KIND_DIRECT)
+        if rows.size == 0:
+            continue
+        n_points = (~np.isnan(bundle.points[rows, :, 0])).sum(axis=1)
+        first = bundle.points[rows, 0]
+        last = bundle.points[rows, n_points - 1]
+        poses = bundle.pose_index[rows]
+        out = first - ap[poses]
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        back = last - ue
+        back /= np.linalg.norm(back, axis=1, keepdims=True)
+        np.testing.assert_allclose(bundle.gain_tx_db[rows], rp.ap_gain_db(headings[poses], out),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bundle.gain_rx_db[rows], rp.ue_gain_db(back),
+                                   rtol=0, atol=1e-9)
+        kinds.update(bundle.kind[rows].tolist())
+    assert kinds == {rp.KIND_REFLECT1, rp.KIND_REFLECT2, rp.KIND_ROOFTOP}
 
 
 def test_batch_matches_per_pose(basic_scene):
@@ -414,11 +445,10 @@ def test_batch_matches_per_pose(basic_scene):
     ])
     headings = rng.uniform(-np.pi, np.pi, m)
     ue = np.array([35.0, 60.0, 1.0])
-    cfg = rp.RaypathConfig()  # realistic antennas
-    bundle = rp.trace_paths_batch(basic_scene, ap, headings, ue, cfg)
+    bundle = rp.trace_paths_batch(basic_scene, ap, headings, ue)
     for i in range(m):
         rows = bundle.pose_index == i
-        one = trace_one(basic_scene, ap[i], ue, cfg, heading=headings[i])
+        one = trace_one(basic_scene, ap[i], ue, heading=headings[i])
         assert rows.sum() == len(one)
         np.testing.assert_allclose(
             np.sort(bundle.length_m[rows]), np.sort(one.length_m), atol=1e-12,
@@ -452,7 +482,7 @@ def test_bundle_sorted_and_delay_consistent(basic_scene):
     ap = np.column_stack([
         np.linspace(10, 90, 25), np.full(25, 10.0), np.full(25, 4.5)
     ])
-    bundle = rp.trace_paths_batch(basic_scene, ap, np.zeros(25), np.array([35.0, 60.0, 1.0]), ISO_CFG)
+    bundle = rp.trace_paths_batch(basic_scene, ap, np.zeros(25), np.array([35.0, 60.0, 1.0]))
     assert np.all(np.diff(bundle.pose_index) >= 0)
     for i in np.unique(bundle.pose_index):
         lengths = bundle.length_m[bundle.pose_index == i]

@@ -164,8 +164,7 @@ def test_empty_trajectory_rejected():
 
 def classify(scene, ap, ue):
     """Link class the tracer gives the single AP position ap (3,)."""
-    bundle = rp.trace_paths_batch(scene, np.asarray(ap)[None, :], np.zeros(1), ue,
-                                  rp.RaypathConfig())
+    bundle = rp.trace_paths_batch(scene, np.asarray(ap)[None, :], np.zeros(1), ue)
     return sc.LinkClass(int(bundle.link_class[0]))
 
 
