@@ -29,7 +29,8 @@ re-run process to rewrite such a file.
 
 Capture file (magic ``CFMC``): acquisition metadata (poses, timestamps,
 attenuation, link classes, calibration, reference tones) followed by the
-recorded spectra as complex64 in (capture, UE, repetition, tone) order.
+recorded spectra as complex64 in (capture, UE, tone) order, one repetition
+mean per capture and UE; the header's n_reps_stored is therefore 1.
 Spectra are memory-mapped on read, so campaign-scale files never load
 whole.
 """
@@ -44,6 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import SparseRows
+from .scene import LinkClass
+from .sounder import REPETITIONS_PER_UE
 
 MATRIX_MAGIC = b"CFMM"
 CAPTURE_MAGIC = b"CFMC"
@@ -81,6 +84,15 @@ def _check_field(path, name: str, value, ok: bool, want: str) -> None:
     """Raise FormatError naming the file and the header field unless ok."""
     if not ok:
         raise FormatError(f"{path}: header {name} is {value}, expected {want}")
+
+
+def _check_values(path, what: str, block: np.ndarray, ok: np.ndarray, want: str) -> None:
+    """Raise FormatError naming the file and the block unless ok holds at
+    every index of block; the message gives the first bad value."""
+    if not ok.all():
+        at = np.argwhere(~ok)[0]
+        raise FormatError(f"{path}: {what} holds {block[tuple(at)]} at index "
+                          f"{at.tolist()}, expected {want}")
 
 
 def _read_block(fh, path, size: int, what: str, dtype, count: int) -> np.ndarray:
@@ -193,6 +205,9 @@ def read_matrix(path) -> MatrixFile:
         size = os.fstat(fh.fileno()).st_size
         tables = {name: _read_block(fh, path, size, f"{name} table", dtype, m * u)
                   for name, dtype in _ROW_TABLES}
+    for name in ("noise_db", "threshold_db"):
+        levels = tables[name].reshape(m, u)
+        _check_values(path, f"{name} table", levels, np.isfinite(levels), "a finite value")
     records_offset = _MATRIX_HEADER.size + _ROW_TABLE_BYTES * m * u
     ends = tables["record_end"].astype(np.int64)
     n_runs = tables["n_runs"].astype(np.int64)
@@ -282,7 +297,6 @@ class CaptureFile:
     path: str
     n_captures: int
     n_ues: int
-    n_reps_stored: int
     n_subcarriers: int
     subcarrier_spacing_hz: float
     capture_interval_s: float
@@ -301,7 +315,7 @@ class CaptureFile:
     spectra_offset: int
 
     def spectra(self, m0: int, m1: int) -> np.ndarray:
-        """Spectra of captures [m0, m1), (m, U, R, N) complex64.
+        """Spectra of captures [m0, m1), (m, U, N) complex64.
 
         Raises FormatError when a capture-UE row is all zero: recorded
         spectra always carry noise, so such a row was never written, as
@@ -310,15 +324,14 @@ class CaptureFile:
         average would otherwise spread over its neighbours' noise levels.
         """
         mm = np.memmap(self.path, dtype="<c8", mode="r", offset=self.spectra_offset,
-                       shape=(self.n_captures, self.n_ues, self.n_reps_stored,
-                              self.n_subcarriers))
+                       shape=(self.n_captures, self.n_ues, self.n_subcarriers))
         out = np.array(mm[m0:m1])
         del mm
-        empty = ~np.any(out, axis=(2, 3))  # (m, U)
+        empty = ~np.any(out, axis=2)  # (m, U)
         if empty.any():
             self._reject(empty, m0, m1, "spectra are all zero",
                          "the file was not completely written")
-        bad = ~np.isfinite(out.view(np.float32)).all(axis=(2, 3))
+        bad = ~np.isfinite(out.view(np.float32)).all(axis=2)
         if bad.any():
             self._reject(bad, m0, m1, "spectra hold NaN or infinite values",
                          "the file is corrupt")
@@ -329,14 +342,6 @@ class CaptureFile:
         raise FormatError(
             f"{self.path}: capture {m0 + i}, UE {j}: {what} "
             f"({int(rows.sum())} such rows in captures {m0}..{m1 - 1}); {why}")
-
-
-def _capture_header_bytes(m: int, u: int, r: int, n: int, spacing: float,
-                          interval: float, reps_avg: int, seed: int,
-                          site_id: str) -> bytes:
-    site = site_id.encode("utf-8")
-    return _CAPTURE_FIXED.pack(CAPTURE_MAGIC, CAPTURE_VERSION, m, u, r, n,
-                               spacing, interval, reps_avg, seed, len(site)) + site
 
 
 def _meta_layout(m: int, u: int, n: int) -> list:
@@ -363,18 +368,18 @@ class CaptureWriter:
 
     def __init__(self, path, plan):
         m, u = plan.n_captures, plan.n_ues
-        r = plan.n_reps_stored()
         n = plan.waveform.n_subcarriers
         self.path = path
-        self.shape = (m, u, r, n)
+        self.shape = (m, u, n)
         ts = np.asarray(plan.timestamps, dtype=np.float64)
         interval = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
-        header = _capture_header_bytes(
-            m, u, r, n, plan.waveform.subcarrier_spacing_hz,
-            interval, plan.impairments.n_repetitions, plan.seed, plan.site_id,
-        )
+        site = plan.site_id.encode("utf-8")
+        # One stored spectrum, the mean of REPETITIONS_PER_UE repetitions.
+        header = _CAPTURE_FIXED.pack(
+            CAPTURE_MAGIC, CAPTURE_VERSION, m, u, 1, n, plan.waveform.subcarrier_spacing_hz,
+            interval, REPETITIONS_PER_UE, plan.seed, len(site))
         with open(path, "wb") as fh:
-            fh.write(header)
+            fh.write(header + site)
             for name, dtype, shape in _meta_layout(m, u, n):
                 arr = np.ascontiguousarray(getattr(plan, name), dtype=dtype)
                 if arr.shape != shape:
@@ -403,9 +408,10 @@ def open_captures(path) -> CaptureFile:
         raw = fh.read(_CAPTURE_FIXED.size)
         if len(raw) < _CAPTURE_FIXED.size:
             raise FormatError(f"{path}: truncated capture header")
-        (magic, version, m, u, r, n, spacing, interval,
+        (magic, version, m, u, reps_stored, n, spacing, interval,
          reps_avg, seed, site_len) = _CAPTURE_FIXED.unpack(raw)
         _check_header("capture", path, magic, CAPTURE_MAGIC, version, CAPTURE_VERSION)
+        _check_field(path, "n_reps_stored", reps_stored, reps_stored == 1, "1")
         _check_field(path, "subcarrier_spacing_hz", spacing,
                      math.isfinite(spacing) and spacing > 0, "a finite value > 0")
         # 0 is the interval of a campaign of one capture.
@@ -421,14 +427,24 @@ def open_captures(path) -> CaptureFile:
                                     math.prod(shape)).reshape(shape)
                   for name, dtype, shape in _meta_layout(m, u, n)}
         spectra_offset = fh.tell()
-        expected = spectra_offset + m * u * r * n * 8
+        expected = spectra_offset + m * u * n * 8
         if size < expected:
             raise FormatError(
                 f"{path}: truncated spectra payload ({size} bytes, expected {expected})")
         if size > expected:
             raise FormatError(f"{path}: {size - expected} bytes after the spectra")
+    # Only values an acquisition writes: process divides by the two tone
+    # vectors, and export names each link class.
+    for name, block in fields.items():
+        if name == "link_class":
+            ok, want = np.isin(block, list(LinkClass)), "a LinkClass value"
+        elif name in ("cal_response", "reference_tones"):
+            ok, want = np.isfinite(block) & (block != 0), "a finite, non-zero value"
+        else:
+            ok, want = np.isfinite(block), "a finite value"
+        _check_values(path, f"{name} block", block, ok, want)
     return CaptureFile(
-        path=str(path), n_captures=m, n_ues=u, n_reps_stored=r, n_subcarriers=n,
+        path=str(path), n_captures=m, n_ues=u, n_subcarriers=n,
         subcarrier_spacing_hz=spacing, capture_interval_s=interval,
         n_reps_averaged=reps_avg, seed=seed, site_id=site_id,
         spectra_offset=spectra_offset, **fields,

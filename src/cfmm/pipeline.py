@@ -206,12 +206,10 @@ def calibrate(cal_response: np.ndarray, reference_tones: np.ndarray,
     complex, one per tone, and 10^(attenuation_db / 20), real, shaped like
     attenuation_db (scalar, or one value per capture row). A raw spectrum
     times both is the calibrated channel; process_chunk folds them into the
-    pre-multiply of compute_pdp.
+    pre-multiply of compute_pdp. Neither tone vector holds a zero: the
+    capture reader rejects one that does.
     """
-    cal_response = np.asarray(cal_response)
-    if np.any(np.abs(cal_response) == 0.0):
-        raise ValueError("calibration response contains zero entries")
-    tone_gain = 1.0 / (cal_response * np.asarray(reference_tones))
+    tone_gain = 1.0 / (np.asarray(cal_response) * np.asarray(reference_tones))
     row_gain = 10.0 ** (np.asarray(attenuation_db, dtype=float) / 20.0)
     return tone_gain, row_gain
 
@@ -399,9 +397,8 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     Returns (m0, m1, values, mask, noise_db, theta_db) with values
     (float32) and mask trimmed to the gated span.
 
-    The spectra stay complex64 as read. One UE at a time goes into the
-    transform: its rows as they are when one repetition is stored, else
-    its repetitions averaged in complex128. Each profile is transformed
+    The spectra stay complex64 as read, one per capture and UE, and one
+    UE's rows at a time go into the transform. Each profile is transformed
     over the signed span that complements the noise region, and its gated
     bins are averaged, thresholded, gated and cut straight into the
     outputs.
@@ -426,7 +423,7 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     lo = max(0, a - halo)
     hi = min(m_total, b + halo)
     own = slice(a - lo, b - lo)
-    raw = source.spectra(lo, hi)  # (m, U, R, N) complex64
+    raw = source.spectra(lo, hi)  # (m, U, N) complex64
     tone_gain, row_gain = calibrate(source.cal_response, source.reference_tones,
                                     source.attenuation_db[lo:hi])
     weights = kaiser_taps(n, params.kaiser_beta) * tone_gain
@@ -436,8 +433,7 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     noise_db = np.empty((b - a, n_ue))
     total = np.empty(hi - lo)
     for j in range(n_ue):
-        h = raw[:, j, 0] if raw.shape[2] == 1 else raw[:, j].mean(axis=1, dtype=np.complex128)
-        pdp = compute_pdp(h, weights, f, span, row_gain, total)
+        pdp = compute_pdp(raw[:, j], weights, f, span, row_gain, total)
         region = np.maximum(total - pdp.sum(axis=-1), 0.0) / (noise_hi - noise_lo)
         ssa = small_scale_average(pdp[:, gated], params.ssa_window)[own]
         noise_mean = small_scale_average(region, params.ssa_window)[own]

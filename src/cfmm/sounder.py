@@ -2,7 +2,9 @@
 
 One capture records all eight UEs back to back (640 us per UE slot, ten
 waveform repetitions each, 5.12 ms total) on a 100 ms trigger grid while
-the AP drives. The receive front end applies a stepped AGC attenuator
+the AP drives. The repetitions of a slot are averaged, so a capture holds
+one spectrum per UE, with one repetition's noise variance over
+REPETITIONS_PER_UE. The receive front end applies a stepped AGC attenuator
 shared by the whole capture, chosen from the strongest UE of the previous
 capture; attenuation buys headroom at the price of noise figure.
 
@@ -127,12 +129,8 @@ class ImpairmentConfig:
     agc: AGCConfig = field(default_factory=AGCConfig)
     crosstalk_coupling_db: float | None = -60.0
     chain: ChainRippleConfig = field(default_factory=ChainRippleConfig)
-    n_repetitions: int = REPETITIONS_PER_UE
-    store_repetitions: bool = False
 
     def validate(self) -> None:
-        if self.n_repetitions < 1:
-            raise ValueError(f"n_repetitions = {self.n_repetitions}: must be >= 1")
         c = self.crosstalk_coupling_db
         if c is not None and c > 0:
             raise ValueError(f"crosstalk_coupling_db = {c}: must be <= 0 or null")
@@ -197,9 +195,6 @@ class CampaignPlan:
         """Back-to-back calibration (N,), with the reference comb divided out."""
         return self.tx_tone_amplitude * self.chain
 
-    def n_reps_stored(self) -> int:
-        return self.impairments.n_repetitions if self.impairments.store_repetitions else 1
-
 
 def plan_campaign(
     scene: Scene,
@@ -257,7 +252,8 @@ def _capture_rng(seed: int, capture_index: int) -> np.random.Generator:
 
 
 def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
-    """Recorded spectra for captures [m0, m1), shape (m, U, R_stored, N).
+    """Recorded spectra for captures [m0, m1), shape (m, U, N): per UE,
+    the mean of its REPETITIONS_PER_UE repetitions.
 
     The raw recording is g * (signal + noise) with g the AGC attenuator
     gain; the transmit leakage (crosstalk_coupling_db, None for none) adds
@@ -269,18 +265,18 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     rounding to float32. A complex value times a real scalar is exact per
     component, as is a complex sum, so the bytes equal those of
     (g * (signal + (z0 + 1j z1) * sqrt(sigma2 / 2))).astype(complex64)
-    with the same draws. A thermal density of -inf dBm/Hz gives sigma2 = 0,
-    a capture without receiver noise.
+    with the same draws, where sigma2 is the variance of the repetition
+    mean, one repetition's over REPETITIONS_PER_UE. A thermal density of
+    -inf dBm/Hz gives sigma2 = 0, a capture without receiver noise.
     """
     wf_spec = plan.waveform
     n = wf_spec.n_subcarriers
     n_ue = plan.n_ues
     imp = plan.impairments
-    r_stored = plan.n_reps_stored()
     m_chunk = m1 - m0
 
     tx_front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain  # (N,)
-    out = np.empty((m_chunk, n_ue, r_stored, n), dtype=np.complex64)
+    out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
 
     h_rows = np.empty((m_chunk, n), dtype=np.complex128)
     signal = np.empty((m_chunk, n_ue, n), dtype=np.complex128)
@@ -297,12 +293,11 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
         np.multiply(h_rows, tx_front, out=signal[:, j, :])
 
     g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
-    sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
-    if not imp.store_repetitions:
-        sigma2 = sigma2 / imp.n_repetitions  # variance of the repetition mean
+    sigma2 = (imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
+              / REPETITIONS_PER_UE)  # variance of the repetition mean
 
-    shape = (n_ue, r_stored, n, 2)
-    signal_re = signal.view(np.float64).reshape(m_chunk, n_ue, 1, n, 2)
+    shape = (n_ue, n, 2)
+    signal_re = signal.view(np.float64).reshape(m_chunk, *shape)
     out_re = out.view(np.float32).reshape(m_chunk, *shape)
     for i in range(m_chunk):
         z = _capture_rng(plan.seed, m0 + i).standard_normal(shape)

@@ -197,7 +197,7 @@ class _NoiseSource:
         self.positions = np.zeros((m_total, 3))
         self.ue_positions = np.zeros((1, 3))
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((m_total, 1, 1, self.n_subcarriers, 2))
+        z = rng.standard_normal((m_total, 1, self.n_subcarriers, 2))
         self._z = (z[..., 0] + 1j * z[..., 1]).astype(np.complex64)
 
     def spectra(self, m0: int, m1: int) -> np.ndarray:
@@ -280,7 +280,7 @@ def test_criterion_07_agc_contract(tmp_path):
     lo, hi = plan.impairments.agc.target_output_window_dbm
     assert ((plan.measured_power_dbm >= lo) & (plan.measured_power_dbm <= hi)).all()
     spectra = sd.synthesize_chunk(plan, 0, m_total)
-    out_dbm = 10.0 * np.log10(np.sum(np.abs(spectra[:, 0, 0]) ** 2, axis=1))
+    out_dbm = 10.0 * np.log10(np.sum(np.abs(spectra[:, 0]) ** 2, axis=1))
     assert float(np.std(out_dbm)) <= 1.2
 
     # part 2: forced 30 dB step

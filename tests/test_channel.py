@@ -107,7 +107,7 @@ def test_synthesize_rows_matches_single_calls():
 def test_synthesize_rows_tone_counts_match_direct_sum(n_tones):
     # Tone counts below, at and just past one fine table, and the default comb.
     gains, delays, splits = random_rows(n_tones, 20, 6)
-    spec = wf.WaveformSpec(n_subcarriers=n_tones, phase_rule="zero")
+    spec = wf.WaveformSpec(n_subcarriers=n_tones)
     offs = (np.arange(n_tones) - (n_tones - 1) // 2) * 125e3
     np.testing.assert_array_equal(spec.tone_offsets_hz(), offs)
     rows = ch.synthesize_rows(gains, delays, splits, spec)

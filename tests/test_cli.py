@@ -58,7 +58,7 @@ def digests(out):
 def zero_capture(path, m):
     """Zero capture m's spectra, as an interrupted simulate leaves them."""
     src = fm.open_captures(path)
-    row = src.n_ues * src.n_reps_stored * src.n_subcarriers * 8
+    row = src.n_ues * src.n_subcarriers * 8
     with open(path, "r+b") as fh:
         fh.seek(src.spectra_offset + m * row)
         fh.write(bytes(row))
@@ -95,7 +95,7 @@ class TestConfig:
         assert cfg.pipeline.kaiser_beta == 2.5
         assert cfg.impairments.crosstalk_coupling_db is None
         assert cfg.impairments.chain.seed == 12
-        assert cfg.impairments.n_repetitions == 10  # untouched default
+        assert cfg.impairments.tx_power_dbm == 42.0  # untouched default
         assert cfg.waveform.n_subcarriers == 101
 
     def test_unknown_keys_named(self):
@@ -135,7 +135,7 @@ class TestConfig:
         })
         cfg.validate()
         assert cfgmod.semantic_hash(cfg) == (
-            "7c8d905b9d8e137a93195d3439d499d5c4cd232fd492b4703e9707e7cb1e7748")
+            "9b74139bf980064a37149bdbf5fc941733ae46cad28840fe8e2958666b920d34")
         as_floats = replace(cfg, waveform=replace(cfg.waveform, subcarrier_spacing_hz=125000.0))
         assert cfgmod.semantic_hash(as_floats) != cfgmod.semantic_hash(cfg)
 
@@ -222,6 +222,12 @@ _DROP = object()
      "impairments.chain.seed = -1: must be >= 0"),
     ("config", ("waveform", "oversampling_factor"), 1,
      "waveform: unknown key 'oversampling_factor'"),
+    ("config", ("waveform", "phase_rule"), "quadratic-zc",
+     "waveform: unknown key 'phase_rule'"),
+    ("config", ("impairments", "n_repetitions"), 10,
+     "impairments: unknown key 'n_repetitions'"),
+    ("config", ("impairments", "store_repetitions"), False,
+     "impairments: unknown key 'store_repetitions'"),
     ("scene", ("buildings", 0, "heigth_m"), 20.0, "buildings[0]: unknown key 'heigth_m'"),
     ("scene", ("buildings", 0, "height_m"), float("nan"),
      "buildings[0].height_m = NaN: must be finite"),
@@ -236,7 +242,8 @@ _DROP = object()
     ("scene", ("buildings", 0, "id"), _DROP, "buildings[0].id: required key is missing"),
 ], ids=["seed-float", "seed-string", "seed-bool", "seed-uint64-overflow", "scene-int",
         "pipeline-int", "pad-float", "ssa-float", "noise-region-short", "agc-steps-int",
-        "chain-seed", "oversampling-factor", "scene-key-typo", "height-nan", "speed-inf",
+        "chain-seed", "oversampling-factor", "phase-rule", "n-repetitions",
+        "store-repetitions", "scene-key-typo", "height-nan", "speed-inf",
         "footprint-int", "footprint-3-columns", "waypoint-x-string", "building-no-id"])
 def test_malformed_document_exit_1(workspace, finished_run, tmp_path, capsys,
                                    doc, keys, value, message):
@@ -752,7 +759,7 @@ class TestStages:
         bad = tmp_path / "nan.cfmc"
         fm.CaptureWriter(bad, plan).write_chunk(0, sd.synthesize_chunk(plan, 0, 64))
         src = fm.open_captures(bad)
-        tone = ((30 * src.n_ues + 2) * src.n_reps_stored) * src.n_subcarriers + 1400
+        tone = (30 * src.n_ues + 2) * src.n_subcarriers + 1400
         with open(bad, "r+b") as fh:
             fh.seek(src.spectra_offset + tone * 8)
             fh.write(np.array([np.nan + 0j], dtype="<c8").tobytes())

@@ -266,6 +266,25 @@ class TestMatrixFile:
         assert rc == 3
         assert f"{out / 'matrix.cfmm'}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table,value", [("noise_db", np.nan), ("threshold_db", -np.inf)],
+                             ids=["noise-nan", "threshold-inf"])
+    def test_nonfinite_level_exit_3(self, tmp_path, capture_path, capsys, table, value):
+        # process never writes a level that is not finite: an empty noise
+        # region reads the finite clamp floor.
+        mat = small_matrix(np.random.default_rng(4), m=6, u=8)
+        {"noise_db": mat.noise_level_db, "threshold_db": mat.threshold_db}[table][2, 1] = value
+        out = tmp_path / "out"
+        out.mkdir()
+        w = fm.MatrixWriter(out / "matrix.cfmm", 6, 8, 40, mat.bin_width_s, 10)
+        w.write_chunk(0, chunk_rows(mat, 0, 6))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["export", "--config", str(cfg), "--out", str(out),
+                   "--captures", str(capture_path)])
+        assert rc == 3
+        assert (f"{out / 'matrix.cfmm'}: {table} table holds {value} at index [2, 1], "
+                "expected a finite value") in capsys.readouterr().err
+
 
 _SITE_ID = 56  # offset of the site id in a capture file, after the fixed header
 
@@ -292,7 +311,6 @@ class TestCaptureFile:
         cf = fm.open_captures(capture_path)
         assert cf.n_captures == 6
         assert cf.n_ues == plan.n_ues
-        assert cf.n_reps_stored == 1
         assert cf.n_subcarriers == 2801
         assert cf.subcarrier_spacing_hz == 125e3
         assert cf.capture_interval_s == pytest.approx(0.1)
@@ -330,7 +348,7 @@ class TestCaptureFile:
         for a, b in [(4, 6), (0, 4)]:
             writer.write_chunk(a, sd.synthesize_chunk(plan, a, b))
         assert path.read_bytes() == capture_path.read_bytes()
-        with pytest.raises(ValueError, match=r"\(2, 8, 1, 2801\) at capture 5 do not fit"):
+        with pytest.raises(ValueError, match=r"\(2, 8, 2801\) at capture 5 do not fit"):
             writer.write_chunk(5, sd.synthesize_chunk(plan, 0, 2))
 
     def test_source_protocol_processes(self, plan, capture_path, tmp_path):
@@ -366,9 +384,10 @@ class TestCaptureFile:
         (24, struct.pack("<d", -125e3), "header subcarrier_spacing_hz is -125000.0"),
         (32, struct.pack("<d", float("inf")), "header capture_interval_s is inf"),
         (32, struct.pack("<d", -0.5), "header capture_interval_s is -0.5, expected a finite"),
+        (16, struct.pack("<I", 10), "header n_reps_stored is 10, expected 1"),
     ], ids=["captures", "tones", "site-id-length", "site-id-not-utf8", "site-id-cut",
             "spacing-zero", "spacing-nan", "spacing-negative", "interval-inf",
-            "interval-negative"])
+            "interval-negative", "reps-stored"])
     def test_corrupt_header_exit_3(self, capture_path, tmp_path, capsys, offset, patch,
                                    message):
         raw = bytearray(capture_path.read_bytes())
@@ -384,3 +403,54 @@ class TestCaptureFile:
                    "--out", str(tmp_path / "p")])
         assert rc == 3
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,index,value,message", [
+        ("timestamps", 4, np.inf, "timestamps block holds inf at index [4], expected a finite"),
+        ("positions", 7, np.nan, "positions block holds nan at index [2, 1], expected a finite"),
+        ("headings", 0, -np.inf, "headings block holds -inf at index [0], expected a finite"),
+        ("attenuation_db", 5, np.nan, "attenuation_db block holds nan at index [5], expected"),
+        ("measured_power_dbm", 13, np.nan, "measured_power_dbm block holds nan at index [1, 5]"),
+        ("link_class", 12, 9, "link_class block holds 9 at index [1, 4], expected a LinkClass"),
+        ("ue_positions", 11, np.nan, "ue_positions block holds nan at index [3, 2], expected"),
+        ("cal_response", 1400, np.nan, "cal_response block holds (nan+0j) at index [1400]"),
+        ("cal_response", 3, 0.0, "cal_response block holds 0j at index [3], expected a finite, "
+                                 "non-zero value"),
+        ("reference_tones", 7, np.nan, "reference_tones block holds (nan+0j) at index [7]"),
+        ("reference_tones", 2800, 0.0, "reference_tones block holds 0j at index [2800]"),
+    ], ids=["timestamp-inf", "position-nan", "heading-inf", "attenuation-nan",
+            "power-nan", "link-class-9", "ue-position-nan", "cal-nan", "cal-zero",
+            "reference-nan", "reference-zero"])
+    def test_corrupt_metadata_exit_3(self, capture_path, tmp_path, capsys, block, index,
+                                     value, message):
+        """A metadata value that no acquisition writes makes process exit 3,
+        naming the file and the block. Read unchecked, a NaN attenuation or
+        position, or a NaN or zero tone, spread NaN noise levels or numpy
+        warnings through a matrix that process wrote with exit 0, and an
+        unknown link class failed only in export."""
+        cf = fm.open_captures(capture_path)
+        m, u, n = cf.n_captures, cf.n_ues, cf.n_subcarriers
+        # The blocks follow the site id in this order: name, item type, items.
+        layout = [("timestamps", "<f8", m), ("positions", "<f8", 3 * m),
+                  ("headings", "<f8", m), ("attenuation_db", "<f8", m),
+                  ("measured_power_dbm", "<f8", m * u), ("link_class", "u1", m * u),
+                  ("ue_positions", "<f8", 3 * u), ("cal_response", "<c16", n),
+                  ("reference_tones", "<c16", n)]
+        offset = _SITE_ID + len(cf.site_id.encode())
+        offsets = {}
+        for name, dtype, count in layout:
+            offsets[name] = (offset, dtype)
+            offset += np.dtype(dtype).itemsize * count
+        assert offset == cf.spectra_offset
+        at, dtype = offsets[block]
+        raw = bytearray(capture_path.read_bytes())
+        item = np.dtype(dtype).itemsize
+        raw[at + index * item:at + (index + 1) * item] = np.array([value], dtype=dtype).tobytes()
+        bad = tmp_path / "bad.cfmc"
+        bad.write_bytes(bytes(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["process", "--config", str(cfg), "--captures", str(bad),
+                   "--out", str(tmp_path / "p"), "--workers", "1"])
+        assert rc == 3
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "matrix.cfmm").exists()

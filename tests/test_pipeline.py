@@ -100,12 +100,6 @@ class TestCalibrate:
         b = calibrated(reps, chain, np.ones(64)).mean(axis=0)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
-    def test_zero_cal_rejected(self):
-        cal = np.ones(8, dtype=complex)
-        cal[3] = 0.0
-        with pytest.raises(ValueError):
-            pl.calibrate(cal, np.ones(8))
-
 
 class TestComputePDP:
     def test_flat_spectrum_is_impulse(self):
@@ -398,7 +392,7 @@ def full_profile_noise_db(source, params, a, b):
     lo_n, hi_n = params.noise_region_native
     halo = params.ssa_window // 2
     lo, hi = max(0, a - halo), min(source.n_captures, b + halo)
-    h = source.spectra(lo, hi).astype(np.complex128).mean(axis=2)
+    h = source.spectra(lo, hi).astype(np.complex128)
     h = calibrated(h, source.cal_response, source.reference_tones,
                    source.attenuation_db[lo:hi, None])
     w = pl.kaiser_taps(n, params.kaiser_beta)
@@ -443,7 +437,7 @@ class TestSpanNoiseFloor:
             attenuation_db=np.zeros(m), cal_response=np.ones(n, dtype=complex),
             reference_tones=np.ones(n, dtype=complex), positions=np.zeros((m, 3)),
             ue_positions=np.zeros((1, 3)),
-            spectra=lambda m0, m1: np.broadcast_to(h, (m1 - m0, 1, 1, n)).copy())
+            spectra=lambda m0, m1: np.broadcast_to(h, (m1 - m0, 1, n)).copy())
         params = pl.PipelineParams(kaiser_beta=0.0, pad_factor=1)
         _, _, values, mask, noise_db, _ = pl.process_chunk(source, params, 0, m)
         assert np.isfinite(noise_db).all()
@@ -563,14 +557,13 @@ def reps_plan():
         sc.Waypoint("start", x=10.0, y=10.0, height=4.5),
         sc.Waypoint("drive", x=10.8, y=10.0),
     ])
-    imp = sd.ImpairmentConfig(store_repetitions=True)
-    return sd.plan_campaign(scene, wf.WaveformSpec(), imp, seed=78)
+    return sd.plan_campaign(scene, wf.WaveformSpec(), sd.ImpairmentConfig(), seed=78)
 
 
 def test_stored_repetitions_match_inline_reference(reps_plan):
-    """With every repetition stored (R = 10), process_chunk equals an
-    inline reference: the complex128 repetition mean, the two calibration
-    divisions, and the whole 28010-bin profile by a direct inverse FFT.
+    """process_chunk equals an inline reference: the stored repetition
+    mean in complex128, the two calibration divisions, and the whole
+    28010-bin profile by a direct inverse FFT.
 
     Tolerances: both sides square the same complex64 data's transform,
     and differ only by float64 rounding in the multiplies and the FFTs.
@@ -586,7 +579,6 @@ def test_stored_repetitions_match_inline_reference(reps_plan):
     """
     params = pl.PipelineParams()
     source = PlanSource(reps_plan)
-    assert source.spectra(0, 1).shape[2] == 10
     n, f = source.n_subcarriers, params.pad_factor
     big_l, gate = n * f, params.gate_native_bins * f
     noise_lo, noise_hi = params.noise_bins(n)
@@ -604,7 +596,7 @@ def test_stored_repetitions_match_inline_reference(reps_plan):
     eps = np.finfo(np.float64).eps
     survivors = 0
     for j in range(source.n_ues):
-        h = raw[:, j].astype(np.complex128).mean(axis=1)
+        h = raw[:, j].astype(np.complex128)
         h = h / (source.cal_response * source.reference_tones) / g[:, None]
         full = np.abs(np.fft.ifft(h * w, n=big_l, axis=-1) * big_l) ** 2
         ssa = pl.small_scale_average(full, params.ssa_window)[a - lo:b - lo]

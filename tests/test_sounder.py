@@ -112,9 +112,8 @@ def test_campaign_structure_and_determinism():
     assert plan.n_captures == 21
     np.testing.assert_allclose(plan.timestamps, 0.1 * np.arange(21))
     spectra = sd.synthesize_chunk(plan, 0, plan.n_captures)
-    assert spectra.shape == (21, 8, 1, 2801)
+    assert spectra.shape == (21, 8, 2801)
     assert spectra.dtype == np.complex64
-    assert plan.impairments.n_repetitions == 10
 
     plan2 = sd.plan_campaign(scene, SPEC, imp, seed=42)
     np.testing.assert_array_equal(plan.cal_response, plan2.cal_response)
@@ -122,27 +121,6 @@ def test_campaign_structure_and_determinism():
 
     plan3 = sd.plan_campaign(scene, SPEC, imp, seed=43)
     assert not np.array_equal(spectra[7], sd.synthesize_chunk(plan3, 7, 8)[0])
-
-
-def test_store_repetitions_shape_and_noise_scaling():
-    scene = short_drive_scene()
-    stored = sd.ImpairmentConfig(store_repetitions=True, crosstalk_coupling_db=None)
-    averaged = sd.ImpairmentConfig(store_repetitions=False, crosstalk_coupling_db=None)
-    p_stored = sd.plan_campaign(scene, SPEC, stored, seed=1)
-    p_avg = sd.plan_campaign(scene, SPEC, averaged, seed=1)
-
-    full = sd.synthesize_chunk(p_stored, 0, 2)
-    assert full.shape == (2, 8, 10, 2801)
-    assert not np.array_equal(full[0, 0, 0], full[0, 0, 1])  # independent reps
-
-    # Averaged storage carries the variance of the repetition mean: 10x less.
-    def noise_var(plan):
-        noisy = sd.synthesize_chunk(plan, 0, 1).astype(np.complex128)
-        clean = sd.synthesize_chunk(noiseless(plan), 0, 1).astype(np.complex128)
-        return (np.abs(noisy - clean) ** 2).mean()
-
-    ratio = noise_var(p_stored) / noise_var(p_avg)
-    assert ratio == pytest.approx(10.0, rel=0.1)
 
 
 def test_chunk_boundaries_do_not_change_bytes():
@@ -157,14 +135,13 @@ def test_chunk_boundaries_do_not_change_bytes():
     assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
 
 
-@pytest.mark.parametrize("store_repetitions, noisy",
-                         [(True, True), (False, True), (False, False)])
-def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, noisy):
+@pytest.mark.parametrize("noisy", [True, False])
+def test_synthesize_chunk_bytes_match_complex_formulation(noisy):
     # The in-place real arithmetic reproduces, bit for bit, the complex
     # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64,
+    # with sigma2 the variance of the mean of the 10 repetitions of a UE slot,
     # and g * signal without receiver noise.
-    plan = sd.plan_campaign(short_drive_scene(), SPEC,
-                            sd.ImpairmentConfig(store_repetitions=store_repetitions), seed=4)
+    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=4)
     plan = plan if noisy else noiseless(plan)
     imp = plan.impairments
     n = SPEC.n_subcarriers
@@ -172,9 +149,7 @@ def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, noi
     got = sd.synthesize_chunk(plan, m0, m1)
     front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
     g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
-    sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], SPEC.subcarrier_spacing_hz)
-    if not store_repetitions:
-        sigma2 = sigma2 / imp.n_repetitions
+    sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], SPEC.subcarrier_spacing_hz) / 10
     for i, m in enumerate(range(m0, m1)):
         signal = np.empty((plan.n_ues, n), dtype=np.complex128)
         for j in range(plan.n_ues):
@@ -185,19 +160,18 @@ def test_synthesize_chunk_bytes_match_complex_formulation(store_repetitions, noi
             )[0]
             signal[j] = (h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)) * front
         if noisy:
-            z = sd._capture_rng(plan.seed, m).standard_normal(
-                (plan.n_ues, plan.n_reps_stored(), n, 2))
+            z = sd._capture_rng(plan.seed, m).standard_normal((plan.n_ues, n, 2))
             noise = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(sigma2[i] / 2.0)
         else:
             assert sigma2[i] == 0.0
             noise = 0.0
-        expected = (g_lin[i] * (signal[:, None, :] + noise)).astype(np.complex64)
+        expected = (g_lin[i] * (signal + noise)).astype(np.complex64)
         assert got[i].tobytes() == expected.tobytes()
 
 
 def test_noiseless_capture_reproduces_channel():
     scene = short_drive_scene()
-    imp = sd.ImpairmentConfig(crosstalk_coupling_db=None, store_repetitions=True)
+    imp = sd.ImpairmentConfig(crosstalk_coupling_db=None)
     plan = sd.plan_campaign(scene, SPEC, imp, seed=5)
     m = 4
     raw = sd.synthesize_chunk(noiseless(plan), m, m + 1)[0]
@@ -210,9 +184,7 @@ def test_noiseless_capture_reproduces_channel():
             np.array([0, hi - lo]), SPEC,
         )[0]
         expected = (g * front * h).astype(np.complex64)
-        np.testing.assert_allclose(raw[j, 0], expected, rtol=0, atol=np.abs(expected).max() * 2e-6)
-        # All repetitions identical without noise.
-        assert np.array_equal(raw[j, 0], raw[j, 9])
+        np.testing.assert_allclose(raw[j], expected, rtol=0, atol=np.abs(expected).max() * 2e-6)
 
 
 def test_crosstalk_appears_pre_attenuator():
@@ -228,7 +200,7 @@ def test_crosstalk_appears_pre_attenuator():
     g = 10 ** (-p0.attenuation_db[m] / 20.0)
     leak = 1e-3 * g * p0.tx_tone_amplitude * p0.reference_tones * p0.chain
     for j in range(8):
-        np.testing.assert_allclose(b[j, 0] - a[j, 0], leak, rtol=0, atol=np.abs(leak).max() * 1e-5)
+        np.testing.assert_allclose(b[j] - a[j], leak, rtol=0, atol=np.abs(leak).max() * 1e-5)
 
 
 def test_agc_reacts_to_approach_with_noise_penalty():
