@@ -362,8 +362,10 @@ class CaptureWriter:
     """Creates a capture container and fills spectra in capture-range chunks.
 
     Every metadata block comes from the plan. The file is created at its
-    full size, with the spectra zero, and each chunk writes its own byte
-    range, so chunks can be written in any order and by any process.
+    full size, with the spectra zero and their blocks reserved on disk, so
+    a disk without room fails here, not in a later chunk. Each chunk
+    writes its own byte range, so chunks can be written in any order and
+    by any process.
     """
 
     def __init__(self, path, plan):
@@ -386,7 +388,12 @@ class CaptureWriter:
                     raise ValueError(f"{name}: shape {arr.shape}, expected {shape}")
                 arr.tofile(fh)
             self.spectra_offset = fh.tell()
-            fh.truncate(self.spectra_offset + int(np.prod(self.shape)) * 8)
+            n_bytes = int(np.prod(self.shape)) * 8
+            try:
+                os.posix_fallocate(fh.fileno(), self.spectra_offset, n_bytes)
+            except OSError as e:
+                raise OSError(e.errno, f"{path}: cannot reserve the {n_bytes} bytes "
+                                       f"of spectra: {e.strerror}") from None
 
     def write_chunk(self, m0: int, spectra: np.ndarray) -> None:
         """Write the spectra of captures m0.. at their offset and sync

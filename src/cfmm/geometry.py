@@ -78,7 +78,9 @@ def polygon_is_simple(vertices: np.ndarray) -> bool:
     n = len(v)
     if n < 3:
         return False
-    if len(np.unique(v.round(decimals=9), axis=0)) != n:
+    r = v.round(decimals=9)
+    r = r[np.lexsort(r.T[::-1])]  # equal rows end up adjacent
+    if (r[1:] == r[:-1]).all(axis=1).any():
         return False
     if abs(polygon_signed_area(v)) < 1e-12:
         return False

@@ -36,9 +36,7 @@ what lets a 100 dB dynamic range survive windowing.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -490,6 +488,11 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
         for a, b in spans:
             take(a, fn(*args, a, b))
         return
+    # Imported here, not at module level: stages that run no pool skip
+    # their import cost.
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
     window = _LOOKAHEAD_PER_WORKER * workers
     global _WORKER_TASK
     _WORKER_TASK = (fn, args)

@@ -260,6 +260,15 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     to the channel at zero delay, ahead of the attenuator, so its calibrated
     level does not move with AGC steps.
 
+    The loop is UE-major: one UE's (m, N) complex128 channel rows for the
+    chunk, then that UE's noise for each capture, drawn into one reused
+    (N, 2) buffer and written straight into the complex64 result, so no
+    (m, U, N) complex128 signal is ever held. Each capture keeps one
+    generator for the chunk, and successive draws continue its stream, so
+    its U draws of (N, 2) normals are the values, in order, of one
+    (U, N, 2) draw from a fresh generator: every capture's noise depends
+    on (seed, capture index) only.
+
     Noise, gain and the complex64 cast run in place on float64 (real,
     imaginary) views: z *= sqrt(sigma2 / 2), z += signal, z *= g, then one
     rounding to float32. A complex value times a real scalar is exact per
@@ -276,10 +285,17 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     m_chunk = m1 - m0
 
     tx_front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain  # (N,)
-    out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
+    g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
+    sigma2 = (imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
+              / REPETITIONS_PER_UE)  # variance of the repetition mean
+    noise_scale = np.sqrt(sigma2 / 2.0)
+    rngs = [_capture_rng(plan.seed, m) for m in range(m0, m1)]
 
+    out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
+    out_re = out.view(np.float32).reshape(m_chunk, n_ue, n, 2)
     h_rows = np.empty((m_chunk, n), dtype=np.complex128)
-    signal = np.empty((m_chunk, n_ue, n), dtype=np.complex128)
+    h_re = h_rows.view(np.float64).reshape(m_chunk, n, 2)
+    z = np.empty((n, 2))
     for j in range(n_ue):
         sub_splits = plan.row_splits[j][m0:m1 + 1] - plan.row_splits[j][m0]
         base = plan.row_splits[j][m0]
@@ -290,19 +306,11 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
         )
         if imp.crosstalk_coupling_db is not None:
             h_rows += 10.0 ** (imp.crosstalk_coupling_db / 20.0)
-        np.multiply(h_rows, tx_front, out=signal[:, j, :])
-
-    g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
-    sigma2 = (imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
-              / REPETITIONS_PER_UE)  # variance of the repetition mean
-
-    shape = (n_ue, n, 2)
-    signal_re = signal.view(np.float64).reshape(m_chunk, *shape)
-    out_re = out.view(np.float32).reshape(m_chunk, *shape)
-    for i in range(m_chunk):
-        z = _capture_rng(plan.seed, m0 + i).standard_normal(shape)
-        z *= np.sqrt(sigma2[i] / 2.0)
-        z += signal_re[i]
-        z *= g_lin[i]
-        out_re[i] = z
+        h_rows *= tx_front
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=z)
+            z *= noise_scale[i]
+            z += h_re[i]
+            z *= g_lin[i]
+            out_re[i, j] = z
     return out

@@ -1,5 +1,6 @@
 """CLI stage tests: config handling, exit codes, stage files, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -71,6 +72,25 @@ def test_cli_import_loads_no_scipy():
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                        text=True, check=True, timeout=120)
     assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("stage", ["validate", "export"])
+def test_stage_without_pool_skips_its_imports(stage, workspace, finished_run, tmp_path):
+    # Neither stage runs a pool, so neither pays for importing one; scene
+    # validation needs no numpy.ma either.
+    argv = ["validate", "--config", str(workspace / "cfg.json")]
+    if stage == "export":
+        shutil.copytree(finished_run, tmp_path / "out")
+        argv = ["export", "--config", str(workspace / "cfg.json"),
+                "--out", str(tmp_path / "out"), "--workers", "1"]
+    code = ("import sys; from cfmm.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in ('numpy.ma', 'multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules)); sys.exit(rc)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cfmm.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
 
 
 class TestConfig:
@@ -584,6 +604,23 @@ class TestStages:
         assert len(calls.read_text().split()) < 21
         assert not (out / "captures.cfmc").exists()
         assert not list(out.glob("*.partial"))
+
+    def test_full_disk_fails_at_creation_exit_2(self, workspace, tmp_path, monkeypatch,
+                                                 capsys):
+        out = tmp_path / "full"
+
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", no_space)
+        monkeypatch.setattr(sd, "synthesize_chunk", None)  # no span may start
+        assert main(["simulate", "--config", str(workspace / "cfg.json"),
+                     "--out", str(out), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        n_bytes = 81 * 8 * 2801 * 8  # captures x UEs x tones x complex64
+        assert "captures.cfmc.partial" in err and f"{n_bytes} bytes" in err
+        assert "No space left on device" in err
+        assert sorted(p.name for p in out.iterdir()) == []
 
     def test_failed_export_leaves_no_heatmap(self, workspace, tmp_path, monkeypatch,
                                               capsys):

@@ -1,6 +1,7 @@
 """Round-trip and header-diagnostic tests for the binary containers."""
 
 import json
+import os
 import struct
 from types import SimpleNamespace
 
@@ -350,6 +351,14 @@ class TestCaptureFile:
         assert path.read_bytes() == capture_path.read_bytes()
         with pytest.raises(ValueError, match=r"\(2, 8, 2801\) at capture 5 do not fit"):
             writer.write_chunk(5, sd.synthesize_chunk(plan, 0, 2))
+
+    def test_writer_reserves_spectra_on_disk(self, plan, tmp_path):
+        path = tmp_path / "reserved.cfmc"
+        writer = fm.CaptureWriter(path, plan)
+        st = os.stat(path)
+        assert st.st_size == writer.spectra_offset + 6 * plan.n_ues * 2801 * 8
+        # Allocated before any chunk is written: the file is not sparse.
+        assert st.st_blocks * 512 >= st.st_size
 
     def test_source_protocol_processes(self, plan, capture_path, tmp_path):
         cf = fm.open_captures(capture_path)

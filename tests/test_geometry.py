@@ -28,6 +28,22 @@ def test_simple_and_convex_classification():
     assert not geo.polygon_is_convex(U_SHAPE)
 
 
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (4e-10, -3e-10)], ids=["exact", "within-1e-9"])
+def test_repeated_vertex_is_not_simple(offset):
+    # The square with its second vertex given twice, the copy exactly on it
+    # or within the 1e-9 rounding of the duplicate check.
+    repeated = np.insert(SQUARE, 2, SQUARE[1] + offset, axis=0)
+    assert not geo.polygon_is_simple(repeated)
+    # The same copy anywhere else in the ring, not next to the original.
+    assert not geo.polygon_is_simple(np.insert(SQUARE, 4, SQUARE[1] + offset, axis=0))
+
+
+def test_close_distinct_vertices_are_simple():
+    # A vertex 1e-6 off the corner is a vertex of its own.
+    assert geo.polygon_is_simple(np.insert(SQUARE, 2, SQUARE[1] + (1e-6, 1e-6), axis=0))
+    assert geo.polygon_is_simple(np.insert(SQUARE, 2, SQUARE[1] + (1e-6, 0.5), axis=0))
+
+
 def test_points_in_polygon():
     pts = np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2], [0.2, 0.9]])
     np.testing.assert_array_equal(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,21 @@ def test_chunk_boundaries_do_not_change_bytes():
         sd.synthesize_chunk(plan, 6, plan.n_captures),
     ])
     assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
+
+
+def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
+    # One UE's complex128 rows and one capture's noise draw are held beside
+    # the complex64 result, never an (m, U, N) complex128 signal, which
+    # alone is twice the result.
+    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=6)
+    assert plan.n_captures >= 16
+    tracemalloc.start()
+    try:
+        out_bytes = sd.synthesize_chunk(plan, 0, plan.n_captures).nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / out_bytes <= 2.0
 
 
 @pytest.mark.parametrize("noisy", [True, False])
