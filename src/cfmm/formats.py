@@ -31,8 +31,9 @@ Capture file (magic ``CFMC``): acquisition metadata (poses, timestamps,
 attenuation, link classes, calibration, reference tones) followed by the
 recorded spectra as complex64 in (capture, UE, tone) order, one repetition
 mean per capture and UE; the header's n_reps_stored is therefore 1.
-Spectra are memory-mapped on read, so campaign-scale files never load
-whole.
+Spectra are read one capture range at a time, each with one positioned
+read straight into the returned array, so campaign-scale files never load
+whole and no mapped copy of the range sits beside it.
 """
 
 from __future__ import annotations
@@ -315,18 +316,25 @@ class CaptureFile:
     spectra_offset: int
 
     def spectra(self, m0: int, m1: int) -> np.ndarray:
-        """Spectra of captures [m0, m1), (m, U, N) complex64.
+        """Spectra of captures [m0, m1), (m, U, N) complex64, read with one
+        positioned read straight into the returned array.
 
-        Raises FormatError when a capture-UE row is all zero: recorded
-        spectra always carry noise, so such a row was never written, as
-        when simulate stops before filling the pre-sized file. Also raises
-        it for a row holding a NaN or infinity, which the small-scale
-        average would otherwise spread over its neighbours' noise levels.
+        Raises FormatError when the file ends before capture m1 - 1 does,
+        as when it shrank after open_captures checked its size. Also raises
+        it when a capture-UE row is all zero: recorded spectra always carry
+        noise, so such a row was never written, as when simulate stops
+        before filling the pre-sized file. And for a row holding a NaN or
+        infinity, which the small-scale average would otherwise spread over
+        its neighbours' noise levels.
         """
-        mm = np.memmap(self.path, dtype="<c8", mode="r", offset=self.spectra_offset,
-                       shape=(self.n_captures, self.n_ues, self.n_subcarriers))
-        out = np.array(mm[m0:m1])
-        del mm
+        out = np.empty((m1 - m0, self.n_ues, self.n_subcarriers), dtype="<c8")
+        with open(self.path, "rb") as fh:
+            fh.seek(self.spectra_offset + m0 * self.n_ues * self.n_subcarriers * 8)
+            got = fh.readinto(out)
+        if got != out.nbytes:
+            raise FormatError(
+                f"{self.path}: captures {m0}..{m1 - 1}: truncated spectra (read "
+                f"{got} of {out.nbytes} bytes); the file shrank after it was opened")
         empty = ~np.any(out, axis=2)  # (m, U)
         if empty.any():
             self._reject(empty, m0, m1, "spectra are all zero",

@@ -10,8 +10,8 @@ one complex factor per tone, 1 / (cal response x reference), which joins
 the Kaiser taps in one weight vector per chunk, and one real factor per
 capture, 10^(attenuation / 20). compute_pdp multiplies each row of raw
 complex64 spectra by the weights, its span pre-rotation and chirp, and
-its capture's factor, straight into the zero-padded FFT buffer; no
-calibrated copy of the spectra is made.
+its capture's factor, straight into the zero-padded FFT buffer of its
+row block; no calibrated copy of the spectra is made.
 
 The PDP convention is P(tau_q) = |sum_k w_k H_k exp(+2j pi k q / (F N))|^2
 with taps normalized to unit coherent gain (sum w = 1), so an isolated
@@ -46,6 +46,12 @@ from .constants import SPEED_OF_LIGHT
 
 _TINY = 1e-300
 NOISE_FLOOR_DB = 10.0 * np.log10(_TINY)  # noise_db of a profile with no measurable noise
+# Rows per block of compute_pdp: it reuses one (block, nfft) complex128
+# buffer, 2.0 MB at the default 7840-point transform, however many rows
+# it is given. Blocks of 8 to 136 rows ran a 128-capture chunk equally
+# fast (2 vCPUs, numpy 2.4); below 16 the chunk's peak memory hardly
+# falls further.
+TRANSFORM_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -270,10 +276,15 @@ def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
     transforms of the 11-smooth length nfft >= n + span - 1, and drop the
     unit-modulus post-chirp, which |.|^2 removes. Phases are reduced
     exactly in int64 (k^2 mod 2L, j*start mod L) before scaling, so no
-    phase loses precision with k. The input goes into the zero-padded
-    buffer in one multiply by weights x rotation x chirp (and row_gain),
-    and both row transforms run in place on that buffer. Since rotation
-    and chirp have unit modulus, energy comes from the pre-multiplied rows.
+    phase loses precision with k. The rows run in blocks of
+    TRANSFORM_BLOCK_ROWS through one reused (block, nfft) buffer: only its
+    zero tail [n, nfft) is re-zeroed, the block goes into its head in one
+    multiply by weights x rotation x chirp (and row_gain), both row
+    transforms run in place, and |x|^2 of the span is written straight
+    into the result. Each row is transformed alone, so the output does not
+    depend on the block size, and the working memory beyond the result
+    does not grow with the row count. Since rotation and chirp have unit
+    modulus, energy comes from the pre-multiplied rows.
     """
     h = np.asarray(h)
     n = h.shape[-1]
@@ -283,21 +294,34 @@ def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
     if not 0 < span <= big_l:
         raise ValueError(f"bins {bins}: span must hold 1..{big_l} bins")
     nfft, rotate, chirp, kernel_fft = _chirp_plan(n, big_l, start, span)
-    x = np.zeros(h.shape[:-1] + (nfft,), dtype=np.complex128)
-    head = x[..., :n]
-    np.multiply(h, weights * rotate * chirp, out=head)
+    lead = h.shape[:-1]
+    rows = h.reshape(-1, n)
     if row_gain is not None:
-        head *= np.asarray(row_gain)[..., None]
+        row_gain = np.broadcast_to(row_gain, lead).reshape(-1)
+    tone = weights * rotate * chirp
+    p = np.empty((rows.shape[0], span))
+    total = np.empty(rows.shape[0])
+    x = np.empty((min(TRANSFORM_BLOCK_ROWS, rows.shape[0]), nfft), dtype=np.complex128)
+    for r0 in range(0, rows.shape[0], TRANSFORM_BLOCK_ROWS):
+        r1 = min(r0 + TRANSFORM_BLOCK_ROWS, rows.shape[0])
+        buf = x[:r1 - r0]
+        head = buf[:, :n]
+        buf[:, n:] = 0
+        np.multiply(rows[r0:r1], tone, out=head)
+        if row_gain is not None:
+            head *= row_gain[r0:r1, None]
+        if energy is not None:
+            np.square(head.view(np.float64)).sum(axis=-1, out=total[r0:r1])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= kernel_fft
+        np.fft.ifft(buf, axis=-1, out=buf)
+        y = buf[:, :span]
+        np.square(y.real, out=p[r0:r1])
+        p[r0:r1] += np.square(y.imag)
     if energy is not None:
-        np.square(head.view(np.float64)).sum(axis=-1, out=energy)
-        energy *= big_l
-    np.fft.fft(x, axis=-1, out=x)
-    x *= kernel_fft
-    np.fft.ifft(x, axis=-1, out=x)
-    x = x[..., :span]
-    p = np.square(x.real)
-    p += np.square(x.imag)
-    return p
+        total *= big_l
+        energy[...] = total.reshape(lead)
+    return p.reshape(lead + (span,))
 
 
 def small_scale_average(pdps: np.ndarray, window: int) -> np.ndarray:

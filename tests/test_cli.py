@@ -763,6 +763,29 @@ class TestStages:
         assert str(bad) in err and "truncated spectra" in err
         assert not (tmp_path / "z" / "matrix.cfmm").exists()
 
+    def test_capture_file_shrunk_after_open_exit_3(self, workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        # open_captures checks the file's size; a file cut short after that
+        # fails at the read of the first capture range it no longer holds.
+        bad = tmp_path / "shrunk.cfmc"
+        bad.write_bytes((workspace / "out" / "captures.cfmc").read_bytes())
+        opened = fm.open_captures
+        n_captures = opened(bad).n_captures
+        assert n_captures <= 128  # one chunk, which reads every capture
+
+        def open_then_shrink(path):
+            source = opened(path)
+            os.truncate(path, os.path.getsize(path) - 4096)
+            return source
+
+        monkeypatch.setattr(fm, "open_captures", open_then_shrink)
+        rc = main(["process", "--config", str(workspace / "cfg.json"), "--captures",
+                   str(bad), "--out", str(tmp_path / "z"), "--workers", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: captures 0..{n_captures - 1}: truncated spectra" in err
+        assert not (tmp_path / "z" / "matrix.cfmm").exists()
+
     def test_trailing_bytes_after_spectra_exit_3(self, workspace, tmp_path, capsys):
         raw = (workspace / "out" / "captures.cfmc").read_bytes()
         bad = tmp_path / "long.cfmc"

@@ -343,6 +343,21 @@ class TestCaptureFile:
         cf = fm.open_captures(capture_path)
         np.testing.assert_array_equal(cf.spectra(2, 5), cf.spectra(0, 6)[2:5])
 
+    def test_spectra_of_shrunk_file_name_file_and_range(self, capture_path, tmp_path):
+        # The file is cut inside capture 5 after open_captures checked its
+        # size: ranges it still holds read, the others raise FormatError.
+        path = tmp_path / "shrinks.cfmc"
+        path.write_bytes(capture_path.read_bytes())
+        cf = fm.open_captures(path)
+        os.truncate(path, os.path.getsize(path) - 4096)
+        whole = fm.open_captures(capture_path)
+        np.testing.assert_array_equal(cf.spectra(1, 5), whole.spectra(1, 5))
+        want = 3 * 8 * 2801 * 8
+        with pytest.raises(fm.FormatError) as exc:
+            cf.spectra(3, 6)
+        assert str(exc.value).startswith(
+            f"{path}: captures 3..5: truncated spectra (read {want - 4096} of {want} bytes)")
+
     def test_writer_places_chunks_by_capture(self, plan, capture_path, tmp_path):
         path = tmp_path / "reordered.cfmc"
         writer = fm.CaptureWriter(path, plan)

@@ -7,7 +7,7 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import PlanSource, dense, make_scene, noiseless, process_matrix
+from conftest import PlanSource, dense, first_poses, make_scene, noiseless, process_matrix
 
 
 def brute_pdp(h, beta, pad):
@@ -194,6 +194,53 @@ class TestComputePDP:
         want = scipy_pdp(h, 3.0, 10, bins)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_row_blocks_match_one_row_calls(self):
+        # compute_pdp runs TRANSFORM_BLOCK_ROWS rows at a time through one
+        # reused buffer. Row counts on both sides of the block boundaries,
+        # and a (captures, UEs) input, give every row's span and energy bit
+        # for bit as a call on that row alone.
+        block = pl.TRANSFORM_BLOCK_ROWS
+        n, f = 2801, 10
+        span = (2750 * f - n * f, 450 * f)
+        rng = np.random.default_rng(9)
+        weights = pl.kaiser_taps(n, 3.0) * np.exp(2j * np.pi * rng.random(n))
+        for shape in [(1,), (block - 1,), (block,), (block + 1,), (2 * block + 3,), (5, 8)]:
+            h = (rng.standard_normal(shape + (n,))
+                 + 1j * rng.standard_normal(shape + (n,))).astype(np.complex64)
+            gain = rng.uniform(0.5, 2.0, shape)
+            energy = np.empty(shape)
+            got = pl.compute_pdp(h, weights, f, span, gain, energy)
+            assert got.shape == shape + (5010,)
+            for i in np.ndindex(shape):
+                one = np.empty(1)
+                want = pl.compute_pdp(h[i][None], weights, f, span, gain[i][None], one)
+                assert got[i].tobytes() == want[0].tobytes(), (shape, i)
+                assert energy[i].tobytes() == one.tobytes(), (shape, i)
+
+    def test_working_memory_does_not_grow_with_rows(self):
+        # Beyond its output, compute_pdp holds one row block's buffers, so
+        # its extra memory is the same at 4 blocks of rows as at one. An
+        # FFT buffer sized by the rows would make it grow about 4 x.
+        block = pl.TRANSFORM_BLOCK_ROWS
+        n, f = 2801, 10
+        span = (2750 * f - n * f, 450 * f)
+        weights = pl.kaiser_taps(n, 3.0)
+
+        def extra(rows):
+            h = np.ones((rows, n), dtype=np.complex64)
+            gain, energy = np.ones(rows), np.empty(rows)
+            pl.compute_pdp(h, weights, f, span, gain, energy)  # fills the chirp cache
+            tracemalloc.start()
+            try:
+                p = pl.compute_pdp(h, weights, f, span, gain, energy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - p.nbytes
+
+        one, four = extra(block), extra(4 * block)
+        assert four < 1.1 * one, (one, four)
 
     def test_fast_len_matches_scipy(self):
         from scipy.fft import next_fast_len
@@ -534,8 +581,9 @@ def cached_source(source, m0, m1):
 def test_chunk_memory_bounded_by_spectra_bytes(plan):
     # process_chunk keeps the chunk's spectra as read (complex64) and holds
     # one UE's transform buffers at a time, besides its float32 outputs:
-    # about 3.4 x the spectra bytes. Copying the whole chunk to complex128
-    # (and calibrating it, and holding float64 outputs) took 7.5 x.
+    # about 2.7 x the spectra bytes of this 41-capture chunk. Copying the
+    # whole chunk to complex128 (and calibrating it, and holding float64
+    # outputs) took 7.5 x.
     params = pl.PipelineParams()
     source = cached_source(PlanSource(plan), 0, plan.n_captures)
     a, b = 4, 37
@@ -547,7 +595,33 @@ def test_chunk_memory_bounded_by_spectra_bytes(plan):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * spectra_bytes, peak / spectra_bytes
+    assert peak < 3.5 * spectra_bytes, peak / spectra_bytes
+
+
+def test_campaign_chunk_memory_below_three_spectra(tmp_path):
+    # One 128-capture chunk of the canyon's eight UEs, read from a capture
+    # file as process reads it, with its halo: the spectra as read, the
+    # float32 values and bool mask of the outputs, and one UE at a time of
+    # the span profile, its small-scale average and one row block's FFT
+    # buffer: about 2.6 x the spectra bytes.
+    from cfmm import config as cfgmod, formats as fm, scene as sc
+    scene = sc.load_scene(cfgmod.resolve_scene_path("bundled:canyon"))
+    plan = sd.plan_campaign(first_poses(scene, 136), wf.WaveformSpec(),
+                            sd.ImpairmentConfig(), seed=7)
+    path = tmp_path / "captures.cfmc"
+    fm.CaptureWriter(path, plan).write_chunk(0, sd.synthesize_chunk(plan, 0, 136))
+    source = fm.open_captures(path)
+    params = pl.PipelineParams()
+    a, b = 4, 132
+    pl.process_chunk(source, params, a, b)  # first call fills the chirp cache
+    spectra_bytes = source.spectra(a - 4, b + 4).nbytes
+    tracemalloc.start()
+    try:
+        pl.process_chunk(source, params, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * spectra_bytes, peak / spectra_bytes
 
 
 @pytest.fixture(scope="module")
