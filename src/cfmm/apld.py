@@ -59,7 +59,8 @@ def assemble_apld(matrix: MatrixFile, meta, ue_id: int) -> APLDPDP:
 
     The result reads the UE's profiles from matrix. meta must expose
     timestamps, positions, attenuation_db and the per-capture link_class
-    table (M, U), as CaptureFile and CampaignPlan do. Row order follows
+    table (M, U), as CaptureFile and CampaignPlan do; M and U must be
+    the matrix's capture and UE counts. Row order follows
     capture index, which follows the pose timestamps by construction.
     """
     if matrix.n_captures == 0:
@@ -75,12 +76,16 @@ def assemble_apld(matrix: MatrixFile, meta, ue_id: int) -> APLDPDP:
             f"capture count mismatch: matrix has {matrix.n_captures} rows, "
             f"metadata has {timestamps.shape[0]}; missing captures {gaps}{more}"
         )
+    link_class = np.asarray(meta.link_class, dtype=np.uint8)
+    if link_class.shape[1] != matrix.n_ues:
+        raise ValueError(f"UE count mismatch: matrix has {matrix.n_ues} UEs, "
+                         f"metadata has {link_class.shape[1]}")
     return APLDPDP(
         matrix=matrix,
         ue_id=ue_id,
         timestamps=timestamps,
         positions=np.asarray(meta.positions, dtype=float),
-        link_class=np.asarray(meta.link_class, dtype=np.uint8)[:, ue_id],
+        link_class=link_class[:, ue_id],
         attenuation_db=np.asarray(meta.attenuation_db, dtype=float),
         threshold_db=np.asarray(matrix.threshold_db, dtype=float)[:, ue_id],
     )

@@ -2,19 +2,20 @@
 
 Stages communicate through files in the output directory (captures.cfmc,
 matrix.cfmm, summary.csv, per-UE heatmaps and annotation CSVs) plus a
-manifest recording the semantic config hash, the seed, the scene file's
-sha256 and the numpy version, so any stage can be re-run or handed
-captures produced elsewhere. The config file is the one source of run
-parameters; flags only choose paths, workers and chunk size, which do not
-change output bytes. Every stage writes the same bytes for the same
-config regardless of worker count: workers compute disjoint capture
-ranges whose content is seed-determined. In simulate each range writes
-its own bytes of the capture file, wherever it runs; in process the
-parent writes each range's results in capture order. A starting stage
-drops its own and the later stages' manifest records and deletes their
-outputs by the names this module writes, never by a path taken from the
-manifest. It publishes its outputs only once all of them are written, and
-replaces the manifest atomically.
+manifest recording, per stage, the semantic config hash, the seed, the
+scene reference, the scene file's sha256 and the numpy version of that
+stage's run, so any stage can be re-run or handed captures produced
+elsewhere. The config file is the one source of run parameters; flags
+only choose paths, workers and chunk size, which do not change output
+bytes. Every stage writes the same bytes for the same config regardless
+of worker count: workers compute disjoint capture ranges whose content is
+seed-determined. In simulate each range writes its own bytes of the
+capture file, wherever it runs; in process the parent writes each range's
+results in capture order. A starting stage drops its own and the later
+stages' manifest records and deletes their outputs by the names this
+module writes, never by a path taken from the manifest. It publishes its
+outputs only once all of them are written, and replaces the manifest
+atomically.
 
 Exit codes: 0 success, 1 validation error, 2 missing/unreadable files,
 3 format mismatch, corrupt data or malformed manifest, 4 out of memory.
@@ -130,11 +131,12 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     never by a name read from the manifest. Yield a `*.partial`
     path per output ({j} over range(n_ues)) and the stage record to add
     counts to. On success, rename the partial files into place and record
-    the stage with the scene file's sha256 and the numpy version; on
-    failure, remove them."""
-    manifest = _read_manifest(out)
+    the stage with its config hash, seed and scene, the scene file's
+    sha256 and the numpy version; on failure, remove them. The manifest
+    holds nothing but the stage records."""
+    stages = _read_manifest(out).get("stages", {})
+    manifest = {"stages": stages}
     replaced = list(_OUTPUTS)[list(_OUTPUTS).index(name):]
-    stages = manifest.get("stages", {})
     if [stages.pop(s) for s in replaced if s in stages]:
         _write_manifest(out, manifest)
     names = "|".join(re.escape(t).replace(r"\{j\}", "[0-9]+")
@@ -155,9 +157,9 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
         raise
     for part, final in zip(partials, finals):
         os.replace(part, final)
-    manifest.update(config_hash=semantic_hash(cfg), seed=cfg.seed, scene=cfg.scene)
-    manifest.setdefault("stages", {})[name] = {
-        **record, "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__}
+    stages[name] = {**record, "config_hash": semantic_hash(cfg), "seed": cfg.seed,
+                    "scene": cfg.scene, "scene_sha256": _scene_sha256(cfg),
+                    "numpy": np.__version__}
     _write_manifest(out, manifest)
 
 

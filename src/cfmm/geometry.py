@@ -4,6 +4,11 @@ Buildings are right prisms over simple polygon footprints; foliage is
 spherical. Everything here is plain numpy so the hot paths (blockage tests
 for every AP pose against every facade) vectorise across segments.
 
+One routine, segment_prism_chords, measures segments inside a building
+of any footprint, convex or not. A bounding-box test gives exact zeros
+to segments that cannot reach the prism, and only the rest are sliced
+and probed.
+
 Open-set semantics throughout: a segment that only grazes a boundary
 (tangent, through a vertex, along a facade plane) has zero chord length and
 does not count as an intersection.
@@ -122,79 +127,31 @@ def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return inside
 
 
-def clip_segments_convex_prism(
-    p0: np.ndarray,
-    p1: np.ndarray,
-    vertices_ccw: np.ndarray,
-    height: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parametric clip of segments against a convex prism.
-
-    Parameters
-    ----------
-    p0, p1 : ndarray, shape (n, 3)
-        Segment endpoints.
-    vertices_ccw : ndarray, shape (m, 2)
-        Convex CCW footprint.
-    height : float
-        Prism extends over z in [0, height].
-
-    Returns
-    -------
-    t_in, t_out : ndarray, shape (n,)
-        Entry/exit parameters of the inside portion; empty when
-        t_out <= t_in.
-    """
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    p1 = np.atleast_2d(np.asarray(p1, dtype=float))
-    d = p1 - p0
-
-    v = np.asarray(vertices_ccw, dtype=float)
-    edges = np.roll(v, -1, axis=0) - v
-    # Outward normals of a CCW footprint.
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-
-    # Facade half-planes: inside means (p - v_i) . n_i <= 0.
-    a = np.einsum("nj,mj->nm", p0[:, :2], normals) - np.einsum("mj,mj->m", v, normals)
-    b = np.einsum("nj,mj->nm", d[:, :2], normals)
-
-    # Roof/floor as two more constraints: -z <= 0 and z - h <= 0.
-    a = np.concatenate([a, -p0[:, 2:3], p0[:, 2:3] - height], axis=1)
-    b = np.concatenate([b, -d[:, 2:3], d[:, 2:3]], axis=1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_cross = -a / b
-    entering = b < 0
-    leaving = b > 0
-    # Segments parallel to a bounding plane and on or outside it only graze:
-    # open-set semantics, zero chord. a is in units of m^2 (normals carry the
-    # edge length), so the tolerance is sub-nanometre for metre-scale edges.
-    parallel_out = (b == 0) & (a >= -1e-12)
-
-    t_in = np.max(np.where(entering, t_cross, -np.inf), axis=1)
-    t_out = np.min(np.where(leaving, t_cross, np.inf), axis=1)
-    t_in = np.clip(t_in, 0.0, 1.0)
-    t_out = np.clip(t_out, 0.0, 1.0)
-    empty = np.any(parallel_out, axis=1)
-    t_out = np.where(empty, t_in, t_out)
-    t_out = np.maximum(t_in, t_out)
-    return t_in, t_out
-
-
 def segment_prism_chords(
     p0: np.ndarray, p1: np.ndarray, vertices: np.ndarray, height: float
 ) -> np.ndarray:
     """Chord length (metres) of each segment inside a prism over any simple
-    footprint, spanning z in [0, height].
+    footprint, convex or not, spanning z in [0, height].
 
-    p0, p1 shaped (n, 3); returns (n,). Each segment is sliced at its
-    footprint-edge crossings, all segments at once. A slice counts when two
-    probes 1e-9 m either side of its midpoint are both inside, so a slice
-    running along a facade counts zero, matching open-set semantics.
+    p0, p1 shaped (n, 3); returns (n,). A segment gets an exact 0 without
+    further work unless it reaches strictly into the footprint's xy
+    bounding box and strictly between floor and roof; no other segment can
+    have a point inside the prism. The rest are sliced at their
+    footprint-edge crossings, all at once. A slice counts when two probes
+    1e-9 m either side of its midpoint are both inside, so a slice running
+    along a facade counts zero, matching open-set semantics.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     p1 = np.atleast_2d(np.asarray(p1, dtype=float))
     v = np.asarray(vertices, dtype=float)
+    chords = np.zeros(len(p0))
+    box_lo = np.append(v.min(axis=0), 0.0)
+    box_hi = np.append(v.max(axis=0), height)
+    near = np.flatnonzero(np.all((np.minimum(p0, p1) < box_hi)
+                                 & (np.maximum(p0, p1) > box_lo), axis=1))
+    if near.size == 0:
+        return chords
+    p0, p1 = p0[near], p1[near]
     d = p1 - p0
     e = np.roll(v, -1, axis=0) - v
     # Solve p0 + t d = v_j + s e_j on the (segments, edges) grid.
@@ -233,7 +190,8 @@ def segment_prism_chords(
     inside = points_in_polygon(mid + perp, v) & points_in_polygon(mid - perp, v)
     counted = np.zeros_like(part)
     counted[seg[inside], k[inside]] = part[seg[inside], k[inside]]
-    return np.sum(counted, axis=1) * np.linalg.norm(d, axis=1)
+    chords[near] = np.sum(counted, axis=1) * np.linalg.norm(d, axis=1)
+    return chords
 
 
 def segment_sphere_chords(

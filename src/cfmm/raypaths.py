@@ -151,13 +151,8 @@ def _scene_facades(scene: Scene) -> list[_Facade]:
 def _blocked(scene: Scene, p0: np.ndarray, p1: np.ndarray, skip: int = -1) -> np.ndarray:
     out = np.zeros(p0.shape[0], dtype=bool)
     for bi, b in enumerate(scene.buildings):
-        if bi == skip:
-            continue
-        todo = ~out
-        if not todo.any():
-            break
-        chords = b.blockage_chords(p0[todo], p1[todo])
-        out[todo] = chords > GRAZE_TOL_M
+        if bi != skip:
+            out |= b.blockage_chords(p0, p1) > GRAZE_TOL_M
     return out
 
 

@@ -49,14 +49,10 @@ class Building:
         self.is_convex = polygon and geometry.polygon_is_convex(self.footprint)
 
     def blockage_chords(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        """Chord length of each segment (n, 3) inside this building."""
-        p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-        p1 = np.atleast_2d(np.asarray(p1, dtype=float))
-        if self.is_convex:
-            t_in, t_out = geometry.clip_segments_convex_prism(
-                p0, p1, self.footprint, self.height_m
-            )
-            return (t_out - t_in) * np.linalg.norm(p1 - p0, axis=1)
+        """Chord length of each segment (n, 3) inside this building, by
+        geometry.segment_prism_chords for every footprint, convex or not:
+        exact zeros for segments outside the building's bounding box, and
+        zero for contact that only grazes a facade, the roof or the floor."""
         return geometry.segment_prism_chords(p0, p1, self.footprint, self.height_m)
 
 

@@ -63,6 +63,13 @@ class TestAssemble:
         with pytest.raises(ValueError, match="missing captures 4, 5"):
             ap.assemble_apld(toy_matrix(tmp_path, m=6), toy_meta(m=4), 0)
 
+    @pytest.mark.parametrize("n_meta", [1, 3], ids=["fewer", "more"])
+    def test_ue_count_mismatch(self, tmp_path, n_meta):
+        meta = toy_meta()
+        meta.link_class = np.zeros((6, n_meta), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"matrix has 2 UEs, metadata has {n_meta}"):
+            ap.assemble_apld(toy_matrix(tmp_path), meta, 0)
+
     def test_bad_ue(self, tmp_path):
         with pytest.raises(ValueError, match="ue_id 5 out of range"):
             ap.assemble_apld(toy_matrix(tmp_path), toy_meta(), 5)

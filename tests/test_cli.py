@@ -307,7 +307,7 @@ class TestStages:
         assert cf.seed == 5
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["simulate"]["n_captures"] == 81
-        assert len(manifest["config_hash"]) == 64
+        assert len(manifest["stages"]["simulate"]["config_hash"]) == 64
 
     def test_simulate_records_link_class_mix(self, workspace):
         out = workspace / "out"
@@ -438,9 +438,26 @@ class TestStages:
         (tmp_path / "scene.json").write_text(json.dumps(data))
         after = simulate()
         # The config names the same path, so only the content hash tells.
-        assert after["config_hash"] == before["config_hash"]
+        assert after["stages"]["simulate"]["config_hash"] == \
+            before["stages"]["simulate"]["config_hash"]
         assert after["stages"]["simulate"]["scene_sha256"] != \
             before["stages"]["simulate"]["scene_sha256"]
+
+    def test_each_stage_records_its_own_run(self, workspace, tmp_path):
+        # simulate at seed 7, then process the same captures at seed 8: the
+        # manifest says which stage ran with which seed and config.
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+        for stage, seed in (("simulate", 7), ("process", 8)):
+            cfgp.write_text(json.dumps({**cfg, "seed": seed}))
+            assert main([stage, "--config", str(cfgp), "--out", str(out),
+                         "--workers", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["stages"]
+        sim, proc = manifest["stages"]["simulate"], manifest["stages"]["process"]
+        assert (sim["seed"], proc["seed"]) == (7, 8)
+        assert sim["config_hash"] != proc["config_hash"]
+        assert sim["scene"] == proc["scene"] == cfg["scene"]
 
     def test_failed_process_leaves_nothing_export_accepts(self, workspace, tmp_path,
                                                           capsys):
@@ -644,6 +661,32 @@ class TestStages:
         assert "UE 3" in capsys.readouterr().err
         assert not list(out.glob("apld_ue*.pgm"))
         assert not list(out.glob("annotations_ue*.csv"))
+        assert not list(out.glob("*.partial"))
+
+    def test_export_rejects_captures_of_other_ue_count(self, workspace, tmp_path, capsys):
+        # A capture file of the same 81 poses but only the first 4 UEs,
+        # against the 8-UE matrix.
+        cfgp = str(workspace / "cfg.json")
+        cfg = cfgmod.load_config(cfgp)
+        plan = sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
+                                cfg.seed, site=cfg.site)
+        plan = replace(plan, ue_positions=plan.ue_positions[:4],
+                       path_gains=plan.path_gains[:4], path_delays=plan.path_delays[:4],
+                       row_splits=plan.row_splits[:4],
+                       measured_power_dbm=plan.measured_power_dbm[:, :4],
+                       link_class=plan.link_class[:, :4])
+        four = tmp_path / "four.cfmc"
+        fm.CaptureWriter(four, plan).write_chunk(0, sd.synthesize_chunk(plan, 0, 81))
+        out = tmp_path / "e"
+        assert main(["process", "--config", cfgp, "--out", str(out), "--captures",
+                     str(workspace / "out" / "captures.cfmc"), "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert main(["export", "--config", cfgp, "--out", str(out),
+                     "--captures", str(four)]) == 1
+        err = capsys.readouterr().err
+        assert "UE count mismatch: matrix has 8 UEs, metadata has 4" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("apld_ue*.pgm"))
         assert not list(out.glob("*.partial"))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])

@@ -56,30 +56,28 @@ def test_points_in_polygon():
 def test_convex_prism_clip_chords():
     p0 = np.array([[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [-1.0, 0.5, 2.0]])
     p1 = np.array([[2.0, 0.5, 0.5], [1.0, 1.0, 1.0], [2.0, 0.5, 2.0]])
-    t_in, t_out = geo.clip_segments_convex_prism(p0, p1, SQUARE, 1.0)
-    lengths = (t_out - t_in) * np.linalg.norm(p1 - p0, axis=1)
+    lengths = geo.segment_prism_chords(p0, p1, SQUARE, 1.0)
     # Straight crossing: 1 m chord. Space diagonal: sqrt(3). Above the roof: 0.
     np.testing.assert_allclose(lengths, [1.0, np.sqrt(3.0), 0.0], atol=1e-12)
 
 
 def test_convex_prism_grazing_is_open():
     # Riding exactly along the x = 0 facade plane.
-    p0 = np.array([[0.0, -1.0, 0.5]])
-    p1 = np.array([[0.0, 2.0, 0.5]])
-    t_in, t_out = geo.clip_segments_convex_prism(p0, p1, SQUARE, 1.0)
-    assert (t_out - t_in)[0] <= 1e-9
+    chord = geo.segment_prism_chords(
+        np.array([[0.0, -1.0, 0.5]]), np.array([[0.0, 2.0, 0.5]]), SQUARE, 1.0
+    )
+    assert chord[0] <= 1e-9
     # Through a vertical corner edge.
-    t_in, t_out = geo.clip_segments_convex_prism(
+    chord = geo.segment_prism_chords(
         np.array([[-1.0, -1.0, 0.5]]), np.array([[1.0, 1.0, 0.5]]) * [2, 0, 1],
         SQUARE, 1.0,
     )
-    chord = (t_out - t_in)[0] * np.linalg.norm([3.0, 1.0, 0.0])
-    assert chord <= 1e-9
+    assert chord[0] <= 1e-9
     # Exactly along the roof plane.
-    t_in, t_out = geo.clip_segments_convex_prism(
+    chord = geo.segment_prism_chords(
         np.array([[-1.0, 0.5, 1.0]]), np.array([[2.0, 0.5, 1.0]]), SQUARE, 1.0
     )
-    assert (t_out - t_in)[0] <= 1e-9
+    assert chord[0] <= 1e-9
 
 
 def test_general_polygon_intervals_two_chords():
@@ -104,9 +102,14 @@ def test_general_prism_matches_convex_on_box():
     p0 = rng.uniform([-2, -2, -1], [3, 3, 2], size=(50, 3))
     p1 = rng.uniform([-2, -2, -1], [3, 3, 2], size=(50, 3))
     general = geo.segment_prism_chords(p0, p1, SQUARE, 1.0)
-    t_in, t_out = geo.clip_segments_convex_prism(p0, p1, SQUARE, 1.0)
-    convex = (t_out - t_in) * np.linalg.norm(p1 - p0, axis=1)
-    np.testing.assert_allclose(general, convex, rtol=0, atol=1e-9)
+    # Reference: clip each segment to the slabs 0 <= x, y, z <= 1 of the
+    # unit box. No random segment has a zero coordinate step.
+    d = p1 - p0
+    near, far = -p0 / d, (1.0 - p0) / d
+    t_in = np.clip(np.minimum(near, far).max(axis=1), 0.0, 1.0)
+    t_out = np.clip(np.maximum(near, far).min(axis=1), 0.0, 1.0)
+    box = np.maximum(t_out - t_in, 0.0) * np.linalg.norm(d, axis=1)
+    np.testing.assert_allclose(general, box, rtol=0, atol=1e-9)
 
 
 def _random_star(rng, m):
@@ -193,20 +196,53 @@ def _chords_probing_every_slice(p0, p1, v, height):
     return inside_t * np.linalg.norm(d, axis=1)
 
 
-@pytest.mark.parametrize("m", [12, 48])
-def test_prism_chords_bit_equal_to_probing_every_slice(m):
-    v = _random_star(np.random.default_rng(m), m)
+def _box_contact_segments(v, height):
+    """Level segments that touch the footprint's bounding box from outside,
+    run along its sides, or cross it just above the roof, just below the
+    floor or just inside either, and sloped ones that end on the roof or
+    the floor plane from outside."""
+    (x0, y0), (x1, y1) = v.min(axis=0), v.max(axis=0)
+    xm, ym, z = (x0 + x1) / 2, (y0 + y1) / 2, height / 2
+    above, under_roof = np.nextafter(height, np.inf), np.nextafter(height, 0.0)
+    below, over_floor = np.nextafter(0.0, -np.inf), np.nextafter(0.0, 1.0)
+    segments = [
+        [(x0 - 2, ym, z), (x0, ym, z)], [(x1 + 2, ym, z), (x1, ym, z)],
+        [(xm, y0 - 2, z), (xm, y0, z)], [(xm, y1 + 2, z), (xm, y1, z)],
+        [(x0 - 1, y0 - 1, z), (x0, y0, z)], [(x1 + 1, y1 + 1, z), (x1, y1, z)],
+        [(x0, y0 - 1, z), (x0, y1 + 1, z)], [(x1, y0 - 1, z), (x1, y1 + 1, z)],
+        [(x0 - 1, y0, z), (x1 + 1, y0, z)], [(x0 - 1, y1, z), (x1 + 1, y1, z)],
+        [(x0 - 1, ym, above), (x1 + 1, ym, above)],
+        [(x0 - 1, ym, below), (x1 + 1, ym, below)],
+        [(x0 - 1, ym, under_roof), (x1 + 1, ym, under_roof)],
+        [(x0 - 1, ym, over_floor), (x1 + 1, ym, over_floor)],
+        [(x0 - 1, ym, height + 1), (xm, ym, height)], [(x0 - 1, ym, -1), (xm, ym, 0.0)],
+    ]
+    return np.array(segments, dtype=float).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("v, lo, hi", [
+    (_random_star(np.random.default_rng(12), 12), -2.0, 22.0),
+    (_random_star(np.random.default_rng(48), 48), -2.0, 22.0),
+    (SQUARE, -1.0, 2.0),
+    (L_SHAPE, -2.0, 10.0),
+], ids=["12", "48", "square", "l"])
+def test_prism_chords_bit_equal_to_probing_every_slice(v, lo, hi):
     rng = np.random.default_rng(23)
     n, height = 2000, 4.0
-    p0 = np.column_stack([rng.uniform(-2, 22, (n, 2)), rng.uniform(-2, height + 2, n)])
-    p1 = np.column_stack([rng.uniform(-2, 22, (n, 2)), rng.uniform(-2, height + 2, n)])
+    p0 = np.column_stack([rng.uniform(lo, hi, (n, 2)), rng.uniform(-2, height + 2, n)])
+    p1 = np.column_stack([rng.uniform(lo, hi, (n, 2)), rng.uniform(-2, height + 2, n)])
     # Vertical and level segments, and level ones in the roof and floor planes.
     p0[:4] = [[10, 10, -1], [0, 10, 1], [0, 10, height], [0, 10, 0]]
     p1[:4] = [[10, 10, 9], [20, 10, 1], [20, 10, height], [20, 10, 0]]
+    # Segments on the bounding box that the prefilter skips, and the two
+    # just inside the roof and the floor that it keeps.
+    q0, q1 = _box_contact_segments(v, height)
+    p0, p1 = np.vstack([p0, q0]), np.vstack([p1, q1])
     got = geo.segment_prism_chords(p0, p1, v, height)
     want = _chords_probing_every_slice(p0, p1, v, height)
     assert got.tobytes() == want.tobytes()
     assert np.count_nonzero(got) > n // 10
+    assert np.count_nonzero(got[n:]) == 2
 
 
 def test_prism_chords_lshape_special_cases():

@@ -227,9 +227,11 @@ def test_through_building_path_never_emitted(basic_scene):
 
 
 def test_lshape_paths_and_link_classes_against_dense_sampling():
-    # An L-shaped building takes the non-convex blockage path. The oracle
-    # samples each segment densely and counts samples inside the prism, so
-    # it shares nothing with the slice-and-probe routine.
+    # An L-shaped building: its bounding box holds a notch that blocks
+    # nothing, so the bounding-box prefilter passes segments the slices
+    # must then clear. The oracle samples each segment densely and counts
+    # samples inside the prism, so it shares nothing with the
+    # slice-and-probe routine.
     fp = np.array([[30, 25], [75, 25], [75, 38], [45, 38], [45, 50], [30, 50]], dtype=float)
     bld = sc.Building("L", fp, 20.0)
     assert not bld.is_convex
