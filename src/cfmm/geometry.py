@@ -139,7 +139,9 @@ def segment_prism_chords(
     have a point inside the prism. The rest are sliced at their
     footprint-edge crossings, all at once. A slice counts when two probes
     1e-9 m either side of its midpoint are both inside, so a slice running
-    along a facade counts zero, matching open-set semantics.
+    along a facade counts zero, matching open-set semantics. A vertical
+    segment counts when four probes, 1e-9 m either side in x and in y,
+    are all inside.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     p1 = np.atleast_2d(np.asarray(p1, dtype=float))
@@ -184,10 +186,18 @@ def segment_prism_chords(
     # slices at t = 1 and those above the roof or below the floor add zero.
     seg, k = np.nonzero(part > 0.0)
     span = np.hypot(d[seg, 0], d[seg, 1])
-    span = np.where(span < 1e-15, np.inf, span)  # vertical: probe the point itself
+    vertical = span < 1e-15
+    span[vertical] = 1.0
     perp = np.stack([-d[seg, 1], d[seg, 0]], axis=1) / span[:, None] * 1e-9
+    # A vertical segment has no side of its own: probe it both ways in x
+    # and in y, so standing on a facade counts zero whichever way it faces.
+    perp[vertical] = (1e-9, 0.0)
     mid = p0[seg, :2] + (0.5 * (lo[seg, k] + hi[seg, k]))[:, None] * d[seg, :2]
     inside = points_in_polygon(mid + perp, v) & points_in_polygon(mid - perp, v)
+    if vertical.any():
+        up = mid[vertical] + (0.0, 1e-9)
+        down = mid[vertical] - (0.0, 1e-9)
+        inside[vertical] &= points_in_polygon(up, v) & points_in_polygon(down, v)
     counted = np.zeros_like(part)
     counted[seg[inside], k[inside]] = part[seg[inside], k[inside]]
     chords[near] = np.sum(counted, axis=1) * np.linalg.norm(d, axis=1)

@@ -1,17 +1,22 @@
 """Deterministic ray-path enumeration and per-path link budgets.
 
 For every AP pose and UE the engine enumerates the direct ray, specular
-facade reflections up to second order (image method), and one rooftop
-diffraction per building that blocks the direct ray. Each path carries its
-geometric length, its interaction and foliage losses, the gains of the
-campaign's one antenna pair (the AP's downtilted patch and the UE's vertical
-dipole), and a complex gain referenced to the band centre. The same pass
-decides each link's LOS / OLOS / NLOS class from the direct ray.
+facade reflections of first and second order, and one rooftop diffraction
+per building that blocks the direct ray. One image-method routine solves
+a reflection off any chain of facades: every single facade, then every
+ordered pair that can host a double bounce. The chain's length gives the
+path's kind, its facades' losses add, and each bounce turns the phase by
+pi. Each path carries its geometric length, its interaction and foliage
+losses, the gains of the campaign's one antenna pair (the AP's downtilted
+patch and the UE's vertical dipole), and a complex gain referenced to the
+band centre. The same pass decides each link's LOS / OLOS / NLOS class
+from the direct ray.
 
 The one entry point, trace_paths_batch, vectorises across AP poses and
-returns a columnar PathBundle; a campaign traces one
-facade (or facade pair) at a time against all poses, which keeps the
-per-pose Python overhead out of the 20k-pose runs.
+returns a columnar PathBundle; a campaign traces one facade chain at a
+time against all poses, which keeps the per-pose Python overhead out of
+the 20k-pose runs. The roof edges of the rooftop step are the tops of the
+same facades.
 """
 
 from __future__ import annotations
@@ -245,9 +250,9 @@ def trace_paths_batch(
         """Append the paths AP -> points -> UE (found = pose indices,
         points (n, k, 3), lengths) that no building other than skip blocks
         on any leg."""
-        if found is None:
-            return
         idx, points, length = found
+        if idx.size == 0:
+            return
         ends = [ap[idx], *points.transpose(1, 0, 2), np.broadcast_to(ue, (idx.size, 3))]
         legs = list(zip(ends[:-1], ends[1:]))
         blocked = np.zeros(idx.size, dtype=bool)
@@ -267,15 +272,13 @@ def trace_paths_batch(
         ))
 
     facades = _scene_facades(scene)
-    for f in facades:
-        emit(_reflect1(ap, ue, f), KIND_REFLECT1, [f.building_idx],
-             f.reflection_loss_db, np.pi)
-    for f1, f2 in _admissible_pairs(scene, facades):
-        emit(_reflect2(ap, ue, f1, f2), KIND_REFLECT2,
-             [f1.building_idx, f2.building_idx],
-             f1.reflection_loss_db + f2.reflection_loss_db, 2.0 * np.pi)
+    for chain in [(f,) for f in facades] + _admissible_pairs(scene, facades):
+        emit(_reflect(ap, ue, chain), KIND_REFLECT1 + len(chain) - 1,
+             [f.building_idx for f in chain],
+             sum(f.reflection_loss_db for f in chain), np.pi * len(chain))
     for bi, b in enumerate(scene.buildings):
-        emit(_rooftop(ap, ue, b, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
+        walls = [f for f in facades if f.building_idx == bi]
+        emit(_rooftop(ap, ue, walls, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
              b.rooftop_diffraction_loss_db, -np.pi / 4.0, skip=bi)
 
     cols = {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
@@ -288,9 +291,9 @@ def trace_paths_batch(
     return PathBundle(**{name: c[order] for name, c in cols.items()}, link_class=link_class)
 
 
-def _facade_mirror_xy(xy: np.ndarray, f: _Facade) -> np.ndarray:
-    s = (xy - f.q0) @ f.normal
-    return xy - 2.0 * s[..., None] * f.normal
+def _side(f: _Facade, xy: np.ndarray) -> np.ndarray:
+    """Signed distance of points xy (..., 2) in front of facade f."""
+    return (xy - f.q0) @ f.normal
 
 
 def _within_facade(f: _Facade, r_xy: np.ndarray, r_z: np.ndarray) -> np.ndarray:
@@ -302,31 +305,6 @@ def _within_facade(f: _Facade, r_xy: np.ndarray, r_z: np.ndarray) -> np.ndarray:
         & (r_z > _SIDE_TOL)
         & (r_z < f.height - _SIDE_TOL)
     )
-
-
-def _reflect1(ap, ue, f: _Facade):
-    """Single-bounce candidates off facade f: (pose indices, bounce points
-    (n, 1, 3), path lengths), or None."""
-    s_a = (ap[:, :2] - f.q0) @ f.normal
-    s_u = float((ue[:2] - f.q0) @ f.normal)
-    if s_u <= _SIDE_TOL:
-        return None
-    valid = s_a > _SIDE_TOL
-    if not valid.any():
-        return None
-    idx = np.nonzero(valid)[0]
-    apv = ap[idx]
-    image_xy = apv[:, :2] - 2.0 * s_a[idx, None] * f.normal
-    t = s_a[idx] / (s_a[idx] + s_u)
-    r_xy = image_xy + t[:, None] * (ue[:2] - image_xy)
-    r_z = apv[:, 2] + t * (ue[2] - apv[:, 2])
-    ok = _within_facade(f, r_xy, r_z)
-    idx, r_xy, r_z, image_xy = idx[ok], r_xy[ok], r_z[ok], image_xy[ok]
-    if idx.size == 0:
-        return None
-    r = np.column_stack([r_xy, r_z])
-    image = np.column_stack([image_xy, ap[idx, 2]])
-    return idx, r[:, None], np.linalg.norm(ue - image, axis=1)
 
 
 def _admissible_pairs(scene: Scene, facades: list[_Facade]):
@@ -343,80 +321,72 @@ def _admissible_pairs(scene: Scene, facades: list[_Facade]):
             b1, b2 = f1.building_idx, f2.building_idx
             if b1 == b2 and scene.buildings[b1].is_convex:
                 continue
-            front2 = (corners[j] - f1.q0) @ f1.normal
-            front1 = (corners[i] - f2.q0) @ f2.normal
+            front2 = _side(f1, corners[j])
+            front1 = _side(f2, corners[i])
             if front2.max() > _SIDE_TOL and front1.max() > _SIDE_TOL:
                 pairs.append((f1, f2))
     return pairs
 
 
-def _reflect2(ap, ue, f1: _Facade, f2: _Facade):
-    """Double-bounce candidates off f1 then f2: (pose indices, bounce
-    points (n, 2, 3), path lengths), or None."""
-    s_u2 = float((ue[:2] - f2.q0) @ f2.normal)
-    if s_u2 <= _SIDE_TOL:
-        return None
-    s_a1 = (ap[:, :2] - f1.q0) @ f1.normal
-    valid = s_a1 > _SIDE_TOL
-    if not valid.any():
-        return None
-    idx = np.nonzero(valid)[0]
+def _reflect(ap, ue, chain):
+    """Candidates AP -> each facade of chain in turn -> UE, by the image
+    method: (pose indices, bounce points (n, len(chain), 3), path lengths).
 
-    img1_xy = _facade_mirror_xy(ap[idx, :2], f1)
-    img2_xy = _facade_mirror_xy(img1_xy, f2)
+    The forward pass mirrors the AP across each facade in turn and keeps
+    each mirror's signed distance; the image sits that far behind the
+    facade, at the AP's height. The backward pass runs from the UE: each
+    bounce point is where the line from its target (the UE, or the bounce
+    after it) to its image crosses the facade. Source and target must be
+    strictly in front of each facade and the bounce inside its extent.
+    The path length is the distance from the UE to the last image."""
+    sig_t = _side(chain[-1], ue[:2])
+    if sig_t <= _SIDE_TOL:
+        ap = ap[:0]  # the UE is behind the last facade: no candidate
+    idx = np.arange(ap.shape[0])
+    img = ap[:, :2]
+    images, depths = [], []
+    for f in chain:
+        s = _side(f, img)
+        front = s > _SIDE_TOL
+        idx, img, s = idx[front], img[front], s[front]
+        images = [x[front] for x in images]
+        depths = [x[front] for x in depths]
+        img = img - 2.0 * s[:, None] * f.normal
+        images.append(img)
+        depths.append(-s)
     z0 = ap[idx, 2]
 
-    # Second bounce point: unfolded line img2 -> ue crossing facade 2.
-    sig_i2 = (img2_xy - f2.q0) @ f2.normal
-    cross2 = sig_i2 < -_SIDE_TOL
-    idx, img1_xy, img2_xy, sig_i2, z0 = (
-        idx[cross2], img1_xy[cross2], img2_xy[cross2], sig_i2[cross2], z0[cross2]
-    )
-    if idx.size == 0:
-        return None
-    t2 = sig_i2 / (sig_i2 - s_u2)
-    r2_xy = img2_xy + t2[:, None] * (ue[:2] - img2_xy)
-    r2_z = z0 + t2 * (ue[2] - z0)
-    ok = _within_facade(f2, r2_xy, r2_z)
-    # First bounce: r2 must be in front of facade 1.
-    sig1_r2 = (r2_xy - f1.q0) @ f1.normal
-    ok &= sig1_r2 > _SIDE_TOL
-    idx, img1_xy, img2_xy, z0 = idx[ok], img1_xy[ok], img2_xy[ok], z0[ok]
-    r2_xy, r2_z, sig1_r2 = r2_xy[ok], r2_z[ok], sig1_r2[ok]
-    if idx.size == 0:
-        return None
-
-    sig1_i1 = -s_a1[idx]  # image1 sits behind facade 1 by construction
-    t1 = sig1_i1 / (sig1_i1 - sig1_r2)
-    r1_xy = img1_xy + t1[:, None] * (r2_xy - img1_xy)
-    r1_z = z0 + t1 * (r2_z - z0)
-    ok = _within_facade(f1, r1_xy, r1_z)
-    # The middle leg must approach facade 2 from its front.
-    sig2_r1 = (r1_xy - f2.q0) @ f2.normal
-    ok &= sig2_r1 > _SIDE_TOL
-    idx = idx[ok]
-    if idx.size == 0:
-        return None
-    r1 = np.column_stack([r1_xy[ok], r1_z[ok]])
-    r2 = np.column_stack([r2_xy[ok], r2_z[ok]])
-    img2 = np.column_stack([img2_xy[ok], z0[ok]])
-    return idx, np.stack([r1, r2], axis=1), np.linalg.norm(ue - img2, axis=1)
+    points = []
+    t_xy, t_z = ue[:2], ue[2]
+    for i in reversed(range(len(chain))):
+        t = depths[i] / (depths[i] - sig_t)
+        r_xy = images[i] + t[:, None] * (t_xy - images[i])
+        r_z = z0 + t * (t_z - z0)
+        ok = _within_facade(chain[i], r_xy, r_z)
+        if i + 1 < len(chain):  # it is the next bounce's source
+            ok &= _side(chain[i + 1], r_xy) > _SIDE_TOL
+        if i > 0:  # and the previous bounce's target
+            sig_t = _side(chain[i - 1], r_xy)
+            ok &= sig_t > _SIDE_TOL
+            sig_t = sig_t[ok]
+        idx, z0, t_xy, t_z = idx[ok], z0[ok], r_xy[ok], r_z[ok]
+        images = [x[ok] for x in images]
+        depths = [x[ok] for x in depths[:i]]
+        points = [np.column_stack([t_xy, t_z])] + [p[ok] for p in points]
+    img = np.column_stack([images[-1], z0])
+    return idx, np.stack(points, axis=1), np.linalg.norm(ue - img, axis=1)
 
 
-def _rooftop(ap, ue, b, idx):
-    """The bent path over the roof boundary of building b for the poses
-    idx whose direct ray it blocks: (idx, edge points (n, 1, 3), path
-    lengths)."""
+def _rooftop(ap, ue, walls, idx):
+    """The bent path over the roof boundary of one building, whose facades
+    are walls, for the poses idx whose direct ray it blocks: (idx, edge
+    points (n, 1, 3), path lengths). Each facade's top is one roof edge."""
     apv = ap[idx]
-    v = b.footprint
-    v2 = np.roll(v, -1, axis=0)
-    h = b.height_m
-
     best_len = np.full(idx.size, np.inf)
     best_e = np.zeros((idx.size, 3))
-    for q0, q1 in zip(v, v2):
-        e0 = np.array([q0[0], q0[1], h])
-        e1 = np.array([q1[0], q1[1], h])
+    for f in walls:
+        e0 = np.array([f.q0[0], f.q0[1], f.height])
+        e1 = np.array([f.q1[0], f.q1[1], f.height])
         lam = _edge_argmin(apv, ue, e0, e1)
         pt = e0 + lam[:, None] * (e1 - e0)
         total = np.linalg.norm(pt - apv, axis=1) + np.linalg.norm(pt - ue, axis=1)

@@ -1,13 +1,18 @@
-"""tools/compare_outputs.py on two output directories: rounding differences, a
-corrupt matrix, manifest keys and a missing directory."""
+"""tools/compare_outputs.py on two output directories: rounding differences in
+captures and matrices, a corrupt capture file or matrix, manifest keys and a
+missing directory."""
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from conftest import set_first_value, write_matrix
+from cfmm import formats as fm
+from cfmm import sounder as sd
+from cfmm import waveform as wf
+from conftest import first_poses, make_scene, set_first_value, write_matrix
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -47,6 +52,59 @@ def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
     assert f"{rel:.3e} at capture {i}, UE {j}, bin {q}" in out
     assert "noise_db values that differ: 1 of 80" in out
     assert "largest noise_db difference: 1.000e-09 dB" in out
+
+
+def write_captures(path, plan, spectra):
+    fm.CaptureWriter(path, plan).write_chunk(0, spectra)
+
+
+def test_reports_capture_metadata_and_spectrum_differences(tmp_path, capsys):
+    plan = sd.plan_campaign(first_poses(make_scene(), 40), wf.WaveformSpec(),
+                            sd.ImpairmentConfig(), seed=5)
+    spectra = sd.synthesize_chunk(plan, 0, plan.n_captures)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    write_captures(a / "captures.cfmc", plan, spectra)
+    power = plan.measured_power_dbm.copy()
+    power[5, 1] += 1e-9
+    power[7, 2] -= 2e-9
+    changed = spectra.copy()
+    c, j, q = 35, 3, 100  # in the second 32-capture block
+    changed[c, j, q] *= np.float32(1.5)
+    changed[2, 0, 7] *= np.float32(1.0 + 1e-6)
+    write_captures(b / "captures.cfmc", replace(plan, measured_power_dbm=power, seed=6),
+                   changed)
+    assert load_tool().main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    m, u, n = spectra.shape
+    assert out[0] == "captures.cfmc: differs"
+    assert "  timestamps values that differ: 0 of 40" in out
+    assert f"  measured_power_dbm values that differ: 2 of {m * u}" in out
+    assert "  largest measured_power_dbm difference: 2.000e-09" in out
+    assert f"  link_class values that differ: 0 of {m * u}" in out
+    assert f"  reference_tones values that differ: 0 of {n}" in out
+    assert f"  complex64 spectrum values that differ: 2 of {m * u * n}" in out
+    x = complex(spectra[c, j, q])
+    rel = abs(1.5 * x - x) / abs(1.5 * x)
+    assert f"  largest relative spectrum difference: {rel:.3e} at capture {c}, UE {j}, tone {q}" in out
+    # One line per header field that differs; the paths always do and are not shown.
+    assert "  seed: 5 vs 6" in out
+    assert not [line for line in out if line.startswith("  path")]
+
+
+def test_corrupt_captures_exit_3(tmp_path, capsys):
+    plan = sd.plan_campaign(first_poses(make_scene(), 4), wf.WaveformSpec(),
+                            sd.ImpairmentConfig(), seed=5)
+    spectra = sd.synthesize_chunk(plan, 0, plan.n_captures)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    write_captures(a / "captures.cfmc", plan, spectra)
+    spectra[2, 1, 9] = np.nan
+    write_captures(b / "captures.cfmc", plan, spectra)
+    assert load_tool().main([str(a), str(b)]) == 3
+    err = capsys.readouterr().err
+    assert f"captures.cfmc: cannot read: {b / 'captures.cfmc'}: capture 2, UE 1" in err
+    assert "NaN" in err
 
 
 def test_corrupt_matrix_exit_3(tmp_path, capsys):

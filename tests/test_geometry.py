@@ -283,6 +283,24 @@ def test_prism_chords_lshape_special_cases():
     assert np.all(np.abs(chords[off] - est) <= length / n_samples)
 
 
+def test_vertical_segments_on_facades_are_open():
+    # A vertical segment has no side of its own, so it is probed both ways
+    # in x and in y: one standing on a facade grazes it whichever way the
+    # interior lies, and one strictly inside reads its whole z overlap.
+    cases = [
+        (U_SHAPE, 1.0, (4.0, 2.0), 0.0),  # the right arm's inner facade, interior +x
+        (U_SHAPE, 1.0, (1.0, 2.0), 0.0),  # the left arm's inner facade, interior -x
+        (U_SHAPE, 1.0, (4.5, 2.0), 1.0),  # strictly inside the right arm
+        (L_SHAPE, 4.0, (3.0, 3.0), 0.0),  # the reflex corner
+        (L_SHAPE, 4.0, (3.0, 5.0), 0.0),  # the inner x = 3 facade, interior -x
+        (L_SHAPE, 4.0, (5.0, 3.0), 0.0),  # the inner y = 3 facade, interior -y
+    ]
+    for v, height, (x, y), want in cases:
+        chord = geo.segment_prism_chords(np.array([[x, y, -1.0]]), np.array([[x, y, 4.0]]),
+                                         v, height)
+        assert chord.tolist() == [want], (x, y)
+
+
 def test_sphere_chords():
     c = np.array([0.0, 0.0, 0.0])
     p0 = np.array([[-5.0, 0.0, 0.0], [-5.0, 1.0, 0.0], [-5.0, 2.0, 0.0], [0.0, 0.0, 0.0]])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -177,6 +178,141 @@ def test_double_reflection_street_canyon():
         # Two facade losses accumulated, one per wall.
         assert sorted(bundle.interact_idx[row].tolist()) == [0, 1]
         assert bundle.loss_interaction_db[row] == pytest.approx(12.0)
+
+
+def _rotated_box(center, half, angle):
+    """Footprint of a half[0] x half[1] half-size box turned by angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) * half
+    return corners @ np.array([[c, s], [-s, c]]) + center
+
+
+def _oracle_double_bounces(buildings, ap, ue, tol=1e-9):
+    """Every double bounce AP -> facade 1 -> facade 2 -> UE of one pose,
+    by the image method in scalar arithmetic over every ordered pair of
+    facades of the convex buildings, with each leg clipped against every
+    prism: {(facade 1, facade 2): (length, r1, r2)}, a facade named by
+    its (building, footprint edge) index pair."""
+    walls = []  # (name, q0, unit edge, unit outward normal, edge length, height)
+    for bi, b in enumerate(buildings):
+        v = [tuple(map(float, q)) for q in b.footprint]
+        for ei in range(len(v)):
+            (x0, y0), (x1, y1) = v[ei], v[(ei + 1) % len(v)]
+            n = math.hypot(x1 - x0, y1 - y0)
+            ex, ey = (x1 - x0) / n, (y1 - y0) / n
+            walls.append(((bi, ei), (x0, y0), (ex, ey), (ey, -ex), n, b.height_m))
+
+    def side(w, p):
+        (x0, y0), (nx, ny) = w[1], w[3]
+        return (p[0] - x0) * nx + (p[1] - y0) * ny
+
+    def mirror(w, p):
+        d = side(w, p)
+        return (p[0] - 2.0 * d * w[3][0], p[1] - 2.0 * d * w[3][1], p[2])
+
+    def bounce(w, src, img):
+        """Where the segment src -> img crosses facade w strictly inside
+        its extent, else None."""
+        a, b = side(w, src), side(w, img)
+        if not (a > tol and b < -tol):
+            return None
+        t = a / (a - b)
+        p = tuple(src[k] + t * (img[k] - src[k]) for k in range(3))
+        (x0, y0), (ex, ey), n, height = w[1], w[2], w[4], w[5]
+        lam = (p[0] - x0) * ex + (p[1] - y0) * ey
+        return p if tol < lam < n - tol and tol < p[2] < height - tol else None
+
+    def chord(bi, p, q):
+        """Length of p -> q inside prism bi: the segment p + t (q - p) is
+        inside where a + t b < 0 for every face's (a, b)."""
+        d = [q[k] - p[k] for k in range(3)]
+        faces = [(side(w, p), w[3][0] * d[0] + w[3][1] * d[1])
+                 for w in walls if w[0][0] == bi]
+        faces += [(-p[2], -d[2]), (p[2] - buildings[bi].height_m, d[2])]
+        t0, t1 = 0.0, 1.0
+        for a, b in faces:
+            if b < 0.0:
+                t0 = max(t0, -a / b)
+            elif b > 0.0:
+                t1 = min(t1, -a / b)
+            elif a >= 0.0:
+                return 0.0
+        return max(0.0, t1 - t0) * math.dist(p, q)
+
+    ap, ue = tuple(map(float, ap)), tuple(map(float, ue))
+    found = {}
+    for w1 in walls:
+        for w2 in walls:
+            i1 = mirror(w1, ap)
+            i2 = mirror(w2, i1)
+            r2 = bounce(w2, ue, i2)
+            r1 = bounce(w1, r2, i1) if r2 else None
+            if r1 is None or side(w1, ap) <= tol or side(w2, r1) <= tol:
+                continue
+            legs = [(ap, r1), (r1, r2), (r2, ue)]
+            if any(chord(bi, p, q) > 1e-9 for bi in range(len(buildings)) for p, q in legs):
+                continue
+            found[w1[0], w2[0]] = (math.dist(ue, i2), np.array(r1), np.array(r2))
+    return found
+
+
+def test_double_reflection_matches_scalar_image_oracle(monkeypatch):
+    # Two randomly sized and turned boxes across a street, the AP and the
+    # UE anywhere around them. The oracle tries every ordered facade pair
+    # for every pose, so the tracer's pair pruning must not lose a double
+    # bounce, and its checks must not add one.
+    monkeypatch.setattr(rp, "MIN_RELATIVE_POWER_DB", np.inf)
+    rng = np.random.default_rng(29)
+    n_paths = 0
+    for _ in range(16):
+        buildings = []
+        for name, sign in (("W", -1.0), ("E", 1.0)):
+            half = rng.uniform([3.0, 8.0], [10.0, 30.0])
+            angle = rng.uniform(-0.6, 0.6)
+            reach = half[0] * abs(np.cos(angle)) + half[1] * abs(np.sin(angle))
+            center = (50.0 + sign * (rng.uniform(3.0, 12.0) + reach), rng.uniform(30.0, 70.0))
+            buildings.append(sc.Building(name, _rotated_box(center, half, angle),
+                                         rng.uniform(8.0, 30.0)))
+        scene = make_scene(buildings=buildings)
+        pts = rng.uniform([20.0, 0.0, 4.0], [80.0, 100.0, 13.0], size=(120, 3))
+        for b in buildings:
+            pts = pts[~points_in_polygon(pts[:, :2], b.footprint)]
+        ap, ues = pts[:15], pts[15:19] * (1.0, 1.0, 0.0) + (0.0, 0.0, 1.5)
+        normals = {}  # unit outward normal by (building, edge)
+        for bi, b in enumerate(buildings):
+            e = np.roll(b.footprint, -1, axis=0) - b.footprint
+            for ei, (ex, ey) in enumerate(e / np.linalg.norm(e, axis=1)[:, None]):
+                normals[bi, ei] = np.array([ey, -ex, 0.0])
+
+        def facade(bi, r):
+            """The facade of building bi whose plane holds r."""
+            return min((abs(np.dot(r - (*buildings[bi].footprint[ei], 0.0), n)), (bi, ei))
+                       for (b, ei), n in normals.items() if b == bi)[1]
+
+        for ue in ues:
+            bundle = rp.trace_paths_batch(scene, ap, np.zeros(len(ap)), ue)
+            got = {}
+            for row in np.flatnonzero(bundle.kind == rp.KIND_REFLECT2):
+                r1, r2 = bundle.points[row]
+                b1, b2 = bundle.interact_idx[row]
+                key = (int(bundle.pose_index[row]), facade(b1, r1), facade(b2, r2))
+                got[key] = (bundle.length_m[row], r1, r2)
+            want = {(m, *pair): path for m in range(len(ap))
+                    for pair, path in _oracle_double_bounces(buildings, ap[m], ue).items()}
+            assert got.keys() == want.keys()
+            for (m, w1, w2), (length, r1, r2) in got.items():
+                want_length, want_r1, want_r2 = want[m, w1, w2]
+                assert abs(length - want_length) <= 1e-9
+                np.testing.assert_allclose(np.stack([r1, r2]), np.stack([want_r1, want_r2]),
+                                           rtol=0, atol=1e-9)
+                # Specular at both bounces: only the normal component flips.
+                for r, prev, nxt, w in ((r1, ap[m], r2, w1), (r2, r1, ue, w2)):
+                    d_in = (r - prev) / np.linalg.norm(r - prev)
+                    d_out = (nxt - r) / np.linalg.norm(nxt - r)
+                    n = normals[w]
+                    assert np.abs(d_in - 2.0 * np.dot(d_in, n) * n - d_out).max() < 1e-9
+            n_paths += len(got)
+    assert n_paths >= 100, n_paths
 
 
 def test_rooftop_path_when_direct_blocked(basic_scene):

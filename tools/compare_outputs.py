@@ -3,8 +3,19 @@
     PYTHONPATH=src python3 tools/compare_outputs.py DIR_A DIR_B
 
 Prints one line per file that either directory holds: whether its sha256
-is the same in both. When both hold a `matrix.cfmm` that differs, it also
-reads the two matrices one block of captures at a time and prints:
+is the same in both. When both hold a `captures.cfmc` that differs, it
+also reads the two capture files through `open_captures`, a block of
+captures at a time, and prints:
+
+* each header field that differs, with both values;
+* for every metadata block (timestamps, positions, ..., reference_tones),
+  how many values differ and the largest absolute difference;
+* how many complex64 spectrum values differ, and the largest relative
+  difference, |a - b| / max(|a|, |b|), with the (capture, UE, tone) where
+  it occurs.
+
+When both hold a `matrix.cfmm` that differs, it reads the two matrices one
+block of captures at a time and prints:
 
 * how many float32 values and how many mask bins differ;
 * the largest relative value difference, |a - b| / max(|a|, |b|), and
@@ -17,21 +28,24 @@ holds, with both values.
 
 Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
 argument is missing or is not a directory, 3 when a differing
-`matrix.cfmm` or `manifest.json` cannot be read (the message names the
-file and the fault), else 1.
+`captures.cfmc`, `matrix.cfmm` or `manifest.json` cannot be read (the
+message names the file and the fault), else 1.
 """
 
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from cfmm.formats import FormatError, read_matrix
+from cfmm.formats import FormatError, open_captures, read_matrix
 
+CAPTURES = "captures.cfmc"
 MATRIX = "matrix.cfmm"
 MANIFEST = "manifest.json"
+CAPTURE_BLOCK = 32  # captures read from each file per step
 
 
 def sha256(path: Path) -> str:
@@ -40,6 +54,49 @@ def sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def compare_captures(path_a: Path, path_b: Path) -> list[str]:
+    """Lines describing how two capture files differ, field by field,
+    block by block and spectrum value by value."""
+    a, b = open_captures(path_a), open_captures(path_b)
+    shape_a = (a.n_captures, a.n_ues, a.n_subcarriers)
+    shape_b = (b.n_captures, b.n_ues, b.n_subcarriers)
+    if shape_a != shape_b:
+        return [f"  shapes differ: {shape_a} vs {shape_b}"]
+    lines = []
+    for f in fields(a):
+        name, va, vb = f.name, getattr(a, f.name), getattr(b, f.name)
+        if not isinstance(va, np.ndarray):  # a header field
+            if name != "path" and va != vb:
+                lines.append(f"  {name}: {va!r} vs {vb!r}")
+            continue
+        differ = va != vb
+        lines.append(f"  {name} values that differ: {int(differ.sum())} of {va.size}")
+        if differ.any():
+            gap = np.abs(va[differ].astype(np.complex128) - vb[differ])
+            lines.append(f"  largest {name} difference: {gap.max():.3e}")
+    m, u, n = shape_a
+    values_differ = 0
+    worst, worst_at = 0.0, None
+    for m0 in range(0, m, CAPTURE_BLOCK):
+        m1 = min(m0 + CAPTURE_BLOCK, m)
+        sa, sb = a.spectra(m0, m1), b.spectra(m0, m1)
+        differ = sa != sb
+        values_differ += int(differ.sum())
+        if differ.any():
+            x, y = sa[differ].astype(np.complex128), sb[differ].astype(np.complex128)
+            rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+            k = int(rel.argmax())
+            if rel[k] > worst:
+                c, j, q = np.argwhere(differ)[k]
+                worst, worst_at = float(rel[k]), (m0 + c, j, q)
+    lines.append(f"  complex64 spectrum values that differ: {values_differ} of {m * u * n}")
+    if worst_at is not None:
+        c, j, q = worst_at
+        lines.append(f"  largest relative spectrum difference: {worst:.3e} "
+                     f"at capture {c}, UE {j}, tone {q}")
+    return lines
 
 
 def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
@@ -135,7 +192,8 @@ def main(argv: list[str]) -> int:
         same = sha256(path_a) == sha256(path_b)
         print(f"{name}: {'same' if same else 'differs'}")
         all_same &= same or name == MANIFEST
-        explain = {MATRIX: compare_matrices, MANIFEST: compare_manifests}.get(name)
+        explain = {CAPTURES: compare_captures, MATRIX: compare_matrices,
+                   MANIFEST: compare_manifests}.get(name)
         if explain and not same:
             try:
                 lines = explain(path_a, path_b)
