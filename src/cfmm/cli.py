@@ -5,17 +5,18 @@ matrix.cfmm, summary.csv, per-UE heatmaps and annotation CSVs) plus a
 manifest recording, per stage, the semantic config hash, the seed, the
 scene reference, the scene file's sha256 and the numpy version of that
 stage's run, so any stage can be re-run or handed captures produced
-elsewhere. The config file is the one source of run parameters; flags
-only choose paths, workers and chunk size, which do not change output
-bytes. Every stage writes the same bytes for the same config regardless
-of worker count: workers compute disjoint capture ranges whose content is
-seed-determined. In simulate each range writes its own bytes of the
-capture file, wherever it runs; in process the parent writes each range's
-results in capture order. A starting stage drops its own and the later
-stages' manifest records and deletes their outputs by the names this
-module writes, never by a path taken from the manifest. It publishes its
-outputs only once all of them are written, and replaces the manifest
-atomically.
+elsewhere, and the run's wall time, CPU time and worker count. The config
+file is the one source of run parameters; flags only choose paths,
+workers and chunk size, which do not change output bytes. Every stage
+writes the same bytes for the same config regardless of worker count:
+workers compute disjoint capture ranges whose content is seed-determined.
+In simulate each range writes its own bytes of the capture file,
+wherever it runs, and the parent syncs the file to disk behind the run;
+in process the parent writes each range's results in capture order. A
+starting stage drops its own and the later stages' manifest records and
+deletes their outputs by the names this module writes, never by a path
+taken from the manifest. It publishes its outputs only once all of them
+are written, and replaces the manifest atomically.
 
 Exit codes: 0 success, 1 validation error, 2 missing/unreadable files,
 3 format mismatch, corrupt data or malformed manifest, 4 out of memory.
@@ -27,9 +28,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
+import resource
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -50,7 +54,8 @@ SUMMARY_NAME = "summary.csv"
 MANIFEST_NAME = "manifest.json"
 
 # Per capture-UE wall-clock cost of simulate plus process with --workers 1;
-# only used for the validate-stage runtime estimate. The bundled canyon
+# the validate-stage runtime estimate uses it when the output directory
+# holds no simulate and process records with cpu_s. The bundled canyon
 # campaign (3841 poses x 8 UEs) took 20.4 s and 23.8 s in two runs on a
 # 2-vCPU Intel Xeon VM with Python 3.11 and numpy 2.4: 0.66-0.78 ms each.
 _EST_SECONDS_PER_CAPTURE_UE = 7e-4
@@ -116,6 +121,12 @@ def _read_manifest(out: Path) -> dict:
     return manifest
 
 
+def _cpu_s() -> float:
+    """CPU seconds of this process and of the children it has reaped."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 def _write_manifest(out: Path, manifest: dict) -> None:
     """Replace the manifest atomically: a reader sees the old or the new file."""
     part = out / (MANIFEST_NAME + ".partial")
@@ -130,10 +141,12 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     `*.partial` files of them and of the manifest, by the names in _OUTPUTS,
     never by a name read from the manifest. Yield a `*.partial`
     path per output ({j} over range(n_ues)) and the stage record to add
-    counts to. On success, rename the partial files into place and record
-    the stage with its config hash, seed and scene, the scene file's
-    sha256 and the numpy version; on failure, remove them. The manifest
-    holds nothing but the stage records."""
+    counts to, and `workers` when the stage ran a pool. On success, rename
+    the partial files into place and record the stage with its config
+    hash, seed and scene, the scene file's sha256, the numpy version, its
+    wall time and the CPU time of it and its reaped workers; on failure,
+    remove them. The manifest holds nothing but the stage records."""
+    wall0, cpu0 = time.perf_counter(), _cpu_s()
     stages = _read_manifest(out).get("stages", {})
     manifest = {"stages": stages}
     replaced = list(_OUTPUTS)[list(_OUTPUTS).index(name):]
@@ -157,9 +170,10 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
         raise
     for part, final in zip(partials, finals):
         os.replace(part, final)
-    stages[name] = {**record, "config_hash": semantic_hash(cfg), "seed": cfg.seed,
-                    "scene": cfg.scene, "scene_sha256": _scene_sha256(cfg),
-                    "numpy": np.__version__}
+    stages[name] = {"workers": 1, **record, "config_hash": semantic_hash(cfg),
+                    "seed": cfg.seed, "scene": cfg.scene,
+                    "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__,
+                    "wall_s": time.perf_counter() - wall0, "cpu_s": _cpu_s() - cpu0}
     _write_manifest(out, manifest)
 
 
@@ -186,12 +200,39 @@ def cmd_validate(args) -> int:
     positions, _, _ = sample_ap_pose_arrays(scene.trajectory)
     n_poses = positions.shape[0]
     n_ues = site.positions_m.shape[0]
-    est_s = n_poses * n_ues * _EST_SECONDS_PER_CAPTURE_UE
+    manifest = _out_dir(cfg, None) / MANIFEST_NAME
+    per_capture_ue = _recorded_seconds_per_capture_ue(manifest)
+    if per_capture_ue is None:
+        per_capture_ue = _EST_SECONDS_PER_CAPTURE_UE
+        source = (f"from a fixed {per_capture_ue * 1e3:g} ms per capture-UE; {manifest} "
+                  f"holds no simulate and process records with cpu_s")
+    else:
+        source = f"from the CPU time of the simulate and process records in {manifest}"
+    est_s = n_poses * n_ues * per_capture_ue
     print(f"valid, {n_poses} poses")
     print(f"sites: {len(scene.ue_sites)}, site {site.site_id!r}: {n_ues} UEs")
-    print(f"estimated single-core runtime: {est_s / 60:.1f} min")
+    print(f"estimated single-core runtime: {est_s / 60:.1f} min ({source})")
     print(f"config hash: {semantic_hash(cfg)}")
     return 0
+
+
+def _recorded_seconds_per_capture_ue(manifest: Path) -> float | None:
+    """CPU seconds per capture-UE of the simulate plus the process run
+    that the manifest records; None when either record lacks cpu_s."""
+    stages = _read_manifest(manifest.parent).get("stages", {})
+    records = {s: stages.get(s, {}) for s in ("simulate", "process")}
+    if not all("cpu_s" in r for r in records.values()):
+        return None
+    total = 0.0
+    for stage, r in records.items():
+        cpu, m, u = (r.get(k) for k in ("cpu_s", "n_captures", "n_ues"))
+        if not (type(cpu) in (int, float) and 0 <= cpu < math.inf
+                and type(m) is int and m >= 1 and type(u) is int and u >= 1):
+            raise fm.FormatError(
+                f"{manifest}: stages.{stage}: cpu_s must be a finite number >= 0 and "
+                f"n_captures and n_ues integers >= 1, not {cpu!r}, {m!r} and {u!r}")
+        total += cpu / (m * u)
+    return total
 
 
 def _simulate_span(plan, writer: fm.CaptureWriter, m0: int, m1: int) -> None:
@@ -210,12 +251,16 @@ def cmd_simulate(args) -> int:
                                 site=cfg.site)
         print(f"simulate: {plan.n_captures} captures x {plan.n_ues} UEs "
               f"(chunks of {chunk_size}, {workers} workers)")
-        writer = fm.CaptureWriter(part, plan)
-        pl.run_chunks(_simulate_span, (plan, writer), plan.n_captures, chunk_size,
-                      lambda m0, _: None, workers)
+        # Each span's spectra are synced in the background once that span
+        # is taken; leaving the block waits until all of them are on disk.
+        with fm.CaptureWriter(part, plan) as writer:
+            record["workers"] = pl.run_chunks(
+                _simulate_span, (plan, writer), plan.n_captures, chunk_size,
+                lambda m0, _: writer.sync(), workers)
         mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
         record.update(n_captures=plan.n_captures, n_ues=plan.n_ues,
-                      link_classes={c.name: int(mix[c]) for c in LinkClass})
+                      link_classes={c.name: int(mix[c]) for c in LinkClass},
+                      capture_sync_wait_s=writer.sync_wait_s)
     print(f"simulate: wrote {out / CAPTURES_NAME}")
     return 0
 
@@ -249,7 +294,8 @@ def cmd_process(args) -> int:
           f"(chunks of {chunk_size}, {workers} workers)")
     with _stage(out, cfg, "process") as (partials, record):
         record.update(_process_into(source, params, *partials, chunk_size, workers),
-                      captures=str(captures))
+                      captures=str(captures), n_captures=source.n_captures,
+                      n_ues=source.n_ues)
     print(f"process: wrote {out / MATRIX_NAME} and {out / SUMMARY_NAME}")
     return 0
 
@@ -258,9 +304,9 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
                   summary_path: Path, chunk_size: int = 128, workers: int = 1) -> Counter:
     """Process every capture of source into a matrix file and a summary
     CSV; the one way a campaign is processed. Returns the degenerate-row
-    counts and the matrix's run and surviving-bin totals. Chunks arrive in
-    capture order; each one's matrix records and summary rows are written
-    as it arrives."""
+    counts, the matrix's run and surviving-bin totals and the worker count
+    the runner used. Chunks arrive in capture order; each one's matrix
+    records and summary rows are written as it arrives."""
     f = params.pad_factor
     bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
@@ -277,8 +323,8 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
             counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
             counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 
-        pl.run_chunks(pl.process_chunk_sparse, (source, params), source.n_captures,
-                      chunk_size, take, workers)
+        counts["workers"] = pl.run_chunks(pl.process_chunk_sparse, (source, params),
+                                          source.n_captures, chunk_size, take, workers)
     writer.close()
     return counts
 

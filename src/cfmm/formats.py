@@ -41,6 +41,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,8 +374,20 @@ class CaptureWriter:
     Every metadata block comes from the plan. The file is created at its
     full size, with the spectra zero and their blocks reserved on disk, so
     a disk without room fails here, not in a later chunk. Each chunk
-    writes its own byte range, so chunks can be written in any order and
-    by any process.
+    writes its own byte range and does not sync it, so chunks can be
+    written in any order and by any process.
+
+    The file reaches the disk behind the run, from the process that holds
+    the writer as a context manager. Entering opens a descriptor for the
+    syncs. After each chunk is written, sync() waits for the previous
+    fdatasync and raises its error, then starts the next one in a
+    background thread, so at most one is in flight and it overlaps the
+    work on the next chunk. Leaving the block normally joins that thread
+    and runs one last fdatasync (the barrier), so every spectrum byte is
+    on disk before the caller publishes the file. Leaving it with an
+    exception joins the thread and lets that exception through. A sync
+    error is an OSError naming the file. sync_wait_s is the time spent
+    blocked on syncs, the barrier included.
     """
 
     def __init__(self, path, plan):
@@ -404,8 +418,7 @@ class CaptureWriter:
                                        f"of spectra: {e.strerror}") from None
 
     def write_chunk(self, m0: int, spectra: np.ndarray) -> None:
-        """Write the spectra of captures m0.. at their offset and sync
-        them to disk before returning."""
+        """Write the spectra of captures m0.. at their offset."""
         m, *row_shape = np.shape(spectra)
         if tuple(row_shape) != self.shape[1:] or not 0 <= m0 <= self.shape[0] - m:
             raise ValueError(f"{self.path}: spectra {np.shape(spectra)} at capture {m0} "
@@ -414,8 +427,49 @@ class CaptureWriter:
         with open(self.path, "r+b") as fh:
             fh.seek(self.spectra_offset + m0 * row)
             fh.write(np.ascontiguousarray(spectra, dtype="<c8").data)
-            fh.flush()
-            os.fdatasync(fh.fileno())
+
+    def __enter__(self) -> CaptureWriter:
+        self._fd = os.open(self.path, os.O_WRONLY)
+        self._thread: threading.Thread | None = None
+        self._error: OSError | None = None
+        self.sync_wait_s = 0.0
+        return self
+
+    def sync(self) -> None:
+        """Wait for the sync in flight and raise its error, then start
+        syncing what has been written so far."""
+        self._wait()
+        self._thread = threading.Thread(target=self._fdatasync, name="capture-sync")
+        self._thread.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._wait(barrier=True)
+            elif self._thread is not None:
+                self._thread.join()
+        finally:
+            os.close(self._fd)
+
+    def _fdatasync(self) -> None:
+        try:
+            os.fdatasync(self._fd)
+        except OSError as e:
+            self._error = OSError(e.errno, f"{self.path}: cannot sync the spectra "
+                                           f"to disk: {e.strerror}")
+
+    def _wait(self, barrier: bool = False) -> None:
+        """Join the sync in flight, and with barrier sync once more here;
+        raise the first sync error."""
+        t0 = time.perf_counter()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        if barrier and self._error is None:
+            self._fdatasync()
+        self.sync_wait_s += time.perf_counter() - t0
+        if self._error is not None:
+            raise self._error
 
 
 def open_captures(path) -> CaptureFile:

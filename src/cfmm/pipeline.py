@@ -486,24 +486,26 @@ def _run_span(span: tuple[int, int]) -> tuple:
 
 
 def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
-               workers: int = 1) -> None:
+               workers: int = 1) -> int:
     """Call take(a, fn(*args, a, b)) for each span [a, b) of chunk_size
-    captures covering [0, n_captures), in span order. chunk_size must be
-    at least 1; the stages check it before they start.
+    captures covering [0, n_captures), in span order, in this process.
+    chunk_size must be at least 1; the stages check it before they start.
+    Returns the number of processes that ran spans.
 
     With workers <= 1 the spans run here, one after another. Otherwise a
     fork pool of that many processes, at most one per span, runs them:
     spans are submitted to a queue, the earliest is waited on and taken,
     and a span starts only while it lies fewer than 2 x workers spans
     after the earliest one not yet taken, so at most that many results
-    wait in the parent however long the campaign. fn and args reach the
-    workers through one module global instead of being pickled; the
-    global is cleared however the run ends, and a failed run cancels the
-    spans not yet started. A result depends only on its span, so the
-    output depends on neither the chunk size nor the worker count. On the
-    serial path take holds the only reference to a result, so each chunk
-    is freed before the next one is computed (a generator would keep it
-    alive in its caller's loop variable).
+    wait in the parent however long the campaign. The pool forks all its
+    workers at the first submit, before the first take, so take may start
+    threads. fn and args reach the workers through one module global
+    instead of being pickled; the global is cleared however the run ends,
+    and a failed run cancels the spans not yet started. A result depends
+    only on its span, so the output depends on neither the chunk size nor
+    the worker count. On the serial path take holds the only reference to
+    a result, so each chunk is freed before the next one is computed (a
+    generator would keep it alive in its caller's loop variable).
     """
     spans = [(a, min(a + chunk_size, n_captures))
              for a in range(0, n_captures, chunk_size)]
@@ -511,7 +513,7 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
     if workers <= 1:
         for a, b in spans:
             take(a, fn(*args, a, b))
-        return
+        return 1
     # Imported here, not at module level: stages that run no pool skip
     # their import cost.
     import multiprocessing as mp
@@ -536,3 +538,4 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
                 raise
     finally:
         _WORKER_TASK = None
+    return workers

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -221,6 +222,77 @@ class TestValidate:
         assert rc == 1
         assert "exactly 8 UE positions" in capsys.readouterr().err
 
+    def _config_with_manifest(self, workspace, tmp_path, manifest):
+        """A config for the workspace scene whose output directory holds
+        manifest (a string is written as is); its path."""
+        out = tmp_path / "out"
+        out.mkdir()
+        if manifest is not None:
+            text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+            (out / "manifest.json").write_text(text)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({**json.loads((workspace / "cfg.json").read_text()),
+                                    "output_dir": str(out)}))
+        return cfgp
+
+    @pytest.mark.parametrize("manifest", [
+        None,
+        {"stages": {"simulate": {"n_captures": 10, "n_ues": 8}}},
+        {"stages": {"simulate": {"cpu_s": 60.0, "n_captures": 10, "n_ues": 8}}},
+    ], ids=["no-manifest", "no-cpu", "no-process"])
+    def test_estimate_without_records_uses_fixed_rate(self, workspace, tmp_path, capsys,
+                                                      manifest):
+        cfgp = self._config_with_manifest(workspace, tmp_path, manifest)
+        assert main(["validate", "--config", str(cfgp)]) == 0
+        est_s = 81 * 8 * 7e-4
+        line = [x for x in capsys.readouterr().out.splitlines() if "runtime" in x][0]
+        assert line.startswith(f"estimated single-core runtime: {est_s / 60:.1f} min "
+                               "(from a fixed 0.7 ms per capture-UE;")
+        assert str(tmp_path / "out" / "manifest.json") in line
+
+    def test_estimate_from_records(self, workspace, tmp_path, capsys):
+        # 60 s over 10 x 8 capture-UEs and 120 s over 20 x 4: 0.75 + 1.5 s
+        # per capture-UE, times this config's 81 poses x 8 UEs.
+        cfgp = self._config_with_manifest(workspace, tmp_path, {"stages": {
+            "simulate": {"cpu_s": 60.0, "n_captures": 10, "n_ues": 8},
+            "process": {"cpu_s": 120, "n_captures": 20, "n_ues": 4}}})
+        assert main(["validate", "--config", str(cfgp)]) == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        assert (f"estimated single-core runtime: {81 * 8 * 2.25 / 60:.1f} min (from the "
+                f"CPU time of the simulate and process records in {manifest})"
+                in capsys.readouterr().out.splitlines())
+
+    def test_estimate_from_a_finished_run(self, workspace, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({**json.loads((workspace / "cfg.json").read_text()),
+                                    "output_dir": str(out)}))
+        assert main(["validate", "--config", str(cfgp)]) == 0
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        # The records are of this campaign, so the estimate is their CPU time.
+        est_s = stages["simulate"]["cpu_s"] + stages["process"]["cpu_s"]
+        assert (f"estimated single-core runtime: {est_s / 60:.1f} min (from the CPU time "
+                f"of the simulate and process records in {out / 'manifest.json'})"
+                in capsys.readouterr().out.splitlines())
+
+    @pytest.mark.parametrize("manifest,message", [
+        ('{"stages": ', "malformed JSON"),
+        ('{"stages": []}', "must be an object whose stages are objects"),
+        ({"stages": {"simulate": {"cpu_s": "1", "n_captures": 10, "n_ues": 8},
+                     "process": {"cpu_s": 1.0, "n_captures": 10, "n_ues": 8}}},
+         "stages.simulate: cpu_s must be a finite number >= 0"),
+        ({"stages": {"simulate": {"cpu_s": 1.0, "n_captures": 10, "n_ues": 8},
+                     "process": {"cpu_s": 1.0, "n_captures": 0, "n_ues": 8}}},
+         "stages.process: cpu_s must be a finite number >= 0"),
+    ], ids=["truncated", "stages-list", "cpu-string", "no-captures"])
+    def test_estimate_malformed_manifest_exit_3(self, workspace, tmp_path, capsys,
+                                                manifest, message):
+        cfgp = self._config_with_manifest(workspace, tmp_path, manifest)
+        assert main(["validate", "--config", str(cfgp)]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'out' / 'manifest.json'}: " in err and message in err
+
 
 _DROP = object()
 
@@ -378,11 +450,41 @@ class TestStages:
     def test_simulate_worker_invariance(self, workspace, tmp_path):
         cfgp = str(workspace / "cfg.json")
         ref = (workspace / "out" / "captures.cfmc").read_bytes()  # 1 worker, chunks of 128
-        for workers in ("2", "3"):
-            a = tmp_path / f"s{workers}"
+        for workers, chunk in (("2", "16"), ("3", "16"), ("2", "128")):
+            a = tmp_path / f"s{workers}-{chunk}"
             assert main(["simulate", "--config", cfgp, "--out", str(a),
-                         "--workers", workers, "--chunk-size", "16"]) == 0
+                         "--workers", workers, "--chunk-size", chunk]) == 0
             assert (a / "captures.cfmc").read_bytes() == ref
+
+    def test_stage_records_run_measurements(self, workspace, tmp_path):
+        # Simulate runs 6 spans on 3 workers; process runs its one span of
+        # 81 captures here, whatever --workers asks.
+        cfgp, out = str(workspace / "cfg.json"), tmp_path / "out"
+        flags = {"simulate": ["--workers", "3", "--chunk-size", "16"],
+                 "process": ["--workers", "2", "--chunk-size", "128"],
+                 "export": ["--workers", "2"]}
+        measured = {}
+        for stage, extra in flags.items():
+            kids0 = os.times()
+            t0 = time.perf_counter()
+            assert main([stage, "--config", cfgp, "--out", str(out), *extra]) == 0
+            wall = time.perf_counter() - t0
+            kids1 = os.times()
+            measured[stage] = (wall, (kids1.children_user - kids0.children_user)
+                               + (kids1.children_system - kids0.children_system))
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert {s: r["workers"] for s, r in stages.items()} == \
+            {"simulate": 3, "process": 1, "export": 1}
+        for stage, (wall, children_cpu) in measured.items():
+            r = stages[stage]
+            assert 0 < r["wall_s"] <= wall
+            # The stage's CPU includes that of its reaped workers.
+            assert r["cpu_s"] >= children_cpu >= 0
+        assert measured["simulate"][1] > 0
+        sim = stages["simulate"]
+        assert 0 <= sim["capture_sync_wait_s"] <= sim["wall_s"]
+        assert (stages["process"]["n_captures"], stages["process"]["n_ues"]) == (81, 8)
+        assert "capture_sync_wait_s" not in stages["process"]
 
     def test_export_outputs(self, workspace):
         cfgp = str(workspace / "cfg.json")
@@ -621,6 +723,115 @@ class TestStages:
         assert len(calls.read_text().split()) < 21
         assert not (out / "captures.cfmc").exists()
         assert not list(out.glob("*.partial"))
+
+    def test_capture_sync_overlaps_next_span(self, workspace, tmp_path, monkeypatch):
+        # Each chunk's sync lets go only once the next span's synthesis has
+        # begun, so a sync made before that span starts would never end.
+        real_synth, real_sync = sd.synthesize_chunk, os.fdatasync
+        entered = []
+        spans = 6  # 81 captures in chunks of 16
+        started = threading.Condition()
+        timed_out = []
+
+        def synth(plan, m0, m1):
+            with started:
+                entered.append(m0)
+                started.notify_all()
+            return real_synth(plan, m0, m1)
+
+        def sync(fd):
+            n = sync.calls
+            sync.calls += 1
+            if n + 1 < spans:
+                with started:
+                    if not started.wait_for(lambda: len(entered) > n + 1, timeout=10):
+                        timed_out.append(n)
+                        raise OSError(errno.ETIMEDOUT, f"sync {n} waited 10 s for "
+                                                       f"span {n + 1} to start")
+            real_sync(fd)
+
+        sync.calls = 0
+        monkeypatch.setattr(sd, "synthesize_chunk", synth)
+        monkeypatch.setattr(os, "fdatasync", sync)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(workspace / "cfg.json"), "--out", str(out),
+                     "--workers", "1", "--chunk-size", "16"]) == 0
+        assert timed_out == []
+        assert sync.calls == spans + 1  # one per chunk, then the barrier
+        assert (out / "captures.cfmc").read_bytes() == \
+            (workspace / "out" / "captures.cfmc").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_captures_synced_before_publish(self, workspace, tmp_path, monkeypatch,
+                                            workers):
+        # Pool workers write the chunks, so every process appends its
+        # events to one log file.
+        log = tmp_path / "events.log"
+        real_write, real_sync, real_replace = (fm.CaptureWriter.write_chunk, os.fdatasync,
+                                               os.replace)
+
+        def event(text):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{text}\n".encode())
+            finally:
+                os.close(fd)
+
+        def write_chunk(self, m0, spectra):
+            real_write(self, m0, spectra)
+            event(f"write {m0}")
+
+        def sync(fd):
+            event("sync-start")
+            real_sync(fd)
+            event("sync-end")
+
+        def replace(src, dst):
+            event(f"replace {Path(src).name}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fm.CaptureWriter, "write_chunk", write_chunk)
+        monkeypatch.setattr(os, "fdatasync", sync)
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(workspace / "cfg.json"), "--out", str(out),
+                     "--workers", workers, "--chunk-size", "16"]) == 0
+        events = log.read_text().splitlines()
+        syncs = [e for e in events if e.startswith("sync")]
+        # Never two syncs in flight: starts and ends alternate.
+        assert syncs == ["sync-start", "sync-end"] * 7  # 6 chunks and the barrier
+        writes = [i for i, e in enumerate(events) if e.startswith("write")]
+        assert len(writes) == 6
+        last_sync = max(i for i, e in enumerate(events) if e == "sync-end")
+        published = events.index("replace captures.cfmc.partial")
+        assert writes[-1] < last_sync < published
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sync_error_exit_2_publishes_nothing(self, workspace, finished_run, tmp_path,
+                                                 monkeypatch, capsys, workers):
+        real_sync = os.fdatasync
+        calls = []
+
+        def failing_sync(fd):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_sync(fd)
+
+        out = tmp_path / "o"
+        shutil.copytree(finished_run, out)  # an earlier run's outputs and records
+        threads = threading.active_count()
+        monkeypatch.setattr(os, "fdatasync", failing_sync)
+        rc = main(["simulate", "--config", str(workspace / "cfg.json"), "--out", str(out),
+                   "--workers", workers, "--chunk-size", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'captures.cfmc.partial'}: cannot sync" in err
+        assert os.strerror(errno.EIO) in err
+        assert not (out / "captures.cfmc").exists()
+        assert not list(out.glob("*.partial"))
+        assert "simulate" not in json.loads((out / "manifest.json").read_text())["stages"]
+        assert threading.active_count() == threads
 
     def test_full_disk_fails_at_creation_exit_2(self, workspace, tmp_path, monkeypatch,
                                                  capsys):

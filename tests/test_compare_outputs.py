@@ -143,6 +143,25 @@ def test_manifest_prints_differing_keys(tmp_path, capsys):
     ]
 
 
+def test_manifest_run_timings_on_one_line(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, scale, workers in ((a, 1.0, 1), (b, 1.5, 2)):
+        d.mkdir()
+        (d / "captures.cfmc").write_bytes(b"same")
+        stages = {"simulate": {"wall_s": 2.0 * scale, "cpu_s": 1.9 * scale, "seed": 7,
+                               "capture_sync_wait_s": 0.1 * scale, "workers": workers},
+                  "process": {"wall_s": 3.0 * scale, "cpu_s": 5.0}}
+        (d / "manifest.json").write_text(json.dumps({"stages": stages}))
+    assert load_tool().main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "captures.cfmc: same",
+        "manifest.json: differs",
+        "  stages.simulate.workers: 1 vs 2",
+        "  run timings differ: stages.process.wall_s, stages.simulate.capture_sync_wait_s, "
+        "stages.simulate.cpu_s, stages.simulate.wall_s",
+    ]
+
+
 def test_malformed_manifest_exit_3(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

@@ -24,7 +24,9 @@ block of captures at a time and prints:
 
 When both hold a `manifest.json` that differs, it prints each dotted key
 (`stages.process.captures`) whose value differs or that only one of them
-holds, with both values.
+holds, with both values. The run measurements (`wall_s`, `cpu_s`,
+`capture_sync_wait_s`), which differ between any two runs, are named
+together on one "run timings differ" line instead.
 
 Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
 argument is missing or is not a directory, 3 when a differing
@@ -46,6 +48,7 @@ CAPTURES = "captures.cfmc"
 MATRIX = "matrix.cfmm"
 MANIFEST = "manifest.json"
 CAPTURE_BLOCK = 32  # captures read from each file per step
+RUN_TIMINGS = ("wall_s", "cpu_s", "capture_sync_wait_s")  # manifest record keys
 
 
 def sha256(path: Path) -> str:
@@ -160,15 +163,22 @@ def _manifest_leaves(path: Path) -> dict:
 
 def compare_manifests(path_a: Path, path_b: Path) -> list[str]:
     """Lines naming each dotted key whose value differs between two
-    manifests, with both values; a key only one holds reads as absent."""
+    manifests, with both values; a key only one holds reads as absent.
+    Differing run timings are named on one line, without their values."""
     a, b = _manifest_leaves(path_a), _manifest_leaves(path_b)
     absent = object()
-    lines = []
+    lines, timings = [], []
     for key in sorted(a.keys() | b.keys()):
         va, vb = a.get(key, absent), b.get(key, absent)
-        if va != vb:
-            shown = ["absent" if v is absent else json.dumps(v) for v in (va, vb)]
-            lines.append(f"  {key}: {shown[0]} vs {shown[1]}")
+        if va == vb:
+            continue
+        if key.rsplit(".", 1)[-1] in RUN_TIMINGS:
+            timings.append(key)
+            continue
+        shown = ["absent" if v is absent else json.dumps(v) for v in (va, vb)]
+        lines.append(f"  {key}: {shown[0]} vs {shown[1]}")
+    if timings:
+        lines.append(f"  run timings differ: {', '.join(timings)}")
     return lines
 
 
