@@ -141,11 +141,13 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     `*.partial` files of them and of the manifest, by the names in _OUTPUTS,
     never by a name read from the manifest. Yield a `*.partial`
     path per output ({j} over range(n_ues)) and the stage record to add
-    counts to, and `workers` when the stage ran a pool. On success, rename
-    the partial files into place and record the stage with its config
-    hash, seed and scene, the scene file's sha256, the numpy version, its
-    wall time and the CPU time of it and its reaped workers; on failure,
-    remove them. The manifest holds nothing but the stage records."""
+    counts to, and the runner's fields (`workers`, `worker_peak_rss_mb`)
+    when the stage ran chunks. On success, rename the partial files into
+    place and record the stage with its config hash, seed and scene, the
+    scene file's sha256, the numpy version, its wall time, the CPU time of
+    it and its reaped workers, and the stage process's peak RSS at its end
+    (pl.peak_rss_mb, omitted where it cannot be read); on failure, remove
+    them. The manifest holds nothing but the stage records."""
     wall0, cpu0 = time.perf_counter(), _cpu_s()
     stages = _read_manifest(out).get("stages", {})
     manifest = {"stages": stages}
@@ -174,6 +176,9 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
                     "seed": cfg.seed, "scene": cfg.scene,
                     "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__,
                     "wall_s": time.perf_counter() - wall0, "cpu_s": _cpu_s() - cpu0}
+    peak = pl.peak_rss_mb()
+    if peak is not None:
+        stages[name]["peak_rss_mb"] = peak
     _write_manifest(out, manifest)
 
 
@@ -254,9 +259,9 @@ def cmd_simulate(args) -> int:
         # Each span's spectra are synced in the background once that span
         # is taken; leaving the block waits until all of them are on disk.
         with fm.CaptureWriter(part, plan) as writer:
-            record["workers"] = pl.run_chunks(
+            record.update(pl.run_chunks(
                 _simulate_span, (plan, writer), plan.n_captures, chunk_size,
-                lambda m0, _: writer.sync(), workers)
+                lambda m0, _: writer.sync(), workers))
         mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
         record.update(n_captures=plan.n_captures, n_ues=plan.n_ues,
                       link_classes={c.name: int(mix[c]) for c in LinkClass},
@@ -301,12 +306,12 @@ def cmd_process(args) -> int:
 
 
 def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
-                  summary_path: Path, chunk_size: int = 128, workers: int = 1) -> Counter:
+                  summary_path: Path, chunk_size: int = 128, workers: int = 1) -> dict:
     """Process every capture of source into a matrix file and a summary
     CSV; the one way a campaign is processed. Returns the degenerate-row
-    counts, the matrix's run and surviving-bin totals and the worker count
-    the runner used. Chunks arrive in capture order; each one's matrix
-    records and summary rows are written as it arrives."""
+    counts, the matrix's run and surviving-bin totals and the runner's
+    record fields (run_chunks). Chunks arrive in capture order; each one's
+    matrix records and summary rows are written as it arrives."""
     f = params.pad_factor
     bin_width_s = pl.native_bin_width_s(source) / f
     writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
@@ -323,10 +328,10 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
             counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
             counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 
-        counts["workers"] = pl.run_chunks(pl.process_chunk_sparse, (source, params),
-                                          source.n_captures, chunk_size, take, workers)
+        run = pl.run_chunks(pl.process_chunk_sparse, (source, params),
+                            source.n_captures, chunk_size, take, workers)
     writer.close()
-    return counts
+    return {**counts, **run}
 
 
 def cmd_export(args) -> int:

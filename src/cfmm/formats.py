@@ -31,9 +31,10 @@ Capture file (magic ``CFMC``): acquisition metadata (poses, timestamps,
 attenuation, link classes, calibration, reference tones) followed by the
 recorded spectra as complex64 in (capture, UE, tone) order, one repetition
 mean per capture and UE; the header's n_reps_stored is therefore 1.
-Spectra are read one capture range at a time, each with one positioned
-read straight into the returned array, so campaign-scale files never load
-whole and no mapped copy of the range sits beside it.
+Spectra are read one UE of a capture range at a time, with one positioned
+read per capture row straight into the returned array, so campaign-scale
+files never load whole, a reader holds one UE's rows of a range rather
+than every UE's, and no mapped copy of the rows sits beside them.
 """
 
 from __future__ import annotations
@@ -295,7 +296,8 @@ class MatrixWriter:
 @dataclass
 class CaptureFile:
     """Read handle over a capture container; satisfies the pipeline source
-    protocol (attenuation, calibration, poses, spectra-by-range)."""
+    protocol (attenuation, calibration, poses, one UE's spectra by capture
+    range)."""
 
     path: str
     n_captures: int
@@ -317,41 +319,57 @@ class CaptureFile:
     reference_tones: np.ndarray
     spectra_offset: int
 
-    def spectra(self, m0: int, m1: int) -> np.ndarray:
-        """Spectra of captures [m0, m1), (m, U, N) complex64, read with one
-        positioned read straight into the returned array.
+    def spectra(self, m0: int, m1: int, ue: int) -> np.ndarray:
+        """Spectra of UE ue over captures [m0, m1), (m, N) complex64: one
+        positioned read per capture row, straight into the returned array,
+        from one open of the file.
 
-        Raises FormatError when the file ends before capture m1 - 1 does,
-        as when it shrank after open_captures checked its size. Also raises
-        it when a capture-UE row is all zero: recorded spectra always carry
-        noise, so such a row was never written, as when simulate stops
-        before filling the pre-sized file. And for a row holding a NaN or
-        infinity, which the small-scale average would otherwise spread over
-        its neighbours' noise levels.
+        Raises ValueError when ue is not one of the file's UEs. Raises
+        FormatError when the file ends before the UE's row of capture
+        m1 - 1 does, as when it shrank after open_captures checked its
+        size. Also raises it when a row is all zero: recorded spectra
+        always carry noise, so such a row was never written, as when
+        simulate stops before filling the pre-sized file. And for a row
+        holding a NaN or infinity, which the small-scale average would
+        otherwise spread over its neighbours' noise levels.
         """
-        out = np.empty((m1 - m0, self.n_ues, self.n_subcarriers), dtype="<c8")
-        with open(self.path, "rb") as fh:
-            fh.seek(self.spectra_offset + m0 * self.n_ues * self.n_subcarriers * 8)
-            got = fh.readinto(out)
+        if not 0 <= ue < self.n_ues:
+            raise ValueError(f"{self.path}: UE {ue} is not one of the file's "
+                             f"{self.n_ues} UEs")
+        out = np.empty((m1 - m0, self.n_subcarriers), dtype="<c8")
+        row = self.n_subcarriers * 8
+        offset = self.spectra_offset + (m0 * self.n_ues + ue) * row
+        got = 0
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            for r in out:
+                n = os.preadv(fd, [r], offset)
+                got += n
+                if n != row:
+                    break
+                offset += self.n_ues * row
+        finally:
+            os.close(fd)
         if got != out.nbytes:
             raise FormatError(
                 f"{self.path}: captures {m0}..{m1 - 1}: truncated spectra (read "
-                f"{got} of {out.nbytes} bytes); the file shrank after it was opened")
-        empty = ~np.any(out, axis=2)  # (m, U)
+                f"{got} of {out.nbytes} bytes of UE {ue}); the file shrank after "
+                "it was opened")
+        empty = ~np.any(out, axis=1)
         if empty.any():
-            self._reject(empty, m0, m1, "spectra are all zero",
+            self._reject(empty, m0, m1, ue, "spectra are all zero",
                          "the file was not completely written")
-        bad = ~np.isfinite(out.view(np.float32)).all(axis=2)
+        bad = ~np.isfinite(out.view(np.float32)).all(axis=1)
         if bad.any():
-            self._reject(bad, m0, m1, "spectra hold NaN or infinite values",
+            self._reject(bad, m0, m1, ue, "spectra hold NaN or infinite values",
                          "the file is corrupt")
         return out
 
-    def _reject(self, rows: np.ndarray, m0: int, m1: int, what: str, why: str):
-        i, j = np.argwhere(rows)[0]
+    def _reject(self, rows: np.ndarray, m0: int, m1: int, ue: int, what: str, why: str):
+        i = int(np.flatnonzero(rows)[0])
         raise FormatError(
-            f"{self.path}: capture {m0 + i}, UE {j}: {what} "
-            f"({int(rows.sum())} such rows in captures {m0}..{m1 - 1}); {why}")
+            f"{self.path}: capture {m0 + i}, UE {ue}: {what} "
+            f"({int(rows.sum())} such rows of UE {ue} in captures {m0}..{m1 - 1}); {why}")
 
 
 def _meta_layout(m: int, u: int, n: int) -> list:

@@ -419,8 +419,9 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     Returns (m0, m1, values, mask, noise_db, theta_db) with values
     (float32) and mask trimmed to the gated span.
 
-    The spectra stay complex64 as read, one per capture and UE, and one
-    UE's rows at a time go into the transform. Each profile is transformed
+    Each UE's spectra are read just before they are transformed, complex64
+    as stored, one row per capture of the chunk and its halo, so the chunk
+    never holds every UE's spectra at once. Each profile is transformed
     over the signed span that complements the noise region, and its gated
     bins are averaged, thresholded, gated and cut straight into the
     outputs.
@@ -445,7 +446,6 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     lo = max(0, a - halo)
     hi = min(m_total, b + halo)
     own = slice(a - lo, b - lo)
-    raw = source.spectra(lo, hi)  # (m, U, N) complex64
     tone_gain, row_gain = calibrate(source.cal_response, source.reference_tones,
                                     source.attenuation_db[lo:hi])
     weights = kaiser_taps(n, params.kaiser_beta) * tone_gain
@@ -455,13 +455,14 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     noise_db = np.empty((b - a, n_ue))
     total = np.empty(hi - lo)
     for j in range(n_ue):
-        pdp = compute_pdp(raw[:, j], weights, f, span, row_gain, total)
+        pdp = compute_pdp(source.spectra(lo, hi, j), weights, f, span, row_gain, total)
         region = np.maximum(total - pdp.sum(axis=-1), 0.0) / (noise_hi - noise_lo)
         ssa = small_scale_average(pdp[:, gated], params.ssa_window)[own]
         noise_mean = small_scale_average(region, params.ssa_window)[own]
         mask[:, j], noise_db[:, j] = threshold_noise(ssa, noise_mean, params.delta_n_db)
         delay_gate(ssa, mask[:, j], cuts[:, j])
         values[:, j] = ssa
+        del pdp  # so two UEs' span profiles never coexist
     theta_db = noise_db + params.delta_n_db
     return a, b, values, mask, noise_db, theta_db
 
@@ -480,17 +481,37 @@ _WORKER_TASK = None  # (fn, args) of the running pool; fork workers inherit it
 _LOOKAHEAD_PER_WORKER = 2  # spans a pool starts ahead of the earliest untaken one
 
 
+def peak_rss_mb() -> float | None:
+    """Peak resident set size of this process in MB (1e6 bytes), from the
+    VmHWM line of /proc/self/status; None where that line is missing. A
+    forked worker's reading also counts the pages it shares with its parent
+    that are resident in it, so the readings of a stage and of its workers
+    overlap and do not add up."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024 / 1e6
+    except OSError:
+        pass
+    return None
+
+
 def _run_span(span: tuple[int, int]) -> tuple:
     fn, args = _WORKER_TASK
-    return span[0], fn(*args, *span)
+    result = fn(*args, *span)
+    return span[0], result, peak_rss_mb()
 
 
 def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
-               workers: int = 1) -> int:
+               workers: int = 1) -> dict:
     """Call take(a, fn(*args, a, b)) for each span [a, b) of chunk_size
     captures covering [0, n_captures), in span order, in this process.
     chunk_size must be at least 1; the stages check it before they start.
-    Returns the number of processes that ran spans.
+    Returns the run's stage record fields: workers, the number of
+    processes that ran spans, and, when a pool ran, worker_peak_rss_mb,
+    the largest peak_rss_mb that a worker read at the end of a span
+    (omitted where no worker could read one).
 
     With workers <= 1 the spans run here, one after another. Otherwise a
     fork pool of that many processes, at most one per span, runs them:
@@ -513,29 +534,37 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
     if workers <= 1:
         for a, b in spans:
             take(a, fn(*args, a, b))
-        return 1
+        return {"workers": 1}
     # Imported here, not at module level: stages that run no pool skip
     # their import cost.
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
     window = _LOOKAHEAD_PER_WORKER * workers
+    queued: deque = deque()  # futures of the untaken spans, in span order
+    peaks = []
+
+    def take_earliest() -> None:
+        a, result, peak = queued.popleft().result()
+        if peak is not None:
+            peaks.append(peak)
+        take(a, result)
+
     global _WORKER_TASK
     _WORKER_TASK = (fn, args)
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=mp.get_context("fork")) as pool:
             try:
-                queued: deque = deque()  # futures of the untaken spans, in span order
                 for span in spans:
                     if len(queued) == window:
-                        take(*queued.popleft().result())
+                        take_earliest()
                     queued.append(pool.submit(_run_span, span))
                 while queued:
-                    take(*queued.popleft().result())
+                    take_earliest()
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
     finally:
         _WORKER_TASK = None
-    return workers
+    return {"workers": workers} | ({"worker_peak_rss_mb": max(peaks)} if peaks else {})

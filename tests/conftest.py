@@ -13,7 +13,10 @@ from cfmm import sounder as sd
 
 
 class PlanSource:
-    """Capture source backed by a campaign plan (spectra synthesized on read)."""
+    """Capture source backed by a campaign plan (spectra synthesized on read).
+    It keeps its last synthesized capture range, so the U reads of one
+    chunk synthesize it once; each read returns a fresh copy, as a capture
+    file read does."""
 
     def __init__(self, plan):
         self.plan = plan
@@ -26,9 +29,14 @@ class PlanSource:
         self.reference_tones = plan.reference_tones
         self.positions = plan.positions
         self.ue_positions = plan.ue_positions
+        self._last = (None, None)  # (m0, m1), (m, U, N) spectra
 
-    def spectra(self, m0: int, m1: int) -> np.ndarray:
-        return sd.synthesize_chunk(self.plan, m0, m1)
+    def spectra(self, m0: int, m1: int, ue: int) -> np.ndarray:
+        span, chunk = self._last
+        if span != (m0, m1):
+            chunk = sd.synthesize_chunk(self.plan, m0, m1)
+            self._last = ((m0, m1), chunk)
+        return chunk[:, ue].copy()
 
 
 def noiseless(plan):

@@ -200,8 +200,8 @@ class _NoiseSource:
         z = rng.standard_normal((m_total, 1, self.n_subcarriers, 2))
         self._z = (z[..., 0] + 1j * z[..., 1]).astype(np.complex64)
 
-    def spectra(self, m0: int, m1: int) -> np.ndarray:
-        return np.asarray(self._z[m0:m1], dtype=np.complex128)
+    def spectra(self, m0: int, m1: int, ue: int) -> np.ndarray:
+        return np.asarray(self._z[m0:m1, ue], dtype=np.complex128)
 
 
 def test_criterion_05_threshold_false_alarm(tmp_path):

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -485,6 +486,29 @@ class TestStages:
         assert 0 <= sim["capture_sync_wait_s"] <= sim["wall_s"]
         assert (stages["process"]["n_captures"], stages["process"]["n_ues"]) == (81, 8)
         assert "capture_sync_wait_s" not in stages["process"]
+
+    def test_stage_records_peak_rss(self, workspace, tmp_path, monkeypatch):
+        # The stage process's peak RSS in every record; the largest worker
+        # reading only when a pool ran the chunks; neither where no reading
+        # can be made.
+        cfgp, cap = str(workspace / "cfg.json"), str(workspace / "out" / "captures.cfmc")
+
+        def record(workers: str, out: Path) -> dict:
+            assert main(["process", "--config", cfgp, "--captures", cap, "--out", str(out),
+                         "--workers", workers, "--chunk-size", "16"]) == 0
+            stage = json.loads((out / "manifest.json").read_text())["stages"]["process"]
+            assert stage["workers"] == int(workers)
+            return stage
+
+        pool = record("2", tmp_path / "pool")
+        assert 0 < pool["peak_rss_mb"] < math.inf
+        assert 0 < pool["worker_peak_rss_mb"] < math.inf
+        serial = record("1", tmp_path / "serial")
+        assert 0 < serial["peak_rss_mb"] < math.inf
+        assert "worker_peak_rss_mb" not in serial
+        monkeypatch.setattr(pl, "peak_rss_mb", lambda: None)  # forked workers too
+        unread = record("2", tmp_path / "unread")
+        assert "peak_rss_mb" not in unread and "worker_peak_rss_mb" not in unread
 
     def test_export_outputs(self, workspace):
         cfgp = str(workspace / "cfg.json")

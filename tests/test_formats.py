@@ -335,28 +335,96 @@ class TestCaptureFile:
     def test_spectra_match_synthesis(self, plan, capture_path):
         cf = fm.open_captures(capture_path)
         fresh = sd.synthesize_chunk(plan, 0, 6)
-        got = cf.spectra(0, 6)
-        assert got.dtype == np.complex64
-        np.testing.assert_array_equal(got, fresh.astype(np.complex64))
+        for ue in range(plan.n_ues):
+            got = cf.spectra(0, 6, ue)
+            assert got.dtype == np.complex64 and got.shape == (6, 2801)
+            np.testing.assert_array_equal(got, fresh[:, ue])
+
+    def test_spectra_match_file_bytes(self, plan, capture_path):
+        # Oracle independent of the reader: each (capture, UE) row parsed
+        # from the raw file at offset spectra_offset + ((c U + ue) N) 8.
+        cf = fm.open_captures(capture_path)
+        raw = capture_path.read_bytes()
+        u, n = cf.n_ues, cf.n_subcarriers
+        for ue in range(u):
+            want = np.stack([np.frombuffer(raw, dtype="<c8", count=n,
+                                           offset=cf.spectra_offset + (c * u + ue) * n * 8)
+                             for c in range(1, 5)])
+            np.testing.assert_array_equal(cf.spectra(1, 5, ue), want)
 
     def test_spectra_range_read(self, plan, capture_path):
         cf = fm.open_captures(capture_path)
-        np.testing.assert_array_equal(cf.spectra(2, 5), cf.spectra(0, 6)[2:5])
+        for ue in (0, plan.n_ues - 1):
+            np.testing.assert_array_equal(cf.spectra(2, 5, ue), cf.spectra(0, 6, ue)[2:5])
+
+    def test_spectra_ue_out_of_range(self, plan, capture_path):
+        cf = fm.open_captures(capture_path)
+        for ue in (-1, plan.n_ues):
+            with pytest.raises(ValueError, match=f"UE {ue} is not one of the file's "
+                                                 f"{plan.n_ues} UEs"):
+                cf.spectra(0, 6, ue)
 
     def test_spectra_of_shrunk_file_name_file_and_range(self, capture_path, tmp_path):
-        # The file is cut inside capture 5 after open_captures checked its
-        # size: ranges it still holds read, the others raise FormatError.
+        # The file is cut inside capture 5's row of the last UE after
+        # open_captures checked its size: ranges it still holds read, the
+        # others raise FormatError naming the file, the range and the UE.
         path = tmp_path / "shrinks.cfmc"
         path.write_bytes(capture_path.read_bytes())
         cf = fm.open_captures(path)
         os.truncate(path, os.path.getsize(path) - 4096)
         whole = fm.open_captures(capture_path)
-        np.testing.assert_array_equal(cf.spectra(1, 5), whole.spectra(1, 5))
-        want = 3 * 8 * 2801 * 8
+        for ue in range(8):
+            np.testing.assert_array_equal(cf.spectra(1, 5, ue), whole.spectra(1, 5, ue))
+        for ue in range(7):  # the cut row is UE 7's
+            np.testing.assert_array_equal(cf.spectra(3, 6, ue), whole.spectra(3, 6, ue))
+        want = 3 * 2801 * 8
         with pytest.raises(fm.FormatError) as exc:
-            cf.spectra(3, 6)
-        assert str(exc.value).startswith(
-            f"{path}: captures 3..5: truncated spectra (read {want - 4096} of {want} bytes)")
+            cf.spectra(3, 6, 7)
+        assert str(exc.value) == (
+            f"{path}: captures 3..5: truncated spectra (read {want - 4096} of {want} "
+            "bytes of UE 7); the file shrank after it was opened")
+
+    def test_spectra_close_their_descriptor(self, capture_path, tmp_path, monkeypatch):
+        # Every path through the reader closes the one descriptor it opens:
+        # a good read, a short read, an all-zero row and a NaN row.
+        cf = fm.open_captures(capture_path)
+        row = cf.n_ues * cf.n_subcarriers * 8
+        raw = bytearray(capture_path.read_bytes())
+        zeroed = tmp_path / "zeroed.cfmc"
+        zeroed.write_bytes(raw[:cf.spectra_offset + 2 * row] + bytes(row)
+                           + raw[cf.spectra_offset + 3 * row:])
+        nan = tmp_path / "nan.cfmc"
+        tone = cf.spectra_offset + ((1 * 8 + 1) * 2801 + 100) * 8  # capture 1, UE 1
+        raw[tone:tone + 8] = np.array([np.nan], dtype="<c8").tobytes()
+        nan.write_bytes(raw)
+        short = tmp_path / "short.cfmc"
+        short.write_bytes(capture_path.read_bytes())
+        short_file = fm.open_captures(short)
+        os.truncate(short, os.path.getsize(short) - 4096)
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def counted_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def counted_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", counted_open)
+        monkeypatch.setattr(os, "close", counted_close)
+        cf.spectra(0, 6, 3)
+        for source, ue, message in ((short_file, 7, "truncated spectra"),
+                                    (fm.open_captures(zeroed), 0, "capture 2, UE 0: "
+                                     "spectra are all zero"),
+                                    (fm.open_captures(nan), 1, "capture 1, UE 1: "
+                                     "spectra hold NaN")):
+            with pytest.raises(fm.FormatError, match=message):
+                source.spectra(0, 6, ue)
+        with pytest.raises(ValueError):
+            cf.spectra(0, 6, 8)
+        assert len(opened) == 4 and closed == opened
 
     def test_writer_places_chunks_by_capture(self, plan, capture_path, tmp_path):
         path = tmp_path / "reordered.cfmc"

@@ -25,8 +25,9 @@ block of captures at a time and prints:
 When both hold a `manifest.json` that differs, it prints each dotted key
 (`stages.process.captures`) whose value differs or that only one of them
 holds, with both values. The run measurements (`wall_s`, `cpu_s`,
-`capture_sync_wait_s`), which differ between any two runs, are named
-together on one "run timings differ" line instead.
+`capture_sync_wait_s`, `peak_rss_mb`, `worker_peak_rss_mb`), which differ
+between any two runs, are named together on one "run timings differ"
+line instead.
 
 Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
 argument is missing or is not a directory, 3 when a differing
@@ -48,7 +49,8 @@ CAPTURES = "captures.cfmc"
 MATRIX = "matrix.cfmm"
 MANIFEST = "manifest.json"
 CAPTURE_BLOCK = 32  # captures read from each file per step
-RUN_TIMINGS = ("wall_s", "cpu_s", "capture_sync_wait_s")  # manifest record keys
+# Manifest record keys whose values differ between any two runs
+RUN_TIMINGS = ("wall_s", "cpu_s", "capture_sync_wait_s", "peak_rss_mb", "worker_peak_rss_mb")
 
 
 def sha256(path: Path) -> str:
@@ -84,7 +86,8 @@ def compare_captures(path_a: Path, path_b: Path) -> list[str]:
     worst, worst_at = 0.0, None
     for m0 in range(0, m, CAPTURE_BLOCK):
         m1 = min(m0 + CAPTURE_BLOCK, m)
-        sa, sb = a.spectra(m0, m1), b.spectra(m0, m1)
+        sa, sb = (np.stack([f.spectra(m0, m1, j) for j in range(u)], axis=1)
+                  for f in (a, b))
         differ = sa != sb
         values_differ += int(differ.sum())
         if differ.any():
