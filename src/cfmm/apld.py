@@ -147,6 +147,15 @@ def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray) -> np
     return img
 
 
+def _pgm_header(n_bins: int, n_rows: int) -> bytes:
+    return f"P5\n{n_bins} {n_rows}\n255\n".encode("ascii")
+
+
+def heatmap_bytes(n_bins: int, n_rows: int) -> int:
+    """Size of the heatmap of one UE with n_rows captures of n_bins bins."""
+    return len(_pgm_header(n_bins, n_rows)) + n_rows * n_bins
+
+
 def export_heatmap(aplds: list[APLDPDP], paths: list) -> None:
     """Write the profiles of UEs of one matrix as binary PGM (P5) images,
     aplds[i] to paths[i]. Raises ValueError when aplds hold more than one
@@ -174,7 +183,7 @@ def export_heatmap(aplds: list[APLDPDP], paths: list) -> None:
         out = []
         for apld, path in zip(aplds, paths, strict=True):
             fh = stack.enter_context(open(path, "wb"))
-            fh.write(f"P5\n{apld.n_bins} {apld.n_rows}\n255\n".encode("ascii"))
+            fh.write(_pgm_header(apld.n_bins, apld.n_rows))
             out.append(fh)
         for rows in matrix.blocks():
             img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db)

@@ -32,6 +32,7 @@ import math
 import os
 import re
 import resource
+import shutil
 import sys
 import time
 from collections import Counter
@@ -214,9 +215,18 @@ def cmd_validate(args) -> int:
     else:
         source = f"from the CPU time of the simulate and process records in {manifest}"
     est_s = n_poses * n_ues * per_capture_ue
+    capture_bytes = fm.capture_file_bytes(n_poses, n_ues, cfg.waveform.n_subcarriers,
+                                          site.site_id)
+    heatmap_bytes = n_ues * ap.heatmap_bytes(cfg.pipeline.gated_bins, n_poses)
+    fs = manifest.parent
+    while not fs.exists():
+        fs = fs.parent
     print(f"valid, {n_poses} poses")
     print(f"sites: {len(scene.ue_sites)}, site {site.site_id!r}: {n_ues} UEs")
     print(f"estimated single-core runtime: {est_s / 60:.1f} min ({source})")
+    print(f"simulate writes {capture_bytes:,} B ({CAPTURES_NAME}); "
+          f"export writes {heatmap_bytes:,} B of heatmaps, plus the annotation CSVs")
+    print(f"free space on the file system of {fs}: {shutil.disk_usage(fs).free:,} B")
     print(f"config hash: {semantic_hash(cfg)}")
     return 0
 
@@ -263,8 +273,13 @@ def cmd_simulate(args) -> int:
                 _simulate_span, (plan, writer), plan.n_captures, chunk_size,
                 lambda m0, _: writer.sync(), workers))
         mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
+        steps = cfg.impairments.agc.attenuation_steps_db
         record.update(n_captures=plan.n_captures, n_ues=plan.n_ues,
                       link_classes={c.name: int(mix[c]) for c in LinkClass},
+                      agc_steps={f"{a:g}": int(np.count_nonzero(plan.attenuation_db == a))
+                                 for a in steps},
+                      paths_per_link=sum(g.size for g in plan.path_gains)
+                      / (plan.n_captures * plan.n_ues),
                       capture_sync_wait_s=writer.sync_wait_s)
     print(f"simulate: wrote {out / CAPTURES_NAME}")
     return 0
@@ -305,6 +320,15 @@ def cmd_process(args) -> int:
     return 0
 
 
+def _matrix_header(params: pl.PipelineParams, source) -> dict:
+    """The matrix header fields that process writes for the captures of
+    source under params."""
+    f = params.pad_factor
+    return {"n_bins": params.gated_bins,
+            "bin_width_s": pl.native_bin_width_s(source) / f,
+            "oversample_factor": f}
+
+
 def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
                   summary_path: Path, chunk_size: int = 128, workers: int = 1) -> dict:
     """Process every capture of source into a matrix file and a summary
@@ -312,10 +336,9 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
     counts, the matrix's run and surviving-bin totals and the runner's
     record fields (run_chunks). Chunks arrive in capture order; each one's
     matrix records and summary rows are written as it arrives."""
-    f = params.pad_factor
-    bin_width_s = pl.native_bin_width_s(source) / f
-    writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues,
-                             params.gate_native_bins * f, bin_width_s, f)
+    header = _matrix_header(params, source)
+    bin_width_s = header["bin_width_s"]
+    writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues, **header)
     counts: Counter = Counter()
     with open(summary_path, "w", newline="") as fh:
         summary = csv.writer(fh)
@@ -343,6 +366,12 @@ def cmd_export(args) -> int:
         raise FileNotFoundError(f"matrix file not found: {matrix_path} (run process first)")
     matrix = fm.read_matrix(matrix_path)
     source = fm.open_captures(_captures_path(args, out))
+    for field, want in _matrix_header(cfg.pipeline, source).items():
+        got = getattr(matrix, field)
+        if got != want:
+            raise fm.FormatError(
+                f"{matrix_path}: header {field} is {got}, expected {want}, the value "
+                f"process writes for this config's pipeline and {source.path}")
     u = matrix.n_ues
     with _stage(out, cfg, "export", n_ues=u) as (partials, record):
         ues = [ap.assemble_apld(matrix, source, j) for j in range(u)]

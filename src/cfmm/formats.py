@@ -386,6 +386,15 @@ def _meta_layout(m: int, u: int, n: int) -> list:
     ]
 
 
+def capture_file_bytes(m: int, u: int, n: int, site_id: str) -> int:
+    """Size of a capture file of m captures, u UEs and n tones recorded at
+    site site_id: the fixed header, the site id, the metadata blocks, then
+    the m u n complex64 spectra."""
+    meta = sum(np.dtype(dtype).itemsize * math.prod(shape)
+               for _, dtype, shape in _meta_layout(m, u, n))
+    return _CAPTURE_FIXED.size + len(site_id.encode("utf-8")) + meta + m * u * n * 8
+
+
 class CaptureWriter:
     """Creates a capture container and fills spectra in capture-range chunks.
 
@@ -428,7 +437,7 @@ class CaptureWriter:
                     raise ValueError(f"{name}: shape {arr.shape}, expected {shape}")
                 arr.tofile(fh)
             self.spectra_offset = fh.tell()
-            n_bytes = int(np.prod(self.shape)) * 8
+            n_bytes = capture_file_bytes(m, u, n, plan.site_id) - self.spectra_offset
             try:
                 os.posix_fallocate(fh.fileno(), self.spectra_offset, n_bytes)
             except OSError as e:
@@ -514,7 +523,7 @@ def open_captures(path) -> CaptureFile:
                                     math.prod(shape)).reshape(shape)
                   for name, dtype, shape in _meta_layout(m, u, n)}
         spectra_offset = fh.tell()
-        expected = spectra_offset + m * u * n * 8
+        expected = capture_file_bytes(m, u, n, site_id)
         if size < expected:
             raise FormatError(
                 f"{path}: truncated spectra payload ({size} bytes, expected {expected})")

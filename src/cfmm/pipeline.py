@@ -97,6 +97,11 @@ class PipelineParams:
                 f"needs lo < hi <= {n_subcarriers}, the tone count of the captures")
         return lo * self.pad_factor, hi * self.pad_factor
 
+    @property
+    def gated_bins(self) -> int:
+        """Oversampled bins the delay gate keeps, the matrix's n_bins."""
+        return self.gate_native_bins * self.pad_factor
+
 
 @dataclass
 class SparseRows:
@@ -429,7 +434,7 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     n = source.n_subcarriers
     f = params.pad_factor
     big_l = n * f
-    gate_cut = params.gate_native_bins * f
+    gate_cut = params.gated_bins
     noise_lo, noise_hi = params.noise_bins(n)
     span = (noise_hi - big_l, noise_lo)
     gated = slice(big_l - noise_hi, big_l - noise_hi + gate_cut)  # delays [0, gate)

@@ -10,7 +10,10 @@ capture; attenuation buys headroom at the price of noise figure.
 
 Every capture is reproducible in isolation: its noise stream derives from
 (campaign seed, capture index) only, so chunked and parallel synthesis
-produce byte-identical records.
+produce byte-identical records. The receiver noise is complex Gaussian,
+drawn by a Box-Muller transform (Box & Muller, 1958) of the capture's
+uniform draws and evaluated in float32, the precision the capture file
+stores.
 """
 
 from __future__ import annotations
@@ -251,6 +254,25 @@ def _capture_rng(seed: int, capture_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(capture_index,)))
 
 
+def _unit_noise(seed: int, capture_index: int, out: np.ndarray) -> None:
+    """Write capture capture_index's unit-variance noise into out, (U, N, 2)
+    float32 (real, imaginary) components, one standard normal each.
+
+    One (U, 2, N) draw of float64 uniforms u from the capture's generator;
+    per UE, r = sqrt(-2 ln float32(1 - u[0])) and theta = float32(2 pi u[1]),
+    and the components are (r cos theta, r sin theta), every step in
+    float32. Since 1 - u >= 2^-53, r stays below 8.58.
+    """
+    u = _capture_rng(seed, capture_index).random((out.shape[0], 2, out.shape[1]))
+    r = (1.0 - u[:, 0]).astype(np.float32)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = (2.0 * np.pi * u[:, 1]).astype(np.float32)
+    np.multiply(r, np.cos(theta), out=out[..., 0])
+    np.multiply(r, np.sin(theta), out=out[..., 1])
+
+
 def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     """Recorded spectra for captures [m0, m1), shape (m, U, N): per UE,
     the mean of its REPETITIONS_PER_UE repetitions.
@@ -260,21 +282,20 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     to the channel at zero delay, ahead of the attenuator, so its calibrated
     level does not move with AGC steps.
 
-    The loop is UE-major: one UE's (m, N) complex128 channel rows for the
-    chunk, then that UE's noise for each capture, drawn into one reused
-    (N, 2) buffer and written straight into the complex64 result, so no
-    (m, U, N) complex128 signal is ever held. Each capture keeps one
-    generator for the chunk, and successive draws continue its stream, so
-    its U draws of (N, 2) normals are the values, in order, of one
-    (U, N, 2) draw from a fresh generator: every capture's noise depends
-    on (seed, capture index) only.
+    Each capture's unit noise z (_unit_noise) is drawn first, straight into
+    the complex64 result; its float32 components are stored exactly. The
+    signal loop is then UE-major: one UE's (m, N) complex128 channel rows
+    for the chunk, then per capture that UE's noise, scaled and added in
+    one reused (N, 2) float64 buffer and written back over it, so no
+    (m, U, N) complex128 signal is ever held. Every capture's noise
+    depends on (seed, capture index) only.
 
     Noise, gain and the complex64 cast run in place on float64 (real,
     imaginary) views: z *= sqrt(sigma2 / 2), z += signal, z *= g, then one
     rounding to float32. A complex value times a real scalar is exact per
     component, as is a complex sum, so the bytes equal those of
     (g * (signal + (z0 + 1j z1) * sqrt(sigma2 / 2))).astype(complex64)
-    with the same draws, where sigma2 is the variance of the repetition
+    with the same z, where sigma2 is the variance of the repetition
     mean, one repetition's over REPETITIONS_PER_UE. A thermal density of
     -inf dBm/Hz gives sigma2 = 0, a capture without receiver noise.
     """
@@ -289,10 +310,11 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     sigma2 = (imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], wf_spec.subcarrier_spacing_hz)
               / REPETITIONS_PER_UE)  # variance of the repetition mean
     noise_scale = np.sqrt(sigma2 / 2.0)
-    rngs = [_capture_rng(plan.seed, m) for m in range(m0, m1)]
 
     out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
     out_re = out.view(np.float32).reshape(m_chunk, n_ue, n, 2)
+    for i in range(m_chunk):
+        _unit_noise(plan.seed, m0 + i, out_re[i])
     h_rows = np.empty((m_chunk, n), dtype=np.complex128)
     h_re = h_rows.view(np.float64).reshape(m_chunk, n, 2)
     z = np.empty((n, 2))
@@ -307,9 +329,8 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
         if imp.crosstalk_coupling_db is not None:
             h_rows += 10.0 ** (imp.crosstalk_coupling_db / 20.0)
         h_rows *= tx_front
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=z)
-            z *= noise_scale[i]
+        for i in range(m_chunk):
+            np.multiply(out_re[i, j], noise_scale[i], out=z)
             z += h_re[i]
             z *= g_lin[i]
             out_re[i, j] = z

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -51,6 +52,21 @@ def finished_run(workspace, tmp_path_factory):
         assert main([stage, "--config", str(workspace / "cfg.json"), "--out", str(out),
                      "--workers", "1"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def processed_24(tmp_path_factory):
+    """Config, captures and matrix of a processed 24-pose campaign."""
+    d = tmp_path_factory.mktemp("p24")
+    scene = first_poses(make_scene(waypoints=[sc.Waypoint("start", 10, 10, 4.5),
+                                              sc.Waypoint("drive", 14, 10)]), 24)
+    sc.save_scene(scene, d / "scene.json")
+    (d / "cfg.json").write_text(json.dumps(
+        {"scene": str(d / "scene.json"), "seed": 3, "output_dir": str(d / "out")}))
+    for stage in ("simulate", "process"):
+        assert main([stage, "--config", str(d / "cfg.json"), "--workers", "1"]) == 0
+    assert fm.read_matrix(d / "out" / "matrix.cfmm").n_captures == 24
+    return d
 
 
 def digests(out):
@@ -174,6 +190,30 @@ class TestValidate:
         assert "valid, 81 poses" in out
         assert "site 'site0': 8 UEs" in out
         assert "config hash:" in out
+
+    def test_prints_bytes_each_stage_writes(self, workspace, finished_run, capsys):
+        # The workspace config's simulate and export outputs, against the
+        # files a finished run of the same config wrote.
+        assert main(["validate", "--config", str(workspace / "cfg.json")]) == 0
+        out = capsys.readouterr().out
+        writes = next(line for line in out.splitlines() if line.startswith("simulate writes"))
+        capture_b, heatmap_b = (int(s.replace(",", "")) for s in
+                                re.findall(r"([0-9,]+) B", writes))
+        assert capture_b == (workspace / "out" / "captures.cfmc").stat().st_size
+        assert capture_b == (finished_run / "captures.cfmc").stat().st_size
+        assert heatmap_b == sum(p.stat().st_size for p in finished_run.glob("apld_ue*.pgm"))
+        # The free space moves with every write to the file system.
+        free = re.search(rf"free space on the file system of "
+                         rf"{re.escape(str(workspace / 'out'))}: ([0-9,]+) B", out)
+        assert 0 < int(free.group(1).replace(",", "")) <= shutil.disk_usage(workspace).total
+
+    def test_free_space_of_nearest_existing_parent(self, workspace, tmp_path, capsys):
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "a" / "b")
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == 0
+        assert f"free space on the file system of {tmp_path}: " in capsys.readouterr().out
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_bad_param_named(self, workspace, tmp_path, capsys):
         cfg = json.loads((workspace / "cfg.json").read_text())
@@ -392,6 +432,22 @@ class TestStages:
         counts = np.bincount(cf.link_class.ravel(), minlength=3)
         assert [mix[c.name] for c in sc.LinkClass] == counts.tolist()
         assert mix["LOS"] > 0 and mix["NLOS"] > 0
+
+    def test_simulate_records_agc_steps_and_paths_per_link(self, workspace):
+        record = json.loads((workspace / "out" / "manifest.json").read_text())
+        record = record["stages"]["simulate"]
+        cfg = cfgmod.load_config(workspace / "cfg.json")
+        plan = sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
+                                cfg.seed, site=cfg.site)
+        steps = record["agc_steps"]
+        assert list(steps) == ["0", "10", "20", "30"]
+        assert sum(steps.values()) == record["n_captures"] == plan.n_captures
+        values, counts = np.unique(plan.attenuation_db, return_counts=True)
+        assert {k: n for k, n in steps.items() if n} == {
+            f"{a:g}": int(n) for a, n in zip(values, counts)}
+        paths = sum(len(d) for d in plan.path_delays)
+        assert record["paths_per_link"] == pytest.approx(paths / (plan.n_captures * 8))
+        assert record["paths_per_link"] > 1
 
     def test_simulate_decides_link_classes_once(self, workspace, tmp_path, monkeypatch):
         # Every direct ray is tested against every building once, by the
@@ -944,6 +1000,39 @@ class TestStages:
         assert "stored values must be finite and non-negative" in err
         assert not list(out.glob("apld_ue*.pgm"))
         assert not list(out.glob("*.partial"))
+
+    @pytest.mark.parametrize("byte", range(16, 32))
+    def test_export_checks_matrix_header(self, processed_24, tmp_path, capsys, byte):
+        # Bytes 16-31 hold n_bins, bin_width_s and oversample_factor. Any
+        # change to one exits 3, naming the file and the field, before
+        # export writes or deletes anything.
+        field = "n_bins" if byte < 20 else "bin_width_s" if byte < 28 else "oversample_factor"
+        out = tmp_path / "x"
+        out.mkdir()
+        pristine = (processed_24 / "out" / "matrix.cfmm").read_bytes()
+        for flip in (0x01, 0xFF):
+            (out / "matrix.cfmm").write_bytes(
+                pristine[:byte] + bytes([pristine[byte] ^ flip]) + pristine[byte + 1:])
+            capsys.readouterr()
+            assert main(["export", "--config", str(processed_24 / "cfg.json"), "--out",
+                         str(out), "--captures",
+                         str(processed_24 / "out" / "captures.cfmc")]) == 3
+            err = capsys.readouterr().err
+            assert f"{out / 'matrix.cfmm'}: header {field} is " in err
+            assert "Traceback" not in err
+            assert sorted(p.name for p in out.iterdir()) == ["matrix.cfmm"]
+
+    def test_export_rejects_matrix_of_other_pipeline(self, processed_24, tmp_path, capsys):
+        cfg = json.loads((processed_24 / "cfg.json").read_text())
+        cfg["pipeline"] = {"gate_native_bins": 300}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = processed_24 / "out"
+        before = digests(out)
+        assert main(["export", "--config", str(tmp_path / "cfg.json")]) == 3
+        err = capsys.readouterr().err
+        assert (f"{out / 'matrix.cfmm'}: header n_bins is 4000, expected 3000, the value "
+                "process writes for this config's pipeline") in err
+        assert digests(out) == before
 
     def test_export_has_no_chunk_size(self, workspace, finished_run, capsys):
         before = digests(finished_run)

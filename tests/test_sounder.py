@@ -1,7 +1,9 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cfmm import channel as chan
 from cfmm import raypaths as rp
@@ -157,7 +159,8 @@ def test_synthesize_chunk_bytes_match_complex_formulation(noisy):
     # The in-place real arithmetic reproduces, bit for bit, the complex
     # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64,
     # with sigma2 the variance of the mean of the 10 repetitions of a UE slot,
-    # and g * signal without receiver noise.
+    # and g * signal without receiver noise. (z0, z1) is the documented
+    # float32 Box-Muller transform of the capture's (U, 2, N) uniforms.
     plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=4)
     plan = plan if noisy else noiseless(plan)
     imp = plan.impairments
@@ -177,13 +180,51 @@ def test_synthesize_chunk_bytes_match_complex_formulation(noisy):
             )[0]
             signal[j] = (h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)) * front
         if noisy:
-            z = sd._capture_rng(plan.seed, m).standard_normal((plan.n_ues, n, 2))
-            noise = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(sigma2[i] / 2.0)
+            u = sd._capture_rng(plan.seed, m).random((plan.n_ues, 2, n))
+            radius = np.sqrt(np.float32(-2.0) * np.log((1.0 - u[:, 0]).astype(np.float32)))
+            theta = (2.0 * np.pi * u[:, 1]).astype(np.float32)
+            z0, z1 = radius * np.cos(theta), radius * np.sin(theta)
+            assert z0.dtype == z1.dtype == np.float32
+            noise = (z0.astype(np.float64) + 1j * z1.astype(np.float64)) * np.sqrt(sigma2[i] / 2.0)
         else:
             assert sigma2[i] == 0.0
             noise = 0.0
         expected = (g_lin[i] * (signal + noise)).astype(np.complex64)
         assert got[i].tobytes() == expected.tobytes()
+
+
+def test_noise_is_unit_complex_gaussian():
+    # Without paths or crosstalk a capture is g * sqrt(sigma2 / 2) * z: the
+    # unit noise z, rounded to complex64. Its components must be standard
+    # normal, independent of each other and of the next capture's.
+    plan = sd.plan_campaign(short_drive_scene(x1=16.4), SPEC,
+                            sd.ImpairmentConfig(crosstalk_coupling_db=None), seed=21)
+    plan = replace(plan, path_gains=[g[:0] for g in plan.path_gains],
+                   path_delays=[d[:0] for d in plan.path_delays],
+                   row_splits=[np.zeros_like(rs) for rs in plan.row_splits])
+    m = plan.n_captures
+    assert m >= 128
+    sigma2 = plan.impairments.noise_sigma2_mw(plan.attenuation_db,
+                                              SPEC.subcarrier_spacing_hz) / 10
+    scale = 10.0 ** (-plan.attenuation_db / 20.0) * np.sqrt(sigma2 / 2.0)
+    z = sd.synthesize_chunk(plan, 0, m).astype(np.complex128) / scale[:, None, None]
+    n = z.size  # 129 x 8 x 2801 complex samples
+    tol = 5.0 / np.sqrt(n)
+    for part in (z.real.ravel(), z.imag.ravel()):
+        assert abs(part.mean()) < tol
+        assert abs(part.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+        assert stats.kstest(part, "norm").pvalue > 1e-3
+    assert abs(np.corrcoef(z.real.ravel(), z.imag.ravel())[0, 1]) < tol
+    # |z|^2 / 2 = -ln(1 - u) is exponential: its tail follows e^-t up to
+    # t = 12, where the 2.9 million samples still expect about 18.
+    half_power = np.abs(z.ravel()) ** 2 / 2.0
+    for t in range(1, 13):
+        lo, hi = stats.binom.interval(1 - 1e-6, n, np.exp(-t))
+        assert lo <= np.count_nonzero(half_power > t) <= hi, t
+    # Capture m and capture m + 1, same UE and tone, are uncorrelated.
+    for part in (z.real, z.imag):
+        assert abs(np.corrcoef(part[:-1].ravel(), part[1:].ravel())[0, 1]) < tol
+    assert abs(np.corrcoef(z.real[:-1].ravel(), z.imag[1:].ravel())[0, 1]) < tol
 
 
 def test_noiseless_capture_reproduces_channel():
