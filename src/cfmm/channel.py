@@ -51,7 +51,7 @@ def synthesize_rows(
 
     Row r sums paths gains[row_splits[r]:row_splits[r+1]] over the tones
     f_0 + k df of spec.tone_offsets_hz(). Returns (n_rows, n_tones)
-    complex128. This is the campaign hot loop.
+    complex128.
 
     Each path contributes the outer product of its coarse table
     g exp(-j 2 pi tau (f_0 + a B df)), a < A = ceil(N / B), which carries

@@ -57,9 +57,10 @@ MANIFEST_NAME = "manifest.json"
 # Per capture-UE wall-clock cost of simulate plus process with --workers 1;
 # the validate-stage runtime estimate uses it when the output directory
 # holds no simulate and process records with cpu_s. The bundled canyon
-# campaign (3841 poses x 8 UEs) took 20.4 s and 23.8 s in two runs on a
-# 2-vCPU Intel Xeon VM with Python 3.11 and numpy 2.4: 0.66-0.78 ms each.
-_EST_SECONDS_PER_CAPTURE_UE = 7e-4
+# campaign (3841 poses x 8 UEs, seed 7) took 1.77 + 5.10 s and 1.68 +
+# 5.01 s in two runs on a 2-vCPU Intel Xeon VM with Python 3.11 and numpy
+# 2.4.6: 0.218-0.223 ms each.
+_EST_SECONDS_PER_CAPTURE_UE = 2.2e-4
 
 
 def _out_dir(cfg: RunConfig, flag_out: str | None) -> Path:
@@ -280,6 +281,8 @@ def cmd_simulate(args) -> int:
                                  for a in steps},
                       paths_per_link=sum(g.size for g in plan.path_gains)
                       / (plan.n_captures * plan.n_ues),
+                      links_without_paths=sum(int(np.count_nonzero(np.diff(rs) == 0))
+                                              for rs in plan.row_splits),
                       capture_sync_wait_s=writer.sync_wait_s)
     print(f"simulate: wrote {out / CAPTURES_NAME}")
     return 0

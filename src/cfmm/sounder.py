@@ -284,11 +284,15 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
 
     Each capture's unit noise z (_unit_noise) is drawn first, straight into
     the complex64 result; its float32 components are stored exactly. The
-    signal loop is then UE-major: one UE's (m, N) complex128 channel rows
-    for the chunk, then per capture that UE's noise, scaled and added in
-    one reused (N, 2) float64 buffer and written back over it, so no
-    (m, U, N) complex128 signal is ever held. Every capture's noise
-    depends on (seed, capture index) only.
+    signal loop is then UE-major: one UE's complex128 channel rows for the
+    chunk's links that have traced paths, then per capture that UE's
+    noise, scaled and added in one reused (N, 2) float64 buffer and
+    written back over it, so no (m, U, N) complex128 signal is ever held.
+    A link without paths adds the one signal row of the chunk's empty
+    links, a zero channel through the same crosstalk add and transmit
+    front as a channel row, so its bytes are those of a zero row in the
+    channel rows. Every capture's noise depends on (seed, capture index)
+    only.
 
     Noise, gain and the complex64 cast run in place on float64 (real,
     imaginary) views: z *= sqrt(sigma2 / 2), z += signal, z *= g, then one
@@ -315,23 +319,35 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     out_re = out.view(np.float32).reshape(m_chunk, n_ue, n, 2)
     for i in range(m_chunk):
         _unit_noise(plan.seed, m0 + i, out_re[i])
-    h_rows = np.empty((m_chunk, n), dtype=np.complex128)
-    h_re = h_rows.view(np.float64).reshape(m_chunk, n, 2)
+
+    def to_signal(h):
+        """Turn channel rows h, (k, N) complex128, into the received signal
+        in place (crosstalk added, times the transmit front); returns their
+        (k, N, 2) float64 view."""
+        if imp.crosstalk_coupling_db is not None:
+            h += 10.0 ** (imp.crosstalk_coupling_db / 20.0)
+        h *= tx_front
+        return h.view(np.float64).reshape(h.shape[0], n, 2)
+
+    # Every link without paths has a zero channel, so they share one row.
+    empty_re = to_signal(np.zeros((1, n), dtype=np.complex128))[0]
+    h_buf = np.empty((m_chunk, n), dtype=np.complex128)
     z = np.empty((n, 2))
     for j in range(n_ue):
         sub_splits = plan.row_splits[j][m0:m1 + 1] - plan.row_splits[j][m0]
         base = plan.row_splits[j][m0]
-        ch.synthesize_rows(
+        has = np.flatnonzero(np.diff(sub_splits))  # links with paths
+        h_rows = ch.synthesize_rows(
             plan.path_gains[j][base:base + sub_splits[-1]],
             plan.path_delays[j][base:base + sub_splits[-1]],
-            sub_splits, wf_spec, out=h_rows,
+            np.concatenate([[0], sub_splits[has + 1]]), wf_spec, out=h_buf[:has.size],
         )
-        if imp.crosstalk_coupling_db is not None:
-            h_rows += 10.0 ** (imp.crosstalk_coupling_db / 20.0)
-        h_rows *= tx_front
+        h_re = to_signal(h_rows)
+        row_of = np.full(m_chunk, -1)
+        row_of[has] = np.arange(has.size)
         for i in range(m_chunk):
             np.multiply(out_re[i, j], noise_scale[i], out=z)
-            z += h_re[i]
+            z += empty_re if row_of[i] < 0 else h_re[row_of[i]]
             z *= g_lin[i]
             out_re[i, j] = z
     return out

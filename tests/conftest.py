@@ -45,17 +45,21 @@ def noiseless(plan):
     return replace(plan, impairments=replace(plan.impairments, thermal_dbm_per_hz=-np.inf))
 
 
-def first_poses(scene, n_poses: int):
-    """scene with its route cut after its first n_poses poses. The route
-    must open with a drive that long; the cut route ends half a capture
-    interval after its last pose."""
+def first_poses(scene, n_poses: int, skip: int = 0):
+    """scene with its route cut to n_poses poses, from pose skip on. The
+    route must open with a drive that long; the cut route starts at pose
+    skip and ends half a capture interval after its last pose."""
     traj = scene.trajectory
     start, drive = traj.waypoints[:2]
     assert drive.action == "drive"
     step = np.array([drive.x - start.x, drive.y - start.y])
-    length = traj.speed_mps * traj.capture_interval_s * (n_poses - 0.5)
+    pose_m = traj.speed_mps * traj.capture_interval_s
+    length = pose_m * (skip + n_poses - 0.5)
     assert length < np.hypot(*step)
     x, y = np.array([start.x, start.y]) + step * (length / np.hypot(*step))
+    if skip:
+        x0, y0 = np.array([start.x, start.y]) + step * (pose_m * skip / np.hypot(*step))
+        start = replace(start, x=float(x0), y=float(y0))
     return replace(scene, trajectory=replace(
         traj, waypoints=[start, sc.Waypoint("drive", x=float(x), y=float(y))]))
 

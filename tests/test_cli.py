@@ -69,6 +69,21 @@ def processed_24(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def mixed_links(tmp_path_factory):
+    """Config and simulated captures (one worker, chunks of 128) of poses
+    896-959 of the bundled full route, where 302 of the 512 links have no
+    traced path: captures 0-18 have none, and UEs 6 and 7 none at all."""
+    d = tmp_path_factory.mktemp("mixed")
+    full = sc.load_scene(cfgmod.resolve_scene_path("bundled:full"))
+    sc.save_scene(first_poses(full, 64, skip=896), d / "scene.json")
+    (d / "cfg.json").write_text(json.dumps(
+        {"scene": str(d / "scene.json"), "seed": 7, "output_dir": str(d / "out")}))
+    assert main(["simulate", "--config", str(d / "cfg.json"), "--workers", "1",
+                 "--chunk-size", "128"]) == 0
+    return d
+
+
 def digests(out):
     """sha256 of every file in out, by name."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
@@ -285,10 +300,10 @@ class TestValidate:
                                                       manifest):
         cfgp = self._config_with_manifest(workspace, tmp_path, manifest)
         assert main(["validate", "--config", str(cfgp)]) == 0
-        est_s = 81 * 8 * 7e-4
+        est_s = 81 * 8 * 2.2e-4
         line = [x for x in capsys.readouterr().out.splitlines() if "runtime" in x][0]
         assert line.startswith(f"estimated single-core runtime: {est_s / 60:.1f} min "
-                               "(from a fixed 0.7 ms per capture-UE;")
+                               "(from a fixed 0.22 ms per capture-UE;")
         assert str(tmp_path / "out" / "manifest.json") in line
 
     def test_estimate_from_records(self, workspace, tmp_path, capsys):
@@ -512,6 +527,23 @@ class TestStages:
             assert main(["simulate", "--config", cfgp, "--out", str(a),
                          "--workers", workers, "--chunk-size", chunk]) == 0
             assert (a / "captures.cfmc").read_bytes() == ref
+
+    def test_simulate_worker_invariance_with_empty_links(self, mixed_links, tmp_path):
+        # Chunks of 7 captures hold links without paths only, or both kinds.
+        ref = (mixed_links / "out" / "captures.cfmc").read_bytes()
+        assert main(["simulate", "--config", str(mixed_links / "cfg.json"),
+                     "--out", str(tmp_path), "--workers", "2", "--chunk-size", "7"]) == 0
+        assert (tmp_path / "captures.cfmc").read_bytes() == ref
+
+    def test_simulate_records_links_without_paths(self, mixed_links):
+        record = json.loads((mixed_links / "out" / "manifest.json").read_text())
+        record = record["stages"]["simulate"]
+        cfg = cfgmod.load_config(mixed_links / "cfg.json")
+        plan = sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
+                                cfg.seed, site=cfg.site)
+        empty = sum(int(np.sum(rs[1:] == rs[:-1])) for rs in plan.row_splits)
+        assert record["links_without_paths"] == empty == 302
+        assert record["n_captures"] * record["n_ues"] == 512
 
     def test_stage_records_run_measurements(self, workspace, tmp_path):
         # Simulate runs 6 spans on 3 workers; process runs its one span of

@@ -127,16 +127,41 @@ def test_campaign_structure_and_determinism():
     assert not np.array_equal(spectra[7], sd.synthesize_chunk(plan3, 7, 8)[0])
 
 
+def drop_links(plan, empty):
+    """plan without any path of the (capture, UE) links where the (M, U)
+    mask empty is set; those links record crosstalk and noise only."""
+    gains, delays, splits = [], [], []
+    for j, rs in enumerate(plan.row_splits):
+        counts = np.diff(rs)
+        keep = np.repeat(~empty[:, j], counts)
+        gains.append(plan.path_gains[j][keep])
+        delays.append(plan.path_delays[j][keep])
+        splits.append(np.concatenate([[0], np.cumsum(np.where(empty[:, j], 0, counts))]))
+    return replace(plan, path_gains=gains, path_delays=delays, row_splits=splits)
+
+
+def with_empty_links(plan):
+    """plan with empty links in three kinds of chunk: captures 3-8 mix links
+    with and without paths, and UE 2 has none in any of them; captures
+    12-14 have no path at all. Every link of plan has a path."""
+    assert all(np.all(np.diff(rs) > 0) for rs in plan.row_splits)
+    empty = np.zeros((plan.n_captures, plan.n_ues), dtype=bool)
+    empty[[3, 4, 5, 8], [7, 0, 0, 5]] = True
+    empty[3:9, 2] = True
+    empty[12:15] = True
+    return drop_links(plan, empty)
+
+
 def test_chunk_boundaries_do_not_change_bytes():
-    scene = short_drive_scene()
-    plan = sd.plan_campaign(scene, SPEC, sd.ImpairmentConfig(), seed=9)
-    whole = sd.synthesize_chunk(plan, 0, plan.n_captures)
-    parts = np.concatenate([
-        sd.synthesize_chunk(plan, 0, 5),
-        sd.synthesize_chunk(plan, 5, 6),
-        sd.synthesize_chunk(plan, 6, plan.n_captures),
-    ])
-    assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
+    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=9)
+    # 5 and 6 fall inside UE 2's run of empty links, 13 inside the run of
+    # captures without paths.
+    edges = [0, 5, 6, 13, plan.n_captures]
+    for p in (plan, with_empty_links(plan)):
+        whole = sd.synthesize_chunk(p, 0, p.n_captures)
+        parts = np.concatenate([sd.synthesize_chunk(p, a, b)
+                                for a, b in zip(edges[:-1], edges[1:])])
+        assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
 
 
 def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
@@ -154,18 +179,27 @@ def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
     assert peak / out_bytes <= 2.0
 
 
-@pytest.mark.parametrize("noisy", [True, False])
-def test_synthesize_chunk_bytes_match_complex_formulation(noisy):
+@pytest.mark.parametrize("noisy, crosstalk_db", [(True, -60.0), (False, -60.0), (True, None)],
+                         ids=["True", "False", "no-crosstalk"])
+def test_synthesize_chunk_bytes_match_complex_formulation(noisy, crosstalk_db):
     # The in-place real arithmetic reproduces, bit for bit, the complex
     # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64,
     # with sigma2 the variance of the mean of the 10 repetitions of a UE slot,
     # and g * signal without receiver noise. (z0, z1) is the documented
     # float32 Box-Muller transform of the capture's (U, 2, N) uniforms.
-    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=4)
+    # Links without paths take the same expression with a zero channel.
+    imp = sd.ImpairmentConfig(crosstalk_coupling_db=crosstalk_db)
+    plan = sd.plan_campaign(short_drive_scene(), SPEC, imp, seed=4)
     plan = plan if noisy else noiseless(plan)
+    assert_chunk_matches_complex_formulation(plan, 3, 9, noisy)
+    plan = with_empty_links(plan)
+    assert_chunk_matches_complex_formulation(plan, 3, 9, noisy)
+    assert_chunk_matches_complex_formulation(plan, 12, 15, noisy)
+
+
+def assert_chunk_matches_complex_formulation(plan, m0, m1, noisy):
     imp = plan.impairments
     n = SPEC.n_subcarriers
-    m0, m1 = 3, 9
     got = sd.synthesize_chunk(plan, m0, m1)
     front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
     g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
@@ -178,7 +212,9 @@ def test_synthesize_chunk_bytes_match_complex_formulation(noisy):
                 plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
                 np.array([0, hi - lo]), SPEC,
             )[0]
-            signal[j] = (h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)) * front
+            if imp.crosstalk_coupling_db is not None:
+                h = h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)
+            signal[j] = h * front
         if noisy:
             u = sd._capture_rng(plan.seed, m).random((plan.n_ues, 2, n))
             radius = np.sqrt(np.float32(-2.0) * np.log((1.0 - u[:, 0]).astype(np.float32)))
