@@ -9,8 +9,14 @@ path's kind, its facades' losses add, and each bounce turns the phase by
 pi. Each path carries its geometric length, its interaction and foliage
 losses, the gains of the campaign's one antenna pair (the AP's downtilted
 patch and the UE's vertical dipole), and a complex gain referenced to the
-band centre. The same pass decides each link's LOS / OLOS / NLOS class
-from the direct ray.
+band centre.
+
+Every kind is assembled the same way, as a chain of interaction points
+from the AP to the UE (none for the direct ray): one blockage pass per
+building over the chain's legs, then losses, antenna gains and columns
+for the candidates that pass. The direct ray's pass also marks the NLOS
+links, whose direct ray a building cuts, and the buildings that get a
+rooftop path.
 
 The one entry point, trace_paths_batch, vectorises across AP poses and
 returns a columnar PathBundle; a campaign traces one facade chain at a
@@ -153,14 +159,6 @@ def _scene_facades(scene: Scene) -> list[_Facade]:
     return facades
 
 
-def _blocked(scene: Scene, p0: np.ndarray, p1: np.ndarray, skip: int = -1) -> np.ndarray:
-    out = np.zeros(p0.shape[0], dtype=bool)
-    for bi, b in enumerate(scene.buildings):
-        if bi != skip:
-            out |= b.blockage_chords(p0, p1) > GRAZE_TOL_M
-    return out
-
-
 def _foliage_loss(scene: Scene, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     loss = np.zeros(p0.shape[0])
     for f in scene.foliage:
@@ -219,60 +217,53 @@ def trace_paths_batch(
     m_poses = ap.shape[0]
     headings = np.broadcast_to(np.asarray(headings, dtype=float), (m_poses,))
     ue = np.asarray(ue_position, dtype=float)
-    ue_b = np.broadcast_to(ue, ap.shape)
     all_idx = np.arange(m_poses)
-
-    # Direct ray. Its per-building blockage decides the link class and is
-    # reused for the rooftop step.
-    block_by = np.zeros((len(scene.buildings), m_poses), dtype=bool)
-    for bi, b in enumerate(scene.buildings):
-        block_by[bi] = b.blockage_chords(ap, ue_b) > GRAZE_TOL_M
-    direct_clear = ~block_by.any(axis=0)
-    link_class = np.full(m_poses, LinkClass.NLOS, dtype=np.uint8)
-    link_class[direct_clear] = LinkClass.LOS
-
-    idx = all_idx[direct_clear]
-    ap_d, ue_d = ap[idx], ue_b[idx]
-    foliated = np.zeros(idx.size, dtype=bool)
-    for f in scene.foliage:
-        chords = segment_sphere_chords(ap_d, ue_d, f.center_m, f.radius_m)
-        foliated |= chords > GRAZE_TOL_M
-    link_class[idx[foliated]] = LinkClass.OLOS
-    d = ue - ap_d
-    dirs = _unit(d)
-    pieces = [_columns(
-        idx, KIND_DIRECT, np.linalg.norm(d, axis=1), np.empty((idx.size, 0, 3)), [],
-        0.0, _foliage_loss(scene, ap_d, ue_d),
-        ap_gain_db(headings[idx], dirs), ue_gain_db(-dirs), 0.0,
-    )]
+    pieces = []
 
     def emit(found, kind, buildings, loss_db, phase_extra, skip=-1):
         """Append the paths AP -> points -> UE (found = pose indices,
-        points (n, k, 3), lengths) that no building other than skip blocks
-        on any leg."""
+        points (n, k, 3), lengths; k = 0 for the direct ray) that no
+        building other than skip blocks on any leg. Returns the
+        (buildings, n) cut, True where that building blocks that
+        candidate. A chain with no candidate left appends nothing, except
+        the first, whose piece names every column even when empty."""
         idx, points, length = found
-        if idx.size == 0:
-            return
         ends = [ap[idx], *points.transpose(1, 0, 2), np.broadcast_to(ue, (idx.size, 3))]
         legs = list(zip(ends[:-1], ends[1:]))
-        blocked = np.zeros(idx.size, dtype=bool)
-        for p0, p1 in legs:
-            blocked |= _blocked(scene, p0, p1, skip)
-        if blocked.all():
-            return
-        keep = ~blocked
+        cut = np.zeros((len(scene.buildings), idx.size), dtype=bool)
+        for bi, b in enumerate(scene.buildings):
+            if bi != skip and idx.size:
+                for p0, p1 in legs:
+                    cut[bi] |= b.blockage_chords(p0, p1) > GRAZE_TOL_M
+        keep = ~cut.any(axis=0)
+        if pieces and not keep.any():
+            return cut
         idx, points, length = idx[keep], points[keep], length[keep]
         legs = [(p0[keep], p1[keep]) for p0, p1 in legs]
         foliage = sum(_foliage_loss(scene, p0, p1) for p0, p1 in legs)
         pieces.append(_columns(
             idx, kind, length, points, buildings, loss_db, foliage,
-            ap_gain_db(headings[idx], _unit(points[:, 0] - ap[idx])),
-            ue_gain_db(_unit(points[:, -1] - ue)),
+            ap_gain_db(headings[idx], _unit(legs[0][1] - legs[0][0])),
+            ue_gain_db(_unit(legs[-1][0] - legs[-1][1])),
             phase_extra,
         ))
+        return cut
+
+    # The direct ray's cut decides the link class and the rooftop poses.
+    block_by = emit((all_idx, np.empty((m_poses, 0, 3)), np.linalg.norm(ue - ap, axis=1)),
+                    KIND_DIRECT, [], 0.0, 0.0)
+    idx = all_idx[~block_by.any(axis=0)]
+    link_class = np.full(m_poses, LinkClass.NLOS, dtype=np.uint8)
+    link_class[idx] = LinkClass.LOS
+    foliated = np.zeros(idx.size, dtype=bool)
+    for f in scene.foliage:
+        chords = segment_sphere_chords(ap[idx], np.broadcast_to(ue, (idx.size, 3)),
+                                       f.center_m, f.radius_m)
+        foliated |= chords > GRAZE_TOL_M
+    link_class[idx[foliated]] = LinkClass.OLOS
 
     facades = _scene_facades(scene)
-    for chain in [(f,) for f in facades] + _admissible_pairs(scene, facades):
+    for chain in [(f,) for f in facades] + _admissible_pairs(facades):
         emit(_reflect(ap, ue, chain), KIND_REFLECT1 + len(chain) - 1,
              [f.building_idx for f in chain],
              sum(f.reflection_loss_db for f in chain), np.pi * len(chain))
@@ -307,19 +298,16 @@ def _within_facade(f: _Facade, r_xy: np.ndarray, r_z: np.ndarray) -> np.ndarray:
     )
 
 
-def _admissible_pairs(scene: Scene, facades: list[_Facade]):
-    """Ordered facade pairs that can host a double bounce.
-
-    Requires part of each facade strictly in front of the other; facades of
-    the same convex building can never chain."""
+def _admissible_pairs(facades: list[_Facade]):
+    """Ordered facade pairs that can host a double bounce: part of each
+    facade lies strictly in front of the other. Two facades of one convex
+    footprint never pass, as each lies on or behind the other's plane;
+    facing facades of a non-convex one, such as an L's notch, can."""
     pairs = []
     corners = [np.stack([f.q0, f.q1]) for f in facades]
     for i, f1 in enumerate(facades):
         for j, f2 in enumerate(facades):
             if i == j:
-                continue
-            b1, b2 = f1.building_idx, f2.building_idx
-            if b1 == b2 and scene.buildings[b1].is_convex:
                 continue
             front2 = _side(f1, corners[j])
             front1 = _side(f2, corners[i])

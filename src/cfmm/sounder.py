@@ -285,9 +285,11 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     Each capture's unit noise z (_unit_noise) is drawn first, straight into
     the complex64 result; its float32 components are stored exactly. The
     signal loop is then UE-major: one UE's complex128 channel rows for the
-    chunk's links that have traced paths, then per capture that UE's
-    noise, scaled and added in one reused (N, 2) float64 buffer and
-    written back over it, so no (m, U, N) complex128 signal is ever held.
+    chunk's links that have traced paths, in one buffer sized to the UE
+    with the most such links (no rows for a chunk without paths), then per
+    capture that UE's noise, scaled and added in one reused (N, 2) float64
+    buffer and written back over it, so no (m, U, N) complex128 signal is
+    ever held.
     A link without paths adds the one signal row of the chunk's empty
     links, a zero channel through the same crosstalk add and transmit
     front as a channel row, so its bytes are those of a zero row in the
@@ -331,12 +333,12 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
 
     # Every link without paths has a zero channel, so they share one row.
     empty_re = to_signal(np.zeros((1, n), dtype=np.complex128))[0]
-    h_buf = np.empty((m_chunk, n), dtype=np.complex128)
+    with_paths = [np.flatnonzero(np.diff(rs[m0:m1 + 1])) for rs in plan.row_splits]
+    h_buf = np.empty((max(map(len, with_paths)), n), dtype=np.complex128)
     z = np.empty((n, 2))
-    for j in range(n_ue):
+    for j, has in enumerate(with_paths):
         sub_splits = plan.row_splits[j][m0:m1 + 1] - plan.row_splits[j][m0]
         base = plan.row_splits[j][m0]
-        has = np.flatnonzero(np.diff(sub_splits))  # links with paths
         h_rows = ch.synthesize_rows(
             plan.path_gains[j][base:base + sub_splits[-1]],
             plan.path_delays[j][base:base + sub_splits[-1]],

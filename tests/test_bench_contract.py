@@ -15,7 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cfmm.formats as fm
 import cfmm.pipeline as pl
+import cfmm.raypaths as rp
+import cfmm.scene as sc
 import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm import cli
@@ -52,6 +55,52 @@ def test_chunk_counts_read_process_chunk():
     chunk = pl.process_chunk(PlanSource(plan), params, 1, 5)
     counts = tracer._chunk_counts((None, params, 1, 5), {}, chunk)
     assert counts == {"rows": 4, "kept_bins": params.gate_native_bins * params.pad_factor}
+
+
+def test_count_functions_read_real_results(tmp_path):
+    # Each count function reads the arguments and result of a real call of
+    # its target, so the package attributes it reads (Building.is_convex,
+    # CaptureWriter.spectra_offset, ...) cannot go unnoticed.
+    fp = np.array([[30, 25], [75, 25], [75, 38], [45, 38], [45, 50], [30, 50]], dtype=float)
+    path = sc.save_scene(make_scene(buildings=[sc.Building("L", fp, 20.0)]), tmp_path / "l.json")
+    scene = sc.load_scene(path)
+    assert tracer._scene_counts((path,), {}, scene) == {"nonconvex_footprints": 1}
+
+    positions, headings, _ = sc.sample_ap_pose_arrays(first_poses(scene, 6).trajectory)
+    ue = scene.site(0).positions_m[0]
+    bundle = rp.trace_paths_batch(scene, positions, headings, ue)
+    counts = tracer._trace_counts((scene, positions, headings, ue), {}, bundle)
+    assert counts == {"paths": len(bundle), "links": 6} and len(bundle) > 6
+    ends = np.broadcast_to(ue, positions.shape)
+    chords = scene.buildings[0].blockage_chords(positions, ends)
+    args = (scene.buildings[0], positions, ends)
+    assert tracer._blockage_counts(args, {}, chords) == {"segments": 6}
+
+    plan = sd.plan_campaign(first_poses(scene, 6), wf.WaveformSpec(), sd.ImpairmentConfig(),
+                            seed=5)
+    strongest = plan.measured_power_dbm.max(axis=1)
+    att = sd.agc_attenuation_sequence(strongest, sd.AGCConfig())
+    counts = tracer._agc_counts((strongest, sd.AGCConfig()), {}, att)
+    assert counts.pop("captures") == 6
+    assert counts and sum(counts.values()) == 6
+    assert all(f"agc_{a:g}db" in counts for a in att)
+    spectra = sd.synthesize_chunk(plan, 1, 5)
+    assert tracer._synth_counts((plan, 1, 5), {}, spectra) == {"capture_ues": 4 * plan.n_ues}
+
+    captures = tmp_path / "captures.cfmc"
+    writer = fm.CaptureWriter(captures, plan)
+    m, u, n = writer.shape
+    header = fm.capture_file_bytes(m, u, n, plan.site_id) - m * u * n * 8
+    assert tracer._capture_init_counts((writer, captures, plan), {}, None) == {"bytes": header}
+    writer.write_chunk(1, spectra)
+    counts = tracer._capture_write_counts((writer, 1, spectra), {}, None)
+    assert counts == {"bytes": 4 * u * n * 8}
+    capture_file = fm.open_captures(captures)
+    rows = capture_file.spectra(1, 5, 2)
+    assert tracer._capture_read_counts((capture_file, 1, 5, 2), {}, rows) == {"rows": 4}
+    taps = pl.kaiser_taps(n, 3.0)
+    pdp = pl.compute_pdp(rows, taps, pad_factor=2)
+    assert tracer._transform_counts((rows, taps, 2), {}, pdp) == {"bins": 2 * n}
 
 
 @pytest.fixture(scope="module")

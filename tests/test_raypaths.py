@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.spatial import ConvexHull
 
 from cfmm import raypaths as rp
 from cfmm import scene as sc
@@ -545,8 +546,9 @@ def test_relative_power_cutoff(monkeypatch):
 
 
 def test_interaction_antenna_gains_face_the_end_points():
-    # Reflection and rooftop rows: the AP antenna radiates toward the first
-    # interaction point and the UE antenna receives from the last one.
+    # Every row: the AP antenna radiates toward the first point after the
+    # AP, and the UE antenna receives from the last point before the UE.
+    # On the direct ray those are the UE and the AP themselves.
     canyon = sc.load_scene(resolve_scene_path("bundled:canyon"))
     pos, head, _ = sc.sample_ap_pose_arrays(canyon.trajectory)
     wall_ap = np.array([[0.0, 0.0, 13.0], [5.0, 10.0, 4.5], [40.0, 10.0, 8.0], [2.0, 18.0, 6.0]])
@@ -556,23 +558,42 @@ def test_interaction_antenna_gains_face_the_end_points():
     kinds = set()
     for scene, ap, headings, ue in cases:
         bundle = rp.trace_paths_batch(scene, ap, headings, ue)
-        rows = np.flatnonzero(bundle.kind != rp.KIND_DIRECT)
-        if rows.size == 0:
-            continue
-        n_points = (~np.isnan(bundle.points[rows, :, 0])).sum(axis=1)
-        first = bundle.points[rows, 0]
-        last = bundle.points[rows, n_points - 1]
-        poses = bundle.pose_index[rows]
-        out = first - ap[poses]
+        rows = np.arange(len(bundle))
+        poses = bundle.pose_index
+        n_points = (~np.isnan(bundle.points[:, :, 0])).sum(axis=1)
+        # Each row's chain AP -> points -> UE, padded after the UE.
+        chain = np.concatenate([ap[poses, None], bundle.points, np.full((rows.size, 1, 3), np.nan)],
+                               axis=1)
+        chain[rows, n_points + 1] = ue
+        out = chain[:, 1] - chain[:, 0]
         out /= np.linalg.norm(out, axis=1, keepdims=True)
-        back = last - ue
+        back = chain[rows, n_points] - ue
         back /= np.linalg.norm(back, axis=1, keepdims=True)
-        np.testing.assert_allclose(bundle.gain_tx_db[rows], rp.ap_gain_db(headings[poses], out),
+        np.testing.assert_allclose(bundle.gain_tx_db, rp.ap_gain_db(headings[poses], out),
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(bundle.gain_rx_db[rows], rp.ue_gain_db(back),
-                                   rtol=0, atol=1e-9)
-        kinds.update(bundle.kind[rows].tolist())
-    assert kinds == {rp.KIND_REFLECT1, rp.KIND_REFLECT2, rp.KIND_ROOFTOP}
+        np.testing.assert_allclose(bundle.gain_rx_db, rp.ue_gain_db(back), rtol=0, atol=1e-9)
+        kinds.update(bundle.kind.tolist())
+    assert kinds == {rp.KIND_DIRECT, rp.KIND_REFLECT1, rp.KIND_REFLECT2, rp.KIND_ROOFTOP}
+
+
+def test_front_of_facade_test_alone_pairs_no_convex_facades():
+    # Two facades of one convex footprint each lie on or behind the other's
+    # plane, so the front-of-facade test admits no such pair without a
+    # convexity check: rotated boxes and random convex hulls. The facing
+    # notch facades of an L still pair, both ways round.
+    rng = np.random.default_rng(41)
+    footprints = [_rotated_box(rng.uniform(20.0, 80.0, 2), rng.uniform(1.0, 30.0, 2),
+                               rng.uniform(-np.pi, np.pi)) for _ in range(30)]
+    for _ in range(30):
+        pts = rng.uniform(0.0, 100.0, size=(rng.integers(3, 40), 2))
+        footprints.append(pts[ConvexHull(pts).vertices])
+    for fp in footprints:
+        scene = make_scene(buildings=[sc.Building("C", fp, 10.0)])
+        assert rp._admissible_pairs(rp._scene_facades(scene)) == []
+    fp = np.array([[20, 40], [80, 40], [80, 60], [50, 60], [50, 50], [20, 50]], dtype=float)
+    facades = rp._scene_facades(make_scene(buildings=[sc.Building("L", fp, 20.0)]))
+    pairs = {(tuple(f1.q0), tuple(f2.q0)) for f1, f2 in rp._admissible_pairs(facades)}
+    assert pairs == {((50.0, 60.0), (50.0, 50.0)), ((50.0, 50.0), (50.0, 60.0))}
 
 
 def test_batch_matches_per_pose(basic_scene):

@@ -164,19 +164,31 @@ def test_chunk_boundaries_do_not_change_bytes():
         assert np.array_equal(whole.view(np.float32), parts.view(np.float32))
 
 
-def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
-    # One UE's complex128 rows and one capture's noise draw are held beside
-    # the complex64 result, never an (m, U, N) complex128 signal, which
-    # alone is twice the result.
-    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=6)
-    assert plan.n_captures >= 16
+def chunk_peak_ratio(plan):
+    """tracemalloc peak of synthesizing every capture of plan as one chunk,
+    over the bytes of the result."""
     tracemalloc.start()
     try:
         out_bytes = sd.synthesize_chunk(plan, 0, plan.n_captures).nbytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / out_bytes <= 2.0
+    return peak / out_bytes
+
+
+def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
+    # One UE's complex128 rows and one capture's noise draw are held beside
+    # the complex64 result, never an (m, U, N) complex128 signal, which
+    # alone is twice the result.
+    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=6)
+    assert plan.n_captures >= 16
+    assert chunk_peak_ratio(plan) <= 2.0
+    # A chunk without paths holds no channel rows: beside its result there
+    # is only one capture's noise draw, small next to 81 captures.
+    plan = sd.plan_campaign(short_drive_scene(x1=14.0), SPEC, sd.ImpairmentConfig(), seed=6)
+    assert plan.n_captures == 81
+    empty = drop_links(plan, np.ones((plan.n_captures, plan.n_ues), dtype=bool))
+    assert chunk_peak_ratio(empty) <= 1.1
 
 
 @pytest.mark.parametrize("noisy, crosstalk_db", [(True, -60.0), (False, -60.0), (True, None)],
