@@ -131,7 +131,7 @@ def first_peak_track(apld: APLDPDP) -> tuple[np.ndarray, np.ndarray]:
     return delays, powers
 
 
-def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray) -> np.ndarray:
+def _levels(rows: SparseRows, n_ues: int, top_db: np.ndarray) -> np.ndarray:
     """Image rows, (n_ues, captures, n_bins) uint8, of a block of profiles
     stored capture-major with n_ues per capture. top_db holds each UE's
     peak in dB; a UE whose entry is +inf stays black."""
@@ -142,7 +142,7 @@ def _levels(rows: SparseRows, n_ues: int, n_bins: int, top_db: np.ndarray) -> np
         db = 10.0 * np.log10(rows.values.astype(np.float64))
     rel = (db - (top_db - DYNAMIC_RANGE_DB)[ue]) / DYNAMIC_RANGE_DB
     level = np.rint(1.0 + 254.0 * np.clip(rel, 0.0, 1.0)).astype(np.uint8)
-    img = np.zeros((n_ues, captures, n_bins), dtype=np.uint8)
+    img = np.zeros((n_ues, captures, rows.n_bins), dtype=np.uint8)
     img[ue, row // n_ues, col] = np.where(rel >= 0, level, 0)
     return img
 
@@ -186,7 +186,7 @@ def export_heatmap(aplds: list[APLDPDP], paths: list) -> None:
             fh.write(_pgm_header(apld.n_bins, apld.n_rows))
             out.append(fh)
         for rows in matrix.blocks():
-            img = _levels(rows, matrix.n_ues, matrix.n_bins, top_db)
+            img = _levels(rows, matrix.n_ues, top_db)
             for apld, fh in zip(aplds, out):
                 fh.write(img[apld.ue_id].tobytes())
 

@@ -348,13 +348,14 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
         summary.writerow(["capture_index", "ue", "noise_db", "threshold_db",
                           "peak_delay_s", "peak_power_db", "surviving_bins"])
 
-        def take(a: int, rows: pl.SparseRows) -> None:
+        def take(a: int, chunk: tuple) -> None:
+            rows = chunk[2]
             writer.write_chunk(a, rows)
             summary.writerows(_summary_rows(a, rows, source.n_ues, bin_width_s))
             counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
             counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 
-        run = pl.run_chunks(pl.process_chunk_sparse, (source, params),
+        run = pl.run_chunks(pl.process_chunk, (source, params),
                             source.n_captures, chunk_size, take, workers)
     writer.close()
     return {**counts, **run}

@@ -160,7 +160,7 @@ class MatrixFile:
             noise_db=self.noise_level_db.reshape(-1)[r0:r1],
             threshold_db=self.threshold_db.reshape(-1)[r0:r1],
             n_runs=n_runs, starts=runs[:, 0], lengths=runs[:, 1],
-            values=words[~is_run].view("<f4"),
+            values=words[~is_run].view("<f4"), n_bins=self.n_bins,
         )
         stops = rows.starts + rows.lengths
         same_row = np.repeat(np.arange(rows.n_rows), n_runs)

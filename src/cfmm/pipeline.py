@@ -120,13 +120,14 @@ class SparseRows:
     starts: np.ndarray  # (runs,) int, first bin of each run
     lengths: np.ndarray  # (runs,) int, at least 1
     values: np.ndarray  # (kept,) float32
+    n_bins: int  # bins per row, the gated span
 
     @classmethod
-    def encode(cls, values: np.ndarray, mask: np.ndarray, noise_db: np.ndarray,
+    def encode(cls, mask: np.ndarray, values: np.ndarray, noise_db: np.ndarray,
                threshold_db: np.ndarray) -> "SparseRows":
-        """From dense values and mask with bins on the last axis; the
-        leading axes flatten to rows, as do those of noise_db and
-        threshold_db."""
+        """From a mask with bins on the last axis and the values of its
+        set bins in row-major order, as dense[mask] gives them; the leading
+        axes flatten to rows, as do those of noise_db and threshold_db."""
         flat = mask.reshape(-1, mask.shape[-1])
         # A zero column after each row ends every run inside its row. With
         # one more zero ahead of the first row, the mask changes along the
@@ -142,12 +143,17 @@ class SparseRows:
             threshold_db=np.asarray(threshold_db, dtype=np.float64).reshape(-1),
             n_runs=np.bincount(rows, minlength=flat.shape[0]),
             starts=starts, lengths=edges[1::2] - edges[0::2],
-            values=values.reshape(flat.shape)[flat].astype(np.float32, copy=False),
+            values=values.astype(np.float32, copy=False),
+            n_bins=flat.shape[1],
         )
 
     @property
     def n_rows(self) -> int:
         return int(self.n_runs.shape[0])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_bins
 
     def kept(self) -> np.ndarray:
         """Surviving bins per row."""
@@ -155,17 +161,17 @@ class SparseRows:
         ptr = np.concatenate([[0], np.cumsum(self.n_runs)])
         return ends[ptr[1:]] - ends[ptr[:-1]]
 
-    def dense(self, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, mask), each (rows, n_bins), masked bins zero."""
         run_row = np.repeat(np.arange(self.n_rows), self.n_runs)
         # Runs mark +1 at their first bin and -1 past their last; the running
         # sum is the mask, and the values fill it in row-major order.
-        first = run_row * n_bins + self.starts
-        edges = np.zeros(self.n_rows * n_bins + 1, dtype=np.int8)
+        first = run_row * self.n_bins + self.starts
+        edges = np.zeros(self.n_rows * self.n_bins + 1, dtype=np.int8)
         edges[first] += 1
         edges[first + self.lengths] -= 1
-        mask = np.cumsum(edges[:-1], dtype=np.int8).view(bool).reshape(self.n_rows, n_bins)
-        out = np.zeros((self.n_rows, n_bins), dtype=np.float32)
+        mask = np.cumsum(edges[:-1], dtype=np.int8).view(bool).reshape(self.shape)
+        out = np.zeros(self.shape, dtype=np.float32)
         out[mask] = self.values
         return out, mask
 
@@ -381,16 +387,14 @@ def degenerate_row_counts(kept_bins: np.ndarray, noise_db: np.ndarray) -> dict[s
     }
 
 
-def delay_gate(values: np.ndarray, mask: np.ndarray, cuts: np.ndarray) -> None:
-    """Restrict gated profiles to [cut, B) and zero what is masked, in place.
+def delay_gate(mask: np.ndarray, cuts: np.ndarray) -> None:
+    """Restrict gated profiles to [cut, B), in place.
 
-    values and mask hold the B gated bins on the last axis; cuts (from
+    mask holds the B gated bins on the last axis; cuts (from
     crosstalk_cut_bins) broadcasts against the leading axes. Bins before a
-    profile's cut are leakage pre-cursor and are unmasked; every unmasked
-    bin, including those the threshold dropped, is set to zero.
+    profile's cut are leakage pre-cursor and are unmasked.
     """
-    mask &= np.arange(values.shape[-1]) >= np.asarray(cuts)[..., None]
-    values[~mask] = 0.0
+    mask &= np.arange(mask.shape[-1]) >= np.asarray(cuts)[..., None]
 
 
 def native_bin_width_s(source) -> float:
@@ -421,15 +425,15 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     whole-campaign computation exactly; the result depends only on
     (source, params, a, b), never on how the campaign was chunked, which
     is what makes parallel workers byte-equivalent to a serial run.
-    Returns (m0, m1, values, mask, noise_db, theta_db) with values
-    (float32) and mask trimmed to the gated span.
+    Returns (a, b, rows), rows the chunk's SparseRows over the gated span;
+    the benchmark's tracer counts a chunk's rows by the echoed span.
 
     Each UE's spectra are read just before they are transformed, complex64
     as stored, one row per capture of the chunk and its halo, so the chunk
     never holds every UE's spectra at once. Each profile is transformed
     over the signed span that complements the noise region, and its gated
-    bins are averaged, thresholded, gated and cut straight into the
-    outputs.
+    bins are averaged, thresholded, gated and cut into the chunk's mask;
+    only their surviving values are kept.
     """
     n = source.n_subcarriers
     f = params.pad_factor
@@ -439,8 +443,6 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     span = (noise_hi - big_l, noise_lo)
     gated = slice(big_l - noise_hi, big_l - noise_hi + gate_cut)  # delays [0, gate)
     halo = (params.ssa_window - 1) // 2
-    m_total = source.n_captures
-    n_ue = source.n_ues
 
     deltas = source.positions[a:b, None, :] - source.ue_positions[None, :, :]
     distances = np.linalg.norm(deltas, axis=-1)  # (b - a, U)
@@ -449,37 +451,33 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
                               params.gate_native_bins, f)
 
     lo = max(0, a - halo)
-    hi = min(m_total, b + halo)
+    hi = min(source.n_captures, b + halo)
     own = slice(a - lo, b - lo)
     tone_gain, row_gain = calibrate(source.cal_response, source.reference_tones,
                                     source.attenuation_db[lo:hi])
     weights = kaiser_taps(n, params.kaiser_beta) * tone_gain
 
-    values = np.empty((b - a, n_ue, gate_cut), dtype=np.float32)
-    mask = np.empty((b - a, n_ue, gate_cut), dtype=bool)
-    noise_db = np.empty((b - a, n_ue))
+    mask = np.empty((b - a, source.n_ues, gate_cut), dtype=bool)
+    noise_db = np.empty((b - a, source.n_ues))
+    kept = []  # per UE, its surviving float64 values in (capture, bin) order
     total = np.empty(hi - lo)
-    for j in range(n_ue):
+    for j in range(source.n_ues):
         pdp = compute_pdp(source.spectra(lo, hi, j), weights, f, span, row_gain, total)
         region = np.maximum(total - pdp.sum(axis=-1), 0.0) / (noise_hi - noise_lo)
         ssa = small_scale_average(pdp[:, gated], params.ssa_window)[own]
         noise_mean = small_scale_average(region, params.ssa_window)[own]
         mask[:, j], noise_db[:, j] = threshold_noise(ssa, noise_mean, params.delta_n_db)
-        delay_gate(ssa, mask[:, j], cuts[:, j])
-        values[:, j] = ssa
-        del pdp  # so two UEs' span profiles never coexist
-    theta_db = noise_db + params.delta_n_db
-    return a, b, values, mask, noise_db, theta_db
-
-
-def process_chunk_sparse(source, params: PipelineParams, a: int, b: int) -> SparseRows:
-    """The profiles of process_chunk, encoded as SparseRows.
-
-    Pool workers return this, so only the surviving bins of a chunk cross
-    the pipe to the parent.
-    """
-    _, _, values, mask, noise_db, theta_db = process_chunk(source, params, a, b)
-    return SparseRows.encode(values, mask, noise_db, theta_db)
+        delay_gate(mask[:, j], cuts[:, j])
+        kept.append(ssa[mask[:, j]])
+        del pdp, ssa  # so two UEs' profiles never coexist
+    # Row (c, j)'s values are one block both in UE j's (capture, bin) order
+    # and in the capture-major rows, where it starts shift[c, j] later.
+    counts = mask.sum(axis=-1)
+    shift = np.cumsum(counts).reshape(counts.shape) - np.cumsum(counts, axis=0)
+    values = np.empty(int(counts.sum()), dtype=np.float32)
+    for j, v in enumerate(kept):
+        values[np.repeat(shift[:, j], counts[:, j]) + np.arange(v.size)] = v
+    return a, b, SparseRows.encode(mask, values, noise_db, noise_db + params.delta_n_db)
 
 
 _WORKER_TASK = None  # (fn, args) of the running pool; fork workers inherit it

@@ -79,7 +79,7 @@ def write_matrix(path, values, mask, noise_db, threshold_db, bin_width_s=1e-9,
     matrix file, and open the file."""
     m, u, b = values.shape
     w = fm.MatrixWriter(path, m, u, b, bin_width_s, oversample_factor)
-    w.write_chunk(0, pl.SparseRows.encode(values, mask, noise_db, threshold_db))
+    w.write_chunk(0, pl.SparseRows.encode(mask, values[mask], noise_db, threshold_db))
     w.close()
     return fm.read_matrix(path)
 
@@ -103,8 +103,15 @@ def dense(matrix: fm.MatrixFile, m0: int = 0, m1: int | None = None
     in matrix, each (m1 - m0, U, B): float32 values, masked bins zero, and
     the bins that survived."""
     m1 = matrix.n_captures if m1 is None else m1
-    values, mask = matrix.rows(m0, m1).dense(matrix.n_bins)
-    shape = (m1 - m0, matrix.n_ues, matrix.n_bins)
+    return dense_rows(matrix.rows(m0, m1), matrix.n_ues)
+
+
+def dense_rows(rows: pl.SparseRows, n_ues: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mask) of SparseRows of whole captures, as process_chunk
+    returns them, each (captures, n_ues, n_bins): float32 values, masked
+    bins zero, and the bins that survived."""
+    values, mask = rows.dense()
+    shape = (-1, n_ues, rows.n_bins)
     return values.reshape(shape), mask.reshape(shape)
 
 

@@ -36,7 +36,7 @@ from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.waveform import WaveformSpec, reference_tones
 
-from conftest import PlanSource, dense, process_matrix
+from conftest import PlanSource, dense, dense_rows, process_matrix
 
 C = SPEED_OF_LIGHT
 
@@ -616,8 +616,7 @@ def test_criterion_11_scale_smoke():
         prefix = 1536
         params = pl.PipelineParams()
         b_bins = params.gate_native_bins * params.pad_factor
-        stored = fm.read_matrix(out / "matrix.cfmm").rows(0, prefix)
-        stored_vals, stored_mask = stored.dense(b_bins)
+        stored_vals, stored_mask = dense(fm.read_matrix(out / "matrix.cfmm"), 0, prefix)
         stored_vals = stored_vals.tobytes()
         stored_mask = np.packbits(stored_mask.reshape(-1), bitorder="little").tobytes()
 
@@ -626,8 +625,8 @@ def test_criterion_11_scale_smoke():
             mask = np.empty((prefix, n_ue, b_bins), dtype=bool)
             for a in range(0, prefix, chunk):
                 b = min(a + chunk, prefix)
-                got = pl.process_chunk(source, params, a, b)
-                vals[a:b], mask[a:b] = got[2], got[3]
+                vals[a:b], mask[a:b] = dense_rows(pl.process_chunk(source, params, a, b)[2],
+                                                  n_ue)
             assert vals.tobytes() == stored_vals, f"chunk={chunk}: values differ"
             packed = np.packbits(mask.reshape(-1), bitorder="little").tobytes()
             assert packed == stored_mask, f"chunk={chunk}: mask differs"

@@ -171,7 +171,7 @@ class TestFirstPeakTrack:
         mask[4, 0, 5:10] = True
         values[4, 0, 5:10] = [0.5, 0.7, 1.0, 0.7, 0.5]
         values[~mask] = 0.0
-        rows = pl.SparseRows.encode(values, mask, np.zeros((m, u)), np.zeros((m, u)))
+        rows = pl.SparseRows.encode(mask, values[mask], np.zeros((m, u)), np.zeros((m, u)))
         k = int(rows.n_runs[:4 * u].sum())  # the first run of row (4, 0)
         assert (rows.starts[k], rows.lengths[k]) == (5, 5)
         rows.starts = np.insert(rows.starts, k + 1, 7)

@@ -535,6 +535,22 @@ class TestStages:
                      "--out", str(tmp_path), "--workers", "2", "--chunk-size", "7"]) == 0
         assert (tmp_path / "captures.cfmc").read_bytes() == ref
 
+    def test_process_worker_invariance_with_empty_links(self, mixed_links, tmp_path):
+        # Chunks of 7 captures put chunk edges inside the small-scale
+        # average's halo, and send rows of links without paths, and rows
+        # that keep no bin, through the pool.
+        cfgp = str(mixed_links / "cfg.json")
+        cap = str(mixed_links / "out" / "captures.cfmc")
+        outs = {}
+        for workers, chunk in (("1", "128"), ("2", "7")):
+            out = tmp_path / f"p{workers}-{chunk}"
+            assert main(["process", "--config", cfgp, "--captures", cap, "--out", str(out),
+                         "--workers", workers, "--chunk-size", chunk]) == 0
+            outs[chunk] = [(out / name).read_bytes() for name in ("matrix.cfmm", "summary.csv")]
+        assert outs["7"] == outs["128"]
+        rows = [line.split(",") for line in outs["7"][1].decode().splitlines()[1:]]
+        assert len(rows) == 512 and any(r[-1] == "0" for r in rows)
+
     def test_simulate_records_links_without_paths(self, mixed_links):
         record = json.loads((mixed_links / "out" / "manifest.json").read_text())
         record = record["stages"]["simulate"]

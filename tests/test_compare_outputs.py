@@ -54,6 +54,31 @@ def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
     assert "largest noise_db difference: 1.000e-09 dB" in out
 
 
+def test_reports_threshold_differences(tmp_path, capsys):
+    # The threshold table is the only difference between the two matrices.
+    rng = np.random.default_rng(4)
+    values = rng.random((40, 2, 30)).astype(np.float32) + 0.5
+    mask = rng.random((40, 2, 30)) < 0.5
+    noise = rng.normal(size=(40, 2))
+    threshold = noise + 7.0
+    moved = threshold.copy()
+    moved[3, 0] += 0.25
+    moved[37, 1] -= 0.5
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, levels in ((a, threshold), (b, moved)):
+        d.mkdir()
+        write_matrix(d / "matrix.cfmm", values, mask, noise, levels)
+    assert load_tool().main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "matrix.cfmm: differs",
+        f"  float32 values that differ: 0 of {values.size}",
+        "  mask bins that differ: 0",
+        "  noise_db values that differ: 0 of 80",
+        "  threshold_db values that differ: 2 of 80",
+        "  largest threshold_db difference: 5.000e-01 dB",
+    ]
+
+
 def write_captures(path, plan, spectra):
     fm.CaptureWriter(path, plan).write_chunk(0, spectra)
 

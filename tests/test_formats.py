@@ -31,7 +31,8 @@ def small_matrix(rng, m=5, u=3, b=40) -> SimpleNamespace:
 
 
 def chunk_rows(mat, a: int, b: int) -> pl.SparseRows:
-    return pl.SparseRows.encode(mat.values[a:b], mat.mask[a:b],
+    mask = mat.mask[a:b]
+    return pl.SparseRows.encode(mask, mat.values[a:b][mask],
                                 mat.noise_level_db[a:b], mat.threshold_db[a:b])
 
 

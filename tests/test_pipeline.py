@@ -8,7 +8,8 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import PlanSource, dense, first_poses, make_scene, noiseless, process_matrix
+from conftest import (PlanSource, dense, dense_rows, first_poses, make_scene, noiseless,
+                      process_matrix)
 
 
 def brute_pdp(h, beta, pad):
@@ -311,16 +312,14 @@ class TestThreshold:
 
 
 class TestGateAndCrosstalk:
-    def test_gate_zeroes_and_unmasks(self):
-        v = np.ones((2, 3, 20))
+    def test_gate_unmasks_precursor(self):
         m = np.ones((2, 3, 20), dtype=bool)
         m[..., 15] = False  # dropped by the threshold
         cuts = np.array([[6, 6, 6], [0, 6, 20]])
-        pl.delay_gate(v, m, cuts)
+        pl.delay_gate(m, cuts)
         keep = np.arange(20) >= cuts[..., None]
         keep[..., 15] = False
         np.testing.assert_array_equal(m, keep)
-        np.testing.assert_array_equal(v, keep.astype(float))
 
     def test_cut_bin_arithmetic(self):
         native = 1.0 / 350.125e6
@@ -332,19 +331,15 @@ class TestGateAndCrosstalk:
 
     def test_remove_crosstalk_in_place(self):
         native = 1.0 / 350.125e6
-        v = np.ones(4000)
         m = np.ones(4000, dtype=bool)
-        pl.delay_gate(v, m, pl.crosstalk_cut_bins(np.array(100.0), native, 4, 400, 10))
-        assert v[:1130].max() == 0.0
+        pl.delay_gate(m, pl.crosstalk_cut_bins(np.array(100.0), native, 4, 400, 10))
         assert not m[:1130].any()
-        assert v[1130:].min() == 1.0  # untouched at and beyond the cut
+        assert m[1130:].all()  # untouched at and beyond the cut
 
     def test_short_distance_is_noop(self):
         native = 1.0 / 350.125e6
-        v = np.ones(4000)
         m = np.ones(4000, dtype=bool)
-        pl.delay_gate(v, m, pl.crosstalk_cut_bins(np.array(3.0), native, 4, 400, 10))
-        assert v.min() == 1.0
+        pl.delay_gate(m, pl.crosstalk_cut_bins(np.array(3.0), native, 4, 400, 10))
         assert m.all()
 
 
@@ -455,7 +450,7 @@ class TestSpanNoiseFloor:
         params = pl.PipelineParams()
         source = PlanSource(plan)
         for a, b in ((0, 12), (30, 41)):
-            got = pl.process_chunk(source, params, a, b)[4]
+            got = pl.process_chunk(source, params, a, b)[2].noise_db.reshape(b - a, -1)
             np.testing.assert_allclose(got, full_profile_noise_db(source, params, a, b),
                                        rtol=0, atol=1e-6)
 
@@ -464,13 +459,12 @@ class TestSpanNoiseFloor:
         # rounding, so total minus span energy sits near cancellation; the
         # clamp keeps every noise mean non-negative and every level finite.
         params = pl.PipelineParams()
-        a, b, values, mask, noise_db, theta_db = pl.process_chunk(
-            PlanSource(noiseless(plan)), params, 0, 20)
-        assert np.isfinite(noise_db).all() and np.isfinite(theta_db).all()
-        assert noise_db.max() < -150.0
-        assert np.isfinite(values).all() and (values >= 0).all()
+        rows = pl.process_chunk(PlanSource(noiseless(plan)), params, 0, 20)[2]
+        assert np.isfinite(rows.noise_db).all() and np.isfinite(rows.threshold_db).all()
+        assert rows.noise_db.max() < -150.0
+        assert np.isfinite(rows.values).all() and (rows.values >= 0).all()
         # Leakage and crosstalk still give a level, so no row is at the floor.
-        assert pl.degenerate_row_counts(mask.sum(axis=-1), noise_db)["rows_noise_at_floor"] == 0
+        assert pl.degenerate_row_counts(rows.kept(), rows.noise_db)["rows_noise_at_floor"] == 0
 
     def test_empty_noise_region_clamps_to_floor(self):
         # On-grid path, rectangular window, no padding: the profile is an
@@ -488,7 +482,9 @@ class TestSpanNoiseFloor:
             ue_positions=np.zeros((1, 3)),
             spectra=lambda m0, m1, ue: np.broadcast_to(h, (m1 - m0, n)).copy())
         params = pl.PipelineParams(kaiser_beta=0.0, pad_factor=1)
-        _, _, values, mask, noise_db, _ = pl.process_chunk(source, params, 0, m)
+        rows = pl.process_chunk(source, params, 0, m)[2]
+        values, mask = dense_rows(rows, 1)
+        noise_db = rows.noise_db.reshape(m, 1)
         assert np.isfinite(noise_db).all()
         assert noise_db.max() < -250.0
         assert mask[:, 0, 117].all() and values[:, 0, 117].min() > 0.99
@@ -545,10 +541,10 @@ class TestSparseRows:
         mask[3, 1, [0, 29]] = True
         values[3, 1] = 0.0  # keeps only zeros: argmax says bin 0
         values[~mask] = 0.0
-        rows = pl.SparseRows.encode(values, mask, np.zeros((4, 3)), np.ones((4, 3)))
-        assert rows.n_rows == 12 and rows.values.size == mask.sum()
+        rows = pl.SparseRows.encode(mask, values[mask], np.zeros((4, 3)), np.ones((4, 3)))
+        assert rows.shape == (12, 30) and rows.values.size == mask.sum()
         assert (rows.lengths >= 1).all()
-        got_v, got_m = rows.dense(30)
+        got_v, got_m = rows.dense()
         np.testing.assert_array_equal(got_v, values.reshape(12, 30))
         np.testing.assert_array_equal(got_m, mask.reshape(12, 30))
         np.testing.assert_array_equal(rows.kept(), mask.reshape(12, 30).sum(axis=1))
@@ -569,12 +565,12 @@ class TestSparseRows:
         mask[1] = True
         mask[3, [0, 2, 3]] = True
         values = np.where(mask, np.arange(24, dtype=np.float32).reshape(4, 6) + 1, 0)
-        rows = pl.SparseRows.encode(values, mask, np.zeros(4), np.ones(4))
+        rows = pl.SparseRows.encode(mask, values[mask], np.zeros(4), np.ones(4))
         np.testing.assert_array_equal(rows.n_runs, [2, 1, 0, 2])
         np.testing.assert_array_equal(rows.starts, [1, 4, 0, 0, 2])
         np.testing.assert_array_equal(rows.lengths, [1, 2, 6, 1, 2])
         np.testing.assert_array_equal(rows.values, values[mask])
-        got_v, got_m = rows.dense(6)
+        got_v, got_m = rows.dense()
         np.testing.assert_array_equal(got_m, mask)
         np.testing.assert_array_equal(got_v, values)
 
@@ -591,13 +587,67 @@ def cached_source(source, m0, m1):
                            spectra=lambda a, b, ue: spectra[a - m0:b - m0, ue].copy())
 
 
+def test_chunk_rows_match_dense_per_ue_reference(plan):
+    """process_chunk's rows equal, run for run and value for value, the
+    encoding of a dense chunk built UE by UE: threshold, delay gate and
+    pre-cursor cut on each UE's small-scale average, then the float32 cast
+    of the surviving bins. The UEs keep different bin counts on every
+    capture, and capture a + 5, moved beyond the gate for the cut, keeps
+    none, so values placed in any order but capture-major rows differ."""
+    params = pl.PipelineParams()
+    source = cached_source(PlanSource(plan), 0, plan.n_captures)
+    a, b = 4, 20
+    source.positions = source.positions.copy()
+    source.positions[a + 5] += [1000.0, 0.0, 0.0]
+    got = pl.process_chunk(source, params, a, b)[2]
+
+    n, f, u = source.n_subcarriers, params.pad_factor, source.n_ues
+    big_l, gate = n * f, params.gated_bins
+    noise_lo, noise_hi = params.noise_bins(n)
+    lo, hi = max(0, a - 4), min(source.n_captures, b + 4)
+    own = slice(a - lo, b - lo)
+    tone_gain, row_gain = pl.calibrate(source.cal_response, source.reference_tones,
+                                       source.attenuation_db[lo:hi])
+    weights = pl.kaiser_taps(n, params.kaiser_beta) * tone_gain
+    cuts = pl.crosstalk_cut_bins(
+        np.linalg.norm(source.positions[a:b, None] - source.ue_positions[None], axis=-1),
+        pl.native_bin_width_s(source), params.guard_native_bins,
+        params.gate_native_bins, f)
+    values = np.zeros((b - a, u, gate), dtype=np.float32)
+    mask = np.zeros((b - a, u, gate), dtype=bool)
+    noise_db = np.empty((b - a, u))
+    total = np.empty(hi - lo)
+    for j in range(u):
+        pdp = pl.compute_pdp(source.spectra(lo, hi, j), weights, f,
+                             (noise_hi - big_l, noise_lo), row_gain, total)
+        region = np.maximum(total - pdp.sum(axis=-1), 0.0) / (noise_hi - noise_lo)
+        ssa = pl.small_scale_average(pdp[:, big_l - noise_hi:][:, :gate],
+                                     params.ssa_window)[own]
+        noise_mean = pl.small_scale_average(region, params.ssa_window)[own]
+        keep, noise_db[:, j] = pl.threshold_noise(ssa, noise_mean, params.delta_n_db)
+        keep &= np.arange(gate) >= cuts[:, j, None]
+        mask[:, j] = keep
+        values[:, j][keep] = ssa[keep]
+    want = pl.SparseRows.encode(mask, values[mask], noise_db, noise_db + params.delta_n_db)
+
+    kept = want.kept().reshape(b - a, u)
+    assert (kept[5] == 0).all() and (np.delete(kept, 5, axis=0) > 0).all()
+    assert (np.delete(np.ptp(kept, axis=1), 5) > 0).all()
+    assert got.shape == want.shape == ((b - a) * u, gate)
+    for field in ("n_runs", "starts", "lengths", "noise_db", "threshold_db"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert got.values.dtype == np.float32
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_chunk_memory_bounded_by_spectra_bytes(plan):
     # process_chunk reads one UE's spectra (complex64) at a time and holds
-    # that UE's transform buffers, besides its float32 outputs: 1.64 x the
-    # bytes of this 41-capture chunk's spectra, all UEs; the bound is that
-    # plus 15%. Holding every UE's spectra as read took 2.7 x; copying the
-    # whole chunk to complex128 (and calibrating it, and holding float64
-    # outputs) 7.5 x.
+    # that UE's transform buffers, besides the chunk's bool mask and the
+    # surviving values: 0.91 x the bytes of this 41-capture chunk's
+    # spectra, all UEs; the bound is that plus 15%. A dense float32 values
+    # array and mask of the chunk beside them took 1.64 x; holding every
+    # UE's spectra as read 2.7 x; copying the whole chunk to complex128
+    # (and calibrating it, and holding float64 outputs) 7.5 x.
     params = pl.PipelineParams()
     source = cached_source(PlanSource(plan), 0, plan.n_captures)
     a, b = 4, 37
@@ -609,16 +659,18 @@ def test_chunk_memory_bounded_by_spectra_bytes(plan):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.88 * spectra_bytes, peak / spectra_bytes
+    assert peak < 1.04 * spectra_bytes, peak / spectra_bytes
 
 
-def test_campaign_chunk_memory_below_1_7_spectra(tmp_path):
+def test_campaign_chunk_memory_below_0_75_spectra(tmp_path):
     # One 128-capture chunk of the canyon's eight UEs, read from a capture
-    # file as process reads it, with its halo: the float32 values and bool
-    # mask of the outputs, and one UE at a time of the spectra as read, the
-    # span profile, its small-scale average and one row block's FFT
-    # buffer: 1.49 x the chunk's spectra bytes, all UEs. Holding every UE's
-    # spectra as read took 2.59 x.
+    # file as process reads it, with its halo: the chunk's bool mask and
+    # surviving values, and one UE at a time of the spectra as read, the
+    # span profile and one row block's FFT buffer: 0.65 x the chunk's
+    # spectra bytes, all UEs; the bound is that plus 15%. A dense float32
+    # values array and mask of the chunk, with the last UE's small-scale
+    # average held into the next UE's transform, took 1.49 x; holding every
+    # UE's spectra as read 2.59 x.
     from cfmm import config as cfgmod, formats as fm, scene as sc
     scene = sc.load_scene(cfgmod.resolve_scene_path("bundled:canyon"))
     plan = sd.plan_campaign(first_poses(scene, 136), wf.WaveformSpec(),
@@ -636,7 +688,7 @@ def test_campaign_chunk_memory_below_1_7_spectra(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.7 * spectra_bytes, peak / spectra_bytes
+    assert peak < 0.75 * spectra_bytes, peak / spectra_bytes
 
 
 @pytest.fixture(scope="module")
@@ -673,7 +725,9 @@ def test_stored_repetitions_match_inline_reference(reps_plan):
     noise_lo, noise_hi = params.noise_bins(n)
     a, b = 3, 9
     lo, hi = max(0, a - 4), min(source.n_captures, b + 4)
-    _, _, values, mask, noise_db, _ = pl.process_chunk(source, params, a, b)
+    rows = pl.process_chunk(source, params, a, b)[2]
+    values, mask = dense_rows(rows, source.n_ues)
+    noise_db = rows.noise_db.reshape(b - a, -1)
 
     w = pl.kaiser_taps(n, params.kaiser_beta)
     g = 10.0 ** (-source.attenuation_db[lo:hi] / 20.0)

@@ -20,7 +20,8 @@ block of captures at a time and prints:
 * how many float32 values and how many mask bins differ;
 * the largest relative value difference, |a - b| / max(|a|, |b|), and
   the (capture, UE, bin) where it occurs;
-* how many noise_db values differ, and the largest absolute difference.
+* how many noise_db and how many threshold_db values differ, and the
+  largest absolute difference of each.
 
 When both hold a `manifest.json` that differs, it prints each dotted key
 (`stages.process.captures`) whose value differs or that only one of them
@@ -117,8 +118,8 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
     worst, worst_at = 0.0, None
     r0 = 0  # first (capture, UE) row of the block
     for rows_a, rows_b in zip(a.blocks(), b.blocks()):
-        va, ma = rows_a.dense(n_bins)
-        vb, mb = rows_b.dense(n_bins)
+        va, ma = rows_a.dense()
+        vb, mb = rows_b.dense()
         mask_differ += int((ma != mb).sum())
         differ = va.view(np.uint32) != vb.view(np.uint32)
         values_differ += int(differ.sum())
@@ -130,8 +131,6 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
                 row, col = np.argwhere(differ)[k]
                 worst, worst_at = float(rel[k]), ((r0 + row) // u, row % u, col)
         r0 += rows_a.n_rows
-    noise_a, noise_b = a.noise_level_db, b.noise_level_db
-    noise_differ = noise_a != noise_b
     lines = [
         f"  float32 values that differ: {values_differ} of {m * u * n_bins}",
         f"  mask bins that differ: {mask_differ}",
@@ -140,10 +139,13 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
         c, j, q = worst_at
         lines.append(f"  largest relative value difference: {worst:.3e} "
                      f"at capture {c}, UE {j}, bin {q}")
-    lines.append(f"  noise_db values that differ: {int(noise_differ.sum())} of {m * u}")
-    if noise_differ.any():
-        lines.append("  largest noise_db difference: "
-                     f"{np.abs(noise_a - noise_b)[noise_differ].max():.3e} dB")
+    for name, level_a, level_b in (("noise_db", a.noise_level_db, b.noise_level_db),
+                                   ("threshold_db", a.threshold_db, b.threshold_db)):
+        differ = level_a != level_b
+        lines.append(f"  {name} values that differ: {int(differ.sum())} of {m * u}")
+        if differ.any():
+            lines.append(f"  largest {name} difference: "
+                         f"{np.abs(level_a - level_b)[differ].max():.3e} dB")
     return lines
 
 
