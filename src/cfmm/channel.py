@@ -45,13 +45,13 @@ def synthesize_rows(
     delays: np.ndarray,
     row_splits: np.ndarray,
     spec: WaveformSpec,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Synthesize many channels at once from flat path arrays.
 
     Row r sums paths gains[row_splits[r]:row_splits[r+1]] over the tones
-    f_0 + k df of spec.tone_offsets_hz(). Returns (n_rows, n_tones)
-    complex128.
+    f_0 + k df of spec.tone_offsets_hz() into out, an (n_rows, n_tones)
+    complex128 array, and returns it.
 
     Each path contributes the outer product of its coarse table
     g exp(-j 2 pi tau (f_0 + a B df)), a < A = ceil(N / B), which carries
@@ -63,8 +63,6 @@ def synthesize_rows(
     """
     n_tones = spec.n_subcarriers
     df = spec.subcarrier_spacing_hz
-    if out is None:
-        out = np.empty((row_splits.size - 1, n_tones), dtype=np.complex128)
     n_coarse = -(-n_tones // FINE_TONES)
     coarse_hz = spec.tone_offsets_hz()[0] + df * np.arange(0, n_coarse * FINE_TONES, FINE_TONES)
     fine_hz = df * np.arange(FINE_TONES)

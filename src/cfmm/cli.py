@@ -10,8 +10,9 @@ file is the one source of run parameters; flags only choose paths,
 workers and chunk size, which do not change output bytes. Every stage
 writes the same bytes for the same config regardless of worker count:
 workers compute disjoint capture ranges whose content is seed-determined.
-In simulate each range writes its own bytes of the capture file,
-wherever it runs, and the parent syncs the file to disk behind the run;
+In simulate each range writes its own bytes of the capture file and
+starts their writeback, wherever it runs, and the parent syncs the file
+once before it publishes it;
 in process the parent writes each range's results in capture order. A
 starting stage drops its own and the later stages' manifest records and
 deletes their outputs by the names this module writes, never by a path
@@ -267,12 +268,12 @@ def cmd_simulate(args) -> int:
                                 site=cfg.site)
         print(f"simulate: {plan.n_captures} captures x {plan.n_ues} UEs "
               f"(chunks of {chunk_size}, {workers} workers)")
-        # Each span's spectra are synced in the background once that span
-        # is taken; leaving the block waits until all of them are on disk.
+        # Each span starts its own writeback where it is written; leaving
+        # the block waits until all of them are on disk.
         with fm.CaptureWriter(part, plan) as writer:
             record.update(pl.run_chunks(
                 _simulate_span, (plan, writer), plan.n_captures, chunk_size,
-                lambda m0, _: writer.sync(), workers))
+                lambda m0, _: None, workers))
         mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
         steps = cfg.impairments.agc.attenuation_steps_db
         record.update(n_captures=plan.n_captures, n_ues=plan.n_ues,

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -88,6 +87,12 @@ def _check_field(path, name: str, value, ok: bool, want: str) -> None:
     """Raise FormatError naming the file and the header field unless ok."""
     if not ok:
         raise FormatError(f"{path}: header {name} is {value}, expected {want}")
+
+
+def _check_counts(path, **counts: int) -> None:
+    """A file holds at least one of each counted thing."""
+    for name, value in counts.items():
+        _check_field(path, name, value, value >= 1, "at least 1")
 
 
 def _check_values(path, what: str, block: np.ndarray, ok: np.ndarray, want: str) -> None:
@@ -206,6 +211,7 @@ def read_matrix(path) -> MatrixFile:
         _check_field(path, "bin_width_s", bin_width,
                      math.isfinite(bin_width) and bin_width > 0, "a finite value > 0")
         _check_field(path, "oversample_factor", oversample, oversample >= 1, "at least 1")
+        _check_counts(path, n_captures=m, n_ues=u, n_bins=b)
         size = os.fstat(fh.fileno()).st_size
         tables = {name: _read_block(fh, path, size, f"{name} table", dtype, m * u)
                   for name, dtype in _ROW_TABLES}
@@ -401,20 +407,18 @@ class CaptureWriter:
     Every metadata block comes from the plan. The file is created at its
     full size, with the spectra zero and their blocks reserved on disk, so
     a disk without room fails here, not in a later chunk. Each chunk
-    writes its own byte range and does not sync it, so chunks can be
-    written in any order and by any process.
+    writes its own byte range, so chunks can be written in any order and
+    by any process.
 
-    The file reaches the disk behind the run, from the process that holds
-    the writer as a context manager. Entering opens a descriptor for the
-    syncs. After each chunk is written, sync() waits for the previous
-    fdatasync and raises its error, then starts the next one in a
-    background thread, so at most one is in flight and it overlaps the
-    work on the next chunk. Leaving the block normally joins that thread
-    and runs one last fdatasync (the barrier), so every spectrum byte is
-    on disk before the caller publishes the file. Leaving it with an
-    exception joins the thread and lets that exception through. A sync
-    error is an OSError naming the file. sync_wait_s is the time spent
-    blocked on syncs, the barrier included.
+    Each chunk starts the writeback of its range where it is written
+    (posix_fadvise DONTNEED, which on Linux queues the range's dirty pages
+    and does not wait), so the file reaches the disk behind the run.
+    Entering the writer as a context manager opens a descriptor; leaving
+    the block normally runs one fdatasync on it (the barrier), so every
+    spectrum byte is on disk before the caller publishes the file. A
+    kernel that ignores the advice only makes the barrier longer. A
+    barrier error is an OSError naming the file. sync_wait_s is the time
+    the barrier took.
     """
 
     def __init__(self, path, plan):
@@ -445,58 +449,36 @@ class CaptureWriter:
                                        f"of spectra: {e.strerror}") from None
 
     def write_chunk(self, m0: int, spectra: np.ndarray) -> None:
-        """Write the spectra of captures m0.. at their offset."""
+        """Write the spectra of captures m0.. at their offset and start
+        their writeback."""
         m, *row_shape = np.shape(spectra)
         if tuple(row_shape) != self.shape[1:] or not 0 <= m0 <= self.shape[0] - m:
             raise ValueError(f"{self.path}: spectra {np.shape(spectra)} at capture {m0} "
                              f"do not fit the file's {self.shape}")
         row = int(np.prod(self.shape[1:])) * 8
+        offset = self.spectra_offset + m0 * row
         with open(self.path, "r+b") as fh:
-            fh.seek(self.spectra_offset + m0 * row)
+            fh.seek(offset)
             fh.write(np.ascontiguousarray(spectra, dtype="<c8").data)
+            fh.flush()
+            os.posix_fadvise(fh.fileno(), offset, m * row, os.POSIX_FADV_DONTNEED)
 
     def __enter__(self) -> CaptureWriter:
         self._fd = os.open(self.path, os.O_WRONLY)
-        self._thread: threading.Thread | None = None
-        self._error: OSError | None = None
-        self.sync_wait_s = 0.0
         return self
-
-    def sync(self) -> None:
-        """Wait for the sync in flight and raise its error, then start
-        syncing what has been written so far."""
-        self._wait()
-        self._thread = threading.Thread(target=self._fdatasync, name="capture-sync")
-        self._thread.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                self._wait(barrier=True)
-            elif self._thread is not None:
-                self._thread.join()
+                t0 = time.perf_counter()
+                try:
+                    os.fdatasync(self._fd)
+                except OSError as e:
+                    raise OSError(e.errno, f"{self.path}: cannot sync the spectra "
+                                           f"to disk: {e.strerror}") from None
+                self.sync_wait_s = time.perf_counter() - t0
         finally:
             os.close(self._fd)
-
-    def _fdatasync(self) -> None:
-        try:
-            os.fdatasync(self._fd)
-        except OSError as e:
-            self._error = OSError(e.errno, f"{self.path}: cannot sync the spectra "
-                                           f"to disk: {e.strerror}")
-
-    def _wait(self, barrier: bool = False) -> None:
-        """Join the sync in flight, and with barrier sync once more here;
-        raise the first sync error."""
-        t0 = time.perf_counter()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if barrier and self._error is None:
-            self._fdatasync()
-        self.sync_wait_s += time.perf_counter() - t0
-        if self._error is not None:
-            raise self._error
 
 
 def open_captures(path) -> CaptureFile:
@@ -507,6 +489,7 @@ def open_captures(path) -> CaptureFile:
         (magic, version, m, u, reps_stored, n, spacing, interval,
          reps_avg, seed, site_len) = _CAPTURE_FIXED.unpack(raw)
         _check_header("capture", path, magic, CAPTURE_MAGIC, version, CAPTURE_VERSION)
+        _check_counts(path, n_captures=m, n_ues=u, n_subcarriers=n)
         _check_field(path, "n_reps_stored", reps_stored, reps_stored == 1, "1")
         _check_field(path, "subcarrier_spacing_hz", spacing,
                      math.isfinite(spacing) and spacing > 0, "a finite value > 0")

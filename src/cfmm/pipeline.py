@@ -268,19 +268,18 @@ def _chirp_plan(n: int, big_l: int, start: int, span: int) -> tuple:
 
 
 def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
-                bins: tuple[int, int] | None = None,
-                row_gain: np.ndarray | None = None,
-                energy: np.ndarray | None = None) -> np.ndarray:
+                bins: tuple[int, int], row_gain: np.ndarray | float,
+                energy: np.ndarray) -> np.ndarray:
     """Weighted, zero-padded delay-power profile, tones on the last axis.
 
     weights is one factor per tone: the window taps (kaiser_taps), times
-    calibrate's tone_gain where h is raw; row_gain, optional, is one real
-    factor per row of h. The padded profile has L = pad_factor * n bins;
-    bin q sits at delay q / (L * spacing), and a negative q is the alias of
-    bin L + q. bins = (start, stop) selects the signed bins start <= q <
-    stop (default: the whole profile, 0..L-1), which come out in that
-    order. energy, optional, receives each row's whole-profile energy L
-    sum |w g h|^2 (Parseval), one float64 per row.
+    calibrate's tone_gain where h is raw; row_gain is one real factor per
+    row of h, or one for all rows. The padded profile has L = pad_factor * n
+    bins; bin q sits at delay q / (L * spacing), and a negative q is the
+    alias of bin L + q. bins = (start, stop) selects the signed bins
+    start <= q < stop ((0, L) is the whole profile), which come out in that
+    order. energy, shaped as h without its tone axis, receives each row's
+    whole-profile energy L sum |w g h|^2 (Parseval), one float64 per row.
 
     The span is evaluated with Bluestein's algorithm: pre-rotate by the
     span start, convolve with the chirp exp(i pi k^2 / L) by numpy.fft
@@ -290,7 +289,7 @@ def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
     phase loses precision with k. The rows run in blocks of
     TRANSFORM_BLOCK_ROWS through one reused (block, nfft) buffer: only its
     zero tail [n, nfft) is re-zeroed, the block goes into its head in one
-    multiply by weights x rotation x chirp (and row_gain), both row
+    multiply by weights x rotation x chirp and one by row_gain, both row
     transforms run in place, and |x|^2 of the span is written straight
     into the result. Each row is transformed alone, so the output does not
     depend on the block size, and the working memory beyond the result
@@ -300,15 +299,14 @@ def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
     h = np.asarray(h)
     n = h.shape[-1]
     big_l = pad_factor * n
-    start, stop = (0, big_l) if bins is None else bins
+    start, stop = bins
     span = stop - start
     if not 0 < span <= big_l:
         raise ValueError(f"bins {bins}: span must hold 1..{big_l} bins")
     nfft, rotate, chirp, kernel_fft = _chirp_plan(n, big_l, start, span)
     lead = h.shape[:-1]
     rows = h.reshape(-1, n)
-    if row_gain is not None:
-        row_gain = np.broadcast_to(row_gain, lead).reshape(-1)
+    row_gain = np.broadcast_to(row_gain, lead).reshape(-1)
     tone = weights * rotate * chirp
     p = np.empty((rows.shape[0], span))
     total = np.empty(rows.shape[0])
@@ -319,19 +317,16 @@ def compute_pdp(h: np.ndarray, weights: np.ndarray, pad_factor: int,
         head = buf[:, :n]
         buf[:, n:] = 0
         np.multiply(rows[r0:r1], tone, out=head)
-        if row_gain is not None:
-            head *= row_gain[r0:r1, None]
-        if energy is not None:
-            np.square(head.view(np.float64)).sum(axis=-1, out=total[r0:r1])
+        head *= row_gain[r0:r1, None]
+        np.square(head.view(np.float64)).sum(axis=-1, out=total[r0:r1])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= kernel_fft
         np.fft.ifft(buf, axis=-1, out=buf)
         y = buf[:, :span]
         np.square(y.real, out=p[r0:r1])
         p[r0:r1] += np.square(y.imag)
-    if energy is not None:
-        total *= big_l
-        energy[...] = total.reshape(lead)
+    total *= big_l
+    energy[...] = total.reshape(lead)
     return p.reshape(lead + (span,))
 
 
@@ -521,15 +516,14 @@ def run_chunks(fn, args: tuple, n_captures: int, chunk_size: int, take,
     spans are submitted to a queue, the earliest is waited on and taken,
     and a span starts only while it lies fewer than 2 x workers spans
     after the earliest one not yet taken, so at most that many results
-    wait in the parent however long the campaign. The pool forks all its
-    workers at the first submit, before the first take, so take may start
-    threads. fn and args reach the workers through one module global
-    instead of being pickled; the global is cleared however the run ends,
-    and a failed run cancels the spans not yet started. A result depends
-    only on its span, so the output depends on neither the chunk size nor
-    the worker count. On the serial path take holds the only reference to
-    a result, so each chunk is freed before the next one is computed (a
-    generator would keep it alive in its caller's loop variable).
+    wait in the parent however long the campaign. fn and args reach the
+    workers through one module global instead of being pickled; the
+    global is cleared however the run ends, and a failed run cancels the
+    spans not yet started. A result depends only on its span, so the
+    output depends on neither the chunk size nor the worker count. On the
+    serial path take holds the only reference to a result, so each chunk
+    is freed before the next one is computed (a generator would keep it
+    alive in its caller's loop variable).
     """
     spans = [(a, min(a + chunk_size, n_captures))
              for a in range(0, n_captures, chunk_size)]

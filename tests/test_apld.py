@@ -1,5 +1,6 @@
 """Tests for APLD assembly, first-peak tracking, and exports."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,7 +56,9 @@ class TestAssemble:
         assert out.bin_width_s == 1e-9
 
     def test_empty_campaign(self, tmp_path):
-        mat = toy_matrix(tmp_path, m=0)
+        # read_matrix rejects a file of no captures, so the matrix is one
+        # built in memory.
+        mat = replace(toy_matrix(tmp_path), n_captures=0)
         with pytest.raises(ValueError, match="empty campaign"):
             ap.assemble_apld(mat, toy_meta(m=0), 0)
 

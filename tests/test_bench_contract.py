@@ -99,7 +99,7 @@ def test_count_functions_read_real_results(tmp_path):
     rows = capture_file.spectra(1, 5, 2)
     assert tracer._capture_read_counts((capture_file, 1, 5, 2), {}, rows) == {"rows": 4}
     taps = pl.kaiser_taps(n, 3.0)
-    pdp = pl.compute_pdp(rows, taps, pad_factor=2)
+    pdp = pl.compute_pdp(rows, taps, 2, (0, 2 * n), 1.0, np.empty(4))
     assert tracer._transform_counts((rows, taps, 2), {}, pdp) == {"bins": 2 * n}
 
 

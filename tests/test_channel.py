@@ -30,7 +30,8 @@ def synth(delays_s, gains=None):
     """One channel over the default comb from path delays and complex gains."""
     delays = np.asarray(delays_s, dtype=float)
     gains = np.ones(delays.size, dtype=complex) if gains is None else np.asarray(gains, dtype=complex)
-    return ch.synthesize_rows(gains, delays, np.array([0, delays.size]), SPEC)[0]
+    out = np.empty((1, SPEC.n_subcarriers), dtype=np.complex128)
+    return ch.synthesize_rows(gains, delays, np.array([0, delays.size]), SPEC, out)[0]
 
 
 def random_rows(seed, n_rows, max_paths):
@@ -95,7 +96,7 @@ def test_energy_orthogonality_on_grid():
 def test_synthesize_rows_matches_single_calls():
     gains, delays, splits = random_rows(1, 30, 6)
     offs = SPEC.tone_offsets_hz()
-    rows = ch.synthesize_rows(gains, delays, splits, SPEC)
+    rows = ch.synthesize_rows(gains, delays, splits, SPEC, np.empty((30, 2801), complex))
     for r in range(30):
         sl = slice(splits[r], splits[r + 1])
         ref = np.exp(-2j * np.pi * np.outer(offs, delays[sl])) @ gains[sl]
@@ -110,8 +111,9 @@ def test_synthesize_rows_tone_counts_match_direct_sum(n_tones):
     spec = wf.WaveformSpec(n_subcarriers=n_tones)
     offs = (np.arange(n_tones) - (n_tones - 1) // 2) * 125e3
     np.testing.assert_array_equal(spec.tone_offsets_hz(), offs)
-    rows = ch.synthesize_rows(gains, delays, splits, spec)
-    assert rows.shape == (20, n_tones)
+    out = np.empty((20, n_tones), dtype=np.complex128)
+    rows = ch.synthesize_rows(gains, delays, splits, spec, out)
+    assert rows is out
     for r in range(20):
         sl = slice(splits[r], splits[r + 1])
         ref = np.exp(-2j * np.pi * np.outer(offs, delays[sl])) @ gains[sl]
@@ -126,7 +128,7 @@ def test_mean_tone_power_matches_synthesis():
     k = int(splits[-1])
     gains = (rng.normal(size=k) + 1j * rng.normal(size=k)) * 10 ** rng.uniform(-6, -3, k)
     delays = rng.uniform(0, 7e-6, k)
-    rows = ch.synthesize_rows(gains, delays, splits, SPEC)
+    rows = ch.synthesize_rows(gains, delays, splits, SPEC, np.empty((40, 2801), complex))
     p_syn = (np.abs(rows) ** 2).mean(axis=1)
     p_ana = ch.mean_tone_power(gains, delays, splits, SPEC)
     np.testing.assert_allclose(p_ana, p_syn, rtol=1e-12, atol=1e-300)

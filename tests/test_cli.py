@@ -9,7 +9,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -852,114 +851,131 @@ class TestStages:
         assert not (out / "captures.cfmc").exists()
         assert not list(out.glob("*.partial"))
 
-    def test_capture_sync_overlaps_next_span(self, workspace, tmp_path, monkeypatch):
-        # Each chunk's sync lets go only once the next span's synthesis has
-        # begun, so a sync made before that span starts would never end.
-        real_synth, real_sync = sd.synthesize_chunk, os.fdatasync
-        entered = []
-        spans = 6  # 81 captures in chunks of 16
-        started = threading.Condition()
-        timed_out = []
+    @staticmethod
+    def logged_simulate(workspace, tmp_path, monkeypatch, workers):
+        """Run simulate on 81 captures in chunks of 16 and return the output
+        directory and the events of every process, in the order they were
+        logged: ("write", pid, m0), ("fadvise", pid, offset, length, advice),
+        ("open", pid, fd, flags) of the partial capture file, ("sync", pid,
+        fd) and ("replace", pid, name). Pool workers write the chunks, so
+        every process appends its events to one log file."""
+        log = tmp_path / "events.log"
+        real_write, real_fadvise, real_open, real_sync, real_replace = (
+            fm.CaptureWriter.write_chunk, os.posix_fadvise, os.open, os.fdatasync,
+            os.replace)
 
-        def synth(plan, m0, m1):
-            with started:
-                entered.append(m0)
-                started.notify_all()
-            return real_synth(plan, m0, m1)
+        def event(*fields):
+            fd = real_open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, " ".join(map(str, (fields[0], os.getpid(), *fields[1:])))
+                         .encode() + b"\n")
+            finally:
+                os.close(fd)
+
+        def write_chunk(self, m0, spectra):
+            event("write", m0)
+            real_write(self, m0, spectra)
+
+        def fadvise(fd, offset, length, advice):
+            event("fadvise", offset, length, advice)
+            real_fadvise(fd, offset, length, advice)
+
+        def open_(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if Path(os.fsdecode(path)).name == "captures.cfmc.partial":
+                event("open", fd, flags)
+            return fd
 
         def sync(fd):
-            n = sync.calls
-            sync.calls += 1
-            if n + 1 < spans:
-                with started:
-                    if not started.wait_for(lambda: len(entered) > n + 1, timeout=10):
-                        timed_out.append(n)
-                        raise OSError(errno.ETIMEDOUT, f"sync {n} waited 10 s for "
-                                                       f"span {n + 1} to start")
+            event("sync", fd)
             real_sync(fd)
 
-        sync.calls = 0
-        monkeypatch.setattr(sd, "synthesize_chunk", synth)
+        def replace(src, dst):
+            event("replace", Path(src).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fm.CaptureWriter, "write_chunk", write_chunk)
+        monkeypatch.setattr(os, "posix_fadvise", fadvise)
+        monkeypatch.setattr(os, "open", open_)
         monkeypatch.setattr(os, "fdatasync", sync)
+        monkeypatch.setattr(os, "replace", replace)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(workspace / "cfg.json"), "--out", str(out),
-                     "--workers", "1", "--chunk-size", "16"]) == 0
-        assert timed_out == []
-        assert sync.calls == spans + 1  # one per chunk, then the barrier
+                     "--workers", workers, "--chunk-size", "16"]) == 0
+        events = [(kind, int(pid), *(int(f) if f.lstrip("-").isdigit() else f for f in rest))
+                  for kind, pid, *rest in (e.split() for e in log.read_text().splitlines())]
+        return out, events
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_capture_writeback_started_per_chunk(self, workspace, tmp_path, monkeypatch,
+                                                 workers):
+        out, events = self.logged_simulate(workspace, tmp_path, monkeypatch, workers)
+        src = fm.open_captures(out / "captures.cfmc")
+        row = src.n_ues * src.n_subcarriers * 8
+        want = {m0: (src.spectra_offset + m0 * row, (min(m0 + 16, 81) - m0) * row,
+                     os.POSIX_FADV_DONTNEED) for m0 in range(0, 81, 16)}
+        # In each process, every write is followed by the fadvise of its own
+        # range before that process writes again.
+        writes = {}
+        for pid in {e[1] for e in events if e[0] == "write"}:
+            mine = [e for e in events if e[1] == pid and e[0] in ("write", "fadvise")]
+            assert [e[0] for e in mine] == ["write", "fadvise"] * (len(mine) // 2)
+            for w, f in zip(mine[::2], mine[1::2]):
+                assert f[2:] == want[w[2]]
+                writes[w[2]] = pid
+        assert sorted(writes) == sorted(want)
+        if workers == "2":
+            assert os.getpid() not in writes.values()
+        # No sync runs until the last chunk is written and advised.
+        last_advice = max(i for i, e in enumerate(events) if e[0] == "fadvise")
+        assert all(i > last_advice for i, e in enumerate(events) if e[0] == "sync")
         assert (out / "captures.cfmc").read_bytes() == \
             (workspace / "out" / "captures.cfmc").read_bytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_captures_synced_before_publish(self, workspace, tmp_path, monkeypatch,
                                             workers):
-        # Pool workers write the chunks, so every process appends its
-        # events to one log file.
-        log = tmp_path / "events.log"
-        real_write, real_sync, real_replace = (fm.CaptureWriter.write_chunk, os.fdatasync,
-                                               os.replace)
-
-        def event(text):
-            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            try:
-                os.write(fd, f"{text}\n".encode())
-            finally:
-                os.close(fd)
-
-        def write_chunk(self, m0, spectra):
-            real_write(self, m0, spectra)
-            event(f"write {m0}")
-
-        def sync(fd):
-            event("sync-start")
-            real_sync(fd)
-            event("sync-end")
-
-        def replace(src, dst):
-            event(f"replace {Path(src).name}")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(fm.CaptureWriter, "write_chunk", write_chunk)
-        monkeypatch.setattr(os, "fdatasync", sync)
-        monkeypatch.setattr(os, "replace", replace)
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(workspace / "cfg.json"), "--out", str(out),
-                     "--workers", workers, "--chunk-size", "16"]) == 0
-        events = log.read_text().splitlines()
-        syncs = [e for e in events if e.startswith("sync")]
-        # Never two syncs in flight: starts and ends alternate.
-        assert syncs == ["sync-start", "sync-end"] * 7  # 6 chunks and the barrier
-        writes = [i for i, e in enumerate(events) if e.startswith("write")]
+        out, events = self.logged_simulate(workspace, tmp_path, monkeypatch, workers)
+        kinds = [e[0] for e in events]
+        syncs = [i for i, k in enumerate(kinds) if k == "sync"]
+        assert len(syncs) == 1  # the barrier, and nothing before it
+        writes = [i for i, k in enumerate(kinds) if k == "write"]
         assert len(writes) == 6
-        last_sync = max(i for i, e in enumerate(events) if e == "sync-end")
-        published = events.index("replace captures.cfmc.partial")
-        assert writes[-1] < last_sync < published
+        published = events.index(("replace", os.getpid(), "captures.cfmc.partial"))
+        assert writes[-1] < syncs[0] < published
+        # The synced descriptor is the partial's, opened write-only by the
+        # stage process before the first write.
+        _, pid, fd = events[syncs[0]]
+        opens = [i for i, e in enumerate(events[:syncs[0]])
+                 if e[:3] == ("open", pid, fd)]
+        assert pid == os.getpid() and opens
+        assert opens[-1] < writes[0]
+        assert events[opens[-1]][3] & os.O_ACCMODE == os.O_WRONLY
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sync_error_exit_2_publishes_nothing(self, workspace, finished_run, tmp_path,
                                                  monkeypatch, capsys, workers):
-        real_sync = os.fdatasync
         calls = []
 
         def failing_sync(fd):
             calls.append(fd)
-            if len(calls) == 2:
-                raise OSError(errno.EIO, os.strerror(errno.EIO))
-            real_sync(fd)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
 
         out = tmp_path / "o"
         shutil.copytree(finished_run, out)  # an earlier run's outputs and records
-        threads = threading.active_count()
+        fds = sorted(os.listdir("/proc/self/fd"))
         monkeypatch.setattr(os, "fdatasync", failing_sync)
         rc = main(["simulate", "--config", str(workspace / "cfg.json"), "--out", str(out),
                    "--workers", workers, "--chunk-size", "16"])
         assert rc == 2
+        assert len(calls) == 1
         err = capsys.readouterr().err
         assert f"{out / 'captures.cfmc.partial'}: cannot sync" in err
         assert os.strerror(errno.EIO) in err
         assert not (out / "captures.cfmc").exists()
         assert not list(out.glob("*.partial"))
         assert "simulate" not in json.loads((out / "manifest.json").read_text())["stages"]
-        assert threading.active_count() == threads
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
     def test_full_disk_fails_at_creation_exit_2(self, workspace, tmp_path, monkeypatch,
                                                  capsys):

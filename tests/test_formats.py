@@ -12,7 +12,8 @@ import cfmm.formats as fm
 import cfmm.pipeline as pl
 import cfmm.sounder as sd
 import cfmm.waveform as wf
-from cfmm.cli import main
+from cfmm.cli import _matrix_header, main
+from cfmm.config import load_config
 
 from conftest import PlanSource, dense, first_poses, make_scene, process_matrix, write_matrix
 
@@ -249,20 +250,30 @@ class TestMatrixFile:
         err = capsys.readouterr().err
         assert f"{out / 'matrix.cfmm'}: truncated noise_db table (96 bytes" in err
 
-    @pytest.mark.parametrize("bin_width,oversample,message", [
-        (0.0, 10, "header bin_width_s is 0.0, expected a finite value > 0"),
-        (float("nan"), 10, "header bin_width_s is nan"),
-        (2.856e-10, 0, "header oversample_factor is 0, expected at least 1"),
-    ], ids=["bin-width-zero", "bin-width-nan", "oversample-zero"])
-    def test_bad_header_value_exit_3(self, tmp_path, capture_path, capsys, bin_width,
-                                     oversample, message):
-        # A matrix of no captures is complete at its 32-byte header.
-        out = tmp_path / "out"
-        out.mkdir()
-        header = struct.pack("<4sIIIIdI", b"CFMM", 2, 0, 0, 8, bin_width, oversample)
-        (out / "matrix.cfmm").write_bytes(header)
+    @pytest.mark.parametrize("field,value,message", [
+        ("bin_width_s", 0.0, "header bin_width_s is 0.0, expected a finite value > 0"),
+        ("bin_width_s", float("nan"), "header bin_width_s is nan"),
+        ("oversample_factor", 0, "header oversample_factor is 0, expected at least 1"),
+        ("n_captures", 0, "header n_captures is 0, expected at least 1"),
+        ("n_ues", 0, "header n_ues is 0, expected at least 1"),
+        ("n_bins", 0, "header n_bins is 0, expected at least 1"),
+    ], ids=["bin-width-zero", "bin-width-nan", "oversample-zero", "captures-zero",
+            "ues-zero", "bins-zero"])
+    def test_bad_header_value_exit_3(self, tmp_path, capture_path, capsys, field, value,
+                                     message):
+        # Every other field is what process writes for the captures, and the
+        # header is checked before the row tables are read, so a 32-byte
+        # file reaches each check.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        source = fm.open_captures(capture_path)
+        header = {"n_captures": source.n_captures, "n_ues": source.n_ues,
+                  **_matrix_header(load_config(cfg).pipeline, source), field: value}
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "matrix.cfmm").write_bytes(struct.pack(
+            "<4sIIIIdI", b"CFMM", 2, *(header[k] for k in (
+                "n_captures", "n_ues", "n_bins", "bin_width_s", "oversample_factor"))))
         rc = main(["export", "--config", str(cfg), "--out", str(out),
                    "--captures", str(capture_path)])
         assert rc == 3
@@ -478,9 +489,12 @@ class TestCaptureFile:
         (32, struct.pack("<d", float("inf")), "header capture_interval_s is inf"),
         (32, struct.pack("<d", -0.5), "header capture_interval_s is -0.5, expected a finite"),
         (16, struct.pack("<I", 10), "header n_reps_stored is 10, expected 1"),
+        (8, struct.pack("<I", 0), "header n_captures is 0, expected at least 1"),
+        (12, struct.pack("<I", 0), "header n_ues is 0, expected at least 1"),
+        (20, struct.pack("<I", 0), "header n_subcarriers is 0, expected at least 1"),
     ], ids=["captures", "tones", "site-id-length", "site-id-not-utf8", "site-id-cut",
             "spacing-zero", "spacing-nan", "spacing-negative", "interval-inf",
-            "interval-negative", "reps-stored"])
+            "interval-negative", "reps-stored", "captures-zero", "ues-zero", "tones-zero"])
     def test_corrupt_header_exit_3(self, capture_path, tmp_path, capsys, offset, patch,
                                    message):
         raw = bytearray(capture_path.read_bytes())
@@ -496,6 +510,25 @@ class TestCaptureFile:
                    "--out", str(tmp_path / "p")])
         assert rc == 3
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    def test_zero_capture_file_exit_3(self, capture_path, tmp_path, capsys):
+        """A header of no captures, with metadata blocks sized to match, is
+        rejected: read, it published an empty matrix that export could not
+        use."""
+        cf = fm.open_captures(capture_path)
+        raw = bytearray(capture_path.read_bytes()[:_SITE_ID + len(cf.site_id.encode())])
+        raw[8:12] = struct.pack("<I", 0)
+        for name, dtype, shape in fm._meta_layout(0, cf.n_ues, cf.n_subcarriers):
+            raw += np.asarray(getattr(cf, name), dtype)[tuple(map(slice, shape))].tobytes()
+        bad = tmp_path / "empty.cfmc"
+        bad.write_bytes(bytes(raw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+        rc = main(["process", "--config", str(cfg), "--captures", str(bad),
+                   "--out", str(tmp_path / "p")])
+        assert rc == 3
+        assert f"{bad}: header n_captures is 0, expected at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "matrix.cfmm").exists()
 
     @pytest.mark.parametrize("block,index,value,message", [
         ("timestamps", 4, np.inf, "timestamps block holds inf at index [4], expected a finite"),

@@ -105,7 +105,8 @@ class TestCalibrate:
 
 class TestComputePDP:
     def test_flat_spectrum_is_impulse(self):
-        p = pl.compute_pdp(np.ones(64), pl.kaiser_taps(64, 0.0), pad_factor=1)
+        p = pl.compute_pdp(np.ones(64), pl.kaiser_taps(64, 0.0), 1, (0, 64), 1.0,
+                           np.empty(()))
         assert p[0] == pytest.approx(1.0, rel=1e-12)
         assert p[1:].max() <= 1e-20 * p[0]
 
@@ -114,14 +115,16 @@ class TestComputePDP:
         for _ in range(10):
             n = int(rng.integers(16, 65))
             h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), pad_factor=3)
+            got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), 3, (0, 3 * n), 1.0,
+                                 np.empty(()))
             want = brute_pdp(h, 3.0, 3)
             np.testing.assert_allclose(got, want, rtol=1e-9,
                                        atol=want.max() * 1e-13)
 
     def test_on_grid_path_peak_and_sidelobes(self):
         n, f = 2801, 10
-        p = pl.compute_pdp(on_grid_channel(n, 117, amplitude=0.5), pl.kaiser_taps(n, 3.0), f)
+        p = pl.compute_pdp(on_grid_channel(n, 117, amplitude=0.5), pl.kaiser_taps(n, 3.0), f,
+                           (0, f * n), 1.0, np.empty(()))
         assert int(np.argmax(p)) == 117 * f
         rel_db = 10 * np.log10(p / p[117 * f] + 1e-300)
         # First sidelobe of the unit-gain window sits near -69.8 dB, just
@@ -136,17 +139,17 @@ class TestComputePDP:
         n, f = 1401, 4
         h = on_grid_channel(n, 200, amplitude=0.3)
         for beta in (0.0, 3.0):
-            p = pl.compute_pdp(h, pl.kaiser_taps(n, beta), f)
+            p = pl.compute_pdp(h, pl.kaiser_taps(n, beta), f, (0, f * n), 1.0, np.empty(()))
             assert p[200 * f] == pytest.approx(0.09, rel=1e-12)
 
     def test_parseval_unwindowed(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        p = pl.compute_pdp(h, pl.kaiser_taps(256, 0.0), pad_factor=1)
+        p = pl.compute_pdp(h, pl.kaiser_taps(256, 0.0), 1, (0, 256), 1.0, np.empty(()))
         assert p.sum() == pytest.approx((np.abs(h) ** 2).sum() / 256, rel=1e-12)
         # Row gains scale each row's profile, and energy is its whole sum.
         energy = np.empty(2)
-        p = pl.compute_pdp(np.stack([h, 2 * h]), pl.kaiser_taps(256, 0.0), 1, None,
+        p = pl.compute_pdp(np.stack([h, 2 * h]), pl.kaiser_taps(256, 0.0), 1, (0, 256),
                            np.array([3.0, 0.5]), energy)
         want = (np.abs(h) ** 2).sum() / 256 * np.array([9.0, 1.0])
         np.testing.assert_allclose(p.sum(axis=-1), want, rtol=1e-12)
@@ -164,7 +167,8 @@ class TestComputePDP:
             for start, stop in ((lo, int(rng.integers(1, big_l // 2))),
                                 (big_l + lo, big_l + int(rng.integers(1, big_l // 2))),
                                 (lo - big_l // 3, lo)):
-                got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), f, (start, stop))
+                got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), f, (start, stop), 1.0,
+                                     np.empty(()))
                 want = brute_at(h, 3.0, f, np.arange(start, stop))
                 np.testing.assert_allclose(got, want, rtol=1e-9,
                                            atol=want.max() * 1e-13)
@@ -177,7 +181,7 @@ class TestComputePDP:
         h = on_grid_channel(n, 117) + 1e-3 * (rng.standard_normal(n)
                                               + 1j * rng.standard_normal(n))
         start, stop = 2750 * f - n * f, 450 * f
-        got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), f, (start, stop))
+        got = pl.compute_pdp(h, pl.kaiser_taps(n, 3.0), f, (start, stop), 1.0, np.empty(()))
         assert got.shape == (5010,)
         pick = np.concatenate([np.arange(start, start + 40), np.arange(-20, 20),
                                np.arange(1160, 1180), np.arange(stop - 40, stop),
@@ -192,7 +196,8 @@ class TestComputePDP:
         rng = np.random.default_rng(5)
         h = on_grid_channel(2801, 117) + 1e-3 * (rng.standard_normal((6, 2801))
                                                  + 1j * rng.standard_normal((6, 2801)))
-        got = pl.compute_pdp(h, pl.kaiser_taps(2801, 3.0), 10, bins)
+        got = pl.compute_pdp(h, pl.kaiser_taps(2801, 3.0), 10, bins or (0, 28010), 1.0,
+                             np.empty(6))
         want = scipy_pdp(h, 3.0, 10, bins)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -254,7 +259,7 @@ class TestComputePDP:
         h = np.ones(16)
         for bins in ((5, 5), (0, 16 * 3 + 1)):
             with pytest.raises(ValueError, match="span"):
-                pl.compute_pdp(h, pl.kaiser_taps(16, 3.0), 3, bins)
+                pl.compute_pdp(h, pl.kaiser_taps(16, 3.0), 3, bins, 1.0, np.empty(()))
 
 
 class TestSmallScaleAverage:

@@ -222,7 +222,7 @@ def assert_chunk_matches_complex_formulation(plan, m0, m1, noisy):
             lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
             h = chan.synthesize_rows(
                 plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-                np.array([0, hi - lo]), SPEC,
+                np.array([0, hi - lo]), SPEC, np.empty((1, n), dtype=np.complex128),
             )[0]
             if imp.crosstalk_coupling_db is not None:
                 h = h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)
@@ -288,6 +288,7 @@ def test_noiseless_capture_reproduces_channel():
         h = chan.synthesize_rows(
             plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
             np.array([0, hi - lo]), SPEC,
+            np.empty((1, SPEC.n_subcarriers), dtype=np.complex128),
         )[0]
         expected = (g * front * h).astype(np.complex64)
         np.testing.assert_allclose(raw[j], expected, rtol=0, atol=np.abs(expected).max() * 2e-6)
@@ -340,6 +341,7 @@ def test_measured_power_matches_synthesized_channel():
         h = chan.synthesize_rows(
             plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
             np.array([0, hi - lo]), SPEC,
+            np.empty((1, SPEC.n_subcarriers), dtype=np.complex128),
         )[0]
         expect = plan.impairments.tx_power_dbm + 10 * np.log10((np.abs(h) ** 2).mean())
         assert plan.measured_power_dbm[m, j] == pytest.approx(expect, abs=1e-9)
