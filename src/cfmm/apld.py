@@ -63,8 +63,6 @@ def assemble_apld(matrix: MatrixFile, meta, ue_id: int) -> APLDPDP:
     the matrix's capture and UE counts. Row order follows
     capture index, which follows the pose timestamps by construction.
     """
-    if matrix.n_captures == 0:
-        raise ValueError("empty campaign: no captures to assemble")
     if not 0 <= ue_id < matrix.n_ues:
         raise ValueError(f"ue_id {ue_id} out of range for {matrix.n_ues} UEs")
     timestamps = np.asarray(meta.timestamps, dtype=float)

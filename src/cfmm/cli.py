@@ -275,11 +275,10 @@ def cmd_simulate(args) -> int:
                 _simulate_span, (plan, writer), plan.n_captures, chunk_size,
                 lambda m0, _: None, workers))
         mix = np.bincount(plan.link_class.ravel(), minlength=len(LinkClass))
-        steps = cfg.impairments.agc.attenuation_steps_db
         record.update(n_captures=plan.n_captures, n_ues=plan.n_ues,
                       link_classes={c.name: int(mix[c]) for c in LinkClass},
                       agc_steps={f"{a:g}": int(np.count_nonzero(plan.attenuation_db == a))
-                                 for a in steps},
+                                 for a in sd.AGC_STEPS_DB},
                       paths_per_link=sum(g.size for g in plan.path_gains)
                       / (plan.n_captures * plan.n_ues),
                       links_without_paths=sum(int(np.count_nonzero(np.diff(rs) == 0))
@@ -326,9 +325,10 @@ def cmd_process(args) -> int:
 
 def _matrix_header(params: pl.PipelineParams, source) -> dict:
     """The matrix header fields that process writes for the captures of
-    source under params."""
+    source under params, in MatrixWriter's order."""
     f = params.pad_factor
-    return {"n_bins": params.gated_bins,
+    return {"n_captures": source.n_captures, "n_ues": source.n_ues,
+            "n_bins": params.gated_bins,
             "bin_width_s": pl.native_bin_width_s(source) / f,
             "oversample_factor": f}
 
@@ -342,7 +342,7 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
     matrix records and summary rows are written as it arrives."""
     header = _matrix_header(params, source)
     bin_width_s = header["bin_width_s"]
-    writer = fm.MatrixWriter(matrix_path, source.n_captures, source.n_ues, **header)
+    writer = fm.MatrixWriter(matrix_path, **header)
     counts: Counter = Counter()
     with open(summary_path, "w", newline="") as fh:
         summary = csv.writer(fh)

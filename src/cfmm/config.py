@@ -54,20 +54,13 @@ class RunConfig:
             raise ConfigError(f"seed = {self.seed}: must be in [0, 2**64)")
         if self.workers < 0:
             raise ConfigError(f"workers = {self.workers}: must be >= 0")
-        _validate_sections(self, "")
-
-
-def _validate_sections(obj, where: str) -> None:
-    """Check every section below obj with its own validate(), naming the
-    field it rejects by its dotted key."""
-    for f in fields(obj):
-        section = getattr(obj, f.name)
-        if is_dataclass(section):
-            try:
-                section.validate()
-            except ValueError as e:
-                raise ConfigError(f"{where}{f.name}.{e}") from e
-            _validate_sections(section, f"{where}{f.name}.")
+        for f in fields(self):  # each section by its own rules, named by its key
+            section = getattr(self, f.name)
+            if is_dataclass(section):
+                try:
+                    section.validate()
+                except ValueError as e:
+                    raise ConfigError(f"{f.name}.{e}") from e
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -8,6 +8,10 @@ REPETITIONS_PER_UE. The receive front end applies a stepped AGC attenuator
 shared by the whole capture, chosen from the strongest UE of the previous
 capture; attenuation buys headroom at the price of noise figure.
 
+The module emulates the one sounder of the measurement: its transmit
+power, AGC ladder, noise figure and chain ripple are the constants below,
+not run settings.
+
 Every capture is reproducible in isolation: its noise stream derives from
 (campaign seed, capture index) only, so chunked and parallel synthesis
 produce byte-identical records. The receiver noise is complex Gaussian,
@@ -18,7 +22,7 @@ stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,27 +39,26 @@ UE_SLOT_S = REPETITION_SPAN_S * REPETITIONS_PER_UE  # 640 us
 CAPTURE_SPAN_S = UE_SLOT_S * 8  # 5.12 ms
 CAPTURE_INTERVAL_S = 0.1
 
+# The receiver.
+TX_POWER_DBM = 42.0
+BASE_NOISE_FIGURE_DB = 5.0
+NF_PENALTY_PER_ATT_DB = 2.0 / 3.0  # noise figure added per dB of attenuation
+NF_PENALTY_CAP_DB = 20.0
+AGC_STEPS_DB = (0.0, 10.0, 20.0, 30.0)  # attenuator steps, increasing
+AGC_WINDOW_DBM = (-45.0, -40.0)  # target output window (low, high)
+# Smooth random transmit/receive chain response over the band: CHAIN_TERMS
+# Fourier terms from seed CHAIN_SEED, scaled to these peak deviations.
+CHAIN_AMPLITUDE_DB = 3.0
+CHAIN_PHASE_RAD = np.pi / 4
+CHAIN_TERMS = 4
+CHAIN_SEED = 7
+
 _POWER_FLOOR_MW = 1e-30
 
 
 # --- AGC ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AGCConfig:
-    attenuation_steps_db: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0)
-    target_output_window_dbm: tuple[float, float] = (-45.0, -40.0)
-
-    def validate(self) -> None:
-        steps = list(self.attenuation_steps_db)
-        if not steps or steps != sorted(set(steps)):
-            raise ValueError(f"attenuation_steps_db = {steps}: "
-                             "must be non-empty and strictly increasing")
-        lo, hi = self.target_output_window_dbm
-        if not lo < hi:
-            raise ValueError(f"target_output_window_dbm = {[lo, hi]}: must have low < high")
-
-
-def _agc_step(att_db: float, strongest_dbm: float, config: AGCConfig) -> float:
+def _agc_step(att_db: float, strongest_dbm: float) -> float:
     """Attenuation after a capture whose strongest UE input is strongest_dbm.
 
     Holds att_db while the attenuated output stays inside the target window;
@@ -63,75 +66,54 @@ def _agc_step(att_db: float, strongest_dbm: float, config: AGCConfig) -> float:
     smallest step that keeps the output at or below the window top (full
     attenuation if even that fails).
     """
-    lo, hi = config.target_output_window_dbm
+    lo, hi = AGC_WINDOW_DBM
     if lo <= strongest_dbm - att_db <= hi:
         return att_db
-    for a in config.attenuation_steps_db:
+    for a in AGC_STEPS_DB:
         if lo <= strongest_dbm - a <= hi:
-            return float(a)
-    for a in config.attenuation_steps_db:
+            return a
+    for a in AGC_STEPS_DB:
         if strongest_dbm - a <= hi:
-            return float(a)
-    return float(config.attenuation_steps_db[-1])
+            return a
+    return AGC_STEPS_DB[-1]
 
 
-def agc_attenuation_sequence(strongest_dbm: np.ndarray, config: AGCConfig) -> np.ndarray:
+def agc_attenuation_sequence(strongest_dbm: np.ndarray) -> np.ndarray:
     """Attenuation per capture with the one-capture causal lag.
 
     The attenuator starts at 0 dB. Capture 0 uses its own power (the device
     converges before the run starts); capture m >= 1 reacts to the strongest
     UE of capture m - 1.
     """
-    config.validate()
     att = np.zeros(strongest_dbm.shape[0])
     a = 0.0
     for m in range(att.shape[0]):
-        a = _agc_step(a, float(strongest_dbm[max(m - 1, 0)]), config)
+        a = _agc_step(a, float(strongest_dbm[max(m - 1, 0)]))
         att[m] = a
     return att
 
 
 # --- impairments -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainRippleConfig:
-    """Smooth random transmit/receive chain response over the band."""
-
-    amplitude_db: float = 3.0
-    phase_rad: float = np.pi / 4
-    n_terms: int = 4
-    seed: int = 7
-
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed}: must be >= 0")
-
-
-def make_chain_response(n_subcarriers: int, cfg: ChainRippleConfig) -> np.ndarray:
+def make_chain_response(n_subcarriers: int) -> np.ndarray:
     """Deterministic low-order Fourier ripple, never near zero."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(CHAIN_SEED)
     k = np.arange(n_subcarriers) / n_subcarriers
     amp = np.zeros(n_subcarriers)
     pha = np.zeros(n_subcarriers)
-    for j in range(1, cfg.n_terms + 1):
+    for j in range(1, CHAIN_TERMS + 1):
         a, b, c, d = rng.uniform(-1.0, 1.0, 4)
         amp += (a * np.cos(2 * np.pi * j * k) + b * np.sin(2 * np.pi * j * k)) / j
         pha += (c * np.cos(2 * np.pi * j * k) + d * np.sin(2 * np.pi * j * k)) / j
-    amp *= cfg.amplitude_db / max(np.abs(amp).max(), 1e-12)
-    pha *= cfg.phase_rad / max(np.abs(pha).max(), 1e-12)
+    amp *= CHAIN_AMPLITUDE_DB / max(np.abs(amp).max(), 1e-12)
+    pha *= CHAIN_PHASE_RAD / max(np.abs(pha).max(), 1e-12)
     return 10.0 ** (amp / 20.0) * np.exp(1j * pha)
 
 
 @dataclass(frozen=True)
 class ImpairmentConfig:
-    tx_power_dbm: float = 42.0
-    base_noise_figure_db: float = 5.0
     thermal_dbm_per_hz: float = THERMAL_NOISE_DBM_PER_HZ
-    nf_penalty_per_att_db: float = 2.0 / 3.0
-    nf_penalty_cap_db: float = 20.0
-    agc: AGCConfig = field(default_factory=AGCConfig)
     crosstalk_coupling_db: float | None = -60.0
-    chain: ChainRippleConfig = field(default_factory=ChainRippleConfig)
 
     def validate(self) -> None:
         c = self.crosstalk_coupling_db
@@ -141,11 +123,11 @@ class ImpairmentConfig:
     def noise_sigma2_mw(self, attenuation_db, spacing_hz: float) -> np.ndarray:
         """Input-referred noise variance per tone per repetition, in mW."""
         att = np.asarray(attenuation_db, dtype=float)
-        penalty = np.minimum(self.nf_penalty_per_att_db * att, self.nf_penalty_cap_db)
+        penalty = np.minimum(NF_PENALTY_PER_ATT_DB * att, NF_PENALTY_CAP_DB)
         dbm = (
             self.thermal_dbm_per_hz
             + 10.0 * np.log10(spacing_hz)
-            + self.base_noise_figure_db
+            + BASE_NOISE_FIGURE_DB
             + penalty
         )
         return 10.0 ** (dbm / 10.0)
@@ -190,7 +172,7 @@ class CampaignPlan:
 
     @property
     def tx_tone_amplitude(self) -> float:
-        p_mw = 10.0 ** (self.impairments.tx_power_dbm / 10.0)
+        p_mw = 10.0 ** (TX_POWER_DBM / 10.0)
         return float(np.sqrt(p_mw / self.waveform.n_subcarriers))
 
     @property
@@ -217,7 +199,7 @@ def plan_campaign(
     ue_site = scene.site(site)
     m_total = positions.shape[0]
 
-    chain = make_chain_response(waveform.n_subcarriers, impairments.chain)
+    chain = make_chain_response(waveform.n_subcarriers)
 
     gains, delays, splits = [], [], []
     n_ues = ue_site.positions_m.shape[0]
@@ -233,11 +215,11 @@ def plan_campaign(
         delays.append(tau)
         splits.append(rs)
         mean_gain = ch.mean_tone_power(g, tau, rs, waveform)
-        power_dbm[:, j] = impairments.tx_power_dbm + 10.0 * np.log10(
+        power_dbm[:, j] = TX_POWER_DBM + 10.0 * np.log10(
             np.maximum(mean_gain, _POWER_FLOOR_MW)
         )
 
-    att = agc_attenuation_sequence(power_dbm.max(axis=1), impairments.agc)
+    att = agc_attenuation_sequence(power_dbm.max(axis=1))
 
     return CampaignPlan(
         site_id=ue_site.site_id, waveform=waveform,

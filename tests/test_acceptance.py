@@ -58,7 +58,7 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
     marked LOS; synthesis never reads the class.
     """
     spec = WaveformSpec()
-    chain = sd.make_chain_response(spec.n_subcarriers, sd.ChainRippleConfig())
+    chain = sd.make_chain_response(spec.n_subcarriers)
     imp = sd.ImpairmentConfig(crosstalk_coupling_db=coupling_db)
     positions = np.asarray(ap_positions, dtype=float)
     ues = np.asarray(ue_positions, dtype=float)
@@ -71,10 +71,10 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         rs = np.arange(m_total + 1) * k
         splits.append(rs)
         mean_gain = ch.mean_tone_power(gains[j], delays[j], rs, spec)
-        measured[:, j] = imp.tx_power_dbm + 10.0 * np.log10(mean_gain)
+        measured[:, j] = sd.TX_POWER_DBM + 10.0 * np.log10(mean_gain)
     if measured_override_dbm is not None:
         measured = np.asarray(measured_override_dbm, dtype=float).reshape(m_total, -1)
-    att = sd.agc_attenuation_sequence(measured.max(axis=1), imp.agc)
+    att = sd.agc_attenuation_sequence(measured.max(axis=1))
 
     return sd.CampaignPlan(
         site_id="manual", waveform=spec, impairments=imp, seed=seed,
@@ -231,7 +231,7 @@ def test_criterion_06_dynamic_range(tmp_path):
     below it. Both UEs share the strong path at 30 m; the weak copy sits
     350 native bins later, inside the gate and far outside the mainlobe.
     """
-    strong_gain_db = 5.0 - sd.ImpairmentConfig().tx_power_dbm  # +5 dBm received
+    strong_gain_db = 5.0 - sd.TX_POWER_DBM  # +5 dBm received
     plans = {
         rel: _static_plan(30.0, extra=[(350, rel)],
                           gain_db=strong_gain_db, seed=11)
@@ -277,16 +277,15 @@ def test_criterion_07_agc_contract(tmp_path):
     positions = np.column_stack([x, np.zeros(m_total), np.zeros(m_total)])
     plan = _manual_plan(positions, [[0.0, 0.0, 0.0]], gains, delays, seed=5)
     assert (plan.attenuation_db == 0.0).all()
-    lo, hi = plan.impairments.agc.target_output_window_dbm
+    lo, hi = sd.AGC_WINDOW_DBM
     assert ((plan.measured_power_dbm >= lo) & (plan.measured_power_dbm <= hi)).all()
     spectra = sd.synthesize_chunk(plan, 0, m_total)
     out_dbm = 10.0 * np.log10(np.sum(np.abs(spectra[:, 0]) ** 2, axis=1))
     assert float(np.std(out_dbm)) <= 1.2
 
     # part 2: forced 30 dB step
-    imp = plan.impairments
-    nf = lambda att: imp.base_noise_figure_db + min(
-        imp.nf_penalty_per_att_db * att, imp.nf_penalty_cap_db)
+    nf = lambda att: sd.BASE_NOISE_FIGURE_DB + min(
+        sd.NF_PENALTY_PER_ATT_DB * att, sd.NF_PENALTY_CAP_DB)
     assert nf(30.0) - nf(0.0) == 20.0
     m_total = 60
     amp = np.full(m_total, 10.0 ** (-97.0 / 20.0), dtype=complex)

@@ -1,6 +1,5 @@
 """Tests for APLD assembly, first-peak tracking, and exports."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,13 +53,6 @@ class TestAssemble:
         np.testing.assert_array_equal(out.link_class, np.full(6, 2))
         np.testing.assert_array_equal(out.threshold_db, np.full(6, -93.0))
         assert out.bin_width_s == 1e-9
-
-    def test_empty_campaign(self, tmp_path):
-        # read_matrix rejects a file of no captures, so the matrix is one
-        # built in memory.
-        mat = replace(toy_matrix(tmp_path), n_captures=0)
-        with pytest.raises(ValueError, match="empty campaign"):
-            ap.assemble_apld(mat, toy_meta(m=0), 0)
 
     def test_capture_count_mismatch_lists_gaps(self, tmp_path):
         with pytest.raises(ValueError, match="missing captures 4, 5"):

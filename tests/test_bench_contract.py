@@ -79,8 +79,8 @@ def test_count_functions_read_real_results(tmp_path):
     plan = sd.plan_campaign(first_poses(scene, 6), wf.WaveformSpec(), sd.ImpairmentConfig(),
                             seed=5)
     strongest = plan.measured_power_dbm.max(axis=1)
-    att = sd.agc_attenuation_sequence(strongest, sd.AGCConfig())
-    counts = tracer._agc_counts((strongest, sd.AGCConfig()), {}, att)
+    att = sd.agc_attenuation_sequence(strongest)
+    counts = tracer._agc_counts((strongest,), {}, att)
     assert counts.pop("captures") == 6
     assert counts and sum(counts.values()) == 6
     assert all(f"agc_{a:g}db" in counts for a in att)

@@ -140,14 +140,12 @@ class TestConfig:
     def test_section_override(self):
         cfg = cfgmod.config_from_dict({
             "pipeline": {"kaiser_beta": 2.5},
-            "impairments": {"crosstalk_coupling_db": None,
-                            "chain": {"seed": 12}},
+            "impairments": {"crosstalk_coupling_db": None},
             "waveform": {"n_subcarriers": 101},
         })
         assert cfg.pipeline.kaiser_beta == 2.5
         assert cfg.impairments.crosstalk_coupling_db is None
-        assert cfg.impairments.chain.seed == 12
-        assert cfg.impairments.tx_power_dbm == 42.0  # untouched default
+        assert cfg.impairments.thermal_dbm_per_hz == -174.0  # untouched default
         assert cfg.waveform.n_subcarriers == 101
 
     def test_unknown_keys_named(self):
@@ -178,16 +176,13 @@ class TestConfig:
             "scene": "scene.json", "site": "site0", "seed": 3, "output_dir": "o",
             "workers": 2,
             "waveform": {"n_subcarriers": 101, "subcarrier_spacing_hz": 125000},
-            "impairments": {"tx_power_dbm": 40, "crosstalk_coupling_db": -50,
-                            "agc": {"attenuation_steps_db": [0, 10, 20],
-                                    "target_output_window_dbm": [-45, -40]},
-                            "chain": {"amplitude_db": 2, "phase_rad": 1, "seed": 3}},
+            "impairments": {"thermal_dbm_per_hz": -170, "crosstalk_coupling_db": -50},
             "pipeline": {"kaiser_beta": 3, "delta_n_db": 6,
                          "noise_region_native": [450, None]},
         })
         cfg.validate()
         assert cfgmod.semantic_hash(cfg) == (
-            "9b74139bf980064a37149bdbf5fc941733ae46cad28840fe8e2958666b920d34")
+            "9d37d67d2f1434505f18c0e17b44938bff5d39db12d4202f01c28e68f284b91a")
         as_floats = replace(cfg, waveform=replace(cfg.waveform, subcarrier_spacing_hz=125000.0))
         assert cfgmod.semantic_hash(as_floats) != cfgmod.semantic_hash(cfg)
 
@@ -259,14 +254,14 @@ class TestValidate:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_duplicate_agc_step_named(self, workspace, tmp_path, capsys):
+    def test_even_tone_count_named(self, workspace, tmp_path, capsys):
         cfg = json.loads((workspace / "cfg.json").read_text())
-        cfg["impairments"] = {"agc": {"attenuation_steps_db": [0, 10, 10]}}
-        p = tmp_path / "agc.json"
+        cfg["waveform"] = {"n_subcarriers": 2800}
+        p = tmp_path / "even.json"
         p.write_text(json.dumps(cfg))
         rc = main(["validate", "--config", str(p)])
         assert rc == 1
-        assert "impairments.agc.attenuation_steps_db" in capsys.readouterr().err
+        assert "waveform.n_subcarriers = 2800: must be odd" in capsys.readouterr().err
 
     def test_wrong_ue_count_named(self, tmp_path, capsys):
         scene = make_scene(ue_positions=ue_line(n=7))
@@ -363,10 +358,9 @@ _DROP = object()
     ("config", ("pipeline", "ssa_window"), 3.0, "pipeline.ssa_window = 3.0: must be an integer"),
     ("config", ("pipeline", "noise_region_native"), [450],
      "pipeline.noise_region_native = [450]: must be a list of 2 values"),
-    ("config", ("impairments", "agc", "attenuation_steps_db"), 5,
-     "impairments.agc.attenuation_steps_db = 5: must be a list"),
-    ("config", ("impairments", "chain", "seed"), -1,
-     "impairments.chain.seed = -1: must be >= 0"),
+    ("scene", ("buildings",), 5, "buildings = 5: must be a list"),
+    ("config", ("impairments", "crosstalk_coupling_db"), 5,
+     "impairments.crosstalk_coupling_db = 5: must be <= 0 or null"),
     ("config", ("waveform", "oversampling_factor"), 1,
      "waveform: unknown key 'oversampling_factor'"),
     ("config", ("waveform", "phase_rule"), "quadratic-zc",
@@ -375,6 +369,10 @@ _DROP = object()
      "impairments: unknown key 'n_repetitions'"),
     ("config", ("impairments", "store_repetitions"), False,
      "impairments: unknown key 'store_repetitions'"),
+    *[("config", ("impairments", key), value, f"impairments: unknown key '{key}'")
+      for key, value in (("agc", {}), ("chain", {}), ("tx_power_dbm", 42.0),
+                         ("base_noise_figure_db", 5.0), ("nf_penalty_per_att_db", 0.5),
+                         ("nf_penalty_cap_db", 20.0))],
     ("scene", ("buildings", 0, "heigth_m"), 20.0, "buildings[0]: unknown key 'heigth_m'"),
     ("scene", ("buildings", 0, "height_m"), float("nan"),
      "buildings[0].height_m = NaN: must be finite"),
@@ -388,9 +386,10 @@ _DROP = object()
      'trajectory.waypoints[1].x = "a": must be a number or null'),
     ("scene", ("buildings", 0, "id"), _DROP, "buildings[0].id: required key is missing"),
 ], ids=["seed-float", "seed-string", "seed-bool", "seed-uint64-overflow", "scene-int",
-        "pipeline-int", "pad-float", "ssa-float", "noise-region-short", "agc-steps-int",
-        "chain-seed", "oversampling-factor", "phase-rule", "n-repetitions",
-        "store-repetitions", "scene-key-typo", "height-nan", "speed-inf",
+        "pipeline-int", "pad-float", "ssa-float", "noise-region-short", "buildings-int",
+        "crosstalk-positive", "oversampling-factor", "phase-rule", "n-repetitions",
+        "store-repetitions", "agc", "chain", "tx-power", "base-noise-figure",
+        "nf-penalty-per-att", "nf-penalty-cap", "scene-key-typo", "height-nan", "speed-inf",
         "footprint-int", "footprint-3-columns", "waypoint-x-string", "building-no-id"])
 def test_malformed_document_exit_1(workspace, finished_run, tmp_path, capsys,
                                    doc, keys, value, message):
@@ -398,7 +397,7 @@ def test_malformed_document_exit_1(workspace, finished_run, tmp_path, capsys,
     and no traceback, and simulate exit 1 before it removes any output."""
     docs = {"config": {**json.loads((workspace / "cfg.json").read_text()),
                        "scene": str(tmp_path / "scene.json"), "pipeline": {}, "waveform": {},
-                       "impairments": {"agc": {}, "chain": {}}},
+                       "impairments": {}},
             "scene": json.loads((workspace / "scene.json").read_text())}
     *parents, last = keys
     target = docs[doc]
@@ -1018,11 +1017,29 @@ class TestStages:
         assert not list(out.glob("annotations_ue*.csv"))
         assert not list(out.glob("*.partial"))
 
-    def test_export_rejects_captures_of_other_ue_count(self, workspace, tmp_path, capsys):
+    @staticmethod
+    def export_rejects(workspace, finished_run, tmp_path, capsys, plan, message):
+        """export with the captures of plan, over a copy of a finished run:
+        exit 3 with message, and every file and the export record kept."""
+        captures = tmp_path / "other.cfmc"
+        with fm.CaptureWriter(captures, plan) as writer:
+            writer.write_chunk(0, sd.synthesize_chunk(plan, 0, plan.n_captures))
+        out = shutil.copytree(finished_run, tmp_path / "e")
+        before = digests(out)
+        assert "export" in json.loads((out / "manifest.json").read_text())["stages"]
+        capsys.readouterr()
+        assert main(["export", "--config", str(workspace / "cfg.json"), "--out", str(out),
+                     "--captures", str(captures)]) == 3
+        err = capsys.readouterr().err
+        assert f"{out / 'matrix.cfmm'}: {message}, the value process writes" in err
+        assert "Traceback" not in err
+        assert digests(out) == before
+
+    def test_export_rejects_captures_of_other_ue_count(self, workspace, finished_run,
+                                                       tmp_path, capsys):
         # A capture file of the same 81 poses but only the first 4 UEs,
         # against the 8-UE matrix.
-        cfgp = str(workspace / "cfg.json")
-        cfg = cfgmod.load_config(cfgp)
+        cfg = cfgmod.load_config(workspace / "cfg.json")
         plan = sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
                                 cfg.seed, site=cfg.site)
         plan = replace(plan, ue_positions=plan.ue_positions[:4],
@@ -1030,19 +1047,18 @@ class TestStages:
                        row_splits=plan.row_splits[:4],
                        measured_power_dbm=plan.measured_power_dbm[:, :4],
                        link_class=plan.link_class[:, :4])
-        four = tmp_path / "four.cfmc"
-        fm.CaptureWriter(four, plan).write_chunk(0, sd.synthesize_chunk(plan, 0, 81))
-        out = tmp_path / "e"
-        assert main(["process", "--config", cfgp, "--out", str(out), "--captures",
-                     str(workspace / "out" / "captures.cfmc"), "--workers", "1"]) == 0
-        capsys.readouterr()
-        assert main(["export", "--config", cfgp, "--out", str(out),
-                     "--captures", str(four)]) == 1
-        err = capsys.readouterr().err
-        assert "UE count mismatch: matrix has 8 UEs, metadata has 4" in err
-        assert "Traceback" not in err
-        assert not list(out.glob("apld_ue*.pgm"))
-        assert not list(out.glob("*.partial"))
+        self.export_rejects(workspace, finished_run, tmp_path, capsys, plan,
+                            "header n_ues is 8, expected 4")
+
+    def test_export_rejects_captures_of_other_capture_count(self, workspace, finished_run,
+                                                            tmp_path, capsys):
+        # A capture file of the first 20 of the 81 poses.
+        cfg = cfgmod.load_config(workspace / "cfg.json")
+        plan = sd.plan_campaign(first_poses(sc.load_scene(cfg.scene), 20), cfg.waveform,
+                                cfg.impairments, cfg.seed, site=cfg.site)
+        assert plan.n_captures == 20
+        self.export_rejects(workspace, finished_run, tmp_path, capsys, plan,
+                            "header n_captures is 81, expected 20")
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
     def test_corrupt_matrix_value_exit_3(self, workspace, tmp_path, capsys, bad):

@@ -204,3 +204,17 @@ def test_missing_directory_exit_2(tmp_path, capsys):
     for missing in ("gone", "file"):
         assert load_tool().main([str(tmp_path / "a"), str(tmp_path / missing)]) == 2
         assert f"{tmp_path / missing}: not a directory" in capsys.readouterr().err
+
+
+def test_manifest_with_stages_not_objects_exit_3(tmp_path, capsys):
+    # The tool reads a manifest as the stages do, so it refuses what they
+    # refuse.
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+    (a / "manifest.json").write_text("{}")
+    (b / "manifest.json").write_text(json.dumps({"stages": {"simulate": 5}}))
+    assert load_tool().main([str(a), str(b)]) == 3
+    err = capsys.readouterr().err
+    assert (f"manifest.json: cannot read: {b / 'manifest.json'}: must be an object "
+            "whose stages are objects") in err

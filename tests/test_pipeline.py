@@ -79,7 +79,7 @@ class TestCalibrate:
 
     def test_divides_out_chain(self):
         rng = np.random.default_rng(0)
-        chain = sd.make_chain_response(256, sd.ChainRippleConfig())
+        chain = sd.make_chain_response(256)
         h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         ref = np.exp(1j * rng.uniform(0, 2 * np.pi, 256))
         raw = chain * ref * h

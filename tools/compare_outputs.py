@@ -23,7 +23,8 @@ block of captures at a time and prints:
 * how many noise_db and how many threshold_db values differ, and the
   largest absolute difference of each.
 
-When both hold a `manifest.json` that differs, it prints each dotted key
+When both hold a `manifest.json` that differs, it reads each as the stages
+do (`cli._read_manifest`) and prints each dotted key
 (`stages.process.captures`) whose value differs or that only one of them
 holds, with both values. The run measurements (`wall_s`, `cpu_s`,
 `capture_sync_wait_s`, `peak_rss_mb`, `worker_peak_rss_mb`), which differ
@@ -33,7 +34,8 @@ line instead.
 Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
 argument is missing or is not a directory, 3 when a differing
 `captures.cfmc`, `matrix.cfmm` or `manifest.json` cannot be read (the
-message names the file and the fault), else 1.
+message names the file and the fault; a manifest is unreadable when it is
+not JSON or its `stages` is not an object of objects), else 1.
 """
 
 import hashlib
@@ -44,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cfmm.cli import _read_manifest
 from cfmm.formats import FormatError, open_captures, read_matrix
 
 CAPTURES = "captures.cfmc"
@@ -159,18 +162,11 @@ def _leaves(doc, prefix: str = "") -> dict:
     return out
 
 
-def _manifest_leaves(path: Path) -> dict:
-    try:
-        return _leaves(json.loads(path.read_bytes()))
-    except ValueError as e:
-        raise FormatError(f"{path}: malformed JSON ({e})") from None
-
-
 def compare_manifests(path_a: Path, path_b: Path) -> list[str]:
     """Lines naming each dotted key whose value differs between two
     manifests, with both values; a key only one holds reads as absent.
     Differing run timings are named on one line, without their values."""
-    a, b = _manifest_leaves(path_a), _manifest_leaves(path_b)
+    a, b = (_leaves(_read_manifest(p.parent)) for p in (path_a, path_b))
     absent = object()
     lines, timings = [], []
     for key in sorted(a.keys() | b.keys()):
