@@ -59,7 +59,8 @@ def synthesize_rows(
     flattened, the (A, B) product is the path's row over k = a B + b.
     Rows with the same path count form one group, whose (rows, A, B) sum
     over paths is one batched matrix product (rows, A, paths) @ (rows,
-    paths, B), written to out once and trimmed to N tones.
+    paths, B), written to out once and trimmed to N tones. Rows without
+    paths read exact zero, the product over an empty path axis.
     """
     n_tones = spec.n_subcarriers
     df = spec.subcarrier_spacing_hz
@@ -67,9 +68,6 @@ def synthesize_rows(
     coarse_hz = spec.tone_offsets_hz()[0] + df * np.arange(0, n_coarse * FINE_TONES, FINE_TONES)
     fine_hz = df * np.arange(FINE_TONES)
     for grp, pid in _path_count_groups(row_splits):
-        if pid.size == 0:
-            out[grp] = 0.0
-            continue
         tau = delays[pid][..., None]
         coarse = gains[pid][..., None] * np.exp((-2j * np.pi) * tau * coarse_hz)
         fine = np.exp((-2j * np.pi) * tau * fine_hz)
@@ -92,8 +90,6 @@ def mean_tone_power(gains: np.ndarray, delays: np.ndarray, row_splits: np.ndarra
     n_rows = row_splits.size - 1
     power = np.zeros(n_rows)
     for grp, pid in _path_count_groups(row_splits):
-        if pid.size == 0:
-            continue
         g = gains[pid]
         tau = delays[pid]
         dt = tau[:, :, None] - tau[:, None, :]

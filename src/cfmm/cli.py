@@ -288,8 +288,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _summary_rows(a: int, rows: pl.SparseRows, n_ues: int,
-                  bin_width_s: float) -> list[list]:
+def _summary_rows(a: int, rows: pl.SparseRows, n_ues: int, bin_width_s: float,
+                  delta_n_db: float) -> list[list]:
     bins, top = rows.peaks()
     kept = rows.kept()
     out = []
@@ -300,7 +300,7 @@ def _summary_rows(a: int, rows: pl.SparseRows, n_ues: int,
         else:
             delay, power = "nan", "nan"
         out.append([a + r // n_ues, r % n_ues, f"{rows.noise_db[r]:.4f}",
-                    f"{rows.threshold_db[r]:.4f}", delay, power, int(kept[r])])
+                    f"{rows.noise_db[r] + delta_n_db:.4f}", delay, power, int(kept[r])])
     return out
 
 
@@ -330,7 +330,7 @@ def _matrix_header(params: pl.PipelineParams, source) -> dict:
     return {"n_captures": source.n_captures, "n_ues": source.n_ues,
             "n_bins": params.gated_bins,
             "bin_width_s": pl.native_bin_width_s(source) / f,
-            "oversample_factor": f}
+            "oversample_factor": f, "delta_n_db": params.delta_n_db}
 
 
 def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
@@ -341,7 +341,6 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
     record fields (run_chunks). Chunks arrive in capture order; each one's
     matrix records and summary rows are written as it arrives."""
     header = _matrix_header(params, source)
-    bin_width_s = header["bin_width_s"]
     writer = fm.MatrixWriter(matrix_path, **header)
     counts: Counter = Counter()
     with open(summary_path, "w", newline="") as fh:
@@ -352,7 +351,8 @@ def _process_into(source, params: pl.PipelineParams, matrix_path: Path,
         def take(a: int, chunk: tuple) -> None:
             rows = chunk[2]
             writer.write_chunk(a, rows)
-            summary.writerows(_summary_rows(a, rows, source.n_ues, bin_width_s))
+            summary.writerows(_summary_rows(a, rows, source.n_ues, header["bin_width_s"],
+                                            params.delta_n_db))
             counts.update(pl.degenerate_row_counts(rows.kept(), rows.noise_db))
             counts.update(matrix_runs=rows.starts.size, matrix_kept_bins=rows.values.size)
 

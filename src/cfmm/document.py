@@ -37,7 +37,7 @@ def _schema(cls) -> tuple:
 
 def read(tp, value, where: str, error: type[Exception]):
     """The value of type tp held by JSON value: a dataclass from an object,
-    a list, tuple or numpy float array from a list, or a scalar or union of
+    a list, fixed-length tuple or numpy float array from a list, or a scalar or union of
     scalars as given. where is the value's dotted key in its document (""
     at the top). A wrong type, a non-finite number, an unknown key or a
     missing required key raises error, naming the dotted key at fault."""
@@ -50,7 +50,7 @@ def read(tp, value, where: str, error: type[Exception]):
             return _read_array(value, where, error)
     elif origin is list or origin is tuple:
         if isinstance(value, list):
-            items = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+            items = args if origin is tuple else args[:1] * len(value)
             if len(items) == len(value):
                 out = [read(t, v, f"{where}[{i}]", error)
                        for i, (t, v) in enumerate(zip(items, value))]
@@ -114,9 +114,9 @@ def _describe(tp) -> str:
     if is_dataclass(tp):
         return "an object"
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple and args[-1] is not Ellipsis:
+    if origin is tuple:
         return f"a list of {len(args)} values"
-    return "a list" if origin is list or origin is tuple else " or ".join(map(_describe, args))
+    return "a list" if origin is list else " or ".join(map(_describe, args))
 
 
 def _at(where: str, value) -> str:

@@ -3,29 +3,32 @@
 Two little-endian containers, both designed for bit-exact round trips on
 any platform.
 
-Matrix file (magic ``CFMM``, version 2) holds the gated profiles as runs
+Matrix file (magic ``CFMM``, version 3) holds the gated profiles as runs
 of surviving bins (compressed sparse rows). With M captures, U UEs, B
 gated bins and R = M U rows in (capture, UE) order, capture-major:
 
 ====================  ============  =========================================
 section               bytes         contents
 ====================  ============  =========================================
-header                32            magic, version u32, M u32, U u32, B u32,
-                                    bin width f64 seconds, oversample u32
+header                40            magic, version u32, M u32, U u32, B u32,
+                                    bin width f64 seconds, oversample u32,
+                                    delta_n_db f64
 noise_db              8 R           f64 noise level per row, dB
-threshold_db          8 R           f64 detection threshold per row, dB
-record_end            8 R           u64 file offset just past each row record
 n_runs                4 R           u32 run count per row
+n_kept                4 R           u32 surviving bins per row
 row records           rest          per row, in row order: n_runs pairs of
                                     u32 (first bin, length), then the row's
-                                    surviving values, f32, in bin order
+                                    n_kept surviving values, f32, in bin order
 ====================  ============  =========================================
 
-The first record starts at 32 + 28 R and the file ends at the last
-record_end. Runs in a row are increasing and disjoint, each of length at
-least 1, and end at or before B; a bin outside every run was masked and
-reads zero. Version 1 (dense values plus a mask bit array) is not read:
-re-run process to rewrite such a file.
+The first record starts at 40 + 16 R, and each record is 8 n_runs +
+4 n_kept bytes; the file ends with the last. A row's detection threshold
+is its noise level plus delta_n_db. Runs in a row are increasing and
+disjoint, each of length at least 1, and end at or before B; their
+lengths sum to n_kept. A bin outside every run was masked and reads
+zero. Versions 1 (dense values plus a mask bit array) and 2 (a stored
+threshold and record end per row) are not read: re-run process to
+rewrite such a file.
 
 Capture file (magic ``CFMC``): acquisition metadata (poses, timestamps,
 attenuation, link classes, calibration, reference tones) followed by the
@@ -53,14 +56,13 @@ from .sounder import REPETITIONS_PER_UE
 
 MATRIX_MAGIC = b"CFMM"
 CAPTURE_MAGIC = b"CFMC"
-MATRIX_VERSION = 2
+MATRIX_VERSION = 3
 CAPTURE_VERSION = 1
 
-_MATRIX_HEADER = struct.Struct("<4sIIIIdI")
+_MATRIX_HEADER = struct.Struct("<4sIIIIdId")
 _CAPTURE_FIXED = struct.Struct("<4sIIIIIddIQI")
 # The matrix row tables, in file order: name and dtype.
-_ROW_TABLES = (("noise_db", "<f8"), ("threshold_db", "<f8"),
-               ("record_end", "<u8"), ("n_runs", "<u4"))
+_ROW_TABLES = (("noise_db", "<f8"), ("n_runs", "<u4"), ("n_kept", "<u4"))
 _ROW_TABLE_BYTES = sum(np.dtype(t).itemsize for _, t in _ROW_TABLES)
 # Captures per block when export streams the profiles: each block is parsed
 # once per pass, and its surviving bins are held a few times over.
@@ -136,11 +138,16 @@ class MatrixFile:
     n_bins: int
     bin_width_s: float
     oversample_factor: int
+    delta_n_db: float  # detection threshold above each noise level
     noise_level_db: np.ndarray  # (M, U)
-    threshold_db: np.ndarray  # (M, U)
-    record_end: np.ndarray  # (M U,) int64
+    record_end: np.ndarray  # (M U,) int64, file offset just past each row record
     n_runs: np.ndarray  # (M U,) int64
     records_offset: int
+
+    @property
+    def threshold_db(self) -> np.ndarray:
+        """(M, U) detection threshold per row: the noise level plus delta_n_db."""
+        return self.noise_level_db + self.delta_n_db
 
     def rows(self, m0: int, m1: int) -> SparseRows:
         """The rows of captures [m0, m1), all UEs.
@@ -163,7 +170,6 @@ class MatrixFile:
         runs = words[is_run].reshape(-1, 2).astype(np.int64)
         rows = SparseRows(
             noise_db=self.noise_level_db.reshape(-1)[r0:r1],
-            threshold_db=self.threshold_db.reshape(-1)[r0:r1],
             n_runs=n_runs, starts=runs[:, 0], lengths=runs[:, 1],
             values=words[~is_run].view("<f4"), n_bins=self.n_bins,
         )
@@ -202,7 +208,7 @@ def read_matrix(path) -> MatrixFile:
         raw = fh.read(_MATRIX_HEADER.size)
         if len(raw) < _MATRIX_HEADER.size:
             raise FormatError(f"{path}: truncated matrix header")
-        magic, version, m, u, b, bin_width, oversample = _MATRIX_HEADER.unpack(raw)
+        magic, version, m, u, b, bin_width, oversample, delta_n = _MATRIX_HEADER.unpack(raw)
         if magic == MATRIX_MAGIC and version < MATRIX_VERSION:
             raise FormatError(
                 f"{path}: matrix format version {version} is no longer read "
@@ -211,29 +217,24 @@ def read_matrix(path) -> MatrixFile:
         _check_field(path, "bin_width_s", bin_width,
                      math.isfinite(bin_width) and bin_width > 0, "a finite value > 0")
         _check_field(path, "oversample_factor", oversample, oversample >= 1, "at least 1")
+        _check_field(path, "delta_n_db", delta_n, math.isfinite(delta_n), "a finite value")
         _check_counts(path, n_captures=m, n_ues=u, n_bins=b)
         size = os.fstat(fh.fileno()).st_size
         tables = {name: _read_block(fh, path, size, f"{name} table", dtype, m * u)
                   for name, dtype in _ROW_TABLES}
-    for name in ("noise_db", "threshold_db"):
-        levels = tables[name].reshape(m, u)
-        _check_values(path, f"{name} table", levels, np.isfinite(levels), "a finite value")
+    noise = tables["noise_db"].reshape(m, u)
+    _check_values(path, "noise_db table", noise, np.isfinite(noise), "a finite value")
     records_offset = _MATRIX_HEADER.size + _ROW_TABLE_BYTES * m * u
-    ends = tables["record_end"].astype(np.int64)
     n_runs = tables["n_runs"].astype(np.int64)
-    sizes = np.diff(ends, prepend=records_offset)
-    if (sizes < 8 * n_runs).any() or (sizes % 4).any():
-        raise FormatError(f"{path}: corrupt record_end table")
-    end = int(ends[-1]) if ends.size else records_offset
+    ends = records_offset + 4 * np.cumsum(2 * n_runs + tables["n_kept"])
+    end = int(ends[-1])
     if size < end:
         raise FormatError(f"{path}: truncated row records ({size} bytes, expected {end})")
     if size > end:
         raise FormatError(f"{path}: {size - end} bytes after the last row record")
     return MatrixFile(
         path=str(path), n_captures=m, n_ues=u, n_bins=b, bin_width_s=float(bin_width),
-        oversample_factor=int(oversample),
-        noise_level_db=tables["noise_db"].reshape(m, u),
-        threshold_db=tables["threshold_db"].reshape(m, u),
+        oversample_factor=int(oversample), delta_n_db=float(delta_n), noise_level_db=noise,
         record_end=ends, n_runs=n_runs, records_offset=records_offset,
     )
 
@@ -249,12 +250,13 @@ class MatrixWriter:
     """
 
     def __init__(self, path, n_captures: int, n_ues: int, n_bins: int,
-                 bin_width_s: float, oversample_factor: int):
+                 bin_width_s: float, oversample_factor: int, delta_n_db: float):
         self.path = path
         self.n_captures = n_captures
         self.n_ues = n_ues
         header = _MATRIX_HEADER.pack(MATRIX_MAGIC, MATRIX_VERSION, n_captures,
-                                     n_ues, n_bins, bin_width_s, oversample_factor)
+                                     n_ues, n_bins, bin_width_s, oversample_factor,
+                                     delta_n_db)
         self._end = len(header) + _ROW_TABLE_BYTES * n_captures * n_ues
         with open(path, "wb") as fh:
             fh.write(header)
@@ -272,10 +274,9 @@ class MatrixWriter:
         self._next += rows.n_rows // self.n_ues
 
     def _append(self, fh, r0: int, rows: SparseRows) -> None:
-        record_words = 2 * rows.n_runs + rows.kept()
-        ends = self._end + 4 * np.cumsum(record_words)
-        columns = {"noise_db": rows.noise_db, "threshold_db": rows.threshold_db,
-                   "record_end": ends, "n_runs": rows.n_runs}
+        kept = rows.kept()
+        record_words = 2 * rows.n_runs + kept
+        columns = {"noise_db": rows.noise_db, "n_runs": rows.n_runs, "n_kept": kept}
         offset = _MATRIX_HEADER.size
         for name, dtype in _ROW_TABLES:
             item = np.dtype(dtype).itemsize

@@ -115,7 +115,6 @@ class SparseRows:
     """
 
     noise_db: np.ndarray  # (rows,) float64
-    threshold_db: np.ndarray  # (rows,) float64
     n_runs: np.ndarray  # (rows,) int
     starts: np.ndarray  # (runs,) int, first bin of each run
     lengths: np.ndarray  # (runs,) int, at least 1
@@ -123,11 +122,11 @@ class SparseRows:
     n_bins: int  # bins per row, the gated span
 
     @classmethod
-    def encode(cls, mask: np.ndarray, values: np.ndarray, noise_db: np.ndarray,
-               threshold_db: np.ndarray) -> "SparseRows":
+    def encode(cls, mask: np.ndarray, values: np.ndarray,
+               noise_db: np.ndarray) -> "SparseRows":
         """From a mask with bins on the last axis and the values of its
         set bins in row-major order, as dense[mask] gives them; the leading
-        axes flatten to rows, as do those of noise_db and threshold_db."""
+        axes flatten to rows, as do those of noise_db."""
         flat = mask.reshape(-1, mask.shape[-1])
         # A zero column after each row ends every run inside its row. With
         # one more zero ahead of the first row, the mask changes along the
@@ -140,7 +139,6 @@ class SparseRows:
         rows, starts = np.divmod(edges[0::2], width)
         return cls(
             noise_db=np.asarray(noise_db, dtype=np.float64).reshape(-1),
-            threshold_db=np.asarray(threshold_db, dtype=np.float64).reshape(-1),
             n_runs=np.bincount(rows, minlength=flat.shape[0]),
             starts=starts, lengths=edges[1::2] - edges[0::2],
             values=values.astype(np.float32, copy=False),
@@ -472,7 +470,7 @@ def process_chunk(source, params: PipelineParams, a: int, b: int) -> tuple:
     values = np.empty(int(counts.sum()), dtype=np.float32)
     for j, v in enumerate(kept):
         values[np.repeat(shift[:, j], counts[:, j]) + np.arange(v.size)] = v
-    return a, b, SparseRows.encode(mask, values, noise_db, noise_db + params.delta_n_db)
+    return a, b, SparseRows.encode(mask, values, noise_db)
 
 
 _WORKER_TASK = None  # (fn, args) of the running pool; fork workers inherit it

@@ -73,13 +73,13 @@ def process_matrix(source, tmp_path, params=None, chunk_size=128) -> fm.MatrixFi
     return fm.read_matrix(out / "matrix.cfmm")
 
 
-def write_matrix(path, values, mask, noise_db, threshold_db, bin_width_s=1e-9,
+def write_matrix(path, values, mask, noise_db, delta_n_db=7.0, bin_width_s=1e-9,
                  oversample_factor=10) -> fm.MatrixFile:
     """Write dense (M, U, B) profiles, masked bins zero, as one chunk of a
     matrix file, and open the file."""
     m, u, b = values.shape
-    w = fm.MatrixWriter(path, m, u, b, bin_width_s, oversample_factor)
-    w.write_chunk(0, pl.SparseRows.encode(mask, values[mask], noise_db, threshold_db))
+    w = fm.MatrixWriter(path, m, u, b, bin_width_s, oversample_factor, delta_n_db)
+    w.write_chunk(0, pl.SparseRows.encode(mask, values[mask], noise_db))
     w.close()
     return fm.read_matrix(path)
 

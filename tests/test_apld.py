@@ -17,14 +17,14 @@ from cfmm.constants import SPEED_OF_LIGHT
 from conftest import PlanSource, dense, first_poses, make_scene, process_matrix, write_matrix
 
 
-def dense_matrix(tmp_path, values, mask, noise_db=-100.0, threshold_db=-93.0,
+def dense_matrix(tmp_path, values, mask, noise_db=-100.0, delta_n_db=7.0,
                  bin_width_s=1e-9) -> fm.MatrixFile:
     """Matrix file of dense (M, U, B) profiles, in tmp_path; masked bins are
     zeroed."""
     values = np.asarray(values, dtype=np.float32) * mask
     m, u, _ = values.shape
     return write_matrix(tmp_path / "dense.cfmm", values, mask, np.full((m, u), noise_db),
-                        np.full((m, u), threshold_db), bin_width_s)
+                        delta_n_db, bin_width_s)
 
 
 def toy_matrix(tmp_path, m=6, u=2, b=50):
@@ -166,7 +166,7 @@ class TestFirstPeakTrack:
         mask[4, 0, 5:10] = True
         values[4, 0, 5:10] = [0.5, 0.7, 1.0, 0.7, 0.5]
         values[~mask] = 0.0
-        rows = pl.SparseRows.encode(mask, values[mask], np.zeros((m, u)), np.zeros((m, u)))
+        rows = pl.SparseRows.encode(mask, values[mask], np.zeros((m, u)))
         k = int(rows.n_runs[:4 * u].sum())  # the first run of row (4, 0)
         assert (rows.starts[k], rows.lengths[k]) == (5, 5)
         rows.starts = np.insert(rows.starts, k + 1, 7)
@@ -174,7 +174,7 @@ class TestFirstPeakTrack:
         rows.lengths[k + 1] = 3
         rows.n_runs[4 * u] += 1
         path = tmp_path / "m.cfmm"
-        w = fm.MatrixWriter(path, m, u, b, 1e-9, 10)
+        w = fm.MatrixWriter(path, m, u, b, 1e-9, 10, 7.0)
         w.write_chunk(0, rows)
         w.close()
 
@@ -268,8 +268,7 @@ class TestExports:
         mask = rng.random((m, u, b)) < 0.4
         mask[:, 2] = False  # a UE with nothing surviving
         values[~mask] = 0.0
-        stored = write_matrix(tmp_path / "m.cfmm", values, mask, np.zeros((m, u)),
-                              np.full((m, u), -93.0))
+        stored = write_matrix(tmp_path / "m.cfmm", values, mask, np.full((m, u), -100.0))
         meta = toy_meta(m)
         meta.link_class = np.zeros((m, u), dtype=np.uint8)
         for j in range(u):  # one block

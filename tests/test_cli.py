@@ -97,6 +97,13 @@ def zero_capture(path, m):
         fh.write(bytes(row))
 
 
+def write_captures(path, plan):
+    """Write the captures of plan to path, as simulate does; returns path."""
+    with fm.CaptureWriter(path, plan) as writer:
+        writer.write_chunk(0, sd.synthesize_chunk(plan, 0, plan.n_captures))
+    return path
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, cfmm.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -498,7 +505,7 @@ class TestStages:
         assert sum(r[-1] != "0" for r in rows) <= record["matrix_runs"] <= kept
         # The counts explain the file size: row tables, runs and values.
         assert (out / "matrix.cfmm").stat().st_size == \
-            32 + 28 * len(rows) + 8 * record["matrix_runs"] + 4 * kept
+            40 + 16 * len(rows) + 8 * record["matrix_runs"] + 4 * kept
         assert main(["process", "--config", cfgp, "--workers", "1"]) == 0
         h2 = hashlib.sha256((out / "matrix.cfmm").read_bytes()).hexdigest()
         assert h1 == h2
@@ -1018,17 +1025,15 @@ class TestStages:
         assert not list(out.glob("*.partial"))
 
     @staticmethod
-    def export_rejects(workspace, finished_run, tmp_path, capsys, plan, message):
-        """export with the captures of plan, over a copy of a finished run:
-        exit 3 with message, and every file and the export record kept."""
-        captures = tmp_path / "other.cfmc"
-        with fm.CaptureWriter(captures, plan) as writer:
-            writer.write_chunk(0, sd.synthesize_chunk(plan, 0, plan.n_captures))
+    def export_rejects(finished_run, tmp_path, capsys, config, captures, message):
+        """export with config and the captures at captures, over a copy of
+        a finished run: exit 3 with message, and every file and the export
+        record kept."""
         out = shutil.copytree(finished_run, tmp_path / "e")
         before = digests(out)
         assert "export" in json.loads((out / "manifest.json").read_text())["stages"]
         capsys.readouterr()
-        assert main(["export", "--config", str(workspace / "cfg.json"), "--out", str(out),
+        assert main(["export", "--config", str(config), "--out", str(out),
                      "--captures", str(captures)]) == 3
         err = capsys.readouterr().err
         assert f"{out / 'matrix.cfmm'}: {message}, the value process writes" in err
@@ -1047,7 +1052,8 @@ class TestStages:
                        row_splits=plan.row_splits[:4],
                        measured_power_dbm=plan.measured_power_dbm[:, :4],
                        link_class=plan.link_class[:, :4])
-        self.export_rejects(workspace, finished_run, tmp_path, capsys, plan,
+        self.export_rejects(finished_run, tmp_path, capsys, workspace / "cfg.json",
+                            write_captures(tmp_path / "other.cfmc", plan),
                             "header n_ues is 8, expected 4")
 
     def test_export_rejects_captures_of_other_capture_count(self, workspace, finished_run,
@@ -1057,8 +1063,19 @@ class TestStages:
         plan = sd.plan_campaign(first_poses(sc.load_scene(cfg.scene), 20), cfg.waveform,
                                 cfg.impairments, cfg.seed, site=cfg.site)
         assert plan.n_captures == 20
-        self.export_rejects(workspace, finished_run, tmp_path, capsys, plan,
+        self.export_rejects(finished_run, tmp_path, capsys, workspace / "cfg.json",
+                            write_captures(tmp_path / "other.cfmc", plan),
                             "header n_captures is 81, expected 20")
+
+    def test_export_rejects_matrix_of_other_delta_n(self, workspace, finished_run,
+                                                    tmp_path, capsys):
+        # The run processed at the default delta_n_db of 7 dB.
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["pipeline"] = {"delta_n_db": 8.0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        self.export_rejects(finished_run, tmp_path, capsys, tmp_path / "cfg.json",
+                            finished_run / "captures.cfmc",
+                            "header delta_n_db is 7.0, expected 8.0")
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
     def test_corrupt_matrix_value_exit_3(self, workspace, tmp_path, capsys, bad):
@@ -1081,12 +1098,13 @@ class TestStages:
         assert not list(out.glob("apld_ue*.pgm"))
         assert not list(out.glob("*.partial"))
 
-    @pytest.mark.parametrize("byte", range(16, 32))
+    @pytest.mark.parametrize("byte", range(16, 40))
     def test_export_checks_matrix_header(self, processed_24, tmp_path, capsys, byte):
-        # Bytes 16-31 hold n_bins, bin_width_s and oversample_factor. Any
-        # change to one exits 3, naming the file and the field, before
-        # export writes or deletes anything.
-        field = "n_bins" if byte < 20 else "bin_width_s" if byte < 28 else "oversample_factor"
+        # Bytes 16-39 hold n_bins, bin_width_s, oversample_factor and
+        # delta_n_db. Any change to one exits 3, naming the file and the
+        # field, before export writes or deletes anything.
+        field = ("n_bins" if byte < 20 else "bin_width_s" if byte < 28
+                 else "oversample_factor" if byte < 32 else "delta_n_db")
         out = tmp_path / "x"
         out.mkdir()
         pristine = (processed_24 / "out" / "matrix.cfmm").read_bytes()

@@ -34,13 +34,13 @@ def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
     for d in (a, b):
         d.mkdir()
         (d / "summary.csv").write_text("same\n")
-    write_matrix(a / "matrix.cfmm", values, mask, noise, noise + 7.0)
+    write_matrix(a / "matrix.cfmm", values, mask, noise)
     (a / "only_a.pgm").write_bytes(b"P5")
     changed, moved = values.copy(), noise.copy()
     i, j, q = np.argwhere(mask)[-1]  # in the second 32-capture block
     changed[i, j, q] = np.nextafter(changed[i, j, q], np.float32(2.0))
     moved[5, 1] += 1e-9
-    write_matrix(b / "matrix.cfmm", changed, mask, moved, moved + 7.0)
+    write_matrix(b / "matrix.cfmm", changed, mask, moved)
     assert load_tool().main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "summary.csv: same" in out
@@ -55,26 +55,25 @@ def test_reports_value_mask_and_noise_differences(tmp_path, capsys):
 
 
 def test_reports_threshold_differences(tmp_path, capsys):
-    # The threshold table is the only difference between the two matrices.
+    # The header is the only difference between the two matrices: its
+    # delta_n_db moves every threshold, and its bin width is named too.
     rng = np.random.default_rng(4)
     values = rng.random((40, 2, 30)).astype(np.float32) + 0.5
     mask = rng.random((40, 2, 30)) < 0.5
     noise = rng.normal(size=(40, 2))
-    threshold = noise + 7.0
-    moved = threshold.copy()
-    moved[3, 0] += 0.25
-    moved[37, 1] -= 0.5
     a, b = tmp_path / "a", tmp_path / "b"
-    for d, levels in ((a, threshold), (b, moved)):
+    for d, delta_n_db, bin_width_s in ((a, 7.0, 1e-9), (b, 7.5, 2e-9)):
         d.mkdir()
-        write_matrix(d / "matrix.cfmm", values, mask, noise, levels)
+        write_matrix(d / "matrix.cfmm", values, mask, noise, delta_n_db, bin_width_s)
     assert load_tool().main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "matrix.cfmm: differs",
+        "  bin_width_s: 1e-09 vs 2e-09",
+        "  delta_n_db: 7.0 vs 7.5",
         f"  float32 values that differ: 0 of {values.size}",
         "  mask bins that differ: 0",
         "  noise_db values that differ: 0 of 80",
-        "  threshold_db values that differ: 2 of 80",
+        "  threshold_db values that differ: 80 of 80",
         "  largest threshold_db difference: 5.000e-01 dB",
     ]
 
@@ -139,7 +138,7 @@ def test_corrupt_matrix_exit_3(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
         d.mkdir()
-        write_matrix(d / "matrix.cfmm", values, mask, noise, noise + 7.0)
+        write_matrix(d / "matrix.cfmm", values, mask, noise)
     set_first_value(b / "matrix.cfmm", np.nan)
     assert load_tool().main([str(a), str(b)]) == 3
     err = capsys.readouterr().err

@@ -13,7 +13,6 @@ import cfmm.pipeline as pl
 import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm.cli import _matrix_header, main
-from cfmm.config import load_config
 
 from conftest import PlanSource, dense, first_poses, make_scene, process_matrix, write_matrix
 
@@ -25,29 +24,41 @@ def small_matrix(rng, m=5, u=3, b=40) -> SimpleNamespace:
     values[~mask] = 0.0
     return SimpleNamespace(
         values=values, mask=mask,
-        noise_level_db=rng.normal(size=(m, u)),
-        threshold_db=rng.normal(size=(m, u)),
+        noise_level_db=rng.normal(size=(m, u)), delta_n_db=rng.normal(),
         bin_width_s=2.856122813e-9 / 10, oversample_factor=10,
     )
 
 
 def chunk_rows(mat, a: int, b: int) -> pl.SparseRows:
     mask = mat.mask[a:b]
-    return pl.SparseRows.encode(mask, mat.values[a:b][mask],
-                                mat.noise_level_db[a:b], mat.threshold_db[a:b])
+    return pl.SparseRows.encode(mask, mat.values[a:b][mask], mat.noise_level_db[a:b])
 
 
 def write_whole(path, mat) -> None:
-    write_matrix(path, mat.values, mat.mask, mat.noise_level_db, mat.threshold_db,
+    write_matrix(path, mat.values, mat.mask, mat.noise_level_db, mat.delta_n_db,
                  mat.bin_width_s, mat.oversample_factor)
 
 
+def matrix_writer(path, mat) -> fm.MatrixWriter:
+    m, u, b = mat.values.shape
+    return fm.MatrixWriter(path, m, u, b, mat.bin_width_s, mat.oversample_factor,
+                           mat.delta_n_db)
+
+
+def run_export(tmp_path, capture_path) -> int:
+    """Exit code of export over tmp_path/out against the captures at
+    capture_path, with a config of the default pipeline."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
+    return main(["export", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--captures", str(capture_path)])
+
+
 def documented_layout(mat) -> bytes:
-    """The version 2 bytes of mat, built row by row from the layout in the
+    """The version 3 bytes of mat, built row by row from the layout in the
     formats module docstring."""
     m, u, b = mat.values.shape
-    records, ends, n_runs = [], [], []
-    end = 32 + 28 * m * u
+    records, n_runs = [], []
     for i in range(m):
         for j in range(u):
             keep = np.flatnonzero(mat.mask[i, j])
@@ -60,15 +71,12 @@ def documented_layout(mat) -> bytes:
             rec = (np.array(runs, dtype="<u4").tobytes()
                    + mat.values[i, j, keep].astype("<f4").tobytes())
             records.append(rec)
-            end += len(rec)
-            ends.append(end)
             n_runs.append(len(runs))
-    return (struct.pack("<4sIIIIdI", b"CFMM", 2, m, u, b, mat.bin_width_s,
-                        mat.oversample_factor)
+    return (struct.pack("<4sIIIIdId", b"CFMM", 3, m, u, b, mat.bin_width_s,
+                        mat.oversample_factor, mat.delta_n_db)
             + mat.noise_level_db.astype("<f8").tobytes()
-            + mat.threshold_db.astype("<f8").tobytes()
-            + np.array(ends, dtype="<u8").tobytes()
             + np.array(n_runs, dtype="<u4").tobytes()
+            + mat.mask.sum(axis=-1).astype("<u4").tobytes()
             + b"".join(records))
 
 
@@ -85,7 +93,8 @@ class TestMatrixFile:
         np.testing.assert_array_equal(values, mat.values)
         np.testing.assert_array_equal(mask, mat.mask)
         np.testing.assert_array_equal(back.noise_level_db, mat.noise_level_db)
-        np.testing.assert_array_equal(back.threshold_db, mat.threshold_db)
+        assert back.delta_n_db == mat.delta_n_db
+        np.testing.assert_array_equal(back.threshold_db, mat.noise_level_db + mat.delta_n_db)
         assert back.bin_width_s == mat.bin_width_s
         assert back.oversample_factor == 10
         back.validate()
@@ -96,17 +105,18 @@ class TestMatrixFile:
         write_whole(path, mat)
         raw = path.read_bytes()
         assert raw[:4] == b"CFMM"
-        assert int.from_bytes(raw[4:8], "little") == 2
+        assert int.from_bytes(raw[4:8], "little") == 3
         dims = np.frombuffer(raw[8:20], dtype="<u4")
         np.testing.assert_array_equal(dims, [2, 2, 8])
         width = np.frombuffer(raw[20:28], dtype="<f8")[0]
         assert width == pytest.approx(2.856122813e-10)
         assert int.from_bytes(raw[28:32], "little") == 10
-        # 4 rows x 28 table bytes, then per row 8 bytes per run and 4 per value.
-        runs = np.frombuffer(raw[32 + 4 * 24:32 + 4 * 28], dtype="<u4")
-        assert len(raw) == 32 + 4 * 28 + 8 * runs.sum() + 4 * mat.mask.sum()
-        ends = np.frombuffer(raw[32 + 4 * 16:32 + 4 * 24], dtype="<u8")
-        assert ends[-1] == len(raw)
+        assert np.frombuffer(raw[32:40], dtype="<f8")[0] == mat.delta_n_db
+        # 4 rows x 16 table bytes, then per row 8 bytes per run and 4 per value.
+        runs = np.frombuffer(raw[40 + 4 * 8:40 + 4 * 12], dtype="<u4")
+        kept = np.frombuffer(raw[40 + 4 * 12:40 + 4 * 16], dtype="<u4")
+        np.testing.assert_array_equal(kept, mat.mask.sum(axis=-1).ravel())
+        assert len(raw) == 40 + 4 * 16 + 8 * runs.sum() + 4 * kept.sum()
 
     def test_mask_bit_order(self, tmp_path):
         # The mask is stored as runs of surviving bins, first bin and length.
@@ -115,7 +125,7 @@ class TestMatrixFile:
         mat.values[~mat.mask] = 0.0
         path = tmp_path / "a.cfmm"
         write_whole(path, mat)
-        record = path.read_bytes()[32 + 28:]
+        record = path.read_bytes()[40 + 16:]
         np.testing.assert_array_equal(np.frombuffer(record[:24], dtype="<u4"),
                                       [0, 1, 3, 2, 7, 1])
         np.testing.assert_array_equal(np.frombuffer(record[24:], dtype="<f4"),
@@ -147,14 +157,15 @@ class TestMatrixFile:
         with pytest.raises(fm.FormatError, match="truncated row records"):
             fm.read_matrix(path)
 
+    # With 15 rows the header is bytes 0-39, the noise_db table 40-159, the
+    # n_runs table 160-219, the n_kept table 220-279, and the records follow.
     @pytest.mark.parametrize("section,cut", [
-        ("matrix header", 20), ("noise_db table", 32 + 8 * 15 - 1),
-        ("threshold_db table", 32 + 16 * 15 - 1), ("record_end table", 32 + 24 * 15 - 1),
-        ("n_runs table", 32 + 28 * 15 - 1), ("row records", 32 + 28 * 15 + 1),
+        ("matrix header", 20), ("noise_db table", 151), ("n_runs table", 219),
+        ("n_kept table", 279), ("row records", 453),
     ])
     def test_truncated_section(self, tmp_path, section, cut):
         path = tmp_path / "a.cfmm"
-        write_whole(path, small_matrix(np.random.default_rng(0)))  # 15 rows
+        write_whole(path, small_matrix(np.random.default_rng(0)))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(fm.FormatError, match=f"truncated {section}"):
             fm.read_matrix(path)
@@ -170,7 +181,7 @@ class TestMatrixFile:
         path = tmp_path / "a.cfmm"
         write_whole(path, small_matrix(np.random.default_rng(0)))
         raw = bytearray(path.read_bytes())
-        raw[32 + 28 * 15:32 + 28 * 15 + 4] = (39).to_bytes(4, "little")  # past 40 bins
+        raw[40 + 16 * 15:40 + 16 * 15 + 4] = (39).to_bytes(4, "little")  # past 40 bins
         path.write_bytes(bytes(raw))
         with pytest.raises(fm.FormatError, match="captures 0..4: corrupt run table"):
             fm.read_matrix(path).validate()
@@ -198,7 +209,7 @@ class TestMatrixFile:
         mat.mask[4, 2] = False  # a row that keeps nothing
         mat.values[4, 2] = 0.0
         chunked = tmp_path / "chunked.cfmm"
-        w = fm.MatrixWriter(chunked, 11, 3, 20, mat.bin_width_s, 10)
+        w = matrix_writer(chunked, mat)
         for a, b in [(0, 4), (4, 5), (5, 11)]:
             w.write_chunk(a, chunk_rows(mat, a, b))
         w.close()
@@ -206,7 +217,7 @@ class TestMatrixFile:
 
     def test_writer_rejects_chunk_out_of_order(self, tmp_path):
         mat = small_matrix(np.random.default_rng(3), m=6)
-        w = fm.MatrixWriter(tmp_path / "x.cfmm", 6, 3, 40, 1e-9, 10)
+        w = matrix_writer(tmp_path / "x.cfmm", mat)
         w.write_chunk(0, chunk_rows(mat, 0, 2))
         with pytest.raises(ValueError, match="chunk starts at capture 4, expected capture 2"):
             w.write_chunk(4, chunk_rows(mat, 4, 6))
@@ -215,7 +226,7 @@ class TestMatrixFile:
 
     def test_writer_close_names_missing_captures(self, tmp_path):
         mat = small_matrix(np.random.default_rng(2), m=6)
-        w = fm.MatrixWriter(tmp_path / "x.cfmm", 6, 3, 40, 1e-9, 10)
+        w = matrix_writer(tmp_path / "x.cfmm", mat)
         w.write_chunk(0, chunk_rows(mat, 0, 2))
         with pytest.raises(ValueError, match="captures 2..5 not written"):
             w.close()
@@ -225,14 +236,34 @@ class TestMatrixFile:
         out.mkdir()
         v1 = struct.pack("<4sIIIIdI", b"CFMM", 1, 6, 8, 8, 2.856e-10, 10)
         (out / "matrix.cfmm").write_bytes(v1 + bytes(6 * 8 * 8 * 4 + 6 * 8))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
-        rc = main(["export", "--config", str(cfg), "--out", str(out),
-                   "--captures", str(capture_path)])
-        assert rc == 3
+        assert run_export(tmp_path, capture_path) == 3
         err = capsys.readouterr().err
         assert str(out / "matrix.cfmm") in err and "version 1" in err
         assert "re-run process" in err
+
+    def test_version_2_exits_3(self, tmp_path, capture_path, capsys):
+        # A 32-byte header and 28 table bytes per row, then the records.
+        out = tmp_path / "out"
+        out.mkdir()
+        v2 = struct.pack("<4sIIIIdI", b"CFMM", 2, 6, 8, 4000, 2.856e-10, 10)
+        (out / "matrix.cfmm").write_bytes(v2 + bytes(28 * 6 * 8))
+        assert run_export(tmp_path, capture_path) == 3
+        err = capsys.readouterr().err
+        assert (f"{out / 'matrix.cfmm'}: matrix format version 2 is no longer read "
+                "(expected 3); re-run process to rewrite it") in err
+
+    @pytest.mark.parametrize("table,start", [("n_runs", 40 + 8 * 15), ("n_kept", 40 + 12 * 15)])
+    def test_count_plus_one_exit_3(self, tmp_path, table, start):
+        # Each row's counts set where its record, and so the file, ends.
+        path = tmp_path / "a.cfmm"
+        write_whole(path, small_matrix(np.random.default_rng(0)))  # 15 rows
+        pristine = path.read_bytes()
+        for r in range(15):
+            raw = bytearray(pristine)
+            np.frombuffer(raw, dtype="<u4", count=15, offset=start)[r] += 1
+            path.write_bytes(bytes(raw))
+            with pytest.raises(fm.FormatError, match=f"{path}: truncated row records"):
+                fm.read_matrix(path)
 
     @pytest.mark.parametrize("count", [2**20, 2**31, 2**32 - 1])
     def test_header_counts_beyond_file_exit_3(self, tmp_path, capture_path, capsys, count):
@@ -240,13 +271,9 @@ class TestMatrixFile:
         # tables cannot fit, so export fails before it allocates them.
         out = tmp_path / "out"
         out.mkdir()
-        header = struct.pack("<4sIIIIdI", b"CFMM", 2, count, count, 8, 2.856e-10, 10)
-        (out / "matrix.cfmm").write_bytes(header + bytes(64))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
-        rc = main(["export", "--config", str(cfg), "--out", str(out),
-                   "--captures", str(capture_path)])
-        assert rc == 3
+        header = struct.pack("<4sIIIIdId", b"CFMM", 3, count, count, 8, 2.856e-10, 10, 7.0)
+        (out / "matrix.cfmm").write_bytes(header + bytes(56))
+        assert run_export(tmp_path, capture_path) == 3
         err = capsys.readouterr().err
         assert f"{out / 'matrix.cfmm'}: truncated noise_db table (96 bytes" in err
 
@@ -254,47 +281,37 @@ class TestMatrixFile:
         ("bin_width_s", 0.0, "header bin_width_s is 0.0, expected a finite value > 0"),
         ("bin_width_s", float("nan"), "header bin_width_s is nan"),
         ("oversample_factor", 0, "header oversample_factor is 0, expected at least 1"),
+        ("delta_n_db", float("nan"), "header delta_n_db is nan, expected a finite value"),
         ("n_captures", 0, "header n_captures is 0, expected at least 1"),
         ("n_ues", 0, "header n_ues is 0, expected at least 1"),
         ("n_bins", 0, "header n_bins is 0, expected at least 1"),
-    ], ids=["bin-width-zero", "bin-width-nan", "oversample-zero", "captures-zero",
-            "ues-zero", "bins-zero"])
+    ], ids=["bin-width-zero", "bin-width-nan", "oversample-zero", "delta-nan",
+            "captures-zero", "ues-zero", "bins-zero"])
     def test_bad_header_value_exit_3(self, tmp_path, capture_path, capsys, field, value,
                                      message):
         # Every other field is what process writes for the captures, and the
-        # header is checked before the row tables are read, so a 32-byte
+        # header is checked before the row tables are read, so a 40-byte
         # file reaches each check.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
         source = fm.open_captures(capture_path)
-        header = {"n_captures": source.n_captures, "n_ues": source.n_ues,
-                  **_matrix_header(load_config(cfg).pipeline, source), field: value}
+        header = {**_matrix_header(pl.PipelineParams(), source), field: value}
         out = tmp_path / "out"
         out.mkdir()
-        (out / "matrix.cfmm").write_bytes(struct.pack(
-            "<4sIIIIdI", b"CFMM", 2, *(header[k] for k in (
-                "n_captures", "n_ues", "n_bins", "bin_width_s", "oversample_factor"))))
-        rc = main(["export", "--config", str(cfg), "--out", str(out),
-                   "--captures", str(capture_path)])
-        assert rc == 3
+        (out / "matrix.cfmm").write_bytes(
+            struct.pack("<4sIIIIdId", b"CFMM", 3, *header.values()))
+        assert run_export(tmp_path, capture_path) == 3
         assert f"{out / 'matrix.cfmm'}: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("table,value", [("noise_db", np.nan), ("threshold_db", -np.inf)],
-                             ids=["noise-nan", "threshold-inf"])
+    @pytest.mark.parametrize("table,value", [("noise_db", np.nan)], ids=["noise-nan"])
     def test_nonfinite_level_exit_3(self, tmp_path, capture_path, capsys, table, value):
         # process never writes a level that is not finite: an empty noise
         # region reads the finite clamp floor.
         mat = small_matrix(np.random.default_rng(4), m=6, u=8)
-        {"noise_db": mat.noise_level_db, "threshold_db": mat.threshold_db}[table][2, 1] = value
+        mat.noise_level_db[2, 1] = value
         out = tmp_path / "out"
         out.mkdir()
-        w = fm.MatrixWriter(out / "matrix.cfmm", 6, 8, 40, mat.bin_width_s, 10)
+        w = matrix_writer(out / "matrix.cfmm", mat)
         w.write_chunk(0, chunk_rows(mat, 0, 6))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scene": "bundled:canyon"}))
-        rc = main(["export", "--config", str(cfg), "--out", str(out),
-                   "--captures", str(capture_path)])
-        assert rc == 3
+        assert run_export(tmp_path, capture_path) == 3
         assert (f"{out / 'matrix.cfmm'}: {table} table holds {value} at index [2, 1], "
                 "expected a finite value") in capsys.readouterr().err
 

@@ -71,7 +71,7 @@ PINNED_FILES = {
         "captures.cfmc":
             "ae7251deff4835356e3a010cbfb3a8989b190f6e646509632ffb5bc2858ced67",
         "matrix.cfmm":
-            "83311a758bfdee1387f37a9d0c3221186f8f8cda0ea465c04a7b64ef17cad83a",
+            "7585b39b49c1945dbd4a9ab2ee3f6c0287e2e3a2deb825ffe408e7bfcfd2654a",
         "summary.csv":
             "440ca7ffb6705b3b2655732521d72b47827c798932525602e596350e885ca0d9",
     },
@@ -111,7 +111,7 @@ PINNED_FILES = {
         "captures.cfmc":
             "6672bbb31ab8a9a07f4821cb82fce734a68ff768c750b9b139b553d179ac2995",
         "matrix.cfmm":
-            "1232908b4de20bc000f80c8d28f5f4157a2dc537b18b2bae2a28e2dd26acaa16",
+            "809d6efc3c8e7be744566bb54f721a5df85b7d8352b734b8209415924cf9ef09",
         "summary.csv":
             "d36c7f0f5c9d3ef8c3e514304f0b16bad8e1800b69e4a8ab60df9a7cdce397fc",
     },

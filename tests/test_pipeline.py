@@ -465,7 +465,7 @@ class TestSpanNoiseFloor:
         # clamp keeps every noise mean non-negative and every level finite.
         params = pl.PipelineParams()
         rows = pl.process_chunk(PlanSource(noiseless(plan)), params, 0, 20)[2]
-        assert np.isfinite(rows.noise_db).all() and np.isfinite(rows.threshold_db).all()
+        assert np.isfinite(rows.noise_db).all()
         assert rows.noise_db.max() < -150.0
         assert np.isfinite(rows.values).all() and (rows.values >= 0).all()
         # Leakage and crosstalk still give a level, so no row is at the floor.
@@ -546,7 +546,7 @@ class TestSparseRows:
         mask[3, 1, [0, 29]] = True
         values[3, 1] = 0.0  # keeps only zeros: argmax says bin 0
         values[~mask] = 0.0
-        rows = pl.SparseRows.encode(mask, values[mask], np.zeros((4, 3)), np.ones((4, 3)))
+        rows = pl.SparseRows.encode(mask, values[mask], np.zeros((4, 3)))
         assert rows.shape == (12, 30) and rows.values.size == mask.sum()
         assert (rows.lengths >= 1).all()
         got_v, got_m = rows.dense()
@@ -570,7 +570,7 @@ class TestSparseRows:
         mask[1] = True
         mask[3, [0, 2, 3]] = True
         values = np.where(mask, np.arange(24, dtype=np.float32).reshape(4, 6) + 1, 0)
-        rows = pl.SparseRows.encode(mask, values[mask], np.zeros(4), np.ones(4))
+        rows = pl.SparseRows.encode(mask, values[mask], np.zeros(4))
         np.testing.assert_array_equal(rows.n_runs, [2, 1, 0, 2])
         np.testing.assert_array_equal(rows.starts, [1, 4, 0, 0, 2])
         np.testing.assert_array_equal(rows.lengths, [1, 2, 6, 1, 2])
@@ -633,13 +633,13 @@ def test_chunk_rows_match_dense_per_ue_reference(plan):
         keep &= np.arange(gate) >= cuts[:, j, None]
         mask[:, j] = keep
         values[:, j][keep] = ssa[keep]
-    want = pl.SparseRows.encode(mask, values[mask], noise_db, noise_db + params.delta_n_db)
+    want = pl.SparseRows.encode(mask, values[mask], noise_db)
 
     kept = want.kept().reshape(b - a, u)
     assert (kept[5] == 0).all() and (np.delete(kept, 5, axis=0) > 0).all()
     assert (np.delete(np.ptp(kept, axis=1), 5) > 0).all()
     assert got.shape == want.shape == ((b - a) * u, gate)
-    for field in ("n_runs", "starts", "lengths", "noise_db", "threshold_db"):
+    for field in ("n_runs", "starts", "lengths", "noise_db"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
     assert got.values.dtype == np.float32
     assert got.values.tobytes() == want.values.tobytes()

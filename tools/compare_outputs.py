@@ -17,6 +17,8 @@ captures at a time, and prints:
 When both hold a `matrix.cfmm` that differs, it reads the two matrices one
 block of captures at a time and prints:
 
+* each header field that differs (`bin_width_s`, `oversample_factor`,
+  `delta_n_db`), with both values;
 * how many float32 values and how many mask bins differ;
 * the largest relative value difference, |a - b| / max(|a|, |b|), and
   the (capture, UE, bin) where it occurs;
@@ -30,6 +32,10 @@ holds, with both values. The run measurements (`wall_s`, `cpu_s`,
 `capture_sync_wait_s`, `peak_rss_mb`, `worker_peak_rss_mb`), which differ
 between any two runs, are named together on one "run timings differ"
 line instead.
+
+Both matrices must be of the format version the running tree writes: an
+older one cannot be read, and the tool exits 3 naming it. To compare with
+an older release, decode each tree's matrix in its own tree.
 
 Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
 argument is missing or is not a directory, 3 when a differing
@@ -110,13 +116,17 @@ def compare_captures(path_a: Path, path_b: Path) -> list[str]:
 
 
 def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
-    """Lines describing how two matrix files differ, value by value."""
+    """Lines describing how two matrix files differ, field by field and
+    value by value."""
     a, b = read_matrix(path_a), read_matrix(path_b)
     shape_a = (a.n_captures, a.n_ues, a.n_bins)
     shape_b = (b.n_captures, b.n_ues, b.n_bins)
     if shape_a != shape_b:
         return [f"  shapes differ: {shape_a} vs {shape_b}"]
     m, u, n_bins = shape_a
+    lines = [f"  {name}: {getattr(a, name)!r} vs {getattr(b, name)!r}"
+             for name in ("bin_width_s", "oversample_factor", "delta_n_db")
+             if getattr(a, name) != getattr(b, name)]
     values_differ = mask_differ = 0
     worst, worst_at = 0.0, None
     r0 = 0  # first (capture, UE) row of the block
@@ -134,7 +144,7 @@ def compare_matrices(path_a: Path, path_b: Path) -> list[str]:
                 row, col = np.argwhere(differ)[k]
                 worst, worst_at = float(rel[k]), ((r0 + row) // u, row % u, col)
         r0 += rows_a.n_rows
-    lines = [
+    lines += [
         f"  float32 values that differ: {values_differ} of {m * u * n_bins}",
         f"  mask bins that differ: {mask_differ}",
     ]
