@@ -15,9 +15,9 @@ not run settings.
 Every capture is reproducible in isolation: its noise stream derives from
 (campaign seed, capture index) only, so chunked and parallel synthesis
 produce byte-identical records. The receiver noise is complex Gaussian,
-drawn by a Box-Muller transform (Box & Muller, 1958) of the capture's
-uniform draws and evaluated in float32, the precision the capture file
-stores.
+a Box-Muller transform (Box & Muller, 1958) of one 64-bit word per
+(UE, tone) of the capture's stream, evaluated in float32, the precision
+the capture file stores, as are its scale, add and gain.
 """
 
 from __future__ import annotations
@@ -232,25 +232,37 @@ def plan_campaign(
     )
 
 
-def _capture_rng(seed: int, capture_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(capture_index,)))
+def _box_muller(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radius and angle, float32 arrays shaped like words, of
+    C-contiguous uint64 words, every step in float32.
+
+    A word's first and second 32-bit halves in memory (low and high on a
+    little-endian host), read as signed integers a and b, give
+    u1 = |a + 1/2| / 2^31 in [2^-32, 1], r = sqrt(-ln(u1^2)) <= sqrt(64 ln 2)
+    = 6.66, and theta = pi b / 2^31 + pi in [0, 2 pi].
+    """
+    r, theta = (words.view(np.int32).reshape(*words.shape, 2)[..., k].astype(np.float32)
+                for k in (0, 1))
+    r += 0.5
+    r *= 2.0 ** -31
+    r *= r
+    np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
+    theta *= np.pi / 2 ** 31
+    theta += np.pi
+    return r, theta
 
 
 def _unit_noise(seed: int, capture_index: int, out: np.ndarray) -> None:
     """Write capture capture_index's unit-variance noise into out, (U, N, 2)
     float32 (real, imaginary) components, one standard normal each.
 
-    One (U, 2, N) draw of float64 uniforms u from the capture's generator;
-    per UE, r = sqrt(-2 ln float32(1 - u[0])) and theta = float32(2 pi u[1]),
-    and the components are (r cos theta, r sin theta), every step in
-    float32. Since 1 - u >= 2^-53, r stays below 8.58.
+    One 64-bit word per (UE, tone) from the capture's own PCG64 stream,
+    SeedSequence(entropy=seed, spawn_key=(capture_index,)); each word's
+    _box_muller radius r and angle theta give (r cos theta, r sin theta).
     """
-    u = _capture_rng(seed, capture_index).random((out.shape[0], 2, out.shape[1]))
-    r = (1.0 - u[:, 0]).astype(np.float32)
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = (2.0 * np.pi * u[:, 1]).astype(np.float32)
+    n_ue, n = out.shape[:2]
+    stream = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(capture_index,)))
+    r, theta = _box_muller(stream.random_raw(n_ue * n).reshape(n_ue, n))
     np.multiply(r, np.cos(theta), out=out[..., 0])
     np.multiply(r, np.sin(theta), out=out[..., 1])
 
@@ -264,28 +276,21 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     to the channel at zero delay, ahead of the attenuator, so its calibrated
     level does not move with AGC steps.
 
-    Each capture's unit noise z (_unit_noise) is drawn first, straight into
-    the complex64 result; its float32 components are stored exactly. The
-    signal loop is then UE-major: one UE's complex128 channel rows for the
-    chunk's links that have traced paths, in one buffer sized to the UE
-    with the most such links (no rows for a chunk without paths), then per
-    capture that UE's noise, scaled and added in one reused (N, 2) float64
-    buffer and written back over it, so no (m, U, N) complex128 signal is
-    ever held.
-    A link without paths adds the one signal row of the chunk's empty
-    links, a zero channel through the same crosstalk add and transmit
-    front as a channel row, so its bytes are those of a zero row in the
-    channel rows. Every capture's noise depends on (seed, capture index)
-    only.
-
-    Noise, gain and the complex64 cast run in place on float64 (real,
-    imaginary) views: z *= sqrt(sigma2 / 2), z += signal, z *= g, then one
-    rounding to float32. A complex value times a real scalar is exact per
-    component, as is a complex sum, so the bytes equal those of
-    (g * (signal + (z0 + 1j z1) * sqrt(sigma2 / 2))).astype(complex64)
-    with the same z, where sigma2 is the variance of the repetition
-    mean, one repetition's over REPETITIONS_PER_UE. A thermal density of
-    -inf dBm/Hz gives sigma2 = 0, a capture without receiver noise.
+    The signal goes first, UE by UE: one UE's complex128 channel rows for
+    the chunk's links that have traced paths, in one buffer sized to the UE
+    with the most such links, are turned into the received signal in place
+    and cast straight into the complex64 result. Links without paths share
+    one row, a zero channel through the same crosstalk add and transmit
+    front. Then per capture, its unit noise z (_unit_noise) fills one
+    reused (U, N, 2) float32 buffer, and over all UEs at once, in place on
+    the result's float32 (real, imaginary) components: z *= s,
+    result += z, result *= g, with s = float32(sqrt(sigma2 / 2)) and
+    g = float32(gain), where sigma2 is the variance of the repetition mean,
+    one repetition's over REPETITIONS_PER_UE. So each component is
+    g * (complex64(signal) + s * z), rounded to float32 after each
+    operation. A thermal density of -inf dBm/Hz gives s = 0, a capture
+    without receiver noise: z is finite, so that stores g * complex64(signal).
+    Every capture's noise depends on (seed, capture index) only.
     """
     wf_spec = plan.waveform
     n = wf_spec.n_subcarriers
@@ -299,39 +304,34 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
               / REPETITIONS_PER_UE)  # variance of the repetition mean
     noise_scale = np.sqrt(sigma2 / 2.0)
 
-    out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
-    out_re = out.view(np.float32).reshape(m_chunk, n_ue, n, 2)
-    for i in range(m_chunk):
-        _unit_noise(plan.seed, m0 + i, out_re[i])
-
     def to_signal(h):
         """Turn channel rows h, (k, N) complex128, into the received signal
-        in place (crosstalk added, times the transmit front); returns their
-        (k, N, 2) float64 view."""
+        in place: crosstalk added, times the transmit front."""
         if imp.crosstalk_coupling_db is not None:
             h += 10.0 ** (imp.crosstalk_coupling_db / 20.0)
         h *= tx_front
-        return h.view(np.float64).reshape(h.shape[0], n, 2)
+        return h
 
+    out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
     # Every link without paths has a zero channel, so they share one row.
-    empty_re = to_signal(np.zeros((1, n), dtype=np.complex128))[0]
-    with_paths = [np.flatnonzero(np.diff(rs[m0:m1 + 1])) for rs in plan.row_splits]
-    h_buf = np.empty((max(map(len, with_paths)), n), dtype=np.complex128)
-    z = np.empty((n, 2))
-    for j, has in enumerate(with_paths):
-        sub_splits = plan.row_splits[j][m0:m1 + 1] - plan.row_splits[j][m0]
-        base = plan.row_splits[j][m0]
+    empty = to_signal(np.zeros((1, n), dtype=np.complex128))
+    counts = [np.diff(rs[m0:m1 + 1]) for rs in plan.row_splits]
+    h_buf = np.empty((max(np.count_nonzero(c) for c in counts), n), dtype=np.complex128)
+    for j, c in enumerate(counts):
+        has = np.flatnonzero(c)
+        lo, hi = plan.row_splits[j][m0], plan.row_splits[j][m1]
         h_rows = ch.synthesize_rows(
-            plan.path_gains[j][base:base + sub_splits[-1]],
-            plan.path_delays[j][base:base + sub_splits[-1]],
-            np.concatenate([[0], sub_splits[has + 1]]), wf_spec, out=h_buf[:has.size],
+            plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
+            np.concatenate([[0], np.cumsum(c[has])]), wf_spec, out=h_buf[:has.size],
         )
-        h_re = to_signal(h_rows)
-        row_of = np.full(m_chunk, -1)
-        row_of[has] = np.arange(has.size)
-        for i in range(m_chunk):
-            np.multiply(out_re[i, j], noise_scale[i], out=z)
-            z += empty_re if row_of[i] < 0 else h_re[row_of[i]]
-            z *= g_lin[i]
-            out_re[i, j] = z
+        out[has, j] = to_signal(h_rows)
+        out[c == 0, j] = empty
+
+    out_re = out.view(np.float32).reshape(m_chunk, n_ue, n, 2)
+    z = np.empty((n_ue, n, 2), dtype=np.float32)
+    for i, (s, g) in enumerate(zip(noise_scale.astype(np.float32), g_lin.astype(np.float32))):
+        _unit_noise(plan.seed, m0 + i, z)
+        z *= s
+        out_re[i] += z
+        out_re[i] *= g
     return out

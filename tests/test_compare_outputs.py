@@ -146,6 +146,25 @@ def test_corrupt_matrix_exit_3(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_unreadable_matrix_does_not_stop_the_comparison(tmp_path, capsys):
+    # A version 2 matrix beside a version 3 one cannot be read; the files
+    # that sort after it are still compared before the tool exits 3.
+    values = np.ones((4, 2, 30), dtype=np.float32)
+    mask = np.ones(values.shape, dtype=bool)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        write_matrix(d / "matrix.cfmm", values, mask, np.zeros((4, 2)))
+        (d / "summary.csv").write_text("same\n")
+    with open(b / "matrix.cfmm", "r+b") as fh:
+        fh.seek(4)  # the u32 version after the magic
+        fh.write(np.uint32(2).tobytes())
+    assert load_tool().main([str(a), str(b)]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["matrix.cfmm: differs", "summary.csv: same"]
+    assert f"matrix.cfmm: cannot read: {b / 'matrix.cfmm'}: matrix format version 2" in err
+
+
 def test_manifest_prints_differing_keys(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d, config_hash, captures in ((a, "06ee", "/x/a/captures.cfmc"),

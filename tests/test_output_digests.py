@@ -37,83 +37,83 @@ WINDOWS = {
 PINNED_FILES = {
     "canyon": {
         "annotations_ue0.csv":
-            "490c16de0ae0defec1591622b6f86e1ee07836204e38d71fc2b176997e4325e4",
+            "5abfd8f42261670bb94b91f75f2af3d7b1917b470bd661d62115601bd1c8813d",
         "annotations_ue1.csv":
-            "b9cb325e93ab649d8f90a9627f22c99e4e0782603de3e098397bf21332566ebe",
+            "b88a7f5c2ffcf267b5c2a1c8fa16734442dd519e0ad8ab6f1d386575a0396854",
         "annotations_ue2.csv":
-            "d55f63d2d5329950ea91010ded59eacec42d952d8e5073eb6882f1cff29ca21a",
+            "83076a60bfb8129d0a300117f260a486bd9e7daada506a199484ad7e7be5794d",
         "annotations_ue3.csv":
-            "ba9e27aee24c5a98fadb7fb58e70011969e76959ac665dac72c290dce0a63aa7",
+            "8abc34e20f2a35e4f9d0f161b0fa1b0e11e4b056d4df477ad8a84cee8432aa08",
         "annotations_ue4.csv":
-            "ad996bc6724770acdf3c56eb803d5924ad6ba113f1872e732e66306bb754ca17",
+            "659273d2e23e6e7c57c61a4a454ccae1f68b0ba01c4e2cf8576987c594e09ace",
         "annotations_ue5.csv":
-            "775d30579950bc86fc32a14f17e20d0d9d0b1f339e54d8503c83da4108fe12e9",
+            "41182fb29f43ec83a6bc0952317addff014acba5c3f0ed51ae2215600ba98810",
         "annotations_ue6.csv":
-            "a3da549ff9df0048c757ac945220cea137b8694a7d5fcb77a03ea9478a99f1ba",
+            "80e9c83ddfdb98f3d12395deb6242d221af46aba7c5a1691b77c1bb00b1fcd00",
         "annotations_ue7.csv":
-            "3a363f170d2b2d524536c0a4be098dbfeb5dcb816c04cc92d87003f56c59ffca",
+            "a2c950fb714637d1ab1b4f0a87cc771c87f828d280fda0e63bfcdcabb63f8566",
         "apld_ue0.pgm":
-            "d51ed6c22b46465f22d1fe727b7890b67be798cc3ad53c5051dcea2c8af25d62",
+            "20207e1321f9ec453cfdf289d35d795ce6cb253e0bc5490253c60715a1a8c29b",
         "apld_ue1.pgm":
-            "b7aec624e7fa189ab153fa698c591bd4a768614fb45699db8bd1cf4cd6856a7f",
+            "b63951453512251af9d1a1d9b2e3c041bad14ec39e38281338586e264f701f95",
         "apld_ue2.pgm":
-            "885f17a9b9a1621df0fb4af3d2e98649fe37bc858ee3ec8d833d9e6b81e41ebd",
+            "5beb25d0acdc06a9d5ccd87893c603cdd3e13561302be06d204b2ed186201ef4",
         "apld_ue3.pgm":
-            "9210362ea2a18b2c2b7bb37bce394c22fe82e48286f58a4998d549aa20541c26",
+            "6a7d931d6a73f2dbb7a853661665da2d6cbfa3bb411e3195a58e031af50e08f8",
         "apld_ue4.pgm":
-            "1ff0c5ff0de3830421986cab92b399a01e6ac8095bf62be006166042092978dd",
+            "cd97184e70dfe0c4b6e15c8fcd136f3cbdd8f5dec0a4f6204e6e01820378e097",
         "apld_ue5.pgm":
-            "3e63af2105ee31d0827baede6413d221f0ad20768e5d45eb0e52e69c74f4c4eb",
+            "182f0940d8a4d0c870b58d392ba397e0ac1b2688148e8e98be77f8653c36f231",
         "apld_ue6.pgm":
-            "73304cf22dea17df430590a908aa05db5026b62e2be61c78771fc6ee41e1ad89",
+            "0c9ad7515bffcaa2a898e38327a732a7519a3fe905326852d82eb25596d315ec",
         "apld_ue7.pgm":
-            "ad67c23571243fddf20421a7945ec15d57fa05cf0036f1b7544c6cf5ea7abdd6",
+            "f64290e6cd8224f57818e963f36269e30bc39421c3a09c3e531af2aa7737908f",
         "captures.cfmc":
-            "ae7251deff4835356e3a010cbfb3a8989b190f6e646509632ffb5bc2858ced67",
+            "a3ad6f0c7a3313df76174579c2a5ba428efde80615d151bf2e4d43bc11eefcde",
         "matrix.cfmm":
-            "7585b39b49c1945dbd4a9ab2ee3f6c0287e2e3a2deb825ffe408e7bfcfd2654a",
+            "87a74445f21f3b4a61bc3cc8b4b80a6e11dd83a3aa4bc5e9a0d8ee141502386e",
         "summary.csv":
-            "440ca7ffb6705b3b2655732521d72b47827c798932525602e596350e885ca0d9",
+            "ec53dc62aa5aa94d42290c7f39796ddd3489919c55823d3ad80942a38804429b",
     },
     "full_mixed_links": {
         "annotations_ue0.csv":
-            "265b17ae3d6f59fd98ac63bb283ac47b848acf65b3bfc7e58f63951b3d72d840",
+            "b95bdb065d8f07d6f1a09e5ef36775e6dc4f9a844dd52b619de1f2d778fbb284",
         "annotations_ue1.csv":
-            "07accd97e2cdb3c6319b67550181009f1e2c7633644fb6c8480b166860a94bd5",
+            "7a4838f9b783579744bb76ff375c33dffb081b074a843c79e4f4412e17a86fde",
         "annotations_ue2.csv":
-            "d5319ea7fff1e6ff1ff16ea5d6da8abb43bd5069326dbf466fe2400397cd114d",
+            "1641dadf971d5b69320b46c229028c34647561277d3f3ca06f93b9d87e8dcae3",
         "annotations_ue3.csv":
-            "18a033a0c4a7dafde20f258b06496e479d1cfe832912185c03190cf5d1d275d4",
+            "f4e88a6bd13a08a27939f9b08f53123586c8a84f21f2fda56d308b039e0a9fb9",
         "annotations_ue4.csv":
-            "fa3bfe11ffff0cd8dfb02ebadcc0e38a2b30b37a3cdace5ce86648be239283e6",
+            "89aa97b642f7babafcdf60af2f538a263b25fef846f0310e9819d8a40d1eddb6",
         "annotations_ue5.csv":
-            "cff8e934f6bcbb3a264c9b9d8a609a8f29f84fda206fcb01ed8a8a39627cd4b1",
+            "aac8d08cef9b37e21b162ed3f208397042880e7a8a823d8eb5ae16723460588a",
         "annotations_ue6.csv":
-            "5962e6b30525abc00071f0afdebb4026c3a69a6b5cabf6cb379fb4bd37ca082f",
+            "bd8ef02b99bd6a623506bcc8f96482483104d9c5ed1f12cc2898ad554370c7aa",
         "annotations_ue7.csv":
-            "d76c1130de927d341c071cd10c8009cbdadca5f2d9dd1ad10c70a9ddc898f299",
+            "0108a466ce2d728b46a79378fa31c97515e7c72193a204f19cbc18f81af10b37",
         "apld_ue0.pgm":
-            "c72cee3b3598c7cbba5e89be40f66ace812cfd9dacca67fa523ea3878c0618db",
+            "5fa08b6e6e8f1c2fec0601f0a51818cfaa85725897a44c08b362e230d3f25269",
         "apld_ue1.pgm":
-            "b704462e47a87a95ce0077336bded82ac52c172013c76ea6ae70b72c3aeb8f71",
+            "30fb1cca218e6d7803d60e9da117cd638c26f17879b371e969fad11a85041ba3",
         "apld_ue2.pgm":
-            "1df9c26577ecb9ab5242f71573d4fcabe8705644a84ac26f06173d2e80ab88e6",
+            "3f9692d25e571696992baf106507f987950903ad5e22df072bb5fc799fca3e4d",
         "apld_ue3.pgm":
-            "5ad69e056949a4e561acb89cff413e344c06c9131c81fee87206296083c5c02e",
+            "fa52fe7c9cf1778e553b72deebc1657888c15bc7132bde419fdbdd57f13e83fd",
         "apld_ue4.pgm":
-            "d928328860f68d9894883c235363064d9454c9f8d033563f931a2c44a37d8cbc",
+            "6d950d709c5229398dd7cb3afa2ee2ccd791bb4e5ab3c0ba174ca42afa5720b0",
         "apld_ue5.pgm":
-            "7638191f7a2ad0e0d3b7ba79ad83b5cc7335302344d39e4e52a5273c78184332",
+            "b6d85a267e9e10d86c0ee26f4e1c436a7303c9de34629b8b6b7753e3edcc65aa",
         "apld_ue6.pgm":
             "fbbee69f37ca1fbac8a8020d4adc97cf7491842efa9652b12a004bbf99298d71",
         "apld_ue7.pgm":
             "fbbee69f37ca1fbac8a8020d4adc97cf7491842efa9652b12a004bbf99298d71",
         "captures.cfmc":
-            "6672bbb31ab8a9a07f4821cb82fce734a68ff768c750b9b139b553d179ac2995",
+            "caadb5c78d8ecf0ac364de6a10c79a68acd0d4eddb967034a4b357f1c8f76df4",
         "matrix.cfmm":
-            "809d6efc3c8e7be744566bb54f721a5df85b7d8352b734b8209415924cf9ef09",
+            "db06f0666bc780f0b6952df034925144bce0908e5ddc5f38199dea3dd42bcdf5",
         "summary.csv":
-            "d36c7f0f5c9d3ef8c3e514304f0b16bad8e1800b69e4a8ab60df9a7cdce397fc",
+            "5c3be7b97fddb8b637d954b0d426b273a578312e180639121c54f0b453907f4a",
     },
 }
 

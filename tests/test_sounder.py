@@ -183,12 +183,15 @@ def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
 @pytest.mark.parametrize("noisy, crosstalk_db", [(True, -60.0), (False, -60.0), (True, None)],
                          ids=["True", "False", "no-crosstalk"])
 def test_synthesize_chunk_bytes_match_complex_formulation(noisy, crosstalk_db):
-    # The in-place real arithmetic reproduces, bit for bit, the complex
-    # expression g * (signal + (z0 + 1j z1) sqrt(sigma2 / 2)) cast to complex64,
-    # with sigma2 the variance of the mean of the 10 repetitions of a UE slot,
-    # and g * signal without receiver noise. (z0, z1) is the documented
-    # float32 Box-Muller transform of the capture's (U, 2, N) uniforms.
-    # Links without paths take the same expression with a zero channel.
+    # The in-place float32 arithmetic reproduces, bit for bit, the documented
+    # expression g * (signal + s z) with every operand and every result
+    # rounded to float32: complex64(signal), s = float32(sqrt(sigma2 / 2)),
+    # sigma2 the variance of the mean of the 10 repetitions of a UE slot,
+    # and g = float32 of the attenuator gain; g * signal without receiver
+    # noise. z is the documented float32 Box-Muller transform of the
+    # capture's U x N PCG64 words, computed here from the words with shifts
+    # and masks instead of 32-bit views. Links without paths take the same
+    # expression with a zero channel.
     imp = sd.ImpairmentConfig(crosstalk_coupling_db=crosstalk_db)
     plan = sd.plan_campaign(short_drive_scene(), SPEC, imp, seed=4)
     plan = plan if noisy else noiseless(plan)
@@ -198,36 +201,93 @@ def test_synthesize_chunk_bytes_match_complex_formulation(noisy, crosstalk_db):
     assert_chunk_matches_complex_formulation(plan, 12, 15, noisy)
 
 
+def unit_noise_from_words(seed, m, n_ues, n):
+    """Capture m's unit noise components (z0, z1), each (U, N) float32."""
+    stream = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+    words = stream.random_raw(n_ues * n).reshape(n_ues, n)
+    # The low and high 32 bits as signed integers.
+    a, b = ((words >> shift & 0xFFFFFFFF).astype(np.uint32).view(np.int32).astype(np.float32)
+            for shift in (0, 32))
+    u1 = (a + np.float32(0.5)) * np.float32(2.0 ** -31)
+    radius = np.sqrt(-np.log(u1 * u1))
+    theta = b * np.float32(np.pi / 2 ** 31) + np.float32(np.pi)
+    z0, z1 = radius * np.cos(theta), radius * np.sin(theta)
+    assert z0.dtype == z1.dtype == np.float32
+    return z0, z1
+
+
+def capture_signal(plan, m):
+    """Capture m's received signal (U, N) without noise or gain, computed
+    link by link in complex128 and rounded to complex64."""
+    n = SPEC.n_subcarriers
+    front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
+    signal = np.empty((plan.n_ues, n), dtype=np.complex128)
+    for j in range(plan.n_ues):
+        lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
+        h = chan.synthesize_rows(
+            plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
+            np.array([0, hi - lo]), SPEC, np.empty((1, n), dtype=np.complex128),
+        )[0]
+        if plan.impairments.crosstalk_coupling_db is not None:
+            h = h + 10.0 ** (plan.impairments.crosstalk_coupling_db / 20.0)
+        signal[j] = h * front
+    return signal.astype(np.complex64)
+
+
 def assert_chunk_matches_complex_formulation(plan, m0, m1, noisy):
     imp = plan.impairments
     n = SPEC.n_subcarriers
     got = sd.synthesize_chunk(plan, m0, m1)
-    front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
-    g_lin = 10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)
+    g_lin = (10.0 ** (-plan.attenuation_db[m0:m1] / 20.0)).astype(np.float32)
     sigma2 = imp.noise_sigma2_mw(plan.attenuation_db[m0:m1], SPEC.subcarrier_spacing_hz) / 10
+    scale = np.sqrt(sigma2 / 2.0).astype(np.float32)
+    assert np.all(scale > 0) if noisy else np.all(scale == 0)
     for i, m in enumerate(range(m0, m1)):
-        signal = np.empty((plan.n_ues, n), dtype=np.complex128)
-        for j in range(plan.n_ues):
-            lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
-            h = chan.synthesize_rows(
-                plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-                np.array([0, hi - lo]), SPEC, np.empty((1, n), dtype=np.complex128),
-            )[0]
-            if imp.crosstalk_coupling_db is not None:
-                h = h + 10.0 ** (imp.crosstalk_coupling_db / 20.0)
-            signal[j] = h * front
-        if noisy:
-            u = sd._capture_rng(plan.seed, m).random((plan.n_ues, 2, n))
-            radius = np.sqrt(np.float32(-2.0) * np.log((1.0 - u[:, 0]).astype(np.float32)))
-            theta = (2.0 * np.pi * u[:, 1]).astype(np.float32)
-            z0, z1 = radius * np.cos(theta), radius * np.sin(theta)
-            assert z0.dtype == z1.dtype == np.float32
-            noise = (z0.astype(np.float64) + 1j * z1.astype(np.float64)) * np.sqrt(sigma2[i] / 2.0)
-        else:
-            assert sigma2[i] == 0.0
-            noise = 0.0
-        expected = (g_lin[i] * (signal + noise)).astype(np.complex64)
+        signal = capture_signal(plan, m)
+        z0, z1 = unit_noise_from_words(plan.seed, m, plan.n_ues, n)
+        expected = np.empty((plan.n_ues, n, 2), dtype=np.float32)
+        expected[..., 0] = g_lin[i] * (signal.real + scale[i] * z0)
+        expected[..., 1] = g_lin[i] * (signal.imag + scale[i] * z1)
         assert got[i].tobytes() == expected.tobytes()
+
+
+def test_capture_without_receiver_noise_stores_gain_times_signal():
+    # Zero noise scale times the finite unit noise adds nothing, so a
+    # capture without receiver noise stores float32(g) * complex64(signal)
+    # exactly, on links with and without paths, and never a NaN.
+    plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=4)
+    plan = noiseless(with_empty_links(replace(plan, attenuation_db=np.full(plan.n_captures, 30.0))))
+    m = 3  # UEs 2 and 7 have no path here
+    got = sd.synthesize_chunk(plan, m, m + 1)[0]
+    assert np.isfinite(got.view(np.float32)).all()
+    g = np.float32(10.0 ** (-30.0 / 20.0))
+    assert g != 1
+    assert got.tobytes() == (g * capture_signal(plan, m).view(np.float32)).tobytes()
+
+
+def word(a, b):
+    """The uint64 word whose low and high 32-bit halves read as the signed
+    integers a and b."""
+    return (b % 2 ** 32) << 32 | a % 2 ** 32
+
+
+def test_box_muller_on_chosen_words():
+    # Both a = 0 (all-zero bits) and a = -1 (all-one bits) give the smallest
+    # u1, 2^-32, and so the largest radius, sqrt(64 ln 2); a = -2^31 and
+    # a = 2^31 - 1 (which rounds to 2^31) give u1 = 1 and radius 0; b = -2^31
+    # and b = 2^31 - 1 give the ends of the angle's range.
+    words = np.array([word(0, 0), word(-1, -1), word(-2 ** 31, -2 ** 31),
+                      word(2 ** 31 - 1, 2 ** 31 - 1)], dtype=np.uint64)
+    assert words[0] == 0 and words[1] == 2 ** 64 - 1
+    r, theta = sd._box_muller(words)
+    assert r.dtype == theta.dtype == np.float32
+    assert np.isfinite(r).all() and np.isfinite(theta).all()
+    largest = np.sqrt(64 * np.log(2.0))
+    np.testing.assert_allclose(r[:2], largest, rtol=1e-6)
+    assert np.all(r <= largest * (1 + 1e-6))
+    np.testing.assert_array_equal(r[2:], 0.0)
+    assert np.all((theta >= 0) & (theta <= np.float32(2 * np.pi)))
+    np.testing.assert_array_equal(theta[2:], [0.0, np.float32(2 * np.pi)])
 
 
 def test_noise_is_unit_complex_gaussian():
@@ -252,7 +312,7 @@ def test_noise_is_unit_complex_gaussian():
         assert abs(part.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
         assert stats.kstest(part, "norm").pvalue > 1e-3
     assert abs(np.corrcoef(z.real.ravel(), z.imag.ravel())[0, 1]) < tol
-    # |z|^2 / 2 = -ln(1 - u) is exponential: its tail follows e^-t up to
+    # |z|^2 / 2 = -ln u1 is exponential: its tail follows e^-t up to
     # t = 12, where the 2.9 million samples still expect about 18.
     half_power = np.abs(z.ravel()) ** 2 / 2.0
     for t in range(1, 13):
@@ -262,6 +322,13 @@ def test_noise_is_unit_complex_gaussian():
     for part in (z.real, z.imag):
         assert abs(np.corrcoef(part[:-1].ravel(), part[1:].ravel())[0, 1]) < tol
     assert abs(np.corrcoef(z.real[:-1].ravel(), z.imag[1:].ravel())[0, 1]) < tol
+    # UE j and UE j + 1 of one capture, same tone, are uncorrelated.
+    for part in (z.real, z.imag):
+        assert abs(np.corrcoef(part[:, :-1].ravel(), part[:, 1:].ravel())[0, 1]) < tol
+    # |z|^2 and the angle come from the two halves of one word: they are
+    # independent, so |z|^2 is uncorrelated with the angle's distance from 0
+    # (the angle is uniform, so that distance is too).
+    assert abs(np.corrcoef(half_power, np.abs(np.angle(z.ravel())))[0, 1]) < tol
 
 
 def test_noiseless_capture_reproduces_channel():

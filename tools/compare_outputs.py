@@ -34,14 +34,16 @@ between any two runs, are named together on one "run timings differ"
 line instead.
 
 Both matrices must be of the format version the running tree writes: an
-older one cannot be read, and the tool exits 3 naming it. To compare with
-an older release, decode each tree's matrix in its own tree.
+older one cannot be read, and the tool names it. To compare with an older
+release, decode each tree's matrix in its own tree.
 
-Exits 0 when every file but `manifest.json` is byte-identical, 2 when an
-argument is missing or is not a directory, 3 when a differing
-`captures.cfmc`, `matrix.cfmm` or `manifest.json` cannot be read (the
-message names the file and the fault; a manifest is unreadable when it is
-not JSON or its `stages` is not an object of objects), else 1.
+A differing file that cannot be read is named on stderr with the fault,
+and the files after it are still compared. Exits 0 when every file but
+`manifest.json` is byte-identical, 2 when an argument is missing or is
+not a directory, 3 after the last file's line when a differing
+`captures.cfmc`, `matrix.cfmm` or `manifest.json` could not be read (a
+manifest is unreadable when it is not JSON or its `stages` is not an
+object of objects), else 1.
 """
 
 import hashlib
@@ -204,6 +206,7 @@ def main(argv: list[str]) -> int:
             return 2
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir() if p.is_file()})
     all_same = True
+    unreadable = False
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a.exists() and path_b.exists()):
@@ -220,10 +223,11 @@ def main(argv: list[str]) -> int:
                 lines = explain(path_a, path_b)
             except FormatError as e:
                 print(f"{name}: cannot read: {e}", file=sys.stderr)
-                return 3
+                unreadable = True
+                continue
             for line in lines:
                 print(line)
-    return 0 if all_same else 1
+    return 3 if unreadable else 0 if all_same else 1
 
 
 if __name__ == "__main__":
