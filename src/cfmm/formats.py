@@ -1,7 +1,8 @@
 """Binary interchange files.
 
 Two little-endian containers, both designed for bit-exact round trips on
-any platform.
+any platform. An older version of either is not read: re-run the stage
+that writes it.
 
 Matrix file (magic ``CFMM``, version 3) holds the gated profiles as runs
 of surviving bins (compressed sparse rows). With M captures, U UEs, B
@@ -26,18 +27,26 @@ The first record starts at 40 + 16 R, and each record is 8 n_runs +
 is its noise level plus delta_n_db. Runs in a row are increasing and
 disjoint, each of length at least 1, and end at or before B; their
 lengths sum to n_kept. A bin outside every run was masked and reads
-zero. Versions 1 (dense values plus a mask bit array) and 2 (a stored
-threshold and record end per row) are not read: re-run process to
-rewrite such a file.
+zero.
 
-Capture file (magic ``CFMC``): acquisition metadata (poses, timestamps,
-attenuation, link classes, calibration, reference tones) followed by the
-recorded spectra as complex64 in (capture, UE, tone) order, one repetition
-mean per capture and UE; the header's n_reps_stored is therefore 1.
-Spectra are read one UE of a capture range at a time, with one positioned
-read per capture row straight into the returned array, so campaign-scale
-files never load whole, a reader holds one UE's rows of a range rather
-than every UE's, and no mapped copy of the rows sits beside them.
+Capture file (magic ``CFMC``, version 2), with M captures, U UEs, N
+tones and a site id of S bytes, ends with the spectra:
+
+====================  ============  =========================================
+section               bytes         contents
+====================  ============  =========================================
+header                40            magic, version u32, M u32, U u32, N u32,
+                                    tone spacing f64 Hz, seed u64, S u32
+site id               S             UTF-8
+timestamps            8 M           f64 (M,)
+positions             24 M          f64 (M, 3)
+attenuation_db        8 M           f64 (M,)
+link_class            M U           u8 (M, U), LinkClass values
+ue_positions          24 U          f64 (U, 3)
+cal_response          16 N          c128 (N,)
+reference_tones       16 N          c128 (N,)
+spectra               8 M U N       c64 (M, U, N), repetition means
+====================  ============  =========================================
 """
 
 from __future__ import annotations
@@ -52,15 +61,14 @@ import numpy as np
 
 from .pipeline import SparseRows
 from .scene import LinkClass
-from .sounder import REPETITIONS_PER_UE
 
 MATRIX_MAGIC = b"CFMM"
 CAPTURE_MAGIC = b"CFMC"
 MATRIX_VERSION = 3
-CAPTURE_VERSION = 1
+CAPTURE_VERSION = 2
 
 _MATRIX_HEADER = struct.Struct("<4sIIIIdId")
-_CAPTURE_FIXED = struct.Struct("<4sIIIIIddIQI")
+_CAPTURE_FIXED = struct.Struct("<4sIIIIdQI")
 # The matrix row tables, in file order: name and dtype.
 _ROW_TABLES = (("noise_db", "<f8"), ("n_runs", "<u4"), ("n_kept", "<u4"))
 _ROW_TABLE_BYTES = sum(np.dtype(t).itemsize for _, t in _ROW_TABLES)
@@ -74,11 +82,16 @@ class FormatError(RuntimeError):
 
 
 def _check_header(kind: str, path, magic: bytes, expected_magic: bytes,
-                  version: int, expected_version: int) -> None:
+                  version: int, expected_version: int, stage: str) -> None:
+    """An older version of a file that stage writes is not read."""
     if magic != expected_magic:
         raise FormatError(
             f"{path}: not a {kind} file (magic {magic!r}, expected {expected_magic!r})"
         )
+    if version < expected_version:
+        raise FormatError(
+            f"{path}: {kind} format version {version} is no longer read "
+            f"(expected {expected_version}); re-run {stage} to rewrite it")
     if version != expected_version:
         raise FormatError(
             f"{path}: {kind} format version {version} unsupported (expected {expected_version})"
@@ -209,11 +222,8 @@ def read_matrix(path) -> MatrixFile:
         if len(raw) < _MATRIX_HEADER.size:
             raise FormatError(f"{path}: truncated matrix header")
         magic, version, m, u, b, bin_width, oversample, delta_n = _MATRIX_HEADER.unpack(raw)
-        if magic == MATRIX_MAGIC and version < MATRIX_VERSION:
-            raise FormatError(
-                f"{path}: matrix format version {version} is no longer read "
-                f"(expected {MATRIX_VERSION}); re-run process to rewrite it")
-        _check_header("matrix", path, magic, MATRIX_MAGIC, version, MATRIX_VERSION)
+        _check_header("matrix", path, magic, MATRIX_MAGIC, version, MATRIX_VERSION,
+                      "process")
         _check_field(path, "bin_width_s", bin_width,
                      math.isfinite(bin_width) and bin_width > 0, "a finite value > 0")
         _check_field(path, "oversample_factor", oversample, oversample >= 1, "at least 1")
@@ -304,22 +314,18 @@ class MatrixWriter:
 class CaptureFile:
     """Read handle over a capture container; satisfies the pipeline source
     protocol (attenuation, calibration, poses, one UE's spectra by capture
-    range)."""
+    range). Spectra are read as used, so a campaign never loads whole."""
 
     path: str
     n_captures: int
     n_ues: int
     n_subcarriers: int
     subcarrier_spacing_hz: float
-    capture_interval_s: float
-    n_reps_averaged: int
     seed: int
     site_id: str
     timestamps: np.ndarray
     positions: np.ndarray
-    headings: np.ndarray
     attenuation_db: np.ndarray
-    measured_power_dbm: np.ndarray
     link_class: np.ndarray
     ue_positions: np.ndarray
     cal_response: np.ndarray
@@ -383,9 +389,7 @@ def _meta_layout(m: int, u: int, n: int) -> list:
     return [
         ("timestamps", "<f8", (m,)),
         ("positions", "<f8", (m, 3)),
-        ("headings", "<f8", (m,)),
         ("attenuation_db", "<f8", (m,)),
-        ("measured_power_dbm", "<f8", (m, u)),
         ("link_class", "u1", (m, u)),
         ("ue_positions", "<f8", (u, 3)),
         ("cal_response", "<c16", (n,)),
@@ -423,17 +427,12 @@ class CaptureWriter:
     """
 
     def __init__(self, path, plan):
-        m, u = plan.n_captures, plan.n_ues
-        n = plan.waveform.n_subcarriers
+        m, u, n = plan.n_captures, plan.n_ues, plan.waveform.n_subcarriers
         self.path = path
         self.shape = (m, u, n)
-        ts = np.asarray(plan.timestamps, dtype=np.float64)
-        interval = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
         site = plan.site_id.encode("utf-8")
-        # One stored spectrum, the mean of REPETITIONS_PER_UE repetitions.
-        header = _CAPTURE_FIXED.pack(
-            CAPTURE_MAGIC, CAPTURE_VERSION, m, u, 1, n, plan.waveform.subcarrier_spacing_hz,
-            interval, REPETITIONS_PER_UE, plan.seed, len(site))
+        header = _CAPTURE_FIXED.pack(CAPTURE_MAGIC, CAPTURE_VERSION, m, u, n,
+                                     plan.waveform.subcarrier_spacing_hz, plan.seed, len(site))
         with open(path, "wb") as fh:
             fh.write(header + site)
             for name, dtype, shape in _meta_layout(m, u, n):
@@ -483,20 +482,21 @@ class CaptureWriter:
 
 
 def open_captures(path) -> CaptureFile:
+    """Open a capture file and read its metadata. Raises FormatError unless
+    the magic and version are those written here, each count is at least
+    1, the tone spacing is finite and > 0, the site id is UTF-8, the size
+    is the one the counts give, and every metadata value is one an
+    acquisition writes. Spectra are checked as they are read."""
     with open(path, "rb") as fh:
         raw = fh.read(_CAPTURE_FIXED.size)
         if len(raw) < _CAPTURE_FIXED.size:
             raise FormatError(f"{path}: truncated capture header")
-        (magic, version, m, u, reps_stored, n, spacing, interval,
-         reps_avg, seed, site_len) = _CAPTURE_FIXED.unpack(raw)
-        _check_header("capture", path, magic, CAPTURE_MAGIC, version, CAPTURE_VERSION)
+        magic, version, m, u, n, spacing, seed, site_len = _CAPTURE_FIXED.unpack(raw)
+        _check_header("capture", path, magic, CAPTURE_MAGIC, version, CAPTURE_VERSION,
+                      "simulate")
         _check_counts(path, n_captures=m, n_ues=u, n_subcarriers=n)
-        _check_field(path, "n_reps_stored", reps_stored, reps_stored == 1, "1")
         _check_field(path, "subcarrier_spacing_hz", spacing,
                      math.isfinite(spacing) and spacing > 0, "a finite value > 0")
-        # 0 is the interval of a campaign of one capture.
-        _check_field(path, "capture_interval_s", interval,
-                     math.isfinite(interval) and interval >= 0, "a finite value >= 0")
         size = os.fstat(fh.fileno()).st_size
         site = _read_block(fh, path, size, "site id", "u1", site_len).tobytes()
         try:
@@ -525,7 +525,6 @@ def open_captures(path) -> CaptureFile:
         _check_values(path, f"{name} block", block, ok, want)
     return CaptureFile(
         path=str(path), n_captures=m, n_ues=u, n_subcarriers=n,
-        subcarrier_spacing_hz=spacing, capture_interval_s=interval,
-        n_reps_averaged=reps_avg, seed=seed, site_id=site_id,
+        subcarrier_spacing_hz=spacing, seed=seed, site_id=site_id,
         spectra_offset=spectra_offset, **fields,
     )

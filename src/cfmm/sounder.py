@@ -150,7 +150,6 @@ class CampaignPlan:
     impairments: ImpairmentConfig
     seed: int
     positions: np.ndarray  # (M, 3)
-    headings: np.ndarray  # (M,)
     timestamps: np.ndarray  # (M,)
     ue_positions: np.ndarray  # (U, 3)
     path_gains: list  # per UE: complex (K_j,)
@@ -224,7 +223,7 @@ def plan_campaign(
     return CampaignPlan(
         site_id=ue_site.site_id, waveform=waveform,
         impairments=impairments, seed=int(seed),
-        positions=positions, headings=headings, timestamps=timestamps,
+        positions=positions, timestamps=timestamps,
         ue_positions=ue_site.positions_m.copy(),
         path_gains=gains, path_delays=delays, row_splits=splits,
         measured_power_dbm=power_dbm, link_class=link_class, attenuation_db=att,

@@ -78,7 +78,7 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
 
     return sd.CampaignPlan(
         site_id="manual", waveform=spec, impairments=imp, seed=seed,
-        positions=positions, headings=np.zeros(m_total),
+        positions=positions,
         timestamps=np.arange(m_total) * sd.CAPTURE_INTERVAL_S,
         ue_positions=ues,
         path_gains=[np.asarray(g, dtype=complex) for g in gains],

@@ -234,7 +234,10 @@ class TestOnCampaign:
     def test_link_classes_match_scene(self, campaign):
         plan, matrix = campaign
         apld = ap.assemble_apld(matrix, plan, ue_id=2)
-        expect = rp.trace_paths_batch(make_scene(), plan.positions, plan.headings,
+        scene = first_poses(make_scene(), 12)  # the campaign's route
+        positions, headings, _ = sc.sample_ap_pose_arrays(scene.trajectory)
+        np.testing.assert_array_equal(positions, plan.positions)
+        expect = rp.trace_paths_batch(scene, positions, headings,
                                       plan.ue_positions[2]).link_class
         np.testing.assert_array_equal(apld.link_class, expect)
 

@@ -1215,7 +1215,27 @@ class TestStages:
                    "--captures", str(bad), "--out", str(tmp_path / "y")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "version 250" in err and "expected 1" in err
+        assert "version 250" in err and "expected 2" in err
+
+    def test_version_1_captures_exit_3(self, workspace, finished_run, tmp_path, capsys):
+        # Neither stage reads an older capture file, and neither touches an
+        # earlier run's files or records.
+        out = shutil.copytree(finished_run, tmp_path / "o")
+        with open(out / "captures.cfmc", "r+b") as fh:
+            fh.seek(4)  # the u32 version after the magic
+            fh.write(np.uint32(1).tobytes())
+        before = digests(out)
+        assert {"simulate", "process", "export"} <= json.loads(
+            (out / "manifest.json").read_text())["stages"].keys()
+        for stage in ("process", "export"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(workspace / "cfg.json"), "--out", str(out),
+                         "--workers", "1"]) == 3
+            err = capsys.readouterr().err
+            assert (f"{out / 'captures.cfmc'}: capture format version 1 is no longer read "
+                    "(expected 2); re-run simulate to rewrite it") in err
+            assert "Traceback" not in err
+            assert digests(out) == before
 
     def test_truncated_spectra_exit_3(self, workspace, tmp_path, capsys):
         raw = (workspace / "out" / "captures.cfmc").read_bytes()

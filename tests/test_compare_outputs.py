@@ -1,6 +1,6 @@
 """tools/compare_outputs.py on two output directories: rounding differences in
-captures and matrices, a corrupt capture file or matrix, manifest keys and a
-missing directory."""
+captures and matrices, a corrupt or old capture file or matrix, manifest keys
+and a missing directory."""
 
 import importlib.util
 import json
@@ -89,22 +89,22 @@ def test_reports_capture_metadata_and_spectrum_differences(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     write_captures(a / "captures.cfmc", plan, spectra)
-    power = plan.measured_power_dbm.copy()
-    power[5, 1] += 1e-9
-    power[7, 2] -= 2e-9
+    positions = plan.positions.copy()
+    positions[5, 1] += 1e-9
+    positions[7, 2] -= 2e-9
     changed = spectra.copy()
     c, j, q = 35, 3, 100  # in the second 32-capture block
     changed[c, j, q] *= np.float32(1.5)
     changed[2, 0, 7] *= np.float32(1.0 + 1e-6)
-    write_captures(b / "captures.cfmc", replace(plan, measured_power_dbm=power, seed=6),
+    write_captures(b / "captures.cfmc", replace(plan, positions=positions, seed=6),
                    changed)
     assert load_tool().main([str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     m, u, n = spectra.shape
     assert out[0] == "captures.cfmc: differs"
     assert "  timestamps values that differ: 0 of 40" in out
-    assert f"  measured_power_dbm values that differ: 2 of {m * u}" in out
-    assert "  largest measured_power_dbm difference: 2.000e-09" in out
+    assert f"  positions values that differ: 2 of {m * 3}" in out
+    assert "  largest positions difference: 2.000e-09" in out
     assert f"  link_class values that differ: 0 of {m * u}" in out
     assert f"  reference_tones values that differ: 0 of {n}" in out
     assert f"  complex64 spectrum values that differ: 2 of {m * u * n}" in out
@@ -163,6 +163,27 @@ def test_unreadable_matrix_does_not_stop_the_comparison(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == ["matrix.cfmm: differs", "summary.csv: same"]
     assert f"matrix.cfmm: cannot read: {b / 'matrix.cfmm'}: matrix format version 2" in err
+
+
+def test_unreadable_captures_do_not_stop_the_comparison(tmp_path, capsys):
+    # A version 1 capture file beside a version 2 one cannot be read; the
+    # files that sort after it are still compared before the tool exits 3.
+    plan = sd.plan_campaign(first_poses(make_scene(), 4), wf.WaveformSpec(),
+                            sd.ImpairmentConfig(), seed=5)
+    spectra = sd.synthesize_chunk(plan, 0, plan.n_captures)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        write_captures(d / "captures.cfmc", plan, spectra)
+        (d / "summary.csv").write_text("same\n")
+    with open(b / "captures.cfmc", "r+b") as fh:
+        fh.seek(4)  # the u32 version after the magic
+        fh.write(np.uint32(1).tobytes())
+    assert load_tool().main([str(a), str(b)]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["captures.cfmc: differs", "summary.csv: same"]
+    assert (f"captures.cfmc: cannot read: {b / 'captures.cfmc'}: capture format "
+            "version 1") in err
 
 
 def test_manifest_prints_differing_keys(tmp_path, capsys):

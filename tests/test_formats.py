@@ -316,7 +316,7 @@ class TestMatrixFile:
                 "expected a finite value") in capsys.readouterr().err
 
 
-_SITE_ID = 56  # offset of the site id in a capture file, after the fixed header
+_SITE_ID = 40  # offset of the site id in a capture file, after the fixed header
 
 
 @pytest.fixture(scope="module")
@@ -343,18 +343,32 @@ class TestCaptureFile:
         assert cf.n_ues == plan.n_ues
         assert cf.n_subcarriers == 2801
         assert cf.subcarrier_spacing_hz == 125e3
-        assert cf.capture_interval_s == pytest.approx(0.1)
-        assert cf.n_reps_averaged == 10
         assert cf.seed == 21
         assert cf.site_id == plan.site_id
         np.testing.assert_array_equal(cf.timestamps, plan.timestamps)
         np.testing.assert_array_equal(cf.positions, plan.positions)
-        np.testing.assert_array_equal(cf.headings, plan.headings)
         np.testing.assert_array_equal(cf.attenuation_db, plan.attenuation_db)
-        np.testing.assert_array_equal(cf.measured_power_dbm, plan.measured_power_dbm)
         np.testing.assert_array_equal(cf.ue_positions, plan.ue_positions)
         np.testing.assert_array_equal(cf.cal_response, plan.cal_response)
         np.testing.assert_array_equal(cf.reference_tones, plan.reference_tones)
+
+    def test_bytes_follow_documented_layout(self, plan, capture_path):
+        # The file built section by section from the layout table in the
+        # formats module docstring.
+        site = plan.site_id.encode()
+        want = b"".join([
+            struct.pack("<4sIIIIdQI", b"CFMC", 2, 6, plan.n_ues, 2801, 125e3, 21, len(site)),
+            site,
+            plan.timestamps.astype("<f8").tobytes(),
+            plan.positions.astype("<f8").tobytes(),
+            plan.attenuation_db.astype("<f8").tobytes(),
+            plan.link_class.astype("u1").tobytes(),
+            plan.ue_positions.astype("<f8").tobytes(),
+            plan.cal_response.astype("<c16").tobytes(),
+            plan.reference_tones.astype("<c16").tobytes(),
+            sd.synthesize_chunk(plan, 0, 6).astype("<c8").tobytes(),
+        ])
+        assert capture_path.read_bytes() == want
 
     def test_link_class_stored(self, plan, capture_path):
         cf = fm.open_captures(capture_path)
@@ -496,22 +510,19 @@ class TestCaptureFile:
 
     @pytest.mark.parametrize("offset,patch,message", [
         (8, struct.pack("<I", 2**32 - 1), "truncated timestamps block"),  # captures
-        (20, struct.pack("<I", 2**32 - 1), "truncated cal_response block"),  # tones
-        (52, struct.pack("<I", 2**32 - 1), "truncated site id"),  # site id length
+        (16, struct.pack("<I", 2**32 - 1), "truncated cal_response block"),  # tones
+        (36, struct.pack("<I", 2**32 - 1), "truncated site id"),  # site id length
         (_SITE_ID, b"\xff", "site id is not UTF-8"),
         (_SITE_ID, None, "truncated site id"),  # the file ends inside the site id
-        (24, struct.pack("<d", 0.0), "header subcarrier_spacing_hz is 0.0, expected a finite"),
-        (24, struct.pack("<d", float("nan")), "header subcarrier_spacing_hz is nan"),
-        (24, struct.pack("<d", -125e3), "header subcarrier_spacing_hz is -125000.0"),
-        (32, struct.pack("<d", float("inf")), "header capture_interval_s is inf"),
-        (32, struct.pack("<d", -0.5), "header capture_interval_s is -0.5, expected a finite"),
-        (16, struct.pack("<I", 10), "header n_reps_stored is 10, expected 1"),
+        (20, struct.pack("<d", 0.0), "header subcarrier_spacing_hz is 0.0, expected a finite"),
+        (20, struct.pack("<d", float("nan")), "header subcarrier_spacing_hz is nan"),
+        (20, struct.pack("<d", -125e3), "header subcarrier_spacing_hz is -125000.0"),
         (8, struct.pack("<I", 0), "header n_captures is 0, expected at least 1"),
         (12, struct.pack("<I", 0), "header n_ues is 0, expected at least 1"),
-        (20, struct.pack("<I", 0), "header n_subcarriers is 0, expected at least 1"),
+        (16, struct.pack("<I", 0), "header n_subcarriers is 0, expected at least 1"),
     ], ids=["captures", "tones", "site-id-length", "site-id-not-utf8", "site-id-cut",
-            "spacing-zero", "spacing-nan", "spacing-negative", "interval-inf",
-            "interval-negative", "reps-stored", "captures-zero", "ues-zero", "tones-zero"])
+            "spacing-zero", "spacing-nan", "spacing-negative", "captures-zero", "ues-zero",
+            "tones-zero"])
     def test_corrupt_header_exit_3(self, capture_path, tmp_path, capsys, offset, patch,
                                    message):
         raw = bytearray(capture_path.read_bytes())
@@ -550,9 +561,7 @@ class TestCaptureFile:
     @pytest.mark.parametrize("block,index,value,message", [
         ("timestamps", 4, np.inf, "timestamps block holds inf at index [4], expected a finite"),
         ("positions", 7, np.nan, "positions block holds nan at index [2, 1], expected a finite"),
-        ("headings", 0, -np.inf, "headings block holds -inf at index [0], expected a finite"),
         ("attenuation_db", 5, np.nan, "attenuation_db block holds nan at index [5], expected"),
-        ("measured_power_dbm", 13, np.nan, "measured_power_dbm block holds nan at index [1, 5]"),
         ("link_class", 12, 9, "link_class block holds 9 at index [1, 4], expected a LinkClass"),
         ("ue_positions", 11, np.nan, "ue_positions block holds nan at index [3, 2], expected"),
         ("cal_response", 1400, np.nan, "cal_response block holds (nan+0j) at index [1400]"),
@@ -560,9 +569,8 @@ class TestCaptureFile:
                                  "non-zero value"),
         ("reference_tones", 7, np.nan, "reference_tones block holds (nan+0j) at index [7]"),
         ("reference_tones", 2800, 0.0, "reference_tones block holds 0j at index [2800]"),
-    ], ids=["timestamp-inf", "position-nan", "heading-inf", "attenuation-nan",
-            "power-nan", "link-class-9", "ue-position-nan", "cal-nan", "cal-zero",
-            "reference-nan", "reference-zero"])
+    ], ids=["timestamp-inf", "position-nan", "attenuation-nan", "link-class-9",
+            "ue-position-nan", "cal-nan", "cal-zero", "reference-nan", "reference-zero"])
     def test_corrupt_metadata_exit_3(self, capture_path, tmp_path, capsys, block, index,
                                      value, message):
         """A metadata value that no acquisition writes makes process exit 3,
@@ -574,8 +582,7 @@ class TestCaptureFile:
         m, u, n = cf.n_captures, cf.n_ues, cf.n_subcarriers
         # The blocks follow the site id in this order: name, item type, items.
         layout = [("timestamps", "<f8", m), ("positions", "<f8", 3 * m),
-                  ("headings", "<f8", m), ("attenuation_db", "<f8", m),
-                  ("measured_power_dbm", "<f8", m * u), ("link_class", "u1", m * u),
+                  ("attenuation_db", "<f8", m), ("link_class", "u1", m * u),
                   ("ue_positions", "<f8", 3 * u), ("cal_response", "<c16", n),
                   ("reference_tones", "<c16", n)]
         offset = _SITE_ID + len(cf.site_id.encode())

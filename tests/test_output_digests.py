@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from cfmm import scene as sc
+from cfmm.formats import open_captures
 from cfmm.cli import main
 from cfmm.config import resolve_scene_path
 
@@ -69,7 +70,7 @@ PINNED_FILES = {
         "apld_ue7.pgm":
             "f64290e6cd8224f57818e963f36269e30bc39421c3a09c3e531af2aa7737908f",
         "captures.cfmc":
-            "a3ad6f0c7a3313df76174579c2a5ba428efde80615d151bf2e4d43bc11eefcde",
+            "af984dba9df7246a07a91da3b51691c1c9d079019d209d15a8c39ebfd7a0186b",
         "matrix.cfmm":
             "87a74445f21f3b4a61bc3cc8b4b80a6e11dd83a3aa4bc5e9a0d8ee141502386e",
         "summary.csv":
@@ -109,12 +110,20 @@ PINNED_FILES = {
         "apld_ue7.pgm":
             "fbbee69f37ca1fbac8a8020d4adc97cf7491842efa9652b12a004bbf99298d71",
         "captures.cfmc":
-            "caadb5c78d8ecf0ac364de6a10c79a68acd0d4eddb967034a4b357f1c8f76df4",
+            "641ad842b691c0e16ddf3f150066397022b4bf859f89d902628e746d02cf6915",
         "matrix.cfmm":
             "db06f0666bc780f0b6952df034925144bce0908e5ddc5f38199dea3dd42bcdf5",
         "summary.csv":
             "5c3be7b97fddb8b637d954b0d426b273a578312e180639121c54f0b453907f4a",
     },
+}
+
+# Window -> sha256 of captures.cfmc from spectra_offset to the end: the
+# recorded spectra alone. A change to the capture layout moves the
+# whole-file pin above but not this one.
+PINNED_SPECTRA = {
+    "canyon": "84f181f0e2df949e5a237027a020ef9a60e5e14e85b10518d73d917219fd7aae",
+    "full_mixed_links": "190446ada05bd9f81a93a54dd26b6c91fd365ad377076f6d6a2be3c943966fec",
 }
 
 # Window -> the lines tools/trace_digest.py prints for its scene.
@@ -181,6 +190,18 @@ def test_output_files_match_pins(window):
         f"config {d / 'cfg.json'} on a tree that matches the pins and explain the "
         f"difference with `PYTHONPATH=src python3 tools/compare_outputs.py {out} "
         f"<that tree's output dir>`. " + _versions())
+
+
+def test_capture_spectra_match_pin(window):
+    name, d = window
+    path = d / "out" / "captures.cfmc"
+    offset = open_captures(path).spectra_offset
+    got = hashlib.sha256(path.read_bytes()[offset:]).hexdigest()
+    assert got == PINNED_SPECTRA[name], (
+        f"{name}: the spectra of {path} (from byte {offset} on) differ from the pin. Run "
+        f"the window's config {d / 'cfg.json'} on a tree that matches the pins and explain "
+        f"the difference with `PYTHONPATH=src python3 tools/compare_outputs.py {d / 'out'} "
+        "<that tree's output dir>`. " + _versions())
 
 
 def test_trace_digests_match_pins(window, capsys):

@@ -33,9 +33,10 @@ holds, with both values. The run measurements (`wall_s`, `cpu_s`,
 between any two runs, are named together on one "run timings differ"
 line instead.
 
-Both matrices must be of the format version the running tree writes: an
-older one cannot be read, and the tool names it. To compare with an older
-release, decode each tree's matrix in its own tree.
+Both capture files and both matrices must be of the format version the
+running tree writes: an older one cannot be read, and the tool names it.
+To compare with an older release, decode each tree's files in its own
+tree.
 
 A differing file that cannot be read is named on stderr with the fault,
 and the files after it are still compared. Exits 0 when every file but
