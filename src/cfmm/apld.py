@@ -85,7 +85,7 @@ def assemble_apld(matrix: MatrixFile, meta, ue_id: int) -> APLDPDP:
         positions=np.asarray(meta.positions, dtype=float),
         link_class=link_class[:, ue_id],
         attenuation_db=np.asarray(meta.attenuation_db, dtype=float),
-        threshold_db=np.asarray(matrix.threshold_db, dtype=float)[:, ue_id],
+        threshold_db=matrix.noise_level_db[:, ue_id] + matrix.delta_n_db,
     )
 
 

@@ -102,6 +102,6 @@ def mean_tone_power(gains: np.ndarray, delays: np.ndarray, row_splits: np.ndarra
     return power
 
 
-def row_splits_for_poses(pose_index: np.ndarray, n_poses: int) -> np.ndarray:
-    """CSR-style row offsets for a pose-sorted path array."""
-    return np.searchsorted(pose_index, np.arange(n_poses + 1))
+def row_splits_for_links(link_index: np.ndarray, n_links: int) -> np.ndarray:
+    """CSR-style row offsets for a link-sorted path array."""
+    return np.searchsorted(link_index, np.arange(n_links + 1))

@@ -2,14 +2,14 @@
 
 Stages communicate through files in the output directory (captures.cfmc,
 matrix.cfmm, summary.csv, per-UE heatmaps and annotation CSVs) plus a
-manifest recording, per stage, the semantic config hash, the seed, the
-scene reference, the scene file's sha256 and the numpy version of that
-stage's run, so any stage can be re-run or handed captures produced
+manifest recording, per stage, the semantic config hash, the seed, the scene
+reference, the scene file's sha256 and the numpy version and SIMD targets of
+that stage's run, so any stage can be re-run or handed captures produced
 elsewhere, and the run's wall time, CPU time and worker count. The config
-file is the one source of run parameters; flags only choose paths,
-workers and chunk size, which do not change output bytes. Every stage
-writes the same bytes for the same config regardless of worker count:
-workers compute disjoint capture ranges whose content is seed-determined.
+file is the one source of run parameters; flags only choose paths, workers
+and chunk size, which do not change output bytes. Every stage writes the
+same bytes for the same config regardless of worker count: workers compute
+disjoint capture ranges whose content is seed-determined.
 In simulate each range writes its own bytes of the capture file and
 starts their writeback, wherever it runs, and the parent syncs the file
 once before it publishes it;
@@ -147,10 +147,10 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     counts to, and the runner's fields (`workers`, `worker_peak_rss_mb`)
     when the stage ran chunks. On success, rename the partial files into
     place and record the stage with its config hash, seed and scene, the
-    scene file's sha256, the numpy version, its wall time, the CPU time of
-    it and its reaped workers, and the stage process's peak RSS at its end
-    (pl.peak_rss_mb, omitted where it cannot be read); on failure, remove
-    them. The manifest holds nothing but the stage records."""
+    scene file's sha256, the numpy version and SIMD targets, its wall time,
+    the CPU time of it and its reaped workers, and the stage process's peak
+    RSS at its end (pl.peak_rss_mb, omitted where it cannot be read); on
+    failure, remove them. The manifest holds nothing but the stage records."""
     wall0, cpu0 = time.perf_counter(), _cpu_s()
     stages = _read_manifest(out).get("stages", {})
     manifest = {"stages": stages}
@@ -178,6 +178,8 @@ def _stage(out: Path, cfg: RunConfig, name: str, n_ues: int = 0):
     stages[name] = {"workers": 1, **record, "config_hash": semantic_hash(cfg),
                     "seed": cfg.seed, "scene": cfg.scene,
                     "scene_sha256": _scene_sha256(cfg), "numpy": np.__version__,
+                    "numpy_simd": [t for t in np._core._multiarray_umath.__cpu_dispatch__
+                                   if np._core._multiarray_umath.__cpu_features__.get(t)],
                     "wall_s": time.perf_counter() - wall0, "cpu_s": _cpu_s() - cpu0}
     peak = pl.peak_rss_mb()
     if peak is not None:
@@ -279,10 +281,8 @@ def cmd_simulate(args) -> int:
                       link_classes={c.name: int(mix[c]) for c in LinkClass},
                       agc_steps={f"{a:g}": int(np.count_nonzero(plan.attenuation_db == a))
                                  for a in sd.AGC_STEPS_DB},
-                      paths_per_link=sum(g.size for g in plan.path_gains)
-                      / (plan.n_captures * plan.n_ues),
-                      links_without_paths=sum(int(np.count_nonzero(np.diff(rs) == 0))
-                                              for rs in plan.row_splits),
+                      paths_per_link=plan.path_gains.size / (plan.n_captures * plan.n_ues),
+                      links_without_paths=int(np.count_nonzero(np.diff(plan.row_splits) == 0)),
                       capture_sync_wait_s=writer.sync_wait_s)
     print(f"simulate: wrote {out / CAPTURES_NAME}")
     return 0

@@ -1,6 +1,6 @@
 """Deterministic ray-path enumeration and per-path link budgets.
 
-For every AP pose and UE the engine enumerates the direct ray, specular
+For every (AP pose, UE) link the engine enumerates the direct ray, specular
 facade reflections of first and second order, and one rooftop diffraction
 per building that blocks the direct ray. One image-method routine solves
 a reflection off any chain of facades: every single facade, then every
@@ -18,11 +18,11 @@ for the candidates that pass. The direct ray's pass also marks the NLOS
 links, whose direct ray a building cuts, and the buildings that get a
 rooftop path.
 
-The one entry point, trace_paths_batch, vectorises across AP poses and
+The one entry point, trace_paths_batch, vectorises across links and
 returns a columnar PathBundle; a campaign traces one facade chain at a
-time against all poses, which keeps the per-pose Python overhead out of
-the 20k-pose runs. The roof edges of the rooftop step are the tops of the
-same facades.
+time against all links of a span of poses, which keeps the per-link
+Python overhead out of the 20k-pose runs. The roof edges of the rooftop
+step are the tops of the same facades.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ AP_DOWNTILT_DEG = 40.0
 UE_PEAK_GAIN_DBI = 2.15
 UE_FLOOR_DB = -30.0
 
-# Paths more than this far below the strongest path of their pose are dropped.
+# Paths more than this far below the strongest path of their link are dropped.
 MIN_RELATIVE_POWER_DB = 130.0
 
 
@@ -101,13 +101,13 @@ def fspl_db(distance_m) -> np.ndarray:
 
 @dataclass
 class PathBundle:
-    """Columnar batch of paths for many poses against one UE.
+    """Columnar batch of paths for many links, each an AP pose and a UE.
 
     Every column is per path (K,) except link_class, which holds one
-    LinkClass value per pose (M,): the state of that pose's direct ray.
+    LinkClass value per link (L,): the state of that link's direct ray.
     """
 
-    pose_index: np.ndarray  # (K,) int32
+    link_index: np.ndarray  # (K,) int32, the trace_paths_batch input row
     kind: np.ndarray  # (K,) uint8
     length_m: np.ndarray  # (K,) float64
     gain_db: np.ndarray  # (K,) total link budget at band centre
@@ -118,7 +118,7 @@ class PathBundle:
     loss_foliage_db: np.ndarray  # (K,)
     gain_tx_db: np.ndarray  # (K,)
     gain_rx_db: np.ndarray  # (K,)
-    link_class: np.ndarray  # (M,) uint8, per pose, not per path
+    link_class: np.ndarray  # (L,) uint8, per link, not per path
 
     @property
     def delay_s(self) -> np.ndarray:
@@ -128,7 +128,7 @@ class PathBundle:
         return 10.0 ** (self.gain_db / 20.0) * np.exp(1j * self.phase_rad)
 
     def __len__(self) -> int:
-        return int(self.pose_index.size)
+        return int(self.link_index.size)
 
 
 @dataclass
@@ -171,7 +171,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(n, 1e-300)
 
 
-def _columns(pose_idx, kind, length, points, buildings, loss_interaction_db,
+def _columns(link_idx, kind, length, points, buildings, loss_interaction_db,
              loss_foliage_db, gain_tx_db, gain_rx_db, phase_extra) -> dict:
     """PathBundle columns, by field name, of n paths of one kind whose
     interaction points (n, k, 3) lie on the buildings listed (k of them,
@@ -184,7 +184,7 @@ def _columns(pose_idx, kind, length, points, buildings, loss_interaction_db,
     loss = np.full(n, loss_interaction_db)
     tau = length / SPEED_OF_LIGHT
     return dict(
-        pose_index=pose_idx.astype(np.int32),
+        link_index=link_idx.astype(np.int32),
         kind=np.full(n, kind, dtype=np.uint8),
         length_m=length,
         gain_db=(-fspl_db(length) - loss - loss_foliage_db
@@ -203,32 +203,36 @@ def trace_paths_batch(
     scene: Scene,
     ap_positions: np.ndarray,
     headings: np.ndarray,
-    ue_position: np.ndarray,
+    ue_positions: np.ndarray,
 ) -> PathBundle:
-    """Enumerate paths for every AP pose (M, 3) against one UE position.
+    """Enumerate paths for each link i < L, from AP ap_positions[i] (L, 3) at
+    heading headings[i] to UE ue_positions[i]; the last two broadcast.
 
-    Returns a PathBundle sorted by (pose, delay); within each pose, paths
+    Returns a PathBundle sorted by (link, delay); within each link, paths
     more than MIN_RELATIVE_POWER_DB below the strongest are dropped.
     Its link_class is NLOS where any building cuts the direct ray
     (grazing contact does not count); otherwise OLOS where any foliage
     sphere does; otherwise LOS.
     """
     ap = np.atleast_2d(np.asarray(ap_positions, dtype=float))
-    m_poses = ap.shape[0]
-    headings = np.broadcast_to(np.asarray(headings, dtype=float), (m_poses,))
-    ue = np.asarray(ue_position, dtype=float)
-    all_idx = np.arange(m_poses)
+    n_links = ap.shape[0]
+    headings = np.broadcast_to(np.asarray(headings, dtype=float), (n_links,))
+    ue = np.broadcast_to(np.asarray(ue_positions, dtype=float), (n_links, 3))
+    # The distinct UEs, and each link's: what depends on the UE alone runs once per UE.
+    ues, ue_of = np.unique(np.ascontiguousarray(ue).view("V24").ravel(), return_inverse=True)
+    ues = ues.view(float).reshape(-1, 3)
+    all_idx = np.arange(n_links)
     pieces = []
 
     def emit(found, kind, buildings, loss_db, phase_extra, skip=-1):
-        """Append the paths AP -> points -> UE (found = pose indices,
+        """Append the paths AP -> points -> UE (found = link indices,
         points (n, k, 3), lengths; k = 0 for the direct ray) that no
         building other than skip blocks on any leg. Returns the
         (buildings, n) cut, True where that building blocks that
         candidate. A chain with no candidate left appends nothing, except
         the first, whose piece names every column even when empty."""
         idx, points, length = found
-        ends = [ap[idx], *points.transpose(1, 0, 2), np.broadcast_to(ue, (idx.size, 3))]
+        ends = [ap[idx], *points.transpose(1, 0, 2), ue[idx]]
         legs = list(zip(ends[:-1], ends[1:]))
         cut = np.zeros((len(scene.buildings), idx.size), dtype=bool)
         for bi, b in enumerate(scene.buildings):
@@ -249,36 +253,36 @@ def trace_paths_batch(
         ))
         return cut
 
-    # The direct ray's cut decides the link class and the rooftop poses.
-    block_by = emit((all_idx, np.empty((m_poses, 0, 3)), np.linalg.norm(ue - ap, axis=1)),
+    # The direct ray's cut decides the link class and the rooftop links.
+    block_by = emit((all_idx, np.empty((n_links, 0, 3)), np.linalg.norm(ue - ap, axis=1)),
                     KIND_DIRECT, [], 0.0, 0.0)
     idx = all_idx[~block_by.any(axis=0)]
-    link_class = np.full(m_poses, LinkClass.NLOS, dtype=np.uint8)
+    link_class = np.full(n_links, LinkClass.NLOS, dtype=np.uint8)
     link_class[idx] = LinkClass.LOS
     foliated = np.zeros(idx.size, dtype=bool)
     for f in scene.foliage:
-        chords = segment_sphere_chords(ap[idx], np.broadcast_to(ue, (idx.size, 3)),
-                                       f.center_m, f.radius_m)
+        chords = segment_sphere_chords(ap[idx], ue[idx], f.center_m, f.radius_m)
         foliated |= chords > GRAZE_TOL_M
     link_class[idx[foliated]] = LinkClass.OLOS
 
     facades = _scene_facades(scene)
     for chain in [(f,) for f in facades] + _admissible_pairs(facades):
-        emit(_reflect(ap, ue, chain), KIND_REFLECT1 + len(chain) - 1,
+        emit(_reflect(ap, ues, ue_of, chain), KIND_REFLECT1 + len(chain) - 1,
              [f.building_idx for f in chain],
              sum(f.reflection_loss_db for f in chain), np.pi * len(chain))
     for bi, b in enumerate(scene.buildings):
         walls = [f for f in facades if f.building_idx == bi]
-        emit(_rooftop(ap, ue, walls, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
+        emit(_rooftop(ap, ues, ue_of, walls, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
              b.rooftop_diffraction_loss_db, -np.pi / 4.0, skip=bi)
 
-    cols = {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
-    # Per-pose relative power cutoff, then (pose, length, kind) order.
-    pose, gain = cols["pose_index"], cols["gain_db"]
-    best = np.full(m_poses, -np.inf)
-    np.maximum.at(best, pose, gain)
-    keep = np.flatnonzero(gain >= best[pose] - MIN_RELATIVE_POWER_DB)
-    order = keep[np.lexsort((cols["kind"][keep], cols["length_m"][keep], pose[keep]))]
+    # Each piece's columns go as they are joined, which bounds the call's memory.
+    cols = {name: np.concatenate([p.pop(name) for p in pieces]) for name in list(pieces[0])}
+    # Per-link relative power cutoff, then (link, length, kind) order.
+    link, gain = cols["link_index"], cols["gain_db"]
+    best = np.full(n_links, -np.inf)
+    np.maximum.at(best, link, gain)
+    keep = np.flatnonzero(gain >= best[link] - MIN_RELATIVE_POWER_DB)
+    order = keep[np.lexsort((cols["kind"][keep], cols["length_m"][keep], link[keep]))]
     return PathBundle(**{name: c[order] for name, c in cols.items()}, link_class=link_class)
 
 
@@ -316,9 +320,9 @@ def _admissible_pairs(facades: list[_Facade]):
     return pairs
 
 
-def _reflect(ap, ue, chain):
-    """Candidates AP -> each facade of chain in turn -> UE, by the image
-    method: (pose indices, bounce points (n, len(chain), 3), path lengths).
+def _reflect(ap, ues, ue_of, chain):
+    """Candidates AP ap[i] -> each facade of chain in turn -> UE ues[ue_of[i]], by
+    the image method: (link indices i, bounce points (n, len(chain), 3), path lengths).
 
     The forward pass mirrors the AP across each facade in turn and keeps
     each mirror's signed distance; the image sits that far behind the
@@ -327,11 +331,9 @@ def _reflect(ap, ue, chain):
     after it) to its image crosses the facade. Source and target must be
     strictly in front of each facade and the bounce inside its extent.
     The path length is the distance from the UE to the last image."""
-    sig_t = _side(chain[-1], ue[:2])
-    if sig_t <= _SIDE_TOL:
-        ap = ap[:0]  # the UE is behind the last facade: no candidate
-    idx = np.arange(ap.shape[0])
-    img = ap[:, :2]
+    sig = np.array([_side(chain[-1], ue[:2]) for ue in ues])  # per distinct UE
+    idx = np.flatnonzero(sig[ue_of] > _SIDE_TOL)  # a UE behind the last facade has none
+    img = ap[:, :2] if idx.size == ap.shape[0] else ap[idx][:, :2]
     images, depths = [], []
     for f in chain:
         s = _side(f, img)
@@ -345,7 +347,8 @@ def _reflect(ap, ue, chain):
     z0 = ap[idx, 2]
 
     points = []
-    t_xy, t_z = ue[:2], ue[2]
+    u = ue_of[idx]
+    sig_t, t_xy, t_z = sig[u], ues[:, :2][u], ues[:, 2][u]
     for i in reversed(range(len(chain))):
         t = depths[i] / (depths[i] - sig_t)
         r_xy = images[i] + t[:, None] * (t_xy - images[i])
@@ -357,36 +360,36 @@ def _reflect(ap, ue, chain):
             sig_t = _side(chain[i - 1], r_xy)
             ok &= sig_t > _SIDE_TOL
             sig_t = sig_t[ok]
-        idx, z0, t_xy, t_z = idx[ok], z0[ok], r_xy[ok], r_z[ok]
+        idx, u, z0, t_xy, t_z = idx[ok], u[ok], z0[ok], r_xy[ok], r_z[ok]
         images = [x[ok] for x in images]
         depths = [x[ok] for x in depths[:i]]
         points = [np.column_stack([t_xy, t_z])] + [p[ok] for p in points]
     img = np.column_stack([images[-1], z0])
-    return idx, np.stack(points, axis=1), np.linalg.norm(ue - img, axis=1)
+    return idx, np.stack(points, axis=1), np.linalg.norm(ues[u] - img, axis=1)
 
 
-def _rooftop(ap, ue, walls, idx):
+def _rooftop(ap, ues, ue_of, walls, idx):
     """The bent path over the roof boundary of one building, whose facades
-    are walls, for the poses idx whose direct ray it blocks: (idx, edge
+    are walls, for the links idx whose direct ray it blocks: (idx, edge
     points (n, 1, 3), path lengths). Each facade's top is one roof edge."""
-    apv = ap[idx]
+    apv, u = ap[idx], ue_of[idx]
     best_len = np.full(idx.size, np.inf)
     best_e = np.zeros((idx.size, 3))
     for f in walls:
         e0 = np.array([f.q0[0], f.q0[1], f.height])
         e1 = np.array([f.q1[0], f.q1[1], f.height])
-        lam = _edge_argmin(apv, ue, e0, e1)
+        lam = _edge_argmin(apv, ues, u, e0, e1)
         pt = e0 + lam[:, None] * (e1 - e0)
-        total = np.linalg.norm(pt - apv, axis=1) + np.linalg.norm(pt - ue, axis=1)
+        total = np.linalg.norm(pt - apv, axis=1) + np.linalg.norm(pt - ues[u], axis=1)
         better = total < best_len
         best_len = np.where(better, total, best_len)
         best_e[better] = pt[better]
     return idx, best_e[:, None], best_len
 
 
-def _edge_argmin(apv: np.ndarray, ue: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    """Per-pose lambda in [0, 1] minimising |AP - P| + |P - UE| over the
-    edge points P = e0 + lambda (e1 - e0).
+def _edge_argmin(apv, ues, u, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """Per-link lambda in [0, 1] minimising |AP - P| + |P - UE| over the
+    edge points P = e0 + lambda (e1 - e0), for APs apv and UEs ues[u].
 
     a and b are the feet of the AP and the UE on the edge line (in lambda),
     p and q their distances from it. Unfolding the UE about the line into
@@ -397,7 +400,7 @@ def _edge_argmin(apv: np.ndarray, ue: np.ndarray, e0: np.ndarray, e1: np.ndarray
     d = e1 - e0
     dd = d @ d
     a = (apv - e0) @ d / dd
-    b = (ue - e0) @ d / dd
+    b = np.array([(ue - e0) @ d / dd for ue in ues])
     p = np.linalg.norm(apv - e0 - a[:, None] * d, axis=1)
-    q = np.linalg.norm(ue - e0 - b * d)
-    return np.clip(a + (b - a) * p / (p + q), 0.0, 1.0)
+    q = np.array([np.linalg.norm(ue - e0 - bj * d) for ue, bj in zip(ues, b)])
+    return np.clip(a + (b[u] - a) * p / (p + q[u]), 0.0, 1.0)

@@ -54,6 +54,7 @@ CHAIN_TERMS = 4
 CHAIN_SEED = 7
 
 _POWER_FLOOR_MW = 1e-30
+TRACE_SPAN_POSES = 2048  # poses per tracer call, all UEs: bounds the call's memory
 
 
 # --- AGC ---------------------------------------------------------------------
@@ -139,7 +140,7 @@ class ImpairmentConfig:
 class CampaignPlan:
     """Everything needed to synthesize any capture independently.
 
-    Built by one deterministic pass: pose sampling, path tracing per UE,
+    Built by one deterministic pass: pose sampling, path tracing per link,
     noiseless power evaluation and the sequential AGC pass. Spectra are not
     held here; synthesize_chunk generates them on demand from (seed,
     capture index).
@@ -152,9 +153,9 @@ class CampaignPlan:
     positions: np.ndarray  # (M, 3)
     timestamps: np.ndarray  # (M,)
     ue_positions: np.ndarray  # (U, 3)
-    path_gains: list  # per UE: complex (K_j,)
-    path_delays: list  # per UE: float (K_j,)
-    row_splits: list  # per UE: int (M+1,)
+    path_gains: np.ndarray  # complex (K,), the paths of every link
+    path_delays: np.ndarray  # float (K,)
+    row_splits: np.ndarray  # int (M U + 1,), path offsets of link m U + j (capture m, UE j)
     measured_power_dbm: np.ndarray  # (M, U)
     link_class: np.ndarray  # (M, U) uint8, LinkClass values from the tracer
     attenuation_db: np.ndarray  # (M,)
@@ -196,28 +197,26 @@ def plan_campaign(
     waveform.validate()
     positions, headings, timestamps = sample_ap_pose_arrays(scene.trajectory)
     ue_site = scene.site(site)
-    m_total = positions.shape[0]
+    m_total, n_ues = positions.shape[0], ue_site.positions_m.shape[0]
 
     chain = make_chain_response(waveform.n_subcarriers)
 
-    gains, delays, splits = [], [], []
-    n_ues = ue_site.positions_m.shape[0]
-    power_dbm = np.zeros((m_total, n_ues))
-    link_class = np.zeros((m_total, n_ues), dtype=np.uint8)
-    for j, ue in enumerate(ue_site.positions_m):
-        bundle = rp.trace_paths_batch(scene, positions, headings, ue)
-        link_class[:, j] = bundle.link_class
-        g = bundle.complex_gains()
-        tau = bundle.delay_s
-        rs = ch.row_splits_for_poses(bundle.pose_index, m_total)
-        gains.append(g)
-        delays.append(tau)
-        splits.append(rs)
-        mean_gain = ch.mean_tone_power(g, tau, rs, waveform)
-        power_dbm[:, j] = TX_POWER_DBM + 10.0 * np.log10(
-            np.maximum(mean_gain, _POWER_FLOOR_MW)
-        )
-
+    gains, delays, splits, power, link_class = [], [], [np.zeros(1, np.int64)], [], []
+    for m0 in range(0, m_total, TRACE_SPAN_POSES):
+        m1 = min(m0 + TRACE_SPAN_POSES, m_total)
+        bundle = rp.trace_paths_batch(
+            scene, np.repeat(positions[m0:m1], n_ues, axis=0), np.repeat(headings[m0:m1], n_ues),
+            np.tile(ue_site.positions_m, (m1 - m0, 1)))
+        gains.append(bundle.complex_gains())
+        delays.append(bundle.delay_s)
+        rs = ch.row_splits_for_links(bundle.link_index, (m1 - m0) * n_ues)
+        link_class.append(bundle.link_class.reshape(-1, n_ues))
+        del bundle  # before the power sums, which need no other column
+        splits.append(splits[-1][-1] + rs[1:])
+        power.append(ch.mean_tone_power(gains[-1], delays[-1], rs, waveform).reshape(-1, n_ues))
+    gains, delays, splits, power, link_class = (
+        np.concatenate(x) for x in (gains, delays, splits, power, link_class))
+    power_dbm = TX_POWER_DBM + 10.0 * np.log10(np.maximum(power, _POWER_FLOOR_MW))
     att = agc_attenuation_sequence(power_dbm.max(axis=1))
 
     return CampaignPlan(
@@ -275,11 +274,11 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
     to the channel at zero delay, ahead of the attenuator, so its calibrated
     level does not move with AGC steps.
 
-    The signal goes first, UE by UE: one UE's complex128 channel rows for
-    the chunk's links that have traced paths, in one buffer sized to the UE
-    with the most such links, are turned into the received signal in place
-    and cast straight into the complex64 result. Links without paths share
-    one row, a zero channel through the same crosstalk add and transmit
+    The signal goes first, link by link in (capture, UE) order: the
+    complex128 channel rows of the links that have traced paths, at most m
+    at a time in one m-row buffer, are turned into the received signal in
+    place and cast straight into the complex64 result. Links without paths
+    share one row, a zero channel through the same crosstalk add and transmit
     front. Then per capture, its unit noise z (_unit_noise) fills one
     reused (U, N, 2) float32 buffer, and over all UEs at once, in place on
     the result's float32 (real, imaginary) components: z *= s,
@@ -311,20 +310,18 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
         h *= tx_front
         return h
 
-    out = np.empty((m_chunk, n_ue, n), dtype=np.complex64)
+    out = np.empty((m_chunk * n_ue, n), dtype=np.complex64)  # a row per link
+    splits = plan.row_splits[m0 * n_ue:m1 * n_ue + 1]
+    counts = np.diff(splits)
     # Every link without paths has a zero channel, so they share one row.
-    empty = to_signal(np.zeros((1, n), dtype=np.complex128))
-    counts = [np.diff(rs[m0:m1 + 1]) for rs in plan.row_splits]
-    h_buf = np.empty((max(np.count_nonzero(c) for c in counts), n), dtype=np.complex128)
-    for j, c in enumerate(counts):
-        has = np.flatnonzero(c)
-        lo, hi = plan.row_splits[j][m0], plan.row_splits[j][m1]
-        h_rows = ch.synthesize_rows(
-            plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-            np.concatenate([[0], np.cumsum(c[has])]), wf_spec, out=h_buf[:has.size],
-        )
-        out[has, j] = to_signal(h_rows)
-        out[c == 0, j] = empty
+    out[counts == 0] = to_signal(np.zeros((1, n), dtype=np.complex128))
+    has = np.flatnonzero(counts)
+    h_buf = np.empty((min(has.size, m_chunk), n), dtype=np.complex128)
+    for b in range(0, has.size, m_chunk):
+        block = has[b:b + m_chunk]  # the links between them have no paths
+        out[block] = to_signal(ch.synthesize_rows(
+            plan.path_gains, plan.path_delays, np.append(splits[block], splits[block[-1] + 1]),
+            wf_spec, out=h_buf[:block.size]))
 
     out_re = out.view(np.float32).reshape(m_chunk, n_ue, n, 2)
     z = np.empty((n_ue, n, 2), dtype=np.float32)
@@ -333,4 +330,4 @@ def synthesize_chunk(plan: CampaignPlan, m0: int, m1: int) -> np.ndarray:
         z *= s
         out_re[i] += z
         out_re[i] *= g
-    return out
+    return out.reshape(m_chunk, n_ue, n)

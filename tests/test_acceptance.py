@@ -53,9 +53,10 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
                  coupling_db=None, measured_override_dbm=None):
     """CampaignPlan over hand-chosen paths.
 
-    gains/delays: one flat array per UE, n_captures * n_paths entries in
-    capture-major order (use np.tile for a static channel). Every link is
-    marked LOS; synthesis never reads the class.
+    gains/delays: the plan's flat path table, the same number of paths on
+    every (capture, UE) link, links in (capture, UE) order (use np.tile
+    for a static channel). Every link is marked LOS; synthesis never reads
+    the class.
     """
     spec = WaveformSpec()
     chain = sd.make_chain_response(spec.n_subcarriers)
@@ -63,15 +64,13 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
     positions = np.asarray(ap_positions, dtype=float)
     ues = np.asarray(ue_positions, dtype=float)
     m_total = positions.shape[0]
+    gains = np.asarray(gains, dtype=complex)
+    delays = np.asarray(delays, dtype=float)
 
-    splits = []
-    measured = np.zeros((m_total, ues.shape[0]))
-    for j in range(ues.shape[0]):
-        k = gains[j].size // m_total
-        rs = np.arange(m_total + 1) * k
-        splits.append(rs)
-        mean_gain = ch.mean_tone_power(gains[j], delays[j], rs, spec)
-        measured[:, j] = sd.TX_POWER_DBM + 10.0 * np.log10(mean_gain)
+    n_links = m_total * ues.shape[0]
+    splits = np.arange(n_links + 1) * (gains.size // n_links)
+    mean_gain = ch.mean_tone_power(gains, delays, splits, spec).reshape(m_total, -1)
+    measured = sd.TX_POWER_DBM + 10.0 * np.log10(mean_gain)
     if measured_override_dbm is not None:
         measured = np.asarray(measured_override_dbm, dtype=float).reshape(m_total, -1)
     att = sd.agc_attenuation_sequence(measured.max(axis=1))
@@ -81,9 +80,8 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         positions=positions,
         timestamps=np.arange(m_total) * sd.CAPTURE_INTERVAL_S,
         ue_positions=ues,
-        path_gains=[np.asarray(g, dtype=complex) for g in gains],
-        path_delays=[np.asarray(d, dtype=float) for d in delays],
-        row_splits=splits, measured_power_dbm=measured,
+        path_gains=gains, path_delays=delays, row_splits=splits,
+        measured_power_dbm=measured,
         link_class=np.zeros((m_total, ues.shape[0]), dtype=np.uint8), attenuation_db=att,
         reference_tones=reference_tones(spec), chain=chain,
     )
@@ -105,13 +103,13 @@ def _static_plan(distance_m, extra=(), *, m_total=16,
         taus.append(d0 / C + off_bins * native)
         amps.append(amps[0] * 10.0 ** (rel_db / 20.0))
     k = len(taus)
-    gains = [np.tile(np.asarray(amps, dtype=complex), m_total)]
-    delays = [np.tile(np.asarray(taus), m_total)]
+    gains = np.tile(np.asarray(amps, dtype=complex), m_total)
+    delays = np.tile(np.asarray(taus), m_total)
     plan = _manual_plan(
         np.tile(np.asarray([[0.0, 0.0, 0.0]]), (m_total, 1)),
         np.asarray([[d0, 0.0, 0.0]]), gains, delays,
         seed=seed, coupling_db=coupling_db)
-    assert plan.row_splits[0][-1] == m_total * k
+    assert plan.row_splits[-1] == m_total * k
     return plan
 
 
@@ -272,8 +270,8 @@ def test_criterion_07_agc_contract(tmp_path):
     m_total = 220
     x = np.linspace(45.0, 55.0, m_total)
     a0 = 10.0 ** (-51.7 / 20.0)
-    gains = [(a0 / x).astype(complex)]
-    delays = [x / C]
+    gains = (a0 / x).astype(complex)
+    delays = x / C
     positions = np.column_stack([x, np.zeros(m_total), np.zeros(m_total)])
     plan = _manual_plan(positions, [[0.0, 0.0, 0.0]], gains, delays, seed=5)
     assert (plan.attenuation_db == 0.0).all()
@@ -292,7 +290,7 @@ def test_criterion_07_agc_contract(tmp_path):
     amp[30:] = 10.0 ** (-52.0 / 20.0)
     plan = _manual_plan(
         np.tile(np.asarray([[60.0, 0.0, 0.0]]), (m_total, 1)),
-        [[0.0, 0.0, 0.0]], [amp], [np.full(m_total, 60.0 / C)], seed=6)
+        [[0.0, 0.0, 0.0]], amp, np.full(m_total, 60.0 / C), seed=6)
     att = plan.attenuation_db
     assert (att[:31] == 0.0).all() and (att[31:] == 30.0).all()
     matrix = process_matrix(PlanSource(plan), tmp_path)

@@ -54,6 +54,15 @@ class TestAssemble:
         np.testing.assert_array_equal(out.threshold_db, np.full(6, -93.0))
         assert out.bin_width_s == 1e-9
 
+    def test_threshold_owns_its_column(self, tmp_path):
+        # Each UE keeps its own M thresholds, not a view that holds a whole
+        # (M, U) table alive.
+        mat, meta = toy_matrix(tmp_path), toy_meta()
+        for j in range(mat.n_ues):
+            threshold = ap.assemble_apld(mat, meta, j).threshold_db
+            assert threshold.base is None and threshold.nbytes == 8 * mat.n_captures
+            np.testing.assert_array_equal(threshold, mat.threshold_db[:, j])
+
     def test_capture_count_mismatch_lists_gaps(self, tmp_path):
         with pytest.raises(ValueError, match="missing captures 4, 5"):
             ap.assemble_apld(toy_matrix(tmp_path, m=6), toy_meta(m=4), 0)

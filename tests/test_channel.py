@@ -134,7 +134,7 @@ def test_mean_tone_power_matches_synthesis():
     np.testing.assert_allclose(p_ana, p_syn, rtol=1e-12, atol=1e-300)
 
 
-def test_row_splits_for_poses():
-    pose_index = np.array([0, 0, 2, 2, 2, 5])
-    splits = ch.row_splits_for_poses(pose_index, 6)
+def test_row_splits_for_links():
+    link_index = np.array([0, 0, 2, 2, 2, 5])
+    splits = ch.row_splits_for_links(link_index, 6)
     np.testing.assert_array_equal(splits, [0, 2, 2, 5, 5, 5, 6])

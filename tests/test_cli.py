@@ -113,6 +113,28 @@ def test_cli_import_loads_no_scipy():
     assert r.stdout.strip() == "[]"
 
 
+def numpy_simd() -> list[str]:
+    """The SIMD dispatch targets numpy runs here, in numpy's order."""
+    umath = np._core._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+
+
+def test_simulate_record_leaves_out_disabled_simd_targets(workspace, tmp_path):
+    # Targets that NPY_DISABLE_CPU_FEATURES turns off for a run, as an older
+    # CPU lacks them, leave the record's numpy_simd.
+    simd = numpy_simd()
+    if len(simd) < 2:
+        pytest.skip(f"numpy dispatches to {simd} here; the check needs two targets")
+    env = {**os.environ, "PYTHONPATH": str(Path(cfmm.__file__).parents[1]),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(simd[1:])}
+    r = subprocess.run([sys.executable, "-m", "cfmm.cli", "simulate", "--config",
+                        str(workspace / "cfg.json"), "--out", str(tmp_path), "--workers", "1"],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    record = json.loads((tmp_path / "manifest.json").read_text())["stages"]["simulate"]
+    assert record["numpy_simd"] == simd[:1]
+
+
 @pytest.mark.parametrize("stage", ["validate", "export"])
 def test_stage_without_pool_skips_its_imports(stage, workspace, finished_run, tmp_path):
     # Neither stage runs a pool, so neither pays for importing one; scene
@@ -465,7 +487,8 @@ class TestStages:
         values, counts = np.unique(plan.attenuation_db, return_counts=True)
         assert {k: n for k, n in steps.items() if n} == {
             f"{a:g}": int(n) for a, n in zip(values, counts)}
-        paths = sum(len(d) for d in plan.path_delays)
+        assert plan.row_splits.shape == (plan.n_captures * 8 + 1,)
+        paths = plan.path_delays.size
         assert record["paths_per_link"] == pytest.approx(paths / (plan.n_captures * 8))
         assert record["paths_per_link"] > 1
 
@@ -562,7 +585,8 @@ class TestStages:
         cfg = cfgmod.load_config(mixed_links / "cfg.json")
         plan = sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
                                 cfg.seed, site=cfg.site)
-        empty = sum(int(np.sum(rs[1:] == rs[:-1])) for rs in plan.row_splits)
+        rs = plan.row_splits
+        empty = int(np.sum(rs[1:] == rs[:-1]))
         assert record["links_without_paths"] == empty == 302
         assert record["n_captures"] * record["n_ues"] == 512
 
@@ -637,6 +661,7 @@ class TestStages:
         for stage in ("simulate", "process", "export"):
             assert manifest["stages"][stage]["scene_sha256"] == scene_sha
             assert manifest["stages"][stage]["numpy"] == np.__version__
+            assert manifest["stages"][stage]["numpy_simd"] == numpy_simd()
 
     def test_unknown_site_exit_1_keeps_captures(self, workspace, tmp_path, capsys):
         cfg = json.loads((workspace / "cfg.json").read_text())
@@ -1047,9 +1072,11 @@ class TestStages:
         cfg = cfgmod.load_config(workspace / "cfg.json")
         plan = sd.plan_campaign(sc.load_scene(cfg.scene), cfg.waveform, cfg.impairments,
                                 cfg.seed, site=cfg.site)
+        counts = np.diff(plan.row_splits).reshape(plan.n_captures, 8)
+        paths = np.repeat(np.tile(np.arange(8) < 4, plan.n_captures), counts.ravel())
         plan = replace(plan, ue_positions=plan.ue_positions[:4],
-                       path_gains=plan.path_gains[:4], path_delays=plan.path_delays[:4],
-                       row_splits=plan.row_splits[:4],
+                       path_gains=plan.path_gains[paths], path_delays=plan.path_delays[paths],
+                       row_splits=np.concatenate([[0], np.cumsum(counts[:, :4])]),
                        measured_power_dbm=plan.measured_power_dbm[:, :4],
                        link_class=plan.link_class[:, :4])
         self.export_rejects(finished_run, tmp_path, capsys, workspace / "cfg.json",

@@ -4,9 +4,11 @@ were taken.
 
 A change that moves an output byte fails here, naming each file that
 differs. Such a change updates the pins in the same diff and says so in
-CHANGES.md. The pins were taken with numpy 2.4.6: the bytes depend on
-numpy's FFT and its float32 log, sin and cos, so another numpy version
-may fail here too, and the failure names both versions.
+CHANGES.md. The pins were taken with numpy 2.4.6 at its AVX512_SPR SIMD
+level: the bytes depend on numpy's FFT and on its float64 and float32
+transcendental functions, which round differently on each SIMD level, so
+another numpy version or CPU may fail here too, and the failure names
+the version and level of the pins and of the run.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from cfmm.config import resolve_scene_path
 from conftest import first_poses
 
 PINNED_NUMPY = "2.4.6"
+PINNED_SIMD = "AVX512_SPR"  # the highest dispatch target numpy ran
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # Window name -> (bundled scene, poses, first pose).
@@ -175,7 +178,11 @@ def window(request, tmp_path_factory):
 
 
 def _versions() -> str:
-    return f"Pinned with numpy {PINNED_NUMPY}; running numpy {np.__version__}."
+    umath = np._core._multiarray_umath
+    level = [t for t in umath.__cpu_baseline__ + umath.__cpu_dispatch__
+             if umath.__cpu_features__.get(t)][-1]
+    return (f"Pinned with numpy {PINNED_NUMPY} at SIMD level {PINNED_SIMD}; "
+            f"running numpy {np.__version__} at SIMD level {level}.")
 
 
 def test_output_files_match_pins(window):

@@ -11,7 +11,7 @@ from cfmm import scene as sc
 from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.geometry import points_in_polygon
-from conftest import make_scene
+from conftest import first_poses, make_scene
 
 
 def wall_scene():
@@ -51,7 +51,7 @@ def test_no_poses_gives_empty_bundle(basic_scene):
     bundle = rp.trace_paths_batch(basic_scene, np.zeros((0, 3)), np.zeros(0),
                                   basic_scene.ue_sites[0].positions_m[0])
     assert len(bundle) == 0
-    want = {"pose_index": ((0,), np.int32), "kind": ((0,), np.uint8),
+    want = {"link_index": ((0,), np.int32), "kind": ((0,), np.uint8),
             "points": ((0, 2, 3), np.float64), "interact_idx": ((0, 2), np.int32),
             "link_class": ((0,), np.uint8)}
     for name in ("length_m", "gain_db", "phase_rad", "loss_interaction_db",
@@ -296,7 +296,7 @@ def test_double_reflection_matches_scalar_image_oracle(monkeypatch):
             for row in np.flatnonzero(bundle.kind == rp.KIND_REFLECT2):
                 r1, r2 = bundle.points[row]
                 b1, b2 = bundle.interact_idx[row]
-                key = (int(bundle.pose_index[row]), facade(b1, r1), facade(b2, r2))
+                key = (int(bundle.link_index[row]), facade(b1, r1), facade(b2, r2))
                 got[key] = (bundle.length_m[row], r1, r2)
             want = {(m, *pair): path for m in range(len(ap))
                     for pair, path in _oracle_double_bounces(buildings, ap[m], ue).items()}
@@ -363,20 +363,27 @@ def test_through_building_path_never_emitted(basic_scene):
                     assert chord <= 1e-6
 
 
+def lshape_scene():
+    """A scene of one L-shaped building, and 60 random AP positions
+    outside it."""
+    fp = np.array([[30, 25], [75, 25], [75, 38], [45, 38], [45, 50], [30, 50]], dtype=float)
+    scene = make_scene(buildings=[sc.Building("L", fp, 20.0)])
+    scene.validate()
+    rng = np.random.default_rng(5)
+    ap = rng.uniform([0.0, 0.0, 4.5], [100.0, 55.0, 13.0], size=(200, 3))
+    return scene, ap[~points_in_polygon(ap[:, :2], fp)][:60]
+
+
 def test_lshape_paths_and_link_classes_against_dense_sampling():
     # An L-shaped building: its bounding box holds a notch that blocks
     # nothing, so the bounding-box prefilter passes segments the slices
     # must then clear. The oracle samples each segment densely and counts
     # samples inside the prism, so it shares nothing with the
     # slice-and-probe routine.
-    fp = np.array([[30, 25], [75, 25], [75, 38], [45, 38], [45, 50], [30, 50]], dtype=float)
-    bld = sc.Building("L", fp, 20.0)
+    scene, ap = lshape_scene()
+    bld = scene.buildings[0]
+    fp = bld.footprint
     assert not bld.is_convex
-    scene = make_scene(buildings=[bld])
-    scene.validate()
-    rng = np.random.default_rng(5)
-    ap = rng.uniform([0.0, 0.0, 4.5], [100.0, 55.0, 13.0], size=(200, 3))
-    ap = ap[~points_in_polygon(ap[:, :2], fp)][:60]
     ues = scene.ue_sites[0].positions_m
     n_samples = 2000
     t = (np.arange(n_samples) + 0.5) / n_samples
@@ -395,7 +402,7 @@ def test_lshape_paths_and_link_classes_against_dense_sampling():
         starts, ends = [], []
         for r in np.flatnonzero(bundle.kind != rp.KIND_ROOFTOP):
             pts = [p for p in bundle.points[r] if not np.isnan(p[0])]
-            chain = [ap[bundle.pose_index[r]], *pts, ue]
+            chain = [ap[bundle.link_index[r]], *pts, ue]
             starts += chain[:-1]
             ends += chain[1:]
         assert np.any(bundle.kind == rp.KIND_REFLECT1)
@@ -559,7 +566,7 @@ def test_interaction_antenna_gains_face_the_end_points():
     for scene, ap, headings, ue in cases:
         bundle = rp.trace_paths_batch(scene, ap, headings, ue)
         rows = np.arange(len(bundle))
-        poses = bundle.pose_index
+        poses = bundle.link_index
         n_points = (~np.isnan(bundle.points[:, :, 0])).sum(axis=1)
         # Each row's chain AP -> points -> UE, padded after the UE.
         chain = np.concatenate([ap[poses, None], bundle.points, np.full((rows.size, 1, 3), np.nan)],
@@ -606,7 +613,7 @@ def test_batch_matches_per_pose(basic_scene):
     ue = np.array([35.0, 60.0, 1.0])
     bundle = rp.trace_paths_batch(basic_scene, ap, headings, ue)
     for i in range(m):
-        rows = bundle.pose_index == i
+        rows = bundle.link_index == i
         one = trace_one(basic_scene, ap[i], ue, heading=headings[i])
         assert rows.sum() == len(one)
         np.testing.assert_allclose(
@@ -615,6 +622,41 @@ def test_batch_matches_per_pose(basic_scene):
         np.testing.assert_allclose(
             np.sort(bundle.gain_db[rows]), np.sort(budget_db(one)), atol=1e-9,
         )
+
+
+@pytest.mark.parametrize("case", ["canyon", "full_mixed_links", "lshape"])
+def test_link_rows_match_single_ue_traces(case):
+    # One call over every (pose, UE) link, rows in (pose, UE) order as
+    # plan_campaign traces them, split per UE, is bitwise the single-UE
+    # trace in every column: on the digest windows of canyon and of full,
+    # the second with links without paths, and on the L building.
+    if case == "lshape":
+        scene, ap = lshape_scene()
+        headings = np.linspace(-np.pi, np.pi, len(ap))
+    else:
+        name, n_poses, skip = {"canyon": ("canyon", 24, 0),
+                               "full_mixed_links": ("full", 64, 896)}[case]
+        scene = first_poses(sc.load_scene(resolve_scene_path(f"bundled:{name}")),
+                            n_poses, skip=skip)
+        ap, headings, _ = sc.sample_ap_pose_arrays(scene.trajectory)
+    ues = scene.site(0).positions_m
+    m, u = len(ap), len(ues)
+    links = rp.trace_paths_batch(scene, np.repeat(ap, u, axis=0), np.repeat(headings, u),
+                                 np.tile(ues, (m, 1)))
+    assert links.link_class.shape == (m * u,)
+    if case == "full_mixed_links":
+        assert np.count_nonzero(np.bincount(links.link_index, minlength=m * u) == 0) == 302
+    for j, ue in enumerate(ues):
+        one = rp.trace_paths_batch(scene, ap, headings, ue)
+        rows = links.link_index % u == j
+        got = {f.name: getattr(links, f.name)[rows] for f in dataclasses.fields(rp.PathBundle)
+               if f.name != "link_class"}
+        got["link_index"] = (links.link_index[rows] // u).astype(np.int32)
+        got["link_class"] = links.link_class[j::u]
+        for name, column in got.items():
+            want = getattr(one, name)
+            assert (column.dtype, column.shape) == (want.dtype, want.shape), (j, name)
+            assert column.tobytes() == want.tobytes(), (j, name)
 
 
 def test_path_continuity_along_route(basic_scene):
@@ -642,9 +684,9 @@ def test_bundle_sorted_and_delay_consistent(basic_scene):
         np.linspace(10, 90, 25), np.full(25, 10.0), np.full(25, 4.5)
     ])
     bundle = rp.trace_paths_batch(basic_scene, ap, np.zeros(25), np.array([35.0, 60.0, 1.0]))
-    assert np.all(np.diff(bundle.pose_index) >= 0)
-    for i in np.unique(bundle.pose_index):
-        lengths = bundle.length_m[bundle.pose_index == i]
+    assert np.all(np.diff(bundle.link_index) >= 0)
+    for i in np.unique(bundle.link_index):
+        lengths = bundle.length_m[bundle.link_index == i]
         assert np.all(np.diff(lengths) >= 0)
     np.testing.assert_allclose(bundle.delay_s, bundle.length_m / SPEED_OF_LIGHT, rtol=1e-15)
 

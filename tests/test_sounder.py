@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -116,24 +116,40 @@ def test_campaign_structure_and_determinism():
     assert not np.array_equal(spectra[7], sd.synthesize_chunk(plan3, 7, 8)[0])
 
 
+def test_plan_does_not_depend_on_trace_span(monkeypatch):
+    # 23 poses in tracer spans of 7 poses, the last one short, give the
+    # plan of one span, bit for bit.
+    plan = sd.plan_campaign(short_drive_scene(x1=11.1), SPEC, sd.ImpairmentConfig(), seed=8)
+    assert plan.n_captures == 23 < sd.TRACE_SPAN_POSES
+    monkeypatch.setattr(sd, "TRACE_SPAN_POSES", 7)
+    spans = sd.plan_campaign(short_drive_scene(x1=11.1), SPEC, sd.ImpairmentConfig(), seed=8)
+    for f in fields(sd.CampaignPlan):
+        a, b = getattr(plan, f.name), getattr(spans, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    assert plan.row_splits.shape == (23 * 8 + 1,)
+
+
+def link_paths(plan, m, j):
+    """(gains, delays) of the paths of link (capture m, UE j) of plan."""
+    lo, hi = plan.row_splits[m * plan.n_ues + j:m * plan.n_ues + j + 2]
+    return plan.path_gains[lo:hi], plan.path_delays[lo:hi]
+
+
 def drop_links(plan, empty):
     """plan without any path of the (capture, UE) links where the (M, U)
     mask empty is set; those links record crosstalk and noise only."""
-    gains, delays, splits = [], [], []
-    for j, rs in enumerate(plan.row_splits):
-        counts = np.diff(rs)
-        keep = np.repeat(~empty[:, j], counts)
-        gains.append(plan.path_gains[j][keep])
-        delays.append(plan.path_delays[j][keep])
-        splits.append(np.concatenate([[0], np.cumsum(np.where(empty[:, j], 0, counts))]))
-    return replace(plan, path_gains=gains, path_delays=delays, row_splits=splits)
+    counts = np.diff(plan.row_splits)
+    keep = np.repeat(~empty.ravel(), counts)
+    return replace(plan, path_gains=plan.path_gains[keep], path_delays=plan.path_delays[keep],
+                   row_splits=np.concatenate([[0], np.cumsum(np.where(empty.ravel(), 0, counts))]))
 
 
 def with_empty_links(plan):
     """plan with empty links in three kinds of chunk: captures 3-8 mix links
     with and without paths, and UE 2 has none in any of them; captures
     12-14 have no path at all. Every link of plan has a path."""
-    assert all(np.all(np.diff(rs) > 0) for rs in plan.row_splits)
+    assert np.all(np.diff(plan.row_splits) > 0)
     empty = np.zeros((plan.n_captures, plan.n_ues), dtype=bool)
     empty[[3, 4, 5, 8], [7, 0, 0, 5]] = True
     empty[3:9, 2] = True
@@ -166,9 +182,9 @@ def chunk_peak_ratio(plan):
 
 
 def test_synthesize_chunk_peak_memory_is_bounded_by_its_output():
-    # One UE's complex128 rows and one capture's noise draw are held beside
-    # the complex64 result, never an (m, U, N) complex128 signal, which
-    # alone is twice the result.
+    # At most m links' complex128 rows and one capture's noise draw are
+    # held beside the complex64 result, never an (m, U, N) complex128
+    # signal, which alone is twice the result.
     plan = sd.plan_campaign(short_drive_scene(), SPEC, sd.ImpairmentConfig(), seed=6)
     assert plan.n_captures >= 16
     assert chunk_peak_ratio(plan) <= 2.0
@@ -223,10 +239,10 @@ def capture_signal(plan, m):
     front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
     signal = np.empty((plan.n_ues, n), dtype=np.complex128)
     for j in range(plan.n_ues):
-        lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
+        gains, delays = link_paths(plan, m, j)
         h = chan.synthesize_rows(
-            plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-            np.array([0, hi - lo]), SPEC, np.empty((1, n), dtype=np.complex128),
+            gains, delays, np.array([0, gains.size]), SPEC,
+            np.empty((1, n), dtype=np.complex128),
         )[0]
         if plan.impairments.crosstalk_coupling_db is not None:
             h = h + 10.0 ** (plan.impairments.crosstalk_coupling_db / 20.0)
@@ -296,9 +312,7 @@ def test_noise_is_unit_complex_gaussian():
     # normal, independent of each other and of the next capture's.
     plan = sd.plan_campaign(short_drive_scene(x1=16.4), SPEC,
                             sd.ImpairmentConfig(crosstalk_coupling_db=None), seed=21)
-    plan = replace(plan, path_gains=[g[:0] for g in plan.path_gains],
-                   path_delays=[d[:0] for d in plan.path_delays],
-                   row_splits=[np.zeros_like(rs) for rs in plan.row_splits])
+    plan = drop_links(plan, np.ones((plan.n_captures, plan.n_ues), dtype=bool))
     m = plan.n_captures
     assert m >= 128
     sigma2 = plan.impairments.noise_sigma2_mw(plan.attenuation_db,
@@ -340,10 +354,9 @@ def test_noiseless_capture_reproduces_channel():
     g = 10 ** (-plan.attenuation_db[m] / 20.0)
     front = plan.tx_tone_amplitude * plan.reference_tones * plan.chain
     for j in range(8):
-        lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
+        gains, delays = link_paths(plan, m, j)
         h = chan.synthesize_rows(
-            plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-            np.array([0, hi - lo]), SPEC,
+            gains, delays, np.array([0, gains.size]), SPEC,
             np.empty((1, SPEC.n_subcarriers), dtype=np.complex128),
         )[0]
         expected = (g * front * h).astype(np.complex64)
@@ -393,10 +406,9 @@ def test_measured_power_matches_synthesized_channel():
     plan = sd.plan_campaign(scene, SPEC, imp, seed=3)
     m = 7
     for j in range(8):
-        lo, hi = plan.row_splits[j][m], plan.row_splits[j][m + 1]
+        gains, delays = link_paths(plan, m, j)
         h = chan.synthesize_rows(
-            plan.path_gains[j][lo:hi], plan.path_delays[j][lo:hi],
-            np.array([0, hi - lo]), SPEC,
+            gains, delays, np.array([0, gains.size]), SPEC,
             np.empty((1, SPEC.n_subcarriers), dtype=np.complex128),
         )[0]
         expect = sd.TX_POWER_DBM + 10 * np.log10((np.abs(h) ** 2).mean())

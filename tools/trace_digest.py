@@ -3,10 +3,13 @@
     PYTHONPATH=src python3 tools/trace_digest.py SCENE [--site S]
 
 SCENE is a scene file or `bundled:NAME`; S is a UE site id or index
-(default 0). For each UE of the site the tool traces every pose of the
-route with `raypaths.trace_paths_batch` and prints `ue <j> <sha256>`,
-the digest of every `PathBundle` column's bytes in field order. Two
-source trees that print the same lines trace the same paths bit for bit.
+(default 0). The tool traces every (pose, UE) link of the route and the
+site in one `raypaths.trace_paths_batch` call, rows in (pose, UE) order
+as `sounder.plan_campaign` traces them. For each UE it prints
+`ue <j> <sha256>`, the digest of the bytes of every `PathBundle` column
+of that UE's rows, in field order, with link_index restated as int32 pose
+indices. Two source trees that print the same lines trace the same paths
+bit for bit.
 
 Exits 0 on success, 1 when the scene or site is invalid, 2 when the
 scene file cannot be read.
@@ -39,11 +42,21 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     positions, headings, _ = sample_ap_pose_arrays(scene.trajectory)
-    for j, ue in enumerate(site.positions_m):
-        bundle = trace_paths_batch(scene, positions, headings, ue)
+    ues = site.positions_m
+    n_ues = ues.shape[0]
+    bundle = trace_paths_batch(scene, np.repeat(positions, n_ues, axis=0),
+                               np.repeat(headings, n_ues), np.tile(ues, (len(positions), 1)))
+    for j in range(n_ues):
+        rows = bundle.link_index % n_ues == j
         h = hashlib.sha256()
         for f in fields(PathBundle):
-            h.update(np.ascontiguousarray(getattr(bundle, f.name)).tobytes())
+            if f.name == "link_index":
+                column = (bundle.link_index[rows] // n_ues).astype(np.int32)
+            elif f.name == "link_class":
+                column = bundle.link_class[j::n_ues]
+            else:
+                column = getattr(bundle, f.name)[rows]
+            h.update(np.ascontiguousarray(column).tobytes())
         print(f"ue {j} {h.hexdigest()}")
     return 0
 
