@@ -18,11 +18,11 @@ for the candidates that pass. The direct ray's pass also marks the NLOS
 links, whose direct ray a building cuts, and the buildings that get a
 rooftop path.
 
-The one entry point, trace_paths_batch, vectorises across links and
-returns a columnar PathBundle; a campaign traces one facade chain at a
-time against all links of a span of poses, which keeps the per-link
-Python overhead out of the 20k-pose runs. The roof edges of the rooftop
-step are the tops of the same facades.
+The one entry point, trace_paths_batch, traces the P U links of P poses
+and U UEs one facade chain at a time into a columnar PathBundle, which
+keeps the per-link Python overhead out of the 20k-pose runs; a chain's
+images depend on the pose alone and are found once per pose. The roof
+edges of the rooftop step are the tops of the same facades.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class PathBundle:
     LinkClass value per link (L,): the state of that link's direct ray.
     """
 
-    link_index: np.ndarray  # (K,) int32, the trace_paths_batch input row
+    link_index: np.ndarray  # (K,) int32, link p U + j: pose p, UE j
     kind: np.ndarray  # (K,) uint8
     length_m: np.ndarray  # (K,) float64
     gain_db: np.ndarray  # (K,) total link budget at band centre
@@ -205,8 +205,9 @@ def trace_paths_batch(
     headings: np.ndarray,
     ue_positions: np.ndarray,
 ) -> PathBundle:
-    """Enumerate paths for each link i < L, from AP ap_positions[i] (L, 3) at
-    heading headings[i] to UE ue_positions[i]; the last two broadcast.
+    """Enumerate paths for every link of P AP poses, ap_positions (P, 3) at
+    headings (P,), and U UEs, ue_positions (U, 3) or (3,) for one: link
+    p U + j is pose p with UE j.
 
     Returns a PathBundle sorted by (link, delay); within each link, paths
     more than MIN_RELATIVE_POWER_DB below the strongest are dropped.
@@ -214,14 +215,12 @@ def trace_paths_batch(
     (grazing contact does not count); otherwise OLOS where any foliage
     sphere does; otherwise LOS.
     """
-    ap = np.atleast_2d(np.asarray(ap_positions, dtype=float))
+    poses = np.atleast_2d(np.asarray(ap_positions, dtype=float))
+    ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
+    headings = np.broadcast_to(np.asarray(headings, dtype=float), poses.shape[:1])
+    pose_of, ue_of = np.divmod(np.arange(poses.shape[0] * ues.shape[0]), ues.shape[0])
+    ap, ue = poses[pose_of], ues[ue_of]
     n_links = ap.shape[0]
-    headings = np.broadcast_to(np.asarray(headings, dtype=float), (n_links,))
-    ue = np.broadcast_to(np.asarray(ue_positions, dtype=float), (n_links, 3))
-    # The distinct UEs, and each link's: what depends on the UE alone runs once per UE.
-    ues, ue_of = np.unique(np.ascontiguousarray(ue).view("V24").ravel(), return_inverse=True)
-    ues = ues.view(float).reshape(-1, 3)
-    all_idx = np.arange(n_links)
     pieces = []
 
     def emit(found, kind, buildings, loss_db, phase_extra, skip=-1):
@@ -247,16 +246,16 @@ def trace_paths_batch(
         foliage = sum(_foliage_loss(scene, p0, p1) for p0, p1 in legs)
         pieces.append(_columns(
             idx, kind, length, points, buildings, loss_db, foliage,
-            ap_gain_db(headings[idx], _unit(legs[0][1] - legs[0][0])),
+            ap_gain_db(headings[pose_of[idx]], _unit(legs[0][1] - legs[0][0])),
             ue_gain_db(_unit(legs[-1][0] - legs[-1][1])),
             phase_extra,
         ))
         return cut
 
     # The direct ray's cut decides the link class and the rooftop links.
-    block_by = emit((all_idx, np.empty((n_links, 0, 3)), np.linalg.norm(ue - ap, axis=1)),
-                    KIND_DIRECT, [], 0.0, 0.0)
-    idx = all_idx[~block_by.any(axis=0)]
+    block_by = emit((np.arange(n_links), np.empty((n_links, 0, 3)),
+                     np.linalg.norm(ue - ap, axis=1)), KIND_DIRECT, [], 0.0, 0.0)
+    idx = np.flatnonzero(~block_by.any(axis=0))
     link_class = np.full(n_links, LinkClass.NLOS, dtype=np.uint8)
     link_class[idx] = LinkClass.LOS
     foliated = np.zeros(idx.size, dtype=bool)
@@ -267,12 +266,12 @@ def trace_paths_batch(
 
     facades = _scene_facades(scene)
     for chain in [(f,) for f in facades] + _admissible_pairs(facades):
-        emit(_reflect(ap, ues, ue_of, chain), KIND_REFLECT1 + len(chain) - 1,
+        emit(_reflect(poses, ues, chain), KIND_REFLECT1 + len(chain) - 1,
              [f.building_idx for f in chain],
              sum(f.reflection_loss_db for f in chain), np.pi * len(chain))
     for bi, b in enumerate(scene.buildings):
         walls = [f for f in facades if f.building_idx == bi]
-        emit(_rooftop(ap, ues, ue_of, walls, all_idx[block_by[bi]]), KIND_ROOFTOP, [bi],
+        emit(_rooftop(ap, ues, ue_of, walls, np.flatnonzero(block_by[bi])), KIND_ROOFTOP, [bi],
              b.rooftop_diffraction_loss_db, -np.pi / 4.0, skip=bi)
 
     # Each piece's columns go as they are joined, which bounds the call's memory.
@@ -320,34 +319,38 @@ def _admissible_pairs(facades: list[_Facade]):
     return pairs
 
 
-def _reflect(ap, ues, ue_of, chain):
-    """Candidates AP ap[i] -> each facade of chain in turn -> UE ues[ue_of[i]], by
-    the image method: (link indices i, bounce points (n, len(chain), 3), path lengths).
+def _reflect(poses, ues, chain):
+    """Candidates AP poses[p] -> each facade of chain in turn -> UE ues[j] by
+    the image method: (links p U + j, bounce points (n, len(chain), 3), path lengths).
 
-    The forward pass mirrors the AP across each facade in turn and keeps
-    each mirror's signed distance; the image sits that far behind the
-    facade, at the AP's height. The backward pass runs from the UE: each
-    bounce point is where the line from its target (the UE, or the bounce
-    after it) to its image crosses the facade. Source and target must be
-    strictly in front of each facade and the bounce inside its extent.
-    The path length is the distance from the UE to the last image."""
-    sig = np.array([_side(chain[-1], ue[:2]) for ue in ues])  # per distinct UE
-    idx = np.flatnonzero(sig[ue_of] > _SIDE_TOL)  # a UE behind the last facade has none
-    img = ap[:, :2] if idx.size == ap.shape[0] else ap[idx][:, :2]
+    The forward pass mirrors each pose once across each facade in turn and
+    keeps each mirror's signed distance; the image sits that far behind the
+    facade, at the AP's height. The backward pass runs from the UE, on each
+    surviving pose with each UE in front of the last facade: each bounce
+    point is where the line from its target (the UE, or the bounce after
+    it) to its image crosses the facade. Source and target must be strictly
+    in front of each facade and the bounce inside its extent. The path
+    length is the distance from the UE to the last image."""
+    sig = _side(chain[-1], ues[:, :2])
+    front_ues = np.flatnonzero(sig > _SIDE_TOL)  # a UE behind the last facade has none
+    pose, img = np.arange(poses.shape[0]), poses[:, :2]
     images, depths = [], []
     for f in chain:
         s = _side(f, img)
         front = s > _SIDE_TOL
-        idx, img, s = idx[front], img[front], s[front]
+        pose, img, s = pose[front], img[front], s[front]
         images = [x[front] for x in images]
         depths = [x[front] for x in depths]
         img = img - 2.0 * s[:, None] * f.normal
         images.append(img)
         depths.append(-s)
-    z0 = ap[idx, 2]
+    n = front_ues.size
+    idx = (pose[:, None] * ues.shape[0] + front_ues).ravel()  # pose-major
+    u = np.tile(front_ues, pose.size)
+    images, depths = ([np.repeat(x, n, axis=0) for x in xs] for xs in (images, depths))
+    z0 = np.repeat(poses[pose, 2], n)
 
     points = []
-    u = ue_of[idx]
     sig_t, t_xy, t_z = sig[u], ues[:, :2][u], ues[:, 2][u]
     for i in reversed(range(len(chain))):
         t = depths[i] / (depths[i] - sig_t)
@@ -400,7 +403,7 @@ def _edge_argmin(apv, ues, u, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
     d = e1 - e0
     dd = d @ d
     a = (apv - e0) @ d / dd
-    b = np.array([(ue - e0) @ d / dd for ue in ues])
+    b = (ues - e0) @ d / dd
     p = np.linalg.norm(apv - e0 - a[:, None] * d, axis=1)
-    q = np.array([np.linalg.norm(ue - e0 - bj * d) for ue, bj in zip(ues, b)])
+    q = np.linalg.norm(ues - e0 - b[:, None] * d, axis=1)
     return np.clip(a + (b[u] - a) * p / (p + q[u]), 0.0, 1.0)

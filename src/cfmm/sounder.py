@@ -156,7 +156,6 @@ class CampaignPlan:
     path_gains: np.ndarray  # complex (K,), the paths of every link
     path_delays: np.ndarray  # float (K,)
     row_splits: np.ndarray  # int (M U + 1,), path offsets of link m U + j (capture m, UE j)
-    measured_power_dbm: np.ndarray  # (M, U)
     link_class: np.ndarray  # (M, U) uint8, LinkClass values from the tracer
     attenuation_db: np.ndarray  # (M,)
     reference_tones: np.ndarray  # complex (N,)
@@ -204,9 +203,8 @@ def plan_campaign(
     gains, delays, splits, power, link_class = [], [], [np.zeros(1, np.int64)], [], []
     for m0 in range(0, m_total, TRACE_SPAN_POSES):
         m1 = min(m0 + TRACE_SPAN_POSES, m_total)
-        bundle = rp.trace_paths_batch(
-            scene, np.repeat(positions[m0:m1], n_ues, axis=0), np.repeat(headings[m0:m1], n_ues),
-            np.tile(ue_site.positions_m, (m1 - m0, 1)))
+        bundle = rp.trace_paths_batch(scene, positions[m0:m1], headings[m0:m1],
+                                      ue_site.positions_m)
         gains.append(bundle.complex_gains())
         delays.append(bundle.delay_s)
         rs = ch.row_splits_for_links(bundle.link_index, (m1 - m0) * n_ues)
@@ -225,7 +223,7 @@ def plan_campaign(
         positions=positions, timestamps=timestamps,
         ue_positions=ue_site.positions_m.copy(),
         path_gains=gains, path_delays=delays, row_splits=splits,
-        measured_power_dbm=power_dbm, link_class=link_class, attenuation_db=att,
+        link_class=link_class, attenuation_db=att,
         reference_tones=reference_tones(waveform), chain=chain,
     )
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfmm import channel as ch
 from cfmm import cli
 from cfmm import formats as fm
 from cfmm import pipeline as pl
@@ -43,6 +44,14 @@ def noiseless(plan):
     """plan without receiver noise: a thermal density of -inf dBm/Hz makes
     the noise variance zero. The AGC sequence does not depend on it."""
     return replace(plan, impairments=replace(plan.impairments, thermal_dbm_per_hz=-np.inf))
+
+
+def measured_power_dbm(plan) -> np.ndarray:
+    """(M, U) noiseless mean received power in dBm of each link of plan,
+    from its paths, as plan_campaign computes it for the AGC."""
+    power = ch.mean_tone_power(plan.path_gains, plan.path_delays, plan.row_splits, plan.waveform)
+    power_dbm = sd.TX_POWER_DBM + 10.0 * np.log10(np.maximum(power, sd._POWER_FLOOR_MW))
+    return power_dbm.reshape(plan.n_captures, plan.n_ues)
 
 
 def first_poses(scene, n_poses: int, skip: int = 0):

@@ -36,7 +36,7 @@ from cfmm.config import resolve_scene_path
 from cfmm.constants import SPEED_OF_LIGHT
 from cfmm.waveform import WaveformSpec, reference_tones
 
-from conftest import PlanSource, dense, dense_rows, process_matrix
+from conftest import PlanSource, dense, dense_rows, measured_power_dbm, process_matrix
 
 C = SPEED_OF_LIGHT
 
@@ -81,7 +81,6 @@ def _manual_plan(ap_positions, ue_positions, gains, delays, *, seed=3,
         timestamps=np.arange(m_total) * sd.CAPTURE_INTERVAL_S,
         ue_positions=ues,
         path_gains=gains, path_delays=delays, row_splits=splits,
-        measured_power_dbm=measured,
         link_class=np.zeros((m_total, ues.shape[0]), dtype=np.uint8), attenuation_db=att,
         reference_tones=reference_tones(spec), chain=chain,
     )
@@ -276,7 +275,8 @@ def test_criterion_07_agc_contract(tmp_path):
     plan = _manual_plan(positions, [[0.0, 0.0, 0.0]], gains, delays, seed=5)
     assert (plan.attenuation_db == 0.0).all()
     lo, hi = sd.AGC_WINDOW_DBM
-    assert ((plan.measured_power_dbm >= lo) & (plan.measured_power_dbm <= hi)).all()
+    measured = measured_power_dbm(plan)
+    assert ((measured >= lo) & (measured <= hi)).all()
     spectra = sd.synthesize_chunk(plan, 0, m_total)
     out_dbm = 10.0 * np.log10(np.sum(np.abs(spectra[:, 0]) ** 2, axis=1))
     assert float(np.std(out_dbm)) <= 1.2

@@ -23,7 +23,7 @@ import cfmm.sounder as sd
 import cfmm.waveform as wf
 from cfmm import cli
 
-from conftest import PlanSource, first_poses, make_scene, set_first_value
+from conftest import PlanSource, first_poses, make_scene, measured_power_dbm, set_first_value
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -78,7 +78,7 @@ def test_count_functions_read_real_results(tmp_path):
 
     plan = sd.plan_campaign(first_poses(scene, 6), wf.WaveformSpec(), sd.ImpairmentConfig(),
                             seed=5)
-    strongest = plan.measured_power_dbm.max(axis=1)
+    strongest = measured_power_dbm(plan).max(axis=1)
     att = sd.agc_attenuation_sequence(strongest)
     counts = tracer._agc_counts((strongest,), {}, att)
     assert counts.pop("captures") == 6

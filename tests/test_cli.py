@@ -1077,7 +1077,6 @@ class TestStages:
         plan = replace(plan, ue_positions=plan.ue_positions[:4],
                        path_gains=plan.path_gains[paths], path_delays=plan.path_delays[paths],
                        row_splits=np.concatenate([[0], np.cumsum(counts[:, :4])]),
-                       measured_power_dbm=plan.measured_power_dbm[:, :4],
                        link_class=plan.link_class[:, :4])
         self.export_rejects(finished_run, tmp_path, capsys, workspace / "cfg.json",
                             write_captures(tmp_path / "other.cfmc", plan),

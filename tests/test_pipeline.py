@@ -8,8 +8,8 @@ import pytest
 from cfmm import pipeline as pl
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import (PlanSource, dense, dense_rows, first_poses, make_scene, noiseless,
-                      process_matrix)
+from conftest import (PlanSource, dense, dense_rows, first_poses, make_scene,
+                      measured_power_dbm, noiseless, process_matrix)
 
 
 def brute_pdp(h, beta, pad):
@@ -406,7 +406,7 @@ class TestProcessCampaign:
         mat = process_matrix(PlanSource(plan), tmp_path, pl.PipelineParams())
         values, mask = dense(mat)
         m = 0
-        j = int(plan.measured_power_dbm[m].argmax())
+        j = int(measured_power_dbm(plan)[m].argmax())
         d = np.linalg.norm(plan.positions[m] - plan.ue_positions[j])
         peak = int(values[m, j].argmax())
         expect = d / 299792458.0 / mat.bin_width_s

@@ -626,10 +626,10 @@ def test_batch_matches_per_pose(basic_scene):
 
 @pytest.mark.parametrize("case", ["canyon", "full_mixed_links", "lshape"])
 def test_link_rows_match_single_ue_traces(case):
-    # One call over every (pose, UE) link, rows in (pose, UE) order as
-    # plan_campaign traces them, split per UE, is bitwise the single-UE
-    # trace in every column: on the digest windows of canyon and of full,
-    # the second with links without paths, and on the L building.
+    # One call over the grid of every pose and every UE, as plan_campaign
+    # traces a span, split per UE, is bitwise the single-UE trace in every
+    # column: on the digest windows of canyon and of full, the second with
+    # links without paths, and on the L building.
     if case == "lshape":
         scene, ap = lshape_scene()
         headings = np.linspace(-np.pi, np.pi, len(ap))
@@ -641,9 +641,9 @@ def test_link_rows_match_single_ue_traces(case):
         ap, headings, _ = sc.sample_ap_pose_arrays(scene.trajectory)
     ues = scene.site(0).positions_m
     m, u = len(ap), len(ues)
-    links = rp.trace_paths_batch(scene, np.repeat(ap, u, axis=0), np.repeat(headings, u),
-                                 np.tile(ues, (m, 1)))
+    links = rp.trace_paths_batch(scene, ap, headings, ues)
     assert links.link_class.shape == (m * u,)
+    assert np.all(np.diff(links.link_index) >= 0) and links.link_index.max() < m * u
     if case == "full_mixed_links":
         assert np.count_nonzero(np.bincount(links.link_index, minlength=m * u) == 0) == 302
     for j, ue in enumerate(ues):

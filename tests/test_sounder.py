@@ -10,7 +10,7 @@ from cfmm import raypaths as rp
 from cfmm import scene as sc
 from cfmm import sounder as sd
 from cfmm import waveform as wf
-from conftest import make_scene, noiseless
+from conftest import make_scene, measured_power_dbm, noiseless
 
 SPEC = wf.WaveformSpec()
 
@@ -405,6 +405,7 @@ def test_measured_power_matches_synthesized_channel():
     imp = sd.ImpairmentConfig(crosstalk_coupling_db=None)
     plan = sd.plan_campaign(scene, SPEC, imp, seed=3)
     m = 7
+    measured = measured_power_dbm(plan)
     for j in range(8):
         gains, delays = link_paths(plan, m, j)
         h = chan.synthesize_rows(
@@ -412,4 +413,4 @@ def test_measured_power_matches_synthesized_channel():
             np.empty((1, SPEC.n_subcarriers), dtype=np.complex128),
         )[0]
         expect = sd.TX_POWER_DBM + 10 * np.log10((np.abs(h) ** 2).mean())
-        assert plan.measured_power_dbm[m, j] == pytest.approx(expect, abs=1e-9)
+        assert measured[m, j] == pytest.approx(expect, abs=1e-9)

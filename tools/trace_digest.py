@@ -3,9 +3,9 @@
     PYTHONPATH=src python3 tools/trace_digest.py SCENE [--site S]
 
 SCENE is a scene file or `bundled:NAME`; S is a UE site id or index
-(default 0). The tool traces every (pose, UE) link of the route and the
-site in one `raypaths.trace_paths_batch` call, rows in (pose, UE) order
-as `sounder.plan_campaign` traces them. For each UE it prints
+(default 0). The tool passes the route's poses and the site's UEs to one
+`raypaths.trace_paths_batch` call, as `sounder.plan_campaign` passes a
+span of poses: link p U + j is pose p with UE j. For each UE it prints
 `ue <j> <sha256>`, the digest of the bytes of every `PathBundle` column
 of that UE's rows, in field order, with link_index restated as int32 pose
 indices. Two source trees that print the same lines trace the same paths
@@ -44,8 +44,7 @@ def main(argv=None) -> int:
     positions, headings, _ = sample_ap_pose_arrays(scene.trajectory)
     ues = site.positions_m
     n_ues = ues.shape[0]
-    bundle = trace_paths_batch(scene, np.repeat(positions, n_ues, axis=0),
-                               np.repeat(headings, n_ues), np.tile(ues, (len(positions), 1)))
+    bundle = trace_paths_batch(scene, positions, headings, ues)
     for j in range(n_ues):
         rows = bundle.link_index % n_ues == j
         h = hashlib.sha256()
